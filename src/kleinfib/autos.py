@@ -7,13 +7,12 @@ automorphisms exist is a geometric statement outside computation and is
 flagged as paper-sourced in every report."""
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .multipoly import MultiPoly
 from .tower import FieldTower, FieldElement
-from .geometry import build_surface
+from .geometry import _bezout_many, _pow_signed, build_surface
 from .curves import VerificationError
 
 AFFINE_VARS = ("x", "y", "z")
@@ -43,10 +42,6 @@ class PolyMap:
     def is_identity(self) -> bool:
         return all((e - MultiPoly.var(AFFINE_VARS, v)).is_zero()
                    for e, v in zip(self.exprs, AFFINE_VARS))
-
-
-def identity_map():
-    return PolyMap(tuple(MultiPoly.var(AFFINE_VARS, v) for v in AFFINE_VARS))
 
 
 def _coeff_div(a, b):
@@ -110,13 +105,14 @@ class DiagonalGroupDescriptor:
     def conditions_satisfied(self, sol) -> bool:
         a, b, c = sol
         for d in self.conditions:
-            val = _pow_frac(a, d[0]) * _pow_frac(b, d[1]) * _pow_frac(c, d[2])
+            val = (_pow_signed(a, d[0]) * _pow_signed(b, d[1])
+                   * _pow_signed(c, d[2]))
             if val != 1:
                 return False
         return True
 
     def element(self, t, signs=(1, 1, 1)):
-        return tuple(_pow_frac(t, e) * (s if sg else 1)
+        return tuple(_pow_signed(t, e) * (s if sg else 1)
                      for e, sg, s in zip(self.exponents, self.signed,
                                          signs))
 
@@ -125,15 +121,15 @@ class DiagonalGroupDescriptor:
         combination of the exponents with gcd 1."""
         e = self.exponents
         # Bezout combination sum(c_i e_i) = 1
-        g, coeffs = _bezout3(e)
+        g, coeffs = _bezout_many(e)
         if g != 1:
             raise VerificationError("exponents are not coprime")
         a, b, c = sol
-        t = _pow_frac(a, coeffs[0]) * _pow_frac(b, coeffs[1]) \
-            * _pow_frac(c, coeffs[2])
+        t = _pow_signed(a, coeffs[0]) * _pow_signed(b, coeffs[1]) \
+            * _pow_signed(c, coeffs[2])
         signs = []
         for v, ei, sg in zip(sol, e, self.signed):
-            s = v / _pow_frac(t, ei)
+            s = v / _pow_signed(t, ei)
             if s == 1:
                 signs.append(1)
             elif s == -1 and sg:
@@ -141,21 +137,6 @@ class DiagonalGroupDescriptor:
             else:
                 raise VerificationError("parametrization misses a solution")
         return t, tuple(signs)
-
-
-def _pow_frac(x, k):
-    return x ** k if k >= 0 else (Fraction(1) / x) ** (-k)
-
-
-def _bezout3(es):
-    def xgcd(a, b):
-        if b == 0:
-            return a, 1, 0
-        g, u, v = xgcd(b, a % b)
-        return g, v, u - (a // b) * v
-    g12, u, v = xgcd(es[0], es[1])
-    g, w, s = xgcd(g12, es[2])
-    return g, (u * w, v * w, s)
 
 
 def _klein_equation(case: str):

@@ -9,6 +9,7 @@ unless --timings is given)."""
 import argparse
 import dataclasses
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -21,21 +22,28 @@ from .curves import (VerificationError, certify_s6_lines, enumerate_an,
 from .geometry import (GeometryError, build_catalog, charts_compatible,
                        chart_transition_check, surface_names,
                        verify_contraction_S6)
-from .orbits import (BaseExtension, GRID_CASES, an_intersections,
-                     dn_intersections, rationality_degree,
-                     rationality_verdict, s6_intersections, s7_conjugation,
-                     s7_e0_intersection, s8_conjugation, verdict_grid)
+from .orbits import (BaseExtension, an_intersections, dn_intersections,
+                     parse_case, rationality_degree, rationality_verdict,
+                     s6_intersections, s7_conjugation, s7_e0_intersection,
+                     s8_conjugation, verdict_grid)
 from .lattice import (build_root_system, coxeter_number,
                       dn_boundary_selfintersection, minus_one_classes)
-from .autos import autos_report, verify_an_wild_family
+from .autos import autos_report
 from .univariate import count_real_roots
-from .numeric import (NumericConfig, check_specialization, full_audit,
-                      numeric_curve_audit, sturm_vs_numeric)
+from .numeric import (NumericConfig, full_audit, numeric_curve_audit,
+                      sturm_vs_numeric)
 
 SCHEMA = "kleinfib-certificate/1"
 
 AN_RANGE = range(2, 7)
 DN_RANGE = range(4, 10)
+
+# --poly: an expanded sum of terms c, y, y^k, c*y or c*y^k (c, k decimal)
+POLY_MAX_DEGREE = 64
+_TERM = r"(?:(\d+)\s*\*\s*)?(y)(?:\s*\^\s*(\d+))?|(\d+)"
+_POLY = re.compile(r"\s*[+-]?\s*(?:%s)(?:\s*[+-]\s*(?:%s))*\s*"
+                   % (_TERM, _TERM))
+_SIGNED_TERM = re.compile(r"([+-]?)\s*(?:%s)" % _TERM)
 
 
 class UsageError(Exception):
@@ -215,20 +223,20 @@ def cmd_autos(args):
 
 
 def _parse_poly(text):
-    """A polynomial in y with integer coefficients, e.g. '1+y+y^3'."""
-    y = MultiPoly.var(("x", "y", "z"), "y")
-    source = text.replace("^", "**")
-    if not set(source) <= set("0123456789y+-* ()"):
-        raise UsageError("unsupported character in polynomial %r" % text)
-    try:
-        value = eval(source, {"__builtins__": {}}, {"y": y})
-    except Exception as ex:
-        raise UsageError("cannot parse polynomial %r: %s" % (text, ex))
-    if isinstance(value, int):
-        value = MultiPoly.const(("x", "y", "z"), Fraction(value))
-    if not isinstance(value, MultiPoly):
-        raise UsageError("%r is not a polynomial in y" % text)
-    return value
+    """A polynomial in y with integer coefficients, written as an expanded
+    sum such as '1+y+y^3' or '-2*y^2+7', of degree <= POLY_MAX_DEGREE."""
+    if not _POLY.fullmatch(text):
+        raise UsageError("cannot parse polynomial %r: expected a sum of "
+                         "terms c, y^k or c*y^k" % text)
+    terms = {}
+    for sign, coeff, y, exp, const in _SIGNED_TERM.findall(text):
+        k = (int(exp) if exp else 1) if y else 0
+        if k > POLY_MAX_DEGREE:
+            raise UsageError("degree %d exceeds %d in polynomial %r"
+                             % (k, POLY_MAX_DEGREE, text))
+        c = Fraction(int(coeff or const or 1)) * (-1 if sign == "-" else 1)
+        terms[(0, k, 0)] = terms.get((0, k, 0), 0) + c
+    return MultiPoly(("x", "y", "z"), terms)
 
 
 def cmd_audit(args):
@@ -239,8 +247,9 @@ def cmd_audit(args):
     if t == 0:
         raise UsageError("t = 0 lies on every discriminant locus")
     cfg = NumericConfig(t=t, tol=args.tol, seed=args.seed)
-    if args.surface not in ("s6", "s7", "s8") and \
-            not args.surface.startswith(("an:", "dn:")):
+    if args.surface.startswith(("an:", "dn:")):
+        parse_case(args.surface)        # n below the family's minimum: exit 2
+    elif args.surface not in ("s6", "s7", "s8"):
         raise UsageError("no numeric audit for %r" % args.surface)
     report = numeric_curve_audit(args.surface, cfg)
     checks = [check("numeric-audit", "floating-point oracle at t = %s" % t,

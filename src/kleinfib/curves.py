@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from .geometry import build_surface
 from .multipoly import MultiPoly
-from .tower import FieldTower, tower_qi_sqrt3_t, zeta3, zeta12
+from .tower import FieldTower, qi_sqrt3, transplant, zeta3
 from .univariate import (from_multipoly, poly_gcd, resultant_poly,
                          subresultant_prs, cyclotomic_poly)
 
@@ -185,11 +186,17 @@ def wx_coefficients(p: MultiPoly, degree: int):
 
 def coprime_at_t2(f: MultiPoly, g: MultiPoly, name: str) -> bool:
     """Coprimality certificate over Q(t): specialize t = 2 and take a
-    univariate gcd.  A unit gcd at one specialization forces a unit
-    generic gcd (specialization can only enlarge the gcd)."""
+    univariate gcd.  Hypothesis, checked here: the leading coefficient of f
+    in `name` does not vanish at t = 2.  Then Res(f, g) at t = 2 is a
+    nonzero multiple of Res(f(2), g(2)), so a unit gcd at the specialization
+    forces a unit generic gcd."""
     two = Fraction(2)
     fs = f.substitute({"t": two}) if "t" in f.vars else f
     gs = g.substitute({"t": two}) if "t" in g.vars else g
+    if fs.degree(name) != f.degree(name):
+        raise VerificationError("coprimality at t = 2: the leading "
+                                "coefficient in %s vanishes there" % name,
+                                detail=f)
     fu = from_multipoly(fs, name)
     gu = from_multipoly(gs, name)
     return len(poly_gcd(fu, gu)) == 1
@@ -219,9 +226,7 @@ def univariate_from_pure(p: MultiPoly, var_block: str, block: int,
 # S7: 56 curves, residual cubic Q
 
 def enumerate_s7(catalog=None):
-    from .geometry import build_catalog
-    catalog = catalog or build_catalog()
-    s7 = catalog["s7"]
+    s7 = catalog["s7"] if catalog else build_surface("s7")
     V = ("W", "X", "Y", "Z", "a", "b", "c", "d", "e", "t")
     eq = s7.equation.rename(V)
     Wv, Xv = (MultiPoly.var(V, v) for v in ("W", "X"))
@@ -400,8 +405,8 @@ def _s7_curves(s7, solved, core, V):
     rel = MultiPoly(("r", "t"), {(2, 0): Fraction(1), (0, 1): Fraction(-1)})
     for idx, sgn in enumerate((1, -1)):
         eqs = (Y, Z - W2.scale(T.lift(sgn) * r))
-        _certify_weighted_membership(s7, T, {"Y": MultiPoly.zero(cvars),
-                                             "Z": W2.scale(T.lift(sgn) * r)})
+        _certify_membership(s7, T, {"Y": MultiPoly.zero(cvars),
+                                    "Z": W2.scale(T.lift(sgn) * r)})
         curves.append(CurveSpec("s7", "S7-e0", "e0", idx, eqs,
                                 parameter="r", relation=rel,
                                 data={"c": "+-sqrt(t)", "sign": sgn}))
@@ -464,24 +469,17 @@ def _s7_symbolic_equations(pairs, cvars):
     return (strip_content(eqY), strip_content(eqZ))
 
 
-def _certify_weighted_membership(surface, tower, substitution):
-    """Substitute curve forms into the surface equation over the tower and
-    require the exact zero polynomial."""
+def _certify_membership(surface, tower, substitution):
+    """Substitute curve forms into the chart-0 surface equation over the
+    tower and require the exact zero polynomial."""
     eqvars = surface.equation.vars
     sub = {k: (v.rename(eqvars) if v.vars != eqvars else v)
            for k, v in substitution.items()}
-    eq = surface.equation.map_coeffs(
-        lambda c: tower.lift(c) if isinstance(c, Fraction) else
-        _transplant_to(c, tower))
+    eq = surface.equation.map_coeffs(lambda c: transplant(c, tower))
     eq = eq.substitute(sub)
     eq = eq.substitute({"t": MultiPoly.const(eqvars, tower.gen("t"))})
     if not eq.is_zero():
         raise VerificationError("membership residue nonzero", detail=eq)
-
-
-def _transplant_to(c, tower):
-    from .tower import transplant
-    return transplant(c, tower)
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +508,7 @@ def enumerate_s8(catalog=None):
     intermediate e/d/a displays are not trusted: the chain re-derives them
     and certifies the final residuals bit-for-bit.
     """
-    from .geometry import build_catalog
-    catalog = catalog or build_catalog()
-    s8 = catalog["s8"]
+    s8 = catalog["s8"] if catalog else build_surface("s8")
     V = ("W", "X", "Y", "Z", "a", "b", "d", "e", "f", "mu", "t")
     eq = s8.equation.rename(V)
     var = lambda v, k=1: MultiPoly.var(V, v, k)
@@ -739,20 +735,19 @@ def _s8_symbolic_equations(pairs, cvars, V):
 def s6_line_tower(branch: str):
     """QQ(i, sqrt3)(t) extended by mu with mu^12 = c t,
     c = (-45 +- 26 sqrt3)/243 according to the branch."""
-    T = FieldTower.rationals()
-    T = T.extend_algebraic("i", [1, 0, 1])
-    T = T.extend_algebraic("sqrt3", [-3, 0, 1])
-    T = T.extend_ratfunc("t")
+    T = qi_sqrt3().extend_ratfunc("t")
     s3 = T.gen("sqrt3")
     sign = 1 if branch == "plus" else -1
     c = (T.lift(Fraction(-45, 243)) + s3 * Fraction(sign * 26, 243))
     return T.extend_radical("mu", 12, c * T.gen("t")), c
 
 
-def s6_line_forms(T, branch: str):
-    """The two linear forms cutting L_mu; the minus branch carries the
-    sqrt3 -> -sqrt3 conjugated coefficients."""
+def s6_line_forms(T, branch: str, xi=None):
+    """The two linear forms cutting L_mu, or L_{xi mu} when xi is given; the
+    minus branch carries the sqrt3 -> -sqrt3 conjugated coefficients."""
     i, s3, mu = T.gen("i"), T.gen("sqrt3"), T.gen("mu")
+    if xi is not None:
+        mu = xi * mu
     if branch == "minus":
         s3 = -s3
     lv = ("W", "X", "Y", "Z")
@@ -768,26 +763,18 @@ def certify_s6_lines(catalog=None):
     """All 27 lines of the cubic, with exact zero substitution residues:
     3 lines Z = 0, Y = zeta3^j alpha W (alpha^3 = t) and 12 lines L_mu per
     radical branch mu^12 = (1/27)(-5 +- (26/9) sqrt3) t."""
-    from .geometry import build_catalog
-    catalog = catalog or build_catalog()
-    s6 = catalog["s6"]
+    s6 = catalog["s6"] if catalog else build_surface("s6")
     lv = ("W", "X", "Y", "Z")
     curves = []
 
     # L1, L2, L3
-    T0 = _constants_s6().extend_ratfunc("t")
-    T0 = T0.extend_radical("alpha", 3, T0.gen("t"))
-    z3 = zeta3(T0)
-    alpha = T0.gen("alpha")
+    T0, alpha_lines = s6_alpha_lines()
     relA = MultiPoly(("alpha", "t"), {(3, 0): Fraction(1),
                                       (0, 1): Fraction(-1)})
-    W, X, Y, Z = (MultiPoly.var(lv, v) for v in lv)
-    for j in range(3):
-        lam = z3 ** j * alpha
-        _certify_weighted_membership(
-            s6, T0, {"Z": MultiPoly.zero(lv), "Y": W.scale(lam)})
-        curves.append(CurveSpec("s6", "S6-L123", "alpha", j,
-                                (Z, Y - W.scale(lam)),
+    Y = MultiPoly.var(lv, "Y")
+    for j, (Z, l2) in enumerate(alpha_lines):
+        _certify_membership(s6, T0, {"Z": MultiPoly.zero(lv), "Y": Y - l2})
+        curves.append(CurveSpec("s6", "S6-L123", "alpha", j, (Z, l2),
                                 parameter="alpha", relation=relA,
                                 data={"zeta3_power": j}))
 
@@ -796,7 +783,7 @@ def certify_s6_lines(catalog=None):
         T, c = s6_line_tower(branch)
         l1, l2 = s6_line_forms(T, branch)
         zsol, ysol = _s6_solve_lines(l1, l2, lv)
-        _certify_weighted_membership(s6, T, {"Z": zsol, "Y": ysol})
+        _certify_membership(s6, T, {"Z": zsol, "Y": ysol})
         relM = MultiPoly(("mu", "t"), {(12, 0): T.from_fraction(1)})
         relM = relM + MultiPoly(("mu", "t"), {(0, 1): -c})
         for j in range(12):
@@ -808,10 +795,14 @@ def certify_s6_lines(catalog=None):
     return curves
 
 
-def _constants_s6():
-    T = FieldTower.rationals()
-    T = T.extend_algebraic("i", [1, 0, 1])
-    return T.extend_algebraic("sqrt3", [-3, 0, 1])
+def s6_alpha_lines():
+    """The tower QQ(i, sqrt3)(t)(alpha), alpha^3 = t, and the form pairs
+    (Z, Y - zeta3^j alpha W) cutting the lines L1, L2, L3."""
+    T = qi_sqrt3().extend_ratfunc("t")
+    T = T.extend_radical("alpha", 3, T.gen("t"))
+    z3, alpha = zeta3(T), T.gen("alpha")
+    W, Y, Z = (MultiPoly.var(("W", "X", "Y", "Z"), v) for v in "WYZ")
+    return T, [(Z, Y - W.scale(z3 ** j * alpha)) for j in range(3)]
 
 
 def _s6_solve_lines(l1, l2, lv):
@@ -848,9 +839,7 @@ def enumerate_an(n: int, catalog=None):
     into the lines y = 0 and z = 0."""
     if n < 2:
         raise ValueError("A_n needs n >= 2")
-    from .geometry import build_catalog
-    catalog = catalog or build_catalog(an_range=range(2, max(7, n + 1)))
-    s = catalog["an:%d" % n]
+    s = catalog["an:%d" % n] if catalog else build_surface("an:%d" % n)
     T = an_tower(n)
     zeta, alpha = T.gen("zeta"), T.gen("alpha")
     cv = ("w", "y", "z", "x")
@@ -863,7 +852,7 @@ def enumerate_an(n: int, catalog=None):
         for comp, eqs, sub in (("y0", (x - MultiPoly.const(cv, root), y),
                                 {"x": MultiPoly.const(cv, root), "y": MultiPoly.zero(cv)}),
                                ("z0", (x - MultiPoly.const(cv, root), z), {"x": MultiPoly.const(cv, root), "z": MultiPoly.zero(cv)})):
-            _certify_chart_membership(s, T, sub, chart=0)
+            _certify_membership(s, T, sub)
             curves.append(CurveSpec("an:%d" % n, "An-fiber", comp, j,
                                     eqs, parameter="alpha", relation=rel,
                                     data={"zeta_power": j,
@@ -889,9 +878,7 @@ def enumerate_dn(n: int, catalog=None):
     x = (zeta^j mu)^2, z = i zeta^j mu y over x^(n-1) = t."""
     if n < 4:
         raise ValueError("D_n needs n >= 4")
-    from .geometry import build_catalog
-    catalog = catalog or build_catalog(dn_range=range(4, max(10, n + 1)))
-    s = catalog["dn:%d" % n]
+    s = catalog["dn:%d" % n] if catalog else build_surface("dn:%d" % n)
     cv = ("w", "y", "z", "x")
     w, y, z, x = (MultiPoly.var(cv, v) for v in cv)
     curves = []
@@ -903,7 +890,7 @@ def enumerate_dn(n: int, catalog=None):
     rel2 = MultiPoly(("r", "t"), {(2, 0): Fraction(1), (0, 1): Fraction(-1)})
     for idx, sgn in enumerate((1, -1)):
         sub = {"x": MultiPoly.zero(cv), "z": w.scale(Tr.lift(sgn) * r)}
-        _certify_chart_membership(s, Tr, sub, chart=0)
+        _certify_membership(s, Tr, sub)
         curves.append(CurveSpec("dn:%d" % n, "Dn-x0", "x0", idx,
                                 (x, z - w.scale(Tr.lift(sgn) * r)),
                                 parameter="r", relation=rel2,
@@ -917,7 +904,7 @@ def enumerate_dn(n: int, catalog=None):
     for j in range(N):
         mj = zeta ** j * mu
         sub = {"x": MultiPoly.const(cv, mj ** 2), "z": y.scale(i * mj)}
-        _certify_chart_membership(s, T, sub, chart=0)
+        _certify_membership(s, T, sub)
         curves.append(CurveSpec("dn:%d" % n, "Dn-mu", "mu", j,
                                 (x - MultiPoly.const(cv, mj ** 2),
                                  z - y.scale(i * mj)),
@@ -927,17 +914,3 @@ def enumerate_dn(n: int, catalog=None):
         raise VerificationError("D_%d curve count %d != %d"
                                 % (n, len(curves), 2 + N))
     return curves
-
-
-def _certify_chart_membership(s, tower, substitution, chart=0):
-    eq = s.equations[chart]
-    eqvars = eq.vars
-    sub = {k: (v.rename(eqvars) if v.vars != eqvars else v)
-           for k, v in substitution.items()}
-    eqT = eq.map_coeffs(lambda c: tower.lift(c) if isinstance(c, Fraction)
-                        else _transplant_to(c, tower))
-    out = eqT.substitute(sub)
-    out = out.substitute({"t": MultiPoly.const(eqvars, tower.gen("t"))})
-    if not out.is_zero():
-        raise VerificationError("chart membership residue nonzero",
-                                detail=out)

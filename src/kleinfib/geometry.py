@@ -7,13 +7,11 @@ plus an explicit "t" variable for the fibred surfaces; coefficients live
 in a constants tower (QQ, or QQ(i, sqrt3) for the S6 family).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .multipoly import MultiPoly
-from .tower import (FieldTower, FieldElement, transplant, tower_qq_t,
-                    tower_qi_sqrt3_t)
+from .tower import FieldTower, FieldElement, qi_sqrt3, transplant
 
 
 class GeometryError(ValueError):
@@ -197,40 +195,31 @@ def surface_names(dn_range=range(4, 10), an_range=range(2, 7)):
 
 
 def build_surface(name):
-    if name == "s6":
-        return _build_s6(_constants_qi_sqrt3())
-    if name == "s6prime":
-        return _build_s6prime(_constants_qi_sqrt3())
-    if name == "s7":
-        return _build_s7()
-    if name == "s8":
-        return _build_s8()
-    if name.startswith("an:"):
+    """One catalog surface by CLI name, checked by check_homogeneous."""
+    if name in ("s6", "s6prime"):
+        s = (_build_s6 if name == "s6" else _build_s6prime)(qi_sqrt3())
+    elif name == "s7":
+        s = _build_s7()
+    elif name == "s8":
+        s = _build_s8()
+    elif name.startswith("an:"):
         n = int(name.split(":")[1])
         if n < 2:
             raise GeometryError("an:<n> needs n >= 2")
-        return _build_an(n)
-    if name.startswith("dn:"):
+        s = _build_an(n)
+    elif name.startswith("dn:"):
         n = int(name.split(":")[1])
         if n < 4:
             raise GeometryError("dn:<n> needs n >= 4")
-        return _build_dn(n)
-    if name.startswith("klein-"):
-        if name in ("klein-e6", "klein-e7", "klein-e8"):
-            return _build_klein(name)
-        fam, _, num = name.partition(":")
-        if fam == "klein-an":
-            return _build_klein(name, int(num))
-        if fam == "klein-dn":
-            return _build_klein(name, int(num))
+        s = _build_dn(n)
+    elif name in ("klein-e6", "klein-e7", "klein-e8"):
+        s = _build_klein(name)
+    elif name.partition(":")[0] in ("klein-an", "klein-dn"):
+        s = _build_klein(name, int(name.partition(":")[2]))
+    else:
         raise GeometryError("unknown surface %r" % name)
-    raise GeometryError("unknown surface %r" % name)
-
-
-def _constants_qi_sqrt3():
-    T = FieldTower.rationals()
-    T = T.extend_algebraic("i", [1, 0, 1])
-    return T.extend_algebraic("sqrt3", [-3, 0, 1])
+    check_homogeneous(s)
+    return s
 
 
 def build_catalog(mutation=None, dn_range=range(4, 10), an_range=range(2, 7)):
@@ -261,7 +250,6 @@ def build_catalog(mutation=None, dn_range=range(4, 10), an_range=range(2, 7)):
         eqs = list(s.equations)
         eqs[chart] = MultiPoly(eq.vars, new_terms)
         s.equations = tuple(eqs)
-    for s in catalog.values():
         check_homogeneous(s)
     return catalog
 

@@ -25,13 +25,6 @@ class PicardLattice:
             raise ValueError("vector length mismatch")
         return u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
 
-    def gram(self):
-        return [[self.dot(self._e(i), self._e(j)) for j in range(self.rank)]
-                for i in range(self.rank)]
-
-    def _e(self, i):
-        return tuple(1 if j == i else 0 for j in range(self.rank))
-
     def minus_k(self):
         """The anticanonical class 3 e0 - e1 - ... - er."""
         return (3,) + (-1,) * (self.rank - 1)

@@ -9,7 +9,6 @@ order, where one is needed, is graded lexicographic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
 
 
 def _coeff_is_zero(c) -> bool:
@@ -56,21 +55,6 @@ class MultiPoly:
         e[i] = power
         return cls(variables, {tuple(e): Fraction(1)})
 
-    @classmethod
-    def from_terms(cls, variables, items: Iterable):
-        """Build from (coeff, {var: exp}) pairs."""
-        variables = tuple(variables)
-        idx = {v: i for i, v in enumerate(variables)}
-        terms = {}
-        for c, mono in items:
-            e = [0] * len(variables)
-            for v, k in mono.items():
-                e[idx[v]] = k
-            key = tuple(e)
-            c = Fraction(c) if isinstance(c, int) else c
-            terms[key] = terms.get(key, Fraction(0)) + c
-        return cls(variables, terms)
-
     # -- predicates / accessors ---------------------------------------
 
     def is_zero(self) -> bool:
@@ -82,11 +66,6 @@ class MultiPoly:
     def constant(self):
         """The constant term's coefficient."""
         return self.terms.get(tuple([0] * len(self.vars)), Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def degree(self, name: str) -> int:
         if not self.terms:
@@ -301,20 +280,6 @@ class MultiPoly:
                 raise ArithmeticError("monomial does not divide term %r" % (e,))
             out[e2] = c if coeff is None else c / coeff
         return MultiPoly(self.vars, out)
-
-    def primitive_part_monomial(self) -> "MultiPoly":
-        return self.divide_by_term(self.monomial_content())
-
-    def divide_exact(self, divisor: "MultiPoly", name: str) -> "MultiPoly":
-        """Exact division viewing both as univariate in `name`.
-
-        The divisor's leading coefficient in `name` must be a single term.
-        Raises ArithmeticError if the division is not exact.
-        """
-        q, r = self.div_univariate(divisor, name)
-        if not r.is_zero():
-            raise ArithmeticError("division not exact (nonzero remainder)")
-        return q
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Fully general exact multivariate division; raises if not exact.

@@ -16,8 +16,8 @@ from .multipoly import MultiPoly
 from .tower import FieldElement
 from .univariate import (degree, derivative, poly_gcd, count_real_roots)
 from .curves import (VerificationError, q_cubic, q1_quartic, q2_quartic,
-                     s6_line_tower, s6_line_forms, _constants_s6, zeta3)
-from .geometry import build_catalog
+                     s6_alpha_lines, s6_line_tower, s6_line_forms)
+from .geometry import build_surface
 from .orbits import _s7_main_data, _s8_branch_data, s6_intersections
 
 
@@ -191,16 +191,9 @@ def _s6_numeric_lines(cfg):
     """27 lines as numeric 2x4 coefficient matrices, tagged."""
     tval = float(cfg.t)
     lines = []
-    T0 = _constants_s6().extend_ratfunc("t")
-    T0 = T0.extend_radical("alpha", 3, T0.gen("t"))
-    z3 = zeta3(T0)
-    alpha = T0.gen("alpha")
-    lv = ("W", "X", "Y", "Z")
-    W, Y, Z = (MultiPoly.var(lv, v) for v in ("W", "Y", "Z"))
     base_env = {"i": 1j, "sqrt3": math.sqrt(3.0), "t": tval}
-    for j in range(3):
+    for j, forms in enumerate(s6_alpha_lines()[1]):
         env = dict(base_env, alpha=tval ** (1.0 / 3.0))
-        forms = (Z, Y - W.scale(z3 ** j * alpha))
         lines.append(("L123", j, _form_matrix(forms, env)))
     for branch in ("plus", "minus"):
         T, c = s6_line_tower(branch)
@@ -230,8 +223,7 @@ def _null_basis(mat, keep=2):
 
 
 def numeric_audit_s6(cfg: NumericConfig) -> dict:
-    catalog = build_catalog()
-    s6 = catalog["s6"]
+    s6 = build_surface("s6")
     cenv = {"i": 1j, "sqrt3": math.sqrt(3.0)}
     tval = float(cfg.t)
     rng = random.Random(cfg.seed)
@@ -282,8 +274,7 @@ def numeric_audit_s6(cfg: NumericConfig) -> dict:
 
 
 def numeric_audit_s7(cfg: NumericConfig) -> dict:
-    catalog = build_catalog()
-    s7 = catalog["s7"]
+    s7 = build_surface("s7")
     _, core, main = _s7_main_data()
     pairs = main.data["coeff_pairs"]
     tval = float(cfg.t)
@@ -326,8 +317,7 @@ def numeric_audit_s7(cfg: NumericConfig) -> dict:
 
 
 def numeric_audit_s8(cfg: NumericConfig) -> dict:
-    catalog = build_catalog()
-    s8 = catalog["s8"]
+    s8 = build_surface("s8")
     _, mains = _s8_branch_data()
     tval = float(cfg.t)
     rng = random.Random(cfg.seed)
@@ -378,9 +368,7 @@ def numeric_audit_conic(name: str, cfg: NumericConfig) -> dict:
     """A_n / D_n fibre components at the specialization."""
     kind, n = name.split(":")
     n = int(n)
-    catalog = build_catalog(dn_range=range(4, max(10, n + 1)),
-                            an_range=range(2, max(7, n + 1)))
-    s = catalog[name]
+    s = build_surface(name)
     tval = float(cfg.t)
     rng = random.Random(cfg.seed)
     count, max_res = 0, 0.0

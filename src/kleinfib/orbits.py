@@ -10,11 +10,10 @@ from math import gcd
 from .multipoly import MultiPoly
 from .tower import FieldTower, FieldElement, transplant
 from .univariate import cyclotomic_poly
-from .geometry import (build_catalog, PointSpec, on_surface, GeometryError)
+from .geometry import build_surface, PointSpec, on_surface, GeometryError
 from .curves import (VerificationError, enumerate_s7, enumerate_s8,
-                     certify_s6_lines, enumerate_an, enumerate_dn,
-                     s6_line_tower, s6_line_forms, an_tower, dn_tower,
-                     _constants_s6, zeta3)
+                     enumerate_an, enumerate_dn, s6_alpha_lines,
+                     s6_line_tower, s6_line_forms, an_tower, dn_tower)
 
 # The contraction bookkeeping below ("axiom table") encodes the standard
 # minimal-model facts the verdicts rest on; everything the engine can check
@@ -121,12 +120,6 @@ def orbit_structure(N: int, m: int) -> dict:
 # ---------------------------------------------------------------------------
 # lines in P^3
 
-def _as_tower(c, tower):
-    if isinstance(c, FieldElement):
-        return transplant(c, tower)
-    return tower.from_fraction(Fraction(c))
-
-
 def _form_rows(forms, tower, nvars=4):
     rows = []
     for f in forms:
@@ -134,7 +127,7 @@ def _form_rows(forms, tower, nvars=4):
         for e, c in f.terms.items():
             if sum(e) != 1:
                 raise GeometryError("form is not linear")
-            row[list(e).index(1)] = _as_tower(c, tower)
+            row[list(e).index(1)] = transplant(c, tower)
         rows.append(row)
     return rows
 
@@ -208,24 +201,15 @@ def s6_intersections() -> dict:
     """Exact witnesses for the conjugate-line intersections on the cubic:
     L_j pairs meet at (0:1:0:0); L_mu meets L_{xi mu} for xi of order 2 and
     order 3; for xi of order 12 the determinant is nonzero (disjoint)."""
-    catalog = build_catalog()
-    s6 = catalog["s6"]
+    s6 = build_surface("s6")
     report = {"surface": "s6", "pairs": []}
 
     # L1, L2, L3 pairwise at (0:1:0:0)
-    T0 = _constants_s6().extend_ratfunc("t")
-    T0 = T0.extend_radical("alpha", 3, T0.gen("t"))
-    z3 = zeta3(T0)
-    alpha = T0.gen("alpha")
-    lv = ("W", "X", "Y", "Z")
-    W = MultiPoly.var(lv, "W")
-    Y = MultiPoly.var(lv, "Y")
-    Z = MultiPoly.var(lv, "Z")
+    T0, alpha_lines = s6_alpha_lines()
     for j1 in range(3):
         for j2 in range(j1 + 1, 3):
-            f1 = (Z, Y - W.scale(z3 ** j1 * alpha))
-            f2 = (Z, Y - W.scale(z3 ** j2 * alpha))
-            ok, wit = lines_intersect_p3(f1, f2, T0, s6)
+            ok, wit = lines_intersect_p3(alpha_lines[j1], alpha_lines[j2],
+                                         T0, s6)
             if not ok:
                 raise VerificationError("L%d and L%d do not intersect"
                                         % (j1 + 1, j2 + 1))
@@ -233,7 +217,7 @@ def s6_intersections() -> dict:
                                     "intersect": True,
                                     "witness": _serialize_point(wit)})
 
-    # L_mu vs L_{xi mu}, xi = zeta12^k with zeta12 = (sqrt3 + i)/2: the
+    # L_mu vs L_{xi mu}, xi = z12^k with z12 = (sqrt3 + i)/2: the
     # pairs of xi-order 2 (k=6) and 3 (k=4,8) must intersect on both
     # branches; the remaining dets are recorded as measured, and at least
     # one must be nonzero (disjoint conjugate lines exist).
@@ -244,7 +228,7 @@ def s6_intersections() -> dict:
         forms1 = s6_line_forms(T, branch)
         pattern = {}
         for k in range(1, 12):
-            forms2 = _s6_conjugate_forms(T, branch, z12 ** k)
+            forms2 = s6_line_forms(T, branch, z12 ** k)
             ok, wit = lines_intersect_p3(forms1, forms2, T, s6)
             pattern[k] = ok
             report["pairs"].append(
@@ -259,20 +243,6 @@ def s6_intersections() -> dict:
             raise VerificationError("expected at least one disjoint "
                                     "conjugate pair (branch %s)" % branch)
     return report
-
-
-def _s6_conjugate_forms(T, branch, xi):
-    """s6_line_forms with mu replaced by xi*mu."""
-    i, s3, mu = T.gen("i"), T.gen("sqrt3"), xi * T.gen("mu")
-    if branch == "minus":
-        s3 = -s3
-    lv = ("W", "X", "Y", "Z")
-    W, X, Y, Z = (MultiPoly.var(lv, v) for v in lv)
-    l1 = W.scale(27 * i * (s3 + 3) * mu ** 6) + X.scale(18 * mu ** 3) \
-        + Z.scale(5 * s3 - 9)
-    l2 = Y.scale(9 * i * (s3 - 1) * mu ** 2) + X.scale(18 * mu ** 3) \
-        + Z.scale(2 * (3 - 2 * s3))
-    return l1, l2
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +433,7 @@ def dn_intersections(n: int) -> dict:
     x = mu^2, z = i y mu meets its conjugate z = -i y mu at ((1:0:0), mu^2);
     components over distinct fibres are disjoint (distinct x-values)."""
     curves = enumerate_dn(n)
-    catalog = build_catalog(dn_range=range(4, max(10, n + 1)))
-    s = catalog["dn:%d" % n]
+    s = build_surface("dn:%d" % n)
     N = 2 * (n - 1)
     report = {"surface": "dn:%d" % n, "pairs": []}
 
@@ -521,8 +490,7 @@ def an_intersections(n: int) -> dict:
     ((1:0:0), x); components over distinct fibres are disjoint; in
     particular the y=0 orbit is pairwise disjoint (contractible)."""
     curves = enumerate_an(n)
-    catalog = build_catalog(an_range=range(2, max(7, n + 1)))
-    s = catalog["an:%d" % n]
+    s = build_surface("an:%d" % n)
     T = an_tower(n)
     zeta, alpha = T.gen("zeta"), T.gen("alpha")
     zero, one = T.from_fraction(Fraction(0)), T.from_fraction(Fraction(1))
@@ -553,8 +521,7 @@ def an_intersections(n: int) -> dict:
 def s7_e0_intersection() -> dict:
     """The two rational curves Y=0, Z=+-sqrt(t) W^2 on S7 meet at
     (0:1:0:0)."""
-    catalog = build_catalog()
-    s7 = catalog["s7"]
+    s7 = build_surface("s7")
     T = FieldTower.rationals().extend_ratfunc("t")
     T = T.extend_radical("r", 2, T.gen("t"))
     zero, one = T.from_fraction(Fraction(0)), T.from_fraction(Fraction(1))
@@ -570,60 +537,6 @@ def s7_e0_intersection() -> dict:
         raise VerificationError("S7 e=0 witness not on the surface")
     return {"surface": "s7", "pair": "Y=0, Z=+-sqrt(t)W^2",
             "intersect": True, "witness": "(0:1:0:0)"}
-
-
-def curves_intersect_weighted(c1, c2, xi_order=None):
-    """Exact intersection predicate for conjugate curves, with witness.
-    Dispatches on the family; S7/S8 symbolic families need the order of
-    the documented xi-conjugation."""
-    if c1.surface != c2.surface:
-        raise ValueError("curves on different surfaces")
-    fam = c1.family
-    if fam == "Dn-mu" and c2.family == "Dn-mu":
-        n = int(c1.surface.split(":")[1])
-        N = 2 * (n - 1)
-        d = (c2.index - c1.index) % N
-        if d == 0:
-            raise ValueError("same curve")
-        rep = dn_intersections(n)
-        if d == N // 2:
-            return True, rep["pairs"][1]
-        return False, rep["pairs"][2]
-    if fam == "Dn-x0" and c2.family == "Dn-x0":
-        n = int(c1.surface.split(":")[1])
-        return True, dn_intersections(n)["pairs"][0]
-    if fam == "An-fiber":
-        n = int(c1.surface.split(":")[1])
-        rep = an_intersections(n)
-        if c1.index == c2.index and c1.branch != c2.branch:
-            return True, rep["pairs"][0]
-        if c1.index != c2.index:
-            return False, rep["pairs"][1]
-        raise ValueError("same curve")
-    if fam == "S7-e0":
-        return True, s7_e0_intersection()
-    if fam == "S7-main":
-        if xi_order not in (2, 3):
-            raise ValueError("S7-main pairs need xi_order in {2, 3}")
-        return True, s7_conjugation(xi_order)
-    if fam == "S8-main":
-        if xi_order not in (2, 3, 5):
-            raise ValueError("S8-main pairs need xi_order in {2, 3, 5}")
-        return True, s8_conjugation(xi_order, c1.branch)
-    if fam in ("S6-L123", "S6-Lmu"):
-        rep = s6_intersections()
-        if fam == "S6-L123":
-            key = "L%d/L%d" % (min(c1.index, c2.index) + 1,
-                               max(c1.index, c2.index) + 1)
-            entry = next(p for p in rep["pairs"] if p["pair"] == key)
-            return True, entry
-        d = (c2.index - c1.index) % 12
-        if d == 0:
-            raise ValueError("same curve")
-        entry = next(p for p in rep["pairs"]
-                     if p.get("k") == d and p.get("branch") == c1.branch)
-        return entry["intersect"], entry
-    raise ValueError("unsupported curve pair (%s, %s)" % (fam, c2.family))
 
 
 # ---------------------------------------------------------------------------
@@ -735,8 +648,7 @@ def _rational_point(case: str) -> bool:
     """Exact rational point on the conic-bundle cases, needed by the
     d <= 1 rationality rule."""
     kind, n = parse_case(case)
-    catalog = build_catalog()
-    s = catalog["%s:%d" % (kind, n)]
+    s = build_surface("%s:%d" % (kind, n))
     T = FieldTower.rationals().extend_ratfunc("t")
     zero, one = T.from_fraction(Fraction(0)), T.from_fraction(Fraction(1))
     p = PointSpec(s.ambient, (zero, one, zero, zero))

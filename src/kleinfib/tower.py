@@ -11,7 +11,8 @@ Elements are represented recursively: a level-0 element is a Fraction; an
 element at an algebraic/radical step is a sparse coefficient dict over the
 field below, reduced modulo the relation; an element at a ratfunc step is a
 (num, den) pair of coefficient dicts with den monic and gcd(num, den) = 1,
-which makes the representation canonical (equality is structural).
+which makes the representation canonical (equality is structural).  The
+coefficient-dict arithmetic is the sparse core of :mod:`kleinfib.univariate`.
 
 Inverting modulo a reducible relation raises :class:`ZeroDivisorError`
 carrying the discovered nontrivial factor of the relation.
@@ -23,6 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .univariate import (_is0, _inv, _padd, _pdeg, _pdivmod, _pgcd, _pmul,
+                         _pneg, _pnorm, _poly_repr, _pscale, _pxgcd)
+
 
 class ZeroDivisorError(ArithmeticError):
     """Raised when inversion hits a zero divisor; carries the found factor."""
@@ -30,138 +34,6 @@ class ZeroDivisorError(ArithmeticError):
     def __init__(self, message, factor=None):
         super().__init__(message)
         self.factor = factor  # list of coefficient payloads (low -> high)
-
-
-# ---------------------------------------------------------------------------
-# coefficient helpers (work on Fractions at level 0, FieldElements above)
-
-def _is0(c) -> bool:
-    return c == 0 if isinstance(c, Fraction) else c.is_zero()
-
-
-def _inv(c):
-    if isinstance(c, Fraction):
-        if c == 0:
-            raise ZeroDivisionError("inverting zero")
-        return Fraction(1) / c
-    return c.invert()
-
-
-# sparse univariate polynomials as {exp: coeff} dicts over one field level
-
-def _pnorm(d):
-    return {k: v for k, v in d.items() if not _is0(v)}
-
-
-def _pdeg(d):
-    return max(d) if d else -1
-
-
-def _padd(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        s = v if s is None else s + v
-        if _is0(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def _pneg(a):
-    return {k: -v for k, v in a.items()}
-
-
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
-def _pmul(a, b):
-    out: dict = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = k1 + k2
-            p = v1 * v2
-            s = out.get(k)
-            s = p if s is None else s + p
-            if _is0(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
-
-
-def _pscale(a, c):
-    if _is0(c):
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = _pdeg(b)
-    inv_lc = _inv(b[db])
-    q: dict = {}
-    r = dict(a)
-    while r and _pdeg(r) >= db:
-        dr = _pdeg(r)
-        c = r[dr] * inv_lc
-        q[dr - db] = c
-        for k, v in b.items():
-            kk = dr - db + k
-            s = r.get(kk)
-            s = -(c * v) if s is None else s - c * v
-            if _is0(s):
-                r.pop(kk, None)
-            else:
-                r[kk] = s
-    return q, r
-
-
-def _pmonic(a):
-    if not a:
-        return a
-    lc = a[_pdeg(a)]
-    return _pscale(a, _inv(lc))
-
-
-def _pgcd(a, b):
-    a, b = dict(a), dict(b)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return _pmonic(a)
-
-
-def _pxgcd(a, b):
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = dict(a), dict(b)
-    one = _sample_one(a, b)
-    s0, s1 = {0: one}, {}
-    t0, t1 = {}, {0: one}
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        t0, t1 = t1, _psub(t0, _pmul(q, t1))
-    if r0:
-        lc = r0[_pdeg(r0)]
-        ilc = _inv(lc)
-        r0, s0, t0 = _pscale(r0, ilc), _pscale(s0, ilc), _pscale(t0, ilc)
-    return r0, s0, t0
-
-
-def _sample_one(*polys):
-    for p in polys:
-        for v in p.values():
-            if isinstance(v, Fraction):
-                return Fraction(1)
-            return v.tower.one_at(v.level)
-    return Fraction(1)
-
-
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -553,21 +425,6 @@ def _coeff_complex(c, env):
     return complex(c) if isinstance(c, Fraction) else c.as_complex(env)
 
 
-def _poly_repr(d, name):
-    if not d:
-        return "0"
-    bits = []
-    for k in sorted(d, reverse=True):
-        c = d[k]
-        if k == 0:
-            bits.append("(%s)" % (c,))
-        elif k == 1:
-            bits.append("(%s)*%s" % (c, name))
-        else:
-            bits.append("(%s)*%s^%d" % (c, name, k))
-    return " + ".join(bits)
-
-
 def _alg_reduce(poly, minpoly):
     """Reduce a coefficient dict modulo a monic relation (coeff tuple c0..cd)."""
     d = len(minpoly) - 1
@@ -629,22 +486,6 @@ def transplant(c, tower: FieldTower):
     return tower._elem(tower._as_level(rebuilt, tower.level))
 
 
-def tower_invert(element: FieldElement) -> FieldElement:
-    """Invert an element; raises ZeroDivisorError (with the discovered
-    factor of the offending relation) if the tower is not a field there."""
-    return element.invert()
-
-
-def is_square(q) -> bool:
-    """Exact perfect-square test for a rational number."""
-    q = Fraction(q)
-    if q < 0:
-        return False
-    from math import isqrt
-    n, d = q.numerator, q.denominator
-    return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
-
-
 # ---------------------------------------------------------------------------
 # serialization of coefficients (Fractions and FieldElements)
 
@@ -686,16 +527,11 @@ def coeff_from_data(data, tower=None, level=None):
 # ---------------------------------------------------------------------------
 # standard towers used by the surface catalog
 
-def tower_qi_sqrt3_t() -> FieldTower:
-    """Q -> i -> sqrt3 -> t  (i^2 = -1, sqrt3^2 = 3, t transcendental)."""
-    T = FieldTower.rationals()
-    T = T.extend_algebraic("i", [1, 0, 1])
-    T = T.extend_algebraic("sqrt3", [-3, 0, 1])
-    return T.extend_ratfunc("t")
-
-
-def tower_qq_t() -> FieldTower:
-    return FieldTower.rationals().extend_ratfunc("t")
+def qi_sqrt3() -> FieldTower:
+    """Q -> i -> sqrt3  (i^2 = -1, sqrt3^2 = 3), the constants of the S6
+    family."""
+    T = FieldTower.rationals().extend_algebraic("i", [1, 0, 1])
+    return T.extend_algebraic("sqrt3", [-3, 0, 1])
 
 
 def zeta3(tower: FieldTower) -> FieldElement:
@@ -703,10 +539,3 @@ def zeta3(tower: FieldTower) -> FieldElement:
     i = tower.gen("i")
     s3 = tower.gen("sqrt3")
     return (i * s3 - 1) / 2
-
-
-def zeta12(tower: FieldTower) -> FieldElement:
-    """Primitive 12th root of unity (sqrt3 + i)/2."""
-    i = tower.gen("i")
-    s3 = tower.gen("sqrt3")
-    return (s3 + i) / 2

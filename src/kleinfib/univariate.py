@@ -1,9 +1,12 @@
-"""Univariate polynomial toolkit: division, gcd, resultants, Sturm chains.
+"""Univariate polynomial toolkit: the one univariate core of the package.
 
-Two coefficient regimes are supported:
+Three representations share it:
 
-* field coefficients (Fraction, or :class:`~kleinfib.tower.FieldElement`) --
-  polynomials are dense coefficient lists, low degree first;
+* sparse ``{exp: coeff}`` dicts over one field level (Fraction, or a
+  :class:`~kleinfib.tower.FieldElement`) -- the ``_p*`` helpers, on which
+  the field towers do their arithmetic;
+* dense coefficient lists, low degree first, over a field -- division, gcd,
+  resultants and Sturm chains; division and gcd run on the sparse helpers;
 * polynomial coefficients -- the subresultant pseudo-remainder sequence over
   :class:`~kleinfib.multipoly.MultiPoly`, used by the elimination chains.
 
@@ -16,7 +19,152 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .multipoly import MultiPoly
-from .tower import _is0, _inv
+
+
+# ---------------------------------------------------------------------------
+# coefficient helpers (work on Fractions at level 0, FieldElements above)
+
+def _is0(c) -> bool:
+    return c == 0 if isinstance(c, Fraction) else c.is_zero()
+
+
+def _inv(c):
+    if isinstance(c, Fraction):
+        if c == 0:
+            raise ZeroDivisionError("inverting zero")
+        return Fraction(1) / c
+    return c.invert()
+
+
+# sparse polynomials as {exp: coeff} dicts over one field level
+
+def _pnorm(d):
+    return {k: v for k, v in d.items() if not _is0(v)}
+
+
+def _pdeg(d):
+    return max(d) if d else -1
+
+
+def _padd(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        s = out.get(k)
+        s = v if s is None else s + v
+        if _is0(s):
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def _pneg(a):
+    return {k: -v for k, v in a.items()}
+
+
+def _psub(a, b):
+    return _padd(a, _pneg(b))
+
+
+def _pmul(a, b):
+    out: dict = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = k1 + k2
+            p = v1 * v2
+            s = out.get(k)
+            s = p if s is None else s + p
+            if _is0(s):
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+def _pscale(a, c):
+    if _is0(c):
+        return {}
+    return {k: c * v for k, v in a.items()}
+
+
+def _pdivmod(a, b):
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = _pdeg(b)
+    inv_lc = _inv(b[db])
+    q: dict = {}
+    r = dict(a)
+    while r and _pdeg(r) >= db:
+        dr = _pdeg(r)
+        c = r[dr] * inv_lc
+        q[dr - db] = c
+        for k, v in b.items():
+            kk = dr - db + k
+            s = r.get(kk)
+            s = -(c * v) if s is None else s - c * v
+            if _is0(s):
+                r.pop(kk, None)
+            else:
+                r[kk] = s
+    return q, r
+
+
+def _pmonic(a):
+    if not a:
+        return a
+    lc = a[_pdeg(a)]
+    return _pscale(a, _inv(lc))
+
+
+def _pgcd(a, b):
+    a, b = dict(a), dict(b)
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    return _pmonic(a)
+
+
+def _pxgcd(a, b):
+    """Extended Euclid: returns (g, u, v) with u*a + v*b = g, g monic."""
+    r0, r1 = dict(a), dict(b)
+    one = _sample_one(a, b)
+    s0, s1 = {0: one}, {}
+    t0, t1 = {}, {0: one}
+    while r1:
+        q, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(s0, _pmul(q, s1))
+        t0, t1 = t1, _psub(t0, _pmul(q, t1))
+    if r0:
+        lc = r0[_pdeg(r0)]
+        ilc = _inv(lc)
+        r0, s0, t0 = _pscale(r0, ilc), _pscale(s0, ilc), _pscale(t0, ilc)
+    return r0, s0, t0
+
+
+def _sample_one(*polys):
+    for p in polys:
+        for v in p.values():
+            if isinstance(v, Fraction):
+                return Fraction(1)
+            return v.tower.one_at(v.level)
+    return Fraction(1)
+
+
+
+def _poly_repr(d, name):
+    if not d:
+        return "0"
+    bits = []
+    for k in sorted(d, reverse=True):
+        c = d[k]
+        if k == 0:
+            bits.append("(%s)" % (c,))
+        elif k == 1:
+            bits.append("(%s)*%s" % (c, name))
+        else:
+            bits.append("(%s)*%s^%d" % (c, name, k))
+    return " + ".join(bits)
+
 
 
 # ---------------------------------------------------------------------------
@@ -46,10 +194,6 @@ def from_multipoly(p: MultiPoly, name: str):
     return normalize(out)
 
 
-def to_multipoly(f, name: str) -> MultiPoly:
-    return MultiPoly((name,), {(k,): c for k, c in enumerate(f)})
-
-
 def eval_poly(f, x):
     acc = None
     for c in reversed(f):
@@ -59,36 +203,24 @@ def eval_poly(f, x):
     return acc
 
 
+def _sparse(f):
+    return {k: c for k, c in enumerate(f) if not _is0(c)}
+
+
+def _dense(d):
+    zero = d[_pdeg(d)] * 0 if d else None
+    return [d.get(k, zero) for k in range(_pdeg(d) + 1)]
+
+
 def poly_divmod(f, g):
     """Division with remainder over a field; returns (q, r)."""
-    f, g = normalize(f), normalize(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lc = _inv(g[-1])
-    q = [None] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    while len(r) >= len(g):
-        c = r[-1] * inv_lc
-        k = len(r) - len(g)
-        q[k] = c
-        for i, gc in enumerate(g):
-            r[k + i] = r[k + i] - c * gc
-        r = normalize(r[:-1])
-        if not r:
-            break
-    zero = (f or g)[0] * 0
-    return normalize([zero if c is None else c for c in q]), r
+    q, r = _pdivmod(_sparse(f), _sparse(g))
+    return _dense(q), _dense(r)
 
 
 def poly_gcd(f, g):
     """Monic gcd over a field."""
-    f, g = normalize(f), normalize(g)
-    while g:
-        f, g = g, poly_divmod(f, g)[1]
-    if f:
-        ilc = _inv(f[-1])
-        f = [c * ilc for c in f]
-    return f
+    return _dense(_pgcd(_sparse(f), _sparse(g)))
 
 
 def derivative(f):
@@ -210,8 +342,10 @@ def prem(A: MultiPoly, B: MultiPoly, name: str) -> MultiPoly:
     return R
 
 
-def subresultant_prs(A: MultiPoly, B: MultiPoly, name: str):
-    """The subresultant pseudo-remainder sequence [A, B, R1, R2, ...]."""
+def _subresultant_loop(A: MultiPoly, B: MultiPoly, name: str):
+    """Brown-Traub subresultant loop: the sequence [A, B, R1, R2, ...] up to
+    the first zero pseudo-remainder or constant member, and the final
+    scaling factor h."""
     seq = [A, B]
     g = MultiPoly.const(A.vars, 1)
     h = MultiPoly.const(A.vars, 1)
@@ -231,7 +365,12 @@ def subresultant_prs(A: MultiPoly, B: MultiPoly, name: str):
             h = (g ** delta).exact_div(h ** (delta - 1)) if delta > 1 else g
         if seq[-1].degree(name) <= 0:
             break
-    return seq
+    return seq, h
+
+
+def subresultant_prs(A: MultiPoly, B: MultiPoly, name: str):
+    """The subresultant pseudo-remainder sequence [A, B, R1, R2, ...]."""
+    return _subresultant_loop(A, B, name)[0]
 
 
 def resultant_poly(A: MultiPoly, B: MultiPoly, name: str) -> MultiPoly:
@@ -247,30 +386,18 @@ def resultant_poly(A: MultiPoly, B: MultiPoly, name: str) -> MultiPoly:
         return -r if (dA % 2 and dB % 2) else r
     if dB == 0:
         return B ** dA if dA > 0 else MultiPoly.const(A.vars, 1)
-    s = 1
-    g = MultiPoly.const(A.vars, 1)
-    h = MultiPoly.const(A.vars, 1)
-    while True:
-        dA, dB = A.degree(name), B.degree(name)
-        delta = dA - dB
-        if dA % 2 and dB % 2:
-            s = -s
-        R = prem(A, B, name)
-        A = B
-        if R.is_zero():
-            return MultiPoly(A.vars)
-        B = R.exact_div(g * h ** delta)
-        g = A.coeff_of(name, A.degree(name))
-        if delta > 0:
-            h = (g ** delta).exact_div(h ** (delta - 1)) if delta > 1 else g
-        if B.degree(name) <= 0:
-            break
-    dA = A.degree(name)
-    lB = B  # degree 0 in name
+    seq, h = _subresultant_loop(A, B, name)
+    last = seq[-1]
+    if last.degree(name) > 0:
+        return MultiPoly(A.vars)
+    # each step (A_k, A_{k+1}) -> A_{k+2} contributes (-1)^(d_k d_{k+1})
+    degs = [p.degree(name) for p in seq]
+    s = -1 if sum(d1 * d2 for d1, d2 in zip(degs[:-2], degs[1:-1])) % 2 else 1
+    dA = degs[-2]
     if dA > 1:
-        h = (lB ** dA).exact_div(h ** (dA - 1))
+        h = (last ** dA).exact_div(h ** (dA - 1))
     else:
-        h = lB ** dA
+        h = last ** dA
     return h.scale(s)
 
 

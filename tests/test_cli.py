@@ -3,7 +3,11 @@
 import io
 import contextlib
 import json
+from fractions import Fraction
 
+import pytest
+
+from kleinfib import cli
 from kleinfib.cli import _parse_poly, main
 
 
@@ -72,6 +76,30 @@ def test_parse_poly():
     p = _parse_poly("1+y+y^3")
     assert p.degree("y") == 3
     assert _parse_poly("7").is_constant()
+
+
+def test_parse_poly_signed_terms():
+    p = _parse_poly("-2*y^2+7")
+    assert p.terms == {(0, 2, 0): Fraction(-2), (0, 0, 0): Fraction(7)}
+
+
+@pytest.mark.parametrize("text", ["9^9^9", "y^100000", "y+q"])
+def test_bad_poly_exits_before_arithmetic(monkeypatch, text):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("arithmetic ran on a rejected polynomial")
+    monkeypatch.setattr(cli, "autos_report", unreachable)
+    code, _ = run(["autos", "an", "--n", "3", "--poly", text])
+    assert code == 2
+
+
+def test_verdict_dn12_rational_point():
+    # the d <= 1 rule reads dn:12, which is outside the default catalog
+    code, cert = run(["verdict", "dn:12", "--ext", "4"])
+    assert code == 0
+    assert cert["verdict"]["rational"] is True
+    assert cert["verdict"]["a"] == 2
+    assert cert["verdict"]["rule"] == \
+        "conic-bundle-le-1-fibre-with-point-rational"
 
 
 def test_audit_bad_t():

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from kleinfib.curves import (VerificationError, certify_s6_lines,
-                             enumerate_an, enumerate_dn, enumerate_s7,
-                             enumerate_s8, q_cubic, q1_quartic, q2_quartic)
+                             coprime_at_t2, enumerate_an, enumerate_dn,
+                             enumerate_s7, enumerate_s8, q_cubic, q1_quartic,
+                             q2_quartic)
 from kleinfib.geometry import build_catalog
+from kleinfib.multipoly import MultiPoly
 
 
 def test_q_cubic_coefficients():
@@ -75,3 +77,14 @@ def test_mutated_s6_fails_line_certification():
     bad = build_catalog(mutation=("s6", 0, 0, Fraction(1, 2)))
     with pytest.raises(VerificationError):
         certify_s6_lines(bad)
+
+
+def test_coprime_at_t2_checks_its_hypothesis():
+    e, t = MultiPoly.var(("e", "t"), "e"), MultiPoly.var(("e", "t"), "t")
+    # f(2) = 1 is a unit, yet gcd(f, f) = f: the leading coefficient t - 2
+    # vanishes at the specialization, so no certificate may be issued
+    f = (t - 2) * e + 1
+    with pytest.raises(VerificationError):
+        coprime_at_t2(f, f, "e")
+    assert coprime_at_t2(e * 2, e ** 3 - t, "e")
+    assert not coprime_at_t2(e - t, e ** 2 - t ** 2, "e")

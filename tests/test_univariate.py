@@ -7,13 +7,20 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from kleinfib.multipoly import MultiPoly
 from kleinfib.univariate import (count_real_roots, cyclotomic_poly,
-                                 derivative, discriminant, normalize,
-                                 poly_gcd, resultant, squarefree_part,
-                                 sturm_chain)
+                                 derivative, discriminant, from_multipoly,
+                                 normalize, poly_gcd, resultant,
+                                 resultant_poly, squarefree_part,
+                                 sturm_chain, subresultant_prs)
 
 frac = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 polys = st.lists(frac, min_size=1, max_size=6).map(normalize)
+XY = ("x", "y")
+bivariate = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 2)), st.integers(-5, 5),
+    min_size=1, max_size=6).map(
+        lambda d: MultiPoly(XY, {e: Fraction(c) for e, c in d.items()}))
 
 
 def sylvester_resultant(f, g):
@@ -111,3 +118,43 @@ def test_cyclotomic():
 def test_derivative():
     f = [Fraction(1), Fraction(2), Fraction(3)]
     assert derivative(f) == [Fraction(2), Fraction(6)]
+
+
+def _at(p, y0):
+    """p(x, y0) as a dense coefficient list in x."""
+    return from_multipoly(p.substitute({"y": Fraction(y0)}), "x")
+
+
+@settings(max_examples=60, deadline=None)
+@given(bivariate, bivariate)
+def test_resultant_poly_specializes_to_sylvester(A, B):
+    dA, dB = A.degree("x"), B.degree("x")
+    if dA < 0 or dB < 0:
+        return
+    res = resultant_poly(A, B, "x")
+    assert res.degree("x") <= 0
+    prs = subresultant_prs(A, B, "x") if dA >= dB else \
+        subresultant_prs(B, A, "x")
+    # the sequence ends in a constant exactly when no factor is shared
+    assert res.is_zero() == (prs[-1].degree("x") > 0)
+    for y0 in range(-3, 4):
+        if not (_at(A, y0) and len(_at(A, y0)) == dA + 1
+                and _at(B, y0) and len(_at(B, y0)) == dB + 1):
+            continue
+        value = res.substitute({"y": Fraction(y0)}).constant()
+        assert value == sylvester_resultant(_at(A, y0), _at(B, y0))
+
+
+def test_resultant_poly_edge_cases():
+    x, y = MultiPoly.var(XY, "x"), MultiPoly.var(XY, "y")
+    # Res(x - y, B) = B(y); with deg 1 < deg 3, both odd, the swap negates
+    assert resultant_poly(x - y, x ** 3 + y, "x") == y ** 3 + y
+    assert resultant_poly(x ** 3 + y, x - y, "x") == -(y ** 3 + y)
+    # a second argument free of x: Res(A, c) = c^deg(A)
+    c = y * 2 + 1
+    assert resultant_poly(x ** 2 + y, c, "x") == c ** 2
+    # a common factor makes the resultant vanish and stops the sequence
+    common = x - y
+    A, B = common * (x + 1), common * (x ** 2 + y)
+    assert resultant_poly(A, B, "x").is_zero()
+    assert subresultant_prs(B, A, "x")[-1].degree("x") == 1
