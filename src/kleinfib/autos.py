@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .multipoly import MultiPoly
-from .tower import FieldTower, FieldElement
+from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
 from .geometry import _bezout_many, _pow_signed, build_surface
 from .curves import VerificationError
 
@@ -214,8 +214,8 @@ def diagonal_group(case: str, seed: int = 0) -> DiagonalGroupDescriptor:
 
 def tau_map(tower=None) -> PolyMap:
     """tau = (-x/2 + (i/2) y, (3i/2) x - y/2, z) over Q(i)."""
-    T = tower or FieldTower.rationals().extend_algebraic("i", [1, 0, 1])
-    i = T.gen("i")
+    T = tower or cyclotomic(4)
+    i = root_of_unity(T, 4)
     x, y, z = (MultiPoly.var(AFFINE_VARS, v) for v in AFFINE_VARS)
     half = Fraction(1, 2)
     return PolyMap((x.scale(-half * T.from_fraction(1)) + y.scale(i * half),
@@ -249,7 +249,7 @@ def tau_normalizes_diagonal(seed: int = 0, samples: int = 5) -> bool:
     """For random diagonal elements delta of the d_4 group,
     tau . delta . tau^2 still preserves d_4 (tau^3 = 1, so tau^2 is the
     inverse); closure at this level is all the computation certifies."""
-    T = FieldTower.rationals().extend_algebraic("i", [1, 0, 1])
+    T = cyclotomic(4)
     f = _klein_equation("dn:4")
     tau = tau_map(T)
     tau_inv = tau.compose(tau)

@@ -38,6 +38,11 @@ SCHEMA = "kleinfib-certificate/1"
 AN_RANGE = range(2, 7)
 DN_RANGE = range(4, 10)
 
+# the largest n accepted in an:<n>, dn:<n> and --n: the D_n witnesses live
+# in Q(zeta_M)(mu) with M = lcm(4, 2(n-1)), and the wild shears expand
+# (x + yP)^n, so the cost grows steeply with n
+MAX_FAMILY_INDEX = 32
+
 # --poly: an expanded sum of terms c, y, y^k, c*y or c*y^k (c, k decimal)
 POLY_MAX_DEGREE = 64
 _TERM = r"(?:(\d+)\s*\*\s*)?(y)(?:\s*\^\s*(\d+))?|(\d+)"
@@ -125,11 +130,11 @@ def cmd_curves(args):
         payload["residual_Q1"] = [str(c) for c in q1_quartic()]
         payload["residual_Q2"] = [str(c) for c in q2_quartic()]
     elif name.startswith("an:"):
-        n = _parse_index(name)
+        n = _family_index(name)
         curves = enumerate_an(n)
         expected = 2 * n
     elif name.startswith("dn:"):
-        n = _parse_index(name)
+        n = _family_index(name)
         if n < 4:
             raise UsageError("dn needs n >= 4")
         curves = enumerate_dn(n)
@@ -148,17 +153,25 @@ def cmd_curves(args):
     return checks, payload
 
 
-def _parse_index(name):
+def _family_index(name):
+    """n of an:<n> or dn:<n> (also klein-an:<n>, klein-dn:<n>), checked
+    against 2 <= n <= MAX_FAMILY_INDEX before any arithmetic; None for
+    other names."""
+    family, sep, index = name.replace("klein-", "").partition(":")
+    if not sep or family not in ("an", "dn"):
+        return None
     try:
-        n = int(name.split(":", 1)[1])
+        n = int(index)
     except ValueError:
         raise UsageError("bad surface index in %r" % name)
-    if n < 2:
-        raise UsageError("index out of range in %r" % name)
+    if not 2 <= n <= MAX_FAMILY_INDEX:
+        raise UsageError("index out of range in %r (2..%d)"
+                         % (name, MAX_FAMILY_INDEX))
     return n
 
 
 def cmd_verdict(args):
+    _family_index(args.case)
     verdict = rationality_verdict(args.case, BaseExtension(args.ext))
     checks = [check("rationality-verdict",
                     "rule table over the radical extension",
@@ -208,6 +221,7 @@ def cmd_autos(args):
         if args.n is None:
             raise UsageError("autos an requires --n")
         case = "an:%d" % args.n
+    _family_index(case)
     wild = None
     if args.poly is not None:
         if not case.startswith("an:"):
@@ -248,6 +262,7 @@ def cmd_audit(args):
         raise UsageError("t = 0 lies on every discriminant locus")
     cfg = NumericConfig(t=t, tol=args.tol, seed=args.seed)
     if args.surface.startswith(("an:", "dn:")):
+        _family_index(args.surface)
         parse_case(args.surface)        # n below the family's minimum: exit 2
     elif args.surface not in ("s6", "s7", "s8"):
         raise UsageError("no numeric audit for %r" % args.surface)
@@ -502,8 +517,21 @@ def build_parser():
     return p
 
 
+def _attach_poly_value(argv):
+    """Rewrite "--poly VALUE" as "--poly=VALUE", so that a polynomial such as
+    -2*y^2+7 is not taken for an option."""
+    out = []
+    it = iter(argv)
+    for arg in it:
+        if arg == "--poly":
+            arg = "--poly=" + next(it, "")
+        out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
+    argv = _attach_poly_value(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as ex:

@@ -10,13 +10,13 @@ modulo the residual relation.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .geometry import build_surface
 from .multipoly import MultiPoly
-from .tower import FieldTower, qi_sqrt3, transplant, zeta3
+from .tower import FieldTower, cyclotomic, root_of_unity, transplant
 from .univariate import (from_multipoly, poly_gcd, resultant_poly,
-                         subresultant_prs, cyclotomic_poly)
+                         subresultant_prs)
 
 
 class VerificationError(AssertionError):
@@ -395,8 +395,7 @@ def _s7_curves(s7, solved, core, V):
     """CurveSpecs: 2 curves on the e = 0 branch, 54 on the main branch."""
     curves = []
     # e = 0 branch: a = b = d = 0, c^2 = t; curves Y = 0, Z = +-sqrt(t) W^2.
-    T = FieldTower.rationals().extend_ratfunc("t")
-    T = T.extend_radical("r", 2, T.gen("t"))
+    T, t = s7_e0_tower()
     r = T.gen("r")
     cvars = ("W", "X", "Y", "Z")
     Y = MultiPoly.var(cvars, "Y")
@@ -406,7 +405,7 @@ def _s7_curves(s7, solved, core, V):
     for idx, sgn in enumerate((1, -1)):
         eqs = (Y, Z - W2.scale(T.lift(sgn) * r))
         _certify_membership(s7, T, {"Y": MultiPoly.zero(cvars),
-                                    "Z": W2.scale(T.lift(sgn) * r)})
+                                    "Z": W2.scale(T.lift(sgn) * r)}, t)
         curves.append(CurveSpec("s7", "S7-e0", "e0", idx, eqs,
                                 parameter="r", relation=rel,
                                 data={"c": "+-sqrt(t)", "sign": sgn}))
@@ -419,6 +418,13 @@ def _s7_curves(s7, solved, core, V):
                                 _s7_symbolic_equations(pairs, cvars6),
                                 parameter="e", relation=core, data=data))
     return curves
+
+
+def s7_e0_tower():
+    """Q(r), the field of the two e = 0 curves Z = +-r W^2 on S7, with
+    t = r^2.  Returns (tower, t)."""
+    T = FieldTower.rationals().extend_ratfunc("r")
+    return T, T.gen("r") ** 2
 
 
 def project_vars(p: MultiPoly, variables) -> MultiPoly:
@@ -469,15 +475,15 @@ def _s7_symbolic_equations(pairs, cvars):
     return (strip_content(eqY), strip_content(eqZ))
 
 
-def _certify_membership(surface, tower, substitution):
-    """Substitute curve forms into the chart-0 surface equation over the
-    tower and require the exact zero polynomial."""
+def _certify_membership(surface, tower, substitution, t):
+    """Substitute curve forms and the value t (an element of the tower) into
+    the chart-0 surface equation and require the exact zero polynomial."""
     eqvars = surface.equation.vars
     sub = {k: (v.rename(eqvars) if v.vars != eqvars else v)
            for k, v in substitution.items()}
     eq = surface.equation.map_coeffs(lambda c: transplant(c, tower))
     eq = eq.substitute(sub)
-    eq = eq.substitute({"t": MultiPoly.const(eqvars, tower.gen("t"))})
+    eq = eq.substitute({"t": MultiPoly.const(eqvars, t)})
     if not eq.is_zero():
         raise VerificationError("membership residue nonzero", detail=eq)
 
@@ -732,20 +738,28 @@ def _s8_symbolic_equations(pairs, cvars, V):
 # ---------------------------------------------------------------------------
 # S6: the 27 lines
 
+def _i_sqrt3(T):
+    """i = zeta_12^3 and sqrt3 = 2 zeta_12 - zeta_12^3 in a Q(zeta_12) tower."""
+    z = root_of_unity(T, 12)
+    i = z ** 3
+    return i, 2 * z - i
+
+
 def s6_line_tower(branch: str):
-    """QQ(i, sqrt3)(t) extended by mu with mu^12 = c t,
-    c = (-45 +- 26 sqrt3)/243 according to the branch."""
-    T = qi_sqrt3().extend_ratfunc("t")
-    s3 = T.gen("sqrt3")
+    """Q(zeta_12)(mu), the field of the lines L_mu, with t = mu^12 / c and
+    c = (-45 +- 26 sqrt3)/243 according to the branch.  Returns
+    (tower, c, t), with c in Q(zeta_12)."""
+    K = cyclotomic(12)
     sign = 1 if branch == "plus" else -1
-    c = (T.lift(Fraction(-45, 243)) + s3 * Fraction(sign * 26, 243))
-    return T.extend_radical("mu", 12, c * T.gen("t")), c
+    c = K.lift(Fraction(-45, 243)) + _i_sqrt3(K)[1] * Fraction(sign * 26, 243)
+    T = K.extend_ratfunc("mu")
+    return T, c, T.gen("mu") ** 12 / c
 
 
 def s6_line_forms(T, branch: str, xi=None):
     """The two linear forms cutting L_mu, or L_{xi mu} when xi is given; the
     minus branch carries the sqrt3 -> -sqrt3 conjugated coefficients."""
-    i, s3, mu = T.gen("i"), T.gen("sqrt3"), T.gen("mu")
+    (i, s3), mu = _i_sqrt3(T), T.gen("mu")
     if xi is not None:
         mu = xi * mu
     if branch == "minus":
@@ -762,30 +776,30 @@ def s6_line_forms(T, branch: str, xi=None):
 def certify_s6_lines(catalog=None):
     """All 27 lines of the cubic, with exact zero substitution residues:
     3 lines Z = 0, Y = zeta3^j alpha W (alpha^3 = t) and 12 lines L_mu per
-    radical branch mu^12 = (1/27)(-5 +- (26/9) sqrt3) t."""
+    branch mu^12 = c t, c = (1/27)(-5 +- (26/9) sqrt3)."""
     s6 = catalog["s6"] if catalog else build_surface("s6")
     lv = ("W", "X", "Y", "Z")
     curves = []
 
     # L1, L2, L3
-    T0, alpha_lines = s6_alpha_lines()
+    T0, t0, alpha_lines = s6_alpha_lines()
     relA = MultiPoly(("alpha", "t"), {(3, 0): Fraction(1),
                                       (0, 1): Fraction(-1)})
     Y = MultiPoly.var(lv, "Y")
     for j, (Z, l2) in enumerate(alpha_lines):
-        _certify_membership(s6, T0, {"Z": MultiPoly.zero(lv), "Y": Y - l2})
+        _certify_membership(s6, T0, {"Z": MultiPoly.zero(lv), "Y": Y - l2},
+                            t0)
         curves.append(CurveSpec("s6", "S6-L123", "alpha", j, (Z, l2),
                                 parameter="alpha", relation=relA,
                                 data={"zeta3_power": j}))
 
     # the 24 lines L_mu
     for branch in ("plus", "minus"):
-        T, c = s6_line_tower(branch)
+        T, c, t = s6_line_tower(branch)
         l1, l2 = s6_line_forms(T, branch)
         zsol, ysol = _s6_solve_lines(l1, l2, lv)
-        _certify_membership(s6, T, {"Z": zsol, "Y": ysol})
-        relM = MultiPoly(("mu", "t"), {(12, 0): T.from_fraction(1)})
-        relM = relM + MultiPoly(("mu", "t"), {(0, 1): -c})
+        _certify_membership(s6, T, {"Z": zsol, "Y": ysol}, t)
+        relM = MultiPoly(("mu", "t"), {(12, 0): c.tower.one(), (0, 1): -c})
         for j in range(12):
             curves.append(CurveSpec("s6", "S6-Lmu", branch, j, (l1, l2),
                                     parameter="mu", relation=relM,
@@ -796,13 +810,13 @@ def certify_s6_lines(catalog=None):
 
 
 def s6_alpha_lines():
-    """The tower QQ(i, sqrt3)(t)(alpha), alpha^3 = t, and the form pairs
-    (Z, Y - zeta3^j alpha W) cutting the lines L1, L2, L3."""
-    T = qi_sqrt3().extend_ratfunc("t")
-    T = T.extend_radical("alpha", 3, T.gen("t"))
-    z3, alpha = zeta3(T), T.gen("alpha")
+    """The tower Q(zeta_12)(alpha) with t = alpha^3, that t, and the form
+    pairs (Z, Y - zeta3^j alpha W) cutting the lines L1, L2, L3."""
+    T = cyclotomic(12).extend_ratfunc("alpha")
+    z3, alpha = root_of_unity(T, 3), T.gen("alpha")
     W, Y, Z = (MultiPoly.var(("W", "X", "Y", "Z"), v) for v in "WYZ")
-    return T, [(Z, Y - W.scale(z3 ** j * alpha)) for j in range(3)]
+    return T, alpha ** 3, [(Z, Y - W.scale(z3 ** j * alpha))
+                           for j in range(3)]
 
 
 def _s6_solve_lines(l1, l2, lv):
@@ -823,14 +837,10 @@ def _s6_solve_lines(l1, l2, lv):
 # A_n / D_n fibre components
 
 def an_tower(n: int):
-    """QQ(zeta_n)(t) with alpha^n = t."""
-    T = FieldTower.rationals()
-    if n > 2:
-        T = T.extend_algebraic("zeta", cyclotomic_poly(n))
-    elif n == 2:
-        T = T.extend_algebraic("zeta", [1, 1])   # zeta_2 = -1
-    T = T.extend_ratfunc("t")
-    return T.extend_radical("alpha", n, T.gen("t"))
+    """Q(zeta_n)(alpha), the field of the A_n fibre components, with
+    t = alpha^n.  Returns (tower, t)."""
+    T = cyclotomic(n).extend_ratfunc("alpha")
+    return T, T.gen("alpha") ** n
 
 
 def enumerate_an(n: int, catalog=None):
@@ -840,21 +850,21 @@ def enumerate_an(n: int, catalog=None):
     if n < 2:
         raise ValueError("A_n needs n >= 2")
     s = catalog["an:%d" % n] if catalog else build_surface("an:%d" % n)
-    T = an_tower(n)
-    zeta, alpha = T.gen("zeta"), T.gen("alpha")
+    T, t = an_tower(n)
+    zeta, alpha = root_of_unity(T, n), T.gen("alpha")
     cv = ("w", "y", "z", "x")
     w, y, z, x = (MultiPoly.var(cv, v) for v in cv)
     rel = MultiPoly(("alpha", "t"), {(n, 0): Fraction(1),
                                      (0, 1): Fraction(-1)})
     curves = []
     for j in range(n):
-        root = zeta ** j * alpha
-        for comp, eqs, sub in (("y0", (x - MultiPoly.const(cv, root), y),
-                                {"x": MultiPoly.const(cv, root), "y": MultiPoly.zero(cv)}),
-                               ("z0", (x - MultiPoly.const(cv, root), z), {"x": MultiPoly.const(cv, root), "z": MultiPoly.zero(cv)})):
-            _certify_membership(s, T, sub)
+        root = MultiPoly.const(cv, zeta ** j * alpha)
+        for comp, zero_var in (("y0", "y"), ("z0", "z")):
+            _certify_membership(s, T, {"x": root,
+                                       zero_var: MultiPoly.zero(cv)}, t)
             curves.append(CurveSpec("an:%d" % n, "An-fiber", comp, j,
-                                    eqs, parameter="alpha", relation=rel,
+                                    (x - root, MultiPoly.var(cv, zero_var)),
+                                    parameter="alpha", relation=rel,
                                     data={"zeta_power": j,
                                           "contractible_orbit": comp == "y0"}))
     if len(curves) != 2 * n:
@@ -864,50 +874,41 @@ def enumerate_an(n: int, catalog=None):
 
 
 def dn_tower(n: int):
-    """QQ(i, zeta_N)(t) with mu^N = t, N = 2(n-1)."""
+    """Q(zeta_M)(mu), the field of the D_n fibre components, with t = mu^N,
+    N = 2(n-1) and M = lcm(4, N), so that i and zeta_N are powers of
+    zeta_M.  Returns (tower, t)."""
     N = 2 * (n - 1)
-    T = FieldTower.rationals()
-    T = T.extend_algebraic("i", [1, 0, 1])
-    T = T.extend_algebraic("zeta", cyclotomic_poly(N))
-    T = T.extend_ratfunc("t")
-    return T.extend_radical("mu", N, T.gen("t"))
+    T = cyclotomic(lcm(4, N)).extend_ratfunc("mu")
+    return T, T.gen("mu") ** N
 
 
 def enumerate_dn(n: int, catalog=None):
-    """2 lines z = +- sqrt(t) w over x = 0 plus 2(n-1) curves
-    x = (zeta^j mu)^2, z = i zeta^j mu y over x^(n-1) = t."""
+    """2 lines z = +- r w over x = 0, r = mu^(n-1) = sqrt(t), plus 2(n-1)
+    curves x = (zeta^j mu)^2, z = i zeta^j mu y over x^(n-1) = t."""
     if n < 4:
         raise ValueError("D_n needs n >= 4")
     s = catalog["dn:%d" % n] if catalog else build_surface("dn:%d" % n)
     cv = ("w", "y", "z", "x")
     w, y, z, x = (MultiPoly.var(cv, v) for v in cv)
-    curves = []
-
-    Tr = FieldTower.rationals().extend_algebraic("i", [1, 0, 1])
-    Tr = Tr.extend_ratfunc("t")
-    Tr = Tr.extend_radical("r", 2, Tr.gen("t"))
-    r = Tr.gen("r")
-    rel2 = MultiPoly(("r", "t"), {(2, 0): Fraction(1), (0, 1): Fraction(-1)})
-    for idx, sgn in enumerate((1, -1)):
-        sub = {"x": MultiPoly.zero(cv), "z": w.scale(Tr.lift(sgn) * r)}
-        _certify_membership(s, Tr, sub)
-        curves.append(CurveSpec("dn:%d" % n, "Dn-x0", "x0", idx,
-                                (x, z - w.scale(Tr.lift(sgn) * r)),
-                                parameter="r", relation=rel2,
-                                data={"sign": sgn}))
-
     N = 2 * (n - 1)
-    T = dn_tower(n)
-    i, zeta, mu = T.gen("i"), T.gen("zeta"), T.gen("mu")
+    T, t = dn_tower(n)
+    i, zeta, mu = root_of_unity(T, 4), root_of_unity(T, N), T.gen("mu")
     relN = MultiPoly(("mu", "t"), {(N, 0): Fraction(1),
                                    (0, 1): Fraction(-1)})
+    curves = []
+    r = mu ** (n - 1)
+    for idx, sgn in enumerate((1, -1)):
+        zr = w.scale(r * sgn)
+        _certify_membership(s, T, {"x": MultiPoly.zero(cv), "z": zr}, t)
+        curves.append(CurveSpec("dn:%d" % n, "Dn-x0", "x0", idx,
+                                (x, z - zr), parameter="mu", relation=relN,
+                                data={"sign": sgn}))
     for j in range(N):
         mj = zeta ** j * mu
         sub = {"x": MultiPoly.const(cv, mj ** 2), "z": y.scale(i * mj)}
-        _certify_membership(s, T, sub)
+        _certify_membership(s, T, sub, t)
         curves.append(CurveSpec("dn:%d" % n, "Dn-mu", "mu", j,
-                                (x - MultiPoly.const(cv, mj ** 2),
-                                 z - y.scale(i * mj)),
+                                (x - sub["x"], z - sub["z"]),
                                 parameter="mu", relation=relN,
                                 data={"zeta_power": j}))
     if len(curves) != 2 + N:

@@ -4,14 +4,15 @@ Surfaces live in weighted projective spaces, in two-chart P^2-bundle
 atlases over the affine line, or in plain affine 3-space (the t=0 Klein
 surfaces).  Equations are stored as MultiPoly in the ambient variables
 plus an explicit "t" variable for the fibred surfaces; coefficients live
-in a constants tower (QQ, or QQ(i, sqrt3) for the S6 family).
+in a constants tower (QQ, or QQ(zeta_12) for the S6 family).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .multipoly import MultiPoly
-from .tower import FieldTower, FieldElement, qi_sqrt3, transplant
+from .tower import (FieldTower, FieldElement, cyclotomic, root_of_unity,
+                    transplant)
 
 
 class GeometryError(ValueError):
@@ -78,7 +79,7 @@ def _mp(variables, terms):
 
 def _build_s6(T):
     # Z(WZ - 2iX^2) - tW^3 + Y^3  in P^3
-    i = T.gen("i")
+    i = root_of_unity(T, 4)
     vs = ("W", "X", "Y", "Z", "t")
     eq = _mp(vs, [((1, 0, 0, 2, 0), T.from_fraction(1)),
                   ((0, 2, 0, 1, 0), -2 * i),
@@ -197,7 +198,7 @@ def surface_names(dn_range=range(4, 10), an_range=range(2, 7)):
 def build_surface(name):
     """One catalog surface by CLI name, checked by check_homogeneous."""
     if name in ("s6", "s6prime"):
-        s = (_build_s6 if name == "s6" else _build_s6prime)(qi_sqrt3())
+        s = (_build_s6 if name == "s6" else _build_s6prime)(cyclotomic(12))
     elif name == "s7":
         s = _build_s7()
     elif name == "s8":
@@ -410,8 +411,9 @@ def normalize_point(p: PointSpec) -> PointSpec:
     return PointSpec(p.ambient, coords, p.chart)
 
 
-def on_surface(s: SurfaceSpec, p: PointSpec) -> bool:
-    """Exact membership: the chart equation vanishes at p in p's tower."""
+def on_surface(s: SurfaceSpec, p: PointSpec, t=None) -> bool:
+    """Exact membership: the chart equation vanishes at p in p's tower, with
+    t the given element of that tower (default: its generator named t)."""
     tower = _coord_tower(p.coords)
     if tower is None:
         raise GeometryError("point must carry at least one tower element")
@@ -422,7 +424,7 @@ def on_surface(s: SurfaceSpec, p: PointSpec) -> bool:
                                          tower.from_fraction(Fraction(c))
                                          for c in p.coords)))
     if s.has_t:
-        env["t"] = tower.gen("t")
+        env["t"] = tower.gen("t") if t is None else transplant(t, tower)
     val = eq.evaluate(env)
     return val.is_zero() if isinstance(val, FieldElement) else val == 0
 
@@ -440,7 +442,7 @@ def verify_contraction_S6(catalog=None) -> dict:
     catalog = catalog or build_catalog()
     s6, s6p = catalog["s6"], catalog["s6prime"]
     T = s6.const_tower
-    i = T.gen("i")
+    i = root_of_unity(T, 4)
     vs = ("W", "X", "Y", "Z", "t")
     W, X, Y, Z = (MultiPoly.var(vs, v) for v in ("W", "X", "Y", "Z"))
     one = MultiPoly.const(vs, T.from_fraction(1))

@@ -128,7 +128,7 @@ def check_specialization(t: Fraction) -> dict:
     # S7: core(e) = t^3 Q(e^18 / t); S8: F_i proportional to q_i(-mu^30 t)
     # binomial radicands c t must not vanish
     for branch in ("plus", "minus"):
-        _, c = s6_line_tower(branch)
+        _, c, _ = s6_line_tower(branch)
         if c.is_zero():
             raise VerificationError("S6 radicand vanishes")
     report["squarefree"]["core_S7"] = True
@@ -187,22 +187,25 @@ def _sample_wx(rng, k=5):
 # ---------------------------------------------------------------------------
 # per-surface audits
 
+# the generator of Q(zeta_12), the constants of the S6 family
+S6_ENV = {"z12": cmath.exp(1j * math.pi / 6)}
+
+
 def _s6_numeric_lines(cfg):
     """27 lines as numeric 2x4 coefficient matrices, tagged."""
     tval = float(cfg.t)
     lines = []
-    base_env = {"i": 1j, "sqrt3": math.sqrt(3.0), "t": tval}
-    for j, forms in enumerate(s6_alpha_lines()[1]):
-        env = dict(base_env, alpha=tval ** (1.0 / 3.0))
+    for j, forms in enumerate(s6_alpha_lines()[2]):
+        env = dict(S6_ENV, alpha=tval ** (1.0 / 3.0))
         lines.append(("L123", j, _form_matrix(forms, env)))
     for branch in ("plus", "minus"):
-        T, c = s6_line_tower(branch)
-        cval = c.as_complex(base_env)
+        T, c, _ = s6_line_tower(branch)
+        cval = c.as_complex(S6_ENV)
         mu0 = (cval * tval) ** (1.0 / 12.0)
         forms = s6_line_forms(T, branch)
         for j in range(12):
             mu = mu0 * cmath.exp(2j * math.pi * j / 12.0)
-            env = dict(base_env, mu=mu)
+            env = dict(S6_ENV, mu=mu)
             lines.append((branch, j, _form_matrix(forms, env)))
     return lines
 
@@ -224,7 +227,6 @@ def _null_basis(mat, keep=2):
 
 def numeric_audit_s6(cfg: NumericConfig) -> dict:
     s6 = build_surface("s6")
-    cenv = {"i": 1j, "sqrt3": math.sqrt(3.0)}
     tval = float(cfg.t)
     rng = random.Random(cfg.seed)
     lines = _s6_numeric_lines(cfg)
@@ -236,7 +238,7 @@ def numeric_audit_s6(cfg: NumericConfig) -> dict:
             p = basis[0] * a + basis[1]
             env = dict(zip(("W", "X", "Y", "Z"), p))
             env["t"] = tval
-            r = _rel_residue(s6.equation, env, cenv)
+            r = _rel_residue(s6.equation, env, S6_ENV)
             max_res = max(max_res, r)
             if r > cfg.tol:
                 raise VerificationError("S6 membership residue %.3g" % r)

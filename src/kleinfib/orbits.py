@@ -8,12 +8,13 @@ from functools import lru_cache
 from math import gcd
 
 from .multipoly import MultiPoly
-from .tower import FieldTower, FieldElement, transplant
-from .univariate import cyclotomic_poly
+from .tower import (FieldTower, FieldElement, cyclotomic, root_of_unity,
+                    transplant)
 from .geometry import build_surface, PointSpec, on_surface, GeometryError
 from .curves import (VerificationError, enumerate_s7, enumerate_s8,
                      enumerate_an, enumerate_dn, s6_alpha_lines,
-                     s6_line_tower, s6_line_forms, an_tower, dn_tower)
+                     s6_line_tower, s6_line_forms, s7_e0_tower, an_tower,
+                     dn_tower)
 
 # The contraction bookkeeping below ("axiom table") encodes the standard
 # minimal-model facts the verdicts rest on; everything the engine can check
@@ -95,12 +96,8 @@ def orbit_structure(N: int, m: int) -> dict:
         raise ValueError("N, m must be >= 1")
     g = gcd(N, m)
     b = N // g
-    T = FieldTower.rationals()
-    if g > 2:
-        T = T.extend_algebraic("zeta", cyclotomic_poly(g))
-        zeta = T.gen("zeta")
-    else:
-        zeta = T.from_fraction(Fraction(-1 if g == 2 else 1))
+    T = cyclotomic(g)
+    zeta = root_of_unity(T, g)
     vs = ("X", "rho")
     one = T.from_fraction(Fraction(1))
     prod = MultiPoly.const(vs, one)
@@ -165,11 +162,11 @@ def _kernel(rows, tower):
     return r, basis
 
 
-def lines_intersect_p3(forms1, forms2, tower, surface=None):
+def lines_intersect_p3(forms1, forms2, tower, surface=None, t=None):
     """Exact intersection of two lines in P^3, each cut by two linear forms
     over a common tower.  Returns (bool, witness coords or None); on a true
     answer the kernel vector is verified against all four forms (and the
-    surface, when given)."""
+    surface at the tower element t, when given)."""
     for forms in (forms1, forms2):
         rank, _ = _kernel(_form_rows(forms, tower), tower)
         if rank != 2:
@@ -186,7 +183,7 @@ def lines_intersect_p3(forms1, forms2, tower, surface=None):
             raise VerificationError("kernel witness fails a line form")
     if surface is not None:
         p = PointSpec(surface.ambient, tuple(witness))
-        if not on_surface(surface, p):
+        if not on_surface(surface, p, t):
             raise VerificationError("line intersection witness not on the "
                                     "surface")
     return True, witness
@@ -205,11 +202,11 @@ def s6_intersections() -> dict:
     report = {"surface": "s6", "pairs": []}
 
     # L1, L2, L3 pairwise at (0:1:0:0)
-    T0, alpha_lines = s6_alpha_lines()
+    T0, t0, alpha_lines = s6_alpha_lines()
     for j1 in range(3):
         for j2 in range(j1 + 1, 3):
             ok, wit = lines_intersect_p3(alpha_lines[j1], alpha_lines[j2],
-                                         T0, s6)
+                                         T0, s6, t0)
             if not ok:
                 raise VerificationError("L%d and L%d do not intersect"
                                         % (j1 + 1, j2 + 1))
@@ -217,19 +214,18 @@ def s6_intersections() -> dict:
                                     "intersect": True,
                                     "witness": _serialize_point(wit)})
 
-    # L_mu vs L_{xi mu}, xi = z12^k with z12 = (sqrt3 + i)/2: the
-    # pairs of xi-order 2 (k=6) and 3 (k=4,8) must intersect on both
-    # branches; the remaining dets are recorded as measured, and at least
-    # one must be nonzero (disjoint conjugate lines exist).
+    # L_mu vs L_{xi mu}, xi = z12^k: the pairs of xi-order 2 (k=6) and
+    # 3 (k=4,8) must intersect on both branches; the remaining dets are
+    # recorded as measured, and at least one must be nonzero (disjoint
+    # conjugate lines exist).
     for branch in ("plus", "minus"):
-        T, _ = s6_line_tower(branch)
-        i, s3 = T.gen("i"), T.gen("sqrt3")
-        z12 = (s3 + i) * Fraction(1, 2)
+        T, _, t = s6_line_tower(branch)
+        z12 = root_of_unity(T, 12)
         forms1 = s6_line_forms(T, branch)
         pattern = {}
         for k in range(1, 12):
             forms2 = s6_line_forms(T, branch, z12 ** k)
-            ok, wit = lines_intersect_p3(forms1, forms2, T, s6)
+            ok, wit = lines_intersect_p3(forms1, forms2, T, s6, t)
             pattern[k] = ok
             report["pairs"].append(
                 {"pair": "Lmu/Lximu", "branch": branch, "k": k,
@@ -418,13 +414,19 @@ def s8_conjugation(order: int, branch: str = "P1") -> dict:
 # ---------------------------------------------------------------------------
 # conic-bundle fibre component intersections (A_n, D_n)
 
-def _eval_curve_eqs(curve, env):
-    for eq in curve.equations:
-        val = eq.evaluate({v: env[v] for v in eq.vars})
-        zero = val.is_zero() if isinstance(val, FieldElement) else val == 0
-        if not zero:
-            return False
-    return True
+def _meet_at(curves, s, coords, t, what):
+    """Witness that the curves share the point `coords` (in the ambient
+    variables of s) and that it lies on s, with t the element of the
+    curves' tower."""
+    env = dict(zip(s.ambient.variables, coords))
+    for curve in curves:
+        for eq in curve.equations:
+            val = eq.evaluate({v: env[v] for v in eq.vars})
+            if not (val.is_zero() if isinstance(val, FieldElement)
+                    else val == 0):
+                raise VerificationError("%s witness fails" % what)
+    if not on_surface(s, PointSpec(s.ambient, tuple(coords)), t):
+        raise VerificationError("%s witness not on the surface" % what)
 
 
 @lru_cache(maxsize=None)
@@ -435,48 +437,26 @@ def dn_intersections(n: int) -> dict:
     curves = enumerate_dn(n)
     s = build_surface("dn:%d" % n)
     N = 2 * (n - 1)
+    T, t = dn_tower(n)
+    zeta, mu = root_of_unity(T, N), T.gen("mu")
+    zero, one = T.zero(), T.one()
     report = {"surface": "dn:%d" % n, "pairs": []}
-
-    x0 = [c for c in curves if c.family == "Dn-x0"]
-    Tr = None
-    for c in x0[0].equations[1].terms.values():
-        if isinstance(c, FieldElement):
-            Tr = c.tower
-            break
-    zero = Tr.from_fraction(Fraction(0))
-    one = Tr.from_fraction(Fraction(1))
-    env = {"w": zero, "y": one, "z": zero, "x": zero, "t": Tr.gen("t")}
-    if not (_eval_curve_eqs(x0[0], env) and _eval_curve_eqs(x0[1], env)):
-        raise VerificationError("D_n x=0 components witness fails")
-    p = PointSpec(s.ambient, (zero, one, zero, zero))
-    if not on_surface(s, p):
-        raise VerificationError("D_n x=0 witness not on the surface")
+    _meet_at([c for c in curves if c.family == "Dn-x0"], s,
+             (zero, one, zero, zero), t, "D_n x=0 components")
     report["pairs"].append({"pair": "x0+/x0-", "intersect": True,
                             "witness": "((0:1:0), x=0)"})
-
     mu_curves = [c for c in curves if c.family == "Dn-mu"]
-    T = dn_tower(n)
-    zeta, mu = T.gen("zeta"), T.gen("mu")
-    zero, one = T.from_fraction(Fraction(0)), T.from_fraction(Fraction(1))
     for j1 in range(N):
         j2 = (j1 + N // 2) % N
-        mj = zeta ** j1 * mu
-        env = {"w": one, "y": zero, "z": zero, "x": mj ** 2,
-               "t": T.gen("t")}
-        if not (_eval_curve_eqs(mu_curves[j1], env)
-                and _eval_curve_eqs(mu_curves[j2], env)):
-            raise VerificationError("D_n mu-pair witness fails (j=%d)" % j1)
-        p = PointSpec(s.ambient, (one, zero, zero, mj ** 2))
-        if not on_surface(s, p):
-            raise VerificationError("D_n mu-pair witness not on the surface")
+        _meet_at([mu_curves[j1], mu_curves[j2]], s,
+                 (one, zero, zero, (zeta ** j1 * mu) ** 2), t,
+                 "D_n mu-pair (j=%d)" % j1)
     report["pairs"].append({"pair": "mu_j / -mu_j (all j)",
                             "intersect": True,
                             "witness": "((1:0:0), x=mu_j^2)"})
     # distinct fibres: zeta^{2d} != 1 for 2d not divisible by N
     for d in range(1, N):
-        if (2 * d) % N == 0:
-            continue
-        if (zeta ** (2 * d) - one).is_zero():
+        if (2 * d) % N and (zeta ** (2 * d) - one).is_zero():
             raise VerificationError("fibre values coincide unexpectedly")
     report["pairs"].append({"pair": "mu_j / xi mu_j, xi^2 != 1",
                             "intersect": False,
@@ -491,20 +471,14 @@ def an_intersections(n: int) -> dict:
     particular the y=0 orbit is pairwise disjoint (contractible)."""
     curves = enumerate_an(n)
     s = build_surface("an:%d" % n)
-    T = an_tower(n)
-    zeta, alpha = T.gen("zeta"), T.gen("alpha")
-    zero, one = T.from_fraction(Fraction(0)), T.from_fraction(Fraction(1))
+    T, t = an_tower(n)
+    zeta, alpha = root_of_unity(T, n), T.gen("alpha")
+    zero, one = T.zero(), T.one()
     report = {"surface": "an:%d" % n, "pairs": []}
-    y0 = [c for c in curves if c.branch == "y0"]
-    z0 = [c for c in curves if c.branch == "z0"]
     for j in range(n):
-        root = zeta ** j * alpha
-        env = {"w": one, "y": zero, "z": zero, "x": root, "t": T.gen("t")}
-        if not (_eval_curve_eqs(y0[j], env) and _eval_curve_eqs(z0[j], env)):
-            raise VerificationError("A_n same-fibre witness fails (j=%d)" % j)
-        p = PointSpec(s.ambient, (one, zero, zero, root))
-        if not on_surface(s, p):
-            raise VerificationError("A_n witness not on the surface")
+        _meet_at([c for c in curves if c.index == j], s,
+                 (one, zero, zero, zeta ** j * alpha), t,
+                 "A_n same-fibre (j=%d)" % j)
     report["pairs"].append({"pair": "y0_j / z0_j (all j)",
                             "intersect": True,
                             "witness": "((1:0:0), x=zeta^j alpha)"})
@@ -521,20 +495,10 @@ def an_intersections(n: int) -> dict:
 def s7_e0_intersection() -> dict:
     """The two rational curves Y=0, Z=+-sqrt(t) W^2 on S7 meet at
     (0:1:0:0)."""
-    s7 = build_surface("s7")
-    T = FieldTower.rationals().extend_ratfunc("t")
-    T = T.extend_radical("r", 2, T.gen("t"))
-    zero, one = T.from_fraction(Fraction(0)), T.from_fraction(Fraction(1))
-    r = T.gen("r")
-    # both equations Y and Z -+ r W^2 vanish at (0:1:0:0)
-    env = {"W": zero, "X": one, "Y": zero, "Z": zero}
-    for sgn in (1, -1):
-        vals = [env["Y"], env["Z"] - r * sgn * env["W"] ** 2]
-        if not all(v.is_zero() for v in vals):
-            raise VerificationError("S7 e=0 pair witness fails")
-    p = PointSpec(s7.ambient, (zero, one, zero, zero))
-    if not on_surface(s7, p):
-        raise VerificationError("S7 e=0 witness not on the surface")
+    T, t = s7_e0_tower()
+    zero, one = T.zero(), T.one()
+    _meet_at([c for c in _s7_main_data()[0] if c.family == "S7-e0"],
+             build_surface("s7"), (zero, one, zero, zero), t, "S7 e=0 pair")
     return {"surface": "s7", "pair": "Y=0, Z=+-sqrt(t)W^2",
             "intersect": True, "witness": "(0:1:0:0)"}
 

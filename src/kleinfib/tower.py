@@ -25,7 +25,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .univariate import (_is0, _inv, _padd, _pdeg, _pdivmod, _pgcd, _pmul,
-                         _pneg, _pnorm, _poly_repr, _pscale, _pxgcd)
+                         _pneg, _pnorm, _poly_repr, _pscale, _pxgcd,
+                         cyclotomic_poly)
 
 
 class ZeroDivisorError(ArithmeticError):
@@ -62,44 +63,21 @@ class FieldTower:
 
         Coefficients are ints/Fractions or elements of this tower.
         """
-        lifted = tuple(self._as_level(c, len(self.steps)) for c in coeffs)
-        if not _is0(lifted[-1] - self._one_payload_level(len(self.steps))):
+        lifted = tuple(self._as_level(c, self.level) for c in coeffs)
+        if not _is0(lifted[-1] - self.one_at(self.level)):
             raise ValueError("relation must be monic")
         step = Step(kind=kind, name=name, minpoly=lifted, radical_n=radical_n)
         return FieldTower(self.steps + (step,))
 
     def extend_radical(self, name, n, radicand):
         """Adjoin an n-th root of `radicand` (an element of this tower)."""
-        rad = self._as_level(radicand, len(self.steps))
-        zero = self._zero_payload_level(len(self.steps))
-        one = self._one_payload_level(len(self.steps))
-        coeffs = [-rad] + [zero] * (n - 1) + [one]
+        coeffs = [-self._as_level(radicand, self.level)] + [0] * (n - 1) + [1]
         return self.extend_algebraic(name, coeffs, kind="radical", radical_n=n)
 
     def extend_ratfunc(self, name):
         return FieldTower(self.steps + (Step(kind="ratfunc", name=name),))
 
     # -- level-element plumbing ------------------------------------------
-
-    def _zero_payload_level(self, level):
-        """Zero as a raw coefficient at the given level."""
-        if level == 0:
-            return Fraction(0)
-        return FieldElement(self, level, self._zero_payload(level))
-
-    def _one_payload_level(self, level):
-        if level == 0:
-            return Fraction(1)
-        return FieldElement(self, level, {0: self._one_payload_level(level - 1)}
-                            if self.steps[level - 1].kind != "ratfunc"
-                            else ({0: self._one_payload_level(level - 1)},
-                                  {0: self._one_payload_level(level - 1)}))
-
-    def _zero_payload(self, level):
-        step = self.steps[level - 1]
-        if step.kind == "ratfunc":
-            return ({}, {0: self._one_payload_level(level - 1)})
-        return {}
 
     def _as_level(self, x, level):
         """Coerce x (int/Fraction/FieldElement of lower level) to a raw
@@ -125,7 +103,7 @@ class FieldTower:
         step = self.steps[level - 1]
         if step.kind == "ratfunc":
             payload = ({0: lower} if not _is0(lower) else {},
-                       {0: self._one_payload_level(level - 1)})
+                       {0: self.one_at(level - 1)})
         else:
             payload = {0: lower} if not _is0(lower) else {}
         return FieldElement(self, level, payload)
@@ -155,11 +133,11 @@ class FieldTower:
         for i, step in enumerate(self.steps):
             if step.name == name:
                 lv = i + 1
-                one_below = self._one_payload_level(lv - 1)
+                one_below = self.one_at(lv - 1)
                 if step.kind == "ratfunc":
                     payload = ({1: one_below}, {0: one_below})
                 else:
-                    payload = {1: one_below}
+                    payload = _alg_reduce({1: one_below}, step.minpoly)
                 el = FieldElement(self, lv, payload)
                 return self._as_level(el, self.level)
         raise KeyError(name)
@@ -169,6 +147,7 @@ class FieldTower:
         return self._elem(self._as_level(x, self.level))
 
     def one_at(self, level):
+        """One as a raw coefficient at `level` (a Fraction at level 0)."""
         return self._as_level(Fraction(1), level)
 
     # -- serialization ----------------------------------------------------
@@ -225,7 +204,7 @@ class FieldElement:
         return not self.payload
 
     def payload_one(self):
-        return self.tower._one_payload_level(self.level - 1)
+        return self.tower.one_at(self.level - 1)
 
     def _coerce(self, other):
         if isinstance(other, (int, Fraction)):
@@ -335,7 +314,7 @@ class FieldElement:
             raise ZeroDivisorError(
                 "relation for %r is reducible; found factor of degree %d"
                 % (step.name, _pdeg(g)),
-                factor=[coeff_to_data(g.get(i, _zero_like(g)))
+                factor=[coeff_to_data(g[i]) if i in g else "0"
                         for i in range(_pdeg(g) + 1)])
         # g == 1, so u * self == 1 mod relation
         return self._make(_alg_reduce(u, step.minpoly))
@@ -350,9 +329,7 @@ class FieldElement:
         return (self - other).is_zero()
 
     def __hash__(self):
-        # canonical representation -> hash of serialized data
-        import json
-        return hash(json.dumps(coeff_to_data(self), sort_keys=True))
+        return hash(_hash_key(self))
 
     def __bool__(self):
         return not self.is_zero()
@@ -407,12 +384,19 @@ class FieldElement:
         return _poly_repr(self.payload, step.name)
 
 
-def _zero_like(g):
-    for v in g.values():
-        if isinstance(v, Fraction):
-            return Fraction(0)
-        return v.tower._as_level(Fraction(0), v.level)
-    return Fraction(0)
+def _hash_key(c):
+    """A key that agrees with ==: an element equal to a constant of a lower
+    level (down to a Fraction) has the key of that constant; any other
+    element is keyed by its canonical payload at the level where it stops
+    being constant (a ratfunc denominator is monic, so 1 when constant)."""
+    while isinstance(c, FieldElement) and c.level:
+        parts = c.payload if c._step().kind == "ratfunc" else (c.payload,)
+        if any(_pdeg(p) > 0 for p in parts):
+            return (c.level,) + tuple(
+                tuple(sorted((k, _hash_key(v)) for k, v in p.items()))
+                for p in parts)
+        c = parts[0].get(0, Fraction(0))
+    return c.payload if isinstance(c, FieldElement) else c
 
 
 def _frac_sign(q):
@@ -525,17 +509,20 @@ def coeff_from_data(data, tower=None, level=None):
 
 
 # ---------------------------------------------------------------------------
-# standard towers used by the surface catalog
+# the constants of every witness field
 
-def qi_sqrt3() -> FieldTower:
-    """Q -> i -> sqrt3  (i^2 = -1, sqrt3^2 = 3), the constants of the S6
-    family."""
-    T = FieldTower.rationals().extend_algebraic("i", [1, 0, 1])
-    return T.extend_algebraic("sqrt3", [-3, 0, 1])
+def cyclotomic(M: int) -> FieldTower:
+    """Q(zeta_M): one algebraic step named "z<M>" with relation Phi_M.  Each
+    witness field is this tower plus one ratfunc step s, with t = s^N / c."""
+    return FieldTower.rationals().extend_algebraic("z%d" % M,
+                                                   cyclotomic_poly(M))
 
 
-def zeta3(tower: FieldTower) -> FieldElement:
-    """Primitive cube root of unity (-1 + i*sqrt3)/2 in a tower with i, sqrt3."""
-    i = tower.gen("i")
-    s3 = tower.gen("sqrt3")
-    return (i * s3 - 1) / 2
+def root_of_unity(tower: FieldTower, k: int) -> FieldElement:
+    """zeta_k = zeta_M^(M/k) at the top of a tower whose first step is
+    cyclotomic(M); k must divide M (i = zeta_4, zeta_3, ...)."""
+    name = tower.steps[0].name
+    M = int(name[1:])
+    if M % k:
+        raise ValueError("zeta_%d is not in Q(zeta_%d)" % (k, M))
+    return tower.gen(name) ** (M // k)

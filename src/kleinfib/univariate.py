@@ -17,6 +17,7 @@ Fractions or tower elements whose ``sign()`` is defined (such as Q(sqrt3)).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .multipoly import MultiPoly
 
@@ -403,10 +404,16 @@ def resultant_poly(A: MultiPoly, B: MultiPoly, name: str) -> MultiPoly:
 
 def cyclotomic_poly(n: int):
     """Coefficient list (low first, over Fraction) of the n-th cyclotomic
-    polynomial, by dividing X^n - 1 by all lower Phi_d with d | n."""
+    polynomial; a fresh list each call, from a memoized tuple."""
+    return list(_cyclotomic(n))
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic(n: int) -> tuple:
+    """Phi_n, by dividing X^n - 1 by all lower Phi_d with d | n."""
     f = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
     for d in range(1, n):
         if n % d == 0:
-            f, r = poly_divmod(f, cyclotomic_poly(d))
+            f, r = poly_divmod(f, list(_cyclotomic(d)))
             assert not r, "cyclotomic division must be exact"
-    return f
+    return tuple(f)

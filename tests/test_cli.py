@@ -92,6 +92,36 @@ def test_bad_poly_exits_before_arithmetic(monkeypatch, text):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["curves", "an:33"], ["curves", "dn:200"],
+    ["verdict", "dn:200", "--ext", "2"], ["verdict", "an:10000", "--ext", "1"],
+    ["autos", "an", "--n", "200"], ["autos", "dn:64"],
+    ["audit", "an:200"]])
+def test_family_index_bound_exits_before_arithmetic(monkeypatch, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("arithmetic ran on a rejected index")
+    for name in ("enumerate_an", "enumerate_dn", "rationality_verdict",
+                 "autos_report", "numeric_curve_audit"):
+        monkeypatch.setattr(cli, name, unreachable)
+    code, _ = run(argv)
+    assert code == 2
+
+
+def test_family_index_bound_keeps_used_indices():
+    assert cli.MAX_FAMILY_INDEX >= 12
+    assert cli._family_index("an:7") == 7
+    assert cli._family_index("dn:12") == 12
+    assert cli._family_index("klein-dn:4") == 4
+    assert cli._family_index("e6") is None
+
+
+def test_autos_poly_with_leading_minus():
+    code, cert = run(["autos", "an", "--n", "4", "--poly", "-2*y^2+7"])
+    assert code == 0
+    assert cert["inputs"]["poly"] == "-2*y^2+7"
+    assert cert["report"]["verified"] is True
+
+
 def test_verdict_dn12_rational_point():
     # the d <= 1 rule reads dn:12, which is outside the default catalog
     code, cert = run(["verdict", "dn:12", "--ext", "4"])

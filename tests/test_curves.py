@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from kleinfib.curves import (VerificationError, certify_s6_lines,
-                             coprime_at_t2, enumerate_an, enumerate_dn,
-                             enumerate_s7, enumerate_s8, q_cubic, q1_quartic,
-                             q2_quartic)
+from kleinfib.curves import (VerificationError, an_tower, certify_s6_lines,
+                             coprime_at_t2, dn_tower, enumerate_an,
+                             enumerate_dn, enumerate_s7, enumerate_s8,
+                             q_cubic, q1_quartic, q2_quartic, s6_alpha_lines,
+                             s6_line_tower, s7_e0_tower)
 from kleinfib.geometry import build_catalog
 from kleinfib.multipoly import MultiPoly
+from kleinfib.tower import FieldElement, root_of_unity
+from kleinfib.univariate import cyclotomic_poly
 
 
 def test_q_cubic_coefficients():
@@ -88,3 +91,43 @@ def test_coprime_at_t2_checks_its_hypothesis():
         coprime_at_t2(f, f, "e")
     assert coprime_at_t2(e * 2, e ** 3 - t, "e")
     assert not coprime_at_t2(e - t, e ** 2 - t ** 2, "e")
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_dn_constants_form_a_field(n):
+    # i lies in Q(zeta_N) when 4 | N: adjoining Phi_N over Q(i) instead
+    # gives a ring in which zeta_N^(N/4) - i is a zero divisor
+    T, t = dn_tower(n)
+    N = 2 * (n - 1)
+    i, zeta = root_of_unity(T, 4), root_of_unity(T, N)
+    assert i * i == -1 and zeta ** N == 1 and t == T.gen("mu") ** N
+    elements = [zeta - 1, zeta ** 2 + i]
+    if N % 4 == 0:
+        elements += [zeta ** (N // 4) - i, zeta ** (N // 4) + i]
+    for x in elements:
+        assert x.is_zero() or x * x.invert() == 1
+
+
+def _witness_towers():
+    towers = [s6_line_tower(b)[0] for b in ("plus", "minus")]
+    towers += [s6_alpha_lines()[0], s7_e0_tower()[0]]
+    towers += [an_tower(n)[0] for n in range(2, 8)]
+    towers += [dn_tower(n)[0] for n in range(4, 13)]
+    curves = certify_s6_lines() + enumerate_s7()[0][:2]
+    for n in (2, 3, 5):
+        curves += enumerate_an(n)
+    for n in (4, 5, 9):
+        curves += enumerate_dn(n)
+    for c in curves:
+        towers += [v.tower for eq in c.equations for v in eq.terms.values()
+                   if isinstance(v, FieldElement)]
+    return towers
+
+
+def test_witness_towers_are_cyclotomic_plus_one_ratfunc():
+    phis = [cyclotomic_poly(M) for M in range(1, 49)]
+    for T in _witness_towers():
+        kinds = [step.kind for step in T.steps]
+        assert kinds in (["ratfunc"], ["algebraic", "ratfunc"]), T
+        if kinds[0] == "algebraic":
+            assert list(T.steps[0].minpoly) in phis, T

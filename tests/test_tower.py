@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from kleinfib.tower import FieldTower, ZeroDivisorError
+from kleinfib.tower import (FieldTower, ZeroDivisorError, cyclotomic,
+                            root_of_unity)
 
 
 def _qi_sqrt3():
@@ -76,3 +77,31 @@ def test_sign():
 def test_serialization_round_trip():
     T = _qi_sqrt3()
     assert FieldTower.from_data(T.to_data()) == T
+
+
+def test_hash_agrees_with_eq():
+    T = _qi_sqrt3().extend_ratfunc("s")
+    s3, s = T.gen("sqrt3"), T.gen("s")
+    assert T.one() == Fraction(1)
+    assert len({T.one(), Fraction(1), 1}) == 1
+    # the same value reached at different levels, or by different routes
+    assert s3 * s3 == 3 and hash(s3 * s3) == hash(3)
+    low = _qi_sqrt3().gen("sqrt3")
+    assert s3 == low and hash(s3) == hash(low)
+    assert (s + 1) ** 2 - 2 * s == s ** 2 + 1
+    assert hash((s + 1) ** 2 - 2 * s) == hash(s ** 2 + 1)
+    assert hash((s ** 2 - 1) / (s - 1)) == hash(s + 1)
+    assert len({s, s + 1, 2 * s, s / (s + 1), s3, s3 * s}) == 6
+
+
+def test_cyclotomic_roots_of_unity():
+    K = cyclotomic(12)
+    z, i, z3 = (root_of_unity(K, k) for k in (12, 4, 3))
+    assert i * i == -1
+    assert z3 ** 3 == 1 and z3 != 1
+    s3 = 2 * z - i                       # zeta_12 = (sqrt3 + i)/2
+    assert s3 * s3 == 3
+    assert root_of_unity(cyclotomic(2), 2) == -1
+    assert root_of_unity(cyclotomic(1), 1) == 1
+    with pytest.raises(ValueError):
+        root_of_unity(K, 5)

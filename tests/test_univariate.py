@@ -115,6 +115,16 @@ def test_cyclotomic():
                                    Fraction(0), Fraction(1)]
 
 
+def test_cyclotomic_is_memoized_but_returns_fresh_lists():
+    f = cyclotomic_poly(12)
+    f.append(Fraction(7))
+    assert cyclotomic_poly(12) == [Fraction(1), Fraction(0), Fraction(-1),
+                                   Fraction(0), Fraction(1)]
+    # Phi_124 (degree phi(124) = 60) has the value at 1 of Phi_{4p}, i.e. 1
+    assert len(cyclotomic_poly(124)) == 61
+    assert sum(cyclotomic_poly(124)) == 1
+
+
 def test_derivative():
     f = [Fraction(1), Fraction(2), Fraction(3)]
     assert derivative(f) == [Fraction(2), Fraction(6)]
