@@ -260,6 +260,13 @@ def cmd_audit(args):
         raise UsageError("--t must be a rational number")
     if t == 0:
         raise UsageError("t = 0 lies on every discriminant locus")
+    try:
+        representable = float(t) != 0      # too large raises OverflowError
+    except OverflowError:
+        representable = False
+    if not representable:
+        raise UsageError("--t must be nonzero and within the range of a "
+                         "double")
     cfg = NumericConfig(t=t, tol=args.tol, seed=args.seed)
     if args.surface.startswith(("an:", "dn:")):
         _family_index(args.surface)
@@ -322,9 +329,11 @@ def _run_reproduction(mutation=None, seed=0):
         try:
             fn_extra = fn()
         except Exception as ex:
+            kind = "verification" if isinstance(
+                ex, (VerificationError, GeometryError)) else "internal"
             checks.append(check(name, ref, status="failed",
                                 error="%s: %s" % (type(ex).__name__, ex),
-                                **extra))
+                                error_kind=kind, **extra))
             return
         entry = check(name, ref, status=status, **extra)
         if isinstance(fn_extra, dict):

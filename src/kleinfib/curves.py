@@ -14,7 +14,7 @@ from math import gcd, lcm
 
 from .geometry import build_surface
 from .multipoly import MultiPoly
-from .tower import FieldTower, cyclotomic, root_of_unity, transplant
+from .tower import FieldTower, cyclotomic, root_of_unity
 from .univariate import (from_multipoly, poly_gcd, resultant_poly,
                          subresultant_prs)
 
@@ -481,7 +481,7 @@ def _certify_membership(surface, tower, substitution, t):
     eqvars = surface.equation.vars
     sub = {k: (v.rename(eqvars) if v.vars != eqvars else v)
            for k, v in substitution.items()}
-    eq = surface.equation.map_coeffs(lambda c: transplant(c, tower))
+    eq = surface.equation.map_coeffs(tower.lift)
     eq = eq.substitute(sub)
     eq = eq.substitute({"t": MultiPoly.const(eqvars, t)})
     if not eq.is_zero():

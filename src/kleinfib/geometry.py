@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .multipoly import MultiPoly
-from .tower import (FieldTower, FieldElement, cyclotomic, root_of_unity,
-                    transplant)
+from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
 
 
 class GeometryError(ValueError):
@@ -418,13 +417,10 @@ def on_surface(s: SurfaceSpec, p: PointSpec, t=None) -> bool:
     if tower is None:
         raise GeometryError("point must carry at least one tower element")
     eq = s.equations[p.chart]
-    eq = eq.map_coeffs(lambda c: transplant(c, tower))
-    env = dict(zip(s.ambient.variables, (transplant(c, tower) if
-                                         isinstance(c, FieldElement) else
-                                         tower.from_fraction(Fraction(c))
-                                         for c in p.coords)))
+    eq = eq.map_coeffs(tower.lift)
+    env = dict(zip(s.ambient.variables, map(tower.lift, p.coords)))
     if s.has_t:
-        env["t"] = tower.gen("t") if t is None else transplant(t, tower)
+        env["t"] = tower.gen("t") if t is None else tower.lift(t)
     val = eq.evaluate(env)
     return val.is_zero() if isinstance(val, FieldElement) else val == 0
 

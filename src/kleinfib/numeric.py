@@ -30,8 +30,8 @@ class NumericConfig:
 
     def __post_init__(self):
         self.t = Fraction(self.t)
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tolerance must be finite and positive")
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,7 @@ def numeric_audit_s7(cfg: NumericConfig) -> dict:
         count += 1
     # the two e=0 curves: Y = 0, Z = +- sqrt(t) W^2
     for sgn in (1, -1):
-        rt = sgn * math.sqrt(tval)
+        rt = sgn * cmath.sqrt(tval)
         for Wv, Xv in _sample_wx(rng):
             penv = {"W": Wv, "X": Xv, "Y": 0j, "Z": rt * Wv ** 2,
                     "t": tval}
@@ -392,7 +392,7 @@ def numeric_audit_conic(name: str, cfg: NumericConfig) -> dict:
         expected = 2 * n
     else:
         N = 2 * (n - 1)
-        rt = math.sqrt(tval)
+        rt = cmath.sqrt(tval)
         for sgn in (1, -1):
             for _ in range(5):
                 y = rng.random() + 1j * rng.random()

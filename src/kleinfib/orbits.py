@@ -8,8 +8,7 @@ from functools import lru_cache
 from math import gcd
 
 from .multipoly import MultiPoly
-from .tower import (FieldTower, FieldElement, cyclotomic, root_of_unity,
-                    transplant)
+from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
 from .geometry import build_surface, PointSpec, on_surface, GeometryError
 from .curves import (VerificationError, enumerate_s7, enumerate_s8,
                      enumerate_an, enumerate_dn, s6_alpha_lines,
@@ -76,10 +75,9 @@ def parse_case(case: str):
 
 def rationality_degree(case: str) -> int:
     kind, n = parse_case(case)
-    return {"e6": 12, "e7": 18, "e8": 30,
-            "dn": lambda: two_part(2 * (n - 1)),
-            "an": lambda: 1}[kind]() if kind in ("an", "dn") else \
-        {"e6": 12, "e7": 18, "e8": 30}[kind]
+    if kind == "dn":
+        return two_part(2 * (n - 1))
+    return {"e6": 12, "e7": 18, "e8": 30, "an": 1}[kind]
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +122,7 @@ def _form_rows(forms, tower, nvars=4):
         for e, c in f.terms.items():
             if sum(e) != 1:
                 raise GeometryError("form is not linear")
-            row[list(e).index(1)] = transplant(c, tower)
+            row[list(e).index(1)] = tower.lift(c)
         rows.append(row)
     return rows
 

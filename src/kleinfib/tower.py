@@ -1,21 +1,22 @@
-"""Towers of field extensions over Q, with exact element arithmetic.
+"""The witness fields over Q, with exact element arithmetic.
 
-A tower is a chain of extension steps applied to Q.  Each step is one of
+A tower is one of Q, Q(zeta_M), Q(s) and Q(zeta_M)(s): the value (M, var),
+built by ``FieldTower.rationals()`` or ``cyclotomic(M)`` and at most one
+``extend_ratfunc(var)``.  Its ``steps`` list the extensions of Q:
 
-* ``algebraic`` -- adjoin a root of a monic polynomial over the field below,
-* ``radical``   -- adjoin an N-th root of an element below (special case of
-  algebraic, tagged so the relation X**N - radicand is visible),
+* ``algebraic`` -- adjoin zeta_M, a root of the cyclotomic polynomial Phi_M,
 * ``ratfunc``   -- adjoin a transcendental (field of rational functions).
 
 Elements are represented recursively: a level-0 element is a Fraction; an
-element at an algebraic/radical step is a sparse coefficient dict over the
-field below, reduced modulo the relation; an element at a ratfunc step is a
-(num, den) pair of coefficient dicts with den monic and gcd(num, den) = 1,
-which makes the representation canonical (equality is structural).  The
-coefficient-dict arithmetic is the sparse core of :mod:`kleinfib.univariate`.
+element at the algebraic step is a sparse coefficient dict over Q, reduced
+modulo Phi_M; an element at the ratfunc step is a (num, den) pair of
+coefficient dicts with den monic and gcd(num, den) = 1, which makes the
+representation canonical (equality is structural).  The coefficient-dict
+arithmetic is the sparse core of :mod:`kleinfib.univariate`.
 
-Inverting modulo a reducible relation raises :class:`ZeroDivisorError`
-carrying the discovered nontrivial factor of the relation.
+``FieldTower.lift`` is the one coercion into a tower.  It and same-level
+arithmetic refuse, with ValueError, an element whose field at its level is
+not the tower's field at that level.
 """
 
 from __future__ import annotations
@@ -30,54 +31,49 @@ from .univariate import (_is0, _inv, _padd, _pdeg, _pdivmod, _pgcd, _pmul,
 
 
 class ZeroDivisorError(ArithmeticError):
-    """Raised when inversion hits a zero divisor; carries the found factor."""
-
-    def __init__(self, message, factor=None):
-        super().__init__(message)
-        self.factor = factor  # list of coefficient payloads (low -> high)
+    """Inversion met a zero divisor: the relation is reducible.  Phi_M is
+    irreducible, so reaching this is a bug."""
 
 
 @dataclass(frozen=True)
 class Step:
-    kind: str                      # "algebraic" | "radical" | "ratfunc"
+    kind: str                      # "algebraic" | "ratfunc"
     name: str
-    minpoly: Optional[tuple] = None  # coeffs c0..cd (monic, cd == 1), lower field
-    radical_n: Optional[int] = None
-
-    def degree(self):
-        return len(self.minpoly) - 1 if self.minpoly else None
+    minpoly: Optional[tuple] = None  # Phi_M as Fractions c0..cd (monic)
 
 
 class FieldTower:
-    def __init__(self, steps=()):
-        self.steps = tuple(steps)
+    """Q, Q(zeta_M), Q(s) or Q(zeta_M)(s), as the value (M, var)."""
+
+    def __init__(self, M=None, var=None):
+        self.M, self.var = M, var
+        steps, fields = [], [(None, None)]   # fields[level] as (M, var)
+        if M is not None:
+            steps.append(Step("algebraic", "z%d" % M,
+                              tuple(Fraction(c) for c in cyclotomic_poly(M))))
+            fields.append((M, None))
+        if var is not None:
+            steps.append(Step("ratfunc", var))
+            fields.append((M, var))
+        self.steps, self._fields = tuple(steps), tuple(fields)
 
     @classmethod
     def rationals(cls):
-        return cls(())
-
-    # -- construction ---------------------------------------------------
-
-    def extend_algebraic(self, name, coeffs, kind="algebraic", radical_n=None):
-        """Adjoin a root of the monic polynomial with coefficients c0..cd.
-
-        Coefficients are ints/Fractions or elements of this tower.
-        """
-        lifted = tuple(self._as_level(c, self.level) for c in coeffs)
-        if not _is0(lifted[-1] - self.one_at(self.level)):
-            raise ValueError("relation must be monic")
-        step = Step(kind=kind, name=name, minpoly=lifted, radical_n=radical_n)
-        return FieldTower(self.steps + (step,))
-
-    def extend_radical(self, name, n, radicand):
-        """Adjoin an n-th root of `radicand` (an element of this tower)."""
-        coeffs = [-self._as_level(radicand, self.level)] + [0] * (n - 1) + [1]
-        return self.extend_algebraic(name, coeffs, kind="radical", radical_n=n)
+        return cls()
 
     def extend_ratfunc(self, name):
-        return FieldTower(self.steps + (Step(kind="ratfunc", name=name),))
+        """This field with the transcendental `name` adjoined (only one)."""
+        if self.var is not None:
+            raise ValueError("%r already has the rational-function variable"
+                             " %r" % (self, self.var))
+        return FieldTower(self.M, name)
 
     # -- level-element plumbing ------------------------------------------
+
+    def _check(self, x):
+        """Refuse the element x if its field is not ours at its level."""
+        if x.tower._fields[x.level] != self._fields[x.level]:
+            raise ValueError("an element of %r is not in %r" % (x.tower, self))
 
     def _as_level(self, x, level):
         """Coerce x (int/Fraction/FieldElement of lower level) to a raw
@@ -92,6 +88,8 @@ class FieldTower:
         if isinstance(x, FieldElement):
             if x.level > level:
                 raise ValueError("cannot lower element level")
+            if x.tower is not self:
+                self._check(x)
             val = x.payload if x.level == 0 else x
             for lv in range(x.level + 1, level + 1):
                 val = self._wrap(val, lv)
@@ -143,41 +141,20 @@ class FieldTower:
         raise KeyError(name)
 
     def lift(self, x):
-        """Coerce an int/Fraction/lower element to a top-level element."""
+        """The one coercion: an int, a Fraction or an element of a subfield
+        of this tower, as a top-level element."""
         return self._elem(self._as_level(x, self.level))
 
     def one_at(self, level):
         """One as a raw coefficient at `level` (a Fraction at level 0)."""
         return self._as_level(Fraction(1), level)
 
-    # -- serialization ----------------------------------------------------
-
-    def to_data(self):
-        out = []
-        for step in self.steps:
-            d = {"kind": step.kind, "name": step.name}
-            if step.minpoly is not None:
-                d["minpoly"] = [coeff_to_data(c) for c in step.minpoly]
-            if step.radical_n is not None:
-                d["radical_n"] = step.radical_n
-            out.append(d)
-        return {"steps": out}
-
-    @classmethod
-    def from_data(cls, data):
-        tower = cls.rationals()
-        for d in data["steps"]:
-            if d["kind"] == "ratfunc":
-                tower = tower.extend_ratfunc(d["name"])
-            else:
-                coeffs = [coeff_from_data(c, tower) for c in d["minpoly"]]
-                tower = tower.extend_algebraic(
-                    d["name"], coeffs, kind=d["kind"],
-                    radical_n=d.get("radical_n"))
-        return tower
-
     def __eq__(self, other):
-        return isinstance(other, FieldTower) and self.to_data() == other.to_data()
+        return isinstance(other, FieldTower) and \
+            (self.M, self.var) == (other.M, other.var)
+
+    def __hash__(self):
+        return hash((self.M, self.var))
 
     def __repr__(self):
         if not self.steps:
@@ -213,6 +190,8 @@ class FieldElement:
                 FieldElement(self.tower, 0, raw)
         if isinstance(other, FieldElement):
             if other.level == self.level:
+                if other.tower is not self.tower:
+                    self.tower._check(other)
                 return other
             if other.level < self.level:
                 return self.tower._as_level(other, self.level)
@@ -313,9 +292,7 @@ class FieldElement:
         if _pdeg(g) > 0:
             raise ZeroDivisorError(
                 "relation for %r is reducible; found factor of degree %d"
-                % (step.name, _pdeg(g)),
-                factor=[coeff_to_data(g[i]) if i in g else "0"
-                        for i in range(_pdeg(g) + 1)])
+                % (step.name, _pdeg(g)))
         # g == 1, so u * self == 1 mod relation
         return self._make(_alg_reduce(u, step.minpoly))
 
@@ -334,29 +311,7 @@ class FieldElement:
     def __bool__(self):
         return not self.is_zero()
 
-    # -- order / embedding --------------------------------------------------
-
-    def sign(self) -> int:
-        """Sign under the real embedding (positive roots of x^2 - c steps)."""
-        if self.level == 0:
-            return (self.payload > 0) - (self.payload < 0)
-        step = self._step()
-        if step.kind != "ratfunc" and step.degree() == 2 and _is0(step.minpoly[1]):
-            c = -step.minpoly[0]  # generator g with g^2 = c, g > 0
-            a = self.payload.get(0)
-            b = self.payload.get(1)
-            sa = a.sign() if isinstance(a, FieldElement) else _frac_sign(a)
-            sb = b.sign() if isinstance(b, FieldElement) else _frac_sign(b)
-            if b is None or sb == 0:
-                return sa if a is not None else 0
-            if a is None or sa == 0:
-                return sb
-            if sa == sb:
-                return sa
-            disc = a * a - c * b * b
-            sd = disc.sign() if isinstance(disc, FieldElement) else _frac_sign(disc)
-            return sa * sd
-        raise ValueError("element is not in an ordered tower step")
+    # -- embedding ----------------------------------------------------------
 
     def as_complex(self, env: dict) -> complex:
         """Numeric embedding; env maps generator names to complex values."""
@@ -397,12 +352,6 @@ def _hash_key(c):
                 for p in parts)
         c = parts[0].get(0, Fraction(0))
     return c.payload if isinstance(c, FieldElement) else c
-
-
-def _frac_sign(q):
-    if q is None:
-        return 0
-    return (q > 0) - (q < 0)
 
 
 def _coeff_complex(c, env):
@@ -450,26 +399,6 @@ def _ratfunc_make(sample, num, den):
     return sample._make((num, den))
 
 
-def transplant(c, tower: FieldTower):
-    """Coerce a coefficient into `tower`, whose step list must extend (or
-    equal) the step list of the coefficient's own tower."""
-    if isinstance(c, int):
-        c = Fraction(c)
-    if isinstance(c, Fraction):
-        return tower.lift(c)
-    if not isinstance(c, FieldElement):
-        raise TypeError("cannot transplant %r" % (c,))
-    if c.tower is tower:
-        return c
-    own = c.tower.to_data()["steps"]
-    new = tower.to_data()["steps"]
-    if new[: len(own)] != own:
-        raise ValueError("tower mismatch: %r is not a prefix of %r"
-                         % (c.tower, tower))
-    rebuilt = coeff_from_data(coeff_to_data(c), tower, c.level)
-    return tower._elem(tower._as_level(rebuilt, tower.level))
-
-
 # ---------------------------------------------------------------------------
 # serialization of coefficients (Fractions and FieldElements)
 
@@ -514,15 +443,13 @@ def coeff_from_data(data, tower=None, level=None):
 def cyclotomic(M: int) -> FieldTower:
     """Q(zeta_M): one algebraic step named "z<M>" with relation Phi_M.  Each
     witness field is this tower plus one ratfunc step s, with t = s^N / c."""
-    return FieldTower.rationals().extend_algebraic("z%d" % M,
-                                                   cyclotomic_poly(M))
+    return FieldTower(M)
 
 
 def root_of_unity(tower: FieldTower, k: int) -> FieldElement:
-    """zeta_k = zeta_M^(M/k) at the top of a tower whose first step is
-    cyclotomic(M); k must divide M (i = zeta_4, zeta_3, ...)."""
-    name = tower.steps[0].name
-    M = int(name[1:])
-    if M % k:
-        raise ValueError("zeta_%d is not in Q(zeta_%d)" % (k, M))
-    return tower.gen(name) ** (M // k)
+    """zeta_k = zeta_M^(M/k) at the top of a tower over Q(zeta_M); k must
+    divide M (i = zeta_4, zeta_3, ...)."""
+    M = tower.M
+    if M is None or M % k:
+        raise ValueError("zeta_%d is not in %r" % (k, tower))
+    return tower.gen("z%d" % M) ** (M // k)

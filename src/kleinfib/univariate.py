@@ -10,8 +10,8 @@ Three representations share it:
 * polynomial coefficients -- the subresultant pseudo-remainder sequence over
   :class:`~kleinfib.multipoly.MultiPoly`, used by the elimination chains.
 
-Real-root counting (Sturm) works over any ordered coefficient field, i.e.
-Fractions or tower elements whose ``sign()`` is defined (such as Q(sqrt3)).
+Real-root counting (Sturm) works over Q only: its coefficients are ints or
+Fractions.
 """
 
 from __future__ import annotations
@@ -272,9 +272,7 @@ def discriminant(f):
 
 
 def _sign(c) -> int:
-    if isinstance(c, (int, Fraction)):
-        return (c > 0) - (c < 0)
-    return c.sign()
+    return (c > 0) - (c < 0)
 
 
 def sturm_chain(f):
@@ -304,8 +302,8 @@ def _sign_at(f, x):
 def count_real_roots(f, lo="-inf", hi="+inf"):
     """Number of distinct real roots of f in (lo, hi].
 
-    Endpoints are rationals or the strings "-inf"/"+inf".  Coefficients must
-    live in an ordered field (Fraction, or tower elements with sign()).
+    Endpoints are rationals or the strings "-inf"/"+inf"; coefficients are
+    ints or Fractions.
     """
     f = normalize(f)
     if degree(f) <= 0:

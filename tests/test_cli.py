@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import hashlib
 import json
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 from kleinfib import cli
 from kleinfib.cli import _parse_poly, main
+from kleinfib.curves import VerificationError
 
 
 def run(argv):
@@ -133,16 +135,61 @@ def test_verdict_dn12_rational_point():
 
 
 def test_audit_bad_t():
-    code, _ = run(["audit", "s7", "--t", "0"])
-    assert code == 2
-    code, _ = run(["audit", "s7", "--t", "nonsense"])
-    assert code == 2
+    # t must be nonzero with a finite nonzero float; tol finite and positive
+    for args in (["--t", "0"], ["--t", "nonsense"], ["--t", "1e400"],
+                 ["--t", "-1e400"], ["--t", "1e-400"], ["--tol", "nan"],
+                 ["--tol", "inf"], ["--tol", "0"]):
+        code, _ = run(["audit", "s7"] + args)
+        assert code == 2, args
 
 
 def test_audit_runs():
-    code, cert = run(["audit", "dn:5", "--t", "3"])
-    assert code == 0
-    assert cert["report"]["count"] == 10
+    # negative t too: the curves are defined over C(t)
+    for surface, t, count in (("dn:5", "3", 10), ("dn:5", "-3", 10),
+                              ("s7", "-2", 56)):
+        code, cert = run(["audit", surface, "--t", t])
+        assert code == 0, (surface, t)
+        assert cert["report"]["count"] == count
+
+
+def test_failed_checks_carry_error_kind(monkeypatch):
+    def bug(*args, **kwargs):
+        raise TypeError("a bug")
+
+    def refuted(*args, **kwargs):
+        raise VerificationError("refuted")
+    monkeypatch.setattr(cli, "certify_s6_lines", bug)
+    # the slow pipelines fail fast as mathematical failures
+    for name in ("enumerate_s8", "s6_intersections", "verdict_grid",
+                 "dn_intersections", "autos_report", "full_audit"):
+        monkeypatch.setattr(cli, name, refuted)
+    code, cert = run(["reproduce-paper"])
+    assert code == 1
+    checks = {c["name"]: c for c in cert["checks"]}
+    assert checks["curves-s6"]["error"] == "TypeError: a bug"
+    assert checks["curves-s6"]["error_kind"] == "internal"
+    assert checks["verdict-grid"]["error_kind"] == "verification"
+    assert checks["curves-s7"]["status"] == "verified"
+    for c in checks.values():
+        assert ("error_kind" in c) == (c["status"] == "failed"), c["name"]
+
+
+# sha256 of the certificates printed at the commit before the field towers
+# became (M, var) values; each prints tower elements
+PINNED = {("curves", "s6"): "9f1a5100144e8bf8132c2c9b1aeac098"
+                            "85d4bfefb497d707c46b7713fbd1de37",
+          ("curves", "dn:5"): "c8592bcc3b645689ae29929f453f9041"
+                              "e45ab8408210d28ae86bcd2af11cd131",
+          ("verdict", "e6", "--ext", "12"): "042f9d7d463ce90e340f9406e1c35b1e"
+                                            "1a71471e9fa604c3b0b10e7013e0a31c"}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED), ids=" ".join)
+def test_certificate_bytes_are_pinned(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(list(argv)) == 0
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == PINNED[argv]
 
 
 def test_byte_identical_output():
