@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .multipoly import MultiPoly
-from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
-from .geometry import _bezout_many, _pow_signed, build_surface
+from .tower import FieldTower, cyclotomic, root_of_unity
+from .geometry import _bezout_many, _pow_signed
 from .curves import VerificationError
 
 AFFINE_VARS = ("x", "y", "z")
@@ -44,15 +44,6 @@ class PolyMap:
                    for e, v in zip(self.exprs, AFFINE_VARS))
 
 
-def _coeff_div(a, b):
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a / b
-    if isinstance(b, Fraction):
-        return a * (Fraction(1) / b)
-    return (b.invert() * a) if isinstance(a, FieldElement) else \
-        b.invert() * a
-
-
 def check_invariance(f: MultiPoly, phi: PolyMap) -> dict:
     """Exact proportionality f(phi(x,y,z)) = lambda f with a nonzero
     constant lambda; returns the unit or the full residue."""
@@ -62,7 +53,7 @@ def check_invariance(f: MultiPoly, phi: PolyMap) -> dict:
         if f.vars != AFFINE_VARS else e0
     if e0 not in g.terms:
         return {"invariant": False, "lambda": None, "residue": g}
-    lam = _coeff_div(g.terms[e0], c0)
+    lam = g.terms[e0] / c0
     residue = g - (f.rename(AFFINE_VARS)
                    if f.vars != AFFINE_VARS else f).scale(lam)
     if residue.is_zero():
@@ -139,18 +130,13 @@ class DiagonalGroupDescriptor:
         return t, tuple(signs)
 
 
-def _klein_equation(case: str):
-    name = case if case.startswith("klein-") else "klein-" + case
-    return build_surface(name).equation
-
-
-def diagonal_group(case: str, seed: int = 0) -> DiagonalGroupDescriptor:
+def diagonal_group(s, seed: int = 0) -> DiagonalGroupDescriptor:
     """Exponent conditions for (alpha x, beta y, gamma z) preserving the
-    Klein polynomial up to a unit, derived by monomial matching, with the
-    parametrization verified symbolically over Q(lambda) and at 5 random
-    rational specializations."""
-    base = case.replace("klein-", "")
-    f = _klein_equation(base)
+    Klein polynomial of s up to a unit, derived by monomial matching, with
+    the parametrization verified symbolically over Q(lambda) and at 5
+    random rational specializations."""
+    base = s.name.replace("klein-", "")
+    f = s.equation
     monos = sorted(f.terms)
     if len(set(monos)) != len(f.terms):
         raise VerificationError("monomials of f are not independent")
@@ -158,7 +144,7 @@ def diagonal_group(case: str, seed: int = 0) -> DiagonalGroupDescriptor:
     conditions = [tuple(m - n for m, n in zip(monos[i], monos[0]))
                   for i in range(1, len(monos))]
     if base.startswith("dn:"):
-        n = int(base.split(":")[1])
+        n = s.index
         exponents, signed = (2, n - 2, n - 1), (False, True, True)
         iso = "C* x {+-1}^2 (signs on y and z)"
     elif base in PARAMETRIZATIONS:
@@ -166,12 +152,12 @@ def diagonal_group(case: str, seed: int = 0) -> DiagonalGroupDescriptor:
         exponents, signed, iso = (spec["exponents"], spec["signed"],
                                   spec["iso"])
     else:
-        raise ValueError("no diagonal group for %r" % case)
+        raise ValueError("no diagonal group for %r" % s.name)
     desc = DiagonalGroupDescriptor(base, conditions, iso, exponents, signed,
                                    tuple(monos))
     # the parametrization satisfies every condition identically:
     # sum(exponents . d) = 0 and the sign part is trivial on d
-    sign_combos = [tuple(s if sg else 1 for sg, s in zip(signed, combo))
+    sign_combos = [tuple(sign if sg else 1 for sg, sign in zip(signed, combo))
                    for combo in [(1, 1, 1), (1, 1, -1), (1, -1, 1),
                                  (1, -1, -1)]]
     sign_combos = sorted(set(sign_combos))
@@ -188,8 +174,8 @@ def diagonal_group(case: str, seed: int = 0) -> DiagonalGroupDescriptor:
     lam = T.gen("lam")
     for signs in sign_combos:
         phi = PolyMap(tuple(
-            MultiPoly.var(AFFINE_VARS, v).scale(lam ** e * Fraction(s))
-            for v, e, s in zip(AFFINE_VARS, exponents, signs)))
+            MultiPoly.var(AFFINE_VARS, v).scale(lam ** e * Fraction(sign))
+            for v, e, sign in zip(AFFINE_VARS, exponents, signs)))
         res = check_invariance(f, phi)
         if not res["invariant"]:
             raise VerificationError("symbolic diagonal map fails "
@@ -224,14 +210,13 @@ def tau_map(tower=None) -> PolyMap:
                     z.map_coeffs(lambda c: T.from_fraction(c))))
 
 
-def verify_tau() -> dict:
-    """tau preserves d_4 = x^3 + x y^2 + z^2 with lambda = 1 and has
-    order 3."""
-    f = _klein_equation("dn:4")
+def verify_tau(s) -> dict:
+    """tau preserves d_4 = x^3 + x y^2 + z^2, the equation of s, with
+    lambda = 1 and has order 3."""
     tau = tau_map()
-    res = check_invariance(f, tau)
+    res = check_invariance(s.equation, tau)
     order = map_order(tau, bound=6)
-    ok = res["invariant"] and _is_one(res["lambda"]) and order == 3
+    ok = res["invariant"] and res["lambda"] == 1 and order == 3
     if not ok:
         raise VerificationError("tau verification failed",
                                 detail=(res, order))
@@ -239,18 +224,13 @@ def verify_tau() -> dict:
             "order": 3, "verified": True, "notes": COMPLETENESS_NOTE}
 
 
-def _is_one(lam):
-    if isinstance(lam, Fraction):
-        return lam == 1
-    return (lam - lam.tower.from_fraction(1)).is_zero()
-
-
-def tau_normalizes_diagonal(seed: int = 0, samples: int = 5) -> bool:
+def tau_normalizes_diagonal(s, seed: int = 0, samples: int = 5) -> bool:
     """For random diagonal elements delta of the d_4 group,
-    tau . delta . tau^2 still preserves d_4 (tau^3 = 1, so tau^2 is the
-    inverse); closure at this level is all the computation certifies."""
+    tau . delta . tau^2 still preserves d_4, the equation of s (tau^3 = 1,
+    so tau^2 is the inverse); closure at this level is all the computation
+    certifies."""
     T = cyclotomic(4)
-    f = _klein_equation("dn:4")
+    f = s.equation
     tau = tau_map(T)
     tau_inv = tau.compose(tau)
     if not tau.compose(tau_inv).is_identity():
@@ -269,12 +249,11 @@ def tau_normalizes_diagonal(seed: int = 0, samples: int = 5) -> bool:
     return True
 
 
-def verify_an_wild_family(n: int, P: MultiPoly) -> bool:
+def verify_an_wild_family(s, P: MultiPoly) -> bool:
     """The shear (x, y, z) -> (x + yP(y), y, z + ((x+yP)^n - x^n)/y)
-    preserves a_n = x^n - yz with lambda = 1; the division by y is exact
-    by construction and checked."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    preserves a_n = x^n - yz, the equation of s, with lambda = 1; the
+    division by y is exact by construction and checked."""
+    n = s.index
     if P.vars != AFFINE_VARS:
         P = P.rename(AFFINE_VARS)
     if P.degree("x") or P.degree("z"):
@@ -288,28 +267,26 @@ def verify_an_wild_family(n: int, P: MultiPoly) -> bool:
     quot = diff.divide_by_term(tuple(1 if i == iy else 0
                                      for i in range(3)))
     phi = PolyMap((u, y, z + quot))
-    f = _klein_equation("an:%d" % n)
-    res = check_invariance(f, phi)
-    if not (res["invariant"] and _is_one(res["lambda"])):
+    res = check_invariance(s.equation, phi)
+    if not (res["invariant"] and res["lambda"] == 1):
         raise VerificationError("shear fails invariance", detail=res)
     return True
 
 
-def autos_report(case: str, seed: int = 0, wild_polys=None) -> dict:
-    """Full verification bundle for one Klein surface family."""
-    base = case.replace("klein-", "")
-    report = {"surface": "klein-" + base, "verified": True,
+def autos_report(s, seed: int = 0, wild_polys=None) -> dict:
+    """Full verification bundle for one affine Klein surface s."""
+    base = s.name.replace("klein-", "")
+    report = {"surface": s.name, "verified": True,
               "completeness": COMPLETENESS_NOTE}
     if base.startswith("an:"):
-        n = int(base.split(":")[1])
         x, y, z = (MultiPoly.var(AFFINE_VARS, v) for v in AFFINE_VARS)
         one = MultiPoly.const(AFFINE_VARS, Fraction(1))
         polys = wild_polys or [one, y, one + y + y ** 3]
         report["wild_family"] = [
-            {"P": str(p), "verified": verify_an_wild_family(n, p)}
+            {"P": str(p), "verified": verify_an_wild_family(s, p)}
             for p in polys]
         return report
-    desc = diagonal_group(base, seed=seed)
+    desc = diagonal_group(s, seed=seed)
     report["diagonal"] = {
         "conditions": [list(d) for d in desc.conditions],
         "iso": desc.iso_label,
@@ -317,6 +294,6 @@ def autos_report(case: str, seed: int = 0, wild_polys=None) -> dict:
         "signed_slots": list(desc.signed),
     }
     if base == "dn:4":
-        report["tau"] = verify_tau()
-        report["tau_normalizes_diagonal"] = tau_normalizes_diagonal(seed)
+        report["tau"] = verify_tau(s)
+        report["tau_normalizes_diagonal"] = tau_normalizes_diagonal(s, seed)
     return report

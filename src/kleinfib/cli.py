@@ -19,13 +19,13 @@ from .multipoly import MultiPoly
 from .curves import (VerificationError, certify_s6_lines, enumerate_an,
                      enumerate_dn, enumerate_s7, enumerate_s8, q_cubic,
                      q1_quartic, q2_quartic)
-from .geometry import (GeometryError, build_catalog, charts_compatible,
-                       chart_transition_check, surface_names,
-                       verify_contraction_S6)
-from .orbits import (BaseExtension, an_intersections, dn_intersections,
-                     parse_case, rationality_degree, rationality_verdict,
-                     s6_intersections, s7_conjugation, s7_e0_intersection,
-                     s8_conjugation, verdict_grid)
+from .geometry import (AN_RANGE, DN_RANGE, GeometryError, build_catalog,
+                       build_surface, charts_compatible,
+                       chart_transition_check, verify_contraction_S6)
+from .orbits import (BaseExtension, an_intersections, case_surface,
+                     dn_intersections, rationality_degree,
+                     rationality_verdict, s6_intersections, s7_conjugation,
+                     s7_e0_intersection, s8_conjugation, verdict_grid)
 from .lattice import (build_root_system, coxeter_number,
                       dn_boundary_selfintersection, minus_one_classes)
 from .autos import autos_report
@@ -34,9 +34,6 @@ from .numeric import (NumericConfig, full_audit, numeric_curve_audit,
                       sturm_vs_numeric)
 
 SCHEMA = "kleinfib-certificate/1"
-
-AN_RANGE = range(2, 7)
-DN_RANGE = range(4, 10)
 
 # the largest n accepted in an:<n>, dn:<n> and --n: the D_n witnesses live
 # in Q(zeta_M)(mu) with M = lcm(4, 2(n-1)), and the wild shears expand
@@ -115,32 +112,28 @@ def check(name, ref, status="verified", **extra):
 # subcommands
 
 def cmd_curves(args):
-    name = args.surface
+    s = _surface(args.surface)
     checks, payload = [], {}
-    if name == "s6":
-        curves = certify_s6_lines()
+    if s.name == "s6":
+        curves = certify_s6_lines(s)
         expected = 27
-    elif name == "s7":
-        curves, trace, residual = enumerate_s7()
+    elif s.name == "s7":
+        curves, trace, residual = enumerate_s7(s)
         expected = 56
         payload["residual_Q"] = [str(c) for c in q_cubic()]
-    elif name == "s8":
-        curves, trace, residuals = enumerate_s8()
+    elif s.name == "s8":
+        curves, trace, residuals = enumerate_s8(s)
         expected = 240
         payload["residual_Q1"] = [str(c) for c in q1_quartic()]
         payload["residual_Q2"] = [str(c) for c in q2_quartic()]
-    elif name.startswith("an:"):
-        n = _family_index(name)
-        curves = enumerate_an(n)
-        expected = 2 * n
-    elif name.startswith("dn:"):
-        n = _family_index(name)
-        if n < 4:
-            raise UsageError("dn needs n >= 4")
-        curves = enumerate_dn(n)
-        expected = 2 + 2 * (n - 1)
+    elif s.name.startswith("an:"):
+        curves = enumerate_an(s)
+        expected = 2 * s.index
+    elif s.name.startswith("dn:"):
+        curves = enumerate_dn(s)
+        expected = 2 + 2 * (s.index - 1)
     else:
-        raise UsageError("unknown surface %r" % name)
+        raise UsageError("no curve enumeration for %r" % s.name)
     checks.append(check("membership-residues-zero",
                         "every listed curve lies on the surface",
                         curves=len(curves)))
@@ -170,9 +163,30 @@ def _family_index(name):
     return n
 
 
+def _surface(name):
+    """The catalog surface called `name`, built here at the edge; an index
+    out of range or a name that is no surface is a usage error."""
+    _family_index(name)
+    try:
+        return build_surface(name)
+    except GeometryError as ex:
+        raise UsageError(str(ex))
+
+
+def _klein_name(case):
+    """The affine Klein surface of an automorphism case: e6 -> klein-e6."""
+    return "klein-" + case.replace("klein-", "")
+
+
 def cmd_verdict(args):
-    _family_index(args.case)
-    verdict = rationality_verdict(args.case, BaseExtension(args.ext))
+    if args.ext < 1:
+        raise UsageError("--ext must be >= 1")
+    try:
+        name = case_surface(args.case)
+    except ValueError as ex:
+        raise UsageError(str(ex))
+    verdict = rationality_verdict(args.case, BaseExtension(args.ext),
+                                  _surface(name))
     checks = [check("rationality-verdict",
                     "rule table over the radical extension",
                     rational=verdict.rational, a=verdict.a,
@@ -186,7 +200,7 @@ def cmd_verdict(args):
 
 
 def cmd_verdict_grid(args):
-    cells = verdict_grid()
+    cells = verdict_grid(build_catalog())
     bad = [c for c in cells if c["rational"] != c["divisibility"]]
     checks = [check("grid-consistency",
                     "verdict == divisibility a | m on all cells",
@@ -221,13 +235,13 @@ def cmd_autos(args):
         if args.n is None:
             raise UsageError("autos an requires --n")
         case = "an:%d" % args.n
-    _family_index(case)
+    s = _surface(_klein_name(case))
     wild = None
     if args.poly is not None:
         if not case.startswith("an:"):
             raise UsageError("--poly only applies to the an family")
         wild = [_parse_poly(args.poly)]
-    report = autos_report(case, seed=args.seed, wild_polys=wild)
+    report = autos_report(s, seed=args.seed, wild_polys=wild)
     status = "verified" if report["verified"] else "failed"
     checks = [check("automorphisms", "exhibited groups preserve the surface",
                     status=status),
@@ -267,13 +281,14 @@ def cmd_audit(args):
     if not representable:
         raise UsageError("--t must be nonzero and within the range of a "
                          "double")
-    cfg = NumericConfig(t=t, tol=args.tol, seed=args.seed)
-    if args.surface.startswith(("an:", "dn:")):
-        _family_index(args.surface)
-        parse_case(args.surface)        # n below the family's minimum: exit 2
-    elif args.surface not in ("s6", "s7", "s8"):
+    try:
+        cfg = NumericConfig(t=t, tol=args.tol, seed=args.seed)
+    except ValueError as ex:
+        raise UsageError(str(ex))
+    if not (args.surface in ("s6", "s7", "s8")
+            or args.surface.startswith(("an:", "dn:"))):
         raise UsageError("no numeric audit for %r" % args.surface)
-    report = numeric_curve_audit(args.surface, cfg)
+    report = numeric_curve_audit(_surface(args.surface), cfg)
     checks = [check("numeric-audit", "floating-point oracle at t = %s" % t,
                     count=report["count"],
                     max_residue=report["max_residue"])]
@@ -321,19 +336,24 @@ def _negate(terms):
     return {k: -v for k, v in terms.items()}
 
 
-def _run_reproduction(mutation=None, seed=0):
+def _failure(ex):
+    """The error fields of a failed check: a refuted mathematical check is a
+    verification failure, any other exception an internal error."""
+    kind = "verification" if isinstance(
+        ex, (VerificationError, GeometryError)) else "internal"
+    return {"error": "%s: %s" % (type(ex).__name__, ex), "error_kind": kind}
+
+
+def _run_reproduction(catalog, seed=0):
+    """Every check of the paper, each reading its surfaces from `catalog`."""
     checks = []
-    catalog = build_catalog(mutation=mutation)
 
     def step(name, ref, fn, status="verified", **extra):
         try:
             fn_extra = fn()
         except Exception as ex:
-            kind = "verification" if isinstance(
-                ex, (VerificationError, GeometryError)) else "internal"
-            checks.append(check(name, ref, status="failed",
-                                error="%s: %s" % (type(ex).__name__, ex),
-                                error_kind=kind, **extra))
+            checks.append(check(name, ref, status="failed", **_failure(ex),
+                                **extra))
             return
         entry = check(name, ref, status=status, **extra)
         if isinstance(fn_extra, dict):
@@ -342,22 +362,22 @@ def _run_reproduction(mutation=None, seed=0):
 
     # 1-2. curve enumerations and the displayed residual polynomials
     step("curves-s6", "27 lines on the cubic model",
-         lambda: {"count": _expect(len(certify_s6_lines(catalog)), 27)})
+         lambda: {"count": _expect(len(certify_s6_lines(catalog["s6"])), 27)})
     step("curves-s7", "56 exceptional curves; residual cubic Q",
-         lambda: {"count": _expect(len(enumerate_s7(catalog)[0]), 56),
+         lambda: {"count": _expect(len(enumerate_s7(catalog["s7"])[0]), 56),
                   "Q": [str(c) for c in q_cubic()]})
     step("curves-s8", "240 exceptional curves; residual quartics Q1, Q2",
-         lambda: {"count": _expect(len(enumerate_s8(catalog)[0]), 240),
+         lambda: {"count": _expect(len(enumerate_s8(catalog["s8"])[0]), 240),
                   "Q1": [str(c) for c in q1_quartic()],
                   "Q2": [str(c) for c in q2_quartic()]})
     for n in AN_RANGE:
         step("curves-an:%d" % n, "2n fibre components",
-             lambda n=n: {"count": _expect(len(enumerate_an(n, catalog)),
-                                           2 * n)})
+             lambda n=n: {"count": _expect(
+                 len(enumerate_an(catalog["an:%d" % n])), 2 * n)})
     for n in DN_RANGE:
         step("curves-dn:%d" % n, "2 + 2(n-1) fibre components",
-             lambda n=n: {"count": _expect(len(enumerate_dn(n, catalog)),
-                                           2 * n)})
+             lambda n=n: {"count": _expect(
+                 len(enumerate_dn(catalog["dn:%d" % n])), 2 * n)})
 
     # catalog self-consistency
     step("dehomogenization", "models restrict to the Klein equations",
@@ -373,8 +393,8 @@ def _run_reproduction(mutation=None, seed=0):
 
     # 8. contraction identity in both charts
     step("contraction-s6", "quartic model contracts onto the cubic",
-         lambda: {"ok": _expect(verify_contraction_S6(catalog)["ok"],
-                                True)})
+         lambda: {"ok": _expect(verify_contraction_S6(
+             catalog["s6"], catalog["s6prime"])["ok"], True)})
 
     # 3. Sturm counts and the numeric cross-check
     step("sturm", "real-root counts of Q, Q1, Q2",
@@ -391,32 +411,35 @@ def _run_reproduction(mutation=None, seed=0):
                                table)})
     step("verdict-grid", "150 cells: verdict == divisibility a | m",
          lambda: {"cells": _expect(
-             sum(1 for c in verdict_grid()
+             sum(1 for c in verdict_grid(catalog)
                  if c["rational"] == c["divisibility"]), 150)})
     step("rule-table", "minimal-model endpoints per orbit pattern",
          lambda: {}, status="assumed")
 
     # 5. intersection witnesses
     step("intersections-s6", "conjugate line meetings on the cubic",
-         lambda: {"pairs": len(s6_intersections()["pairs"])})
+         lambda: {"pairs": len(s6_intersections(catalog["s6"])["pairs"])})
     for order in (2, 3):
         step("conjugation-s7-order%d" % order,
              "S7 conjugate pairs share a point",
              lambda order=order: {"ok": _expect(
-                 s7_conjugation(order)["verified"], True)})
+                 s7_conjugation(catalog["s7"], order)["verified"], True)})
     for order in (2, 3, 5):
         step("conjugation-s8-order%d" % order,
              "S8 conjugate pairs for xi of order 2, 3, 5",
              lambda order=order: {"ok": _expect(
-                 s8_conjugation(order)["verified"], True)})
+                 s8_conjugation(catalog["s8"], order)["verified"], True)})
     step("intersections-s7-e0", "the two e = 0 curves meet at (0:1:0:0)",
-         lambda: {"ok": _expect(s7_e0_intersection()["intersect"], True)})
+         lambda: {"ok": _expect(
+             s7_e0_intersection(catalog["s7"])["intersect"], True)})
     for n in DN_RANGE:
         step("intersections-dn:%d" % n, "z = +-iymu components meet",
-             lambda n=n: {"pairs": len(dn_intersections(n)["pairs"])})
+             lambda n=n: {"pairs": len(
+                 dn_intersections(catalog["dn:%d" % n])["pairs"])})
     for n in AN_RANGE:
         step("intersections-an:%d" % n, "contractible orbit is disjoint",
-             lambda n=n: {"pairs": len(an_intersections(n)["pairs"])})
+             lambda n=n: {"pairs": len(
+                 an_intersections(catalog["an:%d" % n])["pairs"])})
 
     # 6. lattice cross-checks
     step("lattice-classes", "(-1)-classes for r = 6, 7, 8",
@@ -438,13 +461,14 @@ def _run_reproduction(mutation=None, seed=0):
                 ["an:%d" % n for n in (2, 3, 5)]:
         step("autos-%s" % case, "exhibited automorphism groups",
              lambda case=case: {"ok": _expect(
-                 autos_report(case, seed=seed)["verified"], True)})
+                 autos_report(catalog[_klein_name(case)],
+                              seed=seed)["verified"], True)})
     step("autos-completeness", "no further automorphisms",
          lambda: {}, status="assumed")
 
     # 9. numeric oracle at t in {2, 3, 5}
     step("numeric-oracle", "counts, residues and the S6 line graph",
-         lambda: {"audit": full_audit(seed=seed)})
+         lambda: {"audit": full_audit(catalog, seed=seed)})
 
     return checks
 
@@ -466,9 +490,11 @@ def cmd_reproduce(args):
                         Fraction(parts[3]))
         except (ValueError, ZeroDivisionError):
             raise UsageError("bad --mutate argument %r" % args.mutate)
-        if mutation[0] not in surface_names():
-            raise UsageError("unknown surface %r in --mutate" % mutation[0])
-    checks = _run_reproduction(mutation=mutation, seed=args.seed)
+    try:
+        catalog = build_catalog(mutation)
+    except GeometryError as ex:     # unknown surface or chart, zero delta
+        raise UsageError(str(ex))
+    checks = _run_reproduction(catalog, seed=args.seed)
     return checks, {"suite": "reproduce-paper", "check_count": len(checks)}
 
 
@@ -551,15 +577,12 @@ def main(argv=None):
     except UsageError as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 2
-    except (VerificationError, GeometryError) as ex:
+    except Exception as ex:
         cert = certificate(args.command, _inputs(args),
                            [check("pipeline", "plumbing", status="failed",
-                                  error=str(ex))])
+                                  **_failure(ex))])
         emit(cert, args.out)
         return 1
-    except (ValueError, KeyError) as ex:
-        sys.stderr.write("error: %s\n" % ex)
-        return 2
     elapsed = time.monotonic() - started if args.timings else None
     cert = certificate(args.command, _inputs(args), checks, payload,
                        elapsed=elapsed)

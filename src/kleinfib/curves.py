@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .geometry import build_surface
 from .multipoly import MultiPoly
 from .tower import FieldTower, cyclotomic, root_of_unity
 from .univariate import (from_multipoly, poly_gcd, resultant_poly,
@@ -225,8 +224,7 @@ def univariate_from_pure(p: MultiPoly, var_block: str, block: int,
 # ---------------------------------------------------------------------------
 # S7: 56 curves, residual cubic Q
 
-def enumerate_s7(catalog=None):
-    s7 = catalog["s7"] if catalog else build_surface("s7")
+def enumerate_s7(s7):
     V = ("W", "X", "Y", "Z", "a", "b", "c", "d", "e", "t")
     eq = s7.equation.rename(V)
     Wv, Xv = (MultiPoly.var(V, v) for v in ("W", "X"))
@@ -503,7 +501,7 @@ def s8_branch_quartics(V):
     return P1, P2
 
 
-def enumerate_s8(catalog=None):
+def enumerate_s8(s8):
     """Replay the S8 elimination chain and certify both residual quartics.
 
     Convention (see the curve display): the curve forms are
@@ -514,7 +512,6 @@ def enumerate_s8(catalog=None):
     intermediate e/d/a displays are not trusted: the chain re-derives them
     and certifies the final residuals bit-for-bit.
     """
-    s8 = catalog["s8"] if catalog else build_surface("s8")
     V = ("W", "X", "Y", "Z", "a", "b", "d", "e", "f", "mu", "t")
     eq = s8.equation.rename(V)
     var = lambda v, k=1: MultiPoly.var(V, v, k)
@@ -773,11 +770,10 @@ def s6_line_forms(T, branch: str, xi=None):
     return l1, l2
 
 
-def certify_s6_lines(catalog=None):
+def certify_s6_lines(s6):
     """All 27 lines of the cubic, with exact zero substitution residues:
     3 lines Z = 0, Y = zeta3^j alpha W (alpha^3 = t) and 12 lines L_mu per
     branch mu^12 = c t, c = (1/27)(-5 +- (26/9) sqrt3)."""
-    s6 = catalog["s6"] if catalog else build_surface("s6")
     lv = ("W", "X", "Y", "Z")
     curves = []
 
@@ -843,13 +839,11 @@ def an_tower(n: int):
     return T, T.gen("alpha") ** n
 
 
-def enumerate_an(n: int, catalog=None):
-    """The 2n fibre components of the A_n conic bundle: over each root
+def enumerate_an(s):
+    """The 2n fibre components of the A_n conic bundle s: over each root
     x = zeta^j alpha of x^n = t, the fibre x^n w^2 - yz = t w^2 splits
     into the lines y = 0 and z = 0."""
-    if n < 2:
-        raise ValueError("A_n needs n >= 2")
-    s = catalog["an:%d" % n] if catalog else build_surface("an:%d" % n)
+    n = s.index
     T, t = an_tower(n)
     zeta, alpha = root_of_unity(T, n), T.gen("alpha")
     cv = ("w", "y", "z", "x")
@@ -882,12 +876,11 @@ def dn_tower(n: int):
     return T, T.gen("mu") ** N
 
 
-def enumerate_dn(n: int, catalog=None):
-    """2 lines z = +- r w over x = 0, r = mu^(n-1) = sqrt(t), plus 2(n-1)
-    curves x = (zeta^j mu)^2, z = i zeta^j mu y over x^(n-1) = t."""
-    if n < 4:
-        raise ValueError("D_n needs n >= 4")
-    s = catalog["dn:%d" % n] if catalog else build_surface("dn:%d" % n)
+def enumerate_dn(s):
+    """On the D_n conic bundle s: 2 lines z = +- r w over x = 0,
+    r = mu^(n-1) = sqrt(t), plus 2(n-1) curves x = (zeta^j mu)^2,
+    z = i zeta^j mu y over x^(n-1) = t."""
+    n = s.index
     cv = ("w", "y", "z", "x")
     w, y, z, x = (MultiPoly.var(cv, v) for v in cv)
     N = 2 * (n - 1)

@@ -7,7 +7,7 @@ plus an explicit "t" variable for the fibred surfaces; coefficients live
 in a constants tower (QQ, or QQ(zeta_12) for the S6 family).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .multipoly import MultiPoly
@@ -57,8 +57,10 @@ def affine3():
 # ---------------------------------------------------------------------------
 # surfaces
 
-@dataclass
+@dataclass(frozen=True)
 class SurfaceSpec:
+    """One catalog surface, a hashable value: two builds of the same surface
+    are equal, and a mutated surface differs from the one it came from."""
     name: str
     ambient: AmbientSpace
     const_tower: FieldTower        # tower of the equation coefficients (no t)
@@ -69,6 +71,11 @@ class SurfaceSpec:
     @property
     def equation(self):
         return self.equations[0]
+
+    @property
+    def index(self):
+        """n of an:<n>, dn:<n>, klein-an:<n> and klein-dn:<n>."""
+        return int(self.name.partition(":")[2])
 
 
 def _mp(variables, terms):
@@ -184,14 +191,27 @@ def _build_klein(label, n=None):
                        quasi_weights=qw)
 
 
-def surface_names(dn_range=range(4, 10), an_range=range(2, 7)):
+# the A_n and D_n members of the catalog
+AN_RANGE = range(2, 7)
+DN_RANGE = range(4, 10)
+
+
+def surface_names():
     names = ["s6", "s6prime", "s7", "s8",
              "klein-e6", "klein-e7", "klein-e8"]
-    names += ["an:%d" % n for n in an_range]
-    names += ["dn:%d" % n for n in dn_range]
-    names += ["klein-an:%d" % n for n in an_range]
-    names += ["klein-dn:%d" % n for n in dn_range]
+    names += ["an:%d" % n for n in AN_RANGE]
+    names += ["dn:%d" % n for n in DN_RANGE]
+    names += ["klein-an:%d" % n for n in AN_RANGE]
+    names += ["klein-dn:%d" % n for n in DN_RANGE]
     return names
+
+
+def _index(name, low):
+    """n of <family>:<n>; the A_n families start at n = 2, D_n at n = 4."""
+    family, _, n = name.partition(":")
+    if int(n) < low:
+        raise GeometryError("%s:<n> needs n >= %d" % (family, low))
+    return int(n)
 
 
 def build_surface(name):
@@ -203,54 +223,53 @@ def build_surface(name):
     elif name == "s8":
         s = _build_s8()
     elif name.startswith("an:"):
-        n = int(name.split(":")[1])
-        if n < 2:
-            raise GeometryError("an:<n> needs n >= 2")
-        s = _build_an(n)
+        s = _build_an(_index(name, 2))
     elif name.startswith("dn:"):
-        n = int(name.split(":")[1])
-        if n < 4:
-            raise GeometryError("dn:<n> needs n >= 4")
-        s = _build_dn(n)
+        s = _build_dn(_index(name, 4))
     elif name in ("klein-e6", "klein-e7", "klein-e8"):
         s = _build_klein(name)
-    elif name.partition(":")[0] in ("klein-an", "klein-dn"):
-        s = _build_klein(name, int(name.partition(":")[2]))
+    elif name.startswith("klein-an:"):
+        s = _build_klein(name, _index(name, 2))
+    elif name.startswith("klein-dn:"):
+        s = _build_klein(name, _index(name, 4))
     else:
         raise GeometryError("unknown surface %r" % name)
     check_homogeneous(s)
     return s
 
 
-def build_catalog(mutation=None, dn_range=range(4, 10), an_range=range(2, 7)):
+def build_catalog(mutation=None):
     """Build every catalog surface, keyed by CLI name.
 
     `mutation`, if given, is (surface_name, chart_index, term_index, delta):
-    the coefficient of the term_index-th monomial (in sorted exponent order)
-    of the chosen chart equation is shifted by the rational delta.  Used by
-    the fault-injection harness; a correct build passes mutation=None.
+    the coefficient of the term_index-th monomial (in sorted exponent order,
+    taken modulo the number of terms) of the chosen chart equation is
+    shifted by the nonzero rational delta.  Used by the fault-injection
+    harness; a correct build passes mutation=None.
     """
-    catalog = {name: build_surface(name)
-               for name in surface_names(dn_range, an_range)}
+    catalog = {name: build_surface(name) for name in surface_names()}
     if mutation is not None:
         sname, chart, term_idx, delta = mutation
         if sname not in catalog:
             raise GeometryError("cannot mutate unknown surface %r" % sname)
         s = catalog[sname]
-        eq = s.equations[chart]
-        keys = sorted(eq.terms)
-        key = keys[term_idx % len(keys)]
+        if not 0 <= chart < len(s.equations):
+            raise GeometryError("%s has charts 0..%d, not %d"
+                                % (sname, len(s.equations) - 1, chart))
         delta = Fraction(delta)
         if delta == 0:
             raise GeometryError("mutation delta must be nonzero")
+        eq = s.equations[chart]
+        keys = sorted(eq.terms)
+        key = keys[term_idx % len(keys)]
         bump = (delta if isinstance(eq.terms[key], Fraction)
                 else s.const_tower.from_fraction(delta))
         new_terms = dict(eq.terms)
         new_terms[key] = new_terms[key] + bump
         eqs = list(s.equations)
         eqs[chart] = MultiPoly(eq.vars, new_terms)
-        s.equations = tuple(eqs)
-        check_homogeneous(s)
+        catalog[sname] = replace(s, equations=tuple(eqs))
+        check_homogeneous(catalog[sname])
     return catalog
 
 
@@ -313,57 +332,6 @@ def _coord_tower(coords):
     return None
 
 
-def points_equal(p: PointSpec, q: PointSpec) -> bool:
-    """Equality of weighted-projective points: exists lambda with
-    q_i = lambda^{w_i} p_i.  Affine/atlas base coordinates compare directly.
-
-    With g = gcd of the weights at the nonzero slots and Bezout coefficients
-    c_i (sum c_i w_i = g), any valid lambda has lambda^g = prod r_i^{c_i},
-    where r_i = q_i / p_i; so the criterion is r_i = (lambda^g)^{w_i/g}
-    for every i, which is decidable inside the tower.
-    """
-    if p.ambient != q.ambient or p.chart != q.chart:
-        return False
-    if p.ambient.kind == "affine":
-        return all((a - b).is_zero() if isinstance(a - b, FieldElement)
-                   else a == b for a, b in zip(p.coords, q.coords))
-    ws = list(p.ambient.weights)
-    if p.ambient.kind == "atlas":
-        # base coordinate x is not rescaled
-        if not _same(p.coords[3], q.coords[3]):
-            return False
-        ws = ws[:3]
-    pc, qc = p.coords[:len(ws)], q.coords[:len(ws)]
-    nz = [i for i in range(len(ws))
-          if not (_is_zero_coord(pc[i]) and _is_zero_coord(qc[i]))]
-    for i in nz:
-        if _is_zero_coord(pc[i]) != _is_zero_coord(qc[i]):
-            return False
-    if not nz:
-        return True
-    ratios = {i: _div(qc[i], pc[i]) for i in nz}
-    g, coeffs = _bezout_many([ws[i] for i in nz])
-    lam_g = None
-    for i, c in zip(nz, coeffs):
-        term = _pow_signed(ratios[i], c)
-        lam_g = term if lam_g is None else lam_g * term
-    for i in nz:
-        if not _same(ratios[i], _pow_signed(lam_g, ws[i] // g)):
-            return False
-    return True
-
-
-def _same(a, b):
-    d = a - b
-    return d.is_zero() if isinstance(d, FieldElement) else d == 0
-
-
-def _div(a, b):
-    if isinstance(a, FieldElement) or isinstance(b, FieldElement):
-        return a / b
-    return Fraction(a) / Fraction(b)
-
-
 def _pow_signed(x, k):
     if k >= 0:
         return x ** k
@@ -389,27 +357,6 @@ def _xgcd(a, b):
     return g, v, u - (a // b) * v
 
 
-def normalize_point(p: PointSpec) -> PointSpec:
-    """Scale so the first nonzero coordinate of weight 1 becomes 1 (the only
-    case where division gives a canonical representative inside the tower);
-    otherwise returned unchanged.  Equality testing uses points_equal."""
-    if p.ambient.kind == "affine":
-        return p
-    ws = p.ambient.weights
-    pivot = None
-    for i, c in enumerate(p.coords):
-        if ws[i] == 1 and not _is_zero_coord(c):
-            pivot = i
-            break
-    if pivot is None:
-        return p
-    lam = p.coords[pivot]
-    inv = lam.invert() if isinstance(lam, FieldElement) else 1 / Fraction(lam)
-    coords = tuple(c * _pow_signed(inv, ws[i])
-                   for i, c in enumerate(p.coords))
-    return PointSpec(p.ambient, coords, p.chart)
-
-
 def on_surface(s: SurfaceSpec, p: PointSpec, t=None) -> bool:
     """Exact membership: the chart equation vanishes at p in p's tower, with
     t the given element of that tower (default: its generator named t)."""
@@ -428,15 +375,14 @@ def on_surface(s: SurfaceSpec, p: PointSpec, t=None) -> bool:
 # ---------------------------------------------------------------------------
 # the S6' -> S6 contraction
 
-def verify_contraction_S6(catalog=None) -> dict:
-    """Replay the contraction of the quartic surface tW^4 = X^4 + Y^3 W + Z^2
-    in P(1,1,1,2) onto the cubic Z(WZ - 2iX^2) = tW^3 - Y^3 in P^3.
+def verify_contraction_S6(s6: SurfaceSpec, s6p: SurfaceSpec) -> dict:
+    """Replay the contraction of the quartic surface s6p,
+    tW^4 = X^4 + Y^3 W + Z^2 in P(1,1,1,2), onto the cubic s6,
+    Z(WZ - 2iX^2) = tW^3 - Y^3 in P^3.
 
     Both displayed chart formulas are substituted into the cubic and reduced
     modulo the quartic; the residues must vanish identically, and the curve
     W = 0, Z = iX^2 must land on (0:0:0:1)."""
-    catalog = catalog or build_catalog()
-    s6, s6p = catalog["s6"], catalog["s6prime"]
     T = s6.const_tower
     i = root_of_unity(T, 4)
     vs = ("W", "X", "Y", "Z", "t")

@@ -16,10 +16,6 @@ class PicardLattice:
     """Z e0 + Z e1 + ... + Z er with e0^2 = 1, ei^2 = -1, mixed products 0."""
     rank: int                      # r + 1
 
-    @property
-    def basis(self):
-        return tuple("e%d" % i for i in range(self.rank))
-
     def dot(self, u, v):
         if len(u) != self.rank or len(v) != self.rank:
             raise ValueError("vector length mismatch")
@@ -109,14 +105,12 @@ def _classify_component(adj, comp):
     raise VerificationError("unrecognized diagram")
 
 
-def _coxeter_order(simples, dot, dim, limit=100):
+def _coxeter_order(simples, dot, limit=100):
     """Order of the product of the simple reflections, acting on the span."""
     def cox(v):
         for a in simples:
             v = _reflect(v, a, dot)
         return v
-    basis = [tuple(Fraction(1 if j == i else 0) for j in range(dim))
-             for i in range(dim)]
     # act on the root span only: track images of the simple roots
     images = list(simples)
     for k in range(1, limit + 1):
@@ -166,7 +160,7 @@ def _finish(label, simples, dot):
         lcm_h = lcm_h * hc // gcd(lcm_h, hc)
     if total != len(roots):
         raise VerificationError("component root counts do not add up")
-    h = _coxeter_order(simples, dot, len(simples[0]))
+    h = _coxeter_order(simples, dot)
     if h != lcm_h:
         raise VerificationError(
             "Coxeter number mismatch: reflection order %d vs roots/rank %d"

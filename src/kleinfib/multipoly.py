@@ -73,20 +73,6 @@ class MultiPoly:
         i = self.vars.index(name)
         return max(e[i] for e in self.terms)
 
-    def weighted_degree(self, weights) -> int:
-        """Max of sum(w_i * e_i); weights is a dict var -> weight."""
-        if not self.terms:
-            return -1
-        ws = [weights.get(v, 0) for v in self.vars]
-        return max(sum(w * k for w, k in zip(ws, e)) for e in self.terms)
-
-    def is_weighted_homogeneous(self, weights) -> bool:
-        if not self.terms:
-            return True
-        ws = [weights.get(v, 0) for v in self.vars]
-        degs = {sum(w * k for w, k in zip(ws, e)) for e in self.terms}
-        return len(degs) == 1
-
     def leading_term(self):
         """(exps, coeff) of the graded-lex leading term."""
         e = max(self.terms, key=grlex_key)
@@ -346,23 +332,7 @@ class MultiPoly:
         """Remainder of division by `modulus` in the variable `name`."""
         return self.div_univariate(modulus, name)[1]
 
-    # -- serialization / display --------------------------------------
-
-    def to_data(self):
-        from .tower import coeff_to_data
-
-        items = sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
-        return {
-            "vars": list(self.vars),
-            "terms": [[list(e), coeff_to_data(c)] for e, c in items],
-        }
-
-    @classmethod
-    def from_data(cls, data, tower=None):
-        from .tower import coeff_from_data
-
-        terms = {tuple(e): coeff_from_data(c, tower) for e, c in data["terms"]}
-        return cls(tuple(data["vars"]), terms)
+    # -- display ------------------------------------------------------
 
     def __repr__(self):
         if self.is_zero():

@@ -13,11 +13,10 @@ from fractions import Fraction
 import numpy as np
 
 from .multipoly import MultiPoly
-from .tower import FieldElement
+from .tower import _coeff_complex
 from .univariate import (degree, derivative, poly_gcd, count_real_roots)
 from .curves import (VerificationError, q_cubic, q1_quartic, q2_quartic,
                      s6_alpha_lines, s6_line_tower, s6_line_forms)
-from .geometry import build_surface
 from .orbits import _s7_main_data, _s8_branch_data, s6_intersections
 
 
@@ -139,12 +138,6 @@ def check_specialization(t: Fraction) -> dict:
 # ---------------------------------------------------------------------------
 # numeric evaluation helpers
 
-def _cx(c, cenv):
-    if isinstance(c, FieldElement):
-        return c.as_complex(cenv)
-    return complex(c)
-
-
 def eval_with_scale(p: MultiPoly, env: dict, cenv=None):
     val, scale = 0j, 0.0
     cenv = cenv or {}
@@ -153,7 +146,7 @@ def eval_with_scale(p: MultiPoly, env: dict, cenv=None):
         for v, k in zip(p.vars, e):
             if k:
                 mon *= env[v] ** k
-        cc = _cx(c, cenv)
+        cc = _coeff_complex(c, cenv)
         val += cc * mon
         scale += abs(cc) * abs(mon)
     return val, max(scale, 1e-300)
@@ -215,7 +208,7 @@ def _form_matrix(forms, cenv):
     for f in forms:
         row = [0j] * 4
         for e, c in f.terms.items():
-            row[list(e).index(1)] = _cx(c, cenv)
+            row[list(e).index(1)] = _coeff_complex(c, cenv)
         rows.append(row)
     return np.array(rows)
 
@@ -225,8 +218,7 @@ def _null_basis(mat, keep=2):
     return vh[-keep:].conj()
 
 
-def numeric_audit_s6(cfg: NumericConfig) -> dict:
-    s6 = build_surface("s6")
+def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
     tval = float(cfg.t)
     rng = random.Random(cfg.seed)
     lines = _s6_numeric_lines(cfg)
@@ -255,7 +247,7 @@ def numeric_audit_s6(cfg: NumericConfig) -> dict:
         raise VerificationError("S6 line degrees are not all 10: %s"
                                 % sorted(set(int(d) for d in degrees)))
     # agreement with the exact same-branch pattern
-    exact = s6_intersections()
+    exact = s6_intersections(s6)
     idx = {(b, j): k for k, (b, j, _) in enumerate(lines)}
     for entry in exact["pairs"]:
         if entry["pair"] != "Lmu/Lximu":
@@ -275,9 +267,8 @@ def numeric_audit_s6(cfg: NumericConfig) -> dict:
             "graph_checked": True}
 
 
-def numeric_audit_s7(cfg: NumericConfig) -> dict:
-    s7 = build_surface("s7")
-    _, core, main = _s7_main_data()
+def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
+    _, core, main = _s7_main_data(s7)
     pairs = main.data["coeff_pairs"]
     tval = float(cfg.t)
     rng = random.Random(cfg.seed)
@@ -318,9 +309,8 @@ def numeric_audit_s7(cfg: NumericConfig) -> dict:
     return {"surface": "s7", "count": count, "max_residue": max_res}
 
 
-def numeric_audit_s8(cfg: NumericConfig) -> dict:
-    s8 = build_surface("s8")
-    _, mains = _s8_branch_data()
+def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
+    _, mains = _s8_branch_data(s8)
     tval = float(cfg.t)
     rng = random.Random(cfg.seed)
     count, max_res = 0, 0.0
@@ -366,15 +356,13 @@ def numeric_audit_s8(cfg: NumericConfig) -> dict:
     return {"surface": "s8", "count": count, "max_residue": max_res}
 
 
-def numeric_audit_conic(name: str, cfg: NumericConfig) -> dict:
+def numeric_audit_conic(s, cfg: NumericConfig) -> dict:
     """A_n / D_n fibre components at the specialization."""
-    kind, n = name.split(":")
-    n = int(n)
-    s = build_surface(name)
+    name, n = s.name, s.index
     tval = float(cfg.t)
     rng = random.Random(cfg.seed)
     count, max_res = 0, 0.0
-    if kind == "an":
+    if name.startswith("an:"):
         roots = [tval ** (1.0 / n) * cmath.exp(2j * math.pi * j / n)
                  for j in range(n)]
         for r0 in roots:
@@ -440,28 +428,29 @@ def sturm_vs_numeric(cfg: NumericConfig) -> dict:
     return out
 
 
-def numeric_curve_audit(surface: str, cfg: NumericConfig = None) -> dict:
+def numeric_curve_audit(s, cfg: NumericConfig = None) -> dict:
+    """The audit of the catalog surface s at cfg.t."""
     cfg = cfg or NumericConfig()
     check_specialization(cfg.t)
-    if surface == "s6":
-        return numeric_audit_s6(cfg)
-    if surface == "s7":
-        return numeric_audit_s7(cfg)
-    if surface == "s8":
-        return numeric_audit_s8(cfg)
-    if surface.startswith(("an:", "dn:")):
-        return numeric_audit_conic(surface, cfg)
-    raise ValueError("no numeric audit for %r" % surface)
+    if s.name == "s6":
+        return numeric_audit_s6(s, cfg)
+    if s.name == "s7":
+        return numeric_audit_s7(s, cfg)
+    if s.name == "s8":
+        return numeric_audit_s8(s, cfg)
+    if s.name.startswith(("an:", "dn:")):
+        return numeric_audit_conic(s, cfg)
+    raise ValueError("no numeric audit for %r" % s.name)
 
 
-def full_audit(t_values=(2, 3, 5), tol=1e-8, seed=0) -> dict:
+def full_audit(catalog, t_values=(2, 3, 5), tol=1e-8, seed=0) -> dict:
     """The oracle section of the reproduction run: counts, residues and
-    graphs at several specializations."""
+    graphs of the catalog's surfaces at several specializations."""
     report = {"t_values": list(t_values), "surfaces": {}, "sturm": None}
     for t in t_values:
         cfg = NumericConfig(t=Fraction(t), tol=tol, seed=seed)
         for name in ("s6", "s7", "s8", "an:2", "dn:4"):
-            rep = numeric_curve_audit(name, cfg)
+            rep = numeric_curve_audit(catalog[name], cfg)
             report["surfaces"].setdefault(name, []).append(
                 {"t": t, "count": rep["count"],
                  "max_residue": rep["max_residue"]})

@@ -9,7 +9,7 @@ from math import gcd
 
 from .multipoly import MultiPoly
 from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
-from .geometry import build_surface, PointSpec, on_surface, GeometryError
+from .geometry import PointSpec, on_surface, GeometryError
 from .curves import (VerificationError, enumerate_s7, enumerate_s8,
                      enumerate_an, enumerate_dn, s6_alpha_lines,
                      s6_line_tower, s6_line_forms, s7_e0_tower, an_tower,
@@ -71,6 +71,13 @@ def parse_case(case: str):
                 raise ValueError("%s needs n >= %d" % (pre, low))
             return pre, n
     raise ValueError("unknown case %r" % case)
+
+
+def case_surface(case: str) -> str:
+    """Catalog name of the surface a verdict case reads: e6, e7 and e8 read
+    the models s6, s7 and s8; an:<n> and dn:<n> read themselves."""
+    kind = parse_case(case)[0]
+    return {"e6": "s6", "e7": "s7", "e8": "s8"}.get(kind, case)
 
 
 def rationality_degree(case: str) -> int:
@@ -192,11 +199,10 @@ def _serialize_point(coords):
 
 
 @lru_cache(maxsize=None)
-def s6_intersections() -> dict:
-    """Exact witnesses for the conjugate-line intersections on the cubic:
+def s6_intersections(s6) -> dict:
+    """Exact witnesses for the conjugate-line intersections on the cubic s6:
     L_j pairs meet at (0:1:0:0); L_mu meets L_{xi mu} for xi of order 2 and
     order 3; for xi of order 12 the determinant is nonzero (disjoint)."""
-    s6 = build_surface("s6")
     report = {"surface": "s6", "pairs": []}
 
     # L1, L2, L3 pairwise at (0:1:0:0)
@@ -276,15 +282,15 @@ def _param_invertible(rel: MultiPoly, param: str):
 
 
 @lru_cache(maxsize=None)
-def _s7_main_data():
-    curves, trace, core = enumerate_s7()
+def _s7_main_data(s7):
+    curves, trace, core = enumerate_s7(s7)
     main = next(c for c in curves if c.family == "S7-main")
     return curves, core, main
 
 
 @lru_cache(maxsize=None)
-def _s8_branch_data():
-    curves, trace, (F1, F2) = enumerate_s8()
+def _s8_branch_data(s8):
+    curves, trace, (F1, F2) = enumerate_s8(s8)
     mains = {}
     for c in curves:
         if c.family == "S8-main" and c.branch not in mains:
@@ -292,8 +298,8 @@ def _s8_branch_data():
     return curves, mains
 
 
-def s7_conjugation(order: int) -> dict:
-    """Witness report for the pair (L_mu, L_{xi mu}) on S7, xi^order = 1,
+def s7_conjugation(s7, order: int) -> dict:
+    """Witness report for the pair (L_mu, L_{xi mu}) on s7, xi^order = 1,
     order in {2, 3}.  The curve is Y = aW + bX, Z = cW^2 + dWX + eX^2 with
     coefficients rational in the parameter e; conjugation acts by e -> xi e
     and multiplies each coefficient q by xi^{r(q)}, where the residue r(q)
@@ -309,7 +315,7 @@ def s7_conjugation(order: int) -> dict:
     if order not in (2, 3):
         raise ValueError("S7 conjugations have order 2 or 3")
     N = order
-    _, core, main = _s7_main_data()
+    _, core, main = _s7_main_data(s7)
     pairs = main.data["coeff_pairs"]
     # the relation must be xi-invariant: every e-exponent divisible by N
     if _xi_residue(core, N, {"e": 1, "t": 0}) != 0:
@@ -349,8 +355,8 @@ def s7_conjugation(order: int) -> dict:
     return checks
 
 
-def s8_conjugation(order: int, branch: str = "P1") -> dict:
-    """Witness report for (L_mu, L_{xi mu}) on S8, xi^order = 1 with order
+def s8_conjugation(s8, order: int, branch: str = "P1") -> dict:
+    """Witness report for (L_mu, L_{xi mu}) on s8, xi^order = 1 with order
     in {2, 3, 5}: the fixed locus of the conjugation-compatible
     automorphism cuts the curve in Z = 0 (order 2), Y = 0 (order 3) and
     X = 0 (order 5).  Residue bookkeeping as in s7_conjugation, with the
@@ -358,7 +364,7 @@ def s8_conjugation(order: int, branch: str = "P1") -> dict:
     if order not in (2, 3, 5):
         raise ValueError("S8 conjugations have order 2, 3 or 5")
     N = order
-    _, mains = _s8_branch_data()
+    _, mains = _s8_branch_data(s8)
     main = mains[branch]
     pairs = main.data["coeff_pairs"]
     bnum, bden = main.data["b_pair"]
@@ -428,12 +434,12 @@ def _meet_at(curves, s, coords, t, what):
 
 
 @lru_cache(maxsize=None)
-def dn_intersections(n: int) -> dict:
+def dn_intersections(s) -> dict:
     """D_n: the x=0 components meet at ((0:1:0), x=0); the component
     x = mu^2, z = i y mu meets its conjugate z = -i y mu at ((1:0:0), mu^2);
     components over distinct fibres are disjoint (distinct x-values)."""
-    curves = enumerate_dn(n)
-    s = build_surface("dn:%d" % n)
+    n = s.index
+    curves = enumerate_dn(s)
     N = 2 * (n - 1)
     T, t = dn_tower(n)
     zeta, mu = root_of_unity(T, N), T.gen("mu")
@@ -463,12 +469,12 @@ def dn_intersections(n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def an_intersections(n: int) -> dict:
+def an_intersections(s) -> dict:
     """A_n: over each fibre x^n = t the components y=0 and z=0 meet at
     ((1:0:0), x); components over distinct fibres are disjoint; in
     particular the y=0 orbit is pairwise disjoint (contractible)."""
-    curves = enumerate_an(n)
-    s = build_surface("an:%d" % n)
+    n = s.index
+    curves = enumerate_an(s)
     T, t = an_tower(n)
     zeta, alpha = root_of_unity(T, n), T.gen("alpha")
     zero, one = T.zero(), T.one()
@@ -490,13 +496,13 @@ def an_intersections(n: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def s7_e0_intersection() -> dict:
-    """The two rational curves Y=0, Z=+-sqrt(t) W^2 on S7 meet at
+def s7_e0_intersection(s7) -> dict:
+    """The two rational curves Y=0, Z=+-sqrt(t) W^2 on s7 meet at
     (0:1:0:0)."""
     T, t = s7_e0_tower()
     zero, one = T.zero(), T.one()
-    _meet_at([c for c in _s7_main_data()[0] if c.family == "S7-e0"],
-             build_surface("s7"), (zero, one, zero, zero), t, "S7 e=0 pair")
+    _meet_at([c for c in _s7_main_data(s7)[0] if c.family == "S7-e0"],
+             s7, (zero, one, zero, zero), t, "S7 e=0 pair")
     return {"surface": "s7", "pair": "Y=0, Z=+-sqrt(t)W^2",
             "intersect": True, "witness": "(0:1:0:0)"}
 
@@ -509,14 +515,17 @@ def _dp(degree, ext, justification):
                                   justification=justification)
 
 
-def minimal_model(case: str, ext: BaseExtension) -> MinimalModelDescriptor:
+def minimal_model(case: str, ext: BaseExtension,
+                  surface) -> MinimalModelDescriptor:
+    """The minimal model over ext, from the orbits and the witnesses on
+    `surface`, the catalog surface named by case_surface(case)."""
     kind, n = parse_case(case)
     m = ext.m
     if kind == "e6":
         orbits = {"L123": orbit_structure(3, m),
                   "Lmu_plus": orbit_structure(12, m),
                   "Lmu_minus": orbit_structure(12, m)}
-        certs = s6_intersections()
+        certs = s6_intersections(surface)
         just = {"orbits": orbits, "intersections": certs["pairs"],
                 "axiom": AXIOM}
         if m % 12 == 0:
@@ -535,8 +544,9 @@ def minimal_model(case: str, ext: BaseExtension) -> MinimalModelDescriptor:
     if kind == "e7":
         orbits = {"e0": orbit_structure(2, m)}
         just = {"orbits": orbits,
-                "intersections": [s7_e0_intersection(),
-                                  s7_conjugation(2), s7_conjugation(3)],
+                "intersections": [s7_e0_intersection(surface),
+                                  s7_conjugation(surface, 2),
+                                  s7_conjugation(surface, 3)],
                 "axiom": AXIOM}
         if m % 18 == 0:
             just["step"] = ("all 56 curves split over C(t^{1/18}); "
@@ -553,8 +563,8 @@ def minimal_model(case: str, ext: BaseExtension) -> MinimalModelDescriptor:
                         "families intersect (%s)" % AXIOM)
         return _dp(2, ext, just)
     if kind == "e8":
-        just = {"intersections": [s8_conjugation(2), s8_conjugation(3),
-                                  s8_conjugation(5)], "axiom": AXIOM}
+        just = {"intersections": [s8_conjugation(surface, k)
+                                  for k in (2, 3, 5)], "axiom": AXIOM}
         if m % 30 == 0:
             just["step"] = ("all 240 curves split over C(t^{1/30}); "
                             "contraction to the plane (%s)" % AXIOM)
@@ -572,7 +582,7 @@ def minimal_model(case: str, ext: BaseExtension) -> MinimalModelDescriptor:
             raise VerificationError("2-part criterion disagrees with the "
                                     "orbit partition")
         just = {"orbits": {"mu": orbit, "x0": orbit_structure(2, m)},
-                "intersections": dn_intersections(n)["pairs"],
+                "intersections": dn_intersections(surface)["pairs"],
                 "axiom": AXIOM}
         if m % a == 0:
             just["step"] = ("every mu-orbit separates mu from -mu and its "
@@ -596,7 +606,8 @@ def minimal_model(case: str, ext: BaseExtension) -> MinimalModelDescriptor:
     # a_n
     orbit = orbit_structure(n, m)
     just = {"orbits": {"fibres": orbit},
-            "intersections": an_intersections(n)["pairs"], "axiom": AXIOM}
+            "intersections": an_intersections(surface)["pairs"],
+            "axiom": AXIOM}
     just["step"] = ("the y=0 components form a Galois-stable pairwise "
                     "disjoint family (distinct fibres): contracting them "
                     "leaves at most the unverified fibre at infinity (%s)"
@@ -606,19 +617,17 @@ def minimal_model(case: str, ext: BaseExtension) -> MinimalModelDescriptor:
                                   justification=just)
 
 
-def _rational_point(case: str) -> bool:
-    """Exact rational point on the conic-bundle cases, needed by the
-    d <= 1 rationality rule."""
-    kind, n = parse_case(case)
-    s = build_surface("%s:%d" % (kind, n))
+def _rational_point(s) -> bool:
+    """Exact rational point on the conic bundle s, needed by the d <= 1
+    rationality rule."""
     T = FieldTower.rationals().extend_ratfunc("t")
     zero, one = T.from_fraction(Fraction(0)), T.from_fraction(Fraction(1))
     p = PointSpec(s.ambient, (zero, one, zero, zero))
     return on_surface(s, p)
 
 
-def rationality_verdict(case: str, ext: BaseExtension) -> Verdict:
-    desc = minimal_model(case, ext)
+def rationality_verdict(case: str, ext: BaseExtension, surface) -> Verdict:
+    desc = minimal_model(case, ext, surface)
     a = rationality_degree(case)
     if desc.kind == "DelPezzo":
         if desc.degree == 9:
@@ -632,7 +641,7 @@ def rationality_verdict(case: str, ext: BaseExtension) -> Verdict:
         if desc.singular_fibres >= 4:
             rational, rule = False, "conic-bundle-ge-4-fibres-not-rational"
         elif desc.singular_fibres + 1 <= 1:
-            if not _rational_point(case):
+            if not _rational_point(surface):
                 raise VerificationError("missing rational point for the "
                                         "d <= 1 rule")
             rational, rule = True, "conic-bundle-le-1-fibre-with-point-rational"
@@ -649,14 +658,16 @@ def rationality_verdict(case: str, ext: BaseExtension) -> Verdict:
 GRID_CASES = ("an:2", "dn:5", "e6", "e7", "e8")
 
 
-def verdict_grid(cases=GRID_CASES, ms=range(1, 31)):
-    """The full consistency grid: for every case and m the rule-table
-    verdict must coincide with the divisibility criterion a | m."""
+def verdict_grid(catalog, cases=GRID_CASES, ms=range(1, 31)):
+    """The full consistency grid over the catalog's surfaces: for every case
+    and m the rule-table verdict must coincide with the divisibility
+    criterion a | m."""
     cells = []
     for case in cases:
         a = rationality_degree(case)
+        surface = catalog[case_surface(case)]
         for m in ms:
-            v = rationality_verdict(case, BaseExtension(m))
+            v = rationality_verdict(case, BaseExtension(m), surface)
             cells.append({"case": case, "m": m, "rational": v.rational,
                           "rule": v.rule, "a": a,
                           "divisibility": m % a == 0})

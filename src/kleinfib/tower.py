@@ -400,44 +400,6 @@ def _ratfunc_make(sample, num, den):
 
 
 # ---------------------------------------------------------------------------
-# serialization of coefficients (Fractions and FieldElements)
-
-def coeff_to_data(c):
-    if isinstance(c, int):
-        c = Fraction(c)
-    if isinstance(c, Fraction):
-        return str(c)
-    if isinstance(c, FieldElement):
-        if c.level == 0:
-            return str(c.payload)
-        step = c._step()
-        if step.kind == "ratfunc":
-            n, d = c.payload
-            return {"num": [[k, coeff_to_data(v)] for k, v in sorted(n.items())],
-                    "den": [[k, coeff_to_data(v)] for k, v in sorted(d.items())]}
-        return {"alg": [[k, coeff_to_data(v)] for k, v in sorted(c.payload.items())]}
-    raise TypeError("cannot serialize %r" % (c,))
-
-
-def coeff_from_data(data, tower=None, level=None):
-    if isinstance(data, str):
-        q = Fraction(data)
-        if tower is None:
-            return q
-        return tower._as_level(q, level if level is not None else tower.level)
-    if tower is None:
-        raise ValueError("tower required to decode field elements")
-    lv = level if level is not None else tower.level
-    step = tower.steps[lv - 1]
-    if step.kind == "ratfunc":
-        num = {k: coeff_from_data(v, tower, lv - 1) for k, v in data["num"]}
-        den = {k: coeff_from_data(v, tower, lv - 1) for k, v in data["den"]}
-        return FieldElement(tower, lv, (_pnorm(num), den))
-    payload = {k: coeff_from_data(v, tower, lv - 1) for k, v in data["alg"]}
-    return FieldElement(tower, lv, _pnorm(payload))
-
-
-# ---------------------------------------------------------------------------
 # the constants of every witness field
 
 def cyclotomic(M: int) -> FieldTower:

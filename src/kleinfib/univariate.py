@@ -238,35 +238,6 @@ def squarefree_part(f):
     return [c * ilc for c in q]
 
 
-def resultant(f, g):
-    """Resultant over a field (Euclidean recursion)."""
-    f, g = normalize(f), normalize(g)
-    one = Fraction(1)
-    for c in f + g:
-        one = c * 0 + 1 if not isinstance(c, Fraction) else Fraction(1)
-        break
-    if not f or not g:
-        return one * 0
-    if degree(g) == 0:
-        return g[0] ** degree(f) if degree(f) > 0 else one
-    if degree(f) == 0:
-        return f[0] ** degree(g)
-    r = poly_divmod(f, g)[1]
-    sign = -1 if (degree(f) % 2 and degree(g) % 2) else 1
-    if not r:
-        return one * 0
-    tail = resultant(g, r)
-    return tail * g[-1] ** (degree(f) - degree(r)) * sign
-
-
-def discriminant(f):
-    f = normalize(f)
-    n = degree(f)
-    res = resultant(f, derivative(f))
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return res * _inv(f[-1]) * sign
-
-
 # ---------------------------------------------------------------------------
 # Sturm chains / real-root counting
 

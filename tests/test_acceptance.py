@@ -7,11 +7,14 @@ import random
 import time
 from fractions import Fraction
 
+import pytest
+
 from kleinfib.autos import autos_report, verify_tau
 from kleinfib.cli import main
 from kleinfib.curves import (certify_s6_lines, enumerate_s7, enumerate_s8,
                              q_cubic, q1_quartic, q2_quartic)
-from kleinfib.geometry import build_catalog, verify_contraction_S6
+from kleinfib.geometry import (build_catalog, build_surface,
+                               verify_contraction_S6)
 from kleinfib.lattice import coxeter_number, minus_one_classes
 from kleinfib.multipoly import MultiPoly
 from kleinfib.numeric import (NumericConfig, full_audit, numeric_curve_audit,
@@ -32,9 +35,10 @@ def _run_cli(argv):
 
 def test_criterion_1_curve_counts():
     started = time.monotonic()
-    assert len(certify_s6_lines()) == 27
-    assert len(enumerate_s7()[0]) == 56
-    assert len(enumerate_s8()[0]) == 240
+    catalog = build_catalog()
+    assert len(certify_s6_lines(catalog["s6"])) == 27
+    assert len(enumerate_s7(catalog["s7"])[0]) == 56
+    assert len(enumerate_s8(catalog["s8"])[0]) == 240
     # membership residues are asserted to vanish inside the constructors;
     # a nonzero residue raises instead of returning
     assert time.monotonic() - started < 300
@@ -50,7 +54,7 @@ def test_criterion_2_residual_polynomials():
 
     assert q1_quartic() == nested(-20154789349200, 522900235, 1254)
     assert q2_quartic() == nested(-10810800, -44551045, -611864)
-    curves, _, _ = enumerate_s7()
+    curves, _, _ = enumerate_s7(build_surface("s7"))
     main_curve = next(c for c in curves if c.family == "S7-main")
     _, dd = main_curve.data["coeff_pairs"]["d"]
     assert repr(dd) == "(115)*e^18 + (-28)*t"
@@ -74,7 +78,7 @@ def test_criterion_4_rationality_table_and_grid():
         assert rationality_degree("dn:%d" % n) == a
     for n in range(2, 7):
         assert rationality_degree("an:%d" % n) == 1
-    cells = verdict_grid()
+    cells = verdict_grid(build_catalog())
     assert len(cells) == 150
     for c in cells:
         assert c["rational"] == c["divisibility"]
@@ -82,7 +86,8 @@ def test_criterion_4_rationality_table_and_grid():
 
 
 def test_criterion_5_intersection_witnesses():
-    s6 = s6_intersections()
+    catalog = build_catalog()
+    s6 = s6_intersections(catalog["s6"])
     for entry in s6["pairs"]:
         if entry["intersect"]:
             assert entry["witness"] is not None
@@ -92,15 +97,15 @@ def test_criterion_5_intersection_witnesses():
         for k in (4, 6, 8):  # xi of order 3, 2, 3
             assert pattern[(branch, k)]["intersect"]
     for order in (2, 3):
-        assert s7_conjugation(order)["verified"]
+        assert s7_conjugation(catalog["s7"], order)["verified"]
     for order in (2, 3, 5):
-        assert s8_conjugation(order)["verified"]
-    assert s7_e0_intersection()["intersect"]
+        assert s8_conjugation(catalog["s8"], order)["verified"]
+    assert s7_e0_intersection(catalog["s7"])["intersect"]
     for n in range(4, 10):
-        report = dn_intersections(n)
+        report = dn_intersections(catalog["dn:%d" % n])
         assert any(e["intersect"] for e in report["pairs"])
     for n in range(2, 7):
-        an_intersections(n)
+        an_intersections(catalog["an:%d" % n])
 
 
 def test_criterion_6_lattice_cross_check():
@@ -114,39 +119,42 @@ def test_criterion_6_lattice_cross_check():
 
 
 def test_criterion_7_automorphisms():
-    tau = verify_tau()
+    catalog = build_catalog()
+    tau = verify_tau(catalog["klein-dn:4"])
     assert tau["order"] == 3 and tau["lambda"] == "1"
     for case, exponents in (("e6", (3, 4, 6)), ("e7", (4, 6, 9)),
                             ("e8", (6, 10, 15))):
-        report = autos_report(case)
+        report = autos_report(catalog["klein-" + case])
         assert report["verified"]
         got = report["diagonal"]["parametrization_exponents"]
         assert tuple(got) == exponents
     for n in range(4, 10):
-        assert autos_report("dn:%d" % n)["verified"]
+        assert autos_report(catalog["klein-dn:%d" % n])["verified"]
     y = MultiPoly.var(("x", "y", "z"), "y")
     one = MultiPoly.const(("x", "y", "z"), Fraction(1))
     for n in (2, 3, 5):
-        report = autos_report("an:%d" % n,
+        report = autos_report(catalog["klein-an:%d" % n],
                               wild_polys=[one, y, one + y + y ** 3])
         assert report["verified"]
         assert len(report["wild_family"]) == 3
 
 
 def test_criterion_8_contraction_identity():
-    report = verify_contraction_S6()
+    catalog = build_catalog()
+    report = verify_contraction_S6(catalog["s6"], catalog["s6prime"])
     assert report["ok"]
     assert all(c["residue_zero"] for c in report["charts"])
 
 
 def test_criterion_9_numeric_oracle():
-    report = full_audit(t_values=(2, 3, 5))
+    report = full_audit(build_catalog(), t_values=(2, 3, 5))
     for name, expected in (("s6", 27), ("s7", 56), ("s8", 240)):
         for entry in report["surfaces"][name]:
             assert entry["count"] == expected
             assert entry["max_residue"] < 1e-8
     for t in (2, 3, 5):
-        s6 = numeric_curve_audit("s6", NumericConfig(t=Fraction(t)))
+        s6 = numeric_curve_audit(build_surface("s6"),
+                                 NumericConfig(t=Fraction(t)))
         assert s6["degrees"] == [10] * 27
         assert s6["graph_checked"]
 
@@ -169,3 +177,31 @@ def test_criterion_10_fault_injection():
         cert = json.loads(out)
         assert cert["status"] == "failed"
         assert any(c["status"] == "failed" for c in cert["checks"])
+
+
+# Each mutation fails exactly the checks that read the changed equation.
+# A diagonal map scales every monomial by the same unit, whatever its
+# coefficient, so autos-e7 reads the mutated klein-e7 and still passes; only
+# the chart check reads chart oo of dn:5.
+MUTATION_REACH = {
+    "s6,0,0,1": {"contraction-s6", "curves-s6", "intersections-s6",
+                 "numeric-oracle", "verdict-grid"},
+    "s7,0,0,1": {"conjugation-s7-order2", "conjugation-s7-order3",
+                 "curves-s7", "dehomogenization", "intersections-s7-e0",
+                 "numeric-oracle", "verdict-grid"},
+    "dn:5,0,0,1": {"charts-dn:5", "curves-dn:5", "dehomogenization",
+                   "intersections-dn:5", "verdict-grid"},
+    "klein-an:2,0,0,2": {"autos-an:2", "dehomogenization"},
+    "dn:5,1,0,1": {"charts-dn:5"},
+    "klein-e7,0,1,1": {"dehomogenization"},
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATION_REACH))
+def test_mutation_fails_every_check_that_reads_it(mutation):
+    code, out = _run_cli(["reproduce-paper", "--mutate", mutation])
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"]
+              if c["status"] == "failed"]
+    assert {c["name"] for c in failed} == MUTATION_REACH[mutation]
+    assert all(c["error_kind"] == "verification" for c in failed)

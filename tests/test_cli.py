@@ -54,6 +54,29 @@ def test_verdict_bad_case():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["autos", "s9"], ["autos", "e9"], ["autos", "dn:3"],
+    ["reproduce-paper", "--mutate", "s7,0,0,0"],
+    ["reproduce-paper", "--mutate", "s7,5,0,1"],
+    ["verdict", "e6", "--ext", "0"], ["verdict", "dn:3", "--ext", "2"],
+    ["audit", "an:1"]], ids=" ".join)
+def test_bad_input_exits_2(argv):
+    code, cert = run(argv)
+    assert code == 2 and cert is None
+
+
+def test_internal_error_is_not_a_usage_error(monkeypatch):
+    def bug(*args, **kwargs):
+        raise ValueError("an element of QQ(z12) is not in QQ(z16, mu)")
+    monkeypatch.setattr(cli, "enumerate_an", bug)
+    code, cert = run(["curves", "an:5"])
+    assert code == 1
+    assert cert["status"] == "failed"
+    (pipeline,) = cert["checks"]
+    assert pipeline["error_kind"] == "internal"
+    assert pipeline["error"].startswith("ValueError: ")
+
+
 def test_lattice():
     code, cert = run(["lattice", "7"])
     assert code == 0

@@ -10,7 +10,7 @@ from kleinfib.curves import (VerificationError, an_tower, certify_s6_lines,
                              enumerate_dn, enumerate_s7, enumerate_s8,
                              q_cubic, q1_quartic, q2_quartic, s6_alpha_lines,
                              s6_line_tower, s7_e0_tower)
-from kleinfib.geometry import build_catalog
+from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.multipoly import MultiPoly
 from kleinfib.tower import FieldElement, root_of_unity
 from kleinfib.univariate import cyclotomic_poly
@@ -31,7 +31,7 @@ def test_q1_q2_nested_forms():
 
 
 def test_s6_lines():
-    curves = certify_s6_lines()
+    curves = certify_s6_lines(build_surface("s6"))
     assert len(curves) == 27
     by_family = {}
     for c in curves:
@@ -41,7 +41,7 @@ def test_s6_lines():
 
 
 def test_s7_curves_and_d_denominator():
-    curves, trace, residual = enumerate_s7()
+    curves, trace, residual = enumerate_s7(build_surface("s7"))
     assert len(curves) == 56
     main = next(c for c in curves if c.family == "S7-main")
     nd, dd = main.data["coeff_pairs"]["d"]
@@ -49,7 +49,7 @@ def test_s7_curves_and_d_denominator():
 
 
 def test_s8_curves():
-    curves, trace, residuals = enumerate_s8()
+    curves, trace, residuals = enumerate_s8(build_surface("s8"))
     assert len(curves) == 240
     branches = {c.branch for c in curves}
     assert branches == {"P1", "P2"}
@@ -57,7 +57,7 @@ def test_s8_curves():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_an_components(n):
-    curves = enumerate_an(n)
+    curves = enumerate_an(build_surface("an:%d" % n))
     assert len(curves) == 2 * n
     contractible = [c for c in curves
                     if c.data.get("contractible_orbit")]
@@ -66,20 +66,20 @@ def test_an_components(n):
 
 @pytest.mark.parametrize("n", [4, 5, 9])
 def test_dn_components(n):
-    curves = enumerate_dn(n)
+    curves = enumerate_dn(build_surface("dn:%d" % n))
     assert len(curves) == 2 + 2 * (n - 1)
 
 
 def test_mutated_catalog_fails_enumeration():
     bad = build_catalog(mutation=("s7", 0, 1, Fraction(1)))
     with pytest.raises(VerificationError):
-        enumerate_s7(bad)
+        enumerate_s7(bad["s7"])
 
 
 def test_mutated_s6_fails_line_certification():
     bad = build_catalog(mutation=("s6", 0, 0, Fraction(1, 2)))
     with pytest.raises(VerificationError):
-        certify_s6_lines(bad)
+        certify_s6_lines(bad["s6"])
 
 
 def test_coprime_at_t2_checks_its_hypothesis():
@@ -113,11 +113,13 @@ def _witness_towers():
     towers += [s6_alpha_lines()[0], s7_e0_tower()[0]]
     towers += [an_tower(n)[0] for n in range(2, 8)]
     towers += [dn_tower(n)[0] for n in range(4, 13)]
-    curves = certify_s6_lines() + enumerate_s7()[0][:2]
+    catalog = build_catalog()
+    curves = certify_s6_lines(catalog["s6"]) + \
+        enumerate_s7(catalog["s7"])[0][:2]
     for n in (2, 3, 5):
-        curves += enumerate_an(n)
+        curves += enumerate_an(catalog["an:%d" % n])
     for n in (4, 5, 9):
-        curves += enumerate_dn(n)
+        curves += enumerate_dn(catalog["dn:%d" % n])
     for c in curves:
         towers += [v.tower for eq in c.equations for v in eq.terms.values()
                    if isinstance(v, FieldElement)]

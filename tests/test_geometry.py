@@ -1,14 +1,18 @@
 """Surface catalog, chart gluing and the contraction identity."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import kleinfib
 
 from kleinfib.geometry import (GeometryError, PointSpec, build_catalog,
                                build_surface, chart_transition_check,
                                charts_compatible, check_homogeneous,
-                               normalize_point, on_surface, points_equal,
-                               surface_names, verify_contraction_S6)
+                               on_surface, surface_names,
+                               verify_contraction_S6)
 
 
 def test_catalog_builds_and_is_homogeneous():
@@ -21,6 +25,39 @@ def test_catalog_builds_and_is_homogeneous():
 def test_unknown_surface():
     with pytest.raises((GeometryError, KeyError, ValueError)):
         build_surface("s9")
+
+
+def test_only_the_cli_builds_surfaces():
+    # every pipeline takes the surface it reads; geometry defines the
+    # builders and cli alone calls them
+    builders = {"build_surface", "build_catalog"}
+    callers = set()
+    for path in Path(kleinfib.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else \
+                    getattr(f, "attr", None)
+                if name in builders:
+                    callers.add(path.name)
+    assert callers <= {"geometry.py", "cli.py"}
+    assert "cli.py" in callers
+
+
+def test_surfaces_are_values():
+    clean, again = build_catalog(), build_catalog()
+    assert clean == again
+    assert hash(clean["s6"]) == hash(again["s6"])
+    mutated = build_catalog(mutation=("s6", 0, 0, Fraction(1)))
+    assert mutated["s6"] != clean["s6"]
+    assert mutated["s7"] == clean["s7"]
+
+
+def test_mutation_rejects_chart_out_of_range():
+    with pytest.raises(GeometryError):
+        build_catalog(mutation=("s7", 1, 0, Fraction(1)))
+    with pytest.raises(GeometryError):
+        build_catalog(mutation=("s9", 0, 0, Fraction(1)))
 
 
 def test_transitions_and_compatibility():
@@ -48,20 +85,6 @@ def test_mutation_rejects_zero_delta():
         build_catalog(mutation=("s7", 0, 0, Fraction(0)))
 
 
-def test_points_equal_weighted_scaling():
-    s = build_surface("s6prime")
-    T = s.const_tower
-    one = T.from_fraction(1)
-    two = T.from_fraction(2)
-    # weights (1,1,1,2): scaling by 2 multiplies Z by 4
-    p = PointSpec(s.ambient, (one, two, one, two))
-    q = PointSpec(s.ambient, (two, two * 2, two, two ** 2 * 2))
-    assert points_equal(p, q)
-    r = PointSpec(s.ambient, (one, two, one, two * 3))
-    assert not points_equal(p, r)
-    assert normalize_point(p) is not None
-
-
 def test_on_surface_rejects_off_point():
     catalog = build_catalog()
     s = catalog["s8"]
@@ -71,7 +94,8 @@ def test_on_surface_rejects_off_point():
 
 
 def test_contraction_identity_both_charts():
-    report = verify_contraction_S6()
+    catalog = build_catalog()
+    report = verify_contraction_S6(catalog["s6"], catalog["s6prime"])
     assert report["ok"]
     assert all(c["residue_zero"] for c in report["charts"])
     assert report["blowdown_image"]["target"] == "(0:0:0:1)"

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from kleinfib.curves import VerificationError, q_cubic
+from kleinfib.geometry import build_surface
 from kleinfib.numeric import (NumericConfig, check_specialization,
                               durand_kerner, numeric_curve_audit,
                               numeric_roots, sturm_vs_numeric)
@@ -72,13 +73,13 @@ def test_sturm_vs_numeric():
     ("dn:6", 12),
 ])
 def test_numeric_counts(name, count):
-    report = numeric_curve_audit(name, CFG)
+    report = numeric_curve_audit(build_surface(name), CFG)
     assert report["count"] == count
     assert report["max_residue"] < 1e-8
 
 
 def test_s6_line_graph_degree_ten():
-    report = numeric_curve_audit("s6", CFG)
+    report = numeric_curve_audit(build_surface("s6"), CFG)
     assert report["count"] == 27
     assert report["degrees"] == [10] * 27
     assert report["max_residue"] < 1e-8
@@ -86,4 +87,4 @@ def test_s6_line_graph_degree_ten():
 
 def test_unknown_surface():
     with pytest.raises(ValueError):
-        numeric_curve_audit("s9", CFG)
+        numeric_curve_audit(build_surface("s6prime"), CFG)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.orbits import (BaseExtension, GRID_CASES, an_intersections,
                              dn_intersections, minimal_model,
                              orbit_structure, rationality_degree,
@@ -38,29 +39,30 @@ def test_orbit_structure(N, m):
 
 
 def test_verdict_examples():
-    v = rationality_verdict("e6", BaseExtension(12))
+    s6, d4 = build_surface("s6"), build_surface("dn:4")
+    v = rationality_verdict("e6", BaseExtension(12), s6)
     assert v.rational and v.a == 12
-    v = rationality_verdict("e6", BaseExtension(6))
+    v = rationality_verdict("e6", BaseExtension(6), s6)
     assert not v.rational and v.a == 12
     # m = 3: the three lines L1..L3 become rational, blow down to DP(4)
-    d = minimal_model("e6", BaseExtension(3))
+    d = minimal_model("e6", BaseExtension(3), s6)
     assert d.kind == "DelPezzo" and d.degree == 4
-    assert not rationality_verdict("e6", BaseExtension(3)).rational
+    assert not rationality_verdict("e6", BaseExtension(3), s6).rational
     # d4 over the base field: minimal conic bundle with >= 4 fibres
-    d = minimal_model("dn:4", BaseExtension(1))
+    d = minimal_model("dn:4", BaseExtension(1), d4)
     assert d.kind == "ConicBundle"
     assert d.singular_fibres >= 4
-    assert not rationality_verdict("dn:4", BaseExtension(1)).rational
+    assert not rationality_verdict("dn:4", BaseExtension(1), d4).rational
 
 
 def test_e7_even_extension_keeps_one_curve():
     # the two e = 0 curves meet, so only one contracts: DP(3), not DP(4)
-    d = minimal_model("e7", BaseExtension(2))
+    d = minimal_model("e7", BaseExtension(2), build_surface("s7"))
     assert d.kind == "DelPezzo" and d.degree == 3
 
 
 def test_verdict_grid_consistency():
-    cells = verdict_grid()
+    cells = verdict_grid(build_catalog())
     assert len(cells) == 150
     assert {c["case"] for c in cells} == set(GRID_CASES)
     for c in cells:
@@ -68,7 +70,7 @@ def test_verdict_grid_consistency():
 
 
 def test_s6_intersections():
-    report = s6_intersections()
+    report = s6_intersections(build_surface("s6"))
     pattern = {(e["branch"], e["k"]): e["intersect"]
                for e in report["pairs"] if e["pair"] == "Lmu/Lximu"}
     # order-2 and order-3 conjugates always meet
@@ -86,28 +88,28 @@ def test_s6_intersections():
 
 @pytest.mark.parametrize("order", [2, 3])
 def test_s7_conjugation(order):
-    assert s7_conjugation(order)["verified"]
+    assert s7_conjugation(build_surface("s7"), order)["verified"]
 
 
 @pytest.mark.parametrize("order", [2, 3, 5])
 def test_s8_conjugation(order):
-    assert s8_conjugation(order)["verified"]
+    assert s8_conjugation(build_surface("s8"), order)["verified"]
 
 
 def test_s7_e0_pair_meets():
-    assert s7_e0_intersection()["intersect"]
+    assert s7_e0_intersection(build_surface("s7"))["intersect"]
 
 
 @pytest.mark.parametrize("n", [4, 5, 9])
 def test_dn_intersections(n):
-    report = dn_intersections(n)
+    report = dn_intersections(build_surface("dn:%d" % n))
     assert any(e["intersect"] for e in report["pairs"])
     assert any(not e["intersect"] for e in report["pairs"])
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_an_contractible_orbit_disjoint(n):
-    report = an_intersections(n)
+    report = an_intersections(build_surface("an:%d" % n))
     distinct = [e for e in report["pairs"] if "distinct" in e["pair"]]
     assert distinct and all(not e["intersect"] for e in distinct)
     same = [e for e in report["pairs"] if "all j" in e["pair"]]

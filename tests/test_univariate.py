@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from kleinfib.multipoly import MultiPoly
 from kleinfib.univariate import (count_real_roots, cyclotomic_poly,
-                                 derivative, discriminant, from_multipoly,
-                                 normalize, poly_gcd, resultant,
-                                 resultant_poly, squarefree_part,
+                                 derivative, from_multipoly, normalize,
+                                 poly_gcd, resultant_poly, squarefree_part,
                                  sturm_chain, subresultant_prs)
 
 frac = st.fractions(min_value=-8, max_value=8, max_denominator=6)
@@ -66,19 +65,11 @@ def sylvester_resultant(f, g):
 
 @settings(max_examples=60, deadline=None)
 @given(polys, polys)
-def test_resultant_matches_sylvester(f, g):
-    if len(f) < 2 and len(g) < 2:
-        return
-    assert resultant(f, g) == sylvester_resultant(f, g)
-
-
-@settings(max_examples=60, deadline=None)
-@given(polys, polys)
 def test_resultant_vanishes_iff_common_root(f, g):
     if len(f) < 2 or len(g) < 2:
         return
     h = poly_gcd(f, g)
-    assert (resultant(f, g) == 0) == (len(h) > 1)
+    assert (sylvester_resultant(f, g) == 0) == (len(h) > 1)
 
 
 def test_sturm_against_numpy():
@@ -100,12 +91,6 @@ def test_sturm_chain_endpoints():
     assert count_real_roots(f) == 3
     chain = sturm_chain(f)
     assert chain[0] == f
-
-
-def test_discriminant_quadratic():
-    # ax^2+bx+c -> b^2-4ac
-    f = [Fraction(5), Fraction(3), Fraction(2)]
-    assert discriminant(f) == 3 ** 2 - 4 * 2 * 5
 
 
 def test_cyclotomic():
