@@ -10,6 +10,7 @@ in a constants tower (QQ, or QQ(zeta_12) for the S6 family).
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
+from .curves import VerificationError
 from .multipoly import MultiPoly
 from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
 
@@ -382,14 +383,23 @@ def verify_contraction_S6(s6: SurfaceSpec, s6p: SurfaceSpec) -> dict:
 
     Both displayed chart formulas are substituted into the cubic and reduced
     modulo the quartic; the residues must vanish identically, and the curve
-    W = 0, Z = iX^2 must land on (0:0:0:1)."""
+    W = 0, Z = iX^2 must land on (0:0:0:1).  The reduction needs the quartic
+    to have Z-degree 2 with a single-term leading coefficient; a quartic
+    without that shape is not the model and fails with VerificationError."""
+    quartic = s6p.equation
+    dz = quartic.degree("Z")
+    lead = quartic.coeff_of("Z", dz)
+    if dz != 2 or len(lead.terms) != 1:
+        raise VerificationError(
+            "the quartic model must have Z-degree 2 with a single-term "
+            "leading coefficient; found Z-degree %d, leading coefficient %r"
+            % (dz, lead), detail=quartic)
     T = s6.const_tower
     i = root_of_unity(T, 4)
     vs = ("W", "X", "Y", "Z", "t")
     W, X, Y, Z = (MultiPoly.var(vs, v) for v in ("W", "X", "Y", "Z"))
     one = MultiPoly.const(vs, T.from_fraction(1))
     cubic = s6.equation
-    quartic = s6p.equation
 
     result = {"charts": [], "blowdown_image": None}
 

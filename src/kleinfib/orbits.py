@@ -4,7 +4,7 @@ over the base extensions K = C(t^{1/m})."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd
 
 from .multipoly import MultiPoly
@@ -21,6 +21,30 @@ from .curves import (VerificationError, enumerate_s7, enumerate_s8,
 # checked, and the remaining birational-geometry steps are labeled as axioms
 # in the reports rather than silently assumed.
 AXIOM = "axiom-table"
+
+
+def _surface_cache(fn):
+    """Cache fn on its (frozen, hashable) surface arguments, failures too:
+    a raised exception is kept, without its traceback, and raised again on
+    every later call with the same arguments.  ``cache_info`` and
+    ``cache_clear`` are those of the underlying lru cache."""
+    @lru_cache(maxsize=None)
+    def outcome(*args):
+        try:
+            return True, fn(*args)
+        except Exception as ex:
+            return False, ex.with_traceback(None)
+
+    @wraps(fn)
+    def cached(*args):
+        ok, value = outcome(*args)
+        if ok:
+            return value
+        raise value
+
+    cached.cache_info, cached.cache_clear = \
+        outcome.cache_info, outcome.cache_clear
+    return cached
 
 
 @dataclass(frozen=True)
@@ -198,7 +222,7 @@ def _serialize_point(coords):
     return [str(c) for c in coords]
 
 
-@lru_cache(maxsize=None)
+@_surface_cache
 def s6_intersections(s6) -> dict:
     """Exact witnesses for the conjugate-line intersections on the cubic s6:
     L_j pairs meet at (0:1:0:0); L_mu meets L_{xi mu} for xi of order 2 and
@@ -281,14 +305,14 @@ def _param_invertible(rel: MultiPoly, param: str):
     return any(e[ip] == 0 for e in rel.terms)
 
 
-@lru_cache(maxsize=None)
+@_surface_cache
 def _s7_main_data(s7):
     curves, trace, core = enumerate_s7(s7)
     main = next(c for c in curves if c.family == "S7-main")
     return curves, core, main
 
 
-@lru_cache(maxsize=None)
+@_surface_cache
 def _s8_branch_data(s8):
     curves, trace, (F1, F2) = enumerate_s8(s8)
     mains = {}
@@ -433,7 +457,7 @@ def _meet_at(curves, s, coords, t, what):
         raise VerificationError("%s witness not on the surface" % what)
 
 
-@lru_cache(maxsize=None)
+@_surface_cache
 def dn_intersections(s) -> dict:
     """D_n: the x=0 components meet at ((0:1:0), x=0); the component
     x = mu^2, z = i y mu meets its conjugate z = -i y mu at ((1:0:0), mu^2);
@@ -468,7 +492,7 @@ def dn_intersections(s) -> dict:
     return report
 
 
-@lru_cache(maxsize=None)
+@_surface_cache
 def an_intersections(s) -> dict:
     """A_n: over each fibre x^n = t the components y=0 and z=0 meet at
     ((1:0:0), x); components over distinct fibres are disjoint; in
@@ -495,7 +519,7 @@ def an_intersections(s) -> dict:
     return report
 
 
-@lru_cache(maxsize=None)
+@_surface_cache
 def s7_e0_intersection(s7) -> dict:
     """The two rational curves Y=0, Z=+-sqrt(t) W^2 on s7 meet at
     (0:1:0:0)."""

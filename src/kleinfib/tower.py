@@ -1,18 +1,25 @@
-"""The witness fields over Q, with exact element arithmetic.
+"""The witness rings over Q, with exact element arithmetic.
 
-A tower is one of Q, Q(zeta_M), Q(s) and Q(zeta_M)(s): the value (M, var),
-built by ``FieldTower.rationals()`` or ``cyclotomic(M)`` and at most one
-``extend_ratfunc(var)``.  Its ``steps`` list the extensions of Q:
+A tower is one of Q, Q(zeta_M), Q[s, 1/s] and Q(zeta_M)[s, 1/s]: the value
+(M, var), built by ``FieldTower.rationals()`` or ``cyclotomic(M)`` and at
+most one ``extend_ratfunc(var)``.  Its ``steps`` list the extensions of Q:
 
 * ``algebraic`` -- adjoin zeta_M, a root of the cyclotomic polynomial Phi_M,
-* ``ratfunc``   -- adjoin a transcendental (field of rational functions).
+* ``ratfunc``   -- adjoin a transcendental s and its inverse (the Laurent
+  polynomials in s).
+
+Every witness lives on the generic fibre with t = s^N / c, so its
+coordinates are Laurent polynomials in s and the only divisors met are
+constants and powers of s.  The ratfunc step is therefore the Laurent ring,
+not the field Q(zeta_M)(s): its units are the monomials c*s^k, and
+``invert`` refuses any other element with ValueError.
 
 Elements are represented recursively: a level-0 element is a Fraction; an
-element at the algebraic step is a sparse coefficient dict over Q, reduced
-modulo Phi_M; an element at the ratfunc step is a (num, den) pair of
-coefficient dicts with den monic and gcd(num, den) = 1, which makes the
-representation canonical (equality is structural).  The coefficient-dict
-arithmetic is the sparse core of :mod:`kleinfib.univariate`.
+element at either step is a sparse ``{exponent: coefficient}`` dict over the
+level below, without zero coefficients.  At the algebraic step it is reduced
+modulo Phi_M; at the ratfunc step exponents may be negative.  Both forms are
+canonical, so equality is structural.  The coefficient-dict arithmetic is
+the sparse core of :mod:`kleinfib.univariate`.
 
 ``FieldTower.lift`` is the one coercion into a tower.  It and same-level
 arithmetic refuse, with ValueError, an element whose field at its level is
@@ -25,9 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .univariate import (_is0, _inv, _padd, _pdeg, _pdivmod, _pgcd, _pmul,
-                         _pneg, _pnorm, _poly_repr, _pscale, _pxgcd,
-                         cyclotomic_poly)
+from .univariate import (_is0, _inv, _padd, _pdeg, _pmul, _pneg, _poly_repr,
+                         _pxgcd, cyclotomic_poly)
 
 
 class ZeroDivisorError(ArithmeticError):
@@ -37,13 +43,13 @@ class ZeroDivisorError(ArithmeticError):
 
 @dataclass(frozen=True)
 class Step:
-    kind: str                      # "algebraic" | "ratfunc"
+    kind: str                      # "algebraic" | "ratfunc" (Laurent)
     name: str
     minpoly: Optional[tuple] = None  # Phi_M as Fractions c0..cd (monic)
 
 
 class FieldTower:
-    """Q, Q(zeta_M), Q(s) or Q(zeta_M)(s), as the value (M, var)."""
+    """Q, Q(zeta_M), Q[s, 1/s] or Q(zeta_M)[s, 1/s], as the value (M, var)."""
 
     def __init__(self, M=None, var=None):
         self.M, self.var = M, var
@@ -98,13 +104,7 @@ class FieldTower:
 
     def _wrap(self, lower, level):
         """Embed a raw level-1 coefficient one step up, returning FieldElement."""
-        step = self.steps[level - 1]
-        if step.kind == "ratfunc":
-            payload = ({0: lower} if not _is0(lower) else {},
-                       {0: self.one_at(level - 1)})
-        else:
-            payload = {0: lower} if not _is0(lower) else {}
-        return FieldElement(self, level, payload)
+        return FieldElement(self, level, {0: lower} if not _is0(lower) else {})
 
     # -- public element constructors --------------------------------------
 
@@ -131,11 +131,9 @@ class FieldTower:
         for i, step in enumerate(self.steps):
             if step.name == name:
                 lv = i + 1
-                one_below = self.one_at(lv - 1)
-                if step.kind == "ratfunc":
-                    payload = ({1: one_below}, {0: one_below})
-                else:
-                    payload = _alg_reduce({1: one_below}, step.minpoly)
+                payload = {1: self.one_at(lv - 1)}
+                if step.kind == "algebraic":
+                    payload = _alg_reduce(payload, step.minpoly)
                 el = FieldElement(self, lv, payload)
                 return self._as_level(el, self.level)
         raise KeyError(name)
@@ -173,12 +171,7 @@ class FieldElement:
     # -- basics -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        if self.level == 0:
-            return self.payload == 0
-        step = self.tower.steps[self.level - 1]
-        if step.kind == "ratfunc":
-            return not self.payload[0]
-        return not self.payload
+        return self.payload == 0 if self.level == 0 else not self.payload
 
     def payload_one(self):
         return self.tower.one_at(self.level - 1)
@@ -212,13 +205,6 @@ class FieldElement:
             return NotImplemented
         if self.level == 0:
             return self._make(self.payload + other.payload)
-        if self._step().kind == "ratfunc":
-            n1, d1 = self.payload
-            n2, d2 = other.payload
-            if d1 == d2:
-                return _ratfunc_make(self, _padd(n1, n2), dict(d1))
-            return _ratfunc_make(self, _padd(_pmul(n1, d2), _pmul(n2, d1)),
-                                 _pmul(d1, d2))
         return self._make(_padd(self.payload, other.payload))
 
     __radd__ = __add__
@@ -226,9 +212,6 @@ class FieldElement:
     def __neg__(self):
         if self.level == 0:
             return self._make(-self.payload)
-        if self._step().kind == "ratfunc":
-            n, d = self.payload
-            return self._make((_pneg(n), d))
         return self._make(_pneg(self.payload))
 
     def __sub__(self, other):
@@ -246,12 +229,10 @@ class FieldElement:
             return NotImplemented
         if self.level == 0:
             return self._make(self.payload * other.payload)
+        prod = _pmul(self.payload, other.payload)
         step = self._step()
         if step.kind == "ratfunc":
-            n1, d1 = self.payload
-            n2, d2 = other.payload
-            return _ratfunc_make(self, _pmul(n1, n2), _pmul(d1, d2))
-        prod = _pmul(self.payload, other.payload)
+            return self._make(prod)
         return self._make(_alg_reduce(prod, step.minpoly))
 
     __rmul__ = __mul__
@@ -285,8 +266,12 @@ class FieldElement:
             return self._make(Fraction(1) / self.payload)
         step = self._step()
         if step.kind == "ratfunc":
-            n, d = self.payload
-            return _ratfunc_make(self, dict(d), dict(n))
+            if len(self.payload) != 1:
+                raise ValueError("%r is not a unit of the Laurent ring %r: "
+                                 "only monomials c*%s^k invert"
+                                 % (self, self.tower, step.name))
+            (k, c), = self.payload.items()
+            return self._make({-k: _inv(c)})
         mod = {i: c for i, c in enumerate(step.minpoly) if not _is0(c)}
         g, u, _v = _pxgcd(self.payload, mod)
         if _pdeg(g) > 0:
@@ -317,40 +302,32 @@ class FieldElement:
         """Numeric embedding; env maps generator names to complex values."""
         if self.level == 0:
             return complex(self.payload)
-        step = self._step()
-        if step.kind == "ratfunc":
-            g = env[step.name]
-            num = sum(_coeff_complex(c, env) * g ** k for k, c in self.payload[0].items())
-            den = sum(_coeff_complex(c, env) * g ** k for k, c in self.payload[1].items())
-            return num / den
-        g = env[step.name]
+        g = env[self._step().name]
         return sum(_coeff_complex(c, env) * g ** k for k, c in self.payload.items())
 
     def __repr__(self):
         if self.level == 0:
             return str(self.payload)
-        step = self._step()
-        if step.kind == "ratfunc":
-            n, d = self.payload
-            sn = _poly_repr(n, step.name)
-            if d == {0: self.payload_one()} or _pdeg(d) == 0 and d.get(0) == 1:
-                return sn
-            return "(%s)/(%s)" % (sn, _poly_repr(d, step.name))
-        return _poly_repr(self.payload, step.name)
+        name = self._step().name
+        m = -min(self.payload, default=0)
+        if m <= 0:
+            return _poly_repr(self.payload, name)
+        # a negative exponent prints as (num)/(s^m), num with a constant term
+        num = {k + m: c for k, c in self.payload.items()}
+        return "(%s)/(%s)" % (_poly_repr(num, name),
+                              _poly_repr({m: self.payload_one()}, name))
 
 
 def _hash_key(c):
     """A key that agrees with ==: an element equal to a constant of a lower
     level (down to a Fraction) has the key of that constant; any other
     element is keyed by its canonical payload at the level where it stops
-    being constant (a ratfunc denominator is monic, so 1 when constant)."""
+    being constant."""
     while isinstance(c, FieldElement) and c.level:
-        parts = c.payload if c._step().kind == "ratfunc" else (c.payload,)
-        if any(_pdeg(p) > 0 for p in parts):
+        if c.payload.keys() - {0}:
             return (c.level,) + tuple(
-                tuple(sorted((k, _hash_key(v)) for k, v in p.items()))
-                for p in parts)
-        c = parts[0].get(0, Fraction(0))
+                sorted((k, _hash_key(v)) for k, v in c.payload.items()))
+        c = c.payload.get(0, Fraction(0))
     return c.payload if isinstance(c, FieldElement) else c
 
 
@@ -378,25 +355,6 @@ def _alg_reduce(poly, minpoly):
             else:
                 poly[kk] = s
     return poly
-
-
-def _ratfunc_make(sample, num, den):
-    """Normalize a ratfunc payload: cancel gcd, make denominator monic."""
-    num, den = _pnorm(num), _pnorm(den)
-    if not den:
-        raise ZeroDivisionError("zero denominator in rational function")
-    if not num:
-        one = sample.payload_one()
-        return sample._make(({}, {0: one}))
-    g = _pgcd(num, den)
-    if _pdeg(g) > 0:
-        num = _pdivmod(num, g)[0]
-        den = _pdivmod(den, g)[0]
-    lc = den[_pdeg(den)]
-    ilc = _inv(lc)
-    num = _pscale(num, ilc)
-    den = _pscale(den, ilc)
-    return sample._make((num, den))
 
 
 # ---------------------------------------------------------------------------

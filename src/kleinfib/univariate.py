@@ -39,10 +39,6 @@ def _inv(c):
 
 # sparse polynomials as {exp: coeff} dicts over one field level
 
-def _pnorm(d):
-    return {k: v for k, v in d.items() if not _is0(v)}
-
-
 def _pdeg(d):
     return max(d) if d else -1
 

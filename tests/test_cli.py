@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinfib import cli
+from kleinfib import cli, orbits
 from kleinfib.cli import _parse_poly, main
 from kleinfib.curves import VerificationError
 
@@ -195,6 +195,30 @@ def test_failed_checks_carry_error_kind(monkeypatch):
     assert checks["curves-s7"]["status"] == "verified"
     for c in checks.values():
         assert ("error_kind" in c) == (c["status"] == "failed"), c["name"]
+
+
+def test_failed_surface_computation_runs_once():
+    # verdict-grid and intersections-s6 both read the mutated cubic; the
+    # failure is cached with the surface, so it is computed once and both
+    # checks report the same error
+    orbits.s6_intersections.cache_clear()
+    code, cert = run(["reproduce-paper", "--mutate", "s6,0,0,1"])
+    assert code == 1
+    info = orbits.s6_intersections.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+    checks = {c["name"]: c for c in cert["checks"]}
+    assert checks["intersections-s6"]["error"] == \
+        checks["verdict-grid"]["error"] == "VerificationError: line " \
+        "intersection witness not on the surface"
+
+
+def test_timings_per_check():
+    code, cert = run(["--timings", "reproduce-paper"])
+    assert code == 0 and len(cert["checks"]) == 66
+    assert all(c["elapsed"] >= 0 for c in cert["checks"])
+    code, cert = run(["reproduce-paper"])
+    assert code == 0 and cert["elapsed"] is None
+    assert not any("elapsed" in c for c in cert["checks"])
 
 
 # sha256 of the certificates printed at the commit before the field towers

@@ -8,6 +8,7 @@ import pytest
 
 import kleinfib
 
+from kleinfib.curves import VerificationError
 from kleinfib.geometry import (GeometryError, PointSpec, build_catalog,
                                build_surface, chart_transition_check,
                                charts_compatible, check_homogeneous,
@@ -99,3 +100,10 @@ def test_contraction_identity_both_charts():
     assert report["ok"]
     assert all(c["residue_zero"] for c in report["charts"])
     assert report["blowdown_image"]["target"] == "(0:0:0:1)"
+
+
+def test_contraction_checks_quartic_shape():
+    # zeroing the Z^2 term leaves a quartic of Z-degree 0: not the model
+    catalog = build_catalog(("s6prime", 0, 0, Fraction(1)))
+    with pytest.raises(VerificationError, match="Z-degree 2"):
+        verify_contraction_S6(catalog["s6"], catalog["s6prime"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from kleinfib import orbits, tower
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.orbits import (BaseExtension, GRID_CASES, an_intersections,
                              dn_intersections, minimal_model,
@@ -84,6 +85,26 @@ def test_s6_intersections():
     l123 = [e for e in report["pairs"] if e["pair"].startswith("L")
             and "/L" in e["pair"] and "mu" not in e["pair"]]
     assert len(l123) == 3 and all(e["intersect"] for e in l123)
+
+
+def test_witnesses_stay_off_the_euclid_path(monkeypatch):
+    # Laurent witnesses invert only monomials: an extended Euclid runs only
+    # for their constant coefficients in Q(zeta_M), never for a denominator
+    calls = []
+    xgcd = tower._pxgcd
+
+    def counted(*args):
+        calls.append(1)
+        return xgcd(*args)
+    monkeypatch.setattr(tower, "_pxgcd", counted)
+    for fn in (orbits.s6_intersections, orbits.dn_intersections):
+        fn.cache_clear()
+    s6_intersections(build_surface("s6"))
+    # 189 measured; normalizing quotients by a gcd took 11707
+    assert len(calls) <= 400
+    del calls[:]
+    dn_intersections(build_surface("dn:9"))
+    assert not calls
 
 
 @pytest.mark.parametrize("order", [2, 3])

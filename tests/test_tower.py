@@ -68,8 +68,31 @@ def test_hash_agrees_with_eq():
     assert s3 == low and hash(s3) == hash(low)
     assert (s + 1) ** 2 - 2 * s == s ** 2 + 1
     assert hash((s + 1) ** 2 - 2 * s) == hash(s ** 2 + 1)
-    assert hash((s ** 2 - 1) / (s - 1)) == hash(s + 1)
-    assert len({s, s + 1, 2 * s, s / (s + 1), s3, s3 * s}) == 6
+    assert hash((s ** 3 + s ** 2) / s ** 2) == hash(s + 1)
+    assert len({s, s + 1, 2 * s, s ** -1, s3, s3 * s}) == 6
+
+
+def test_laurent_units_are_monomials():
+    T = cyclotomic(12).extend_ratfunc("s")
+    s = T.gen("s")
+    with pytest.raises(ValueError):
+        1 / (s + 1)
+    with pytest.raises(ValueError):
+        (s + 1) ** -1
+    z = root_of_unity(T, 12)
+    u = 3 * z * s ** 2
+    assert u * u.invert() == 1
+
+
+def test_laurent_negative_powers():
+    T = cyclotomic(12).extend_ratfunc("s")
+    s = T.gen("s")
+    assert s ** -2 * s ** 3 == s
+    assert hash(s ** -2 * s ** 3) == hash(s)
+    env = {"z12": complex(3 ** 0.5, 1) / 2, "s": 2 + 1j}
+    assert abs((s ** -1).as_complex(env) - 1 / (2 + 1j)) < 1e-12
+    assert repr(s + 2 * s ** -2) == "(((1))*s^3 + ((2)))/(((1))*s^2)"
+    assert repr(s ** -1) == "(((1)))/(((1))*s)"
 
 
 def test_towers_are_values():
