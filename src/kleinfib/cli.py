@@ -510,10 +510,7 @@ def build_parser():
         prog="kleinfib",
         description="exact verification certificates for exceptional "
                     "curves on ADE fibrations")
-    p.add_argument("--out", help="also write the JSON certificate here")
-    p.add_argument("--timings", action="store_true",
-                   help="include elapsed wall time, for reproduce-paper "
-                        "also per check (breaks byte-identical output)")
+    _output_options(p)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("curves", help="enumerate exceptional curves")
@@ -553,7 +550,20 @@ def build_parser():
                    help="inject a fault: surface,chart,term,delta")
     r.add_argument("--seed", type=int, default=0)
     r.set_defaults(fn=cmd_reproduce)
+    # the options also follow the subcommand; there they have no default,
+    # so that one given before it survives
+    for command in sub.choices.values():
+        _output_options(command, default=argparse.SUPPRESS)
     return p
+
+
+def _output_options(parser, **default):
+    parser.add_argument("--out", help="also write the JSON certificate here",
+                        **default)
+    parser.add_argument("--timings", action="store_true",
+                        help="include elapsed wall time, for reproduce-paper "
+                             "also per check (breaks byte-identical output)",
+                        **default)
 
 
 def _attach_poly_value(argv):

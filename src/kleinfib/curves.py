@@ -8,8 +8,10 @@ extracts the residual polynomials, and certifies every curve's membership
 modulo the residual relation.
 """
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, wraps
 from math import gcd, lcm
 
 from .multipoly import MultiPoly
@@ -25,6 +27,33 @@ class VerificationError(AssertionError):
     def __init__(self, message, detail=None):
         super().__init__(message)
         self.detail = detail
+
+
+def _surface_cache(fn):
+    """Cache fn on its (frozen, hashable) arguments, such as surfaces,
+    failures too: a raised exception is kept, without its traceback, and a
+    copy of it is raised on every later call with the same arguments (the
+    kept one would gather the traceback of each raise, and with it the
+    frames of its callers).  A cached value is shared by every caller, so
+    none may mutate it.  ``cache_info`` and ``cache_clear`` are those of
+    the underlying lru cache."""
+    @lru_cache(maxsize=None)
+    def outcome(*args):
+        try:
+            return True, fn(*args)
+        except Exception as ex:
+            return False, ex.with_traceback(None)
+
+    @wraps(fn)
+    def cached(*args):
+        ok, value = outcome(*args)
+        if ok:
+            return value
+        raise copy.copy(value)
+
+    cached.cache_info, cached.cache_clear = \
+        outcome.cache_info, outcome.cache_clear
+    return cached
 
 
 @dataclass
@@ -224,6 +253,7 @@ def univariate_from_pure(p: MultiPoly, var_block: str, block: int,
 # ---------------------------------------------------------------------------
 # S7: 56 curves, residual cubic Q
 
+@_surface_cache
 def enumerate_s7(s7):
     V = ("W", "X", "Y", "Z", "a", "b", "c", "d", "e", "t")
     eq = s7.equation.rename(V)
@@ -501,6 +531,7 @@ def s8_branch_quartics(V):
     return P1, P2
 
 
+@_surface_cache
 def enumerate_s8(s8):
     """Replay the S8 elimination chain and certify both residual quartics.
 
@@ -770,6 +801,7 @@ def s6_line_forms(T, branch: str, xi=None):
     return l1, l2
 
 
+@_surface_cache
 def certify_s6_lines(s6):
     """All 27 lines of the cubic, with exact zero substitution residues:
     3 lines Z = 0, Y = zeta3^j alpha W (alpha^3 = t) and 12 lines L_mu per
@@ -839,6 +871,7 @@ def an_tower(n: int):
     return T, T.gen("alpha") ** n
 
 
+@_surface_cache
 def enumerate_an(s):
     """The 2n fibre components of the A_n conic bundle s: over each root
     x = zeta^j alpha of x^n = t, the fibre x^n w^2 - yz = t w^2 splits
@@ -876,6 +909,7 @@ def dn_tower(n: int):
     return T, T.gen("mu") ** N
 
 
+@_surface_cache
 def enumerate_dn(s):
     """On the D_n conic bundle s: 2 lines z = +- r w over x = 0,
     r = mu^(n-1) = sqrt(t), plus 2(n-1) curves x = (zeta^j mu)^2,

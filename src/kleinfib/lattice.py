@@ -4,6 +4,7 @@ Coxeter numbers (computed two independent ways) and (-1)-class counts."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import gcd
 
@@ -215,6 +216,7 @@ def standard_root_system(label: str) -> RootSystem:
     return _finish(label, simples, dot)
 
 
+@lru_cache(maxsize=None)
 def coxeter_number(label: str) -> int:
     """h by reflection-product order, cross-checked against roots/rank
     inside _finish; A_n -> n+1, D_n -> 2(n-1), E6/E7/E8 -> 12/18/30."""
@@ -231,6 +233,7 @@ def coxeter_number(label: str) -> int:
 # ---------------------------------------------------------------------------
 # (-1)-classes
 
+@lru_cache(maxsize=None)
 def minus_one_classes(r: int):
     """All v = d e0 - sum m_i e_i with v^2 = -1 and -K.v = 1 in the Picard
     lattice of the plane blown up in r points, by exhaustive search over

@@ -1,8 +1,15 @@
 """Independent floating-point oracle: specializes t, finds complex roots of
-the residual polynomials (Durand-Kerner on a geometrically rescaled monic
-polynomial), reconstructs every curve numerically and cross-checks counts,
-membership residues and the S6 line-intersection graph against the exact
-engine."""
+the residual polynomials, reconstructs every curve numerically and
+cross-checks counts, membership residues and the S6 line-intersection graph
+against the exact engine.
+
+Evaluation is compiled and batched.  Each polynomial an audit evaluates is
+compiled once, into an integer exponent array and a complex coefficient
+vector, and then evaluated with numpy at a whole batch of sample points;
+Durand-Kerner iterates on a batch of coefficient rows (each one a
+geometrically rescaled monic polynomial).  The samples are drawn from
+random.Random(seed) in a fixed order, and every audit is cached on its
+(surface, NumericConfig)."""
 
 import cmath
 import math
@@ -15,12 +22,13 @@ import numpy as np
 from .multipoly import MultiPoly
 from .tower import _coeff_complex
 from .univariate import (degree, derivative, poly_gcd, count_real_roots)
-from .curves import (VerificationError, q_cubic, q1_quartic, q2_quartic,
-                     s6_alpha_lines, s6_line_tower, s6_line_forms)
+from .curves import (VerificationError, _surface_cache, q_cubic, q1_quartic,
+                     q2_quartic, s6_alpha_lines, s6_line_tower,
+                     s6_line_forms)
 from .orbits import _s7_main_data, _s8_branch_data, s6_intersections
 
 
-@dataclass
+@dataclass(frozen=True)
 class NumericConfig:
     t: Fraction = Fraction(2)
     tol: float = 1e-8
@@ -28,7 +36,7 @@ class NumericConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.t = Fraction(self.t)
+        object.__setattr__(self, "t", Fraction(self.t))
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tolerance must be finite and positive")
 
@@ -36,72 +44,70 @@ class NumericConfig:
 # ---------------------------------------------------------------------------
 # root finding
 
+def _horner(rows, z):
+    """sum(rows[r, k] z[r, j]^k): the polynomial of each coefficient row r
+    at the points of row r of z."""
+    val = np.zeros(z.shape, dtype=np.result_type(rows, z))
+    for c in rows.T[::-1]:
+        val = val * z + c[:, None]
+    return val
+
+
 def durand_kerner(coeffs, cfg: NumericConfig):
-    """All complex roots of sum(coeffs[k] X^k).  The polynomial is made
-    monic and the variable rescaled X = sigma X' with log(sigma) the mean
-    of log|a_k/a_n|/(n-k) over the nonzero coefficients, so Durand-Kerner
-    iterates on a balanced polynomial."""
-    cs = [complex(c) for c in coeffs]
-    while cs and abs(cs[-1]) == 0:
-        cs.pop()
-    n = len(cs) - 1
+    """All complex roots of sum(c[k] X^k), for one coefficient list c or
+    for each row c of a 2-d batch (then one row of roots per row).  Each
+    polynomial is made monic and its variable rescaled X = sigma X', with
+    log(sigma) the mean of log|c_k/c_n|/(n-k) over the nonzero
+    coefficients, so Durand-Kerner iterates on balanced polynomials; the
+    rows iterate together until every one has converged."""
+    cs = np.array(coeffs, dtype=complex)
+    single = cs.ndim == 1
+    cs = np.atleast_2d(cs)
+    while cs.shape[1] and not cs[:, -1].any():
+        cs = cs[:, :-1]
+    n = cs.shape[1] - 1
     if n < 1:
         raise ValueError("polynomial must be nonconstant")
-    an = cs[-1]
-    logs = [math.log(abs(cs[k] / an)) / (n - k)
-            for k in range(n) if abs(cs[k]) > 0]
-    sigma = math.exp(sum(logs) / len(logs)) if logs else 1.0
-    b = [cs[k] / an * sigma ** (k - n) for k in range(n + 1)]
-    rng = random.Random(cfg.seed)
-    seed_angle = rng.uniform(0, 2 * math.pi)
-    z = [cmath.exp(1j * (seed_angle + 2 * math.pi * k / n)) * (1.3 + 0.01 * k)
-         for k in range(n)]
-
-    def ev(x):
-        v = 0j
-        for c in reversed(b):
-            v = v * x + c
-        return v
-
+    b = cs / cs[:, -1:]
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(b[:, :-1])) / (n - np.arange(n))
+    used = np.isfinite(logs)                # zero coefficients give -inf
+    sigma = np.exp(np.where(used, logs, 0).sum(1)
+                   / np.maximum(used.sum(1), 1))
+    b = b * sigma[:, None] ** (np.arange(n + 1) - n)
+    seed_angle = random.Random(cfg.seed).uniform(0, 2 * math.pi)
+    k = np.arange(n)
+    z = np.tile(np.exp(1j * (seed_angle + 2 * math.pi * k / n))
+                * (1.3 + 0.01 * k), (len(b), 1))
+    others = ~np.eye(n, dtype=bool)
     for _ in range(cfg.max_iter):
-        moved = 0.0
-        for k in range(n):
-            num = ev(z[k])
-            den = 1 + 0j
-            for j in range(n):
-                if j != k:
-                    den *= z[k] - z[j]
-            dz = num / den
-            z[k] -= dz
-            moved = max(moved, abs(dz) / (1 + abs(z[k])))
-        if moved < 1e-14:
+        den = np.where(others, z[:, :, None] - z[:, None, :], 1).prod(-1)
+        dz = _horner(b, z) / den
+        z = z - dz
+        if (np.abs(dz) / (1 + np.abs(z))).max() < 1e-14:
             break
     else:
         raise VerificationError("root finder did not converge")
-    return [w * sigma for w in z]
-
-
-def _poly_scale_at(coeffs, x):
-    return sum(abs(complex(c)) * abs(x) ** k for k, c in enumerate(coeffs))
+    roots = z * sigma[:, None]
+    return roots[0] if single else roots
 
 
 def numeric_roots(coeffs, cfg: NumericConfig):
     """Roots with certification: residual below tol relative to the
     coefficient 1-norm evaluated at the root, and pairwise separation."""
     roots = durand_kerner(coeffs, cfg)
-    cs = [complex(c) for c in coeffs]
-    for z in roots:
-        val = 0j
-        for c in reversed(cs):
-            val = val * z + c
-        if abs(val) > cfg.tol * (1 + _poly_scale_at(cs, z)):
-            raise VerificationError("root residual %.3g exceeds tolerance"
-                                    % abs(val))
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            if abs(roots[i] - roots[j]) < 1e-8 * (1 + abs(roots[i])
-                                                  + abs(roots[j])):
-                raise VerificationError("roots are not separated")
+    cs = np.array([coeffs], dtype=complex)
+    val = np.abs(_horner(cs, roots[None]))[0]
+    scale = _horner(np.abs(cs), np.abs(roots)[None])[0]
+    bad = ~(val <= cfg.tol * (1 + scale))
+    if bad.any():
+        raise VerificationError("root residual %.3g exceeds tolerance"
+                                % val[bad][0])
+    mag = np.abs(roots)
+    gap = np.abs(roots[:, None] - roots[None, :])
+    close = gap < 1e-8 * (1 + mag[:, None] + mag[None, :])
+    if np.triu(close, 1).any():
+        raise VerificationError("roots are not separated")
     return roots
 
 
@@ -136,45 +142,71 @@ def check_specialization(t: Fraction) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# numeric evaluation helpers
+# compiled, batched evaluation
 
-def eval_with_scale(p: MultiPoly, env: dict, cenv=None):
-    val, scale = 0j, 0.0
-    cenv = cenv or {}
-    for e, c in p.terms.items():
-        mon = 1 + 0j
-        for v, k in zip(p.vars, e):
-            if k:
-                mon *= env[v] ** k
-        cc = _coeff_complex(c, cenv)
-        val += cc * mon
-        scale += abs(cc) * abs(mon)
-    return val, max(scale, 1e-300)
+class CompiledPoly:
+    """A MultiPoly compiled for batched complex evaluation: one row of
+    exponents per term, and the term's coefficient as a complex number (a
+    tower constant evaluated at cenv, which maps generator names to
+    values)."""
 
+    def __init__(self, p: MultiPoly, cenv=None):
+        self.vars = p.vars
+        self.exps = np.array(list(p.terms), dtype=int).reshape(
+            len(p.terms), len(p.vars))
+        self.coeffs = np.array([_coeff_complex(c, cenv or {})
+                                for c in p.terms.values()], dtype=complex)
 
-def _rel_residue(p, env, cenv=None):
-    val, scale = eval_with_scale(p, env, cenv)
-    return abs(val) / scale
+    def __call__(self, env):
+        """(value, scale) at the points env, which maps each variable to a
+        number or an array, all broadcast together; scale is the sum of the
+        absolute values of the terms, at least 1e-300."""
+        terms = self.coeffs
+        for v, col in zip(self.vars, self.exps.T):
+            if col.any():
+                terms = terms * np.asarray(env[v])[..., None] ** col
+        return terms.sum(-1), np.maximum(np.abs(terms).sum(-1), 1e-300)
 
-
-def _fracpair(pair, env):
-    num, _ = eval_with_scale(pair[0], env)
-    den, _ = eval_with_scale(pair[1], env)
-    return num / den
-
-
-def _poly_roots_at(p: MultiPoly, var: str, env, cfg):
-    """Roots in `var` of a multivariate polynomial at a numeric
-    specialization of the remaining variables."""
-    cs = [eval_with_scale(p.coeff_of(var, k), env)[0]
-          for k in range(p.degree(var) + 1)]
-    return durand_kerner(cs, cfg)
+    def residues(self, env):
+        val, scale = self(env)
+        return np.abs(val) / scale
 
 
-def _sample_wx(rng, k=5):
-    return [(cmath.exp(2j * math.pi * rng.random()),
-             cmath.exp(2j * math.pi * rng.random()) * (0.5 + rng.random()))
-            for _ in range(k)]
+def _ratio(pair, env):
+    return CompiledPoly(pair[0])(env)[0] / CompiledPoly(pair[1])(env)[0]
+
+
+def _max_residue(res, cfg, message):
+    """The largest residue of res; the first of them (in draw order) that
+    is not at most cfg.tol, a NaN from an overflow too, is raised,
+    formatted into message."""
+    over = np.flatnonzero(~(res <= cfg.tol))
+    if over.size:
+        raise VerificationError(message % res.flat[over[0]])
+    return float(res.max())
+
+
+def _draws(rng, shape, width):
+    """rng.random() drawn width at a time, as an array shape + (width,)."""
+    count = math.prod(shape) * width
+    return np.fromiter((rng.random() for _ in range(count)), float,
+                       count).reshape(shape + (width,))
+
+
+def _complex_draws(rng, shape):
+    u = _draws(rng, shape, 2)
+    return u[..., 0] + 1j * u[..., 1]
+
+
+def _sample_wx(rng, shape):
+    """Sample points (W, X): W on the unit circle, |X| in [0.5, 1.5)."""
+    u = _draws(rng, shape, 3)
+    return (np.exp(2j * math.pi * u[..., 0]),
+            np.exp(2j * math.pi * u[..., 1]) * (0.5 + u[..., 2]))
+
+
+def _roots_of_unity(n):
+    return np.exp(2j * math.pi * np.arange(n) / n)
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +217,14 @@ S6_ENV = {"z12": cmath.exp(1j * math.pi / 6)}
 
 
 def _s6_numeric_lines(cfg):
-    """27 lines as numeric 2x4 coefficient matrices, tagged."""
+    """The 27 lines: their (family or branch, j) tags, and their 2x4
+    coefficient matrices stacked in one array."""
     tval = float(cfg.t)
-    lines = []
+    tags, mats = [], []
     for j, forms in enumerate(s6_alpha_lines()[2]):
         env = dict(S6_ENV, alpha=tval ** (1.0 / 3.0))
-        lines.append(("L123", j, _form_matrix(forms, env)))
+        tags.append(("L123", j))
+        mats.append(_form_matrix(forms, env))
     for branch in ("plus", "minus"):
         T, c, _ = s6_line_tower(branch)
         cval = c.as_complex(S6_ENV)
@@ -199,8 +233,9 @@ def _s6_numeric_lines(cfg):
         for j in range(12):
             mu = mu0 * cmath.exp(2j * math.pi * j / 12.0)
             env = dict(S6_ENV, mu=mu)
-            lines.append((branch, j, _form_matrix(forms, env)))
-    return lines
+            tags.append((branch, j))
+            mats.append(_form_matrix(forms, env))
+    return tags, np.array(mats)
 
 
 def _form_matrix(forms, cenv):
@@ -210,45 +245,34 @@ def _form_matrix(forms, cenv):
         for e, c in f.terms.items():
             row[list(e).index(1)] = _coeff_complex(c, cenv)
         rows.append(row)
-    return np.array(rows)
-
-
-def _null_basis(mat, keep=2):
-    _, s, vh = np.linalg.svd(mat)
-    return vh[-keep:].conj()
+    return rows
 
 
 def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
-    tval = float(cfg.t)
     rng = random.Random(cfg.seed)
-    lines = _s6_numeric_lines(cfg)
-    max_res = 0.0
-    for _, _, mat in lines:
-        basis = _null_basis(mat)
-        for _ in range(5):
-            a = rng.random() + 1j * rng.random()
-            p = basis[0] * a + basis[1]
-            env = dict(zip(("W", "X", "Y", "Z"), p))
-            env["t"] = tval
-            r = _rel_residue(s6.equation, env, S6_ENV)
-            max_res = max(max_res, r)
-            if r > cfg.tol:
-                raise VerificationError("S6 membership residue %.3g" % r)
-    # intersection graph
-    n = len(lines)
+    tags, mats = _s6_numeric_lines(cfg)
+    n = len(tags)
+    # five points a p0 + p1 on each line, (p0, p1) a basis of its kernel
+    basis = np.linalg.svd(mats)[2][:, -2:].conj()
+    a = _complex_draws(rng, (n, 5))
+    pts = basis[:, None, 0] * a[..., None] + basis[:, None, 1]
+    env = dict(zip(("W", "X", "Y", "Z"), np.moveaxis(pts, -1, 0)))
+    env["t"] = float(cfg.t)
+    max_res = _max_residue(CompiledPoly(s6.equation, S6_ENV).residues(env),
+                           cfg, "S6 membership residue %.3g")
+    # intersection graph: two lines meet iff their four forms are dependent
+    i, j = np.triu_indices(n, 1)
+    sv = np.linalg.svd(np.concatenate([mats[i], mats[j]], axis=1),
+                       compute_uv=False)
     adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            stacked = np.vstack([lines[i][2], lines[j][2]])
-            sv = np.linalg.svd(stacked, compute_uv=False)
-            adj[i, j] = adj[j, i] = sv[-1] < 1e-8 * sv[0]
+    adj[i, j] = adj[j, i] = sv[:, -1] < 1e-8 * sv[:, 0]
     degrees = adj.sum(axis=1)
     if not all(d == 10 for d in degrees):
         raise VerificationError("S6 line degrees are not all 10: %s"
                                 % sorted(set(int(d) for d in degrees)))
     # agreement with the exact same-branch pattern
     exact = s6_intersections(s6)
-    idx = {(b, j): k for k, (b, j, _) in enumerate(lines)}
+    idx = {tag: k for k, tag in enumerate(tags)}
     for entry in exact["pairs"]:
         if entry["pair"] != "Lmu/Lximu":
             continue
@@ -262,7 +286,7 @@ def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
         for j2 in range(j1 + 1, 3):
             if not adj[idx[("L123", j1)], idx[("L123", j2)]]:
                 raise VerificationError("L%d/L%d numeric miss" % (j1, j2))
-    return {"surface": "s6", "count": n, "max_residue": float(max_res),
+    return {"surface": "s6", "count": n, "max_residue": max_res,
             "degrees": [int(d) for d in degrees],
             "graph_checked": True}
 
@@ -272,38 +296,28 @@ def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
     pairs = main.data["coeff_pairs"]
     tval = float(cfg.t)
     rng = random.Random(cfg.seed)
+    equation = CompiledPoly(s7.equation)
     # core(e) = t^3 Q(e^18 / t): 54 roots from the 3 roots of Q
     u_roots = numeric_roots(q_cubic(), cfg)
-    e_roots = []
-    for u in u_roots:
-        r0 = (u * tval) ** (1.0 / 18.0)
-        e_roots += [r0 * cmath.exp(2j * math.pi * k / 18.0)
-                    for k in range(18)]
-    count, max_res = 0, 0.0
-    for e in e_roots:
-        env = {"e": e, "t": tval}
-        env["d"] = _fracpair(pairs["d"], env)
-        coeff = {n: _fracpair(pairs[n], env) for n in ("a", "b", "c", "d")}
-        for Wv, Xv in _sample_wx(rng):
-            Yv = coeff["a"] * Wv + coeff["b"] * Xv
-            Zv = coeff["c"] * Wv ** 2 + coeff["d"] * Wv * Xv + e * Xv ** 2
-            penv = {"W": Wv, "X": Xv, "Y": Yv, "Z": Zv, "t": tval}
-            r = _rel_residue(s7.equation, penv)
-            max_res = max(max_res, r)
-            if r > cfg.tol:
-                raise VerificationError("S7 residue %.3g at root" % r)
-        count += 1
+    e = (((u_roots * tval) ** (1.0 / 18.0))[:, None]
+         * _roots_of_unity(18)).ravel()
+    env = {"e": e, "t": tval}
+    for n in ("d", "a", "b", "c"):
+        env[n] = _ratio(pairs[n], env)
+    a, b, c, d, e = (env[n][:, None] for n in ("a", "b", "c", "d", "e"))
+    W, X = _sample_wx(rng, (len(e), 5))
+    penv = {"W": W, "X": X, "Y": a * W + b * X,
+            "Z": c * W ** 2 + d * W * X + e * X ** 2, "t": tval}
+    max_res = _max_residue(equation.residues(penv), cfg,
+                           "S7 residue %.3g at root")
     # the two e=0 curves: Y = 0, Z = +- sqrt(t) W^2
-    for sgn in (1, -1):
-        rt = sgn * cmath.sqrt(tval)
-        for Wv, Xv in _sample_wx(rng):
-            penv = {"W": Wv, "X": Xv, "Y": 0j, "Z": rt * Wv ** 2,
-                    "t": tval}
-            r = _rel_residue(s7.equation, penv)
-            max_res = max(max_res, r)
-            if r > cfg.tol:
-                raise VerificationError("S7 e=0 residue %.3g" % r)
-        count += 1
+    rt = cmath.sqrt(tval)
+    W, X = _sample_wx(rng, (2, 5))
+    penv = {"W": W, "X": X, "Y": 0j, "Z": np.array([[rt], [-rt]]) * W ** 2,
+            "t": tval}
+    max_res = max(max_res, _max_residue(equation.residues(penv), cfg,
+                                        "S7 e=0 residue %.3g"))
+    count = len(e) + len(W)
     if count != 56:
         raise VerificationError("S7 numeric count %d != 56" % count)
     return {"surface": "s7", "count": count, "max_residue": max_res}
@@ -313,44 +327,43 @@ def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
     _, mains = _s8_branch_data(s8)
     tval = float(cfg.t)
     rng = random.Random(cfg.seed)
+    equation = CompiledPoly(s8.equation)
     count, max_res = 0, 0.0
     for branch, quartic in (("P1", q1_quartic()), ("P2", q2_quartic())):
         main = mains[branch]
         pairs = main.data["coeff_pairs"]
         Pi = main.data["branch_quartic"]
         x_roots = numeric_roots(quartic, cfg)
-        for x in x_roots:
-            m0 = (-x / tval) ** (1.0 / 30.0)      # F_i ~ q_i(-mu^30 t)
-            for k in range(30):
-                mu = m0 * cmath.exp(2j * math.pi * k / 30.0)
-                env = {"mu": mu, "t": tval}
-                # the certified b-fraction cancels catastrophically in
-                # doubles; instead, of the four b-roots of the branch
-                # quartic exactly one continues to a curve on the surface
-                passing = []
-                for b in _poly_roots_at(Pi, "b", env, cfg):
-                    e2 = dict(env, b=b)
-                    e2["f"] = _fracpair(pairs["f"], e2)
-                    e2["a"] = _fracpair(pairs["a"], e2)
-                    ev = _fracpair(pairs["e"], e2)
-                    dv = _fracpair(pairs["d"], e2)
-                    worst = 0.0
-                    for Wv, Xv in _sample_wx(rng, 5):
-                        Yv = (e2["a"] * Wv ** 2 + b * Wv * Xv
-                              - mu ** 2 * Xv ** 2)
-                        Zv = (dv * Wv ** 3 + ev * Wv ** 2 * Xv
-                              + e2["f"] * Wv * Xv ** 2 - mu ** 3 * Xv ** 3)
-                        penv = {"W": Wv, "X": Xv, "Y": Yv, "Z": Zv,
-                                "t": tval}
-                        worst = max(worst, _rel_residue(s8.equation, penv))
-                    if worst < cfg.tol:
-                        passing.append(worst)
-                if len(passing) != 1:
-                    raise VerificationError(
-                        "S8 branch %s: %d of 4 b-roots on the surface"
-                        % (branch, len(passing)))
-                max_res = max(max_res, passing[0])
-                count += 1
+        # F_i ~ q_i(-mu^30 t): 30 values of mu over each root x
+        mu = (((-x_roots / tval) ** (1.0 / 30.0))[:, None]
+              * _roots_of_unity(30)).ravel()
+        # the certified b-fraction cancels catastrophically in doubles;
+        # instead, of the four b-roots of the branch quartic exactly one
+        # continues to a curve on the surface
+        env = {"mu": mu, "t": tval}
+        b = durand_kerner(np.stack(np.broadcast_arrays(
+            *(CompiledPoly(Pi.coeff_of("b", k))(env)[0]
+              for k in range(Pi.degree("b") + 1))), axis=1), cfg)
+        env = {"mu": mu[:, None], "b": b, "t": tval}
+        for n in ("f", "a", "e", "d"):
+            env[n] = _ratio(pairs[n], env)
+        W, X = _sample_wx(rng, b.shape + (5,))
+        a, b, d, e, f = (env[n][..., None] for n in ("a", "b", "d", "e", "f"))
+        m = mu[:, None, None]
+        penv = {"W": W, "X": X, "t": tval,
+                "Y": a * W ** 2 + b * W * X - m ** 2 * X ** 2,
+                "Z": (d * W ** 3 + e * W ** 2 * X + f * W * X ** 2
+                      - m ** 3 * X ** 3)}
+        worst = equation.residues(penv).max(-1)
+        passing = worst < cfg.tol
+        on_surface = passing.sum(1)
+        wrong = np.flatnonzero(on_surface != 1)
+        if wrong.size:
+            raise VerificationError(
+                "S8 branch %s: %d of 4 b-roots on the surface"
+                % (branch, on_surface[wrong[0]]))
+        max_res = max(max_res, float(worst[passing].max()))
+        count += len(mu)
     if count != 240:
         raise VerificationError("S8 numeric count %d != 240" % count)
     return {"surface": "s8", "count": count, "max_residue": max_res}
@@ -361,55 +374,39 @@ def numeric_audit_conic(s, cfg: NumericConfig) -> dict:
     name, n = s.name, s.index
     tval = float(cfg.t)
     rng = random.Random(cfg.seed)
-    count, max_res = 0, 0.0
+    equation = CompiledPoly(s.equations[0])
     if name.startswith("an:"):
-        roots = [tval ** (1.0 / n) * cmath.exp(2j * math.pi * j / n)
-                 for j in range(n)]
-        for r0 in roots:
-            for zero_var in ("y", "z"):
-                for _ in range(5):
-                    free = rng.random() + 1j * rng.random()
-                    env = {"w": 1 + 0j, "y": 0j, "z": 0j, "x": r0,
-                           "t": tval}
-                    env["z" if zero_var == "y" else "y"] = free
-                    r = _rel_residue(s.equations[0], env)
-                    max_res = max(max_res, r)
-                    if r > cfg.tol:
-                        raise VerificationError("A_n residue %.3g" % r)
-                count += 1
-        expected = 2 * n
+        # over each root x of x^n = t: the components y = 0 and z = 0,
+        # the other coordinate free
+        x = tval ** (1.0 / n) * _roots_of_unity(n)
+        free = _complex_draws(rng, (n, 2, 5))
+        y_free = np.array([[0], [1]])
+        env = {"w": 1, "x": x[:, None, None], "y": free * y_free,
+               "z": free * (1 - y_free), "t": tval}
+        max_res = _max_residue(equation.residues(env), cfg,
+                               "A_n residue %.3g")
+        count, expected = free.shape[0] * free.shape[1], 2 * n
     else:
         N = 2 * (n - 1)
         rt = cmath.sqrt(tval)
-        for sgn in (1, -1):
-            for _ in range(5):
-                y = rng.random() + 1j * rng.random()
-                env = {"w": 1 + 0j, "y": y, "z": sgn * rt, "x": 0j,
-                       "t": tval}
-                r = _rel_residue(s.equations[0], env)
-                max_res = max(max_res, r)
-                if r > cfg.tol:
-                    raise VerificationError("D_n x=0 residue %.3g" % r)
-            count += 1
-        mu0 = tval ** (1.0 / N)
-        for j in range(N):
-            mu = mu0 * cmath.exp(2j * math.pi * j / N)
-            for _ in range(5):
-                y = rng.random() + 1j * rng.random()
-                env = {"w": 1 + 0j, "y": y, "z": 1j * y * mu, "x": mu ** 2,
-                       "t": tval}
-                r = _rel_residue(s.equations[0], env)
-                max_res = max(max_res, r)
-                if r > cfg.tol:
-                    raise VerificationError("D_n mu residue %.3g" % r)
-            count += 1
-        expected = 2 + N
+        y = _complex_draws(rng, (2, 5))
+        env = {"w": 1, "y": y, "z": np.array([[rt], [-rt]]), "x": 0,
+               "t": tval}
+        max_res = _max_residue(equation.residues(env), cfg,
+                               "D_n x=0 residue %.3g")
+        mu = (tval ** (1.0 / N) * _roots_of_unity(N))[:, None]
+        y = _complex_draws(rng, (N, 5))
+        env = {"w": 1, "y": y, "z": 1j * y * mu, "x": mu ** 2, "t": tval}
+        max_res = max(max_res, _max_residue(equation.residues(env), cfg,
+                                            "D_n mu residue %.3g"))
+        count, expected = 2 + len(mu), 2 + N
     if count != expected:
         raise VerificationError("%s numeric count %d != %d"
                                 % (name, count, expected))
     return {"surface": name, "count": count, "max_residue": max_res}
 
 
+@_surface_cache
 def sturm_vs_numeric(cfg: NumericConfig) -> dict:
     """Exact Sturm real-root counts vs numeric counts for Q, Q1, Q2."""
     out = {}
@@ -428,19 +425,20 @@ def sturm_vs_numeric(cfg: NumericConfig) -> dict:
     return out
 
 
+@_surface_cache
 def numeric_curve_audit(s, cfg: NumericConfig = None) -> dict:
     """The audit of the catalog surface s at cfg.t."""
     cfg = cfg or NumericConfig()
     check_specialization(cfg.t)
-    if s.name == "s6":
-        return numeric_audit_s6(s, cfg)
-    if s.name == "s7":
-        return numeric_audit_s7(s, cfg)
-    if s.name == "s8":
-        return numeric_audit_s8(s, cfg)
+    audit = {"s6": numeric_audit_s6, "s7": numeric_audit_s7,
+             "s8": numeric_audit_s8}.get(s.name)
     if s.name.startswith(("an:", "dn:")):
-        return numeric_audit_conic(s, cfg)
-    raise ValueError("no numeric audit for %r" % s.name)
+        audit = numeric_audit_conic
+    if audit is None:
+        raise ValueError("no numeric audit for %r" % s.name)
+    # a double that overflows becomes inf or NaN, which every check refuses
+    with np.errstate(all="ignore"):
+        return audit(s, cfg)
 
 
 def full_audit(catalog, t_values=(2, 3, 5), tol=1e-8, seed=0) -> dict:

@@ -4,14 +4,13 @@ over the base extensions K = C(t^{1/m})."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, wraps
 from math import gcd
 
 from .multipoly import MultiPoly
 from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
 from .geometry import PointSpec, on_surface, GeometryError
-from .curves import (VerificationError, enumerate_s7, enumerate_s8,
-                     enumerate_an, enumerate_dn, s6_alpha_lines,
+from .curves import (VerificationError, _surface_cache, enumerate_s7,
+                     enumerate_s8, enumerate_an, enumerate_dn, s6_alpha_lines,
                      s6_line_tower, s6_line_forms, s7_e0_tower, an_tower,
                      dn_tower)
 
@@ -21,30 +20,6 @@ from .curves import (VerificationError, enumerate_s7, enumerate_s8,
 # checked, and the remaining birational-geometry steps are labeled as axioms
 # in the reports rather than silently assumed.
 AXIOM = "axiom-table"
-
-
-def _surface_cache(fn):
-    """Cache fn on its (frozen, hashable) surface arguments, failures too:
-    a raised exception is kept, without its traceback, and raised again on
-    every later call with the same arguments.  ``cache_info`` and
-    ``cache_clear`` are those of the underlying lru cache."""
-    @lru_cache(maxsize=None)
-    def outcome(*args):
-        try:
-            return True, fn(*args)
-        except Exception as ex:
-            return False, ex.with_traceback(None)
-
-    @wraps(fn)
-    def cached(*args):
-        ok, value = outcome(*args)
-        if ok:
-            return value
-        raise value
-
-    cached.cache_info, cached.cache_clear = \
-        outcome.cache_info, outcome.cache_clear
-    return cached
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,17 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import kleinfib
+from kleinfib import curves, lattice, numeric
 from kleinfib.autos import autos_report, verify_tau
 from kleinfib.cli import main
 from kleinfib.curves import (certify_s6_lines, enumerate_s7, enumerate_s8,
@@ -207,3 +212,36 @@ def test_mutation_fails_every_check_that_reads_it(mutation):
               if c["status"] == "failed"]
     assert {c["name"] for c in failed} == MUTATION_REACH[mutation]
     assert all(c["error_kind"] == "verification" for c in failed)
+
+
+# the pure pipelines cached on the surfaces (and configs) they read, next
+# to the orbits witness caches
+PIPELINE_CACHES = [
+    curves.certify_s6_lines, curves.enumerate_s7, curves.enumerate_s8,
+    curves.enumerate_an, curves.enumerate_dn, numeric.numeric_curve_audit,
+    numeric.sturm_vs_numeric, lattice.minus_one_classes,
+    lattice.coxeter_number]
+
+
+def test_unmutated_rerun_misses_no_cache():
+    assert _run_cli(["reproduce-paper"])[0] == 0
+    misses = [fn.cache_info().misses for fn in PIPELINE_CACHES]
+    assert _run_cli(["reproduce-paper"])[0] == 0
+    assert [fn.cache_info().misses for fn in PIPELINE_CACHES] == misses
+
+
+def test_cached_failure_stays_with_its_surface():
+    argv = ["reproduce-paper", "--mutate", "s8,0,1,2"]
+    code, warm = _run_cli(argv)
+    assert code == 1
+    src = os.path.dirname(os.path.dirname(kleinfib.__file__))
+    cold = subprocess.run(
+        [sys.executable, "-m", "kleinfib.cli"] + argv, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert cold.returncode == 1
+    failed = [{c["name"] for c in json.loads(out)["checks"]
+               if c["status"] == "failed"} for out in (warm, cold.stdout)]
+    assert failed[0] == failed[1] and "curves-s8" in failed[0]
+    code, out = _run_cli(["reproduce-paper"])
+    assert code == 0
+    assert all(c["status"] != "failed" for c in json.loads(out)["checks"])

@@ -175,6 +175,13 @@ def test_audit_runs():
         assert cert["report"]["count"] == count
 
 
+def test_audit_never_verifies_an_overflow():
+    # at t = 1e300 the S7 samples overflow in doubles; a NaN residue must
+    # fail the audit, not pass it
+    code, cert = run(["audit", "s7", "--t", "1e300"])
+    assert code == 1 and cert["status"] == "failed"
+
+
 def test_failed_checks_carry_error_kind(monkeypatch):
     def bug(*args, **kwargs):
         raise TypeError("a bug")
@@ -213,9 +220,13 @@ def test_failed_surface_computation_runs_once():
 
 
 def test_timings_per_check():
-    code, cert = run(["--timings", "reproduce-paper"])
-    assert code == 0 and len(cert["checks"]) == 66
-    assert all(c["elapsed"] >= 0 for c in cert["checks"])
+    # --timings, like --out, may precede or follow the subcommand
+    for argv in (["--timings", "reproduce-paper"],
+                 ["reproduce-paper", "--timings"]):
+        code, cert = run(argv)
+        assert code == 0 and len(cert["checks"]) == 66
+        assert cert["elapsed"] >= 0
+        assert all(c["elapsed"] >= 0 for c in cert["checks"])
     code, cert = run(["reproduce-paper"])
     assert code == 0 and cert["elapsed"] is None
     assert not any("elapsed" in c for c in cert["checks"])
@@ -251,8 +262,11 @@ def test_byte_identical_output():
 
 def test_out_file(tmp_path):
     path = tmp_path / "cert.json"
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = main(["--out", str(path), "lattice", "6"])
-    assert code == 0
-    assert path.read_text() == buf.getvalue()
+    for argv in (["--out", str(path), "lattice", "6"],
+                 ["lattice", "6", "--out", str(path)]):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        assert code == 0
+        assert path.read_text() == buf.getvalue()
+        path.unlink()

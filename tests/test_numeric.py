@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from kleinfib import numeric
 from kleinfib.curves import VerificationError, q_cubic
-from kleinfib.geometry import build_surface
+from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.numeric import (NumericConfig, check_specialization,
                               durand_kerner, numeric_curve_audit,
                               numeric_roots, sturm_vs_numeric)
@@ -88,3 +89,27 @@ def test_s6_line_graph_degree_ten():
 def test_unknown_surface():
     with pytest.raises(ValueError):
         numeric_curve_audit(build_surface("s6prime"), CFG)
+
+
+def test_durand_kerner_batch_rows():
+    # a batch of rows gives each row its own roots: X^2 - c for c = 1, 4, -9
+    roots = durand_kerner([[-1, 0, 1], [-4, 0, 1], [9, 0, 1]], CFG)
+    assert roots.shape == (3, 2)
+    for row, c in zip(roots, (1, 4, -9)):
+        assert all(abs(r * r - c) < 1e-12 for r in row)
+
+
+@pytest.mark.parametrize("name,data,error", [
+    ("s7", "_s7_main_data", "S7 residue"),
+    ("s8", "_s8_branch_data", "S8 branch P1: 0 of 4 b-roots")])
+def test_perturbed_coefficient_is_refuted(monkeypatch, name, data, error):
+    bad = build_catalog(mutation=(name, 0, 1, Fraction(1)))[name]
+    with pytest.raises(VerificationError):
+        numeric_curve_audit(bad, CFG)
+    # the exact curves of the unperturbed surface, evaluated on the
+    # perturbed equation: the batched residues alone refute them
+    exact = getattr(numeric, data)
+    monkeypatch.setattr(numeric, data, lambda s: exact(build_surface(name)))
+    audit = getattr(numeric, "numeric_audit_" + name)
+    with pytest.raises(VerificationError, match=error):
+        audit(bad, CFG)

@@ -97,7 +97,8 @@ def test_witnesses_stay_off_the_euclid_path(monkeypatch):
         calls.append(1)
         return xgcd(*args)
     monkeypatch.setattr(tower, "_pxgcd", counted)
-    for fn in (orbits.s6_intersections, orbits.dn_intersections):
+    for fn in (orbits.s6_intersections, orbits.dn_intersections,
+               orbits.enumerate_dn):
         fn.cache_clear()
     s6_intersections(build_surface("s6"))
     # 189 measured; normalizing quotients by a gcd took 11707
