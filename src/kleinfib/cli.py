@@ -30,8 +30,9 @@ from .lattice import (build_root_system, coxeter_number,
                       dn_boundary_selfintersection, minus_one_classes)
 from .autos import autos_report
 from .univariate import count_real_roots
-from .numeric import (NumericConfig, full_audit, numeric_curve_audit,
-                      sturm_vs_numeric)
+# kleinfib.numeric, and with it numpy, is imported in cmd_audit and
+# _run_reproduction, the two commands that run the oracle; the others start
+# without numpy
 
 SCHEMA = "kleinfib-certificate/1"
 
@@ -39,6 +40,11 @@ SCHEMA = "kleinfib-certificate/1"
 # in Q(zeta_M)(mu) with M = lcm(4, 2(n-1)), and the wild shears expand
 # (x + yP)^n, so the cost grows steeply with n
 MAX_FAMILY_INDEX = 32
+
+# the |t| accepted by audit: the oracle evaluates powers of t and of the
+# roots it finds in doubles, and further out an S7 or S8 sample overflows or
+# the root finder stalls, which would read as a refuted check
+AUDIT_T_RANGE = (Fraction(1, 2**12), Fraction(2**12))
 
 # --poly: an expanded sum of terms c, y, y^k, c*y or c*y^k (c, k decimal)
 POLY_MAX_DEGREE = 64
@@ -274,13 +280,12 @@ def cmd_audit(args):
         raise UsageError("--t must be a rational number")
     if t == 0:
         raise UsageError("t = 0 lies on every discriminant locus")
-    try:
-        representable = float(t) != 0      # too large raises OverflowError
-    except OverflowError:
-        representable = False
-    if not representable:
-        raise UsageError("--t must be nonzero and within the range of a "
-                         "double")
+    low, high = AUDIT_T_RANGE
+    if not low <= abs(t) <= high:
+        raise UsageError("|t| must lie in [%s, %s], where the oracle's "
+                         "samples stay within the range of a double"
+                         % AUDIT_T_RANGE)
+    from .numeric import NumericConfig, numeric_curve_audit
     try:
         cfg = NumericConfig(t=t, tol=args.tol, seed=args.seed)
     except ValueError as ex:
@@ -347,6 +352,7 @@ def _failure(ex):
 def _run_reproduction(catalog, seed=0, timings=False):
     """Every check of the paper, each reading its surfaces from `catalog`;
     with `timings`, each check carries its wall time as `elapsed`."""
+    from .numeric import NumericConfig, full_audit, sturm_vs_numeric
     checks = []
 
     def step(name, ref, fn, status="verified", **extra):

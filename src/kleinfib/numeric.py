@@ -452,5 +452,5 @@ def full_audit(catalog, t_values=(2, 3, 5), tol=1e-8, seed=0) -> dict:
             report["surfaces"].setdefault(name, []).append(
                 {"t": t, "count": rep["count"],
                  "max_residue": rep["max_residue"]})
-    report["sturm"] = sturm_vs_numeric(NumericConfig())
+    report["sturm"] = sturm_vs_numeric(NumericConfig(tol=tol, seed=seed))
     return report

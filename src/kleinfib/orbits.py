@@ -4,6 +4,7 @@ over the base extensions K = C(t^{1/m})."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .multipoly import MultiPoly
@@ -100,6 +101,18 @@ def orbit_structure(N: int, m: int) -> dict:
         raise ValueError("N, m must be >= 1")
     g = gcd(N, m)
     b = N // g
+    blocks = [list(block) for block in _binomial_blocks(N, g)]
+    return {"N": N, "m": m, "g": g, "block_size": b, "blocks": blocks,
+            "identity": "prod_{i<%d}(X^%d - rho zeta^i) = X^%d - rho^%d"
+                        % (g, b, N, g)}
+
+
+@lru_cache(maxsize=None)
+def _binomial_blocks(N: int, g: int) -> tuple:
+    """The root-index classes modulo g of X^N = c t, after verifying the
+    factorization identity over Q(zeta_g); it depends on m only through
+    g = gcd(N, m), so each (N, g) is verified once."""
+    b = N // g
     T = cyclotomic(g)
     zeta = root_of_unity(T, g)
     vs = ("X", "rho")
@@ -111,11 +124,8 @@ def orbit_structure(N: int, m: int) -> dict:
     target = MultiPoly(vs, {(N, 0): one}) - MultiPoly(vs, {(0, g): one})
     if not (prod - target).is_zero():
         raise VerificationError("binomial factorization identity failed "
-                                "for N=%d, m=%d" % (N, m))
-    blocks = [[j for j in range(N) if j % g == i] for i in range(g)]
-    return {"N": N, "m": m, "g": g, "block_size": b, "blocks": blocks,
-            "identity": "prod_{i<%d}(X^%d - rho zeta^i) = X^%d - rho^%d"
-                        % (g, b, N, g)}
+                                "for N=%d, g=%d" % (N, g))
+    return tuple(tuple(range(i, N, g)) for i in range(g))
 
 
 # ---------------------------------------------------------------------------

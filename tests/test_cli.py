@@ -4,13 +4,19 @@ import io
 import contextlib
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from kleinfib import cli, orbits
+import kleinfib
+from kleinfib import cli, numeric, orbits
 from kleinfib.cli import _parse_poly, main
 from kleinfib.curves import VerificationError
+from kleinfib.geometry import build_catalog, build_surface
+from kleinfib.numeric import NumericConfig, numeric_curve_audit
 
 
 def run(argv):
@@ -126,8 +132,9 @@ def test_family_index_bound_exits_before_arithmetic(monkeypatch, argv):
     def unreachable(*args, **kwargs):
         raise AssertionError("arithmetic ran on a rejected index")
     for name in ("enumerate_an", "enumerate_dn", "rationality_verdict",
-                 "autos_report", "numeric_curve_audit"):
+                 "autos_report"):
         monkeypatch.setattr(cli, name, unreachable)
+    monkeypatch.setattr(numeric, "numeric_curve_audit", unreachable)
     code, _ = run(argv)
     assert code == 2
 
@@ -178,8 +185,30 @@ def test_audit_runs():
 def test_audit_never_verifies_an_overflow():
     # at t = 1e300 the S7 samples overflow in doubles; a NaN residue must
     # fail the audit, not pass it
-    code, cert = run(["audit", "s7", "--t", "1e300"])
-    assert code == 1 and cert["status"] == "failed"
+    with pytest.raises(VerificationError):
+        numeric_curve_audit(build_surface("s7"), NumericConfig(t=10**300))
+
+
+@pytest.mark.parametrize("argv", [
+    ["s7", "--t", "1e300"], ["s8", "--t", "1e-6"], ["s6", "--t", "1e15"],
+    ["s8", "--t", "1e-300"], ["s8", "--t=-1/8192"]], ids=" ".join)
+def test_audit_t_out_of_range_exits_2(monkeypatch, argv):
+    # outside AUDIT_T_RANGE the doubles, not the surface, would fail
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the oracle ran on a t out of range")
+    monkeypatch.setattr(numeric, "numeric_curve_audit", unreachable)
+    code, cert = run(["audit"] + argv)
+    assert code == 2 and cert is None
+
+
+@pytest.mark.parametrize("t", ["4096", "-4096", "1/4096", "-1/4096"])
+def test_audit_verifies_at_the_ends_of_the_t_range(t):
+    names = [name for name in sorted(build_catalog())
+             if name in ("s6", "s7", "s8") or name.startswith(("an:", "dn:"))]
+    assert len(names) == 14
+    for name in names:
+        code, cert = run(["audit", name, "--t=" + t])
+        assert code == 0 and cert["status"] == "verified", name
 
 
 def test_failed_checks_carry_error_kind(monkeypatch):
@@ -191,8 +220,9 @@ def test_failed_checks_carry_error_kind(monkeypatch):
     monkeypatch.setattr(cli, "certify_s6_lines", bug)
     # the slow pipelines fail fast as mathematical failures
     for name in ("enumerate_s8", "s6_intersections", "verdict_grid",
-                 "dn_intersections", "autos_report", "full_audit"):
+                 "dn_intersections", "autos_report"):
         monkeypatch.setattr(cli, name, refuted)
+    monkeypatch.setattr(numeric, "full_audit", refuted)
     code, cert = run(["reproduce-paper"])
     assert code == 1
     checks = {c["name"]: c for c in cert["checks"]}
@@ -270,3 +300,26 @@ def test_out_file(tmp_path):
         assert code == 0
         assert path.read_text() == buf.getvalue()
         path.unlink()
+
+
+def test_numpy_loads_only_for_the_oracle():
+    # a fresh process: the commands without the numeric oracle never import
+    # numpy, and audit does
+    script = """if True:
+        import contextlib, io, sys
+        from kleinfib.cli import main
+        for argv in (["curves", "s8"], ["verdict", "e8", "--ext", "30"],
+                     ["lattice", "8"],
+                     ["autos", "an", "--n", "3", "--poly", "1+y"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+            assert "numpy" not in sys.modules, argv
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["audit", "dn:9", "--t", "5"]) == 0
+        assert "numpy" in sys.modules
+        """
+    src = os.path.dirname(os.path.dirname(kleinfib.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -69,6 +69,15 @@ def test_sturm_vs_numeric():
     assert report["Q2"] == {"sturm": 4, "numeric": 4}
 
 
+def test_full_audit_sturm_uses_its_seed_and_tol(monkeypatch):
+    seen, sturm = [], numeric.sturm_vs_numeric
+    monkeypatch.setattr(numeric, "sturm_vs_numeric",
+                        lambda cfg: seen.append(cfg) or sturm(cfg))
+    report = numeric.full_audit(build_catalog(), tol=1e-9, seed=3)
+    assert seen == [NumericConfig(tol=1e-9, seed=3)]
+    assert report["sturm"] == sturm(NumericConfig(tol=1e-9, seed=3))
+
+
 @pytest.mark.parametrize("name,count", [
     ("s7", 56), ("s8", 240), ("an:2", 4), ("an:5", 10), ("dn:4", 8),
     ("dn:6", 12),

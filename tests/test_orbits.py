@@ -70,6 +70,19 @@ def test_verdict_grid_consistency():
         assert c["rational"] == c["divisibility"]
 
 
+def test_binomial_identity_verified_once_per_n_and_g():
+    orbits._binomial_blocks.cache_clear()
+    catalog = build_catalog()
+    cells = verdict_grid(catalog)
+    checked = orbits._binomial_blocks.cache_info().misses
+    assert checked == 14        # distinct (N, gcd(N, m)) over the grid
+    assert verdict_grid(catalog) == cells
+    assert orbits._binomial_blocks.cache_info().misses == checked
+    # every caller gets lists of its own
+    orbit_structure(12, 4)["blocks"][0].append(99)
+    assert orbit_structure(12, 4)["blocks"][0] == [0, 4, 8]
+
+
 def test_s6_intersections():
     report = s6_intersections(build_surface("s6"))
     pattern = {(e["branch"], e["k"]): e["intersect"]
