@@ -13,12 +13,13 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 from . import __version__
 from .multipoly import MultiPoly
-from .curves import (VerificationError, certify_s6_lines, enumerate_an,
-                     enumerate_dn, enumerate_s7, enumerate_s8, q_cubic,
-                     q1_quartic, q2_quartic)
+from .curves import (VerificationError, _surface_cache, certify_s6_lines,
+                     enumerate_an, enumerate_dn, enumerate_s7, enumerate_s8,
+                     q_cubic, q1_quartic, q2_quartic)
 from .geometry import (AN_RANGE, DN_RANGE, GeometryError, build_catalog,
                        build_surface, charts_compatible,
                        chart_transition_check, verify_contraction_S6)
@@ -305,27 +306,35 @@ def cmd_audit(args):
 
 def _dehomogenize_pairs(catalog):
     """Exact consistency between each compactified model and its affine
-    Klein equation: restricting the fibre coordinate to 1 must reproduce
-    +-(f - t) term for term."""
-    pairs = [("s6prime", "klein-e6", "W", {"X": "x", "Y": "y", "Z": "z"}),
-             ("s7", "klein-e7", "W", {"X": "x", "Y": "y", "Z": "z"}),
-             ("s8", "klein-e8", "W", {"X": "x", "Y": "y", "Z": "z"})]
-    pairs += [("an:%d" % n, "klein-an:%d" % n, "w", {}) for n in AN_RANGE]
-    pairs += [("dn:%d" % n, "klein-dn:%d" % n, "w", {}) for n in DN_RANGE]
+    Klein equation, pair by pair."""
+    xyz = (("X", "x"), ("Y", "y"), ("Z", "z"))
+    pairs = [("s6prime", "klein-e6", "W", xyz), ("s7", "klein-e7", "W", xyz),
+             ("s8", "klein-e8", "W", xyz)]
+    pairs += [("an:%d" % n, "klein-an:%d" % n, "w", ()) for n in AN_RANGE]
+    pairs += [("dn:%d" % n, "klein-dn:%d" % n, "w", ()) for n in DN_RANGE]
     for model, klein, fibre_var, rename in pairs:
-        eq = catalog[model].equations[0]
-        one = MultiPoly.const(eq.vars, Fraction(1))
-        deh = eq.substitute({fibre_var: one})
-        kv = list(catalog[klein].equation.vars) + ["t"]
-        f = catalog[klein].equation.rename(kv)
-        target = f - MultiPoly.var(kv, "t")
-        # compare termwise over the common variable names
-        gterms = _named_terms(deh, rename)
-        tterms = _named_terms(target, {})
-        if gterms != tterms and gterms != _negate(tterms):
-            raise VerificationError(
-                "%s does not dehomogenize to %s" % (model, klein))
+        _dehomogenizes(catalog[model], catalog[klein], fibre_var, rename)
     return len(pairs)
+
+
+@_surface_cache
+def _dehomogenizes(model, klein, fibre_var, rename):
+    """Restricting the fibre coordinate of the model surface to 1 must
+    reproduce +-(f - t), f the equation of the Klein surface, term for
+    term; `rename` holds the (model, Klein) pairs of variable names that
+    differ."""
+    eq = model.equations[0]
+    one = MultiPoly.const(eq.vars, Fraction(1))
+    deh = eq.substitute({fibre_var: one})
+    kv = list(klein.equation.vars) + ["t"]
+    f = klein.equation.rename(kv)
+    target = f - MultiPoly.var(kv, "t")
+    # compare termwise over the common variable names
+    gterms = _named_terms(deh, dict(rename))
+    tterms = _named_terms(target, {})
+    if gterms != tterms and gterms != _negate(tterms):
+        raise VerificationError(
+            "%s does not dehomogenize to %s" % (model.name, klein.name))
 
 
 def _named_terms(p, rename):
@@ -407,9 +416,7 @@ def _run_reproduction(catalog, seed=0, timings=False):
 
     # 3. Sturm counts and the numeric cross-check
     step("sturm", "real-root counts of Q, Q1, Q2",
-         lambda: {"counts": _expect(
-             [count_real_roots(q) for q in
-              (q_cubic(), q1_quartic(), q2_quartic())], [3, 4, 4]),
+         lambda: {"counts": _expect(list(_sturm_counts()), [3, 4, 4]),
              "numeric": sturm_vs_numeric(NumericConfig(seed=seed))})
 
     # 4. rationality-degree table and the 150-cell grid
@@ -482,6 +489,14 @@ def _run_reproduction(catalog, seed=0, timings=False):
     return checks
 
 
+@lru_cache(maxsize=None)
+def _sturm_counts():
+    """Real-root counts of the residual polynomials Q, Q1 and Q2, which are
+    constants: counted once per process."""
+    return tuple(count_real_roots(q)
+                 for q in (q_cubic(), q1_quartic(), q2_quartic()))
+
+
 def _expect(value, expected):
     if value != expected:
         raise VerificationError("expected %r, found %r" % (expected, value))
@@ -511,7 +526,10 @@ def cmd_reproduce(args):
 # ---------------------------------------------------------------------------
 # entry point
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The command-line parser, built once per process; each parse_args
+    call fills a fresh namespace, so calls share no options."""
     p = argparse.ArgumentParser(
         prog="kleinfib",
         description="exact verification certificates for exceptional "
@@ -521,41 +539,41 @@ def build_parser():
 
     c = sub.add_parser("curves", help="enumerate exceptional curves")
     c.add_argument("surface")
-    c.set_defaults(fn=cmd_curves)
+    c.set_defaults(fn="cmd_curves")
 
     v = sub.add_parser("verdict", help="rationality verdict for a case")
     v.add_argument("case")
     v.add_argument("--ext", type=int, required=True,
                    help="degree m of the radical extension")
-    v.set_defaults(fn=cmd_verdict)
+    v.set_defaults(fn="cmd_verdict")
 
     g = sub.add_parser("verdict-grid", help="the 150-cell verdict table")
-    g.set_defaults(fn=cmd_verdict_grid)
+    g.set_defaults(fn="cmd_verdict_grid")
 
     l = sub.add_parser("lattice", help="root system and (-1)-classes")
     l.add_argument("r", type=int)
-    l.set_defaults(fn=cmd_lattice)
+    l.set_defaults(fn="cmd_lattice")
 
     a = sub.add_parser("autos", help="automorphism verification")
     a.add_argument("surface")
     a.add_argument("--n", type=int, help="index for the an family")
     a.add_argument("--poly", help="shear polynomial P(y) for the an family")
     a.add_argument("--seed", type=int, default=0)
-    a.set_defaults(fn=cmd_autos)
+    a.set_defaults(fn="cmd_autos")
 
     d = sub.add_parser("audit", help="numeric oracle audit")
     d.add_argument("surface")
     d.add_argument("--t", default="2")
     d.add_argument("--tol", type=float, default=1e-8)
     d.add_argument("--seed", type=int, default=0)
-    d.set_defaults(fn=cmd_audit)
+    d.set_defaults(fn="cmd_audit")
 
     r = sub.add_parser("reproduce-paper",
                        help="run the full verification suite")
     r.add_argument("--mutate",
                    help="inject a fault: surface,chart,term,delta")
     r.add_argument("--seed", type=int, default=0)
-    r.set_defaults(fn=cmd_reproduce)
+    r.set_defaults(fn="cmd_reproduce")
     # the options also follow the subcommand; there they have no default,
     # so that one given before it survives
     for command in sub.choices.values():
@@ -572,28 +590,32 @@ def _output_options(parser, **default):
                         **default)
 
 
-def _attach_poly_value(argv):
-    """Rewrite "--poly VALUE" as "--poly=VALUE", so that a polynomial such as
-    -2*y^2+7 is not taken for an option."""
+def _attach_values(argv):
+    """Rewrite "--poly VALUE" and "--t VALUE" as "--poly=VALUE" and
+    "--t=VALUE", so that a value with a leading minus, such as the
+    polynomial -2*y^2+7 or t = -1/4096, is not taken for an option."""
     out = []
     it = iter(argv)
     for arg in it:
-        if arg == "--poly":
-            arg = "--poly=" + next(it, "")
+        if arg in ("--poly", "--t"):
+            arg += "=" + next(it, "")
         out.append(arg)
     return out
 
 
 def main(argv=None):
     parser = build_parser()
-    argv = _attach_poly_value(sys.argv[1:] if argv is None else argv)
+    argv = _attach_values(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as ex:
         return 2 if ex.code not in (0, None) else 0
     started = time.monotonic()
     try:
-        checks, payload = args.fn(args)
+        # looked up by name on each call, so that a command function rebound
+        # on this module after the parser was built (by a test or a tracer)
+        # is the one that runs
+        checks, payload = globals()[args.fn](args)
     except UsageError as ex:
         sys.stderr.write("error: %s\n" % ex)
         return 2

@@ -35,18 +35,20 @@ def _surface_cache(fn):
     copy of it is raised on every later call with the same arguments (the
     kept one would gather the traceback of each raise, and with it the
     frames of its callers).  A cached value is shared by every caller, so
-    none may mutate it.  ``cache_info`` and ``cache_clear`` are those of
-    the underlying lru cache."""
+    none may mutate it.  Keyword arguments are part of the key as the lru
+    cache keys them: f(s, 2, branch="P1") and f(s, 2, "P1") are separate
+    entries with equal values.  ``cache_info`` and ``cache_clear`` are
+    those of the underlying lru cache."""
     @lru_cache(maxsize=None)
-    def outcome(*args):
+    def outcome(*args, **kwargs):
         try:
-            return True, fn(*args)
+            return True, fn(*args, **kwargs)
         except Exception as ex:
             return False, ex.with_traceback(None)
 
     @wraps(fn)
-    def cached(*args):
-        ok, value = outcome(*args)
+    def cached(*args, **kwargs):
+        ok, value = outcome(*args, **kwargs)
         if ok:
             return value
         raise copy.copy(value)

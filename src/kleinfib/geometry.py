@@ -9,8 +9,9 @@ in a constants tower (QQ, or QQ(zeta_12) for the S6 family).
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
-from .curves import VerificationError
+from .curves import VerificationError, _surface_cache
 from .multipoly import MultiPoly
 from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
 
@@ -68,6 +69,16 @@ class SurfaceSpec:
     equations: tuple               # one MultiPoly per chart
     has_t: bool = True
     quasi_weights: tuple = None    # affine Klein surfaces: grading weights
+
+    def __post_init__(self):
+        # every pipeline cache hashes its surface on each lookup; hashing
+        # the equations walks all their terms, so it is done once, here
+        object.__setattr__(self, "_hash", hash(
+            (self.name, self.ambient, self.const_tower, self.equations,
+             self.has_t, self.quasi_weights)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def equation(self):
@@ -239,16 +250,25 @@ def build_surface(name):
     return s
 
 
+@lru_cache(maxsize=None)
+def _clean_catalog():
+    return {name: build_surface(name) for name in surface_names()}
+
+
 def build_catalog(mutation=None):
-    """Build every catalog surface, keyed by CLI name.
+    """Every catalog surface, keyed by CLI name.
 
     `mutation`, if given, is (surface_name, chart_index, term_index, delta):
     the coefficient of the term_index-th monomial (in sorted exponent order,
     taken modulo the number of terms) of the chosen chart equation is
     shifted by the nonzero rational delta.  Used by the fault-injection
     harness; a correct build passes mutation=None.
+
+    The clean surfaces are built once per process and shared: every catalog
+    holds the same objects for them, so a cache keyed on an unmutated
+    surface hits on identity.  Only a mutated surface is new.
     """
-    catalog = {name: build_surface(name) for name in surface_names()}
+    catalog = dict(_clean_catalog())
     if mutation is not None:
         sname, chart, term_idx, delta = mutation
         if sname not in catalog:
@@ -376,6 +396,7 @@ def on_surface(s: SurfaceSpec, p: PointSpec, t=None) -> bool:
 # ---------------------------------------------------------------------------
 # the S6' -> S6 contraction
 
+@_surface_cache
 def verify_contraction_S6(s6: SurfaceSpec, s6p: SurfaceSpec) -> dict:
     """Replay the contraction of the quartic surface s6p,
     tW^4 = X^4 + Y^3 W + Z^2 in P(1,1,1,2), onto the cubic s6,

@@ -274,6 +274,7 @@ def minus_one_classes(r: int):
 # ---------------------------------------------------------------------------
 # D_n boundary self-intersection
 
+@lru_cache(maxsize=None)
 def dn_boundary_selfintersection(n: int) -> int:
     """(C_n)^2 = 3 - n, replayed from the divisor bookkeeping: with
     C.D = 2k+1-n, div(w x^{k-1}/y) = C - D + (k-1) F0 and C.F = 2,

@@ -307,6 +307,7 @@ def _s8_branch_data(s8):
     return curves, mains
 
 
+@_surface_cache
 def s7_conjugation(s7, order: int) -> dict:
     """Witness report for the pair (L_mu, L_{xi mu}) on s7, xi^order = 1,
     order in {2, 3}.  The curve is Y = aW + bX, Z = cW^2 + dWX + eX^2 with
@@ -364,6 +365,7 @@ def s7_conjugation(s7, order: int) -> dict:
     return checks
 
 
+@_surface_cache
 def s8_conjugation(s8, order: int, branch: str = "P1") -> dict:
     """Witness report for (L_mu, L_{xi mu}) on s8, xi^order = 1 with order
     in {2, 3, 5}: the fixed locus of the conjugation-compatible
@@ -626,6 +628,7 @@ def minimal_model(case: str, ext: BaseExtension,
                                   justification=just)
 
 
+@_surface_cache
 def _rational_point(s) -> bool:
     """Exact rational point on the conic bundle s, needed by the d <= 1
     rationality rule."""
@@ -635,6 +638,7 @@ def _rational_point(s) -> bool:
     return on_surface(s, p)
 
 
+@_surface_cache
 def rationality_verdict(case: str, ext: BaseExtension, surface) -> Verdict:
     desc = minimal_model(case, ext, surface)
     a = rationality_degree(case)

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import kleinfib
-from kleinfib import curves, lattice, numeric
+from kleinfib import autos, cli, curves, geometry, lattice, numeric, orbits
 from kleinfib.autos import autos_report, verify_tau
 from kleinfib.cli import main
 from kleinfib.curves import (certify_s6_lines, enumerate_s7, enumerate_s8,
@@ -214,13 +214,19 @@ def test_mutation_fails_every_check_that_reads_it(mutation):
     assert all(c["error_kind"] == "verification" for c in failed)
 
 
-# the pure pipelines cached on the surfaces (and configs) they read, next
-# to the orbits witness caches
+# the pure pipelines cached on the surfaces (and configs) they read, and
+# the checks of constants
 PIPELINE_CACHES = [
     curves.certify_s6_lines, curves.enumerate_s7, curves.enumerate_s8,
     curves.enumerate_an, curves.enumerate_dn, numeric.numeric_curve_audit,
     numeric.sturm_vs_numeric, lattice.minus_one_classes,
-    lattice.coxeter_number]
+    lattice.coxeter_number, lattice.dn_boundary_selfintersection,
+    orbits.s6_intersections, orbits.s7_conjugation, orbits.s8_conjugation,
+    orbits.s7_e0_intersection, orbits.dn_intersections,
+    orbits.an_intersections, orbits._rational_point,
+    orbits.rationality_verdict, geometry.verify_contraction_S6,
+    geometry._clean_catalog, autos._default_report, cli._dehomogenizes,
+    cli._sturm_counts, cli.build_parser]
 
 
 def test_unmutated_rerun_misses_no_cache():
@@ -228,6 +234,31 @@ def test_unmutated_rerun_misses_no_cache():
     misses = [fn.cache_info().misses for fn in PIPELINE_CACHES]
     assert _run_cli(["reproduce-paper"])[0] == 0
     assert [fn.cache_info().misses for fn in PIPELINE_CACHES] == misses
+
+
+def test_mutation_recomputes_only_what_reads_the_mutated_surface(
+        monkeypatch):
+    # the checks of klein-dn:5 are its automorphisms and its pair in the
+    # dehomogenization; whatever an earlier test cached for them is cleared
+    autos._default_report.cache_clear()
+    cli._dehomogenizes.cache_clear()
+    assert _run_cli(["reproduce-paper"])[0] == 0
+    sizes = [fn.cache_info().currsize for fn in PIPELINE_CACHES]
+    computed = []
+
+    def report(s, seed, wild_polys):
+        computed.append(s.name)
+        return compute(s, seed, wild_polys)
+    compute = autos._report
+    monkeypatch.setattr(autos, "_report", report)
+    code, out = _run_cli(["reproduce-paper", "--mutate",
+                          "klein-dn:5,0,1,1/2"])
+    assert code == 1
+    added = {fn.__name__: fn.cache_info().currsize - size
+             for fn, size in zip(PIPELINE_CACHES, sizes)
+             if fn.cache_info().currsize != size}
+    assert added == {"_default_report": 1, "_dehomogenizes": 1}
+    assert computed == ["klein-dn:5"]
 
 
 def test_cached_failure_stays_with_its_surface():

@@ -211,6 +211,14 @@ def test_audit_verifies_at_the_ends_of_the_t_range(t):
         assert code == 0 and cert["status"] == "verified", name
 
 
+@pytest.mark.parametrize("argv", [
+    ["--t", "-1/4096"], ["--t=-1/4096"], ["--t", "-1e-3"]], ids=" ".join)
+def test_audit_takes_a_negative_t_without_equals_sign(argv):
+    code, cert = run(["audit", "s8"] + argv)
+    assert code == 0 and cert["status"] == "verified"
+    assert cert["inputs"]["t"] == argv[-1].replace("--t=", "")
+
+
 def test_failed_checks_carry_error_kind(monkeypatch):
     def bug(*args, **kwargs):
         raise TypeError("a bug")
@@ -237,8 +245,11 @@ def test_failed_checks_carry_error_kind(monkeypatch):
 def test_failed_surface_computation_runs_once():
     # verdict-grid and intersections-s6 both read the mutated cubic; the
     # failure is cached with the surface, so it is computed once and both
-    # checks report the same error
+    # checks report the same error.  The verdicts on the mutated cubic are
+    # cached too, from any earlier run of this mutation, and a cached
+    # verdict does not read the witnesses again
     orbits.s6_intersections.cache_clear()
+    orbits.rationality_verdict.cache_clear()
     code, cert = run(["reproduce-paper", "--mutate", "s6,0,0,1"])
     assert code == 1
     info = orbits.s6_intersections.cache_info()
@@ -260,6 +271,22 @@ def test_timings_per_check():
     code, cert = run(["reproduce-paper"])
     assert code == 0 and cert["elapsed"] is None
     assert not any("elapsed" in c for c in cert["checks"])
+
+
+def test_parser_shares_no_options_between_calls():
+    assert cli.build_parser() is cli.build_parser()
+    for timed in (["--timings", "lattice", "6"], ["lattice", "6", "--timings"]):
+        code, cert = run(timed)
+        assert code == 0 and cert["elapsed"] >= 0
+        code, cert = run(["lattice", "6"])
+        assert code == 0 and cert["elapsed"] is None
+
+
+def test_cached_parser_runs_the_current_command_function(monkeypatch):
+    cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_lattice", lambda args: ([], {"r": args.r}))
+    code, cert = run(["lattice", "6"])
+    assert code == 0 and cert["r"] == 6 and cert["checks"] == []
 
 
 # sha256 of the certificates printed at the commit before the field towers

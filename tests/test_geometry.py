@@ -23,6 +23,18 @@ def test_catalog_builds_and_is_homogeneous():
         check_homogeneous(s)
 
 
+def test_catalog_shares_its_clean_surfaces():
+    mutated = build_catalog(("s8", 0, 1, Fraction(2)))
+    clean = build_catalog()
+    assert clean["s8"] == build_surface("s8") != mutated["s8"]
+    others = [name for name in clean if name != "s8"]
+    assert len(others) == 28
+    assert all(mutated[name] is clean[name] for name in others)
+    # each call returns a catalog of its own
+    clean.pop("s8")
+    assert "s8" in build_catalog()
+
+
 def test_unknown_surface():
     with pytest.raises((GeometryError, KeyError, ValueError)):
         build_surface("s9")

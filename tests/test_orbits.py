@@ -62,6 +62,18 @@ def test_e7_even_extension_keeps_one_curve():
     assert d.kind == "DelPezzo" and d.degree == 3
 
 
+def test_cached_witness_takes_keyword_arguments():
+    s8 = build_surface("s8")
+    by_keyword = s8_conjugation(s8, 2, branch="P1")
+    assert by_keyword == s8_conjugation(s8, 2, "P1") == \
+        s8_conjugation(s8, order=2)
+    assert by_keyword["branch"] == "P1" and by_keyword["verified"]
+    assert s8_conjugation(s8, 2, branch="P1") is by_keyword
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            s8_conjugation(s8, 4, branch="P1")
+
+
 def test_verdict_grid_consistency():
     cells = verdict_grid(build_catalog())
     assert len(cells) == 150
@@ -71,6 +83,8 @@ def test_verdict_grid_consistency():
 
 
 def test_binomial_identity_verified_once_per_n_and_g():
+    # a verdict cached by an earlier test would not read the orbits
+    orbits.rationality_verdict.cache_clear()
     orbits._binomial_blocks.cache_clear()
     catalog = build_catalog()
     cells = verdict_grid(catalog)
