@@ -150,8 +150,9 @@ def _finish(label, simples, dot):
     # of all simple reflections has order lcm of the component h's
     total, lcm_h = 0, 1
     for comp in comps:
-        sub = [simples[i] for i in comp]
-        sub_roots = _closure(tuple(sub), dot)
+        # an irreducible diagram is its own one component
+        sub_roots = roots if len(comps) == 1 else \
+            _closure(tuple(simples[i] for i in comp), dot)
         if not sub_roots <= roots:
             raise VerificationError("component roots escape the closure")
         if len(sub_roots) % len(comp):

@@ -14,31 +14,34 @@ constants and powers of s.  The ratfunc step is therefore the Laurent ring,
 not the field Q(zeta_M)(s): its units are the monomials c*s^k, and
 ``invert`` refuses any other element with ValueError.
 
-Elements are represented recursively: a level-0 element is a Fraction; an
-element at either step is a sparse ``{exponent: coefficient}`` dict over the
-level below, without zero coefficients.  At the algebraic step it is reduced
-modulo Phi_M; at the ratfunc step exponents may be negative.  Both forms are
-canonical, so equality is structural.  The coefficient-dict arithmetic is
-the sparse core of :mod:`kleinfib.univariate`.
+Every element has one flat, canonical form, its ``payload`` ``(terms,
+den)``: ``terms`` maps each exponent k of s (only 0 without s) to the
+numerator of its coefficient, phi(M) ints in the basis 1, zeta, ...,
+reduced modulo the integer Phi_M (one int over Q), and keeps no zero tuple;
+``den`` > 0 is one common denominator, in lowest terms.  Equality is thus
+structural.  A product convolves the int tuples, reduces them and takes one
+gcd; an irrational c in Q(zeta_M) is inverted as the product of its Galois
+conjugates sigma_j(c), j in (Z/M)^* other than 1, over its norm N(c).
 
-``FieldTower.lift`` is the one coercion into a tower.  It and same-level
-arithmetic refuse, with ValueError, an element whose field at its level is
-not the tower's field at that level.
+``FieldTower.lift`` is the one coercion into a tower.  It and arithmetic
+refuse, with ValueError, an element of a tower that is not Q, the tower
+itself or, below Q(zeta_M)[s, 1/s], Q(zeta_M).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 from typing import Optional
 
-from .univariate import (_is0, _inv, _padd, _pdeg, _pmul, _pneg, _poly_repr,
-                         _pxgcd, cyclotomic_poly)
+from .univariate import _poly_repr, cyclotomic_poly
 
 
 class ZeroDivisorError(ArithmeticError):
-    """Inversion met a zero divisor: the relation is reducible.  Phi_M is
-    irreducible, so reaching this is a bug."""
+    """Inversion met a zero divisor: a norm is not a positive rational, so
+    the relation is reducible.  Phi_M is irreducible: reaching this is a bug."""
 
 
 @dataclass(frozen=True)
@@ -48,20 +51,67 @@ class Step:
     minpoly: Optional[tuple] = None  # Phi_M as Fractions c0..cd (monic)
 
 
+@dataclass(frozen=True)
+class _Ring:
+    """The integer arithmetic of Z[zeta_M] in the power basis."""
+    M: int
+    d: int            # phi(M)
+    low: tuple        # (i, c) for the nonzero c_i of Phi_M below degree d
+    powers: list      # zeta^i reduced, for i in range(M)
+    units: tuple      # the j in (Z/M)^* other than 1
+
+    def reduce(self, w):
+        """The int list w (any length >= d) as a tuple modulo Phi_M."""
+        d = self.d
+        for k in range(len(w) - 1, d - 1, -1):
+            c = w[k]
+            if c:
+                for i, p in self.low:
+                    w[k - d + i] -= c * p
+        return tuple(w[:d])
+
+    @staticmethod
+    def convolve(u, v, w):
+        """w plus the product of the int tuples u, v, unreduced.  Most
+        operands are sparse (a power of zeta times a rational)."""
+        nz = [(j, y) for j, y in enumerate(v) if y]
+        for i, x in enumerate(u):
+            if x:
+                for j, y in nz:
+                    w[i + j] += x * y
+        return w
+
+    def mul(self, u, v):
+        """The product of two int tuples, reduced."""
+        return self.reduce(self.convolve(u, v, [0] * (2 * self.d - 1)))
+
+
+@lru_cache(maxsize=None)
+def _ring(M):
+    phi = [int(c) for c in cyclotomic_poly(M)]
+    d = len(phi) - 1
+    ring = _Ring(M, d, tuple((i, c) for i, c in enumerate(phi[:-1]) if c),
+                 [(1,) + (0,) * (d - 1)],
+                 tuple(j for j in range(2, M) if gcd(j, M) == 1))
+    for _ in range(M - 1):
+        ring.powers.append(ring.reduce([0, *ring.powers[-1]]))
+    return ring
+
+
 class FieldTower:
     """Q, Q(zeta_M), Q[s, 1/s] or Q(zeta_M)[s, 1/s], as the value (M, var)."""
 
     def __init__(self, M=None, var=None):
         self.M, self.var = M, var
-        steps, fields = [], [(None, None)]   # fields[level] as (M, var)
+        steps = []
         if M is not None:
             steps.append(Step("algebraic", "z%d" % M,
                               tuple(Fraction(c) for c in cyclotomic_poly(M))))
-            fields.append((M, None))
         if var is not None:
             steps.append(Step("ratfunc", var))
-            fields.append((M, var))
-        self.steps, self._fields = tuple(steps), tuple(fields)
+        self.steps = tuple(steps)
+        self._ring = _ring(1 if M is None else M)
+        self._zeros = (0,) * (self._ring.d - 1)
 
     @classmethod
     def rationals(cls):
@@ -74,78 +124,62 @@ class FieldTower:
                              " %r" % (self, self.var))
         return FieldTower(self.M, name)
 
-    # -- level-element plumbing ------------------------------------------
+    # -- payloads -----------------------------------------------------------
 
-    def _check(self, x):
-        """Refuse the element x if its field is not ours at its level."""
-        if x.tower._fields[x.level] != self._fields[x.level]:
-            raise ValueError("an element of %r is not in %r" % (x.tower, self))
+    def _const(self, q):
+        """The payload of the int or Fraction q."""
+        n, den = (q, 1) if isinstance(q, int) else (q.numerator, q.denominator)
+        return ({0: (n,) + self._zeros}, den) if n else ({}, 1)
 
-    def _as_level(self, x, level):
-        """Coerce x (int/Fraction/FieldElement of lower level) to a raw
-        coefficient at `level` (Fraction if level 0, else FieldElement)."""
-        if isinstance(x, int):
-            x = Fraction(x)
-        if isinstance(x, Fraction):
-            cur = x
-            for lv in range(1, level + 1):
-                cur = self._wrap(cur, lv)
-            return cur
-        if isinstance(x, FieldElement):
-            if x.level > level:
-                raise ValueError("cannot lower element level")
-            if x.tower is not self:
-                self._check(x)
-            val = x.payload if x.level == 0 else x
-            for lv in range(x.level + 1, level + 1):
-                val = self._wrap(val, lv)
-            return val
-        raise TypeError("cannot coerce %r" % (x,))
+    def _payload_of(self, x):
+        """The payload of the element x here; refuses any x whose tower is
+        not Q, this tower or its subfield Q(zeta_M)."""
+        T = x.tower
+        if T == self or (T.var is None and T.M == self.M):
+            return x.payload
+        if T.M is None and T.var is None:
+            terms, den = x.payload
+            return ({0: terms[0] + self._zeros}, den) if terms else ({}, 1)
+        raise ValueError("an element of %r is not in %r" % (T, self))
 
-    def _wrap(self, lower, level):
-        """Embed a raw level-1 coefficient one step up, returning FieldElement."""
-        return FieldElement(self, level, {0: lower} if not _is0(lower) else {})
+    def _elem(self, terms, den):
+        """The element with numerators `terms` over den > 0, in lowest terms."""
+        g = den
+        for v in terms.values():
+            g = gcd(g, *v)
+            if g == 1:
+                return FieldElement(self, (terms, den))
+        return FieldElement(self, ({k: tuple(x // g for x in v)
+                                    for k, v in terms.items()}, den // g))
 
-    # -- public element constructors --------------------------------------
-
-    @property
-    def level(self):
-        return len(self.steps)
+    # -- public element constructors ----------------------------------------
 
     def zero(self):
-        return self._elem(self._as_level(Fraction(0), self.level))
+        return FieldElement(self, ({}, 1))
 
     def one(self):
-        return self._elem(self._as_level(Fraction(1), self.level))
+        return FieldElement(self, self._const(1))
 
     def from_fraction(self, q):
-        return self._elem(self._as_level(Fraction(q), self.level))
-
-    def _elem(self, raw):
-        if isinstance(raw, FieldElement):
-            return raw
-        return FieldElement(self, 0, raw) if self.level == 0 else raw
+        return FieldElement(self, self._const(Fraction(q)))
 
     def gen(self, name):
-        """The generator adjoined under `name`, lifted to the top level."""
-        for i, step in enumerate(self.steps):
-            if step.name == name:
-                lv = i + 1
-                payload = {1: self.one_at(lv - 1)}
-                if step.kind == "algebraic":
-                    payload = _alg_reduce(payload, step.minpoly)
-                el = FieldElement(self, lv, payload)
-                return self._as_level(el, self.level)
+        """The generator adjoined under `name`."""
+        if name == self.var:
+            return FieldElement(self, ({1: (1,) + self._zeros}, 1))
+        if self.M is not None and name == "z%d" % self.M:
+            return FieldElement(self, ({0: self._ring.powers[1 % self.M]}, 1))
         raise KeyError(name)
 
     def lift(self, x):
         """The one coercion: an int, a Fraction or an element of a subfield
-        of this tower, as a top-level element."""
-        return self._elem(self._as_level(x, self.level))
-
-    def one_at(self, level):
-        """One as a raw coefficient at `level` (a Fraction at level 0)."""
-        return self._as_level(Fraction(1), level)
+        of this tower, as an element of this tower."""
+        if isinstance(x, FieldElement):
+            return x if x.tower is self else \
+                FieldElement(self, self._payload_of(x))
+        if isinstance(x, (int, Fraction)):
+            return FieldElement(self, self._const(x))
+        raise TypeError("cannot coerce %r" % (x,))
 
     def __eq__(self, other):
         return isinstance(other, FieldTower) and \
@@ -160,88 +194,126 @@ class FieldTower:
         return "QQ(" + ", ".join(s.name for s in self.steps) + ")"
 
 
-class FieldElement:
-    __slots__ = ("tower", "level", "payload")
+def _add(tower, p, q, sign):
+    """p + sign*q for payloads p, q of `tower`."""
+    (a, da), (b, db) = p, q
+    den = da // gcd(da, db) * db
+    ma, mb = den // da, sign * den // db
+    out = {k: tuple(ma * x for x in v) for k, v in a.items()} if ma > 1 \
+        else dict(a)
+    for k, v in b.items():
+        w = out.get(k)
+        if w is None:
+            out[k] = tuple(mb * y for y in v)
+        else:
+            w = tuple(x + mb * y for x, y in zip(w, v))
+            if any(w):
+                out[k] = w
+            else:
+                del out[k]
+    return tower._elem(out, den)
 
-    def __init__(self, tower, level, payload):
+
+def _mul(tower, p, q):
+    """The product of the payloads p, q of `tower`."""
+    (a, da), (b, db) = p, q
+    ring = tower._ring
+    if len(a) == 1 and len(b) == 1:
+        (ka, u), = a.items()
+        (kb, v), = b.items()
+        return tower._elem({ka + kb: ring.mul(u, v)}, da * db)
+    acc = {}
+    for ka, u in a.items():
+        for kb, v in b.items():
+            w = acc.get(ka + kb)
+            if w is None:
+                w = acc[ka + kb] = [0] * (2 * ring.d - 1)
+            ring.convolve(u, v, w)
+    out = {}
+    for k, w in acc.items():
+        w = ring.reduce(w)
+        if any(w):
+            out[k] = w
+    return tower._elem(out, da * db)
+
+
+def _cyclotomic_inverse(v, ring):
+    """(w, n) with v*w = n in Z[zeta_M] for the irrational int tuple v: w is
+    the product of the conjugates sigma_j(v), j in (Z/M)^* other than 1, and
+    n = N(v) > 0, as Q(zeta_M), M > 2, has no real embedding."""
+    M, powers, w = ring.M, ring.powers, None
+    for j in ring.units:
+        conj = [0] * ring.d
+        for i, x in enumerate(v):
+            if x:
+                for m, y in enumerate(powers[i * j % M]):
+                    conj[m] += x * y
+        w = tuple(conj) if w is None else ring.mul(w, conj)
+    norm = ring.mul(v, w)
+    if norm[0] <= 0 or any(norm[1:]):
+        raise ZeroDivisorError("the norm of %r in Q(zeta_%d) is not a positive"
+                               " rational: %r" % (v, M, norm))
+    return w, norm[0]
+
+
+class FieldElement:
+    __slots__ = ("tower", "payload")
+
+    def __init__(self, tower, payload):
         self.tower = tower
-        self.level = level
         self.payload = payload
 
     # -- basics -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.payload == 0 if self.level == 0 else not self.payload
-
-    def payload_one(self):
-        return self.tower.one_at(self.level - 1)
+        return not self.payload[0]
 
     def _coerce(self, other):
-        if isinstance(other, (int, Fraction)):
-            raw = self.tower._as_level(Fraction(other), self.level)
-            return raw if isinstance(raw, FieldElement) else \
-                FieldElement(self.tower, 0, raw)
+        """The payload of `other` in this tower, or NotImplemented."""
         if isinstance(other, FieldElement):
-            if other.level == self.level:
-                if other.tower is not self.tower:
-                    self.tower._check(other)
-                return other
-            if other.level < self.level:
-                return self.tower._as_level(other, self.level)
-            raise ValueError("level mismatch")
+            if other.tower is self.tower:
+                return other.payload
+            return self.tower._payload_of(other)
+        if isinstance(other, (int, Fraction)):
+            return self.tower._const(other)
         return NotImplemented
-
-    def _make(self, payload):
-        return FieldElement(self.tower, self.level, payload)
-
-    def _step(self):
-        return self.tower.steps[self.level - 1]
 
     # -- ring ops -----------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        p = self._coerce(other)
+        if p is NotImplemented:
             return NotImplemented
-        if self.level == 0:
-            return self._make(self.payload + other.payload)
-        return self._make(_padd(self.payload, other.payload))
+        return _add(self.tower, self.payload, p, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.level == 0:
-            return self._make(-self.payload)
-        return self._make(_pneg(self.payload))
+        terms, den = self.payload
+        return FieldElement(self.tower, ({k: tuple(-x for x in v)
+                                          for k, v in terms.items()}, den))
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        p = self._coerce(other)
+        if p is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _add(self.tower, self.payload, p, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        p = self._coerce(other)
+        if p is NotImplemented:
             return NotImplemented
-        if self.level == 0:
-            return self._make(self.payload * other.payload)
-        prod = _pmul(self.payload, other.payload)
-        step = self._step()
-        if step.kind == "ratfunc":
-            return self._make(prod)
-        return self._make(_alg_reduce(prod, step.minpoly))
+        return _mul(self.tower, self.payload, p)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (int, Fraction, FieldElement)):
             return NotImplemented
-        return self * other.invert()
+        return self * self.tower.lift(other).invert()
 
     def __rtruediv__(self, other):
         return self.invert() * other
@@ -249,49 +321,48 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.invert() ** (-n)
-        result = self._coerce(1)
-        base = self
+        T = self.tower
+        result, base = T._const(1), self.payload
         while n:
             if n & 1:
-                result = result * base
+                result = _mul(T, result, base).payload
             n >>= 1
             if n:
-                base = base * base
-        return result
+                base = _mul(T, base, base).payload
+        return FieldElement(T, result)
 
     def invert(self):
-        if self.is_zero():
+        terms, den = self.payload
+        if not terms:
             raise ZeroDivisionError("inverting zero element")
-        if self.level == 0:
-            return self._make(Fraction(1) / self.payload)
-        step = self._step()
-        if step.kind == "ratfunc":
-            if len(self.payload) != 1:
-                raise ValueError("%r is not a unit of the Laurent ring %r: "
-                                 "only monomials c*%s^k invert"
-                                 % (self, self.tower, step.name))
-            (k, c), = self.payload.items()
-            return self._make({-k: _inv(c)})
-        mod = {i: c for i, c in enumerate(step.minpoly) if not _is0(c)}
-        g, u, _v = _pxgcd(self.payload, mod)
-        if _pdeg(g) > 0:
-            raise ZeroDivisorError(
-                "relation for %r is reducible; found factor of degree %d"
-                % (step.name, _pdeg(g)))
-        # g == 1, so u * self == 1 mod relation
-        return self._make(_alg_reduce(u, step.minpoly))
+        T = self.tower
+        if len(terms) != 1:
+            raise ValueError("%r is not a unit of the Laurent ring %r: "
+                             "only monomials c*%s^k invert" % (self, T, T.var))
+        (k, v), = terms.items()
+        if any(v[1:]):
+            w, n = _cyclotomic_inverse(v, T._ring)
+        else:
+            w, n = (1 if v[0] > 0 else -1,) + v[1:], abs(v[0])
+        return T._elem({-k: tuple(den * x for x in w)}, n)
 
     def __eq__(self, other):
         try:
-            other = self._coerce(other)
+            p = self._coerce(other)
         except (ValueError, TypeError):
             return NotImplemented
-        if other is NotImplemented:
+        if p is NotImplemented:
             return NotImplemented
-        return (self - other).is_zero()
+        return self.payload == p
 
     def __hash__(self):
-        return hash(_hash_key(self))
+        """A constant hashes as its Fraction, any other element by its
+        payload, which `lift` leaves unchanged."""
+        terms, den = self.payload
+        v = terms.get(0)
+        if not terms or v is not None and len(terms) == 1 and not any(v[1:]):
+            return hash(Fraction(v[0], den) if terms else 0)
+        return hash((tuple(sorted(terms.items())), den))
 
     def __bool__(self):
         return not self.is_zero()
@@ -299,62 +370,45 @@ class FieldElement:
     # -- embedding ----------------------------------------------------------
 
     def as_complex(self, env: dict) -> complex:
-        """Numeric embedding; env maps generator names to complex values."""
-        if self.level == 0:
-            return complex(self.payload)
-        g = env[self._step().name]
-        return sum(_coeff_complex(c, env) * g ** k for k, c in self.payload.items())
+        """Numeric embedding; env maps generator names to complex values.
+        Sums run over ascending exponents."""
+        terms, den = self.payload
+        M, var = self.tower.M, self.tower.var
+        if M is None:
+            def coeff(v):
+                return complex(v[0] / den)
+        else:
+            z = env["z%d" % M]
+
+            def coeff(v):
+                return sum(complex(x / den) * z ** i
+                           for i, x in enumerate(v) if x)
+        s = 1 if var is None else env[var]
+        return sum(coeff(terms[k]) * s ** k for k in sorted(terms))
 
     def __repr__(self):
-        if self.level == 0:
-            return str(self.payload)
-        name = self._step().name
-        m = -min(self.payload, default=0)
+        terms, den = self.payload
+        M, var = self.tower.M, self.tower.var
+        if M is None:
+            def coeff(v):
+                return str(Fraction(v[0], den))
+        else:
+            def coeff(v):
+                return _poly_repr({i: Fraction(x, den)
+                                   for i, x in enumerate(v) if x}, "z%d" % M)
+        if var is None:
+            return coeff(terms[0]) if terms else "0"
+        m = -min(terms, default=0)
         if m <= 0:
-            return _poly_repr(self.payload, name)
+            return _poly_repr({k: coeff(v) for k, v in terms.items()}, var)
         # a negative exponent prints as (num)/(s^m), num with a constant term
-        num = {k + m: c for k, c in self.payload.items()}
-        return "(%s)/(%s)" % (_poly_repr(num, name),
-                              _poly_repr({m: self.payload_one()}, name))
-
-
-def _hash_key(c):
-    """A key that agrees with ==: an element equal to a constant of a lower
-    level (down to a Fraction) has the key of that constant; any other
-    element is keyed by its canonical payload at the level where it stops
-    being constant."""
-    while isinstance(c, FieldElement) and c.level:
-        if c.payload.keys() - {0}:
-            return (c.level,) + tuple(
-                sorted((k, _hash_key(v)) for k, v in c.payload.items()))
-        c = c.payload.get(0, Fraction(0))
-    return c.payload if isinstance(c, FieldElement) else c
+        num = {k + m: coeff(v) for k, v in terms.items()}
+        one = "1" if M is None else "(1)"
+        return "(%s)/(%s)" % (_poly_repr(num, var), _poly_repr({m: one}, var))
 
 
 def _coeff_complex(c, env):
     return complex(c) if isinstance(c, Fraction) else c.as_complex(env)
-
-
-def _alg_reduce(poly, minpoly):
-    """Reduce a coefficient dict modulo a monic relation (coeff tuple c0..cd)."""
-    d = len(minpoly) - 1
-    poly = dict(poly)
-    while poly and _pdeg(poly) >= d:
-        k = _pdeg(poly)
-        c = poly.pop(k)
-        # subtract c * x^(k-d) * (minpoly - x^d), i.e. add -c * lower part
-        for i, mc in enumerate(minpoly[:-1]):
-            if _is0(mc):
-                continue
-            kk = k - d + i
-            s = poly.get(kk)
-            term = c * mc
-            s = -term if s is None else s - term
-            if _is0(s):
-                poly.pop(kk, None)
-            else:
-                poly[kk] = s
-    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +421,8 @@ def cyclotomic(M: int) -> FieldTower:
 
 
 def root_of_unity(tower: FieldTower, k: int) -> FieldElement:
-    """zeta_k = zeta_M^(M/k) at the top of a tower over Q(zeta_M); k must
-    divide M (i = zeta_4, zeta_3, ...)."""
+    """zeta_k = zeta_M^(M/k) in a tower over Q(zeta_M); k must divide M
+    (i = zeta_4, zeta_3, ...)."""
     M = tower.M
     if M is None or M % k:
         raise ValueError("zeta_%d is not in %r" % (k, tower))

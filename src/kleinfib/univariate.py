@@ -2,11 +2,12 @@
 
 Three representations share it:
 
-* sparse ``{exp: coeff}`` dicts over one field level (Fraction, or a
-  :class:`~kleinfib.tower.FieldElement`) -- the ``_p*`` helpers, on which
-  the field towers do their arithmetic;
-* dense coefficient lists, low degree first, over a field -- division, gcd,
-  resultants and Sturm chains; division and gcd run on the sparse helpers;
+* dense coefficient lists, low degree first, over a field (Fractions or
+  :class:`~kleinfib.tower.FieldElement` s) -- division, gcd, resultants and
+  Sturm chains;
+* sparse ``{exp: coeff}`` dicts over the same fields -- the ``_p*``
+  helpers, on which the dense division and gcd run (the field towers keep
+  their own flat integer form, see :mod:`kleinfib.tower`);
 * polynomial coefficients -- the subresultant pseudo-remainder sequence over
   :class:`~kleinfib.multipoly.MultiPoly`, used by the elimination chains.
 
@@ -23,7 +24,7 @@ from .multipoly import MultiPoly
 
 
 # ---------------------------------------------------------------------------
-# coefficient helpers (work on Fractions at level 0, FieldElements above)
+# coefficient helpers (work on Fractions and FieldElements)
 
 def _is0(c) -> bool:
     return c == 0 if isinstance(c, Fraction) else c.is_zero()
@@ -41,41 +42,6 @@ def _inv(c):
 
 def _pdeg(d):
     return max(d) if d else -1
-
-
-def _padd(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        s = out.get(k)
-        s = v if s is None else s + v
-        if _is0(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def _pneg(a):
-    return {k: -v for k, v in a.items()}
-
-
-def _psub(a, b):
-    return _padd(a, _pneg(b))
-
-
-def _pmul(a, b):
-    out: dict = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = k1 + k2
-            p = v1 * v2
-            s = out.get(k)
-            s = p if s is None else s + p
-            if _is0(s):
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
 
 
 def _pscale(a, c):
@@ -120,34 +86,6 @@ def _pgcd(a, b):
     return _pmonic(a)
 
 
-def _pxgcd(a, b):
-    """Extended Euclid: returns (g, u, v) with u*a + v*b = g, g monic."""
-    r0, r1 = dict(a), dict(b)
-    one = _sample_one(a, b)
-    s0, s1 = {0: one}, {}
-    t0, t1 = {}, {0: one}
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1))
-        t0, t1 = t1, _psub(t0, _pmul(q, t1))
-    if r0:
-        lc = r0[_pdeg(r0)]
-        ilc = _inv(lc)
-        r0, s0, t0 = _pscale(r0, ilc), _pscale(s0, ilc), _pscale(t0, ilc)
-    return r0, s0, t0
-
-
-def _sample_one(*polys):
-    for p in polys:
-        for v in p.values():
-            if isinstance(v, Fraction):
-                return Fraction(1)
-            return v.tower.one_at(v.level)
-    return Fraction(1)
-
-
-
 def _poly_repr(d, name):
     if not d:
         return "0"
@@ -161,7 +99,6 @@ def _poly_repr(d, name):
         else:
             bits.append("(%s)*%s^%d" % (c, name, k))
     return " + ".join(bits)
-
 
 
 # ---------------------------------------------------------------------------

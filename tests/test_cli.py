@@ -14,7 +14,7 @@ import pytest
 import kleinfib
 from kleinfib import cli, numeric, orbits
 from kleinfib.cli import _parse_poly, main
-from kleinfib.curves import VerificationError
+from kleinfib.curves import VerificationError, dn_tower
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.numeric import NumericConfig, numeric_curve_audit
 
@@ -162,6 +162,19 @@ def test_verdict_dn12_rational_point():
     assert cert["verdict"]["a"] == 2
     assert cert["verdict"]["rule"] == \
         "conic-bundle-le-1-fibre-with-point-rational"
+
+
+def test_family_cap_dn32():
+    # at the family cap the D_n witness tower is Q(zeta_124)(mu), phi = 60
+    assert cli.MAX_FAMILY_INDEX == 32
+    assert dn_tower(32)[0].M == 124
+    code, cert = run(["curves", "dn:32"])
+    assert code == 0 and cert["status"] == "verified"
+    assert cert["count"] == 64
+    code, cert = run(["verdict", "dn:32", "--ext", "62"])
+    assert code == 0 and cert["status"] == "verified"
+    assert cert["verdict"]["rational"] is True
+    assert cert["verdict"]["a"] == 2
 
 
 def test_audit_bad_t():

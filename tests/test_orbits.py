@@ -115,21 +115,23 @@ def test_s6_intersections():
 
 
 def test_witnesses_stay_off_the_euclid_path(monkeypatch):
-    # Laurent witnesses invert only monomials: an extended Euclid runs only
-    # for their constant coefficients in Q(zeta_M), never for a denominator
+    # Laurent witnesses invert only monomials: an inversion by the Galois
+    # norm runs only for their irrational constant coefficients in
+    # Q(zeta_M), never for a denominator
     calls = []
-    xgcd = tower._pxgcd
+    inverse = tower._cyclotomic_inverse
 
     def counted(*args):
         calls.append(1)
-        return xgcd(*args)
-    monkeypatch.setattr(tower, "_pxgcd", counted)
+        return inverse(*args)
+    monkeypatch.setattr(tower, "_cyclotomic_inverse", counted)
     for fn in (orbits.s6_intersections, orbits.dn_intersections,
                orbits.enumerate_dn):
         fn.cache_clear()
     s6_intersections(build_surface("s6"))
-    # 189 measured; normalizing quotients by a gcd took 11707
-    assert len(calls) <= 400
+    # 122 measured (the extended Euclid it replaced ran 189 times, also for
+    # rational constants); normalizing quotients by a gcd took 11707
+    assert calls and len(calls) <= 400
     del calls[:]
     dn_intersections(build_surface("dn:9"))
     assert not calls

@@ -1,11 +1,14 @@
 """Field-tower arithmetic: inversion, numeric images, refused coercions."""
 
+import cmath
+import random
 from fractions import Fraction
 
 import pytest
 
 from kleinfib.curves import dn_tower
-from kleinfib.tower import FieldTower, cyclotomic, root_of_unity
+from kleinfib.tower import (FieldTower, ZeroDivisorError, _cyclotomic_inverse,
+                            _Ring, cyclotomic, root_of_unity)
 
 
 def _i_sqrt3(T):
@@ -136,3 +139,132 @@ def test_cyclotomic_roots_of_unity():
         root_of_unity(K, 5)
     with pytest.raises(ValueError):
         root_of_unity(FieldTower.rationals(), 1)
+
+
+def test_zero_divisor_is_refused():
+    # over the reducible x^2 - 1 in place of Phi_4, 1 + x is a zero divisor
+    ring = _Ring(4, 2, ((0, -1),), [(1, 0), (0, 1), (1, 0), (0, 1)], (3,))
+    with pytest.raises(ZeroDivisorError):
+        _cyclotomic_inverse((1, 1), ring)
+
+
+# ---------------------------------------------------------------------------
+# the flat ring form, on seeded random elements of every tower
+
+MODULI = [None, 1, 2, 3, 4, 12, 16, 20, 28, 44, 124]
+TOWERS = [T for M in MODULI
+          for K in [FieldTower.rationals() if M is None else cyclotomic(M)]
+          for T in (K, K.extend_ratfunc("s"))]
+
+
+def _random_element(T, rng, terms=3, laurent=True):
+    """A sum of up to `terms` terms c*zeta^i*s^k, c a small rational."""
+    z = T.one() if T.M is None else T.gen("z%d" % T.M)
+    s = T.gen("s") if T.var and laurent else T.one()
+    x = T.zero()
+    for _ in range(rng.randint(1, terms)):
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        x += c * z ** rng.randrange(T.M or 1) * s ** rng.randint(-3, 3)
+    return x
+
+
+def _env(T):
+    return {"z%d" % (T.M or 1): cmath.exp(2j * cmath.pi / (T.M or 1)),
+            "s": complex(0.8, 0.45)}
+
+
+@pytest.mark.parametrize("T", TOWERS, ids=repr)
+def test_flat_ring_identities(T):
+    rng = random.Random(repr(T))
+    for _ in range(4):
+        x, y, w = (_random_element(T, rng) for _ in range(3))
+        assert x + y == y + x and x * y == y * x
+        assert (x + y) + w == x + (y + w)
+        assert (x * y) * w == x * (y * w)
+        assert x * (y + w) == x * y + x * w
+        assert x - x == 0 and x + T.zero() == x and x * T.one() == x
+        assert -(x - y) == y - x and x * 0 == T.zero()
+        assert x ** 3 == x * x * x and x ** 0 == 1
+
+
+@pytest.mark.parametrize("T", TOWERS, ids=repr)
+def test_flat_ring_inverses(T):
+    rng = random.Random(repr(T))
+    s = T.gen("s") if T.var else T.one()
+    for _ in range(3):
+        c = _random_element(T, rng, laurent=False)
+        if c == 0:
+            continue
+        # nonzero constants of Q(zeta_M), and the Laurent monomials c*s^k
+        u = c * s ** rng.randint(-3, 3)
+        assert u * u.invert() == 1 and u / u == 1
+        assert u ** -2 * u ** 3 == u
+
+
+@pytest.mark.parametrize("T", TOWERS, ids=repr)
+def test_flat_ring_as_complex(T):
+    rng, env = random.Random(repr(T)), _env(T)
+    for _ in range(4):
+        x, y = (_random_element(T, rng) for _ in range(2))
+        a, b = x.as_complex(env), y.as_complex(env)
+        tol = 1e-9 * (1 + abs(a)) * (1 + abs(b))
+        assert abs((x * y).as_complex(env) - a * b) < tol
+        assert abs((x + y).as_complex(env) - (a + b)) < tol
+        assert abs((x - y).as_complex(env) - (a - b)) < tol
+
+
+@pytest.mark.parametrize("M", MODULI)
+def test_flat_ring_hash_across_lift(M):
+    K = FieldTower.rationals() if M is None else cyclotomic(M)
+    Ks = K.extend_ratfunc("s")
+    s, rng = Ks.gen("s"), random.Random(M)
+    for _ in range(4):
+        x = _random_element(K, rng)
+        X = Ks.lift(x)
+        assert X == x and x == X and hash(X) == hash(x)
+        assert (X + s) - s == x and hash((X + s) - s) == hash(x)
+        assert len({x, X, (X + s) - s}) == 1
+    q = Fraction(-5, 3)
+    for c in (K.from_fraction(q), Ks.from_fraction(q),
+              Ks.lift(FieldTower.rationals().from_fraction(q))):
+        assert c == q and hash(c) == hash(q)
+    assert hash(K.zero()) == hash(Ks.zero()) == hash(0)
+
+
+def test_repr_strings():
+    # byte for byte as printed by the recursive element form this replaced
+    Q = FieldTower.rationals()
+    Qs = Q.extend_ratfunc("s")
+    s = Qs.gen("s")
+    K = cyclotomic(12)
+    z = K.gen("z12")
+    Ks = K.extend_ratfunc("s")
+    zs, ss = Ks.gen("z12"), Ks.gen("s")
+    D = cyclotomic(16).extend_ratfunc("mu")
+    w, mu = D.gen("z16"), D.gen("mu")
+    cases = [
+        (Q.zero(), "0"), (Q.from_fraction(Fraction(-7, 3)), "-7/3"),
+        (Qs.zero(), "0"),
+        (Fraction(1, 2) * s ** 3 - 4 + s ** -2 * 3,
+         "((1/2)*s^5 + (-4)*s^2 + (3))/((1)*s^2)"),
+        (s ** -1, "((1))/((1)*s)"), (-s, "(-1)*s"),
+        (K.zero(), "0"),
+        (Fraction(3, 2) * z ** 3 - z + Fraction(1, 3),
+         "(3/2)*z12^3 + (-1)*z12 + (1/3)"),
+        (z ** 4, "(1)*z12^2 + (-1)"), (1 / (1 + z), "(-1)*z12^3 + (1)*z12^2"),
+        (Ks.zero(), "0"),
+        ((Fraction(3, 2) * zs ** 3 - zs + Fraction(1, 3)) * ss ** 2
+         - 5 * ss ** -3,
+         "(((3/2)*z12^3 + (-1)*z12 + (1/3))*s^5 + ((-5)))/(((1))*s^3)"),
+        (ss ** -1 * zs, "(((1)*z12))/(((1))*s)"),
+        (Ks.from_fraction(Fraction(5, 6)), "((5/6))"),
+        (cyclotomic(1).gen("z1") * 2, "(2)"), (cyclotomic(2).gen("z2"), "(-1)"),
+        ((w ** 7 + Fraction(2, 9)) * mu ** 5 - w ** 9 * mu,
+         "((1)*z16^7 + (2/9))*mu^5 + ((1)*z16)*mu"),
+        ((1 + w) ** -1 * mu ** -4,
+         "(((-1/2)*z16^7 + (1/2)*z16^6 + (-1/2)*z16^5 + (1/2)*z16^4"
+         " + (-1/2)*z16^3 + (1/2)*z16^2 + (-1/2)*z16 + (1/2)))"
+         "/(((1))*mu^4)"),
+    ]
+    for x, text in cases:
+        assert repr(x) == text
