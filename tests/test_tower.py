@@ -157,12 +157,12 @@ TOWERS = [T for M in MODULI
           for T in (K, K.extend_ratfunc("s"))]
 
 
-def _random_element(T, rng, terms=3, laurent=True):
-    """A sum of up to `terms` terms c*zeta^i*s^k, c a small rational."""
+def _random_element(T, rng, laurent=True):
+    """A sum of up to three terms c*zeta^i*s^k, c a small rational."""
     z = T.one() if T.M is None else T.gen("z%d" % T.M)
     s = T.gen("s") if T.var and laurent else T.one()
     x = T.zero()
-    for _ in range(rng.randint(1, terms)):
+    for _ in range(rng.randint(1, 3)):
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
         x += c * z ** rng.randrange(T.M or 1) * s ** rng.randint(-3, 3)
     return x
