@@ -125,11 +125,11 @@ def cmd_curves(args):
         curves = certify_s6_lines(s)
         expected = 27
     elif s.name == "s7":
-        curves, trace, residual = enumerate_s7(s)
+        curves = enumerate_s7(s)[0]
         expected = 56
         payload["residual_Q"] = [str(c) for c in q_cubic()]
     elif s.name == "s8":
-        curves, trace, residuals = enumerate_s8(s)
+        curves = enumerate_s8(s)[0]
         expected = 240
         payload["residual_Q1"] = [str(c) for c in q1_quartic()]
         payload["residual_Q2"] = [str(c) for c in q2_quartic()]
@@ -238,10 +238,13 @@ def cmd_lattice(args):
 
 def cmd_autos(args):
     case = args.surface
-    if case == "an":
+    if case in ("an", "dn"):
         if args.n is None:
-            raise UsageError("autos an requires --n")
-        case = "an:%d" % args.n
+            raise UsageError("autos %s requires --n" % case)
+        case = "%s:%d" % (case, args.n)
+    elif args.n is not None:
+        raise UsageError("--n only applies to the an and dn families, "
+                         "given without an index")
     s = _surface(_klein_name(case))
     wild = None
     if args.poly is not None:
@@ -556,7 +559,8 @@ def build_parser():
 
     a = sub.add_parser("autos", help="automorphism verification")
     a.add_argument("surface")
-    a.add_argument("--n", type=int, help="index for the an family")
+    a.add_argument("--n", type=int,
+                   help="index for the an and dn families: an --n 3 is an:3")
     a.add_argument("--poly", help="shear polynomial P(y) for the an family")
     a.add_argument("--seed", type=int, default=0)
     a.set_defaults(fn="cmd_autos")

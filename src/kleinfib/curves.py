@@ -16,8 +16,7 @@ from math import gcd, lcm
 
 from .multipoly import MultiPoly
 from .tower import FieldTower, cyclotomic, root_of_unity
-from .univariate import (from_multipoly, poly_gcd, resultant_poly,
-                         subresultant_prs)
+from .univariate import prem, resultant_poly, subresultant_prs
 
 
 class VerificationError(AssertionError):
@@ -74,15 +73,6 @@ class CurveSpec:
         return (self.surface, self.family, self.branch, self.index)
 
 
-@dataclass
-class EliminationTrace:
-    steps: list = field(default_factory=list)
-    residual: object = None
-
-    def record(self, name, **info):
-        self.steps.append({"name": name, **info})
-
-
 # ---------------------------------------------------------------------------
 # residual polynomial targets (nested forms replayed verbatim)
 
@@ -133,28 +123,10 @@ def subs_fraction(p: MultiPoly, name: str, num: MultiPoly, den: MultiPoly):
     return out
 
 
-def rational_content(p: MultiPoly) -> Fraction:
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    if num == 0:
-        return Fraction(1)
-    return Fraction(num, den)
-
-
 def strip_content(p: MultiPoly) -> MultiPoly:
     """Divide out the monomial content and the rational content; normalize
     the graded-lex leading coefficient to be positive."""
-    if p.is_zero():
-        return p
-    p = p.divide_by_term(p.monomial_content())
-    c = rational_content(p)
-    _, lead = p.leading_term()
-    if lead < 0:
-        c = -c
-    return p.scale(Fraction(1) / c)
+    return p.divide_by_term(p.monomial_content()).primitive()
 
 
 def reduce_pair(num: MultiPoly, den: MultiPoly):
@@ -163,10 +135,9 @@ def reduce_pair(num: MultiPoly, den: MultiPoly):
     mc = tuple(min(a, b) for a, b in
                zip(num.monomial_content(), den.monomial_content()))
     num, den = num.divide_by_term(mc), den.divide_by_term(mc)
-    cn, cd = rational_content(num), rational_content(den)
+    cn, cd = num.content(), den.content()
     g = Fraction(gcd(cn.numerator, cd.numerator),
-                 (cn.denominator * cd.denominator
-                  // gcd(cn.denominator, cd.denominator)))
+                 lcm(cn.denominator, cd.denominator))
     _, lead = den.leading_term()
     if lead < 0:
         g = -g
@@ -207,7 +178,7 @@ def wx_coefficients(p: MultiPoly, degree: int):
         out.append(c)
         mono = [0] * len(p.vars)
         mono[iW], mono[iX] = degree - j, j
-        total = total + c * MultiPoly(p.vars, {tuple(mono): Fraction(1)})
+        total = total + c.shift(mono)
     if total != p:
         raise VerificationError("substituted equation is not homogeneous of "
                                 "degree %d in (W, X)" % degree, detail=p)
@@ -216,10 +187,11 @@ def wx_coefficients(p: MultiPoly, degree: int):
 
 def coprime_at_t2(f: MultiPoly, g: MultiPoly, name: str) -> bool:
     """Coprimality certificate over Q(t): specialize t = 2 and take a
-    univariate gcd.  Hypothesis, checked here: the leading coefficient of f
-    in `name` does not vanish at t = 2.  Then Res(f, g) at t = 2 is a
-    nonzero multiple of Res(f(2), g(2)), so a unit gcd at the specialization
-    forces a unit generic gcd."""
+    univariate gcd, by the primitive PRS over Z (Brown 1971).  Hypothesis,
+    checked here: the leading coefficient of f in `name` does not vanish at
+    t = 2.  Then Res(f, g) at t = 2 is a nonzero multiple of
+    Res(f(2), g(2)), so a unit gcd at the specialization forces a unit
+    generic gcd."""
     two = Fraction(2)
     fs = f.substitute({"t": two}) if "t" in f.vars else f
     gs = g.substitute({"t": two}) if "t" in g.vars else g
@@ -227,9 +199,12 @@ def coprime_at_t2(f: MultiPoly, g: MultiPoly, name: str) -> bool:
         raise VerificationError("coprimality at t = 2: the leading "
                                 "coefficient in %s vanishes there" % name,
                                 detail=f)
-    fu = from_multipoly(fs, name)
-    gu = from_multipoly(gs, name)
-    return len(poly_gcd(fu, gu)) == 1
+    for p in (fs, gs):
+        if any(p.degree(v) > 0 for v in p.vars if v != name):
+            raise ValueError("polynomial is not univariate in %r" % name)
+    while not gs.is_zero():
+        fs, gs = gs, prem(fs, gs, name).primitive()
+    return fs.degree(name) == 0
 
 
 def univariate_from_pure(p: MultiPoly, var_block: str, block: int,
@@ -265,7 +240,6 @@ def enumerate_s7(s7):
     YS = av * Wv + bv * Xv
     ZS = cv * Wv ** 2 + dv * Wv * Xv + ev * Xv ** 2
     P = -eq.substitute({"Y": YS, "Z": ZS})
-    trace = EliminationTrace()
     co = wx_coefficients(P, 4)
 
     # the five displayed coefficient polynomials
@@ -278,7 +252,6 @@ def enumerate_s7(s7):
         if got != want:
             raise VerificationError("S7 coefficient of W^%d X^%d deviates"
                                     % (4 - j, j), detail=got - want)
-    trace.record("coefficients", count=5, matched_display=True)
 
     solved = []
     # b = -e^2  (from the X^4 coefficient)
@@ -286,7 +259,6 @@ def enumerate_s7(s7):
     if not (db == MultiPoly.const(V, 1) and nb == -ev ** 2):
         raise VerificationError("b-step deviates from -e^2", detail=(nb, db))
     solved.append(("b", nb, db))
-    trace.record("solve b", value="-e^2")
 
     # a = e^6 - 2de  (from the W X^3 coefficient)
     na, da = solve_linear(chain_subs(co[3], solved), "a")
@@ -294,7 +266,6 @@ def enumerate_s7(s7):
         raise VerificationError("a-step deviates from e^6 - 2de",
                                 detail=(na, da))
     solved.append(("a", na, da))
-    trace.record("solve a", value="e^6 - 2de")
 
     # c = -(d^2 - 6de^5 + 3e^10) / (2e)  (from the W^2 X^2 coefficient)
     nc, dc = solve_linear(chain_subs(co[2], solved), "c")
@@ -302,7 +273,6 @@ def enumerate_s7(s7):
             nc == -(dv ** 2 - 6 * dv * ev ** 5 + 3 * ev ** 10)):
         raise VerificationError("c-step deviates", detail=(nc, dc))
     solved.append(("c", nc, dc))
-    trace.record("solve c", value="-(d^2 - 6de^5 + 3e^10)/(2e)")
 
     # remaining system in (d, e, t): cleared numerators of co0, co1
     # (unstripped: C0 = 4e^2 * co0 since deg_c(co0) = 2, C1 = 2e * co1)
@@ -328,8 +298,6 @@ def enumerate_s7(s7):
     if nd != 6 * ev ** 5 * (11 * ev ** 18 + 34 * tv):
         raise VerificationError("d-numerator deviates", detail=nd)
     solved.append(("d", nd, dd))
-    trace.record("solve d", numerator="6e^5(11e^18 + 34t)",
-                 denominator="115e^18 - 28t")
 
     # residual: t^3 * Q(e^18 / t)
     qc = q_cubic()
@@ -358,10 +326,6 @@ def enumerate_s7(s7):
     if qx != qc:
         raise VerificationError("residual cubic coefficients deviate",
                                 detail=qx)
-    trace.record("residual", cubic=[str(c) for c in qc],
-                 display="-111 e^14 (e^54 - 29496 e^36 t + 401808 e^18 t^2 "
-                         "- 64 t^3) / (115 e^18 - 28 t)^3")
-    trace.residual = core
 
     # Vieta cross-check on Q: sum of roots, product of roots
     if -qc[2] / qc[3] != 29496 or -qc[0] / qc[3] != 64:
@@ -380,8 +344,6 @@ def enumerate_s7(s7):
     if hits < 1:
         raise VerificationError("resultant cross-check: residual does not "
                                 "divide Res_d", detail=res)
-    trace.record("resultant cross-check", core_multiplicity=hits,
-                 leftover_degree_e=probe.degree("e"))
 
     # full replay of all five original coefficients
     for j in range(5):
@@ -389,19 +351,17 @@ def enumerate_s7(s7):
         if not (R.is_zero() or R.reduce_mod(core, "e").is_zero()):
             raise VerificationError("replay of coefficient %d nonzero" % j,
                                     detail=R)
-    trace.record("replay", coefficients=5, residue="0")
 
     # denominators invertible on the residual locus (specialized gcd cert)
     for dpoly, label in ((2 * ev, "2e"), (dd, "115e^18 - 28t")):
         if not coprime_at_t2(dpoly, core, "e"):
             raise VerificationError("denominator %s not invertible modulo "
                                     "the residual" % label)
-    trace.record("denominator certificates", specialization="t=2", ok=True)
 
-    curves = _s7_curves(s7, solved, core, V)
+    curves = _s7_curves(s7, solved, core)
     if len(curves) != 56:
         raise VerificationError("S7 curve count %d != 56" % len(curves))
-    return curves, trace, core
+    return curves, core
 
 
 def _homog_to_pure(p: MultiPoly, block: int, deg: int):
@@ -421,7 +381,7 @@ def _homog_to_pure(p: MultiPoly, block: int, deg: int):
     return MultiPoly(p.vars, out)
 
 
-def _s7_curves(s7, solved, core, V):
+def _s7_curves(s7, solved, core):
     """CurveSpecs: 2 curves on the e = 0 branch, 54 on the main branch."""
     curves = []
     # e = 0 branch: a = b = d = 0, c^2 = t; curves Y = 0, Z = +-sqrt(t) W^2.
@@ -442,10 +402,9 @@ def _s7_curves(s7, solved, core, V):
     # main branch: 54 roots of the residual; equations symbolic in e.
     pairs = {name: (num, den) for name, num, den in solved}
     data = {"coeff_pairs": pairs, "relation": core}
-    cvars6 = ("W", "X", "Y", "Z", "e", "t")
+    eqs = _s7_symbolic_equations(pairs, ("W", "X", "Y", "Z", "e", "t"))
     for j in range(54):
-        curves.append(CurveSpec("s7", "S7-main", "main", j,
-                                _s7_symbolic_equations(pairs, cvars6),
+        curves.append(CurveSpec("s7", "S7-main", "main", j, eqs,
                                 parameter="e", relation=core, data=data))
     return curves
 
@@ -555,13 +514,11 @@ def enumerate_s8(s8):
     ZS = dv * Wv ** 3 + ev * Wv ** 2 * Xv + fv * Wv * Xv ** 2 \
         - mv ** 3 * Xv ** 3
     P = eq.substitute({"Y": YS, "Z": ZS})
-    trace = EliminationTrace()
     co = wx_coefficients(P, 6)
 
     if not co[6].is_zero():
         raise VerificationError("X^6 coefficient c^3 - g^2 nonzero",
                                 detail=co[6])
-    trace.record("X^6 coefficient", value="mu^6 - mu^6 = 0")
 
     solved = []
     # f from the X^5 W coefficient; must match (1 + 3 mu^4 b)/(2 mu^3)
@@ -570,7 +527,6 @@ def enumerate_s8(s8):
         raise VerificationError("f-step deviates from (1+3mu^4 b)/(2mu^3)",
                                 detail=(nf, df))
     solved.append(("f", nf, df))
-    trace.record("solve f", value="(1 + 3 mu^4 b)/(2 mu^3)")
 
     # e, d: linear solves with monomial denominators (signs engine-derived)
     ne, de = solve_linear(chain_subs(co[4], solved), "e")
@@ -581,8 +537,6 @@ def enumerate_s8(s8):
     if len(dd.terms) != 1:
         raise VerificationError("d-denominator is not a monomial", detail=dd)
     solved.append(("d", nd, dd))
-    trace.record("solve e,d", denominators=[repr(de), repr(dd)],
-                 note="intermediate signs engine-derived")
 
     # quadratics in a from the X^2 W^4 and X W^5 coefficients
     K = chain_subs(co[2], solved)
@@ -612,8 +566,6 @@ def enumerate_s8(s8):
         raise VerificationError("a-numerator deviates from the displayed "
                                 "form up to sign", detail=na)
     solved.append(("a", na, da))
-    trace.record("solve a", denominator="30 mu^10 (b^2 mu^8 + 4 b mu^4 + 1)",
-                 note="numerator = -(displayed); sign engine-derived")
 
     # branch split: X^2 W^4 numerator factors exactly as P1 * P2
     P1, P2 = s8_branch_quartics(V)
@@ -626,42 +578,35 @@ def enumerate_s8(s8):
     if not rest.is_constant():
         raise VerificationError("extra non-constant factor in the branch "
                                 "split", detail=rest)
-    Msub = strip_content(subs_fraction(M, "a", na, da))
-    mres = Msub.exact_div(P1).exact_div(P2)
-    trace.record("branch split", factors=["P1", "P2"],
-                 xw5_cofactor=repr(mres))
+    # the X W^5 numerator splits off P1 * P2 too (exact_div raises if not)
+    strip_content(subs_fraction(M, "a", na, da)).exact_div(P1).exact_div(P2)
 
     # guard coprimality: incompatible with either branch quartic
     for Pi, lab in ((P1, "P1"), (P2, "P2")):
         rg = resultant_poly(Pi, guard, "b")
         if rg.is_zero():
             raise VerificationError("guard %s-resultant vanished" % lab)
-    trace.record("guard", poly="b^2 mu^8 + 4 b mu^4 + 1",
-                 resultants_nonzero=True)
 
     # the W^6 coefficient, fully substituted: degree 18 in b
     W6n = chain_subs(co[0], solved)
-    trace.record("W^6 coefficient", degree_b=W6n.degree("b"))
 
     residuals = []
     branches = []
     qtargets = (q1_quartic(), q2_quartic())
     originals = [co[j] for j in range(6)]
     for bi, (Pi, qt) in enumerate(zip((P1, P2), qtargets), start=1):
-        Fi, bnum, bden = _s8_branch_residual(W6n, Pi, qt, V, trace, bi)
-        _s8_branch_replay(originals, solved, Pi, Fi, bnum, bden, V,
-                          trace, bi)
+        Fi, bnum, bden = _s8_branch_residual(W6n, Pi, qt, bi)
+        _s8_branch_replay(originals, solved, Pi, Fi, bnum, bden, bi)
         residuals.append(Fi)
         branches.append((Pi, bnum, bden, Fi))
 
-    curves = _s8_curves(s8, solved, branches, V)
+    curves = _s8_curves(s8, solved, branches)
     if len(curves) != 240:
         raise VerificationError("S8 curve count %d != 240" % len(curves))
-    trace.residual = tuple(residuals)
-    return curves, trace, tuple(residuals)
+    return curves, tuple(residuals)
 
 
-def _s8_branch_residual(W6n, Pi, qtarget, V, trace, bi):
+def _s8_branch_residual(W6n, Pi, qtarget, bi):
     """Resultant of the W^6 coefficient with the branch quartic: extracts
     b = -B/A from the degree-1 subresultant and certifies the residual
     quartic (in X = -mu^30 t) bit-for-bit."""
@@ -685,14 +630,10 @@ def _s8_branch_residual(W6n, Pi, qtarget, V, trace, bi):
         raise VerificationError("branch %d residual quartic deviates "
                                 "from the displayed coefficients" % bi,
                                 detail=qx)
-    trace.record("branch %d residual" % bi,
-                 quartic=[str(c) for c in qtarget],
-                 variable="X = -mu^30 t",
-                 b_degrees=(bnum.degree("mu"), bden.degree("mu")))
     return norm, bnum, bden
 
 
-def _s8_branch_replay(originals, solved, Pi, Fi, bnum, bden, V, trace, bi):
+def _s8_branch_replay(originals, solved, Pi, Fi, bnum, bden, bi):
     """Soundness replay: every original W/X coefficient, after the full
     substitution chain and with b = bnum/bden, vanishes modulo Fi.
 
@@ -722,26 +663,23 @@ def _s8_branch_replay(originals, solved, Pi, Fi, bnum, bden, V, trace, bi):
         if not coprime_at_t2(db, Fi, "mu"):
             raise VerificationError("branch %d: %s not invertible modulo "
                                     "the residual" % (bi, lab))
-    trace.record("branch %d replay" % bi, coefficients=6, residue="0",
-                 denominator_certificates="t=2 specialization")
 
 
-def _s8_curves(s8, solved, branches, V):
+def _s8_curves(s8, solved, branches):
     curves = []
     pairs = {name: (num, den) for name, num, den in solved}
-    cvars = ("W", "X", "Y", "Z", "b", "mu", "t")
+    eqs = _s8_symbolic_equations(pairs, ("W", "X", "Y", "Z", "b", "mu", "t"))
     for bi, (Pi, bnum, bden, Fi) in enumerate(branches, start=1):
         data = {"coeff_pairs": pairs, "branch_quartic": Pi,
                 "b_pair": (bnum, bden), "relation": Fi,
                 "convention": "c = mu^2, g = -mu^3"}
-        eqs = _s8_symbolic_equations(pairs, cvars, V)
         for j in range(120):
             curves.append(CurveSpec("s8", "S8-main", "P%d" % bi, j, eqs,
                                     parameter="mu", relation=Fi, data=data))
     return curves
 
 
-def _s8_symbolic_equations(pairs, cvars, V):
+def _s8_symbolic_equations(pairs, cvars):
     """Cleared curve forms, symbolic in (b, mu): denominators of the
     solved chain multiplied through; b remains bound by the branch data."""
     W, X, Y, Z = (MultiPoly.var(cvars, v) for v in ("W", "X", "Y", "Z"))

@@ -5,8 +5,8 @@ Coxeter numbers (computed two independent ways) and (-1)-class counts."""
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
 from math import gcd
+from operator import mul
 
 from .multipoly import MultiPoly
 from .curves import VerificationError
@@ -38,23 +38,36 @@ class RootSystem:
     dot: object
 
 
-def _reflect(v, alpha, dot):
-    """s_alpha(v) = v - 2 (v.alpha)/(alpha.alpha) alpha; alpha^2 = -2."""
-    c = dot(v, alpha)           # 2(v.alpha)/(alpha.alpha) = -(v.alpha)
-    return tuple(x + c * a for x, a in zip(v, alpha))
+def _reflect(v, j, row):
+    """s_j(v) for v in simple-root coordinates, with row the j-th row of
+    the Cartan matrix: only coordinate j moves, by <v, alpha_j^vee>."""
+    c = sum(map(mul, row, v))
+    if not c:
+        return v
+    w = list(v)
+    w[j] -= c
+    return tuple(w)
 
 
-def _closure(simples, dot):
-    roots = set(simples)
-    queue = list(simples)
+def _unit_vectors(n):
+    return [tuple(int(i == j) for i in range(n)) for j in range(n)]
+
+
+def _closure(simples, cartan):
+    """The roots spanned by `simples` under their reflections: the orbit of
+    the simple roots, reflected in simple-root coordinates with the integer
+    Cartan rows, then mapped back to the ambient lattice."""
+    roots = set(_unit_vectors(len(simples)))
+    queue = list(roots)
     while queue:
         v = queue.pop()
-        for a in simples:
-            w = _reflect(v, a, dot)
+        for j, row in enumerate(cartan):
+            w = _reflect(v, j, row)
             if w not in roots:
                 roots.add(w)
                 queue.append(w)
-    return roots
+    return {tuple(sum(map(mul, v, col)) for col in zip(*simples))
+            for v in roots}
 
 
 def _components(adj, n):
@@ -106,17 +119,18 @@ def _classify_component(adj, comp):
     raise VerificationError("unrecognized diagram")
 
 
-def _coxeter_order(simples, dot, limit=100):
-    """Order of the product of the simple reflections, acting on the span."""
+def _coxeter_order(cartan, limit=100):
+    """Order of the product of the simple reflections, acting on the span:
+    track the images of the simple roots, in simple-root coordinates."""
     def cox(v):
-        for a in simples:
-            v = _reflect(v, a, dot)
+        for j, row in enumerate(cartan):
+            v = _reflect(v, j, row)
         return v
-    # act on the root span only: track images of the simple roots
-    images = list(simples)
+    simples = _unit_vectors(len(cartan))
+    images = simples
     for k in range(1, limit + 1):
         images = [cox(v) for v in images]
-        if all(tuple(x) == tuple(y) for x, y in zip(images, simples)):
+        if images == simples:
             return k
     raise VerificationError("Coxeter order exceeds %d" % limit)
 
@@ -142,7 +156,7 @@ def _finish(label, simples, dot):
     if label is not None and found != label:
         raise VerificationError("diagram classifies as %s, expected %s"
                                 % (found, label))
-    roots = _closure(simples, dot)
+    roots = _closure(simples, cartan)
     for v in roots:
         if dot(v, v) != -2:
             raise VerificationError("root closure left the -2 sphere")
@@ -152,7 +166,8 @@ def _finish(label, simples, dot):
     for comp in comps:
         # an irreducible diagram is its own one component
         sub_roots = roots if len(comps) == 1 else \
-            _closure(tuple(simples[i] for i in comp), dot)
+            _closure([simples[i] for i in comp],
+                     [[cartan[i][j] for j in comp] for i in comp])
         if not sub_roots <= roots:
             raise VerificationError("component roots escape the closure")
         if len(sub_roots) % len(comp):
@@ -162,7 +177,7 @@ def _finish(label, simples, dot):
         lcm_h = lcm_h * hc // gcd(lcm_h, hc)
     if total != len(roots):
         raise VerificationError("component root counts do not add up")
-    h = _coxeter_order(simples, dot)
+    h = _coxeter_order(cartan)
     if h != lcm_h:
         raise VerificationError(
             "Coxeter number mismatch: reflection order %d vs roots/rank %d"
@@ -258,11 +273,8 @@ def minus_one_classes(r: int):
                 rec(i + 1, s + m, q + m * m, ms + [m])
         rec(0, 0, 0, [])
     # expand multiset solutions to ordered tuples
-    classes = set()
-    for sol in out:
-        d, ms = sol[0], sol[1:]
-        for p in set(permutations(ms)):
-            classes.add((d,) + p)
+    classes = [(sol[0],) + p for sol in out
+               for p in _distinct_permutations(sol[1:])]
     L = PicardLattice(r + 1)
     mk = L.minus_k()
     for v in classes:
@@ -270,6 +282,25 @@ def minus_one_classes(r: int):
         if L.dot(w, w) != -1 or L.dot(w, mk) != 1:
             raise VerificationError("enumerated class fails the conditions")
     return sorted(classes)
+
+
+def _distinct_permutations(ms):
+    """Every distinct ordering of the weakly increasing tuple ms, each once,
+    in lexicographic order (Knuth, TAOCP 7.2.1.2, Algorithm L)."""
+    a = list(ms)
+    n = len(a)
+    while True:
+        yield tuple(a)
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
 
 
 # ---------------------------------------------------------------------------

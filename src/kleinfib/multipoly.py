@@ -1,23 +1,22 @@
 """Sparse multivariate polynomials with exact coefficients.
 
-Coefficients may be ``fractions.Fraction`` or any field element exposing the
-usual arithmetic dunders plus ``is_zero`` (see :mod:`kleinfib.tower`).
 Monomials are exponent tuples keyed against a fixed variable tuple; term
 order, where one is needed, is graded lexicographic.
+
+A polynomial over Q is stored flat: int numerators over one positive common
+denominator, in lowest terms (the form of FLINT's ``fmpq_poly``), so its
+arithmetic runs on ints and its content comes off in one gcd pass.  Any
+other coefficients -- field elements exposing the usual arithmetic dunders
+and ``__bool__`` (see :mod:`kleinfib.tower`) -- are kept as they are, with
+no denominator; both forms share every loop below.  ``terms`` reads either
+form as ``{exps: coeff}``, with ``Fraction`` coefficients over Q.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def _coeff_is_zero(c) -> bool:
-    if isinstance(c, Fraction):
-        return c == 0
-    z = getattr(c, "is_zero", None)
-    if z is not None:
-        return z() if callable(z) else bool(z)
-    return c == 0
+from math import gcd, lcm
+from operator import add
 
 
 def grlex_key(exps):
@@ -26,15 +25,43 @@ def grlex_key(exps):
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms")
+    # _c: exps -> nonzero coefficient, an int numerator when _den is the
+    # common denominator (over Q), the coefficient itself when _den is None;
+    # _terms: the Fraction view of a polynomial over Q, built when read
+    __slots__ = ("vars", "_c", "_den", "_terms")
 
     def __init__(self, variables, terms=None):
+        c = {tuple(e): v for e, v in terms.items() if v} if terms else {}
+        den = None
+        if all(isinstance(v, (int, Fraction)) for v in c.values()):
+            den = lcm(*(v.denominator for v in c.values()))
+            c = {e: v.numerator * (den // v.denominator)
+                 for e, v in c.items()}
         self.vars = tuple(variables)
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if not _coeff_is_zero(c):
-                    self.terms[tuple(e)] = c
+        self._c, self._den, self._terms = c, den, None
+
+    @classmethod
+    def _make(cls, variables, c, den):
+        """From nonzero coefficients c: int numerators over den, brought to
+        lowest terms here, or (den None) coefficients kept as they are."""
+        if den is not None and den != 1:
+            g = gcd(den, *c.values())
+            if g != 1:
+                c = {e: n // g for e, n in c.items()}
+                den //= g
+        out = object.__new__(cls)
+        out.vars, out._c, out._den, out._terms = variables, c, den, None
+        return out
+
+    @property
+    def terms(self):
+        """{exps: coeff}: Fractions over Q, else the stored coefficients."""
+        den = self._den
+        if den is None:
+            return self._c
+        if self._terms is None:
+            self._terms = {e: Fraction(n, den) for e, n in self._c.items()}
+        return self._terms
 
     # -- constructors -------------------------------------------------
 
@@ -53,52 +80,71 @@ class MultiPoly:
         i = variables.index(name)
         e = [0] * len(variables)
         e[i] = power
-        return cls(variables, {tuple(e): Fraction(1)})
+        return cls._make(variables, {tuple(e): 1}, 1)
 
     # -- predicates / accessors ---------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._c
 
     def is_constant(self) -> bool:
-        return all(all(k == 0 for k in e) for e in self.terms)
+        return not any(any(e) for e in self._c)
 
     def constant(self):
         """The constant term's coefficient."""
         return self.terms.get(tuple([0] * len(self.vars)), Fraction(0))
 
     def degree(self, name: str) -> int:
-        if not self.terms:
+        if not self._c:
             return -1
         i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        return max(e[i] for e in self._c)
 
     def leading_term(self):
         """(exps, coeff) of the graded-lex leading term."""
-        e = max(self.terms, key=grlex_key)
+        e = max(self._c, key=grlex_key)
         return e, self.terms[e]
 
     def coeff_of(self, name: str, k: int) -> "MultiPoly":
         """Coefficient of name**k, as a poly in the same variable set."""
         i = self.vars.index(name)
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._c.items():
             if e[i] == k:
                 e2 = list(e)
                 e2[i] = 0
                 out[tuple(e2)] = c
-        return MultiPoly(self.vars, out)
+        return MultiPoly._make(self.vars, out, self._den)
 
     def as_univariate(self, name: str):
         """dict degree -> coefficient MultiPoly (exponent of `name` zeroed)."""
         i = self.vars.index(name)
         buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
+        for e, c in self._c.items():
             e2 = list(e)
             k = e2[i]
             e2[i] = 0
             buckets.setdefault(k, {})[tuple(e2)] = c
-        return {k: MultiPoly(self.vars, d) for k, d in buckets.items()}
+        return {k: MultiPoly._make(self.vars, d, self._den)
+                for k, d in buckets.items()}
+
+    def content(self) -> Fraction:
+        """The rational content over Q: the gcd of the numerators over the
+        common denominator, positive; 1 for the zero polynomial."""
+        if not self._c:
+            return Fraction(1)
+        return Fraction(gcd(*self._c.values()), self._den)
+
+    def primitive(self) -> "MultiPoly":
+        """self over Q divided by its content, signed so that the graded-lex
+        leading coefficient is positive: coprime int coefficients."""
+        if not self._c:
+            return self
+        g = gcd(*self._c.values())
+        if self._c[max(self._c, key=grlex_key)] < 0:
+            g = -g
+        return MultiPoly._make(self.vars,
+                               {e: n // g for e, n in self._c.items()}, 1)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -110,24 +156,13 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             other = MultiPoly.const(self.vars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e)
-            s = c if s is None else s + c
-            if _coeff_is_zero(s):
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        out = MultiPoly(self.vars)
-        out.terms = terms
-        return out
+        return _sum(self.vars, (self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly(self.vars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MultiPoly._make(self.vars, {e: -c for e, c in self._c.items()},
+                               self._den)
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -141,48 +176,57 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             return self.scale(other)
         self._check(other)
+        if self._den is None or other._den is None:
+            a, b, den = self.terms, other.terms, None
+        else:
+            a, b, den = self._c, other._c, self._den * other._den
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+        get = terms.get
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
                 p = c1 * c2
-                s = terms.get(e)
+                s = get(e)
                 s = p if s is None else s + p
-                if _coeff_is_zero(s):
-                    terms.pop(e, None)
-                else:
+                if s:
                     terms[e] = s
-        out = MultiPoly(self.vars)
-        out.terms = terms
-        return out
+                else:
+                    terms.pop(e, None)
+        return MultiPoly._make(self.vars, terms, den)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         c = Fraction(c) if isinstance(c, int) else c
-        if _coeff_is_zero(c):
+        if not c:
             return MultiPoly(self.vars)
-        out = MultiPoly(self.vars)
-        out.terms = {e: c * v for e, v in self.terms.items()}
-        return out
+        if self._den is not None and isinstance(c, Fraction):
+            n = c.numerator
+            return MultiPoly._make(self.vars,
+                                   {e: n * v for e, v in self._c.items()},
+                                   self._den * c.denominator)
+        return MultiPoly._make(self.vars,
+                               {e: c * v for e, v in self.terms.items()}, None)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        result = MultiPoly.const(self.vars, 1)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             base = base * base if n > 1 else base
             n >>= 1
-        return result
+        return MultiPoly.const(self.vars, 1) if result is None else result
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             if self.is_constant():
                 return self.constant() == other
             return NotImplemented
+        if self._den is not None and other._den is not None:
+            return (self.vars == other.vars and self._den == other._den
+                    and self._c == other._c)
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
@@ -200,31 +244,41 @@ class MultiPoly:
             if not isinstance(p, MultiPoly):
                 p = MultiPoly.const(self.vars, p)
             vals[self.vars.index(v)] = p
-        out = MultiPoly(self.vars)
+        powers = {}
+        out = []
         for e, c in self.terms.items():
-            term = MultiPoly.const(self.vars, c)
+            term = None
             rest = [0] * len(self.vars)
             for i, k in enumerate(e):
                 if k == 0:
                     continue
                 if i in vals:
-                    term = term * vals[i] ** k
+                    pw = powers.get((i, k))
+                    if pw is None:
+                        pw = powers[i, k] = vals[i] ** k
+                    term = pw if term is None else term * pw
                 else:
                     rest[i] = k
+            term = MultiPoly.const(self.vars, c) if term is None \
+                else term.scale(c)
             if any(rest):
-                term = term * MultiPoly(self.vars, {tuple(rest): Fraction(1)})
-            out = out + term
-        return out
+                term = term.shift(rest)
+            out.append(term)
+        return _sum(self.vars, out)
 
     def evaluate(self, assignments: dict):
         """Fully evaluate; every variable must be assigned a field value."""
         idx = [assignments[v] for v in self.vars]
+        powers = {}
         total = None
         for e, c in self.terms.items():
             term = c
             for i, k in enumerate(e):
                 if k:
-                    term = term * idx[i] ** k
+                    pw = powers.get((i, k))
+                    if pw is None:
+                        pw = powers[i, k] = idx[i] ** k
+                    term = term * pw
             total = term if total is None else total + term
         if total is None:
             return Fraction(0)
@@ -235,12 +289,12 @@ class MultiPoly:
         variables = tuple(variables)
         pos = [variables.index(v) for v in self.vars]
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._c.items():
             e2 = [0] * len(variables)
             for p, k in zip(pos, e):
                 e2[p] = k
             out[tuple(e2)] = c
-        return MultiPoly(variables, out)
+        return MultiPoly._make(variables, out, self._den)
 
     def map_coeffs(self, fn) -> "MultiPoly":
         return MultiPoly(self.vars, {e: fn(c) for e, c in self.terms.items()})
@@ -249,23 +303,33 @@ class MultiPoly:
 
     def monomial_content(self):
         """Largest monomial dividing every term, as an exponent tuple."""
-        if not self.terms:
+        if not self._c:
             return tuple([0] * len(self.vars))
-        its = iter(self.terms)
+        its = iter(self._c)
         acc = list(next(its))
         for e in its:
             acc = [min(a, b) for a, b in zip(acc, e)]
         return tuple(acc)
 
+    def shift(self, exps) -> "MultiPoly":
+        """self times the monomial x**exps."""
+        return MultiPoly._make(self.vars, {tuple(map(add, e, exps)): c
+                                           for e, c in self._c.items()},
+                               self._den)
+
     def divide_by_term(self, exps, coeff=None) -> "MultiPoly":
         """Exact division by a single term coeff * x**exps; raises if inexact."""
         out = {}
-        for e, c in self.terms.items():
+        for e, c in self._c.items():
             e2 = tuple(a - b for a, b in zip(e, exps))
             if any(k < 0 for k in e2):
                 raise ArithmeticError("monomial does not divide term %r" % (e,))
-            out[e2] = c if coeff is None else c / coeff
-        return MultiPoly(self.vars, out)
+            out[e2] = c
+        out = MultiPoly._make(self.vars, out, self._den)
+        if coeff is None:
+            return out
+        return out.scale(Fraction(1) / coeff if isinstance(coeff, Fraction)
+                         else coeff.invert())
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Fully general exact multivariate division; raises if not exact.
@@ -296,7 +360,7 @@ class MultiPoly:
             factor = rem.coeff_of(name, k).exact_div(lead)
             shift = [0] * len(self.vars)
             shift[i] = k - d
-            factor = factor * MultiPoly(self.vars, {tuple(shift): Fraction(1)})
+            factor = factor.shift(shift)
             quo = quo + factor
             rem = rem - factor * divisor
         return quo
@@ -311,7 +375,7 @@ class MultiPoly:
         i = self.vars.index(name)
         d = divisor.degree(name)
         lead = divisor.coeff_of(name, d)
-        if len(lead.terms) != 1:
+        if len(lead._c) != 1:
             raise ArithmeticError("divisor leading coefficient is not a single term")
         (lexps, lcoef), = lead.terms.items()
         rem = self
@@ -323,7 +387,7 @@ class MultiPoly:
             factor = top.divide_by_term(lexps, lcoef)
             shift = [0] * len(self.vars)
             shift[i] = k - d
-            factor = factor * MultiPoly(self.vars, {tuple(shift): Fraction(1)})
+            factor = factor.shift(shift)
             quo = quo + factor
             rem = rem - factor * divisor
         return quo, rem
@@ -348,3 +412,30 @@ class MultiPoly:
             else:
                 bits.append(f"({c})")
         return " + ".join(bits)
+
+
+def _sum(variables, polys):
+    """The sum of polys, accumulated in one dict: its terms come in the
+    order of the left-to-right sum, and cancelled terms are dropped."""
+    den = None
+    if all(p._den is not None for p in polys):
+        den = lcm(*(p._den for p in polys))
+    terms = {}
+    get = terms.get
+    for p in polys:
+        if den is None:
+            c = p.terms
+        else:
+            f = den // p._den
+            c = p._c if f == 1 else {e: n * f for e, n in p._c.items()}
+        if not terms:
+            terms.update(c)
+            continue
+        for e, v in c.items():
+            s = get(e)
+            s = v if s is None else s + v
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    return MultiPoly._make(variables, terms, den)

@@ -292,14 +292,14 @@ def _param_invertible(rel: MultiPoly, param: str):
 
 @_surface_cache
 def _s7_main_data(s7):
-    curves, trace, core = enumerate_s7(s7)
+    curves, core = enumerate_s7(s7)
     main = next(c for c in curves if c.family == "S7-main")
     return curves, core, main
 
 
 @_surface_cache
 def _s8_branch_data(s8):
-    curves, trace, (F1, F2) = enumerate_s8(s8)
+    curves, (F1, F2) = enumerate_s8(s8)
     mains = {}
     for c in curves:
         if c.family == "S8-main" and c.branch not in mains:

@@ -1,18 +1,15 @@
 """Univariate polynomial toolkit: the one univariate core of the package.
 
-Three representations share it:
+Two representations share it:
 
-* dense coefficient lists, low degree first, over a field (Fractions or
-  :class:`~kleinfib.tower.FieldElement` s) -- division, gcd, resultants and
-  Sturm chains;
-* sparse ``{exp: coeff}`` dicts over the same fields -- the ``_p*``
-  helpers, on which the dense division and gcd run (the field towers keep
+* dense coefficient lists, low degree first, over Q (Fractions) -- division,
+  gcd, Sturm chains and the cyclotomic polynomials (the field towers keep
   their own flat integer form, see :mod:`kleinfib.tower`);
-* polynomial coefficients -- the subresultant pseudo-remainder sequence over
-  :class:`~kleinfib.multipoly.MultiPoly`, used by the elimination chains.
-
-Real-root counting (Sturm) works over Q only: its coefficients are ints or
-Fractions.
+* polynomial coefficients -- pseudo-remainders and the subresultant
+  pseudo-remainder sequence over :class:`~kleinfib.multipoly.MultiPoly`,
+  used by the elimination chains.  Over Q a MultiPoly is flat, int
+  numerators over one common denominator, so these run fraction-free on
+  ints (Brown and Traub 1971).
 """
 
 from __future__ import annotations
@@ -24,66 +21,7 @@ from .multipoly import MultiPoly
 
 
 # ---------------------------------------------------------------------------
-# coefficient helpers (work on Fractions and FieldElements)
-
-def _is0(c) -> bool:
-    return c == 0 if isinstance(c, Fraction) else c.is_zero()
-
-
-def _inv(c):
-    if isinstance(c, Fraction):
-        if c == 0:
-            raise ZeroDivisionError("inverting zero")
-        return Fraction(1) / c
-    return c.invert()
-
-
-# sparse polynomials as {exp: coeff} dicts over one field level
-
-def _pdeg(d):
-    return max(d) if d else -1
-
-
-def _pscale(a, c):
-    if _is0(c):
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
-def _pdivmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = _pdeg(b)
-    inv_lc = _inv(b[db])
-    q: dict = {}
-    r = dict(a)
-    while r and _pdeg(r) >= db:
-        dr = _pdeg(r)
-        c = r[dr] * inv_lc
-        q[dr - db] = c
-        for k, v in b.items():
-            kk = dr - db + k
-            s = r.get(kk)
-            s = -(c * v) if s is None else s - c * v
-            if _is0(s):
-                r.pop(kk, None)
-            else:
-                r[kk] = s
-    return q, r
-
-
-def _pmonic(a):
-    if not a:
-        return a
-    lc = a[_pdeg(a)]
-    return _pscale(a, _inv(lc))
-
-
-def _pgcd(a, b):
-    a, b = dict(a), dict(b)
-    while b:
-        a, b = b, _pdivmod(a, b)[1]
-    return _pmonic(a)
+# dense list representation over Q
 
 
 def _poly_repr(d, name):
@@ -101,13 +39,9 @@ def _poly_repr(d, name):
     return " + ".join(bits)
 
 
-# ---------------------------------------------------------------------------
-# dense list representation over a field
-
-
 def normalize(f):
     f = list(f)
-    while f and _is0(f[-1]):
+    while f and not f[-1]:
         f.pop()
     return f
 
@@ -137,24 +71,28 @@ def eval_poly(f, x):
     return acc
 
 
-def _sparse(f):
-    return {k: c for k, c in enumerate(f) if not _is0(c)}
-
-
-def _dense(d):
-    zero = d[_pdeg(d)] * 0 if d else None
-    return [d.get(k, zero) for k in range(_pdeg(d) + 1)]
-
-
 def poly_divmod(f, g):
-    """Division with remainder over a field; returns (q, r)."""
-    q, r = _pdivmod(_sparse(f), _sparse(g))
-    return _dense(q), _dense(r)
+    """Division with remainder over Q; returns (q, r)."""
+    r, g = normalize(f), normalize(g)
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = Fraction(1) / g[-1]
+    q = [inv * 0] * max(len(r) - len(g) + 1, 0)
+    while len(r) >= len(g):
+        k = len(r) - len(g)
+        c = q[k] = r[-1] * inv
+        for i, v in enumerate(g):
+            r[k + i] -= c * v
+        r = normalize(r)
+    return q, r
 
 
 def poly_gcd(f, g):
-    """Monic gcd over a field."""
-    return _dense(_pgcd(_sparse(f), _sparse(g)))
+    """Monic gcd over Q."""
+    while normalize(g):
+        f, g = g, poly_divmod(f, g)[1]
+    f = normalize(f)
+    return [c / f[-1] for c in f]
 
 
 def derivative(f):
@@ -167,8 +105,7 @@ def squarefree_part(f):
     g = poly_gcd(f, derivative(f))
     q, r = poly_divmod(f, g)
     assert not r
-    ilc = _inv(q[-1])
-    return [c * ilc for c in q]
+    return [c / q[-1] for c in q]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +174,7 @@ def prem(A: MultiPoly, B: MultiPoly, name: str) -> MultiPoly:
         S = R.coeff_of(name, dR)
         shift = [0] * len(A.vars)
         shift[i] = dR - dB
-        xs = MultiPoly(A.vars, {tuple(shift): Fraction(1)})
-        R = lB * R - S * xs * B
+        R = lB * R - S.shift(shift) * B
         e -= 1
     for _ in range(e):
         R = lB * R

@@ -59,7 +59,7 @@ def test_criterion_2_residual_polynomials():
 
     assert q1_quartic() == nested(-20154789349200, 522900235, 1254)
     assert q2_quartic() == nested(-10810800, -44551045, -611864)
-    curves, _, _ = enumerate_s7(build_surface("s7"))
+    curves, _ = enumerate_s7(build_surface("s7"))
     main_curve = next(c for c in curves if c.family == "S7-main")
     _, dd = main_curve.data["coeff_pairs"]["d"]
     assert repr(dd) == "(115)*e^18 + (-28)*t"

@@ -363,3 +363,23 @@ def test_numpy_loads_only_for_the_oracle():
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_autos_dn_takes_n(capsys):
+    code, cert = run(["autos", "dn", "--n", "5"])
+    assert code == 0
+    _, direct = run(["autos", "dn:5"])
+    assert cert["report"] == direct["report"]
+    assert cert["status"] == direct["status"] == "verified"
+    code, _ = run(["autos", "dn"])
+    assert code == 2
+    assert "--n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["autos", "e6", "--n", "3"], ["autos", "klein-e8", "--n", "2"],
+    ["autos", "an:3", "--n", "3"], ["autos", "dn:5", "--n", "5"]])
+def test_autos_refuses_n_elsewhere(capsys, argv):
+    code, cert = run(argv)
+    assert code == 2 and cert is None
+    assert "--n" in capsys.readouterr().err

@@ -41,7 +41,7 @@ def test_s6_lines():
 
 
 def test_s7_curves_and_d_denominator():
-    curves, trace, residual = enumerate_s7(build_surface("s7"))
+    curves, residual = enumerate_s7(build_surface("s7"))
     assert len(curves) == 56
     main = next(c for c in curves if c.family == "S7-main")
     nd, dd = main.data["coeff_pairs"]["d"]
@@ -49,7 +49,7 @@ def test_s7_curves_and_d_denominator():
 
 
 def test_s8_curves():
-    curves, trace, residuals = enumerate_s8(build_surface("s8"))
+    curves, residuals = enumerate_s8(build_surface("s8"))
     assert len(curves) == 240
     branches = {c.branch for c in curves}
     assert branches == {"P1", "P2"}

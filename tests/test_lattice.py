@@ -1,6 +1,8 @@
 """Picard-lattice cross-checks: root systems, Coxeter numbers and
 (-1)-class counts."""
 
+from itertools import combinations_with_replacement, permutations
+
 import pytest
 
 from kleinfib.lattice import (build_root_system, coxeter_number,
@@ -55,3 +57,51 @@ def test_dn_boundary_selfintersection(n):
 def test_rank_out_of_range():
     with pytest.raises(Exception):
         build_root_system(9)
+
+
+def _brute_force_classes(r):
+    """Every (-1)-class (d; m_1..m_r), d in 0..6, m_i in -1..3, expanded
+    from the weakly increasing solutions through set(permutations(...))."""
+    classes = set()
+    for d in range(7):
+        for ms in combinations_with_replacement(range(-1, 4), r):
+            if sum(ms) == 3 * d - 1 and sum(m * m for m in ms) == d * d + 1:
+                classes.update((d,) + p for p in set(permutations(ms)))
+    return sorted(classes)
+
+
+@pytest.mark.parametrize("r", range(3, 9))
+def test_minus_one_classes_match_brute_force(r):
+    classes = minus_one_classes(r)
+    assert classes == _brute_force_classes(r)
+    if r >= 6:
+        assert len(classes) == {6: 27, 7: 56, 8: 240}[r]
+
+
+def _ambient_closure(simples, dot):
+    """Root closure by reflecting ambient vectors with the lattice form:
+    s_a(v) = v + (v.a) a for a^2 = -2."""
+    roots, queue = set(simples), list(simples)
+    while queue:
+        v = queue.pop()
+        for a in simples:
+            c = dot(v, a)
+            w = tuple(x + c * y for x, y in zip(v, a))
+            if w not in roots:
+                roots.add(w)
+                queue.append(w)
+    return roots
+
+
+@pytest.mark.parametrize("label,roots,h", [
+    ("A4", 20, 5), ("D5", 40, 8), ("E6", 72, 12), ("E7", 126, 18),
+    ("E8", 240, 30),
+])
+def test_root_counts_and_coxeter_numbers(label, roots, h):
+    for rs in (standard_root_system(label),
+               build_root_system({"A4": 4, "D5": 5, "E6": 6, "E7": 7,
+                                  "E8": 8}[label])):
+        assert rs.label == label
+        assert len(rs.roots) == roots
+        assert rs.coxeter_number == h
+        assert set(rs.roots) == _ambient_closure(rs.simple_roots, rs.dot)
