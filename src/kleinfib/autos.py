@@ -1,6 +1,7 @@
 """Automorphism verification for the affine Klein surfaces: invariance of
-the defining polynomial under candidate maps, diagonal groups by exact
-monomial matching, the order-3 map tau on d_4, and the a_n shear family.
+the defining polynomial under candidate maps, diagonal groups from the
+Smith normal form of the exponent lattice, the order-3 map tau on d_4, and
+the a_n shear family.
 
 Only the exhibited groups are verified to act; that no further
 automorphisms exist is a geometric statement outside computation and is
@@ -9,10 +10,10 @@ flagged as paper-sourced in every report."""
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .multipoly import MultiPoly
 from .tower import FieldTower, cyclotomic, root_of_unity
-from .geometry import _bezout_many, _pow_signed
 from .curves import VerificationError, _surface_cache
 
 AFFINE_VARS = ("x", "y", "z")
@@ -73,126 +74,120 @@ def map_order(phi: PolyMap, bound: int = 24):
 # ---------------------------------------------------------------------------
 # diagonal groups
 
-PARAMETRIZATIONS = {
-    "e6": {"exponents": (3, 4, 6), "signed": (False, False, True),
-           "iso": "C* x {+-1}"},
-    "e7": {"exponents": (4, 6, 9), "signed": (False, False, False),
-           "iso": "C*"},
-    "e8": {"exponents": (6, 10, 15), "signed": (False, False, False),
-           "iso": "C*"},
-}
-
-
 @dataclass
 class DiagonalGroupDescriptor:
-    case: str
     conditions: list               # exponent vectors d with a^d1 b^d2 c^d3=1
     iso_label: str
-    exponents: tuple               # parametrization (alpha,beta,gamma)=t^e
-    signed: tuple                  # which slots carry an independent +-1
-    monomials: tuple
-    notes: str = COMPLETENESS_NOTE
+    exponents: tuple               # free generator t -> (t^e1, t^e2, t^e3)
+    torsion: list                  # (k, v): x_i -> zeta_k^(v_i) x_i
 
-    def conditions_satisfied(self, sol) -> bool:
-        a, b, c = sol
-        for d in self.conditions:
-            val = (_pow_signed(a, d[0]) * _pow_signed(b, d[1])
-                   * _pow_signed(c, d[2]))
-            if val != 1:
-                return False
-        return True
+    def random_element(self, rng, T):
+        """t^exponents times a random power of each torsion generator, t a
+        random positive rational; a coefficient is a Fraction while it
+        needs no zeta_k with k > 2, and else lies in T."""
+        t = Fraction(rng.randint(1, 40), rng.randint(1, 40))
+        coeffs = [t ** e for e in self.exponents]
+        for k, v in self.torsion:
+            zeta = (-1 if k == 2 else root_of_unity(T, k)) ** rng.randrange(k)
+            coeffs = [c * zeta ** e for c, e in zip(coeffs, v)]
+        return tuple(coeffs)
 
-    def element(self, t, signs=(1, 1, 1)):
-        return tuple(_pow_signed(t, e) * (s if sg else 1)
-                     for e, sg, s in zip(self.exponents, self.signed,
-                                         signs))
 
-    def solve_parameter(self, sol):
-        """Recover (t, signs) hitting sol exactly, using an integer
-        combination of the exponents with gcd 1."""
-        e = self.exponents
-        # Bezout combination sum(c_i e_i) = 1
-        g, coeffs = _bezout_many(e)
-        if g != 1:
-            raise VerificationError("exponents are not coprime")
-        a, b, c = sol
-        t = _pow_signed(a, coeffs[0]) * _pow_signed(b, coeffs[1]) \
-            * _pow_signed(c, coeffs[2])
-        signs = []
-        for v, ei, sg in zip(sol, e, self.signed):
-            s = v / _pow_signed(t, ei)
-            if s == 1:
-                signs.append(1)
-            elif s == -1 and sg:
-                signs.append(-1)
-            else:
-                raise VerificationError("parametrization misses a solution")
-        return t, tuple(signs)
+def _smith_form(rows, n):
+    """The nonzero invariant factors d_1 | d_2 | ... of the integer matrix
+    `rows` (n columns) and a unimodular V with U rows V = diag(d) for some
+    unimodular U (Cohen, GTM 138, Algorithm 2.4.14)."""
+    A = [list(r) for r in rows]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    factors = []
+    for p in range(min(len(A), n)):
+        while True:
+            pivots = [(abs(a), i, j) for i, r in enumerate(A[p:], p)
+                      for j, a in enumerate(r[p:], p) if a]
+            if not pivots:
+                return factors, V
+            _, i, j = min(pivots)
+            A[p], A[i] = A[i], A[p]
+            for r in A + V:
+                r[p], r[j] = r[j], r[p]
+            a = A[p][p]
+            for i in range(p + 1, len(A)):
+                q = A[i][p] // a
+                A[i] = [x - q * y for x, y in zip(A[i], A[p])]
+            for j in range(p + 1, n):
+                q = A[p][j] // a
+                for r in A + V:
+                    r[j] -= q * r[p]
+            if any(A[i][p] for i in range(p + 1, len(A))) or \
+                    any(A[p][j] for j in range(p + 1, n)):
+                continue
+            # the pivot must divide the rest: add a row it does not divide
+            bad = [r for r in A[p + 1:] if any(x % a for x in r[p + 1:])]
+            if not bad:
+                break
+            A[p] = [x + y for x, y in zip(A[p], bad[0])]
+        factors.append(abs(A[p][p]))
+    return factors, V
 
 
 def diagonal_group(s, seed: int = 0) -> DiagonalGroupDescriptor:
-    """Exponent conditions for (alpha x, beta y, gamma z) preserving the
-    Klein polynomial of s up to a unit, derived by monomial matching, with
-    the parametrization verified symbolically over Q(lambda) and at 5
-    random rational specializations."""
-    base = s.name.replace("klein-", "")
+    """The diagonal maps (alpha x, beta y, gamma z) preserving the Klein
+    polynomial f of s up to a unit, computed from its exponents alone.
+
+    They form Hom(Z^3/L, C*), L the lattice of exponent differences of f.
+    The Smith normal form of L gives it as C* x prod Z/k: the free part
+    must have rank 1 with generator +-s.quasi_weights, and each invariant
+    factor k > 1 gives a torsion generator x_i -> zeta_k^(v_i) x_i, taken
+    (of all the generators of its cyclic group, modulo t -> t^w) with the
+    fewest nonzero v_i, then lexicographically least.  The one-parameter
+    subgroup is verified over Q[lambda, 1/lambda], each torsion generator
+    over Q(zeta_k), and the group at 5 random specializations."""
     f = s.equation
     monos = sorted(f.terms)
-    if len(set(monos)) != len(f.terms):
-        raise VerificationError("monomials of f are not independent")
-    # all monomials must rescale by the same unit
-    conditions = [tuple(m - n for m, n in zip(monos[i], monos[0]))
-                  for i in range(1, len(monos))]
-    if base.startswith("dn:"):
-        n = s.index
-        exponents, signed = (2, n - 2, n - 1), (False, True, True)
-        iso = "C* x {+-1}^2 (signs on y and z)"
-    elif base in PARAMETRIZATIONS:
-        spec = PARAMETRIZATIONS[base]
-        exponents, signed, iso = (spec["exponents"], spec["signed"],
-                                  spec["iso"])
-    else:
-        raise ValueError("no diagonal group for %r" % s.name)
-    desc = DiagonalGroupDescriptor(base, conditions, iso, exponents, signed,
-                                   tuple(monos))
-    # the parametrization satisfies every condition identically:
-    # sum(exponents . d) = 0 and the sign part is trivial on d
-    sign_combos = [tuple(sign if sg else 1 for sg, sign in zip(signed, combo))
-                   for combo in [(1, 1, 1), (1, 1, -1), (1, -1, 1),
-                                 (1, -1, -1)]]
-    sign_combos = sorted(set(sign_combos))
-    for d in conditions:
-        if sum(e * k for e, k in zip(exponents, d)) != 0:
-            raise VerificationError(
-                "parametrization violates an exponent condition", )
-        for signs in sign_combos:
-            if signs[0] ** d[0] * signs[1] ** d[1] * signs[2] ** d[2] != 1:
-                raise VerificationError(
-                    "sign part violates an exponent condition")
-    # symbolic check over Q(lambda), every sign combination
-    T = FieldTower.rationals().extend_ratfunc("lam")
-    lam = T.gen("lam")
-    for signs in sign_combos:
-        phi = PolyMap(tuple(
-            MultiPoly.var(AFFINE_VARS, v).scale(lam ** e * Fraction(sign))
-            for v, e, sign in zip(AFFINE_VARS, exponents, signs)))
-        res = check_invariance(f, phi)
-        if not res["invariant"]:
-            raise VerificationError("symbolic diagonal map fails "
-                                    "invariance (signs %s)" % (signs,))
-    # 5 random rational specializations
-    rng = random.Random(seed)
-    for _ in range(5):
-        t = Fraction(rng.randint(1, 40), rng.randint(1, 40))
-        signs = tuple(rng.choice((1, -1)) if sg else 1 for sg in signed)
-        sol = desc.element(t, signs)
-        phi = PolyMap(tuple(MultiPoly.var(AFFINE_VARS, v).scale(c)
-                            for v, c in zip(AFFINE_VARS, sol)))
+    conditions = [tuple(m - n for m, n in zip(mono, monos[0]))
+                  for mono in monos[1:]]
+    factors, V = _smith_form(conditions, len(AFFINE_VARS))
+    free = [tuple(r[p] for r in V) for p in range(len(factors), len(V))]
+    w = tuple(s.quasi_weights)
+    if free not in ([w], [tuple(-e for e in w)]):
+        raise VerificationError(
+            "the free part of the diagonal group of %s is generated by %s, "
+            "not by the quasi-weights %s" % (s.name, free, w))
+    torsion = []
+    for p, k in enumerate(factors):
+        if k > 1:
+            reps = {tuple((u * r[p] + j * e) % k for r, e in zip(V, w))
+                    for u in range(1, k) if gcd(u, k) == 1
+                    for j in range(k)}
+            torsion.append((k, min(reps, key=lambda v: (-v.count(0), v))))
+    iso = "C*" + "".join(" x {+-1}" if k == 2 else " x Z/%d" % k
+                         for k, _ in torsion)
+    desc = DiagonalGroupDescriptor(conditions, iso, w, torsion)
+    # symbolic: the one-parameter subgroup, then each torsion generator
+    lam = FieldTower.rationals().extend_ratfunc("lam").gen("lam")
+    maps = [_diagonal_map(lam ** e for e in w)]
+    maps += [_diagonal_map(root_of_unity(cyclotomic(k), k) ** e for e in v)
+             for k, v in torsion]
+    for phi in maps:
         if not check_invariance(f, phi)["invariant"]:
+            raise VerificationError("symbolic diagonal map fails invariance",
+                                    detail=phi)
+    # 5 random specializations
+    rng = random.Random(seed)
+    T = cyclotomic(lcm(*(k for k, _ in torsion)))
+    for _ in range(5):
+        sol = desc.random_element(rng, T)
+        if not check_invariance(f, _diagonal_map(sol))["invariant"]:
             raise VerificationError("random specialization fails")
-        if not desc.conditions_satisfied(sol):
+        if any(prod(a ** e for a, e in zip(sol, d)) != 1
+               for d in conditions):
             raise VerificationError("random element violates conditions")
     return desc
+
+
+def _diagonal_map(coeffs):
+    return PolyMap(tuple(MultiPoly.var(AFFINE_VARS, v).scale(c)
+                         for v, c in zip(AFFINE_VARS, coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +219,10 @@ def verify_tau(s) -> dict:
             "order": 3, "verified": True, "notes": COMPLETENESS_NOTE}
 
 
-def tau_normalizes_diagonal(s, seed: int = 0, samples: int = 5) -> bool:
-    """For random diagonal elements delta of the d_4 group,
-    tau . delta . tau^2 still preserves d_4, the equation of s (tau^3 = 1,
-    so tau^2 is the inverse); closure at this level is all the computation
+def tau_normalizes_diagonal(s, seed: int = 0) -> bool:
+    """For 5 random elements delta of the diagonal group of d_4, the
+    equation of s, tau . delta . tau^2 still preserves d_4 (tau^3 = 1, so
+    tau^2 is the inverse); closure at this level is all the computation
     certifies."""
     T = cyclotomic(4)
     f = s.equation
@@ -235,14 +230,10 @@ def tau_normalizes_diagonal(s, seed: int = 0, samples: int = 5) -> bool:
     tau_inv = tau.compose(tau)
     if not tau.compose(tau_inv).is_identity():
         raise VerificationError("tau^3 != identity")
+    group = diagonal_group(s, seed)
     rng = random.Random(seed)
-    for _ in range(samples):
-        t = Fraction(rng.randint(1, 20), rng.randint(1, 20))
-        signs = (1, rng.choice((1, -1)), rng.choice((1, -1)))
-        coeffs = (t ** 2, signs[1] * t ** 2, signs[2] * t ** 3)
-        delta = PolyMap(tuple(
-            MultiPoly.var(AFFINE_VARS, v).scale(T.from_fraction(c))
-            for v, c in zip(AFFINE_VARS, coeffs)))
+    for _ in range(5):
+        delta = _diagonal_map(map(T.lift, group.random_element(rng, T)))
         conj = tau.compose(delta).compose(tau_inv)
         if not check_invariance(f, conj)["invariant"]:
             raise VerificationError("tau-conjugate fails invariance")
@@ -303,7 +294,7 @@ def _report(s, seed, wild_polys):
         "conditions": [list(d) for d in desc.conditions],
         "iso": desc.iso_label,
         "parametrization_exponents": list(desc.exponents),
-        "signed_slots": list(desc.signed),
+        "torsion": [[k, list(v)] for k, v in desc.torsion],
     }
     if base == "dn:4":
         report["tau"] = verify_tau(s)

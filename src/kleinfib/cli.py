@@ -47,6 +47,12 @@ MAX_FAMILY_INDEX = 32
 # the root finder stalls, which would read as a refuted check
 AUDIT_T_RANGE = (Fraction(1, 2**12), Fraction(2**12))
 
+# the --tol accepted by audit: every audited surface verifies across it at
+# every t tried in AUDIT_T_RANGE; a tighter tolerance refutes correct
+# surfaces on rounding error, a looser one lets wrong candidates pass (and
+# --tol 1 cannot fail: a relative residue never exceeds 1)
+AUDIT_TOL_RANGE = (1e-10, 1e-8)
+
 # --poly: an expanded sum of terms c, y, y^k, c*y or c*y^k (c, k decimal)
 POLY_MAX_DEGREE = 64
 _TERM = r"(?:(\d+)\s*\*\s*)?(y)(?:\s*\^\s*(\d+))?|(\d+)"
@@ -289,11 +295,12 @@ def cmd_audit(args):
         raise UsageError("|t| must lie in [%s, %s], where the oracle's "
                          "samples stay within the range of a double"
                          % AUDIT_T_RANGE)
+    low, high = AUDIT_TOL_RANGE
+    if not low <= args.tol <= high:
+        raise UsageError("--tol must lie in [%g, %g], where the oracle "
+                         "verifies every audited surface" % AUDIT_TOL_RANGE)
     from .numeric import NumericConfig, numeric_curve_audit
-    try:
-        cfg = NumericConfig(t=t, tol=args.tol, seed=args.seed)
-    except ValueError as ex:
-        raise UsageError(str(ex))
+    cfg = NumericConfig(t=t, tol=args.tol, seed=args.seed)
     if not (args.surface in ("s6", "s7", "s8")
             or args.surface.startswith(("an:", "dn:"))):
         raise UsageError("no numeric audit for %r" % args.surface)

@@ -353,31 +353,6 @@ def _coord_tower(coords):
     return None
 
 
-def _pow_signed(x, k):
-    if k >= 0:
-        return x ** k
-    inv = x.invert() if isinstance(x, FieldElement) else 1 / Fraction(x)
-    return inv ** (-k)
-
-
-def _bezout_many(ws):
-    """gcd of ws plus coefficients c with sum(c_i ws_i) = gcd."""
-    g, coeffs = ws[0], [1] + [0] * (len(ws) - 1)
-    for idx in range(1, len(ws)):
-        g2, u, v = _xgcd(g, ws[idx])
-        coeffs = [u * c for c in coeffs]
-        coeffs[idx] = v
-        g = g2
-    return g, coeffs
-
-
-def _xgcd(a, b):
-    if b == 0:
-        return a, 1, 0
-    g, u, v = _xgcd(b, a % b)
-    return g, v, u - (a // b) * v
-
-
 def on_surface(s: SurfaceSpec, p: PointSpec, t=None) -> bool:
     """Exact membership: the chart equation vanishes at p in p's tower, with
     t the given element of that tower (default: its generator named t)."""

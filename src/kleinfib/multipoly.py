@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import add
 
 
-def grlex_key(exps):
+def _grlex_key(exps):
     """Sort key for graded lexicographic order (total degree, then lex)."""
     return (sum(exps), exps)
 
@@ -102,7 +102,7 @@ class MultiPoly:
 
     def leading_term(self):
         """(exps, coeff) of the graded-lex leading term."""
-        e = max(self._c, key=grlex_key)
+        e = max(self._c, key=_grlex_key)
         return e, self.terms[e]
 
     def coeff_of(self, name: str, k: int) -> "MultiPoly":
@@ -141,7 +141,7 @@ class MultiPoly:
         if not self._c:
             return self
         g = gcd(*self._c.values())
-        if self._c[max(self._c, key=grlex_key)] < 0:
+        if self._c[max(self._c, key=_grlex_key)] < 0:
             g = -g
         return MultiPoly._make(self.vars,
                                {e: n // g for e, n in self._c.items()}, 1)
@@ -402,7 +402,8 @@ class MultiPoly:
         if self.is_zero():
             return "0"
         bits = []
-        for e, c in sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True):
+        for e, c in sorted(self.terms.items(),
+                           key=lambda kv: _grlex_key(kv[0]), reverse=True):
             mono = "*".join(
                 f"{v}^{k}" if k > 1 else v
                 for v, k in zip(self.vars, e) if k

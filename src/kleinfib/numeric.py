@@ -28,11 +28,14 @@ from .curves import (VerificationError, _surface_cache, q_cubic, q1_quartic,
 from .orbits import _s7_main_data, _s8_branch_data, s6_intersections
 
 
+# Durand-Kerner iterations before a batch is declared not to converge
+DK_MAX_ITER = 2000
+
+
 @dataclass(frozen=True)
 class NumericConfig:
     t: Fraction = Fraction(2)
     tol: float = 1e-8
-    max_iter: int = 2000
     seed: int = 0
 
     def __post_init__(self):
@@ -80,7 +83,7 @@ def durand_kerner(coeffs, cfg: NumericConfig):
     z = np.tile(np.exp(1j * (seed_angle + 2 * math.pi * k / n))
                 * (1.3 + 0.01 * k), (len(b), 1))
     others = ~np.eye(n, dtype=bool)
-    for _ in range(cfg.max_iter):
+    for _ in range(DK_MAX_ITER):
         den = np.where(others, z[:, :, None] - z[:, None, :], 1).prod(-1)
         dz = _horner(b, z) / den
         z = z - dz

@@ -176,11 +176,11 @@ def _kernel(rows, tower):
     return r, basis
 
 
-def lines_intersect_p3(forms1, forms2, tower, surface=None, t=None):
+def lines_intersect_p3(forms1, forms2, tower, surface, t):
     """Exact intersection of two lines in P^3, each cut by two linear forms
     over a common tower.  Returns (bool, witness coords or None); on a true
-    answer the kernel vector is verified against all four forms (and the
-    surface at the tower element t, when given)."""
+    answer the kernel vector is verified against all four forms and the
+    surface at the tower element t."""
     for forms in (forms1, forms2):
         rank, _ = _kernel(_form_rows(forms, tower), tower)
         if rank != 2:
@@ -195,11 +195,9 @@ def lines_intersect_p3(forms1, forms2, tower, surface=None, t=None):
         val = f.evaluate({v: env[v] for v in f.vars})
         if not val.is_zero():
             raise VerificationError("kernel witness fails a line form")
-    if surface is not None:
-        p = PointSpec(surface.ambient, tuple(witness))
-        if not on_surface(surface, p, t):
-            raise VerificationError("line intersection witness not on the "
-                                    "surface")
+    if not on_surface(surface, PointSpec(surface.ambient, tuple(witness)), t):
+        raise VerificationError("line intersection witness not on the "
+                                "surface")
     return True, witness
 
 
@@ -669,17 +667,18 @@ def rationality_verdict(case: str, ext: BaseExtension, surface) -> Verdict:
 
 
 GRID_CASES = ("an:2", "dn:5", "e6", "e7", "e8")
+GRID_DEGREES = range(1, 31)          # the degrees m of the extensions
 
 
-def verdict_grid(catalog, cases=GRID_CASES, ms=range(1, 31)):
+def verdict_grid(catalog):
     """The full consistency grid over the catalog's surfaces: for every case
     and m the rule-table verdict must coincide with the divisibility
     criterion a | m."""
     cells = []
-    for case in cases:
+    for case in GRID_CASES:
         a = rationality_degree(case)
         surface = catalog[case_surface(case)]
-        for m in ms:
+        for m in GRID_DEGREES:
             v = rationality_verdict(case, BaseExtension(m), surface)
             cells.append({"case": case, "m": m, "rational": v.rational,
                           "rule": v.rule, "a": a,

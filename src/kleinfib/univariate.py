@@ -62,15 +62,6 @@ def from_multipoly(p: MultiPoly, name: str):
     return normalize(out)
 
 
-def eval_poly(f, x):
-    acc = None
-    for c in reversed(f):
-        acc = c if acc is None else acc * x + c
-    if acc is None:
-        return Fraction(0) if isinstance(x, (int, Fraction)) else x * 0
-    return acc
-
-
 def poly_divmod(f, g):
     """Division with remainder over Q; returns (q, r)."""
     r, g = normalize(f), normalize(g)
@@ -132,28 +123,17 @@ def _variations(signs):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sign_at(f, x):
-    if x == "-inf":
-        return _sign(f[-1]) * (-1 if degree(f) % 2 else 1) if f else 0
-    if x == "+inf":
-        return _sign(f[-1]) if f else 0
-    return _sign(eval_poly(f, x))
-
-
-def count_real_roots(f, lo="-inf", hi="+inf"):
-    """Number of distinct real roots of f in (lo, hi].
-
-    Endpoints are rationals or the strings "-inf"/"+inf"; coefficients are
-    ints or Fractions.
-    """
+def count_real_roots(f):
+    """Number of distinct real roots of f, whose coefficients are ints or
+    Fractions: the sign variations of its Sturm chain at -oo less those at
+    +oo."""
     f = normalize(f)
     if degree(f) <= 0:
         return 0
-    f = squarefree_part(f)
-    chain = sturm_chain(f)
-    va = _variations([_sign_at(p, lo) for p in chain])
-    vb = _variations([_sign_at(p, hi) for p in chain])
-    return va - vb
+    chain = sturm_chain(squarefree_part(f))
+    at_plus = [_sign(p[-1]) for p in chain]
+    at_minus = [s * (-1) ** degree(p) for s, p in zip(at_plus, chain)]
+    return _variations(at_minus) - _variations(at_plus)
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,9 @@ def test_criterion_10_fault_injection():
 # A diagonal map scales every monomial by the same unit, whatever its
 # coefficient, so autos-e7 reads the mutated klein-e7 and still passes; only
 # the chart check reads chart oo of dn:5.  s6prime,0,0,1 zeroes the Z^2 term
-# of the quartic, which contraction-s6 refutes as not of the model's shape.
+# of the quartic, which contraction-s6 refutes as not of the model's shape;
+# klein-e6,0,0,-1 deletes the z^2 term of E6, and autos-e6 refutes the
+# diagonal group it leaves, whose free part has rank 2.
 MUTATION_REACH = {
     "s6,0,0,1": {"contraction-s6", "curves-s6", "intersections-s6",
                  "numeric-oracle", "verdict-grid"},
@@ -200,6 +202,7 @@ MUTATION_REACH = {
     "klein-an:2,0,0,2": {"autos-an:2", "dehomogenization"},
     "dn:5,1,0,1": {"charts-dn:5"},
     "klein-e7,0,1,1": {"dehomogenization"},
+    "klein-e6,0,0,-1": {"autos-e6", "dehomogenization"},
     "s6prime,0,0,1": {"contraction-s6", "dehomogenization"},
 }
 

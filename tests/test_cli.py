@@ -214,14 +214,36 @@ def test_audit_t_out_of_range_exits_2(monkeypatch, argv):
     assert code == 2 and cert is None
 
 
-@pytest.mark.parametrize("t", ["4096", "-4096", "1/4096", "-1/4096"])
-def test_audit_verifies_at_the_ends_of_the_t_range(t):
+def _audited_surfaces():
     names = [name for name in sorted(build_catalog())
              if name in ("s6", "s7", "s8") or name.startswith(("an:", "dn:"))]
     assert len(names) == 14
-    for name in names:
+    return names
+
+
+@pytest.mark.parametrize("t", ["4096", "-4096", "1/4096", "-1/4096"])
+def test_audit_verifies_at_the_ends_of_the_t_range(t):
+    for name in _audited_surfaces():
         code, cert = run(["audit", name, "--t=" + t])
         assert code == 0 and cert["status"] == "verified", name
+
+
+@pytest.mark.parametrize("tol", ["1e-10", "1e-8"])
+def test_audit_verifies_at_the_ends_of_the_tol_range(tol):
+    for name in _audited_surfaces():
+        code, cert = run(["audit", name, "--tol", tol])
+        assert code == 0 and cert["status"] == "verified", name
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "1", "1e-300"])
+def test_audit_tol_out_of_range_exits_2(monkeypatch, tol):
+    # --tol 1 cannot fail, 1e-6 lets a wrong S8 candidate pass at
+    # t = 1/4096, and 1e-300 refutes S7 on rounding error
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the oracle ran at a tolerance out of range")
+    monkeypatch.setattr(numeric, "numeric_curve_audit", unreachable)
+    code, cert = run(["audit", "s7", "--tol", tol])
+    assert code == 2 and cert is None
 
 
 @pytest.mark.parametrize("argv", [
