@@ -219,8 +219,9 @@ def verify_tau(s) -> dict:
             "order": 3, "verified": True, "notes": COMPLETENESS_NOTE}
 
 
-def tau_normalizes_diagonal(s, seed: int = 0) -> bool:
-    """For 5 random elements delta of the diagonal group of d_4, the
+def tau_normalizes_diagonal(s, group: DiagonalGroupDescriptor,
+                            seed: int = 0) -> bool:
+    """For 5 random elements delta of group, the diagonal group of d_4, the
     equation of s, tau . delta . tau^2 still preserves d_4 (tau^3 = 1, so
     tau^2 is the inverse); closure at this level is all the computation
     certifies."""
@@ -230,7 +231,6 @@ def tau_normalizes_diagonal(s, seed: int = 0) -> bool:
     tau_inv = tau.compose(tau)
     if not tau.compose(tau_inv).is_identity():
         raise VerificationError("tau^3 != identity")
-    group = diagonal_group(s, seed)
     rng = random.Random(seed)
     for _ in range(5):
         delta = _diagonal_map(map(T.lift, group.random_element(rng, T)))
@@ -298,5 +298,6 @@ def _report(s, seed, wild_polys):
     }
     if base == "dn:4":
         report["tau"] = verify_tau(s)
-        report["tau_normalizes_diagonal"] = tau_normalizes_diagonal(s, seed)
+        report["tau_normalizes_diagonal"] = tau_normalizes_diagonal(
+            s, desc, seed)
     return report

@@ -31,9 +31,9 @@ from .lattice import (build_root_system, coxeter_number,
                       dn_boundary_selfintersection, minus_one_classes)
 from .autos import autos_report
 from .univariate import count_real_roots
-# kleinfib.numeric, and with it numpy, is imported in cmd_audit and
-# _run_reproduction, the two commands that run the oracle; the others start
-# without numpy
+# kleinfib.numeric is imported in cmd_audit and _run_reproduction, the two
+# commands that run the oracle, so that the others start without compiling
+# or loading it
 
 SCHEMA = "kleinfib-certificate/1"
 
@@ -186,9 +186,19 @@ def _surface(name):
         raise UsageError(str(ex))
 
 
-def _klein_name(case):
-    """The affine Klein surface of an automorphism case: e6 -> klein-e6."""
-    return "klein-" + case.replace("klein-", "")
+def _klein_surface(case):
+    """The affine Klein surface of an automorphism case: e6 -> klein-e6.  A
+    case that names none is a usage error that names the case as given and
+    lists the accepted ones."""
+    base = case.replace("klein-", "")
+    try:
+        if base in ("e6", "e7", "e8") or _family_index(base):
+            return _surface("klein-" + base)
+    except UsageError:
+        pass
+    raise UsageError("no automorphism case %r: autos accepts e6, e7, e8, "
+                     "an:<n> (2 <= n <= %d) and dn:<n> (4 <= n <= %d)"
+                     % (case, MAX_FAMILY_INDEX, MAX_FAMILY_INDEX))
 
 
 def cmd_verdict(args):
@@ -251,7 +261,7 @@ def cmd_autos(args):
     elif args.n is not None:
         raise UsageError("--n only applies to the an and dn families, "
                          "given without an index")
-    s = _surface(_klein_name(case))
+    s = _klein_surface(case)
     wild = None
     if args.poly is not None:
         if not case.startswith("an:"):
@@ -487,7 +497,7 @@ def _run_reproduction(catalog, seed=0, timings=False):
                 ["an:%d" % n for n in (2, 3, 5)]:
         step("autos-%s" % case, "exhibited automorphism groups",
              lambda case=case: {"ok": _expect(
-                 autos_report(catalog[_klein_name(case)],
+                 autos_report(catalog["klein-" + case],
                               seed=seed)["verified"], True)})
     step("autos-completeness", "no further automorphisms",
          lambda: {}, status="assumed")

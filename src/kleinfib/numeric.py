@@ -3,12 +3,16 @@ the residual polynomials, reconstructs every curve numerically and
 cross-checks counts, membership residues and the S6 line-intersection graph
 against the exact engine.
 
-Evaluation is compiled and batched.  Each polynomial an audit evaluates is
-compiled once, into an integer exponent array and a complex coefficient
-vector, and then evaluated with numpy at a whole batch of sample points;
-Durand-Kerner iterates on a batch of coefficient rows (each one a
-geometrically rescaled monic polynomial).  The samples are drawn from
-random.Random(seed) in a fixed order, and every audit is cached on its
+Pure Python on cmath and math.  Each polynomial an audit evaluates is
+compiled once, into (complex coefficient, ((variable index, exponent), ...))
+terms, and evaluated point by point; Durand-Kerner iterates row by row on
+geometrically rescaled monic polynomials.  Work that does not depend on t is
+done once: the certified roots of a polynomial are cached on (coefficients,
+seed, tol), the squarefree proof runs once per process, and the S8 branch
+quartic is solved in b at one mu over each root x, its roots at the other 29
+values of mu obtained by the xi-rotation and certified where they land.
+The samples are drawn from random.Random(seed) in a fixed order (per curve,
+then per sample, then per coordinate), and every audit is cached on its
 (surface, NumericConfig)."""
 
 import cmath
@@ -16,8 +20,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from functools import lru_cache
 
 from .multipoly import MultiPoly
 from .tower import _coeff_complex
@@ -25,10 +28,11 @@ from .univariate import (degree, derivative, poly_gcd, count_real_roots)
 from .curves import (VerificationError, _surface_cache, q_cubic, q1_quartic,
                      q2_quartic, s6_alpha_lines, s6_line_tower,
                      s6_line_forms)
-from .orbits import _s7_main_data, _s8_branch_data, s6_intersections
+from .orbits import (_fraction_residue, _s7_main_data, _s8_branch_data,
+                     _xi_residue, s6_intersections)
 
 
-# Durand-Kerner iterations before a batch is declared not to converge
+# Durand-Kerner iterations before a polynomial is declared not to converge
 DK_MAX_ITER = 2000
 
 
@@ -47,71 +51,78 @@ class NumericConfig:
 # ---------------------------------------------------------------------------
 # root finding
 
-def _horner(rows, z):
-    """sum(rows[r, k] z[r, j]^k): the polynomial of each coefficient row r
-    at the points of row r of z."""
-    val = np.zeros(z.shape, dtype=np.result_type(rows, z))
-    for c in rows.T[::-1]:
-        val = val * z + c[:, None]
-    return val
-
-
 def durand_kerner(coeffs, cfg: NumericConfig):
-    """All complex roots of sum(c[k] X^k), for one coefficient list c or
-    for each row c of a 2-d batch (then one row of roots per row).  Each
-    polynomial is made monic and its variable rescaled X = sigma X', with
-    log(sigma) the mean of log|c_k/c_n|/(n-k) over the nonzero
-    coefficients, so Durand-Kerner iterates on balanced polynomials; the
-    rows iterate together until every one has converged."""
-    cs = np.array(coeffs, dtype=complex)
-    single = cs.ndim == 1
-    cs = np.atleast_2d(cs)
-    while cs.shape[1] and not cs[:, -1].any():
-        cs = cs[:, :-1]
-    n = cs.shape[1] - 1
+    """All complex roots of sum(c[k] X^k), for one coefficient list c, or
+    one list of roots for each row c of a list of them.  Each polynomial is
+    made monic and its variable rescaled X = sigma X', with log(sigma) the
+    mean of log|c_k/c_n|/(n-k) over the nonzero coefficients, so
+    Durand-Kerner iterates on a balanced polynomial."""
+    if coeffs and isinstance(coeffs[0], (list, tuple)):
+        return [_durand_kerner_row(row, cfg.seed) for row in coeffs]
+    return _durand_kerner_row(coeffs, cfg.seed)
+
+
+def _durand_kerner_row(coeffs, seed):
+    cs = [complex(c) for c in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    n = len(cs) - 1
     if n < 1:
         raise ValueError("polynomial must be nonconstant")
-    b = cs / cs[:, -1:]
-    with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(b[:, :-1])) / (n - np.arange(n))
-    used = np.isfinite(logs)                # zero coefficients give -inf
-    sigma = np.exp(np.where(used, logs, 0).sum(1)
-                   / np.maximum(used.sum(1), 1))
-    b = b * sigma[:, None] ** (np.arange(n + 1) - n)
-    seed_angle = random.Random(cfg.seed).uniform(0, 2 * math.pi)
-    k = np.arange(n)
-    z = np.tile(np.exp(1j * (seed_angle + 2 * math.pi * k / n))
-                * (1.3 + 0.01 * k), (len(b), 1))
-    others = ~np.eye(n, dtype=bool)
+    b = [c / cs[-1] for c in cs]
+    # zero coefficients carry no scale
+    logs = [math.log(abs(c)) / (n - k) for k, c in enumerate(b[:-1])
+            if 0 < abs(c) < math.inf]
+    sigma = math.exp(sum(logs) / max(len(logs), 1))
+    b = [c * sigma ** (k - n) for k, c in enumerate(b)][::-1]  # for Horner
+    angle = random.Random(seed).uniform(0, 2 * math.pi)
+    z = [cmath.exp(1j * (angle + 2 * math.pi * k / n)) * (1.3 + 0.01 * k)
+         for k in range(n)]
     for _ in range(DK_MAX_ITER):
-        den = np.where(others, z[:, :, None] - z[:, None, :], 1).prod(-1)
-        dz = _horner(b, z) / den
-        z = z - dz
-        if (np.abs(dz) / (1 + np.abs(z))).max() < 1e-14:
+        dz = []
+        for k, zk in enumerate(z):
+            val = 0j
+            for c in b:
+                val = val * zk + c
+            dz.append(val / math.prod(zk - zj for j, zj in enumerate(z)
+                                      if j != k))
+        z = [zk - d for zk, d in zip(z, dz)]
+        if all(abs(d) / (1 + abs(zk)) < 1e-14 for d, zk in zip(dz, z)):
             break
     else:
         raise VerificationError("root finder did not converge")
-    roots = z * sigma[:, None]
-    return roots[0] if single else roots
+    return [zk * sigma for zk in z]
+
+
+def _certify(coeffs, roots, tol):
+    """roots, once certified as roots of sum(c[k] X^k): the residual below
+    tol relative to the coefficient 1-norm evaluated at the root, and the
+    roots pairwise separated."""
+    for r in roots:
+        val, scale, mag = 0j, 0.0, abs(r)
+        for c in reversed(coeffs):
+            val = val * r + c
+            scale = scale * mag + abs(c)
+        if not abs(val) <= tol * (1 + scale):
+            raise VerificationError("root residual %.3g exceeds tolerance"
+                                    % abs(val))
+    for i, r in enumerate(roots):
+        for s in roots[i + 1:]:
+            if abs(r - s) < 1e-8 * (1 + abs(r) + abs(s)):
+                raise VerificationError("roots are not separated")
+    return roots
 
 
 def numeric_roots(coeffs, cfg: NumericConfig):
-    """Roots with certification: residual below tol relative to the
-    coefficient 1-norm evaluated at the root, and pairwise separation."""
-    roots = durand_kerner(coeffs, cfg)
-    cs = np.array([coeffs], dtype=complex)
-    val = np.abs(_horner(cs, roots[None]))[0]
-    scale = _horner(np.abs(cs), np.abs(roots)[None])[0]
-    bad = ~(val <= cfg.tol * (1 + scale))
-    if bad.any():
-        raise VerificationError("root residual %.3g exceeds tolerance"
-                                % val[bad][0])
-    mag = np.abs(roots)
-    gap = np.abs(roots[:, None] - roots[None, :])
-    close = gap < 1e-8 * (1 + mag[:, None] + mag[None, :])
-    if np.triu(close, 1).any():
-        raise VerificationError("roots are not separated")
-    return roots
+    """The roots of sum(c[k] X^k), certified by _certify; cached on
+    (coefficients, seed, tol), which is all they depend on."""
+    return _cached_roots(tuple(coeffs), cfg.seed, cfg.tol)
+
+
+@lru_cache(maxsize=None)
+def _cached_roots(coeffs, seed, tol):
+    roots = durand_kerner(coeffs, NumericConfig(tol=tol, seed=seed))
+    return tuple(_certify([complex(c) for c in coeffs], roots, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -121,10 +132,15 @@ def check_specialization(t: Fraction) -> dict:
     """The residual polynomials stay squarefree at t.  The high-degree
     residuals are compositions g(e^N) of the displayed low-degree
     polynomials with a binomial; such a composition is squarefree iff g is
-    squarefree and g(0) != 0, which is checked exactly."""
+    squarefree and g(0) != 0, which is checked exactly, once: it does not
+    depend on t."""
     if t == 0:
         raise VerificationError("t = 0 lies on every discriminant locus")
-    report = {"t": str(t), "squarefree": {}}
+    return {"t": str(t), "squarefree": dict.fromkeys(_squarefree(), True)}
+
+
+@lru_cache(maxsize=None)
+def _squarefree():
     for label, q in (("Q", q_cubic()), ("Q1", q1_quartic()),
                      ("Q2", q2_quartic())):
         g = poly_gcd(q, derivative(q))
@@ -132,84 +148,92 @@ def check_specialization(t: Fraction) -> dict:
             raise VerificationError("%s is not squarefree" % label)
         if q[0] == 0:
             raise VerificationError("%s vanishes at 0" % label)
-        report["squarefree"][label] = True
     # S7: core(e) = t^3 Q(e^18 / t); S8: F_i proportional to q_i(-mu^30 t)
     # binomial radicands c t must not vanish
     for branch in ("plus", "minus"):
         _, c, _ = s6_line_tower(branch)
         if c.is_zero():
             raise VerificationError("S6 radicand vanishes")
-    report["squarefree"]["core_S7"] = True
-    report["squarefree"]["F1_F2_S8"] = True
-    return report
+    return ("Q", "Q1", "Q2", "core_S7", "F1_F2_S8")
 
 
 # ---------------------------------------------------------------------------
-# compiled, batched evaluation
+# compiled evaluation
 
 class CompiledPoly:
-    """A MultiPoly compiled for batched complex evaluation: one row of
-    exponents per term, and the term's coefficient as a complex number (a
-    tower constant evaluated at cenv, which maps generator names to
-    values)."""
+    """A MultiPoly compiled for complex evaluation: its terms as (complex
+    coefficient, ((variable index, exponent), ...)) with the zero exponents
+    left out, the indices into `used`, the variables left free.  cenv maps
+    generator names, and the variables it fixes (such as t), to values:
+    each coefficient is a tower constant evaluated there, times the powers
+    of the fixed variables."""
 
     def __init__(self, p: MultiPoly, cenv=None):
-        self.vars = p.vars
-        self.exps = np.array(list(p.terms), dtype=int).reshape(
-            len(p.terms), len(p.vars))
-        self.coeffs = np.array([_coeff_complex(c, cenv or {})
-                                for c in p.terms.values()], dtype=complex)
+        cenv = cenv or {}
+        idx = [i for i, v in enumerate(p.vars)
+               if v not in cenv and any(e[i] for e in p.terms)]
+        fixed = [(i, cenv[v]) for i, v in enumerate(p.vars) if v in cenv]
+        self.used = tuple(p.vars[i] for i in idx)
+        self.terms = tuple(
+            (_coeff_complex(c, cenv)
+             * math.prod(x ** e[i] for i, x in fixed if e[i]),
+             tuple((j, e[i]) for j, i in enumerate(idx) if e[i]))
+            for e, c in p.terms.items())
 
     def __call__(self, env):
-        """(value, scale) at the points env, which maps each variable to a
-        number or an array, all broadcast together; scale is the sum of the
-        absolute values of the terms, at least 1e-300."""
-        terms = self.coeffs
-        for v, col in zip(self.vars, self.exps.T):
-            if col.any():
-                terms = terms * np.asarray(env[v])[..., None] ** col
-        return terms.sum(-1), np.maximum(np.abs(terms).sum(-1), 1e-300)
+        """(value, scale) at the point env, which maps each free variable
+        to a number; scale is the sum of the absolute values of the terms,
+        at least 1e-300."""
+        x = [env[v] for v in self.used]
+        value, scale = 0j, 0.0
+        for c, monomial in self.terms:
+            for i, k in monomial:
+                c *= x[i] if k == 1 else x[i] ** k
+            value += c
+            scale += abs(c)
+        return value, max(scale, 1e-300)
 
-    def residues(self, env):
+    def residue(self, env):
         val, scale = self(env)
-        return np.abs(val) / scale
+        return abs(val) / scale
 
 
-def _ratio(pair, env):
-    return CompiledPoly(pair[0])(env)[0] / CompiledPoly(pair[1])(env)[0]
+def _chain(pairs, names, cenv):
+    """The solved coefficient fractions of names, compiled at cenv, in the
+    order they are solved: each may use those before it."""
+    return [(n, CompiledPoly(pairs[n][0], cenv),
+             CompiledPoly(pairs[n][1], cenv)) for n in names]
+
+
+def _solve(chain, env):
+    for n, num, den in chain:
+        env[n] = num(env)[0] / den(env)[0]
+    return env
 
 
 def _max_residue(res, cfg, message):
-    """The largest residue of res; the first of them (in draw order) that
-    is not at most cfg.tol, a NaN from an overflow too, is raised,
+    """The largest of the residues res; the first of them (in draw order)
+    that is not at most cfg.tol, a NaN from an overflow too, is raised,
     formatted into message."""
-    over = np.flatnonzero(~(res <= cfg.tol))
-    if over.size:
-        raise VerificationError(message % res.flat[over[0]])
-    return float(res.max())
+    for r in res:
+        if not r <= cfg.tol:
+            raise VerificationError(message % r)
+    return max(res)
 
 
-def _draws(rng, shape, width):
-    """rng.random() drawn width at a time, as an array shape + (width,)."""
-    count = math.prod(shape) * width
-    return np.fromiter((rng.random() for _ in range(count)), float,
-                       count).reshape(shape + (width,))
+def _complex_draw(rng):
+    return rng.random() + 1j * rng.random()
 
 
-def _complex_draws(rng, shape):
-    u = _draws(rng, shape, 2)
-    return u[..., 0] + 1j * u[..., 1]
-
-
-def _sample_wx(rng, shape):
-    """Sample points (W, X): W on the unit circle, |X| in [0.5, 1.5)."""
-    u = _draws(rng, shape, 3)
-    return (np.exp(2j * math.pi * u[..., 0]),
-            np.exp(2j * math.pi * u[..., 1]) * (0.5 + u[..., 2]))
+def _sample_wx(rng):
+    """A sample point (W, X): W on the unit circle, |X| in [0.5, 1.5)."""
+    u0, u1, u2 = rng.random(), rng.random(), rng.random()
+    return (cmath.exp(2j * math.pi * u0),
+            cmath.exp(2j * math.pi * u1) * (0.5 + u2))
 
 
 def _roots_of_unity(n):
-    return np.exp(2j * math.pi * np.arange(n) / n)
+    return [cmath.exp(2j * math.pi * k / n) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +245,7 @@ S6_ENV = {"z12": cmath.exp(1j * math.pi / 6)}
 
 def _s6_numeric_lines(cfg):
     """The 27 lines: their (family or branch, j) tags, and their 2x4
-    coefficient matrices stacked in one array."""
+    coefficient matrices."""
     tval = float(cfg.t)
     tags, mats = [], []
     for j, forms in enumerate(s6_alpha_lines()[2]):
@@ -233,12 +257,10 @@ def _s6_numeric_lines(cfg):
         cval = c.as_complex(S6_ENV)
         mu0 = (cval * tval) ** (1.0 / 12.0)
         forms = s6_line_forms(T, branch)
-        for j in range(12):
-            mu = mu0 * cmath.exp(2j * math.pi * j / 12.0)
-            env = dict(S6_ENV, mu=mu)
+        for j, w in enumerate(_roots_of_unity(12)):
             tags.append((branch, j))
-            mats.append(_form_matrix(forms, env))
-    return tags, np.array(mats)
+            mats.append(_form_matrix(forms, dict(S6_ENV, mu=mu0 * w)))
+    return tags, mats
 
 
 def _form_matrix(forms, cenv):
@@ -251,28 +273,71 @@ def _form_matrix(forms, cenv):
     return rows
 
 
+def _kernel_basis(rows):
+    """A basis of the kernel of a full-rank complex matrix with 4 columns:
+    Gauss-Jordan elimination with complete pivoting, then one vector per
+    column without a pivot."""
+    a, cols = [list(r) for r in rows], []
+    for r in range(len(a)):
+        piv, p, q = max((abs(a[i][j]), i, j) for i in range(r, len(a))
+                        for j in range(4) if j not in cols)
+        if not piv:
+            raise VerificationError("form matrix is rank deficient")
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][q] for x in a[r]]
+        for i in range(len(a)):
+            if i != r:
+                f = a[i][q]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        cols.append(q)
+    basis = []
+    for f in set(range(4)) - set(cols):
+        basis.append([0j] * 4)
+        basis[-1][f] = 1
+        for r, q in enumerate(cols):
+            basis[-1][q] = -a[r][f]
+    return basis
+
+
+def _det_ratio(rows):
+    """|det| / prod(|row|) of a square complex matrix, in [0, 1]
+    (Hadamard): Gaussian elimination with partial pivoting, one column at a
+    time."""
+    norm = math.prod(math.sqrt(sum(abs(x) ** 2 for x in r)) for r in rows)
+    a, det = [list(r) for r in rows], 1.0
+    while a:
+        pivot = a.pop(max(range(len(a)), key=lambda i: abs(a[i][0])))
+        det *= abs(pivot[0])
+        if not det:
+            break
+        a = [[x - r[0] / pivot[0] * y for x, y in zip(r[1:], pivot[1:])]
+             for r in a]
+    return det / norm
+
+
 def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
     rng = random.Random(cfg.seed)
     tags, mats = _s6_numeric_lines(cfg)
     n = len(tags)
+    equation = CompiledPoly(s6.equation, dict(S6_ENV, t=float(cfg.t)))
     # five points a p0 + p1 on each line, (p0, p1) a basis of its kernel
-    basis = np.linalg.svd(mats)[2][:, -2:].conj()
-    a = _complex_draws(rng, (n, 5))
-    pts = basis[:, None, 0] * a[..., None] + basis[:, None, 1]
-    env = dict(zip(("W", "X", "Y", "Z"), np.moveaxis(pts, -1, 0)))
-    env["t"] = float(cfg.t)
-    max_res = _max_residue(CompiledPoly(s6.equation, S6_ENV).residues(env),
-                           cfg, "S6 membership residue %.3g")
+    res = []
+    for m in mats:
+        p0, p1 = _kernel_basis(m)
+        for _ in range(5):
+            a = _complex_draw(rng)
+            res.append(equation.residue(
+                dict(zip("WXYZ", (a * x + y for x, y in zip(p0, p1))))))
+    max_res = _max_residue(res, cfg, "S6 membership residue %.3g")
     # intersection graph: two lines meet iff their four forms are dependent
-    i, j = np.triu_indices(n, 1)
-    sv = np.linalg.svd(np.concatenate([mats[i], mats[j]], axis=1),
-                       compute_uv=False)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[i, j] = adj[j, i] = sv[:, -1] < 1e-8 * sv[:, 0]
-    degrees = adj.sum(axis=1)
+    adj = [[False] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            adj[i][j] = adj[j][i] = _det_ratio(mats[i] + mats[j]) < 1e-8
+    degrees = [sum(row) for row in adj]
     if not all(d == 10 for d in degrees):
         raise VerificationError("S6 line degrees are not all 10: %s"
-                                % sorted(set(int(d) for d in degrees)))
+                                % sorted(set(degrees)))
     # agreement with the exact same-branch pattern
     exact = s6_intersections(s6)
     idx = {tag: k for k, tag in enumerate(tags)}
@@ -281,92 +346,133 @@ def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
             continue
         b, k = entry["branch"], entry["k"]
         for j in range(12):
-            got = bool(adj[idx[(b, j)], idx[(b, (j + k) % 12)]])
+            got = adj[idx[(b, j)]][idx[(b, (j + k) % 12)]]
             if got != entry["intersect"]:
                 raise VerificationError(
                     "exact/numeric disagreement: branch %s, k=%d" % (b, k))
     for j1 in range(3):
         for j2 in range(j1 + 1, 3):
-            if not adj[idx[("L123", j1)], idx[("L123", j2)]]:
+            if not adj[idx[("L123", j1)]][idx[("L123", j2)]]:
                 raise VerificationError("L%d/L%d numeric miss" % (j1, j2))
     return {"surface": "s6", "count": n, "max_residue": max_res,
-            "degrees": [int(d) for d in degrees],
-            "graph_checked": True}
+            "degrees": degrees, "graph_checked": True}
 
 
 def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
     _, core, main = _s7_main_data(s7)
-    pairs = main.data["coeff_pairs"]
     tval = float(cfg.t)
+    chain = _chain(main.data["coeff_pairs"], ("d", "a", "b", "c"),
+                   {"t": tval})
     rng = random.Random(cfg.seed)
-    equation = CompiledPoly(s7.equation)
+    equation = CompiledPoly(s7.equation, {"t": tval})
     # core(e) = t^3 Q(e^18 / t): 54 roots from the 3 roots of Q
-    u_roots = numeric_roots(q_cubic(), cfg)
-    e = (((u_roots * tval) ** (1.0 / 18.0))[:, None]
-         * _roots_of_unity(18)).ravel()
-    env = {"e": e, "t": tval}
-    for n in ("d", "a", "b", "c"):
-        env[n] = _ratio(pairs[n], env)
-    a, b, c, d, e = (env[n][:, None] for n in ("a", "b", "c", "d", "e"))
-    W, X = _sample_wx(rng, (len(e), 5))
-    penv = {"W": W, "X": X, "Y": a * W + b * X,
-            "Z": c * W ** 2 + d * W * X + e * X ** 2, "t": tval}
-    max_res = _max_residue(equation.residues(penv), cfg,
-                           "S7 residue %.3g at root")
+    res, count = [], 0
+    for u in numeric_roots(q_cubic(), cfg):
+        e0 = (u * tval) ** (1.0 / 18.0)
+        for w in _roots_of_unity(18):
+            env = _solve(chain, {"e": e0 * w})
+            a, b, c, d, e = (env[n] for n in ("a", "b", "c", "d", "e"))
+            for _ in range(5):
+                W, X = _sample_wx(rng)
+                res.append(equation.residue(
+                    {"W": W, "X": X, "Y": a * W + b * X,
+                     "Z": c * W ** 2 + d * W * X + e * X ** 2}))
+            count += 1
+    max_res = _max_residue(res, cfg, "S7 residue %.3g at root")
     # the two e=0 curves: Y = 0, Z = +- sqrt(t) W^2
-    rt = cmath.sqrt(tval)
-    W, X = _sample_wx(rng, (2, 5))
-    penv = {"W": W, "X": X, "Y": 0j, "Z": np.array([[rt], [-rt]]) * W ** 2,
-            "t": tval}
-    max_res = max(max_res, _max_residue(equation.residues(penv), cfg,
-                                        "S7 e=0 residue %.3g"))
-    count = len(e) + len(W)
+    res = []
+    for z in (cmath.sqrt(tval), -cmath.sqrt(tval)):
+        for _ in range(5):
+            W, X = _sample_wx(rng)
+            res.append(equation.residue(
+                {"W": W, "X": X, "Y": 0j, "Z": z * W ** 2}))
+        count += 1
+    max_res = max(max_res, _max_residue(res, cfg, "S7 e=0 residue %.3g"))
     if count != 56:
         raise VerificationError("S7 numeric count %d != 56" % count)
     return {"surface": "s7", "count": count, "max_residue": max_res}
+
+
+# S8 conjugation: mu -> xi mu with xi^30 = 1
+S8_ORDER = 30
+
+
+def _b_weight(main):
+    """r_b, with b -> xi^(r_b) b under mu -> xi mu (xi^30 = 1), read off
+    the b-fraction; the branch quartic must be xi-homogeneous under it,
+    so its roots in b at xi mu are xi^(r_b) times those at mu."""
+    act = {"mu": 1, "t": 0}
+    act["b"] = _fraction_residue(main.data["b_pair"], S8_ORDER, act)
+    _xi_residue(main.data["branch_quartic"], S8_ORDER, act)
+    return act["b"]
+
+
+def _s8_b_roots(main, quartic, cfg):
+    """(mu, coefficients of the branch quartic in b at mu, its four
+    b-roots) for the 120 values of mu of a branch, 30 over each root x of
+    its quartic (F_i ~ q_i(-mu^30 t)).  The b-quartic is solved at
+    mu0 = (-x/t)^(1/30) only; the roots at mu0 xi^j are xi^(r_b j) times
+    those, each certified at its own mu."""
+    tval = float(cfg.t)
+    Pi = main.data["branch_quartic"]
+    r_b = _b_weight(main)
+    in_b = [CompiledPoly(Pi.coeff_of("b", k), {"t": tval})
+            for k in range(Pi.degree("b") + 1)]
+
+    def coeffs(mu):
+        return [c({"mu": mu})[0] for c in in_b]
+
+    mu0s = [(-x / tval) ** (1.0 / S8_ORDER) for x in numeric_roots(quartic,
+                                                                   cfg)]
+    xi = _roots_of_unity(S8_ORDER)
+    out = []
+    for mu0, b0 in zip(mu0s, durand_kerner([coeffs(m) for m in mu0s], cfg)):
+        for j in range(S8_ORDER):
+            mu = mu0 * xi[j]
+            cs = coeffs(mu)
+            rot = xi[r_b * j % S8_ORDER]
+            out.append((mu, cs, _certify(cs, [rot * b for b in b0],
+                                         cfg.tol)))
+    return out
 
 
 def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
     _, mains = _s8_branch_data(s8)
     tval = float(cfg.t)
     rng = random.Random(cfg.seed)
-    equation = CompiledPoly(s8.equation)
+    equation = CompiledPoly(s8.equation, {"t": tval})
     count, max_res = 0, 0.0
     for branch, quartic in (("P1", q1_quartic()), ("P2", q2_quartic())):
         main = mains[branch]
-        pairs = main.data["coeff_pairs"]
-        Pi = main.data["branch_quartic"]
-        x_roots = numeric_roots(quartic, cfg)
-        # F_i ~ q_i(-mu^30 t): 30 values of mu over each root x
-        mu = (((-x_roots / tval) ** (1.0 / 30.0))[:, None]
-              * _roots_of_unity(30)).ravel()
+        chain = _chain(main.data["coeff_pairs"], ("f", "a", "e", "d"),
+                       {"t": tval})
         # the certified b-fraction cancels catastrophically in doubles;
         # instead, of the four b-roots of the branch quartic exactly one
         # continues to a curve on the surface
-        env = {"mu": mu, "t": tval}
-        b = durand_kerner(np.stack(np.broadcast_arrays(
-            *(CompiledPoly(Pi.coeff_of("b", k))(env)[0]
-              for k in range(Pi.degree("b") + 1))), axis=1), cfg)
-        env = {"mu": mu[:, None], "b": b, "t": tval}
-        for n in ("f", "a", "e", "d"):
-            env[n] = _ratio(pairs[n], env)
-        W, X = _sample_wx(rng, b.shape + (5,))
-        a, b, d, e, f = (env[n][..., None] for n in ("a", "b", "d", "e", "f"))
-        m = mu[:, None, None]
-        penv = {"W": W, "X": X, "t": tval,
-                "Y": a * W ** 2 + b * W * X - m ** 2 * X ** 2,
-                "Z": (d * W ** 3 + e * W ** 2 * X + f * W * X ** 2
-                      - m ** 3 * X ** 3)}
-        worst = equation.residues(penv).max(-1)
-        passing = worst < cfg.tol
-        on_surface = passing.sum(1)
-        wrong = np.flatnonzero(on_surface != 1)
-        if wrong.size:
-            raise VerificationError(
-                "S8 branch %s: %d of 4 b-roots on the surface"
-                % (branch, on_surface[wrong[0]]))
-        max_res = max(max_res, float(worst[passing].max()))
-        count += len(mu)
+        for mu, _, bs in _s8_b_roots(main, quartic, cfg):
+            on_surface = 0
+            for b in bs:
+                env = _solve(chain, {"mu": mu, "b": b})
+                a, d, e, f = (env[n] for n in ("a", "d", "e", "f"))
+                # a b-root is off the surface at its first failing sample;
+                # the later samples are drawn all the same
+                res = []
+                for W, X in [_sample_wx(rng) for _ in range(5)]:
+                    res.append(equation.residue(
+                        {"W": W, "X": X,
+                         "Y": a * W ** 2 + b * W * X - mu ** 2 * X ** 2,
+                         "Z": (d * W ** 3 + e * W ** 2 * X + f * W * X ** 2
+                               - mu ** 3 * X ** 3)}))
+                    if not res[-1] < cfg.tol:
+                        break
+                else:
+                    on_surface += 1
+                    max_res = max(max_res, *res)
+            if on_surface != 1:
+                raise VerificationError(
+                    "S8 branch %s: %d of 4 b-roots on the surface"
+                    % (branch, on_surface))
+            count += 1
     if count != 240:
         raise VerificationError("S8 numeric count %d != 240" % count)
     return {"surface": "s8", "count": count, "max_residue": max_res}
@@ -377,32 +483,40 @@ def numeric_audit_conic(s, cfg: NumericConfig) -> dict:
     name, n = s.name, s.index
     tval = float(cfg.t)
     rng = random.Random(cfg.seed)
-    equation = CompiledPoly(s.equations[0])
+    equation = CompiledPoly(s.equations[0], {"w": 1, "t": tval})
     if name.startswith("an:"):
         # over each root x of x^n = t: the components y = 0 and z = 0,
         # the other coordinate free
-        x = tval ** (1.0 / n) * _roots_of_unity(n)
-        free = _complex_draws(rng, (n, 2, 5))
-        y_free = np.array([[0], [1]])
-        env = {"w": 1, "x": x[:, None, None], "y": free * y_free,
-               "z": free * (1 - y_free), "t": tval}
-        max_res = _max_residue(equation.residues(env), cfg,
-                               "A_n residue %.3g")
-        count, expected = free.shape[0] * free.shape[1], 2 * n
+        res, count, expected = [], 0, 2 * n
+        for w in _roots_of_unity(n):
+            x = tval ** (1.0 / n) * w
+            for on_z in (True, False):
+                for _ in range(5):
+                    v = _complex_draw(rng)
+                    res.append(equation.residue(
+                        {"x": x, "y": 0j if on_z else v,
+                         "z": v if on_z else 0j}))
+                count += 1
+        max_res = _max_residue(res, cfg, "A_n residue %.3g")
     else:
         N = 2 * (n - 1)
-        rt = cmath.sqrt(tval)
-        y = _complex_draws(rng, (2, 5))
-        env = {"w": 1, "y": y, "z": np.array([[rt], [-rt]]), "x": 0,
-               "t": tval}
-        max_res = _max_residue(equation.residues(env), cfg,
-                               "D_n x=0 residue %.3g")
-        mu = (tval ** (1.0 / N) * _roots_of_unity(N))[:, None]
-        y = _complex_draws(rng, (N, 5))
-        env = {"w": 1, "y": y, "z": 1j * y * mu, "x": mu ** 2, "t": tval}
-        max_res = max(max_res, _max_residue(equation.residues(env), cfg,
+        res, count, expected = [], 0, 2 + N
+        for z in (cmath.sqrt(tval), -cmath.sqrt(tval)):
+            for _ in range(5):
+                res.append(equation.residue(
+                    {"y": _complex_draw(rng), "z": z, "x": 0}))
+            count += 1
+        max_res = _max_residue(res, cfg, "D_n x=0 residue %.3g")
+        res = []
+        for w in _roots_of_unity(N):
+            mu = tval ** (1.0 / N) * w
+            for _ in range(5):
+                y = _complex_draw(rng)
+                res.append(equation.residue(
+                    {"y": y, "z": 1j * y * mu, "x": mu ** 2}))
+            count += 1
+        max_res = max(max_res, _max_residue(res, cfg,
                                             "D_n mu residue %.3g"))
-        count, expected = 2 + len(mu), 2 + N
     if count != expected:
         raise VerificationError("%s numeric count %d != %d"
                                 % (name, count, expected))
@@ -439,9 +553,13 @@ def numeric_curve_audit(s, cfg: NumericConfig = None) -> dict:
         audit = numeric_audit_conic
     if audit is None:
         raise ValueError("no numeric audit for %r" % s.name)
-    # a double that overflows becomes inf or NaN, which every check refuses
-    with np.errstate(all="ignore"):
+    # a double that overflows raises OverflowError, or becomes inf or NaN,
+    # which every check refuses
+    try:
         return audit(s, cfg)
+    except OverflowError as ex:
+        raise VerificationError("%s at t = %s: a double overflows (%s)"
+                                % (s.name, cfg.t, ex))
 
 
 def full_audit(catalog, t_values=(2, 3, 5), tol=1e-8, seed=0) -> dict:

@@ -31,7 +31,8 @@ def test_tau_order_three_lambda_one():
 
 
 def test_tau_normalizes_diagonal():
-    assert tau_normalizes_diagonal(build_surface("klein-dn:4"), seed=3)
+    s = build_surface("klein-dn:4")
+    assert tau_normalizes_diagonal(s, diagonal_group(s, seed=3), seed=3)
 
 
 @pytest.mark.parametrize("case,exponents", [

@@ -4,14 +4,10 @@ import io
 import contextlib
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import kleinfib
 from kleinfib import cli, numeric, orbits
 from kleinfib.cli import _parse_poly, main
 from kleinfib.curves import VerificationError, dn_tower
@@ -364,27 +360,15 @@ def test_out_file(tmp_path):
         path.unlink()
 
 
-def test_numpy_loads_only_for_the_oracle():
-    # a fresh process: the commands without the numeric oracle never import
-    # numpy, and audit does
-    script = """if True:
-        import contextlib, io, sys
-        from kleinfib.cli import main
-        for argv in (["curves", "s8"], ["verdict", "e8", "--ext", "30"],
-                     ["lattice", "8"],
-                     ["autos", "an", "--n", "3", "--poly", "1+y"]):
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert main(argv) == 0, argv
-            assert "numpy" not in sys.modules, argv
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert main(["audit", "dn:9", "--t", "5"]) == 0
-        assert "numpy" in sys.modules
-        """
-    src = os.path.dirname(os.path.dirname(kleinfib.__file__))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src),
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
+@pytest.mark.parametrize("argv,case", [
+    (["autos", "foo"], "foo"), (["autos", "dn:33"], "dn:33"),
+    (["autos", "an", "--n", "1"], "an:1")])
+def test_autos_errors_name_the_case_as_typed(capsys, argv, case):
+    code, cert = run(argv)
+    assert code == 2 and cert is None
+    err = capsys.readouterr().err
+    assert repr(case) in err and "klein-" not in err
+    assert "e6, e7, e8, an:<n>" in err and "dn:<n>" in err
 
 
 def test_autos_dn_takes_n(capsys):

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from kleinfib import numeric
-from kleinfib.curves import VerificationError, q_cubic
+from kleinfib.curves import (VerificationError, q_cubic, q1_quartic,
+                             q2_quartic)
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.numeric import (NumericConfig, check_specialization,
                               durand_kerner, numeric_curve_audit,
                               numeric_roots, sturm_vs_numeric)
+from kleinfib.orbits import _s8_branch_data
 
 CFG = NumericConfig()
 
@@ -103,7 +105,7 @@ def test_unknown_surface():
 def test_durand_kerner_batch_rows():
     # a batch of rows gives each row its own roots: X^2 - c for c = 1, 4, -9
     roots = durand_kerner([[-1, 0, 1], [-4, 0, 1], [9, 0, 1]], CFG)
-    assert roots.shape == (3, 2)
+    assert len(roots) == 3 and all(len(row) == 2 for row in roots)
     for row, c in zip(roots, (1, 4, -9)):
         assert all(abs(r * r - c) < 1e-12 for r in row)
 
@@ -122,3 +124,54 @@ def test_perturbed_coefficient_is_refuted(monkeypatch, name, data, error):
     audit = getattr(numeric, "numeric_audit_" + name)
     with pytest.raises(VerificationError, match=error):
         audit(bad, CFG)
+
+
+@pytest.mark.parametrize("t", [Fraction(2), Fraction(5), Fraction(2 ** 12),
+                               Fraction(-2 ** 12), Fraction(1, 2 ** 12),
+                               Fraction(-1, 2 ** 12)], ids=str)
+def test_s6_determinant_gap(t):
+    # |det| / prod |row| of the stacked forms: near rounding on the 135
+    # meeting pairs, far from the 1e-8 threshold on the 216 disjoint ones
+    _, mats = numeric._s6_numeric_lines(NumericConfig(t=t))
+    ratios = [numeric._det_ratio(mats[i] + mats[j])
+              for i in range(27) for j in range(i + 1, 27)]
+    meeting = [r for r in ratios if r < 1e-8]
+    disjoint = [r for r in ratios if r >= 1e-8]
+    assert len(meeting) == 135 and len(disjoint) == 216
+    assert max(meeting) < 1e-12
+    assert min(disjoint) > 1e-4
+
+
+@pytest.mark.parametrize("branch,quartic", [("P1", q1_quartic()),
+                                            ("P2", q2_quartic())])
+def test_rotated_b_roots_match_a_direct_solve(branch, quartic):
+    main = _s8_branch_data(build_surface("s8"))[1][branch]
+    rows = numeric._s8_b_roots(main, quartic, CFG)
+    assert len(rows) == 120
+    for _, coeffs, rotated in rows[::7]:
+        direct = durand_kerner(coeffs, CFG)
+        for b in rotated:
+            assert min(abs(b - d) for d in direct) < 1e-9 * (1 + abs(b))
+
+
+def test_wrong_b_weight_is_refuted(monkeypatch):
+    weight = numeric._b_weight
+    main = _s8_branch_data(build_surface("s8"))[1]["P1"]
+    assert weight(main) == 26
+    monkeypatch.setattr(numeric, "_b_weight", lambda m: weight(m) + 1)
+    with pytest.raises(VerificationError, match="root residual"):
+        numeric.numeric_audit_s8(build_surface("s8"), CFG)
+
+
+def test_q_q1_q2_are_solved_once(monkeypatch):
+    # the roots of Q, Q1 and Q2 do not depend on t: the Sturm step and the
+    # audits at t = 2, 3, 5 share one solve of each (a fresh seed and tol
+    # keep the caches cold)
+    calls, solve = [], numeric.durand_kerner
+    monkeypatch.setattr(numeric, "durand_kerner",
+                        lambda c, cfg: calls.append(list(c)) or solve(c, cfg))
+    cfg = NumericConfig(tol=1e-9, seed=17)
+    sturm_vs_numeric(cfg)
+    numeric.full_audit(build_catalog(), tol=cfg.tol, seed=cfg.seed)
+    for q in (q_cubic(), q1_quartic(), q2_quartic()):
+        assert calls.count(q) == 1

@@ -1,11 +1,16 @@
 """The benchmark's tracer still finds every method it wraps, and a traced run
-leaves kleinfib as it found it."""
+leaves kleinfib as it found it; every command runs without numpy."""
 
 import contextlib
 import importlib
 import importlib.util
 import io
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import kleinfib
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -54,3 +59,38 @@ def test_traced_commands_record_spans_and_restore_every_name():
     for (layer, cls_name), attrs in methods.items():
         cls = getattr(importlib.import_module("kleinfib." + layer), cls_name)
         assert all(vars(cls)[k] is v for k, v in attrs.items())
+
+
+def test_commands_run_without_numpy():
+    # a fresh process whose import system refuses numpy: the reproduction,
+    # the oracle audits and the other commands all run, and numpy is never
+    # loaded
+    script = """if True:
+        import contextlib, io, json, sys
+
+        class RefuseNumpy:
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] == "numpy":
+                    raise ImportError("numpy is refused")
+
+        sys.meta_path.insert(0, RefuseNumpy())
+        from kleinfib.cli import main
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["reproduce-paper"]) == 0
+        status = [c["status"] for c in json.loads(buf.getvalue())["checks"]]
+        assert status.count("verified") == 64, status
+        assert status.count("assumed") == 2, status
+        for argv in (["audit", "s6"], ["audit", "s8"], ["audit", "dn:9"],
+                     ["curves", "s8"], ["verdict", "e8", "--ext", "30"],
+                     ["lattice", "8"],
+                     ["autos", "an", "--n", "3", "--poly", "1+y"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        assert "numpy" not in sys.modules
+        """
+    src = os.path.dirname(os.path.dirname(kleinfib.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
