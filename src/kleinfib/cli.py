@@ -264,7 +264,7 @@ def cmd_autos(args):
     s = _klein_surface(case)
     wild = None
     if args.poly is not None:
-        if not case.startswith("an:"):
+        if not s.name.startswith("klein-an:"):
             raise UsageError("--poly only applies to the an family")
         wild = [_parse_poly(args.poly)]
     report = autos_report(s, seed=args.seed, wild_polys=wild)

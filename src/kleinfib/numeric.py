@@ -8,12 +8,13 @@ compiled once, into (complex coefficient, ((variable index, exponent), ...))
 terms, and evaluated point by point; Durand-Kerner iterates row by row on
 geometrically rescaled monic polynomials.  Work that does not depend on t is
 done once: the certified roots of a polynomial are cached on (coefficients,
-seed, tol), the squarefree proof runs once per process, and the S8 branch
-quartic is solved in b at one mu over each root x, its roots at the other 29
-values of mu obtained by the xi-rotation and certified where they land.
-The samples are drawn from random.Random(seed) in a fixed order (per curve,
-then per sample, then per coordinate), and every audit is cached on its
-(surface, NumericConfig)."""
+seed, tol), the squarefree proof and the S6 line forms built once per
+process.  Each xi-orbit of S7 and S8 curves is solved at one point and
+rotated by the weights read off the exact fractions, the S8 b-roots
+certified where they land; S6 lines meet iff their Plucker coordinates pair
+to zero.  Samples come from random.Random(seed) in a fixed order (per
+curve, or per S8 mu, then per sample, then per coordinate), and every audit
+is cached on its (surface, NumericConfig)."""
 
 import cmath
 import math
@@ -28,8 +29,8 @@ from .univariate import (degree, derivative, poly_gcd, count_real_roots)
 from .curves import (VerificationError, _surface_cache, q_cubic, q1_quartic,
                      q2_quartic, s6_alpha_lines, s6_line_tower,
                      s6_line_forms)
-from .orbits import (_fraction_residue, _s7_main_data, _s8_branch_data,
-                     _xi_residue, s6_intersections)
+from .orbits import (_b_residue, _chain_residues, _s7_main_data,
+                     _s8_branch_data, s6_intersections)
 
 
 # Durand-Kerner iterations before a polynomial is declared not to converge
@@ -211,6 +212,15 @@ def _solve(chain, env):
     return env
 
 
+def _orbit(chain, weights, env0, N):
+    """The chain solved at the N points of the xi-orbit of env0, in order:
+    solved at env0 only, a value of weight r at the j-th point is xi^(r j)
+    times its value at env0."""
+    base, xi = _solve(chain, dict(env0)), _roots_of_unity(N)
+    return [{n: v * xi[weights[n] * j % N] for n, v in base.items()}
+            for j in range(N)]
+
+
 def _max_residue(res, cfg, message):
     """The largest of the residues res; the first of them (in draw order)
     that is not at most cfg.tol, a NaN from an overflow too, is raised,
@@ -243,20 +253,24 @@ def _roots_of_unity(n):
 S6_ENV = {"z12": cmath.exp(1j * math.pi / 6)}
 
 
+@lru_cache(maxsize=None)
+def _s6_branch_forms(branch):
+    """The radicand c and the form pair of L_mu on a branch: they depend
+    neither on t nor on the surface."""
+    T, c, _ = s6_line_tower(branch)
+    return c.as_complex(S6_ENV), s6_line_forms(T, branch)
+
+
 def _s6_numeric_lines(cfg):
     """The 27 lines: their (family or branch, j) tags, and their 2x4
     coefficient matrices."""
     tval = float(cfg.t)
-    tags, mats = [], []
-    for j, forms in enumerate(s6_alpha_lines()[2]):
-        env = dict(S6_ENV, alpha=tval ** (1.0 / 3.0))
-        tags.append(("L123", j))
-        mats.append(_form_matrix(forms, env))
+    env = dict(S6_ENV, alpha=tval ** (1.0 / 3.0))
+    tags = [("L123", j) for j in range(3)]
+    mats = [_form_matrix(forms, env) for forms in s6_alpha_lines()[2]]
     for branch in ("plus", "minus"):
-        T, c, _ = s6_line_tower(branch)
-        cval = c.as_complex(S6_ENV)
+        cval, forms = _s6_branch_forms(branch)
         mu0 = (cval * tval) ** (1.0 / 12.0)
-        forms = s6_line_forms(T, branch)
         for j, w in enumerate(_roots_of_unity(12)):
             tags.append((branch, j))
             mats.append(_form_matrix(forms, dict(S6_ENV, mu=mu0 * w)))
@@ -299,20 +313,22 @@ def _kernel_basis(rows):
     return basis
 
 
-def _det_ratio(rows):
-    """|det| / prod(|row|) of a square complex matrix, in [0, 1]
-    (Hadamard): Gaussian elimination with partial pivoting, one column at a
-    time."""
-    norm = math.prod(math.sqrt(sum(abs(x) ** 2 for x in r)) for r in rows)
-    a, det = [list(r) for r in rows], 1.0
-    while a:
-        pivot = a.pop(max(range(len(a)), key=lambda i: abs(a[i][0])))
-        det *= abs(pivot[0])
-        if not det:
-            break
-        a = [[x - r[0] / pivot[0] * y for x, y in zip(r[1:], pivot[1:])]
-             for r in a]
-    return det / norm
+def _plucker(rows):
+    """The six 2x2 minors p_ij (i < j, in lexicographic order) of a 2x4
+    matrix, and the product of its two row norms."""
+    r, s = rows
+    return ([r[i] * s[j] - r[j] * s[i]
+             for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))],
+            math.prod(math.sqrt(sum(abs(x) ** 2 for x in v)) for v in rows))
+
+
+def _plucker_ratio(line, other):
+    """|det| / prod(|row|) of the 4x4 matrix that stacks two lines' 2x4
+    matrices, in [0, 1] (Hadamard), from their _plucker data: the Laplace
+    expansion of the determinant along the first two rows."""
+    (p, n), (q, m) = line, other
+    return abs(p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2]
+               - p[4] * q[1] + p[5] * q[0]) / (n * m)
 
 
 def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
@@ -330,10 +346,11 @@ def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
                 dict(zip("WXYZ", (a * x + y for x, y in zip(p0, p1))))))
     max_res = _max_residue(res, cfg, "S6 membership residue %.3g")
     # intersection graph: two lines meet iff their four forms are dependent
+    plk = [_plucker(m) for m in mats]
     adj = [[False] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            adj[i][j] = adj[j][i] = _det_ratio(mats[i] + mats[j]) < 1e-8
+            adj[i][j] = adj[j][i] = _plucker_ratio(plk[i], plk[j]) < 1e-8
     degrees = [sum(row) for row in adj]
     if not all(d == 10 for d in degrees):
         raise VerificationError("S6 line degrees are not all 10: %s"
@@ -359,18 +376,18 @@ def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
 
 
 def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
-    _, core, main = _s7_main_data(s7)
+    pairs = _s7_main_data(s7)[2].data["coeff_pairs"]
     tval = float(cfg.t)
-    chain = _chain(main.data["coeff_pairs"], ("d", "a", "b", "c"),
-                   {"t": tval})
+    names = ("d", "a", "b", "c")
+    weights = _chain_residues(pairs, names, {"e": 1, "t": 0}, 18)
+    chain = _chain(pairs, names, {"t": tval})
     rng = random.Random(cfg.seed)
     equation = CompiledPoly(s7.equation, {"t": tval})
-    # core(e) = t^3 Q(e^18 / t): 54 roots from the 3 roots of Q
+    # core(e) = t^3 Q(e^18 / t): 54 roots, the xi-orbits (xi^18 = 1) of
+    # (u t)^(1/18) over the 3 roots u of Q
     res, count = [], 0
     for u in numeric_roots(q_cubic(), cfg):
-        e0 = (u * tval) ** (1.0 / 18.0)
-        for w in _roots_of_unity(18):
-            env = _solve(chain, {"e": e0 * w})
+        for env in _orbit(chain, weights, {"e": (u * tval) ** (1 / 18)}, 18):
             a, b, c, d, e = (env[n] for n in ("a", "b", "c", "d", "e"))
             for _ in range(5):
                 W, X = _sample_wx(rng)
@@ -398,21 +415,17 @@ S8_ORDER = 30
 
 
 def _b_weight(main):
-    """r_b, with b -> xi^(r_b) b under mu -> xi mu (xi^30 = 1), read off
-    the b-fraction; the branch quartic must be xi-homogeneous under it,
-    so its roots in b at xi mu are xi^(r_b) times those at mu."""
-    act = {"mu": 1, "t": 0}
-    act["b"] = _fraction_residue(main.data["b_pair"], S8_ORDER, act)
-    _xi_residue(main.data["branch_quartic"], S8_ORDER, act)
-    return act["b"]
+    """r_b, with b -> xi^(r_b) b under mu -> xi mu (xi^30 = 1): the roots
+    in b of the branch quartic at xi mu are xi^(r_b) times those at mu."""
+    return _b_residue(main, S8_ORDER)
 
 
 def _s8_b_roots(main, quartic, cfg):
     """(mu, coefficients of the branch quartic in b at mu, its four
     b-roots) for the 120 values of mu of a branch, 30 over each root x of
     its quartic (F_i ~ q_i(-mu^30 t)).  The b-quartic is solved at
-    mu0 = (-x/t)^(1/30) only; the roots at mu0 xi^j are xi^(r_b j) times
-    those, each certified at its own mu."""
+    mu0 = (-x/t)^(1/30) only; the roots at mu0 xi^j (row 30 k + j) are
+    xi^(r_b j) times those, each certified at its own mu."""
     tval = float(cfg.t)
     Pi = main.data["branch_quartic"]
     r_b = _b_weight(main)
@@ -436,28 +449,39 @@ def _s8_b_roots(main, quartic, cfg):
     return out
 
 
+def _s8_chains(main, quartic, cfg):
+    """For each of the 120 mu of a branch, the chains (dicts of mu, b, f, a,
+    e, d) at its four b-roots, solved at each orbit's mu0 only.  The b-roots
+    are those of _s8_b_roots, certified first: a wrong r_b fails there."""
+    rows = _s8_b_roots(main, quartic, cfg)
+    pairs, names = main.data["coeff_pairs"], ("f", "a", "e", "d")
+    weights = _chain_residues(pairs, names,
+                              {"mu": 1, "t": 0, "b": _b_weight(main)},
+                              S8_ORDER)
+    chain = _chain(pairs, names, {"t": float(cfg.t)})
+    return [envs for mu0, _, b0 in rows[::S8_ORDER]
+            for envs in zip(*(_orbit(chain, weights, {"mu": mu0, "b": b},
+                                     S8_ORDER) for b in b0))]
+
+
 def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
     _, mains = _s8_branch_data(s8)
-    tval = float(cfg.t)
     rng = random.Random(cfg.seed)
-    equation = CompiledPoly(s8.equation, {"t": tval})
+    equation = CompiledPoly(s8.equation, {"t": float(cfg.t)})
     count, max_res = 0, 0.0
     for branch, quartic in (("P1", q1_quartic()), ("P2", q2_quartic())):
-        main = mains[branch]
-        chain = _chain(main.data["coeff_pairs"], ("f", "a", "e", "d"),
-                       {"t": tval})
         # the certified b-fraction cancels catastrophically in doubles;
         # instead, of the four b-roots of the branch quartic exactly one
         # continues to a curve on the surface
-        for mu, _, bs in _s8_b_roots(main, quartic, cfg):
+        for envs in _s8_chains(mains[branch], quartic, cfg):
+            samples = [_sample_wx(rng) for _ in range(5)]
             on_surface = 0
-            for b in bs:
-                env = _solve(chain, {"mu": mu, "b": b})
+            for env in envs:
+                mu, b = env["mu"], env["b"]
                 a, d, e, f = (env[n] for n in ("a", "d", "e", "f"))
-                # a b-root is off the surface at its first failing sample;
-                # the later samples are drawn all the same
+                # a b-root is off the surface at its first failing sample
                 res = []
-                for W, X in [_sample_wx(rng) for _ in range(5)]:
+                for W, X in samples:
                     res.append(equation.residue(
                         {"W": W, "X": X,
                          "Y": a * W ** 2 + b * W * X - mu ** 2 * X ** 2,

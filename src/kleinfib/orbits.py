@@ -282,6 +282,15 @@ def _fraction_residue(pair, N, action):
     return (_xi_residue(num, N, action) - _xi_residue(den, N, action)) % N
 
 
+def _chain_residues(pairs, names, action, N):
+    """action, with the residue of each solved fraction of names, read in
+    chain order: each fraction may use those before it."""
+    action = dict(action)
+    for n in names:
+        action[n] = _fraction_residue(pairs[n], N, action)
+    return action
+
+
 def _param_invertible(rel: MultiPoly, param: str):
     """gcd(param, relation) = 1: the relation has a term free of param."""
     ip = rel.vars.index(param)
@@ -328,11 +337,8 @@ def s7_conjugation(s7, order: int) -> dict:
     # the relation must be xi-invariant: every e-exponent divisible by N
     if _xi_residue(core, N, {"e": 1, "t": 0}) != 0:
         raise VerificationError("residual relation is not xi-invariant")
-    act = {"e": 1, "t": 0}
-    act["d"] = _fraction_residue(pairs["d"], N, act)
-    r = {name: _fraction_residue(pairs[name], N, act)
-         for name in ("a", "b", "c", "d")}
-    r["e"] = 1 % N
+    act = _chain_residues(pairs, ("d", "a", "b", "c"), {"e": 1, "t": 0}, N)
+    r = {name: act[name] % N for name in ("a", "b", "c", "d", "e")}
     y_res = [r["a"], r["b"]]
     z_res = [r["c"], r["d"], r["e"]]
     if not _param_invertible(core, "e"):
@@ -363,6 +369,15 @@ def s7_conjugation(s7, order: int) -> dict:
     return checks
 
 
+def _b_residue(main, N):
+    """The residue of b, read off the b-fraction of an S8 branch; the branch
+    quartic must transform consistently under it."""
+    act = {"mu": 1, "t": 0}
+    act["b"] = _fraction_residue(main.data["b_pair"], N, act)
+    _xi_residue(main.data["branch_quartic"], N, act)
+    return act["b"]
+
+
 @_surface_cache
 def s8_conjugation(s8, order: int, branch: str = "P1") -> dict:
     """Witness report for (L_mu, L_{xi mu}) on s8, xi^order = 1 with order
@@ -376,20 +391,13 @@ def s8_conjugation(s8, order: int, branch: str = "P1") -> dict:
     _, mains = _s8_branch_data(s8)
     main = mains[branch]
     pairs = main.data["coeff_pairs"]
-    bnum, bden = main.data["b_pair"]
     Fi = main.relation
-    Pi = main.data["branch_quartic"]
     if _xi_residue(Fi, N, {"mu": 1, "t": 0}) != 0:
         raise VerificationError("branch relation is not xi-invariant")
-    act = {"mu": 1, "t": 0}
-    act["b"] = (_xi_residue(bnum, N, act) - _xi_residue(bden, N, act)) % N
-    _xi_residue(Pi, N, act)        # branch quartic transforms consistently
-    act["f"] = _fraction_residue(pairs["f"], N, act)
-    act["a"] = _fraction_residue(pairs["a"], N, act)
-    r = {"a": act["a"], "b": act["b"], "f": act["f"],
-         "e": _fraction_residue(pairs["e"], N, act),
-         "d": _fraction_residue(pairs["d"], N, act),
-         "mu2": 2 % N, "mu3": 3 % N}
+    act = _chain_residues(pairs, ("f", "a", "e", "d"),
+                          {"mu": 1, "t": 0, "b": _b_residue(main, N)}, N)
+    r = dict({n: act[n] for n in ("a", "b", "f", "e", "d")},
+             mu2=2 % N, mu3=3 % N)
     if not _param_invertible(Fi, "mu"):
         raise VerificationError("parameter mu not invertible mod relation")
     y_res = [r["a"], r["b"], r["mu2"]]

@@ -94,6 +94,19 @@ def test_autos_wild_poly():
     assert cert["status"] == "verified"
 
 
+@pytest.mark.parametrize("case,code", [
+    ("an:3", 0), ("klein-an:3", 0), ("e6", 2), ("klein-e6", 2)])
+def test_autos_poly_follows_the_resolved_family(case, code):
+    # --poly is taken or refused by the family of the surface the case
+    # names, whichever way the case is spelled
+    got, cert = run(["autos", case, "--poly", "1+y"])
+    assert got == code
+    if code == 0:
+        _, typed = run(["autos", "an", "--n", "3", "--poly", "1+y"])
+        assert cert["report"] == typed["report"]
+        assert cert["status"] == "verified"
+
+
 def test_autos_bad_poly():
     code, _ = run(["autos", "an", "--n", "3", "--poly", "y+q"])
     assert code == 2

@@ -2,6 +2,7 @@
 numeric audits."""
 
 import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.numeric import (NumericConfig, check_specialization,
                               durand_kerner, numeric_curve_audit,
                               numeric_roots, sturm_vs_numeric)
-from kleinfib.orbits import _s8_branch_data
+from kleinfib.orbits import _s7_main_data, _s8_branch_data
 
 CFG = NumericConfig()
 
@@ -126,15 +127,36 @@ def test_perturbed_coefficient_is_refuted(monkeypatch, name, data, error):
         audit(bad, CFG)
 
 
+def _det_ratio(rows):
+    """|det| / prod(|row|) of a square complex matrix by Gaussian
+    elimination with partial pivoting: the reference for the Plucker
+    ratio."""
+    norm = math.prod(math.sqrt(sum(abs(x) ** 2 for x in r)) for r in rows)
+    a, det = [list(r) for r in rows], 1.0
+    while a:
+        pivot = a.pop(max(range(len(a)), key=lambda i: abs(a[i][0])))
+        det *= abs(pivot[0])
+        if not det:
+            break
+        a = [[x - r[0] / pivot[0] * y for x, y in zip(r[1:], pivot[1:])]
+             for r in a]
+    return det / norm
+
+
 @pytest.mark.parametrize("t", [Fraction(2), Fraction(5), Fraction(2 ** 12),
                                Fraction(-2 ** 12), Fraction(1, 2 ** 12),
                                Fraction(-1, 2 ** 12)], ids=str)
 def test_s6_determinant_gap(t):
-    # |det| / prod |row| of the stacked forms: near rounding on the 135
-    # meeting pairs, far from the 1e-8 threshold on the 216 disjoint ones
+    # |det| / prod |row| of the stacked forms, from the Plucker
+    # coordinates: near rounding on the 135 meeting pairs, far from the
+    # 1e-8 threshold on the 216 disjoint ones, and equal to the ratio by
+    # elimination
     _, mats = numeric._s6_numeric_lines(NumericConfig(t=t))
-    ratios = [numeric._det_ratio(mats[i] + mats[j])
-              for i in range(27) for j in range(i + 1, 27)]
+    plk = [numeric._plucker(m) for m in mats]
+    pairs = [(i, j) for i in range(27) for j in range(i + 1, 27)]
+    ratios = [numeric._plucker_ratio(plk[i], plk[j]) for i, j in pairs]
+    for (i, j), r in zip(pairs, ratios):
+        assert abs(r - _det_ratio(mats[i] + mats[j])) < 1e-14
     meeting = [r for r in ratios if r < 1e-8]
     disjoint = [r for r in ratios if r >= 1e-8]
     assert len(meeting) == 135 and len(disjoint) == 216
@@ -175,3 +197,54 @@ def test_q_q1_q2_are_solved_once(monkeypatch):
     numeric.full_audit(build_catalog(), tol=cfg.tol, seed=cfg.seed)
     for q in (q_cubic(), q1_quartic(), q2_quartic()):
         assert calls.count(q) == 1
+
+
+@pytest.mark.parametrize("name,branch", [("s8", "P1"), ("s8", "P2"),
+                                         ("s7", None)])
+def test_rotated_chain_matches_a_direct_solve(name, branch):
+    # the chain rotated to each point equals the chain solved there: S8 at
+    # every 7th mu, S7 at every e
+    tval = float(CFG.t)
+    if name == "s8":
+        main = _s8_branch_data(build_surface("s8"))[1][branch]
+        quartic = q1_quartic() if branch == "P1" else q2_quartic()
+        rows = numeric._s8_chains(main, quartic, CFG)
+        # the chains sit at the certified mu and b-roots
+        for (mu, _, bs), envs in zip(numeric._s8_b_roots(main, quartic, CFG),
+                                     rows, strict=True):
+            assert [(env["mu"], env["b"]) for env in envs] == [
+                (mu, b) for b in bs]
+        envs = [env for envs in rows[::7] for env in envs]
+        names, free = ("f", "a", "e", "d"), ("mu", "b")
+        chain = numeric._chain(main.data["coeff_pairs"], names, {"t": tval})
+    else:
+        # the 54 e of the audit: the orbits of (u t)^(1/18), u a root of Q
+        main = _s7_main_data(build_surface("s7"))[2]
+        names, free = ("d", "a", "b", "c"), ("e",)
+        weights = numeric._chain_residues(main.data["coeff_pairs"], names,
+                                          {"e": 1, "t": 0}, 18)
+        chain = numeric._chain(main.data["coeff_pairs"], names, {"t": tval})
+        envs = [env for u in numeric_roots(q_cubic(), CFG)
+                for env in numeric._orbit(chain, weights,
+                                          {"e": (u * tval) ** (1 / 18)}, 18)]
+        assert len(envs) == 54
+    for env in envs:
+        direct = numeric._solve(chain, {n: env[n] for n in free})
+        for n in names:
+            assert abs(env[n] - direct[n]) < 1e-9 * (1 + abs(env[n]))
+
+
+@pytest.mark.parametrize("name,error", [("s7", "S7 residue"),
+                                        ("s8", "b-roots on the surface")])
+def test_wrong_chain_weight_is_refuted(monkeypatch, name, error):
+    weights = numeric._chain_residues
+
+    def off_by_one(pairs, names, act, N):
+        out = weights(pairs, names, act, N)
+        out[names[1]] += 1
+        return out
+
+    monkeypatch.setattr(numeric, "_chain_residues", off_by_one)
+    audit = getattr(numeric, "numeric_audit_" + name)
+    with pytest.raises(VerificationError, match=error):
+        audit(build_surface(name), CFG)
