@@ -340,34 +340,21 @@ def _dehomogenize_pairs(catalog):
 @_surface_cache
 def _dehomogenizes(model, klein, fibre_var, rename):
     """Restricting the fibre coordinate of the model surface to 1 must
-    reproduce +-(f - t), f the equation of the Klein surface, term for
-    term; `rename` holds the (model, Klein) pairs of variable names that
-    differ."""
+    reproduce +-(f - t), f the equation of the Klein surface, as a
+    polynomial; `rename` holds the (model, Klein) pairs of variable names
+    that differ."""
     eq = model.equations[0]
     one = MultiPoly.const(eq.vars, Fraction(1))
     deh = eq.substitute({fibre_var: one})
-    kv = list(klein.equation.vars) + ["t"]
-    f = klein.equation.rename(kv)
-    target = f - MultiPoly.var(kv, "t")
-    # compare termwise over the common variable names
-    gterms = _named_terms(deh, dict(rename))
-    tterms = _named_terms(target, {})
-    if gterms != tterms and gterms != _negate(tterms):
+    # relabel to the Klein names; the fibre coordinate no longer occurs
+    names = dict(rename)
+    kv = klein.equation.vars + ("t",)
+    deh = MultiPoly(tuple(names.get(v, v) for v in deh.vars),
+                    deh.terms).rename(kv)
+    target = klein.equation.rename(kv) - MultiPoly.var(kv, "t")
+    if deh != target and deh != -target:
         raise VerificationError(
             "%s does not dehomogenize to %s" % (model.name, klein.name))
-
-
-def _named_terms(p, rename):
-    out = {}
-    for exps, c in p.terms.items():
-        key = tuple(sorted((rename.get(v, v), e)
-                           for v, e in zip(p.vars, exps) if e))
-        out[key] = out.get(key, 0) + c
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _negate(terms):
-    return {k: -v for k, v in terms.items()}
 
 
 def _failure(ex):

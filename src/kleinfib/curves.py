@@ -234,7 +234,7 @@ def univariate_from_pure(p: MultiPoly, var_block: str, block: int,
 def enumerate_s7(s7):
     V = ("W", "X", "Y", "Z", "a", "b", "c", "d", "e", "t")
     eq = s7.equation.rename(V)
-    Wv, Xv = (MultiPoly.var(V, v) for v in ("W", "X"))
+    Wv, Xv, Yv, Zv = (MultiPoly.var(V, v) for v in "WXYZ")
     av, bv, cv, dv, ev, tv = (MultiPoly.var(V, v)
                               for v in ("a", "b", "c", "d", "e", "t"))
     YS = av * Wv + bv * Xv
@@ -303,33 +303,29 @@ def enumerate_s7(s7):
     qc = q_cubic()
     core = MultiPoly.zero(V)
     for k, c in enumerate(qc):
-        mono = {"e": 18 * k, "t": 3 - k}
         core = core + MultiPoly.const(V, c) * \
             MultiPoly.var(V, "e", 18 * k) * MultiPoly.var(V, "t", 3 - k)
 
-    R0 = chain_subs(co[0], solved)
-    R1 = chain_subs(co[1], solved)
-    extracted = strip_content(R1)
+    replayed = [chain_subs(c, solved) for c in co]
+    extracted = replayed[1]
     # peel off any leftover powers of the d-denominator
     while extracted.degree("e") > 54:
         extracted = strip_content(extracted.exact_div(dd))
     if extracted != strip_content(core):
         raise VerificationError("extracted S7 residual deviates from Q",
                                 detail=extracted)
-    for name, R in (("W^4", R0), ("W^3X", R1)):
+    # full replay of all five original coefficients
+    for j, R in enumerate(replayed):
         if not R.reduce_mod(core, "e").is_zero():
-            raise VerificationError("S7 %s coefficient does not vanish on "
-                                    "the residual locus" % name, detail=R)
+            raise VerificationError("S7 coefficient of W^%d X^%d does not "
+                                    "vanish on the residual locus"
+                                    % (4 - j, j), detail=R)
     # extract the cubic itself from the (e^18, t)-support
     qx = univariate_from_pure(
         _homog_to_pure(extracted, 18, 3), "e", 18, "t", sign_flip=False)
     if qx != qc:
         raise VerificationError("residual cubic coefficients deviate",
                                 detail=qx)
-
-    # Vieta cross-check on Q: sum of roots, product of roots
-    if -qc[2] / qc[3] != 29496 or -qc[0] / qc[3] != 64:
-        raise VerificationError("Vieta check on Q failed")
 
     # secondary path: d-resultant of the two remaining coefficients
     res = strip_content(resultant_poly(C0, C1, "d"))
@@ -345,20 +341,21 @@ def enumerate_s7(s7):
         raise VerificationError("resultant cross-check: residual does not "
                                 "divide Res_d", detail=res)
 
-    # full replay of all five original coefficients
-    for j in range(5):
-        R = chain_subs(co[j], solved)
-        if not (R.is_zero() or R.reduce_mod(core, "e").is_zero()):
-            raise VerificationError("replay of coefficient %d nonzero" % j,
-                                    detail=R)
-
     # denominators invertible on the residual locus (specialized gcd cert)
     for dpoly, label in ((2 * ev, "2e"), (dd, "115e^18 - 28t")):
         if not coprime_at_t2(dpoly, core, "e"):
             raise VerificationError("denominator %s not invertible modulo "
                                     "the residual" % label)
 
-    curves = _s7_curves(s7, solved, core)
+    # main branch: 54 roots of the residual; forms symbolic in (e, t)
+    cvars = ("W", "X", "Y", "Z", "e", "t")
+    forms = tuple(chain_subs(form, solved).rename(cvars)
+                  for form in (YS - Yv, ZS - Zv))
+    data = {"coeff_pairs": {name: (num, den) for name, num, den in solved},
+            "relation": core}
+    curves = _s7_e0_curves(s7) + [
+        CurveSpec("s7", "S7-main", "main", j, forms, parameter="e",
+                  relation=core, data=data) for j in range(54)]
     if len(curves) != 56:
         raise VerificationError("S7 curve count %d != 56" % len(curves))
     return curves, core
@@ -381,10 +378,10 @@ def _homog_to_pure(p: MultiPoly, block: int, deg: int):
     return MultiPoly(p.vars, out)
 
 
-def _s7_curves(s7, solved, core):
-    """CurveSpecs: 2 curves on the e = 0 branch, 54 on the main branch."""
+def _s7_e0_curves(s7):
+    """The 2 curves of the e = 0 branch: a = b = d = 0, c^2 = t; curves
+    Y = 0, Z = +-sqrt(t) W^2."""
     curves = []
-    # e = 0 branch: a = b = d = 0, c^2 = t; curves Y = 0, Z = +-sqrt(t) W^2.
     T, t = s7_e0_tower()
     r = T.gen("r")
     cvars = ("W", "X", "Y", "Z")
@@ -399,13 +396,6 @@ def _s7_curves(s7, solved, core):
         curves.append(CurveSpec("s7", "S7-e0", "e0", idx, eqs,
                                 parameter="r", relation=rel,
                                 data={"c": "+-sqrt(t)", "sign": sgn}))
-    # main branch: 54 roots of the residual; equations symbolic in e.
-    pairs = {name: (num, den) for name, num, den in solved}
-    data = {"coeff_pairs": pairs, "relation": core}
-    eqs = _s7_symbolic_equations(pairs, ("W", "X", "Y", "Z", "e", "t"))
-    for j in range(54):
-        curves.append(CurveSpec("s7", "S7-main", "main", j, eqs,
-                                parameter="e", relation=core, data=data))
     return curves
 
 
@@ -414,54 +404,6 @@ def s7_e0_tower():
     t = r^2.  Returns (tower, t)."""
     T = FieldTower.rationals().extend_ratfunc("r")
     return T, T.gen("r") ** 2
-
-
-def project_vars(p: MultiPoly, variables) -> MultiPoly:
-    """Reinterpret over a smaller variable tuple; the dropped variables must
-    not occur in p."""
-    variables = tuple(variables)
-    keep = []
-    for v in p.vars:
-        if v in variables:
-            keep.append(p.vars.index(v))
-        elif p.degree(v) > 0:
-            raise ValueError("variable %s still occurs" % v)
-        else:
-            keep.append(None)
-    out = {}
-    idx = {v: i for i, v in enumerate(variables)}
-    for e, c in p.terms.items():
-        e2 = [0] * len(variables)
-        for v, k in zip(p.vars, e):
-            if k:
-                e2[idx[v]] = k
-        out[tuple(e2)] = c
-    return MultiPoly(variables, out)
-
-
-def _s7_symbolic_equations(pairs, cvars):
-    """Cleared forms of Y = aW + bX and Z = cW^2 + dWX + eX^2 with the
-    solved fractions substituted; coefficients polynomial in (e, t)."""
-    W, X, Y, Z, E = (MultiPoly.var(cvars, v) for v in
-                     ("W", "X", "Y", "Z", "e"))
-    nb, db = pairs["b"]
-    na, da = pairs["a"]
-    nc, dc = pairs["c"]
-    nd, dd = pairs["d"]
-    # a, b have trivial denominators; d enters a and c via substitution
-    aN = subs_fraction(na, "d", nd, dd)
-    aD = dd ** max(na.degree("d"), 0) if na.degree("d") > 0 else None
-    cN = subs_fraction(nc, "d", nd, dd)
-    cDeg = max(nc.degree("d"), 1)
-    pj = lambda p: project_vars(p, cvars)
-    aN, nd_, dd_, nb_, dc_ = map(pj, (aN, nd, dd, nb, dc))
-    cN = pj(cN)
-    aD = pj(aD) if aD is not None else MultiPoly.const(cvars, 1)
-    cD = dc_ * dd_ ** cDeg
-    eqY = aD * Y - aN * W - nb_ * aD * X
-    eqZ = cD * Z - cN * W ** 2 - nd_ * dc_ * dd_ ** (cDeg - 1) * W * X \
-        - E * cD * X ** 2
-    return (strip_content(eqY), strip_content(eqZ))
 
 
 def _certify_membership(surface, tower, substitution, t):
@@ -507,7 +449,7 @@ def enumerate_s8(s8):
     V = ("W", "X", "Y", "Z", "a", "b", "d", "e", "f", "mu", "t")
     eq = s8.equation.rename(V)
     var = lambda v, k=1: MultiPoly.var(V, v, k)
-    Wv, Xv = var("W"), var("X")
+    Wv, Xv, Yv, Zv = (var(v) for v in "WXYZ")
     av, bv, dv, ev, fv, mv, tv = (var(v) for v in
                                   ("a", "b", "d", "e", "f", "mu", "t"))
     YS = av * Wv ** 2 + bv * Wv * Xv - mv ** 2 * Xv ** 2
@@ -566,20 +508,20 @@ def enumerate_s8(s8):
         raise VerificationError("a-numerator deviates from the displayed "
                                 "form up to sign", detail=na)
     solved.append(("a", na, da))
+    replayed = [chain_subs(c, solved) for c in co]
 
     # branch split: X^2 W^4 numerator factors exactly as P1 * P2
     P1, P2 = s8_branch_quartics(V)
-    Ksub = strip_content(subs_fraction(K, "a", na, da))
     try:
-        rest = Ksub.exact_div(P1).exact_div(P2)
+        rest = replayed[2].exact_div(P1).exact_div(P2)
     except ArithmeticError as ex:
         raise VerificationError("X^2 W^4 coefficient does not split as "
-                                "P1 * P2", detail=Ksub) from ex
+                                "P1 * P2", detail=replayed[2]) from ex
     if not rest.is_constant():
         raise VerificationError("extra non-constant factor in the branch "
                                 "split", detail=rest)
     # the X W^5 numerator splits off P1 * P2 too (exact_div raises if not)
-    strip_content(subs_fraction(M, "a", na, da)).exact_div(P1).exact_div(P2)
+    replayed[1].exact_div(P1).exact_div(P2)
 
     # guard coprimality: incompatible with either branch quartic
     for Pi, lab in ((P1, "P1"), (P2, "P2")):
@@ -587,20 +529,24 @@ def enumerate_s8(s8):
         if rg.is_zero():
             raise VerificationError("guard %s-resultant vanished" % lab)
 
-    # the W^6 coefficient, fully substituted: degree 18 in b
-    W6n = chain_subs(co[0], solved)
-
-    residuals = []
-    branches = []
+    # the curve forms, symbolic in (b, mu); b stays bound by the branch data
+    cvars = ("W", "X", "Y", "Z", "b", "mu", "t")
+    forms = tuple(chain_subs(form, solved).rename(cvars)
+                  for form in (YS - Yv, ZS - Zv))
+    pairs = {name: (num, den) for name, num, den in solved}
+    residuals, curves = [], []
     qtargets = (q1_quartic(), q2_quartic())
-    originals = [co[j] for j in range(6)]
     for bi, (Pi, qt) in enumerate(zip((P1, P2), qtargets), start=1):
-        Fi, bnum, bden = _s8_branch_residual(W6n, Pi, qt, bi)
-        _s8_branch_replay(originals, solved, Pi, Fi, bnum, bden, bi)
+        # the W^6 coefficient, fully substituted: degree 18 in b
+        Fi, bnum, bden = _s8_branch_residual(replayed[0], Pi, qt, bi)
+        _s8_branch_replay(replayed, solved, Pi, Fi, bnum, bden, bi)
         residuals.append(Fi)
-        branches.append((Pi, bnum, bden, Fi))
-
-    curves = _s8_curves(s8, solved, branches)
+        data = {"coeff_pairs": pairs, "branch_quartic": Pi,
+                "b_pair": (bnum, bden), "relation": Fi,
+                "convention": "c = mu^2, g = -mu^3"}
+        curves += [CurveSpec("s8", "S8-main", "P%d" % bi, j, forms,
+                             parameter="mu", relation=Fi, data=data)
+                   for j in range(120)]
     if len(curves) != 240:
         raise VerificationError("S8 curve count %d != 240" % len(curves))
     return curves, tuple(residuals)
@@ -633,9 +579,10 @@ def _s8_branch_residual(W6n, Pi, qtarget, bi):
     return norm, bnum, bden
 
 
-def _s8_branch_replay(originals, solved, Pi, Fi, bnum, bden, bi):
+def _s8_branch_replay(replayed, solved, Pi, Fi, bnum, bden, bi):
     """Soundness replay: every original W/X coefficient, after the full
-    substitution chain and with b = bnum/bden, vanishes modulo Fi.
+    substitution chain (`replayed`) and with b = bnum/bden, vanishes
+    modulo Fi.
 
     Route: reduce each chained coefficient modulo Pi in b first (the
     quartic's leading coefficient is the monomial 5 mu^16), then substitute
@@ -646,8 +593,7 @@ def _s8_branch_replay(originals, solved, Pi, Fi, bnum, bden, bi):
     if not pib.reduce_mod(Fi, "mu").is_zero():
         raise VerificationError("branch %d: P%d(b) does not vanish on the "
                                 "residual locus" % (bi, bi), detail=pib)
-    for j, coj in enumerate(originals):
-        D = chain_subs(coj, solved)
+    for j, D in enumerate(replayed):
         rem = D.reduce_mod(Pi, "b")
         val = subs_fraction(rem, "b", bnum, bden)
         if not val.reduce_mod(Fi, "mu").is_zero():
@@ -663,44 +609,6 @@ def _s8_branch_replay(originals, solved, Pi, Fi, bnum, bden, bi):
         if not coprime_at_t2(db, Fi, "mu"):
             raise VerificationError("branch %d: %s not invertible modulo "
                                     "the residual" % (bi, lab))
-
-
-def _s8_curves(s8, solved, branches):
-    curves = []
-    pairs = {name: (num, den) for name, num, den in solved}
-    eqs = _s8_symbolic_equations(pairs, ("W", "X", "Y", "Z", "b", "mu", "t"))
-    for bi, (Pi, bnum, bden, Fi) in enumerate(branches, start=1):
-        data = {"coeff_pairs": pairs, "branch_quartic": Pi,
-                "b_pair": (bnum, bden), "relation": Fi,
-                "convention": "c = mu^2, g = -mu^3"}
-        for j in range(120):
-            curves.append(CurveSpec("s8", "S8-main", "P%d" % bi, j, eqs,
-                                    parameter="mu", relation=Fi, data=data))
-    return curves
-
-
-def _s8_symbolic_equations(pairs, cvars):
-    """Cleared curve forms, symbolic in (b, mu): denominators of the
-    solved chain multiplied through; b remains bound by the branch data."""
-    W, X, Y, Z = (MultiPoly.var(cvars, v) for v in ("W", "X", "Y", "Z"))
-    b, mu = MultiPoly.var(cvars, "b"), MultiPoly.var(cvars, "mu")
-    na, da = pairs["a"]
-    nd, dd = pairs["d"]
-    ne, de = pairs["e"]
-    nf, df = pairs["f"]
-    pj = lambda p: project_vars(p, cvars)
-    na_, da_ = pj(na), pj(da)
-    eqY = da_ * Y - na_ * W ** 2 - b * da_ * W * X + mu ** 2 * da_ * X ** 2
-    # common denominator for (d, e, f): monomials times the a-chain dens
-    nd_, dd_ = pj(chain_subs(nd, [("a",) + pairs["a"]], strip=False)), None
-    dd_ = pj(dd) * da_ ** max(nd.degree("a"), 0)
-    ne_ = pj(chain_subs(ne, [("a",) + pairs["a"]], strip=False))
-    de_ = pj(de) * da_ ** max(ne.degree("a"), 0)
-    nf_, df_ = pj(nf), pj(df)
-    D = dd_ * de_ * df_
-    eqZ = D * Z - nd_ * de_ * df_ * W ** 3 - ne_ * dd_ * df_ * W ** 2 * X \
-        - nf_ * dd_ * de_ * W * X ** 2 + mu ** 3 * D * X ** 3
-    return (strip_content(eqY), strip_content(eqZ))
 
 
 # ---------------------------------------------------------------------------

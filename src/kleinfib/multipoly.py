@@ -285,14 +285,20 @@ class MultiPoly:
         return total
 
     def rename(self, variables) -> "MultiPoly":
-        """Reinterpret over a different variable tuple (superset allowed)."""
+        """Reinterpret over a different variable tuple: a variable left out
+        of it is dropped, and must not occur (ValueError otherwise)."""
         variables = tuple(variables)
-        pos = [variables.index(v) for v in self.vars]
+        pos = []
+        for i, v in enumerate(self.vars):
+            if v in variables:
+                pos.append((i, variables.index(v)))
+            elif any(e[i] for e in self._c):
+                raise ValueError("variable %s still occurs" % v)
         out = {}
         for e, c in self._c.items():
             e2 = [0] * len(variables)
-            for p, k in zip(pos, e):
-                e2[p] = k
+            for i, p in pos:
+                e2[p] = e[i]
             out[tuple(e2)] = c
         return MultiPoly._make(variables, out, self._den)
 
@@ -317,56 +323,38 @@ class MultiPoly:
                                            for e, c in self._c.items()},
                                self._den)
 
-    def divide_by_term(self, exps, coeff=None) -> "MultiPoly":
-        """Exact division by a single term coeff * x**exps; raises if inexact."""
+    def divide_by_term(self, exps) -> "MultiPoly":
+        """Exact division by the monomial x**exps; raises if inexact."""
         out = {}
         for e, c in self._c.items():
             e2 = tuple(a - b for a, b in zip(e, exps))
             if any(k < 0 for k in e2):
                 raise ArithmeticError("monomial does not divide term %r" % (e,))
             out[e2] = c
-        out = MultiPoly._make(self.vars, out, self._den)
-        if coeff is None:
-            return out
-        return out.scale(Fraction(1) / coeff if isinstance(coeff, Fraction)
-                         else coeff.invert())
+        return MultiPoly._make(self.vars, out, self._den)
 
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Fully general exact multivariate division; raises if not exact.
+        """Exact multivariate division; raises ArithmeticError if inexact.
 
-        Recursive: long division in the first variable the divisor uses,
-        dividing coefficients by the divisor's leading coefficient
-        recursively in the remaining variables.
+        A single-term divisor divides termwise; any other is divided by
+        long division in the first variable it uses, whose remainder must
+        vanish.
         """
+        if len(divisor._c) == 1:
+            (exps, c), = divisor.terms.items()
+            return self.divide_by_term(exps).scale(
+                Fraction(1) / c if isinstance(c, Fraction) else c.invert())
         if divisor.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return self
-        if divisor.is_constant():
-            c = divisor.constant()
-            if isinstance(c, Fraction):
-                return self.scale(Fraction(1) / c)
-            return self.scale(c.invert())
         name = next(v for v in self.vars if divisor.degree(v) > 0)
-        d = divisor.degree(name)
-        lead = divisor.coeff_of(name, d)
-        i = self.vars.index(name)
-        rem = self
-        quo = MultiPoly(self.vars)
-        while not rem.is_zero():
-            k = rem.degree(name)
-            if k < d:
-                raise ArithmeticError("division not exact")
-            factor = rem.coeff_of(name, k).exact_div(lead)
-            shift = [0] * len(self.vars)
-            shift[i] = k - d
-            factor = factor.shift(shift)
-            quo = quo + factor
-            rem = rem - factor * divisor
+        quo, rem = self.div_univariate(divisor, name)
+        if not rem.is_zero():
+            raise ArithmeticError("division not exact")
         return quo
 
     def div_univariate(self, divisor: "MultiPoly", name: str):
-        """Long division in `name`; divisor's leading coeff must be one term.
+        """Long division in `name`, each leading coefficient divided exactly
+        by the divisor's (ArithmeticError where it does not divide).
 
         Returns (quotient, remainder) with deg_name(remainder) < deg_name(divisor).
         """
@@ -375,16 +363,11 @@ class MultiPoly:
         i = self.vars.index(name)
         d = divisor.degree(name)
         lead = divisor.coeff_of(name, d)
-        if len(lead._c) != 1:
-            raise ArithmeticError("divisor leading coefficient is not a single term")
-        (lexps, lcoef), = lead.terms.items()
         rem = self
         quo = MultiPoly(self.vars)
         while not rem.is_zero() and rem.degree(name) >= d:
             k = rem.degree(name)
-            top = rem.coeff_of(name, k)
-            # top / (lcoef * x^lexps) * name^(k-d)
-            factor = top.divide_by_term(lexps, lcoef)
+            factor = rem.coeff_of(name, k).exact_div(lead)
             shift = [0] * len(self.vars)
             shift[i] = k - d
             factor = factor.shift(shift)

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 from kleinfib.curves import (VerificationError, an_tower, certify_s6_lines,
-                             coprime_at_t2, dn_tower, enumerate_an,
-                             enumerate_dn, enumerate_s7, enumerate_s8,
-                             q_cubic, q1_quartic, q2_quartic, s6_alpha_lines,
-                             s6_line_tower, s7_e0_tower)
+                             chain_subs, coprime_at_t2, dn_tower,
+                             enumerate_an, enumerate_dn, enumerate_s7,
+                             enumerate_s8, q_cubic, q1_quartic, q2_quartic,
+                             s6_alpha_lines, s6_line_tower, s7_e0_tower,
+                             strip_content)
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.multipoly import MultiPoly
 from kleinfib.tower import FieldElement, root_of_unity
@@ -53,6 +54,48 @@ def test_s8_curves():
     assert len(curves) == 240
     branches = {c.branch for c in curves}
     assert branches == {"P1", "P2"}
+
+
+def _templates(surface):
+    """The enumeration's variables and its templates YS, ZS for Y and Z."""
+    if surface == "s7":
+        V = ("W", "X", "Y", "Z", "a", "b", "c", "d", "e", "t")
+        W, X, a, b, c, d, e = (MultiPoly.var(V, v) for v in "WXabcde")
+        return V, {"Y": a * W + b * X, "Z": c * W ** 2 + d * W * X
+                   + e * X ** 2}
+    V = ("W", "X", "Y", "Z", "a", "b", "d", "e", "f", "mu", "t")
+    W, X, a, b, d, e, f = (MultiPoly.var(V, v) for v in "WXabdef")
+    mu = MultiPoly.var(V, "mu")
+    return V, {"Y": a * W ** 2 + b * W * X - mu ** 2 * X ** 2,
+               "Z": d * W ** 3 + e * W ** 2 * X + f * W * X ** 2
+               - mu ** 3 * X ** 3}
+
+
+@pytest.mark.parametrize("surface,branch", [("s7", "main"), ("s8", "P1"),
+                                            ("s8", "P2")])
+def test_curve_forms_vanish_on_their_templates(surface, branch):
+    # each form is the solved chain applied to YS - Y or ZS - Z, so the
+    # templates put back for Y and Z and the chain replayed give zero
+    enumerate_ = enumerate_s7 if surface == "s7" else enumerate_s8
+    curve = next(c for c in enumerate_(build_surface(surface))[0]
+                 if c.branch == branch)
+    V, templates = _templates(surface)
+    solved = [(name,) + pair
+              for name, pair in curve.data["coeff_pairs"].items()]
+    for form in curve.equations:
+        assert form.degree("Y") + form.degree("Z") == 1
+        back = form.rename(V).substitute(templates)
+        assert chain_subs(back, solved).is_zero()
+
+
+def test_s8_z_form_is_primitive_and_free_of_the_guard():
+    curve = enumerate_s8(build_surface("s8"))[0][0]
+    zform = curve.equations[1]
+    b, mu = (MultiPoly.var(zform.vars, v) for v in ("b", "mu"))
+    guard = b ** 2 * mu ** 8 + 4 * b * mu ** 4 + 1
+    assert zform == strip_content(zform) and zform.content() == 1
+    with pytest.raises(ArithmeticError):
+        zform.exact_div(guard)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

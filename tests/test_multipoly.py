@@ -4,6 +4,7 @@ core, and its flat form differentially against Fraction dicts."""
 import hashlib
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kleinfib.geometry import build_catalog
@@ -50,6 +51,32 @@ def test_exact_division(p, q):
         return
     prod = p * q
     assert prod.exact_div(q) == p
+
+
+def test_rename_drops_only_absent_variables():
+    x, y = MultiPoly.var(VARS, "x"), MultiPoly.var(VARS, "y")
+    p = x ** 2 * y - 3
+    q = p.rename(("y", "x"))
+    assert q.vars == ("y", "x")
+    assert q == MultiPoly.var(q.vars, "x") ** 2 * MultiPoly.var(q.vars, "y") - 3
+    assert q.rename(VARS) == p
+    with pytest.raises(ValueError):
+        p.rename(("x", "z"))
+
+
+def test_division_by_a_non_monomial_leading_coefficient():
+    # (y + 1) x + 1 in x: its leading coefficient y + 1 is not one term
+    x, y = MultiPoly.var(VARS, "x"), MultiPoly.var(VARS, "y")
+    d = (y + 1) * x + 1
+    q = x ** 2 * y - x + 2 * y
+    quo, rem = (q * d).div_univariate(d, "x")
+    assert quo == q and rem.is_zero()
+    assert (q * d).exact_div(d) == q
+    assert (q * d + 1).reduce_mod(d, "x") == 1
+    with pytest.raises(ArithmeticError):
+        (x ** 2).div_univariate(d, "x")      # y + 1 does not divide 1
+    with pytest.raises(ArithmeticError):
+        (q * d + 1).exact_div(d)
 
 
 def test_substitute_and_evaluate():
