@@ -14,7 +14,7 @@ from math import gcd, lcm, prod
 
 from .multipoly import MultiPoly
 from .tower import FieldTower, cyclotomic, root_of_unity
-from .curves import VerificationError, _surface_cache
+from .base import VerificationError, _surface_cache
 
 AFFINE_VARS = ("x", "y", "z")
 COMPLETENESS_NOTE = ("the completeness of the group (no further "

@@ -16,24 +16,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import __version__
+from .base import GeometryError, VerificationError, _surface_cache
 from .multipoly import MultiPoly
-from .curves import (VerificationError, _surface_cache, certify_s6_lines,
-                     enumerate_an, enumerate_dn, enumerate_s7, enumerate_s8,
-                     q_cubic, q1_quartic, q2_quartic)
-from .geometry import (AN_RANGE, DN_RANGE, GeometryError, build_catalog,
-                       build_surface, charts_compatible,
-                       chart_transition_check, verify_contraction_S6)
-from .orbits import (BaseExtension, an_intersections, case_surface,
-                     dn_intersections, rationality_degree,
-                     rationality_verdict, s6_intersections, s7_conjugation,
-                     s7_e0_intersection, s8_conjugation, verdict_grid)
-from .lattice import (build_root_system, coxeter_number,
-                      dn_boundary_selfintersection, minus_one_classes)
-from .autos import autos_report
-from .univariate import count_real_roots
-# kleinfib.numeric is imported in cmd_audit and _run_reproduction, the two
-# commands that run the oracle, so that the others start without compiling
-# or loading it
+from .geometry import (AN_RANGE, DN_RANGE, build_catalog, build_surface,
+                       charts_compatible, chart_transition_check,
+                       verify_contraction_S6)
+# module level holds base, multipoly and geometry, which every command that
+# reads a surface shares; each command imports its own pipeline as it runs
 
 SCHEMA = "kleinfib-certificate/1"
 
@@ -56,9 +45,8 @@ AUDIT_TOL_RANGE = (1e-10, 1e-8)
 # --poly: an expanded sum of terms c, y, y^k, c*y or c*y^k (c, k decimal)
 POLY_MAX_DEGREE = 64
 _TERM = r"(?:(\d+)\s*\*\s*)?(y)(?:\s*\^\s*(\d+))?|(\d+)"
-_POLY = re.compile(r"\s*[+-]?\s*(?:%s)(?:\s*[+-]\s*(?:%s))*\s*"
-                   % (_TERM, _TERM))
-_SIGNED_TERM = re.compile(r"([+-]?)\s*(?:%s)" % _TERM)
+_POLY = r"\s*[+-]?\s*(?:%s)(?:\s*[+-]\s*(?:%s))*\s*" % (_TERM, _TERM)
+_SIGNED_TERM = r"([+-]?)\s*(?:%s)" % _TERM
 
 
 class UsageError(Exception):
@@ -85,13 +73,17 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _curve_entry(c):
+def _curve_entry(c, text):
+    """The certificate entry of curve c; `text` keeps the repr of each
+    polynomial written, as the curves of one enumeration share a few."""
+    def show(p):
+        return text.get(id(p)) or text.setdefault(id(p), repr(p))
     data = {k: _jsonable(v) for k, v in sorted(c.data.items())
             if isinstance(v, (str, int, bool, Fraction))}
     return {"surface": c.surface, "family": c.family, "branch": c.branch,
             "index": c.index, "chart": c.chart, "parameter": c.parameter,
-            "equations": [repr(e) for e in c.equations],
-            "relation": repr(c.relation) if c.relation is not None else None,
+            "equations": [show(e) for e in c.equations],
+            "relation": show(c.relation) if c.relation is not None else None,
             "data": data}
 
 
@@ -126,6 +118,9 @@ def check(name, ref, status="verified", **extra):
 
 def cmd_curves(args):
     s = _surface(args.surface)
+    from .curves import (certify_s6_lines, enumerate_an, enumerate_dn,
+                         enumerate_s7, enumerate_s8, q_cubic, q1_quartic,
+                         q2_quartic)
     checks, payload = [], {}
     if s.name == "s6":
         curves = certify_s6_lines(s)
@@ -155,7 +150,8 @@ def cmd_curves(args):
         status="verified" if len(curves) == expected else "failed",
         count=len(curves), expected=expected))
     payload["count"] = len(curves)
-    payload["curves"] = [_curve_entry(c) for c in curves]
+    text = {}
+    payload["curves"] = [_curve_entry(c, text) for c in curves]
     return checks, payload
 
 
@@ -204,6 +200,7 @@ def _klein_surface(case):
 def cmd_verdict(args):
     if args.ext < 1:
         raise UsageError("--ext must be >= 1")
+    from .orbits import BaseExtension, case_surface, rationality_verdict
     try:
         name = case_surface(args.case)
     except ValueError as ex:
@@ -223,6 +220,7 @@ def cmd_verdict(args):
 
 
 def cmd_verdict_grid(args):
+    from .orbits import verdict_grid
     cells = verdict_grid(build_catalog())
     bad = [c for c in cells if c["rational"] != c["divisibility"]]
     checks = [check("grid-consistency",
@@ -236,6 +234,7 @@ def cmd_lattice(args):
     r = args.r
     if not 3 <= r <= 8:
         raise UsageError("r must be in 3..8")
+    from .lattice import build_root_system, minus_one_classes
     rs = build_root_system(r)
     classes = minus_one_classes(r)
     checks = [check("root-system", "orthogonal complement of K in Pic",
@@ -267,6 +266,7 @@ def cmd_autos(args):
         if not s.name.startswith("klein-an:"):
             raise UsageError("--poly only applies to the an family")
         wild = [_parse_poly(args.poly)]
+    from .autos import autos_report
     report = autos_report(s, seed=args.seed, wild_polys=wild)
     status = "verified" if report["verified"] else "failed"
     checks = [check("automorphisms", "exhibited groups preserve the surface",
@@ -279,11 +279,11 @@ def cmd_autos(args):
 def _parse_poly(text):
     """A polynomial in y with integer coefficients, written as an expanded
     sum such as '1+y+y^3' or '-2*y^2+7', of degree <= POLY_MAX_DEGREE."""
-    if not _POLY.fullmatch(text):
+    if not re.fullmatch(_POLY, text):
         raise UsageError("cannot parse polynomial %r: expected a sum of "
                          "terms c, y^k or c*y^k" % text)
     terms = {}
-    for sign, coeff, y, exp, const in _SIGNED_TERM.findall(text):
+    for sign, coeff, y, exp, const in re.findall(_SIGNED_TERM, text):
         k = (int(exp) if exp else 1) if y else 0
         if k > POLY_MAX_DEGREE:
             raise UsageError("degree %d exceeds %d in polynomial %r"
@@ -368,7 +368,16 @@ def _failure(ex):
 def _run_reproduction(catalog, seed=0, timings=False):
     """Every check of the paper, each reading its surfaces from `catalog`;
     with `timings`, each check carries its wall time as `elapsed`."""
+    from .autos import autos_report
+    from .curves import (certify_s6_lines, enumerate_an, enumerate_dn,
+                         enumerate_s7, enumerate_s8, q_cubic, q1_quartic,
+                         q2_quartic)
+    from .lattice import (coxeter_number, dn_boundary_selfintersection,
+                          minus_one_classes)
     from .numeric import NumericConfig, full_audit, sturm_vs_numeric
+    from .orbits import (an_intersections, dn_intersections,
+                         rationality_degree, s6_intersections, s7_conjugation,
+                         s7_e0_intersection, s8_conjugation, verdict_grid)
     checks = []
 
     def step(name, ref, fn, status="verified", **extra):
@@ -500,6 +509,8 @@ def _run_reproduction(catalog, seed=0, timings=False):
 def _sturm_counts():
     """Real-root counts of the residual polynomials Q, Q1 and Q2, which are
     constants: counted once per process."""
+    from .curves import q_cubic, q1_quartic, q2_quartic
+    from .univariate import count_real_roots
     return tuple(count_real_roots(q)
                  for q in (q_cubic(), q1_quartic(), q2_quartic()))
 

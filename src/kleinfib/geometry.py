@@ -11,13 +11,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .curves import VerificationError, _surface_cache
+from .base import GeometryError, VerificationError, _surface_cache
 from .multipoly import MultiPoly
 from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
-
-
-class GeometryError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from math import gcd
 from operator import mul
 
 from .multipoly import MultiPoly
-from .curves import VerificationError
+from .base import VerificationError
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,9 @@ from functools import lru_cache
 from .multipoly import MultiPoly
 from .tower import _coeff_complex
 from .univariate import (degree, derivative, poly_gcd, count_real_roots)
-from .curves import (VerificationError, _surface_cache, q_cubic, q1_quartic,
-                     q2_quartic, s6_alpha_lines, s6_line_tower,
-                     s6_line_forms)
+from .base import VerificationError, _surface_cache
+from .curves import (q_cubic, q1_quartic, q2_quartic, s6_alpha_lines,
+                     s6_line_tower, s6_line_forms)
 from .orbits import (_b_residue, _chain_residues, _s7_main_data,
                      _s8_branch_data, s6_intersections)
 

@@ -9,11 +9,11 @@ from math import gcd
 
 from .multipoly import MultiPoly
 from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
-from .geometry import PointSpec, on_surface, GeometryError
-from .curves import (VerificationError, _surface_cache, enumerate_s7,
-                     enumerate_s8, enumerate_an, enumerate_dn, s6_alpha_lines,
-                     s6_line_tower, s6_line_forms, s7_e0_tower, an_tower,
-                     dn_tower)
+from .base import GeometryError, VerificationError, _surface_cache
+from .geometry import PointSpec, on_surface
+from .curves import (enumerate_s7, enumerate_s8, enumerate_an, enumerate_dn,
+                     s6_alpha_lines, s6_line_tower, s6_line_forms,
+                     s7_e0_tower, an_tower, dn_tower)
 
 # The contraction bookkeeping below ("axiom table") encodes the standard
 # minimal-model facts the verdicts rest on; everything the engine can check

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .base import VerificationError
 from .multipoly import MultiPoly
 
 
@@ -95,7 +96,8 @@ def squarefree_part(f):
     f = normalize(f)
     g = poly_gcd(f, derivative(f))
     q, r = poly_divmod(f, g)
-    assert not r
+    if r:
+        raise VerificationError("f / gcd(f, f') must be exact", r)
     return [c / q[-1] for c in q]
 
 
@@ -233,5 +235,6 @@ def _cyclotomic(n: int) -> tuple:
     for d in range(1, n):
         if n % d == 0:
             f, r = poly_divmod(f, list(_cyclotomic(d)))
-            assert not r, "cyclotomic division must be exact"
+            if r:
+                raise VerificationError("cyclotomic division must be exact", r)
     return tuple(f)

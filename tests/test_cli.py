@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinfib import cli, numeric, orbits
+from kleinfib import autos, cli, curves, numeric, orbits
 from kleinfib.cli import _parse_poly, main
 from kleinfib.curves import VerificationError, dn_tower
 from kleinfib.geometry import build_catalog, build_surface
@@ -70,7 +70,7 @@ def test_bad_input_exits_2(argv):
 def test_internal_error_is_not_a_usage_error(monkeypatch):
     def bug(*args, **kwargs):
         raise ValueError("an element of QQ(z12) is not in QQ(z16, mu)")
-    monkeypatch.setattr(cli, "enumerate_an", bug)
+    monkeypatch.setattr(curves, "enumerate_an", bug)
     code, cert = run(["curves", "an:5"])
     assert code == 1
     assert cert["status"] == "failed"
@@ -127,7 +127,7 @@ def test_parse_poly_signed_terms():
 def test_bad_poly_exits_before_arithmetic(monkeypatch, text):
     def unreachable(*args, **kwargs):
         raise AssertionError("arithmetic ran on a rejected polynomial")
-    monkeypatch.setattr(cli, "autos_report", unreachable)
+    monkeypatch.setattr(autos, "autos_report", unreachable)
     code, _ = run(["autos", "an", "--n", "3", "--poly", text])
     assert code == 2
 
@@ -140,9 +140,10 @@ def test_bad_poly_exits_before_arithmetic(monkeypatch, text):
 def test_family_index_bound_exits_before_arithmetic(monkeypatch, argv):
     def unreachable(*args, **kwargs):
         raise AssertionError("arithmetic ran on a rejected index")
-    for name in ("enumerate_an", "enumerate_dn", "rationality_verdict",
-                 "autos_report"):
-        monkeypatch.setattr(cli, name, unreachable)
+    for module, name in ((curves, "enumerate_an"), (curves, "enumerate_dn"),
+                         (orbits, "rationality_verdict"),
+                         (autos, "autos_report")):
+        monkeypatch.setattr(module, name, unreachable)
     monkeypatch.setattr(numeric, "numeric_curve_audit", unreachable)
     code, _ = run(argv)
     assert code == 2
@@ -269,11 +270,14 @@ def test_failed_checks_carry_error_kind(monkeypatch):
 
     def refuted(*args, **kwargs):
         raise VerificationError("refuted")
-    monkeypatch.setattr(cli, "certify_s6_lines", bug)
+    monkeypatch.setattr(curves, "certify_s6_lines", bug)
     # the slow pipelines fail fast as mathematical failures
-    for name in ("enumerate_s8", "s6_intersections", "verdict_grid",
-                 "dn_intersections", "autos_report"):
-        monkeypatch.setattr(cli, name, refuted)
+    for module, name in ((curves, "enumerate_s8"),
+                         (orbits, "s6_intersections"),
+                         (orbits, "verdict_grid"),
+                         (orbits, "dn_intersections"),
+                         (autos, "autos_report")):
+        monkeypatch.setattr(module, name, refuted)
     monkeypatch.setattr(numeric, "full_audit", refuted)
     code, cert = run(["reproduce-paper"])
     assert code == 1

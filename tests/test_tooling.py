@@ -1,14 +1,18 @@
 """The benchmark's tracer still finds every method it wraps, and a traced run
-leaves kleinfib as it found it; every command runs without numpy."""
+leaves kleinfib as it found it; every command runs without numpy, and each
+starts on only the modules it runs."""
 
 import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import kleinfib
 
@@ -94,3 +98,37 @@ def test_commands_run_without_numpy():
                           text=True, env=dict(os.environ, PYTHONPATH=src),
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+PACKAGE = {path.stem for path in Path(kleinfib.__file__).parent.glob("*.py")
+           if path.stem != "__init__"}
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["lattice", "8"], {"curves", "orbits", "autos", "numeric"}),
+    (["curves", "s7"], {"orbits", "autos", "lattice", "numeric"}),
+    (["autos", "an", "--n", "3", "--poly", "1+y"],
+     {"curves", "orbits", "lattice", "numeric"}),
+    (["verdict", "e8", "--ext", "30"], {"autos", "lattice", "numeric"}),
+    (["reproduce-paper"], set())], ids=" ".join)
+def test_each_command_loads_only_its_pipeline(argv, unloaded):
+    # cli holds base, multipoly and geometry at module level and each
+    # command imports its own pipeline as it runs, so a fresh process that
+    # runs one command compiles and loads no other command's modules
+    script = """if True:
+        import contextlib, io, json, sys
+        from kleinfib.cli import main
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(sys.argv[1:])
+        print(json.dumps([code, sorted(sys.modules)]))
+        """
+    src = os.path.dirname(os.path.dirname(kleinfib.__file__))
+    proc = subprocess.run([sys.executable, "-c", script] + argv,
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == 0
+    loaded = {name.partition(".")[2] for name in modules
+              if name.startswith("kleinfib.")}
+    assert loaded == PACKAGE - unloaded

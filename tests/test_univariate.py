@@ -5,8 +5,11 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from kleinfib import univariate
+from kleinfib.base import VerificationError
 from kleinfib.multipoly import MultiPoly
 from kleinfib.univariate import (count_real_roots, cyclotomic_poly,
                                  derivative, from_multipoly, normalize,
@@ -108,6 +111,29 @@ def test_cyclotomic_is_memoized_but_returns_fresh_lists():
     # Phi_124 (degree phi(124) = 60) has the value at 1 of Phi_{4p}, i.e. 1
     assert len(cyclotomic_poly(124)) == 61
     assert sum(cyclotomic_poly(124)) == 1
+
+
+def test_inexact_division_raises(monkeypatch):
+    # the two exactness checks raise rather than assert, so that python -O
+    # keeps them; the cyclotomic cache is cleared on both sides, so that
+    # Phi_6 is divided under the patch and nothing computed under it stays.
+    # The gcd is fixed at that of x^2 - 1, as Euclid's loop would not end
+    divmod_exact = univariate.poly_divmod
+
+    def with_remainder(f, g):
+        return divmod_exact(f, g)[0], [Fraction(1)]
+    univariate._cyclotomic.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(univariate, "poly_divmod", with_remainder)
+            m.setattr(univariate, "poly_gcd", lambda f, g: [Fraction(1)])
+            with pytest.raises(VerificationError, match="gcd"):
+                squarefree_part([Fraction(-1), Fraction(0), Fraction(1)])
+            with pytest.raises(VerificationError, match="cyclotomic"):
+                cyclotomic_poly(6)
+    finally:
+        univariate._cyclotomic.cache_clear()
+    assert cyclotomic_poly(6) == [Fraction(1), Fraction(-1), Fraction(1)]
 
 
 def test_derivative():
