@@ -8,7 +8,6 @@ automorphisms exist is a geometric statement outside computation and is
 flagged as paper-sourced in every report."""
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -21,15 +20,13 @@ COMPLETENESS_NOTE = ("the completeness of the group (no further "
                      "automorphisms) is paper-sourced, not recomputed")
 
 
-@dataclass
 class PolyMap:
-    exprs: tuple                   # three MultiPoly in (x, y, z)
-    kind: str = "affine"
+    """The map with components `exprs`, three MultiPoly in (x, y, z)."""
 
-    def __post_init__(self):
-        if len(self.exprs) != 3 or any(e.vars != AFFINE_VARS
-                                       for e in self.exprs):
+    def __init__(self, exprs):
+        if len(exprs) != 3 or any(e.vars != AFFINE_VARS for e in exprs):
             raise ValueError("PolyMap needs three polynomials in (x, y, z)")
+        self.exprs = exprs
 
     def apply(self, f: MultiPoly) -> MultiPoly:
         return f.substitute(dict(zip(AFFINE_VARS, self.exprs)))
@@ -74,12 +71,14 @@ def map_order(phi: PolyMap, bound: int = 24):
 # ---------------------------------------------------------------------------
 # diagonal groups
 
-@dataclass
 class DiagonalGroupDescriptor:
-    conditions: list               # exponent vectors d with a^d1 b^d2 c^d3=1
-    iso_label: str
-    exponents: tuple               # free generator t -> (t^e1, t^e2, t^e3)
-    torsion: list                  # (k, v): x_i -> zeta_k^(v_i) x_i
+    """conditions are the exponent vectors d with a^d1 b^d2 c^d3 = 1,
+    exponents the free generator t -> (t^e1, t^e2, t^e3), torsion the
+    (k, v) with x_i -> zeta_k^(v_i) x_i."""
+
+    def __init__(self, conditions, iso_label, exponents, torsion):
+        self.conditions, self.iso_label = conditions, iso_label
+        self.exponents, self.torsion = exponents, torsion
 
     def random_element(self, rng, T):
         """t^exponents times a random power of each torsion generator, t a

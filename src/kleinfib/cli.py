@@ -7,7 +7,6 @@ with the same inputs and seed (canonical key ordering, no timestamps
 unless --timings is given)."""
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -18,11 +17,8 @@ from functools import lru_cache
 from . import __version__
 from .base import GeometryError, VerificationError, _surface_cache
 from .multipoly import MultiPoly
-from .geometry import (AN_RANGE, DN_RANGE, build_catalog, build_surface,
-                       charts_compatible, chart_transition_check,
-                       verify_contraction_S6)
-# module level holds base, multipoly and geometry, which every command that
-# reads a surface shares; each command imports its own pipeline as it runs
+# module level holds only base and multipoly, which every command shares;
+# each command imports geometry and its own pipeline as it runs
 
 SCHEMA = "kleinfib-certificate/1"
 
@@ -57,6 +53,8 @@ class UsageError(Exception):
 # serialization
 
 def _jsonable(obj):
+    """obj as JSON values; a record (a class with a ``_fields`` tuple of
+    attribute names, namedtuples too) becomes the dict of its fields."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, Fraction):
@@ -65,11 +63,11 @@ def _jsonable(obj):
         return repr(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    fields = getattr(type(obj), "_fields", None)
+    if fields is not None:
+        return {f: _jsonable(getattr(obj, f)) for f in fields}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
     return str(obj)
 
 
@@ -175,6 +173,7 @@ def _family_index(name):
 def _surface(name):
     """The catalog surface called `name`, built here at the edge; an index
     out of range or a name that is no surface is a usage error."""
+    from .geometry import build_surface
     _family_index(name)
     try:
         return build_surface(name)
@@ -220,6 +219,7 @@ def cmd_verdict(args):
 
 
 def cmd_verdict_grid(args):
+    from .geometry import build_catalog
     from .orbits import verdict_grid
     cells = verdict_grid(build_catalog())
     bad = [c for c in cells if c["rational"] != c["divisibility"]]
@@ -327,6 +327,7 @@ def cmd_audit(args):
 def _dehomogenize_pairs(catalog):
     """Exact consistency between each compactified model and its affine
     Klein equation, pair by pair."""
+    from .geometry import AN_RANGE, DN_RANGE
     xyz = (("X", "x"), ("Y", "y"), ("Z", "z"))
     pairs = [("s6prime", "klein-e6", "W", xyz), ("s7", "klein-e7", "W", xyz),
              ("s8", "klein-e8", "W", xyz)]
@@ -372,6 +373,8 @@ def _run_reproduction(catalog, seed=0, timings=False):
     from .curves import (certify_s6_lines, enumerate_an, enumerate_dn,
                          enumerate_s7, enumerate_s8, q_cubic, q1_quartic,
                          q2_quartic)
+    from .geometry import (AN_RANGE, DN_RANGE, charts_compatible,
+                           chart_transition_check, verify_contraction_S6)
     from .lattice import (coxeter_number, dn_boundary_selfintersection,
                           minus_one_classes)
     from .numeric import NumericConfig, full_audit, sturm_vs_numeric
@@ -532,6 +535,7 @@ def cmd_reproduce(args):
                         Fraction(parts[3]))
         except (ValueError, ZeroDivisionError):
             raise UsageError("bad --mutate argument %r" % args.mutate)
+    from .geometry import build_catalog
     try:
         catalog = build_catalog(mutation)
     except GeometryError as ex:     # unknown surface or chart, zero delta

@@ -8,7 +8,6 @@ extracts the residual polynomials, and certifies every curve's membership
 modulo the residual relation.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -18,17 +17,17 @@ from .tower import FieldTower, cyclotomic, root_of_unity
 from .univariate import prem, resultant_poly, subresultant_prs
 
 
-@dataclass
 class CurveSpec:
-    surface: str
-    family: str
-    branch: str
-    index: int
-    equations: tuple           # forms cutting the curve in its chart
-    parameter: str = None      # generator name of the defining relation
-    relation: MultiPoly = None
-    chart: int = 0
-    data: dict = field(default_factory=dict)
+    """One curve: `equations` are the forms cutting it in chart `chart`,
+    `parameter` the generator name of its defining `relation`."""
+
+    def __init__(self, surface, family, branch, index, equations,
+                 parameter=None, relation=None, chart=0, data=None):
+        self.surface, self.family, self.branch, self.index = \
+            surface, family, branch, index
+        self.equations, self.parameter, self.relation, self.chart = \
+            equations, parameter, relation, chart
+        self.data = {} if data is None else data
 
     def label(self):
         return (self.surface, self.family, self.branch, self.index)

@@ -7,7 +7,7 @@ plus an explicit "t" variable for the fibred surfaces; coefficients live
 in a constants tower (QQ, or QQ(zeta_12) for the S6 family).
 """
 
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,19 +19,19 @@ from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
 # ---------------------------------------------------------------------------
 # ambient spaces
 
-@dataclass(frozen=True)
-class AmbientSpace:
-    kind: str                      # "weighted" | "atlas" | "affine"
-    variables: tuple               # coordinate names (atlas: (w, y, z, x))
-    weights: tuple                 # per-variable weights (atlas: fiber weights + 0)
-    transition: tuple = None       # atlas only: (a, b) of F_{a,b}
+class AmbientSpace(namedtuple("AmbientSpace",
+                              "kind variables weights transition")):
+    """kind is "weighted", "atlas" or "affine"; variables the coordinate
+    names (atlas: (w, y, z, x)); weights one per variable (atlas: the fiber
+    weights and 0); transition the (a, b) of F_{a,b}, atlas only."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == "weighted" and len(self.weights) != 4:
+    def __new__(cls, kind, variables, weights, transition=None):
+        if kind == "weighted" and len(weights) != 4:
             raise GeometryError("weighted projective ambient needs 4 weights")
-        if self.kind == "atlas" and (self.transition is None
-                                     or len(self.transition) != 2):
+        if kind == "atlas" and (transition is None or len(transition) != 2):
             raise GeometryError("atlas ambient needs a transition pair (a, b)")
+        return super().__new__(cls, kind, variables, weights, transition)
 
 
 def p3():
@@ -55,23 +55,26 @@ def affine3():
 # ---------------------------------------------------------------------------
 # surfaces
 
-@dataclass(frozen=True)
-class SurfaceSpec:
+class SurfaceSpec(namedtuple("SurfaceSpec", "name ambient const_tower "
+                             "equations has_t quasi_weights",
+                             defaults=(True, None))):
     """One catalog surface, a hashable value: two builds of the same surface
-    are equal, and a mutated surface differs from the one it came from."""
-    name: str
-    ambient: AmbientSpace
-    const_tower: FieldTower        # tower of the equation coefficients (no t)
-    equations: tuple               # one MultiPoly per chart
-    has_t: bool = True
-    quasi_weights: tuple = None    # affine Klein surfaces: grading weights
+    are equal, and a mutated surface (``_replace``) differs from the one it
+    came from.  const_tower is the tower of the equation coefficients (no
+    t), equations holds one MultiPoly per chart, and quasi_weights the
+    grading weights of an affine Klein surface."""
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # every pipeline cache hashes its surface on each lookup; hashing
         # the equations walks all their terms, so it is done once, here
-        object.__setattr__(self, "_hash", hash(
-            (self.name, self.ambient, self.const_tower, self.equations,
-             self.has_t, self.quasi_weights)))
+        self._hash = tuple.__hash__(self)
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        # _replace builds through _make, which would otherwise skip __new__
+        return cls(*fields)
 
     def __hash__(self):
         return self._hash
@@ -285,7 +288,7 @@ def build_catalog(mutation=None):
         new_terms[key] = new_terms[key] + bump
         eqs = list(s.equations)
         eqs[chart] = MultiPoly(eq.vars, new_terms)
-        catalog[sname] = replace(s, equations=tuple(eqs))
+        catalog[sname] = s._replace(equations=tuple(eqs))
         check_homogeneous(catalog[sname])
     return catalog
 
@@ -324,16 +327,15 @@ def check_homogeneous(s: SurfaceSpec) -> int:
     return degrees.pop()
 
 
-@dataclass
 class PointSpec:
-    ambient: AmbientSpace
-    coords: tuple                  # FieldElements (or Fractions) in one tower
-    chart: int = 0
+    """A point of `ambient` in chart `chart`; coords are FieldElements (or
+    Fractions) in one tower."""
 
-    def __post_init__(self):
-        if all(_is_zero_coord(c) for c in self.coords):
-            if self.ambient.kind != "affine":
-                raise GeometryError("projective point with all-zero coordinates")
+    def __init__(self, ambient, coords, chart=0):
+        if (ambient.kind != "affine"
+                and all(_is_zero_coord(c) for c in coords)):
+            raise GeometryError("projective point with all-zero coordinates")
+        self.ambient, self.coords, self.chart = ambient, coords, chart
 
 
 def _is_zero_coord(c):

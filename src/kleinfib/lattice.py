@@ -2,7 +2,7 @@
 intersection form (1, -1, ..., -1), ADE root bases, Dynkin classification,
 Coxeter numbers (computed two independent ways) and (-1)-class counts."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -12,10 +12,10 @@ from .multipoly import MultiPoly
 from .base import VerificationError
 
 
-@dataclass(frozen=True)
-class PicardLattice:
-    """Z e0 + Z e1 + ... + Z er with e0^2 = 1, ei^2 = -1, mixed products 0."""
-    rank: int                      # r + 1
+class PicardLattice(namedtuple("PicardLattice", "rank")):
+    """Z e0 + Z e1 + ... + Z er with e0^2 = 1, ei^2 = -1, mixed products 0;
+    rank is r + 1."""
+    __slots__ = ()
 
     def dot(self, u, v):
         if len(u) != self.rank or len(v) != self.rank:
@@ -27,15 +27,13 @@ class PicardLattice:
         return (3,) + (-1,) * (self.rank - 1)
 
 
-@dataclass
 class RootSystem:
-    label: str
-    rank: int
-    simple_roots: tuple
-    roots: tuple
-    cartan: tuple
-    coxeter_number: int
-    dot: object
+    def __init__(self, label, rank, simple_roots, roots, cartan,
+                 coxeter_number, dot):
+        self.label, self.rank, self.simple_roots, self.roots = \
+            label, rank, simple_roots, roots
+        self.cartan, self.coxeter_number, self.dot = \
+            cartan, coxeter_number, dot
 
 
 def _reflect(v, j, row):

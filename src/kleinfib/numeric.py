@@ -19,7 +19,7 @@ is cached on its (surface, NumericConfig)."""
 import cmath
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,26 +27,22 @@ from .multipoly import MultiPoly
 from .tower import _coeff_complex
 from .univariate import (degree, derivative, poly_gcd, count_real_roots)
 from .base import VerificationError, _surface_cache
-from .curves import (q_cubic, q1_quartic, q2_quartic, s6_alpha_lines,
-                     s6_line_tower, s6_line_forms)
-from .orbits import (_b_residue, _chain_residues, _s7_main_data,
-                     _s8_branch_data, s6_intersections)
+# the S6, S7 and S8 audits import the exact curves and orbits they check as
+# they run, so that the A_n and D_n audits load neither
 
 
 # Durand-Kerner iterations before a polynomial is declared not to converge
 DK_MAX_ITER = 2000
 
 
-@dataclass(frozen=True)
-class NumericConfig:
-    t: Fraction = Fraction(2)
-    tol: float = 1e-8
-    seed: int = 0
+class NumericConfig(namedtuple("NumericConfig", "t tol seed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", Fraction(self.t))
-        if not (math.isfinite(self.tol) and self.tol > 0):
+    def __new__(cls, t=Fraction(2), tol=1e-8, seed=0):
+        t = Fraction(t)
+        if not (math.isfinite(tol) and tol > 0):
             raise ValueError("tolerance must be finite and positive")
+        return super().__new__(cls, t, tol, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +126,11 @@ def _cached_roots(coeffs, seed, tol):
 # specialization safety
 
 def check_specialization(t: Fraction) -> dict:
-    """The residual polynomials stay squarefree at t.  The high-degree
-    residuals are compositions g(e^N) of the displayed low-degree
-    polynomials with a binomial; such a composition is squarefree iff g is
-    squarefree and g(0) != 0, which is checked exactly, once: it does not
-    depend on t."""
+    """The residual polynomials of S6, S7 and S8 stay squarefree at t.  The
+    high-degree residuals are compositions g(e^N) of the displayed
+    low-degree polynomials with a binomial; such a composition is
+    squarefree iff g is squarefree and g(0) != 0, which is checked exactly,
+    once: it does not depend on t."""
     if t == 0:
         raise VerificationError("t = 0 lies on every discriminant locus")
     return {"t": str(t), "squarefree": dict.fromkeys(_squarefree(), True)}
@@ -142,6 +138,7 @@ def check_specialization(t: Fraction) -> dict:
 
 @lru_cache(maxsize=None)
 def _squarefree():
+    from .curves import q_cubic, q1_quartic, q2_quartic, s6_line_tower
     for label, q in (("Q", q_cubic()), ("Q1", q1_quartic()),
                      ("Q2", q2_quartic())):
         g = poly_gcd(q, derivative(q))
@@ -257,6 +254,7 @@ S6_ENV = {"z12": cmath.exp(1j * math.pi / 6)}
 def _s6_branch_forms(branch):
     """The radicand c and the form pair of L_mu on a branch: they depend
     neither on t nor on the surface."""
+    from .curves import s6_line_forms, s6_line_tower
     T, c, _ = s6_line_tower(branch)
     return c.as_complex(S6_ENV), s6_line_forms(T, branch)
 
@@ -264,6 +262,7 @@ def _s6_branch_forms(branch):
 def _s6_numeric_lines(cfg):
     """The 27 lines: their (family or branch, j) tags, and their 2x4
     coefficient matrices."""
+    from .curves import s6_alpha_lines
     tval = float(cfg.t)
     env = dict(S6_ENV, alpha=tval ** (1.0 / 3.0))
     tags = [("L123", j) for j in range(3)]
@@ -332,6 +331,8 @@ def _plucker_ratio(line, other):
 
 
 def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
+    from .orbits import s6_intersections
+    check_specialization(cfg.t)
     rng = random.Random(cfg.seed)
     tags, mats = _s6_numeric_lines(cfg)
     n = len(tags)
@@ -376,6 +377,9 @@ def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
 
 
 def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
+    from .curves import q_cubic
+    from .orbits import _chain_residues, _s7_main_data
+    check_specialization(cfg.t)
     pairs = _s7_main_data(s7)[2].data["coeff_pairs"]
     tval = float(cfg.t)
     names = ("d", "a", "b", "c")
@@ -417,6 +421,7 @@ S8_ORDER = 30
 def _b_weight(main):
     """r_b, with b -> xi^(r_b) b under mu -> xi mu (xi^30 = 1): the roots
     in b of the branch quartic at xi mu are xi^(r_b) times those at mu."""
+    from .orbits import _b_residue
     return _b_residue(main, S8_ORDER)
 
 
@@ -453,6 +458,7 @@ def _s8_chains(main, quartic, cfg):
     """For each of the 120 mu of a branch, the chains (dicts of mu, b, f, a,
     e, d) at its four b-roots, solved at each orbit's mu0 only.  The b-roots
     are those of _s8_b_roots, certified first: a wrong r_b fails there."""
+    from .orbits import _chain_residues
     rows = _s8_b_roots(main, quartic, cfg)
     pairs, names = main.data["coeff_pairs"], ("f", "a", "e", "d")
     weights = _chain_residues(pairs, names,
@@ -465,6 +471,9 @@ def _s8_chains(main, quartic, cfg):
 
 
 def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
+    from .curves import q1_quartic, q2_quartic
+    from .orbits import _s8_branch_data
+    check_specialization(cfg.t)
     _, mains = _s8_branch_data(s8)
     rng = random.Random(cfg.seed)
     equation = CompiledPoly(s8.equation, {"t": float(cfg.t)})
@@ -550,6 +559,7 @@ def numeric_audit_conic(s, cfg: NumericConfig) -> dict:
 @_surface_cache
 def sturm_vs_numeric(cfg: NumericConfig) -> dict:
     """Exact Sturm real-root counts vs numeric counts for Q, Q1, Q2."""
+    from .curves import q_cubic, q1_quartic, q2_quartic
     out = {}
     for label, q, expected in (("Q", q_cubic(), 3),
                                ("Q1", q1_quartic(), 4),
@@ -570,7 +580,8 @@ def sturm_vs_numeric(cfg: NumericConfig) -> dict:
 def numeric_curve_audit(s, cfg: NumericConfig = None) -> dict:
     """The audit of the catalog surface s at cfg.t."""
     cfg = cfg or NumericConfig()
-    check_specialization(cfg.t)
+    if cfg.t == 0:
+        raise VerificationError("t = 0 lies on every discriminant locus")
     audit = {"s6": numeric_audit_s6, "s7": numeric_audit_s7,
              "s8": numeric_audit_s8}.get(s.name)
     if s.name.startswith(("an:", "dn:")):

@@ -2,7 +2,7 @@
 between conjugate curves, minimal-model bookkeeping and rationality verdicts
 over the base extensions K = C(t^{1/m})."""
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -23,34 +23,36 @@ from .curves import (enumerate_s7, enumerate_s8, enumerate_an, enumerate_dn,
 AXIOM = "axiom-table"
 
 
-@dataclass(frozen=True)
-class BaseExtension:
+class BaseExtension(namedtuple("BaseExtension", "m")):
     """K = C(t^{1/m}), modeled as the tower with s^m = t."""
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.m < 1:
+    def __new__(cls, m):
+        if m < 1:
             raise ValueError("m must be >= 1")
+        return super().__new__(cls, m)
 
 
-@dataclass
 class MinimalModelDescriptor:
-    kind: str                      # "DelPezzo" | "ConicBundle"
-    over: BaseExtension
-    degree: int = None             # del Pezzo degree 1..9
-    singular_fibres: int = None    # conic bundle: verified singular fibres
-    extra_fibre_unknown: bool = False
-    justification: dict = field(default_factory=dict)
+    """kind is "DelPezzo" (degree 1..9) or "ConicBundle" (singular_fibres
+    verified singular fibres)."""
+    _fields = ("kind", "over", "degree", "singular_fibres",
+               "extra_fibre_unknown", "justification")
+
+    def __init__(self, kind, over, degree=None, singular_fibres=None,
+                 extra_fibre_unknown=False, justification=None):
+        self.kind, self.over, self.degree = kind, over, degree
+        self.singular_fibres = singular_fibres
+        self.extra_fibre_unknown = extra_fibre_unknown
+        self.justification = {} if justification is None else justification
 
 
-@dataclass
 class Verdict:
-    case: str
-    rational: bool
-    rule: str
-    a: int
-    over: BaseExtension
-    descriptor: MinimalModelDescriptor = None
+    _fields = ("case", "rational", "rule", "a", "over", "descriptor")
+
+    def __init__(self, case, rational, rule, a, over, descriptor=None):
+        self.case, self.rational, self.rule, self.a = case, rational, rule, a
+        self.over, self.descriptor = over, descriptor
 
 
 def two_part(n: int) -> int:

@@ -30,11 +30,10 @@ itself or, below Q(zeta_M)[s, 1/s], Q(zeta_M).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Optional
 
 from .univariate import _poly_repr, cyclotomic_poly
 
@@ -44,21 +43,19 @@ class ZeroDivisorError(ArithmeticError):
     the relation is reducible.  Phi_M is irreducible: reaching this is a bug."""
 
 
-@dataclass(frozen=True)
-class Step:
-    kind: str                      # "algebraic" | "ratfunc" (Laurent)
-    name: str
-    minpoly: Optional[tuple] = None  # Phi_M as Fractions c0..cd (monic)
+# kind is "algebraic" or "ratfunc" (Laurent); minpoly, algebraic only, is
+# Phi_M as Fractions c0..cd (monic)
+Step = namedtuple("Step", "kind name minpoly", defaults=(None,))
 
 
-@dataclass(frozen=True)
 class _Ring:
-    """The integer arithmetic of Z[zeta_M] in the power basis."""
-    M: int
-    d: int            # phi(M)
-    low: tuple        # (i, c) for the nonzero c_i of Phi_M below degree d
-    powers: list      # zeta^i reduced, for i in range(M)
-    units: tuple      # the j in (Z/M)^* other than 1
+    """The integer arithmetic of Z[zeta_M] in the power basis: d = phi(M),
+    low the (i, c) for the nonzero c_i of Phi_M below degree d, powers the
+    zeta^i reduced for i in range(M), units the j in (Z/M)^* other than 1."""
+
+    def __init__(self, M, d, low, powers, units):
+        self.M, self.d, self.low, self.powers, self.units = \
+            M, d, low, powers, units
 
     def reduce(self, w):
         """The int list w (any length >= d) as a tuple modulo Phi_M."""

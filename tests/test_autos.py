@@ -3,7 +3,6 @@ wild shear family on a_n."""
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, prod
 
@@ -59,8 +58,8 @@ def test_dn_parametrization(n):
 def test_exponent_change_changes_the_group():
     # x^4 + y^3 + z^3, the E6 equation with z^2 raised to z^3
     x, y, z = _vars()
-    s = replace(build_surface("klein-e6"), quasi_weights=(3, 4, 4),
-                equations=(x ** 4 + y ** 3 + z ** 3,))
+    s = build_surface("klein-e6")._replace(
+        quasi_weights=(3, 4, 4), equations=(x ** 4 + y ** 3 + z ** 3,))
     desc = diagonal_group(s)
     assert desc.iso_label == "C* x Z/3"
     assert desc.torsion == [(3, (0, 0, 1))]
@@ -73,7 +72,7 @@ def test_free_part_must_be_the_quasi_weights():
     for name, change in (("klein-e7", {"quasi_weights": (4, 6, 8)}),
                          ("klein-e6", {"equations": (x ** 4 + y ** 3,)})):
         with pytest.raises(VerificationError, match="quasi-weights"):
-            diagonal_group(replace(build_surface(name), **change))
+            diagonal_group(build_surface(name)._replace(**change))
 
 
 @pytest.mark.parametrize("case", ["e6", "e7", "e8"] +

@@ -357,6 +357,20 @@ PINNED_FORMS = {("curves", "s7"): "dbc3e1860e42d108b371e0c14d910724"
                                   "b5feec8dae175ceef8797a9e76901e8e"}
 
 
+# sha256 of verdict certificates, the only output built from the record
+# classes (Verdict, MinimalModelDescriptor, BaseExtension): a change to how
+# those records are declared must leave their JSON byte for byte as it was
+PINNED_RECORDS = {("verdict", "dn:6", "--ext", "6"):
+                  "868a6b466f35f993dfb7c85295717ce8"
+                  "a9656a7c7b00e8b38c566c33a3653233",
+                  ("verdict", "dn:12", "--ext", "3"):
+                  "6f8d22c68bd3e04d5724ddbf03fefe30"
+                  "0c6c09b09df3a9f6dc11d594d9ace8d2",
+                  ("verdict", "e8", "--ext", "30"):
+                  "aff3549c373c92178a8fcd45af7b5180"
+                  "c30ed3d4fa4affe104ed997d10b5114c"}
+
+
 def _sha256_of(argv):
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -372,6 +386,11 @@ def test_certificate_bytes_are_pinned(argv):
 @pytest.mark.parametrize("argv", sorted(PINNED_FORMS), ids=" ".join)
 def test_curve_form_certificates_are_pinned(argv):
     assert _sha256_of(argv) == PINNED_FORMS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_RECORDS), ids=" ".join)
+def test_record_certificates_are_pinned(argv):
+    assert _sha256_of(argv) == PINNED_RECORDS[argv]
 
 
 def test_byte_identical_output():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinfib import numeric
+from kleinfib import numeric, orbits
 from kleinfib.curves import (VerificationError, q_cubic, q1_quartic,
                              q2_quartic)
 from kleinfib.geometry import build_catalog, build_surface
@@ -119,9 +119,10 @@ def test_perturbed_coefficient_is_refuted(monkeypatch, name, data, error):
     with pytest.raises(VerificationError):
         numeric_curve_audit(bad, CFG)
     # the exact curves of the unperturbed surface, evaluated on the
-    # perturbed equation: the batched residues alone refute them
-    exact = getattr(numeric, data)
-    monkeypatch.setattr(numeric, data, lambda s: exact(build_surface(name)))
+    # perturbed equation: the batched residues alone refute them (the audit
+    # reads them from orbits as it runs)
+    exact = getattr(orbits, data)
+    monkeypatch.setattr(orbits, data, lambda s: exact(build_surface(name)))
     audit = getattr(numeric, "numeric_audit_" + name)
     with pytest.raises(VerificationError, match=error):
         audit(bad, CFG)
@@ -221,8 +222,8 @@ def test_rotated_chain_matches_a_direct_solve(name, branch):
         # the 54 e of the audit: the orbits of (u t)^(1/18), u a root of Q
         main = _s7_main_data(build_surface("s7"))[2]
         names, free = ("d", "a", "b", "c"), ("e",)
-        weights = numeric._chain_residues(main.data["coeff_pairs"], names,
-                                          {"e": 1, "t": 0}, 18)
+        weights = orbits._chain_residues(main.data["coeff_pairs"], names,
+                                         {"e": 1, "t": 0}, 18)
         chain = numeric._chain(main.data["coeff_pairs"], names, {"t": tval})
         envs = [env for u in numeric_roots(q_cubic(), CFG)
                 for env in numeric._orbit(chain, weights,
@@ -237,14 +238,14 @@ def test_rotated_chain_matches_a_direct_solve(name, branch):
 @pytest.mark.parametrize("name,error", [("s7", "S7 residue"),
                                         ("s8", "b-roots on the surface")])
 def test_wrong_chain_weight_is_refuted(monkeypatch, name, error):
-    weights = numeric._chain_residues
+    weights = orbits._chain_residues
 
     def off_by_one(pairs, names, act, N):
         out = weights(pairs, names, act, N)
         out[names[1]] += 1
         return out
 
-    monkeypatch.setattr(numeric, "_chain_residues", off_by_one)
+    monkeypatch.setattr(orbits, "_chain_residues", off_by_one)
     audit = getattr(numeric, "numeric_audit_" + name)
     with pytest.raises(VerificationError, match=error):
         audit(build_surface(name), CFG)

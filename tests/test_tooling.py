@@ -67,8 +67,8 @@ def test_traced_commands_record_spans_and_restore_every_name():
 
 def test_commands_run_without_numpy():
     # a fresh process whose import system refuses numpy: the reproduction,
-    # the oracle audits and the other commands all run, and numpy is never
-    # loaded
+    # the oracle audits and the other commands all run, and neither numpy
+    # nor dataclasses is ever loaded
     script = """if True:
         import contextlib, io, json, sys
 
@@ -85,12 +85,14 @@ def test_commands_run_without_numpy():
         status = [c["status"] for c in json.loads(buf.getvalue())["checks"]]
         assert status.count("verified") == 64, status
         assert status.count("assumed") == 2, status
+        assert "dataclasses" not in sys.modules
         for argv in (["audit", "s6"], ["audit", "s8"], ["audit", "dn:9"],
                      ["curves", "s8"], ["verdict", "e8", "--ext", "30"],
                      ["lattice", "8"],
                      ["autos", "an", "--n", "3", "--poly", "1+y"]):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(argv) == 0, argv
+            assert "dataclasses" not in sys.modules, argv
         assert "numpy" not in sys.modules
         """
     src = os.path.dirname(os.path.dirname(kleinfib.__file__))
@@ -104,17 +106,23 @@ PACKAGE = {path.stem for path in Path(kleinfib.__file__).parent.glob("*.py")
            if path.stem != "__init__"}
 
 
+# each id lists the unloaded modules sorted, so that it does not vary with
+# the hash seed
 @pytest.mark.parametrize("argv,unloaded", [
-    (["lattice", "8"], {"curves", "orbits", "autos", "numeric"}),
+    (["lattice", "8"], {"curves", "geometry", "orbits", "autos", "numeric",
+                        "tower", "univariate"}),
     (["curves", "s7"], {"orbits", "autos", "lattice", "numeric"}),
     (["autos", "an", "--n", "3", "--poly", "1+y"],
      {"curves", "orbits", "lattice", "numeric"}),
     (["verdict", "e8", "--ext", "30"], {"autos", "lattice", "numeric"}),
-    (["reproduce-paper"], set())], ids=" ".join)
+    (["audit", "dn:9", "--t", "5"], {"autos", "curves", "lattice", "orbits"}),
+    (["reproduce-paper"], set())],
+    ids=lambda v: " ".join(sorted(v) if isinstance(v, set) else v))
 def test_each_command_loads_only_its_pipeline(argv, unloaded):
-    # cli holds base, multipoly and geometry at module level and each
-    # command imports its own pipeline as it runs, so a fresh process that
-    # runs one command compiles and loads no other command's modules
+    # cli holds only base and multipoly at module level and each command
+    # imports geometry and its own pipeline as it runs, so a fresh process
+    # that runs one command compiles and loads no other command's modules,
+    # and no command loads dataclasses
     script = """if True:
         import contextlib, io, json, sys
         from kleinfib.cli import main
@@ -132,3 +140,4 @@ def test_each_command_loads_only_its_pipeline(argv, unloaded):
     loaded = {name.partition(".")[2] for name in modules
               if name.startswith("kleinfib.")}
     assert loaded == PACKAGE - unloaded
+    assert "dataclasses" not in modules
