@@ -434,9 +434,12 @@ def _run_reproduction(catalog, seed=0, timings=False):
              catalog["s6"], catalog["s6prime"])["ok"], True)})
 
     # 3. Sturm counts and the numeric cross-check
-    step("sturm", "real-root counts of Q, Q1, Q2",
-         lambda: {"counts": _expect(list(_sturm_counts()), [3, 4, 4]),
-             "numeric": sturm_vs_numeric(NumericConfig(seed=seed))})
+    def sturm():
+        # sturm_vs_numeric refuses a count other than 3, 4, 4
+        report = sturm_vs_numeric(NumericConfig(seed=seed))
+        return {"counts": [r["sturm"] for r in report.values()],
+                "numeric": report}
+    step("sturm", "real-root counts of Q, Q1, Q2", sturm)
 
     # 4. rationality-degree table and the 150-cell grid
     table = {"e6": 12, "e7": 18, "e8": 30, "an:2": 1, "an:5": 1,
@@ -506,16 +509,6 @@ def _run_reproduction(catalog, seed=0, timings=False):
          lambda: {"audit": full_audit(catalog, seed=seed)})
 
     return checks
-
-
-@lru_cache(maxsize=None)
-def _sturm_counts():
-    """Real-root counts of the residual polynomials Q, Q1 and Q2, which are
-    constants: counted once per process."""
-    from .curves import q_cubic, q1_quartic, q2_quartic
-    from .univariate import count_real_roots
-    return tuple(count_real_roots(q)
-                 for q in (q_cubic(), q1_quartic(), q2_quartic()))
 
 
 def _expect(value, expected):

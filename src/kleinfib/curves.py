@@ -14,7 +14,7 @@ from math import gcd, lcm
 from .base import VerificationError, _surface_cache
 from .multipoly import MultiPoly
 from .tower import FieldTower, cyclotomic, root_of_unity
-from .univariate import prem, resultant_poly, subresultant_prs
+from .univariate import primitive_gcd, resultant_poly, subresultant_prs
 
 
 class CurveSpec:
@@ -162,9 +162,7 @@ def coprime_at_t2(f: MultiPoly, g: MultiPoly, name: str) -> bool:
     for p in (fs, gs):
         if any(p.degree(v) > 0 for v in p.vars if v != name):
             raise ValueError("polynomial is not univariate in %r" % name)
-    while not gs.is_zero():
-        fs, gs = gs, prem(fs, gs, name).primitive()
-    return fs.degree(name) == 0
+    return primitive_gcd(fs, gs, name).degree(name) == 0
 
 
 def univariate_from_pure(p: MultiPoly, var_block: str, block: int,

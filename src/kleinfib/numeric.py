@@ -25,7 +25,8 @@ from functools import lru_cache
 
 from .multipoly import MultiPoly
 from .tower import _coeff_complex
-from .univariate import (degree, derivative, poly_gcd, count_real_roots)
+from .univariate import (count_real_roots, derivative, primitive_gcd,
+                         to_multipoly)
 from .base import VerificationError, _surface_cache
 # the S6, S7 and S8 audits import the exact curves and orbits they check as
 # they run, so that the A_n and D_n audits load neither
@@ -141,8 +142,8 @@ def _squarefree():
     from .curves import q_cubic, q1_quartic, q2_quartic, s6_line_tower
     for label, q in (("Q", q_cubic()), ("Q1", q1_quartic()),
                      ("Q2", q2_quartic())):
-        g = poly_gcd(q, derivative(q))
-        if degree(g) != 0:
+        f = to_multipoly(q)
+        if primitive_gcd(f, derivative(f, "X"), "X").degree("X") != 0:
             raise VerificationError("%s is not squarefree" % label)
         if q[0] == 0:
             raise VerificationError("%s vanishes at 0" % label)

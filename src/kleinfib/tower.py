@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .univariate import _poly_repr, cyclotomic_poly
+from .univariate import cyclotomic_poly
 
 
 class ZeroDivisorError(ArithmeticError):
@@ -44,7 +44,7 @@ class ZeroDivisorError(ArithmeticError):
 
 
 # kind is "algebraic" or "ratfunc" (Laurent); minpoly, algebraic only, is
-# Phi_M as Fractions c0..cd (monic)
+# Phi_M as the ints c0..cd (monic)
 Step = namedtuple("Step", "kind name minpoly", defaults=(None,))
 
 
@@ -85,7 +85,7 @@ class _Ring:
 
 @lru_cache(maxsize=None)
 def _ring(M):
-    phi = [int(c) for c in cyclotomic_poly(M)]
+    phi = cyclotomic_poly(M)
     d = len(phi) - 1
     ring = _Ring(M, d, tuple((i, c) for i, c in enumerate(phi[:-1]) if c),
                  [(1,) + (0,) * (d - 1)],
@@ -103,7 +103,7 @@ class FieldTower:
         steps = []
         if M is not None:
             steps.append(Step("algebraic", "z%d" % M,
-                              tuple(Fraction(c) for c in cyclotomic_poly(M))))
+                              tuple(cyclotomic_poly(M))))
         if var is not None:
             steps.append(Step("ratfunc", var))
         self.steps = tuple(steps)
@@ -402,6 +402,21 @@ class FieldElement:
         num = {k + m: coeff(v) for k, v in terms.items()}
         one = "1" if M is None else "(1)"
         return "(%s)/(%s)" % (_poly_repr(num, var), _poly_repr({m: one}, var))
+
+
+def _poly_repr(d, name):
+    if not d:
+        return "0"
+    bits = []
+    for k in sorted(d, reverse=True):
+        c = d[k]
+        if k == 0:
+            bits.append("(%s)" % (c,))
+        elif k == 1:
+            bits.append("(%s)*%s" % (c, name))
+        else:
+            bits.append("(%s)*%s^%d" % (c, name, k))
+    return " + ".join(bits)
 
 
 def _coeff_complex(c, env):

@@ -1,123 +1,62 @@
-"""Univariate polynomial toolkit: the one univariate core of the package.
+"""Univariate polynomial toolkit over :class:`~kleinfib.multipoly.MultiPoly`:
+the one univariate core of the package.
 
-Two representations share it:
-
-* dense coefficient lists, low degree first, over Q (Fractions) -- division,
-  gcd, Sturm chains and the cyclotomic polynomials (the field towers keep
-  their own flat integer form, see :mod:`kleinfib.tower`);
-* polynomial coefficients -- pseudo-remainders and the subresultant
-  pseudo-remainder sequence over :class:`~kleinfib.multipoly.MultiPoly`,
-  used by the elimination chains.  Over Q a MultiPoly is flat, int
-  numerators over one common denominator, so these run fraction-free on
-  ints (Brown and Traub 1971).
+A univariate polynomial over Q is a MultiPoly in one named variable (over
+Q it is flat, int numerators over one common denominator, so everything
+below runs fraction-free on ints).  Here are the derivative, the gcd by the
+primitive PRS (Brown 1971), Sturm's real-root counts by ``div_univariate``,
+the cyclotomic polynomials by one exact division, and the pseudo-remainders,
+subresultant PRS and resultants of the elimination chains (Brown and Traub
+1971).  Coefficient lists, low degree first, are read and written only at
+the edges (``to_multipoly``, ``from_multipoly``): the displayed residual
+polynomials and the field towers keep that form.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .base import VerificationError
 from .multipoly import MultiPoly
 
 
-# ---------------------------------------------------------------------------
-# dense list representation over Q
-
-
-def _poly_repr(d, name):
-    if not d:
-        return "0"
-    bits = []
-    for k in sorted(d, reverse=True):
-        c = d[k]
-        if k == 0:
-            bits.append("(%s)" % (c,))
-        elif k == 1:
-            bits.append("(%s)*%s" % (c, name))
-        else:
-            bits.append("(%s)*%s^%d" % (c, name, k))
-    return " + ".join(bits)
-
-
-def normalize(f):
-    f = list(f)
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def degree(f):
-    return len(f) - 1
+def to_multipoly(coeffs) -> MultiPoly:
+    """The MultiPoly in X with the coefficient list coeffs (ints or
+    Fractions, low degree first)."""
+    return MultiPoly(("X",), {(k,): c for k, c in enumerate(coeffs)})
 
 
 def from_multipoly(p: MultiPoly, name: str):
     """Coefficient list of a MultiPoly that is univariate in `name`."""
-    n = p.degree(name)
     out = []
-    for k in range(n + 1):
+    for k in range(p.degree(name) + 1):
         c = p.coeff_of(name, k)
         if not c.is_constant():
             raise ValueError("polynomial is not univariate in %r" % name)
         out.append(c.constant())
-    return normalize(out)
+    return out
 
 
-def poly_divmod(f, g):
-    """Division with remainder over Q; returns (q, r)."""
-    r, g = normalize(f), normalize(g)
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = Fraction(1) / g[-1]
-    q = [inv * 0] * max(len(r) - len(g) + 1, 0)
-    while len(r) >= len(g):
-        k = len(r) - len(g)
-        c = q[k] = r[-1] * inv
-        for i, v in enumerate(g):
-            r[k + i] -= c * v
-        r = normalize(r)
-    return q, r
+def derivative(p: MultiPoly, name: str) -> MultiPoly:
+    """The partial derivative of p in `name`."""
+    i = p.vars.index(name)
+    out = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+    return MultiPoly(p.vars, out)
 
 
-def poly_gcd(f, g):
-    """Monic gcd over Q."""
-    while normalize(g):
-        f, g = g, poly_divmod(f, g)[1]
-    f = normalize(f)
-    return [c / f[-1] for c in f]
-
-
-def derivative(f):
-    return normalize([c * k for k, c in enumerate(f)][1:])
-
-
-def squarefree_part(f):
-    """f / gcd(f, f'), monic."""
-    f = normalize(f)
-    g = poly_gcd(f, derivative(f))
-    q, r = poly_divmod(f, g)
-    if r:
-        raise VerificationError("f / gcd(f, f') must be exact", r)
-    return [c / q[-1] for c in q]
+def primitive_gcd(f: MultiPoly, g: MultiPoly, name: str) -> MultiPoly:
+    """A gcd of f and g, univariate in `name` over Q, up to a constant
+    factor: the last nonzero member of their primitive PRS (Brown 1971)."""
+    while not g.is_zero():
+        f, g = g, prem(f, g, name).primitive()
+    return f
 
 
 # ---------------------------------------------------------------------------
 # Sturm chains / real-root counting
-
-
-def _sign(c) -> int:
-    return (c > 0) - (c < 0)
-
-
-def sturm_chain(f):
-    f = normalize(f)
-    chain = [f, derivative(f)]
-    while chain[-1]:
-        r = poly_divmod(chain[-2], chain[-1])[1]
-        if not r:
-            break
-        chain.append([-c for c in r])
-    return chain
 
 
 def _variations(signs):
@@ -125,16 +64,22 @@ def _variations(signs):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_real_roots(f):
-    """Number of distinct real roots of f, whose coefficients are ints or
-    Fractions: the sign variations of its Sturm chain at -oo less those at
-    +oo."""
-    f = normalize(f)
-    if degree(f) <= 0:
-        return 0
-    chain = sturm_chain(squarefree_part(f))
-    at_plus = [_sign(p[-1]) for p in chain]
-    at_minus = [s * (-1) ** degree(p) for s, p in zip(at_plus, chain)]
+def count_real_roots(coeffs) -> int:
+    """Number of distinct real roots of the polynomial with the coefficient
+    list coeffs (ints or Fractions, low degree first): the sign variations
+    of its Sturm chain f, f', -rem, ... at -oo less those at +oo.  The chain
+    ends in gcd(f, f'), so each distinct root counts once."""
+    f = to_multipoly(coeffs)
+    chain = [f, derivative(f, "X")]
+    while not chain[-1].is_zero():
+        chain.append(-chain[-2].div_univariate(chain[-1], "X")[1])
+    at_plus, at_minus = [], []
+    for p in chain[:-1]:
+        d = p.degree("X")
+        lead = p.coeff_of("X", d).constant()
+        s = (lead > 0) - (lead < 0)
+        at_plus.append(s)
+        at_minus.append(s * (-1) ** d)
     return _variations(at_minus) - _variations(at_plus)
 
 
@@ -223,18 +168,21 @@ def resultant_poly(A: MultiPoly, B: MultiPoly, name: str) -> MultiPoly:
 
 
 def cyclotomic_poly(n: int):
-    """Coefficient list (low first, over Fraction) of the n-th cyclotomic
-    polynomial; a fresh list each call, from a memoized tuple."""
+    """Coefficient list (low first, ints) of the n-th cyclotomic polynomial;
+    a fresh list each call, from a memoized tuple."""
     return list(_cyclotomic(n))
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple:
-    """Phi_n, by dividing X^n - 1 by all lower Phi_d with d | n."""
-    f = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    """Phi_n: X^n - 1 divided exactly by the product of the lower Phi_d,
+    d | n."""
+    lower = MultiPoly.const(("X",), 1)
     for d in range(1, n):
         if n % d == 0:
-            f, r = poly_divmod(f, list(_cyclotomic(d)))
-            if r:
-                raise VerificationError("cyclotomic division must be exact", r)
-    return tuple(f)
+            lower = lower * to_multipoly(_cyclotomic(d))
+    quo, rem = to_multipoly([-1] + [0] * (n - 1) + [1]).div_univariate(
+        lower, "X")
+    if not rem.is_zero():
+        raise VerificationError("cyclotomic division must be exact", rem)
+    return tuple(int(c) for c in from_multipoly(quo, "X"))

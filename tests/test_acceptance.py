@@ -229,7 +229,7 @@ PIPELINE_CACHES = [
     orbits.an_intersections, orbits._rational_point,
     orbits.rationality_verdict, geometry.verify_contraction_S6,
     geometry._clean_catalog, autos._default_report, cli._dehomogenizes,
-    cli._sturm_counts, cli.build_parser]
+    cli.build_parser]
 
 
 def test_unmutated_rerun_misses_no_cache():

@@ -65,6 +65,26 @@ def test_specialization_guard():
         check_specialization(Fraction(0))
 
 
+@pytest.mark.parametrize("cubic,error", [
+    ([-2, 5, -4, 1], "Q is not squarefree"),      # (X - 1)^2 (X - 2)
+    ([0, 2, -3, 1], "Q vanishes at 0")],          # X (X - 1)(X - 2)
+    ids=["double-root", "zero-constant"])
+def test_squarefree_proof_refuses(monkeypatch, cubic, error):
+    # the proof is cached once per process: cleared on both sides, so that
+    # it runs on the patched Q and nothing computed under the patch stays
+    from kleinfib import curves
+    numeric._squarefree.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(curves, "q_cubic",
+                      lambda: [Fraction(c) for c in cubic])
+            with pytest.raises(VerificationError, match=error):
+                numeric._squarefree()
+    finally:
+        numeric._squarefree.cache_clear()
+    assert numeric._squarefree()[:3] == ("Q", "Q1", "Q2")
+
+
 def test_sturm_vs_numeric():
     report = sturm_vs_numeric(CFG)
     assert report["Q"] == {"sturm": 3, "numeric": 3}

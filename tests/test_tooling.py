@@ -1,10 +1,11 @@
-"""The benchmark's tracer still finds every method it wraps, and a traced run
-leaves kleinfib as it found it; every command runs without numpy, and each
-starts on only the modules it runs."""
+"""The benchmark's tracer still finds every method and span it reads, and a
+traced run leaves kleinfib as it found it; every command runs without numpy,
+and each starts on only the modules it runs."""
 
 import contextlib
 import importlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -16,14 +17,19 @@ import pytest
 
 import kleinfib
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(stem):
+    spec = importlib.util.spec_from_file_location("perfbench_" + stem,
+                                                  PERFBENCH / (stem + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _tracer():
+    return _load("tracer")
 
 
 def test_traced_methods_are_defined_on_their_classes():
@@ -35,6 +41,27 @@ def test_traced_methods_are_defined_on_their_classes():
         cls = getattr(importlib.import_module("kleinfib." + layer), cls_name)
         missing = sorted(set(ops) - set(vars(cls)))
         assert not missing, "%s.%s lacks %s" % (layer, cls_name, missing)
+
+
+def test_benchmark_spans_name_public_functions_of_their_layers():
+    # perfbench/run.py reads these function spans by name, and the tracer
+    # wraps only the public functions a layer defines itself: a span whose
+    # function is renamed, made private or moved to another module would
+    # silently read 0
+    run = _load("run")
+    spans = ("univariate.subresultant_prs", "univariate.cyclotomic_poly",
+             "geometry.build_catalog", "geometry.on_surface",
+             "numeric.durand_kerner", "orbits.s6_intersections",
+             "orbits.dn_intersections", "orbits.verdict_grid",
+             *run.CURVE_ENUMERATORS, *run.CONJUGATIONS)
+    layers = _tracer().LAYERS
+    for span in spans:
+        layer, _, attr = span.partition(".")
+        assert layer in layers, span
+        fn = getattr(importlib.import_module("kleinfib." + layer), attr, None)
+        assert not attr.startswith("_") and callable(fn), span
+        assert not inspect.isclass(fn), span
+        assert fn.__module__ == "kleinfib." + layer, span
 
 
 def test_traced_commands_record_spans_and_restore_every_name():

@@ -1,5 +1,5 @@
-"""Univariate layer: resultants against the Sylvester-matrix oracle,
-Sturm counts against numpy roots."""
+"""Univariate layer: resultants and gcds against the Sylvester-matrix
+oracle, Sturm counts against numpy roots."""
 
 import random
 from fractions import Fraction
@@ -12,9 +12,18 @@ from kleinfib import univariate
 from kleinfib.base import VerificationError
 from kleinfib.multipoly import MultiPoly
 from kleinfib.univariate import (count_real_roots, cyclotomic_poly,
-                                 derivative, from_multipoly, normalize,
-                                 poly_gcd, resultant_poly, squarefree_part,
-                                 sturm_chain, subresultant_prs)
+                                 derivative, from_multipoly, primitive_gcd,
+                                 resultant_poly, subresultant_prs,
+                                 to_multipoly)
+
+
+def normalize(f):
+    """The coefficient list f without its trailing zeros."""
+    f = list(f)
+    while f and not f[-1]:
+        f.pop()
+    return f
+
 
 frac = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 polys = st.lists(frac, min_size=1, max_size=6).map(normalize)
@@ -71,8 +80,19 @@ def sylvester_resultant(f, g):
 def test_resultant_vanishes_iff_common_root(f, g):
     if len(f) < 2 or len(g) < 2:
         return
-    h = poly_gcd(f, g)
-    assert (sylvester_resultant(f, g) == 0) == (len(h) > 1)
+    h = primitive_gcd(to_multipoly(f), to_multipoly(g), "X")
+    assert (sylvester_resultant(f, g) == 0) == (h.degree("X") > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys, polys)
+def test_primitive_gcd_keeps_a_common_factor(f, g, h):
+    if not h or not (f or g):
+        return
+    F, G, H = (to_multipoly(p) for p in (f, g, h))
+    d = primitive_gcd(F * H, G * H, "X")
+    assert d.degree("X") >= H.degree("X")
+    assert d.div_univariate(H, "X")[1].is_zero()
 
 
 def test_sturm_against_numpy():
@@ -81,26 +101,33 @@ def test_sturm_against_numpy():
         deg = rng.randint(1, 6)
         coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(deg)] + \
                  [Fraction(rng.randint(1, 9))]
-        sqf = squarefree_part(coeffs)
+        f = to_multipoly(coeffs)
+        sqf = from_multipoly(
+            f.exact_div(primitive_gcd(f, derivative(f, "X"), "X")), "X")
         exact = count_real_roots(sqf)
         roots = np.roots([float(c) for c in reversed(sqf)])
         numeric = sum(1 for z in roots if abs(z.imag) < 1e-9 * (1 + abs(z)))
         assert exact == numeric
+        # the chain of f itself counts each distinct root once
+        assert count_real_roots(coeffs) == exact
 
 
 def test_sturm_chain_endpoints():
     # (x-1)(x-2)(x-3): 3 real roots
-    f = [Fraction(-6), Fraction(11), Fraction(-6), Fraction(1)]
-    assert count_real_roots(f) == 3
-    chain = sturm_chain(f)
-    assert chain[0] == f
+    assert count_real_roots([-6, 11, -6, 1]) == 3
+    # (x-1)^2 (x+2): the double root counts once
+    assert count_real_roots([2, -3, 0, 1]) == 2
+    # the signs at -oo and +oo follow the leading coefficient and degree
+    assert count_real_roots([0, 1, 0, -1]) == 3
+    assert count_real_roots([1, 0, 1]) == 0
+    assert count_real_roots([Fraction(5, 3)]) == 0
 
 
 def test_cyclotomic():
-    assert cyclotomic_poly(1) == [Fraction(-1), Fraction(1)]
-    assert cyclotomic_poly(4) == [Fraction(1), Fraction(0), Fraction(1)]
-    assert cyclotomic_poly(12) == [Fraction(1), Fraction(0), Fraction(-1),
-                                   Fraction(0), Fraction(1)]
+    assert cyclotomic_poly(1) == [-1, 1]
+    assert cyclotomic_poly(4) == [1, 0, 1]
+    assert cyclotomic_poly(12) == [1, 0, -1, 0, 1]
+    assert all(type(c) is int for c in cyclotomic_poly(30))
 
 
 def test_cyclotomic_is_memoized_but_returns_fresh_lists():
@@ -114,31 +141,31 @@ def test_cyclotomic_is_memoized_but_returns_fresh_lists():
 
 
 def test_inexact_division_raises(monkeypatch):
-    # the two exactness checks raise rather than assert, so that python -O
-    # keeps them; the cyclotomic cache is cleared on both sides, so that
-    # Phi_6 is divided under the patch and nothing computed under it stays.
-    # The gcd is fixed at that of x^2 - 1, as Euclid's loop would not end
-    divmod_exact = univariate.poly_divmod
+    # the exactness check raises rather than asserts, so that python -O
+    # keeps it; the cyclotomic cache is cleared on both sides, so that
+    # Phi_6 is divided under the patch and nothing computed under it stays
+    divide = MultiPoly.div_univariate
 
-    def with_remainder(f, g):
-        return divmod_exact(f, g)[0], [Fraction(1)]
+    def with_remainder(self, divisor, name):
+        return divide(self, divisor, name)[0], MultiPoly.const(self.vars, 1)
     univariate._cyclotomic.cache_clear()
     try:
         with monkeypatch.context() as m:
-            m.setattr(univariate, "poly_divmod", with_remainder)
-            m.setattr(univariate, "poly_gcd", lambda f, g: [Fraction(1)])
-            with pytest.raises(VerificationError, match="gcd"):
-                squarefree_part([Fraction(-1), Fraction(0), Fraction(1)])
+            m.setattr(MultiPoly, "div_univariate", with_remainder)
             with pytest.raises(VerificationError, match="cyclotomic"):
                 cyclotomic_poly(6)
     finally:
         univariate._cyclotomic.cache_clear()
-    assert cyclotomic_poly(6) == [Fraction(1), Fraction(-1), Fraction(1)]
+    assert cyclotomic_poly(6) == [1, -1, 1]
 
 
 def test_derivative():
-    f = [Fraction(1), Fraction(2), Fraction(3)]
-    assert derivative(f) == [Fraction(2), Fraction(6)]
+    assert derivative(to_multipoly([1, 2, 3]), "X") == to_multipoly([2, 6])
+    x, y = MultiPoly.var(XY, "x"), MultiPoly.var(XY, "y")
+    f = x ** 2 * y + y * 3
+    assert derivative(f, "x") == x * y * 2
+    assert derivative(f, "y") == x ** 2 + 3
+    assert derivative(to_multipoly([Fraction(7, 2)]), "X").is_zero()
 
 
 def _at(p, y0):
