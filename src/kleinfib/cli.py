@@ -71,17 +71,14 @@ def _jsonable(obj):
     return str(obj)
 
 
-def _curve_entry(c, text):
-    """The certificate entry of curve c; `text` keeps the repr of each
-    polynomial written, as the curves of one enumeration share a few."""
-    def show(p):
-        return text.get(id(p)) or text.setdefault(id(p), repr(p))
+def _curve_entry(c):
+    """The certificate entry of c, one curve or a family of c.count."""
     data = {k: _jsonable(v) for k, v in sorted(c.data.items())
             if isinstance(v, (str, int, bool, Fraction))}
     return {"surface": c.surface, "family": c.family, "branch": c.branch,
             "index": c.index, "chart": c.chart, "parameter": c.parameter,
-            "equations": [show(e) for e in c.equations],
-            "relation": show(c.relation) if c.relation is not None else None,
+            "count": c.count, "equations": [repr(e) for e in c.equations],
+            "relation": repr(c.relation) if c.relation is not None else None,
             "data": data}
 
 
@@ -114,42 +111,45 @@ def check(name, ref, status="verified", **extra):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _paper_curves(s):
+    """The curves the enumeration of s certifies, and the number of them the
+    paper counts; a usage error for a surface without an enumeration."""
+    from . import curves
+    kind = s.name.partition(":")[0]
+    if kind == "s6":
+        return curves.certify_s6_lines(s), 27
+    if kind == "s7":
+        return curves.enumerate_s7(s)[0], 56
+    if kind == "s8":
+        return curves.enumerate_s8(s)[0], 240
+    if kind == "an":
+        return curves.enumerate_an(s), 2 * s.index
+    if kind == "dn":
+        return curves.enumerate_dn(s), 2 + 2 * (s.index - 1)
+    raise UsageError("no curve enumeration for %r" % s.name)
+
+
+def _residuals(name):
+    """The displayed residual polynomials of the curves of s7 and s8, by
+    label."""
+    from .curves import q_cubic, q1_quartic, q2_quartic
+    qs = {"s7": {"Q": q_cubic}, "s8": {"Q1": q1_quartic, "Q2": q2_quartic}}
+    return {label: [str(c) for c in q()]
+            for label, q in qs.get(name, {}).items()}
+
+
 def cmd_curves(args):
     s = _surface(args.surface)
-    from .curves import (certify_s6_lines, enumerate_an, enumerate_dn,
-                         enumerate_s7, enumerate_s8, q_cubic, q1_quartic,
-                         q2_quartic)
-    checks, payload = [], {}
-    if s.name == "s6":
-        curves = certify_s6_lines(s)
-        expected = 27
-    elif s.name == "s7":
-        curves = enumerate_s7(s)[0]
-        expected = 56
-        payload["residual_Q"] = [str(c) for c in q_cubic()]
-    elif s.name == "s8":
-        curves = enumerate_s8(s)[0]
-        expected = 240
-        payload["residual_Q1"] = [str(c) for c in q1_quartic()]
-        payload["residual_Q2"] = [str(c) for c in q2_quartic()]
-    elif s.name.startswith("an:"):
-        curves = enumerate_an(s)
-        expected = 2 * s.index
-    elif s.name.startswith("dn:"):
-        curves = enumerate_dn(s)
-        expected = 2 + 2 * (s.index - 1)
-    else:
-        raise UsageError("no curve enumeration for %r" % s.name)
-    checks.append(check("membership-residues-zero",
-                        "every listed curve lies on the surface",
-                        curves=len(curves)))
-    checks.append(check(
-        "curve-count", "expected exceptional-curve count",
-        status="verified" if len(curves) == expected else "failed",
-        count=len(curves), expected=expected))
-    payload["count"] = len(curves)
-    text = {}
-    payload["curves"] = [_curve_entry(c, text) for c in curves]
+    curves, expected = _paper_curves(s)
+    count = sum(c.count for c in curves)
+    checks = [check("membership-residues-zero",
+                    "every listed curve lies on the surface", curves=count),
+              check("curve-count", "expected exceptional-curve count",
+                    status="verified" if count == expected else "failed",
+                    count=count, expected=expected)]
+    payload = {"residual_" + k: v for k, v in _residuals(s.name).items()}
+    payload["count"] = count
+    payload["curves"] = [_curve_entry(c) for c in curves]
     return checks, payload
 
 
@@ -370,9 +370,6 @@ def _run_reproduction(catalog, seed=0, timings=False):
     """Every check of the paper, each reading its surfaces from `catalog`;
     with `timings`, each check carries its wall time as `elapsed`."""
     from .autos import autos_report
-    from .curves import (certify_s6_lines, enumerate_an, enumerate_dn,
-                         enumerate_s7, enumerate_s8, q_cubic, q1_quartic,
-                         q2_quartic)
     from .geometry import (AN_RANGE, DN_RANGE, charts_compatible,
                            chart_transition_check, verify_contraction_S6)
     from .lattice import (coxeter_number, dn_boundary_selfintersection,
@@ -398,23 +395,22 @@ def _run_reproduction(catalog, seed=0, timings=False):
         checks.append(entry)
 
     # 1-2. curve enumerations and the displayed residual polynomials
+    def curve_count(name):
+        curves, expected = _paper_curves(catalog[name])
+        return dict(_residuals(name), count=_expect(
+            sum(c.count for c in curves), expected))
     step("curves-s6", "27 lines on the cubic model",
-         lambda: {"count": _expect(len(certify_s6_lines(catalog["s6"])), 27)})
+         lambda: curve_count("s6"))
     step("curves-s7", "56 exceptional curves; residual cubic Q",
-         lambda: {"count": _expect(len(enumerate_s7(catalog["s7"])[0]), 56),
-                  "Q": [str(c) for c in q_cubic()]})
+         lambda: curve_count("s7"))
     step("curves-s8", "240 exceptional curves; residual quartics Q1, Q2",
-         lambda: {"count": _expect(len(enumerate_s8(catalog["s8"])[0]), 240),
-                  "Q1": [str(c) for c in q1_quartic()],
-                  "Q2": [str(c) for c in q2_quartic()]})
+         lambda: curve_count("s8"))
     for n in AN_RANGE:
         step("curves-an:%d" % n, "2n fibre components",
-             lambda n=n: {"count": _expect(
-                 len(enumerate_an(catalog["an:%d" % n])), 2 * n)})
+             lambda n=n: curve_count("an:%d" % n))
     for n in DN_RANGE:
         step("curves-dn:%d" % n, "2 + 2(n-1) fibre components",
-             lambda n=n: {"count": _expect(
-                 len(enumerate_dn(catalog["dn:%d" % n])), 2 * n)})
+             lambda n=n: curve_count("dn:%d" % n))
 
     # catalog self-consistency
     step("dehomogenization", "models restrict to the Klein equations",
@@ -433,13 +429,10 @@ def _run_reproduction(catalog, seed=0, timings=False):
          lambda: {"ok": _expect(verify_contraction_S6(
              catalog["s6"], catalog["s6prime"])["ok"], True)})
 
-    # 3. Sturm counts and the numeric cross-check
-    def sturm():
-        # sturm_vs_numeric refuses a count other than 3, 4, 4
-        report = sturm_vs_numeric(NumericConfig(seed=seed))
-        return {"counts": [r["sturm"] for r in report.values()],
-                "numeric": report}
-    step("sturm", "real-root counts of Q, Q1, Q2", sturm)
+    # 3. Sturm counts and the numeric cross-check; sturm_vs_numeric refuses
+    # a count other than 3, 4, 4
+    step("sturm", "real-root counts of Q, Q1, Q2",
+         lambda: {"numeric": sturm_vs_numeric(NumericConfig(seed=seed))})
 
     # 4. rationality-degree table and the 150-cell grid
     table = {"e6": 12, "e7": 18, "e8": 30, "an:2": 1, "an:5": 1,

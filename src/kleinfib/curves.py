@@ -14,23 +14,23 @@ from math import gcd, lcm
 from .base import VerificationError, _surface_cache
 from .multipoly import MultiPoly
 from .tower import FieldTower, cyclotomic, root_of_unity
-from .univariate import primitive_gcd, resultant_poly, subresultant_prs
+from .univariate import (derivative, primitive_gcd, resultant_poly,
+                         subresultant_prs, to_multipoly)
 
 
 class CurveSpec:
-    """One curve: `equations` are the forms cutting it in chart `chart`,
-    `parameter` the generator name of its defining `relation`."""
+    """The `count` curves cut in chart `chart` by the forms `equations`, one
+    for each root of the defining `relation` in the generator `parameter`:
+    one curve, or a whole radical family (then `index` is None)."""
 
     def __init__(self, surface, family, branch, index, equations,
-                 parameter=None, relation=None, chart=0, data=None):
+                 parameter=None, relation=None, chart=0, data=None, count=1):
         self.surface, self.family, self.branch, self.index = \
             surface, family, branch, index
         self.equations, self.parameter, self.relation, self.chart = \
             equations, parameter, relation, chart
         self.data = {} if data is None else data
-
-    def label(self):
-        return (self.surface, self.family, self.branch, self.index)
+        self.count = count
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +39,21 @@ class CurveSpec:
 def q_cubic():
     """X^3 - 29496 X^2 + 401808 X - 64, as a coefficient list (low first)."""
     return [Fraction(-64), Fraction(401808), Fraction(-29496), Fraction(1)]
+
+
+def radical_count(q, degree, label):
+    """deg q * degree, the number of curves of a radical family: one for
+    each root X of q(u X^degree), q a coefficient list (low first) and u a
+    nonzero monomial in t (S7: e^18 / t, S8: -mu^30 t).  Hypotheses, checked
+    exactly here: q is squarefree, so it has deg q distinct roots x, and
+    q(0) != 0, so each binomial u X^degree = x has degree distinct roots
+    and no two binomials share one."""
+    f = to_multipoly(q)
+    if primitive_gcd(f, derivative(f, "X"), "X").degree("X") != 0:
+        raise VerificationError("%s is not squarefree" % label)
+    if q[0] == 0:
+        raise VerificationError("%s vanishes at 0" % label)
+    return (len(q) - 1) * degree
 
 
 def _nested_quartic(c2, c1, c0):
@@ -257,8 +272,9 @@ def enumerate_s7(s7):
         raise VerificationError("d-numerator deviates", detail=nd)
     solved.append(("d", nd, dd))
 
-    # residual: t^3 * Q(e^18 / t)
+    # residual: t^3 * Q(e^18 / t), vanishing at 3 * 18 distinct e
     qc = q_cubic()
+    count = radical_count(qc, 18, "Q")
     core = MultiPoly.zero(V)
     for k, c in enumerate(qc):
         core = core + MultiPoly.const(V, c) * \
@@ -305,18 +321,15 @@ def enumerate_s7(s7):
             raise VerificationError("denominator %s not invertible modulo "
                                     "the residual" % label)
 
-    # main branch: 54 roots of the residual; forms symbolic in (e, t)
+    # the main family, one curve per root e of the residual; forms
+    # symbolic in (e, t)
     cvars = ("W", "X", "Y", "Z", "e", "t")
     forms = tuple(chain_subs(form, solved).rename(cvars)
                   for form in (YS - Yv, ZS - Zv))
-    data = {"coeff_pairs": {name: (num, den) for name, num, den in solved},
-            "relation": core}
-    curves = _s7_e0_curves(s7) + [
-        CurveSpec("s7", "S7-main", "main", j, forms, parameter="e",
-                  relation=core, data=data) for j in range(54)]
-    if len(curves) != 56:
-        raise VerificationError("S7 curve count %d != 56" % len(curves))
-    return curves, core
+    data = {"coeff_pairs": {name: (num, den) for name, num, den in solved}}
+    main = CurveSpec("s7", "S7-main", "main", None, forms, parameter="e",
+                     relation=core, data=data, count=count)
+    return _s7_e0_curves(s7) + [main], core
 
 
 def _homog_to_pure(p: MultiPoly, block: int, deg: int):
@@ -495,18 +508,17 @@ def enumerate_s8(s8):
     residuals, curves = [], []
     qtargets = (q1_quartic(), q2_quartic())
     for bi, (Pi, qt) in enumerate(zip((P1, P2), qtargets), start=1):
+        # F_i ~ q_i(-mu^30 t), vanishing at 4 * 30 distinct mu
+        count = radical_count(qt, 30, "Q%d" % bi)
         # the W^6 coefficient, fully substituted: degree 18 in b
         Fi, bnum, bden = _s8_branch_residual(replayed[0], Pi, qt, bi)
         _s8_branch_replay(replayed, solved, Pi, Fi, bnum, bden, bi)
         residuals.append(Fi)
         data = {"coeff_pairs": pairs, "branch_quartic": Pi,
-                "b_pair": (bnum, bden), "relation": Fi,
-                "convention": "c = mu^2, g = -mu^3"}
-        curves += [CurveSpec("s8", "S8-main", "P%d" % bi, j, forms,
-                             parameter="mu", relation=Fi, data=data)
-                   for j in range(120)]
-    if len(curves) != 240:
-        raise VerificationError("S8 curve count %d != 240" % len(curves))
+                "b_pair": (bnum, bden), "convention": "c = mu^2, g = -mu^3"}
+        curves.append(CurveSpec("s8", "S8-main", "P%d" % bi, None, forms,
+                                parameter="mu", relation=Fi, data=data,
+                                count=count))
     return curves, tuple(residuals)
 
 
@@ -610,8 +622,9 @@ def s6_line_forms(T, branch: str, xi=None):
 @_surface_cache
 def certify_s6_lines(s6):
     """All 27 lines of the cubic, with exact zero substitution residues:
-    3 lines Z = 0, Y = zeta3^j alpha W (alpha^3 = t) and 12 lines L_mu per
-    branch mu^12 = c t, c = (1/27)(-5 +- (26/9) sqrt3)."""
+    3 lines Z = 0, Y = zeta3^j alpha W (alpha^3 = t) and, on each branch,
+    the family of the 12 lines L_mu, mu^12 = c t with
+    c = (1/27)(-5 +- (26/9) sqrt3) != 0."""
     lv = ("W", "X", "Y", "Z")
     curves = []
 
@@ -627,19 +640,17 @@ def certify_s6_lines(s6):
                                 parameter="alpha", relation=relA,
                                 data={"zeta3_power": j}))
 
-    # the 24 lines L_mu
+    # the lines L_mu: mu^12 = c t has 12 distinct roots when c != 0
     for branch in ("plus", "minus"):
         T, c, t = s6_line_tower(branch)
+        if c.is_zero():
+            raise VerificationError("S6 radicand vanishes")
         l1, l2 = s6_line_forms(T, branch)
         zsol, ysol = _s6_solve_lines(l1, l2, lv)
         _certify_membership(s6, T, {"Z": zsol, "Y": ysol}, t)
         relM = MultiPoly(("mu", "t"), {(12, 0): c.tower.one(), (0, 1): -c})
-        for j in range(12):
-            curves.append(CurveSpec("s6", "S6-Lmu", branch, j, (l1, l2),
-                                    parameter="mu", relation=relM,
-                                    data={"radicand": c}))
-    if len(curves) != 27:
-        raise VerificationError("S6 line count %d != 27" % len(curves))
+        curves.append(CurveSpec("s6", "S6-Lmu", branch, None, (l1, l2),
+                                parameter="mu", relation=relM, count=12))
     return curves
 
 

@@ -1,20 +1,21 @@
 """Independent floating-point oracle: specializes t, finds complex roots of
 the residual polynomials, reconstructs every curve numerically and
-cross-checks counts, membership residues and the S6 line-intersection graph
-against the exact engine.
+cross-checks membership residues and the S6 line-intersection graph against
+the exact engine, and its own curve counts against the exact family counts.
 
 Pure Python on cmath and math.  Each polynomial an audit evaluates is
 compiled once, into (complex coefficient, ((variable index, exponent), ...))
 terms, and evaluated point by point; Durand-Kerner iterates row by row on
 geometrically rescaled monic polynomials.  Work that does not depend on t is
 done once: the certified roots of a polynomial are cached on (coefficients,
-seed, tol), the squarefree proof and the S6 line forms built once per
-process.  Each xi-orbit of S7 and S8 curves is solved at one point and
-rotated by the weights read off the exact fractions, the S8 b-roots
-certified where they land; S6 lines meet iff their Plucker coordinates pair
-to zero.  Samples come from random.Random(seed) in a fixed order (per
-curve, or per S8 mu, then per sample, then per coordinate), and every audit
-is cached on its (surface, NumericConfig)."""
+seed, tol), the S6 line forms built once per process.  The squarefree proof
+of the residuals, on which the exact counts rest, is the exact side's
+(curves.radical_count).  Each xi-orbit of S7 and S8 curves is solved at one
+point and rotated by the weights read off the exact fractions, the S8
+b-roots certified where they land; S6 lines meet iff their Plucker
+coordinates pair to zero.  Samples come from random.Random(seed) in a fixed
+order (per curve, or per S8 mu, then per sample, then per coordinate), and
+every audit is cached on its (surface, NumericConfig)."""
 
 import cmath
 import math
@@ -25,8 +26,7 @@ from functools import lru_cache
 
 from .multipoly import MultiPoly
 from .tower import _coeff_complex
-from .univariate import (count_real_roots, derivative, primitive_gcd,
-                         to_multipoly)
+from .univariate import count_real_roots
 from .base import VerificationError, _surface_cache
 # the S6, S7 and S8 audits import the exact curves and orbits they check as
 # they run, so that the A_n and D_n audits load neither
@@ -124,39 +124,6 @@ def _cached_roots(coeffs, seed, tol):
 
 
 # ---------------------------------------------------------------------------
-# specialization safety
-
-def check_specialization(t: Fraction) -> dict:
-    """The residual polynomials of S6, S7 and S8 stay squarefree at t.  The
-    high-degree residuals are compositions g(e^N) of the displayed
-    low-degree polynomials with a binomial; such a composition is
-    squarefree iff g is squarefree and g(0) != 0, which is checked exactly,
-    once: it does not depend on t."""
-    if t == 0:
-        raise VerificationError("t = 0 lies on every discriminant locus")
-    return {"t": str(t), "squarefree": dict.fromkeys(_squarefree(), True)}
-
-
-@lru_cache(maxsize=None)
-def _squarefree():
-    from .curves import q_cubic, q1_quartic, q2_quartic, s6_line_tower
-    for label, q in (("Q", q_cubic()), ("Q1", q1_quartic()),
-                     ("Q2", q2_quartic())):
-        f = to_multipoly(q)
-        if primitive_gcd(f, derivative(f, "X"), "X").degree("X") != 0:
-            raise VerificationError("%s is not squarefree" % label)
-        if q[0] == 0:
-            raise VerificationError("%s vanishes at 0" % label)
-    # S7: core(e) = t^3 Q(e^18 / t); S8: F_i proportional to q_i(-mu^30 t)
-    # binomial radicands c t must not vanish
-    for branch in ("plus", "minus"):
-        _, c, _ = s6_line_tower(branch)
-        if c.is_zero():
-            raise VerificationError("S6 radicand vanishes")
-    return ("Q", "Q1", "Q2", "core_S7", "F1_F2_S8")
-
-
-# ---------------------------------------------------------------------------
 # compiled evaluation
 
 class CompiledPoly:
@@ -217,6 +184,16 @@ def _orbit(chain, weights, env0, N):
     base, xi = _solve(chain, dict(env0)), _roots_of_unity(N)
     return [{n: v * xi[weights[n] * j % N] for n, v in base.items()}
             for j in range(N)]
+
+
+def _exact_count(curves, count, name):
+    """count, once it equals the number of curves the exact enumeration
+    certified on the surface: the sum of its family counts."""
+    exact = sum(c.count for c in curves)
+    if count != exact:
+        raise VerificationError("%s numeric count %d != exact %d"
+                                % (name, count, exact))
+    return count
 
 
 def _max_residue(res, cfg, message):
@@ -332,8 +309,8 @@ def _plucker_ratio(line, other):
 
 
 def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
+    from .curves import certify_s6_lines
     from .orbits import s6_intersections
-    check_specialization(cfg.t)
     rng = random.Random(cfg.seed)
     tags, mats = _s6_numeric_lines(cfg)
     n = len(tags)
@@ -373,15 +350,16 @@ def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
         for j2 in range(j1 + 1, 3):
             if not adj[idx[("L123", j1)]][idx[("L123", j2)]]:
                 raise VerificationError("L%d/L%d numeric miss" % (j1, j2))
-    return {"surface": "s6", "count": n, "max_residue": max_res,
+    count = _exact_count(certify_s6_lines(s6), n, "S6")
+    return {"surface": "s6", "count": count, "max_residue": max_res,
             "degrees": degrees, "graph_checked": True}
 
 
 def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
     from .curves import q_cubic
     from .orbits import _chain_residues, _s7_main_data
-    check_specialization(cfg.t)
-    pairs = _s7_main_data(s7)[2].data["coeff_pairs"]
+    curves, _, main = _s7_main_data(s7)
+    pairs = main.data["coeff_pairs"]
     tval = float(cfg.t)
     names = ("d", "a", "b", "c")
     weights = _chain_residues(pairs, names, {"e": 1, "t": 0}, 18)
@@ -410,9 +388,8 @@ def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
                 {"W": W, "X": X, "Y": 0j, "Z": z * W ** 2}))
         count += 1
     max_res = max(max_res, _max_residue(res, cfg, "S7 e=0 residue %.3g"))
-    if count != 56:
-        raise VerificationError("S7 numeric count %d != 56" % count)
-    return {"surface": "s7", "count": count, "max_residue": max_res}
+    return {"surface": "s7", "count": _exact_count(curves, count, "S7"),
+            "max_residue": max_res}
 
 
 # S8 conjugation: mu -> xi mu with xi^30 = 1
@@ -474,8 +451,7 @@ def _s8_chains(main, quartic, cfg):
 def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
     from .curves import q1_quartic, q2_quartic
     from .orbits import _s8_branch_data
-    check_specialization(cfg.t)
-    _, mains = _s8_branch_data(s8)
+    curves, mains = _s8_branch_data(s8)
     rng = random.Random(cfg.seed)
     equation = CompiledPoly(s8.equation, {"t": float(cfg.t)})
     count, max_res = 0, 0.0
@@ -507,9 +483,8 @@ def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
                     "S8 branch %s: %d of 4 b-roots on the surface"
                     % (branch, on_surface))
             count += 1
-    if count != 240:
-        raise VerificationError("S8 numeric count %d != 240" % count)
-    return {"surface": "s8", "count": count, "max_residue": max_res}
+    return {"surface": "s8", "count": _exact_count(curves, count, "S8"),
+            "max_residue": max_res}
 
 
 def numeric_audit_conic(s, cfg: NumericConfig) -> dict:

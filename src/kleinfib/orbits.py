@@ -299,21 +299,16 @@ def _param_invertible(rel: MultiPoly, param: str):
     return any(e[ip] == 0 for e in rel.terms)
 
 
-@_surface_cache
 def _s7_main_data(s7):
+    """The curves of s7, its residual and its main family, the last curve."""
     curves, core = enumerate_s7(s7)
-    main = next(c for c in curves if c.family == "S7-main")
-    return curves, core, main
+    return curves, core, curves[-1]
 
 
-@_surface_cache
 def _s8_branch_data(s8):
-    curves, (F1, F2) = enumerate_s8(s8)
-    mains = {}
-    for c in curves:
-        if c.family == "S8-main" and c.branch not in mains:
-            mains[c.branch] = c
-    return curves, mains
+    """The curves of s8, its two branch families, by branch name."""
+    curves = enumerate_s8(s8)[0]
+    return curves, {c.branch: c for c in curves}
 
 
 @_surface_cache
@@ -520,7 +515,7 @@ def s7_e0_intersection(s7) -> dict:
     (0:1:0:0)."""
     T, t = s7_e0_tower()
     zero, one = T.zero(), T.one()
-    _meet_at([c for c in _s7_main_data(s7)[0] if c.family == "S7-e0"],
+    _meet_at([c for c in enumerate_s7(s7)[0] if c.family == "S7-e0"],
              s7, (zero, one, zero, zero), t, "S7 e=0 pair")
     return {"surface": "s7", "pair": "Y=0, Z=+-sqrt(t)W^2",
             "intersect": True, "witness": "(0:1:0:0)"}

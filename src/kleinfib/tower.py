@@ -49,13 +49,15 @@ Step = namedtuple("Step", "kind name minpoly", defaults=(None,))
 
 
 class _Ring:
-    """The integer arithmetic of Z[zeta_M] in the power basis: d = phi(M),
-    low the (i, c) for the nonzero c_i of Phi_M below degree d, powers the
-    zeta^i reduced for i in range(M), units the j in (Z/M)^* other than 1."""
+    """The integer arithmetic of Z[zeta_M] in the power basis: phi the ints
+    c0..cd of Phi_M (monic), d its degree, low the (i, c) for its nonzero
+    c_i below degree d, powers the zeta^i reduced for i in range(M), units
+    the j in (Z/M)^* other than 1."""
 
-    def __init__(self, M, d, low, powers, units):
-        self.M, self.d, self.low, self.powers, self.units = \
-            M, d, low, powers, units
+    def __init__(self, M, phi, powers, units):
+        self.M, self.phi, self.d, self.powers, self.units = \
+            M, phi, len(phi) - 1, powers, units
+        self.low = tuple((i, c) for i, c in enumerate(phi[:-1]) if c)
 
     def reduce(self, w):
         """The int list w (any length >= d) as a tuple modulo Phi_M."""
@@ -85,10 +87,8 @@ class _Ring:
 
 @lru_cache(maxsize=None)
 def _ring(M):
-    phi = cyclotomic_poly(M)
-    d = len(phi) - 1
-    ring = _Ring(M, d, tuple((i, c) for i, c in enumerate(phi[:-1]) if c),
-                 [(1,) + (0,) * (d - 1)],
+    phi = tuple(cyclotomic_poly(M))
+    ring = _Ring(M, phi, [(1,) + (0,) * (len(phi) - 2)],
                  tuple(j for j in range(2, M) if gcd(j, M) == 1))
     for _ in range(M - 1):
         ring.powers.append(ring.reduce([0, *ring.powers[-1]]))
@@ -100,14 +100,13 @@ class FieldTower:
 
     def __init__(self, M=None, var=None):
         self.M, self.var = M, var
+        self._ring = _ring(1 if M is None else M)
         steps = []
         if M is not None:
-            steps.append(Step("algebraic", "z%d" % M,
-                              tuple(cyclotomic_poly(M))))
+            steps.append(Step("algebraic", "z%d" % M, self._ring.phi))
         if var is not None:
             steps.append(Step("ratfunc", var))
         self.steps = tuple(steps)
-        self._ring = _ring(1 if M is None else M)
         self._zeros = (0,) * (self._ring.d - 1)
 
     @classmethod

@@ -337,24 +337,31 @@ def test_cached_parser_runs_the_current_command_function(monkeypatch):
     assert code == 0 and cert["r"] == 6 and cert["checks"] == []
 
 
-# sha256 of the certificates printed at the commit before the field towers
-# became (M, var) values; each prints tower elements
-PINNED = {("curves", "s6"): "9f1a5100144e8bf8132c2c9b1aeac098"
-                            "85d4bfefb497d707c46b7713fbd1de37",
-          ("curves", "dn:5"): "c8592bcc3b645689ae29929f453f9041"
-                              "e45ab8408210d28ae86bcd2af11cd131",
-          ("verdict", "e6", "--ext", "12"): "042f9d7d463ce90e340f9406e1c35b1e"
-                                            "1a71471e9fa604c3b0b10e7013e0a31c"}
+# sha256 of certificates that print tower elements
+PINNED = {
+    # since every curve entry carries its `count`, and each branch of the
+    # lines L_mu is one entry of count 12 (index null) instead of 12 copies
+    ("curves", "s6"): "0d383f2b155f1904748a11cec5325078"
+                      "4dd5c0d6f4ff5afe81bde587ddb16cd7",
+    # since every curve entry carries its `count`, here 1 for each
+    ("curves", "dn:5"): "c491588008aea91d2171dd20294c2aa6"
+                        "a71b2596146a1c2e7e8abd4181d1db74",
+    # as printed at the commit before the field towers became (M, var)
+    # values
+    ("verdict", "e6", "--ext", "12"): "042f9d7d463ce90e340f9406e1c35b1e"
+                                      "1a71471e9fa604c3b0b10e7013e0a31c"}
 
 
-# sha256 of the S7 and S8 curve certificates once every curve form is the
-# elimination chain applied to its template: `curves s7` as before, and
-# `curves s8` with each Z-form free of the guard factor
-# b^2 mu^8 + 4 b mu^4 + 1 that the per-denominator clearing multiplied in
-PINNED_FORMS = {("curves", "s7"): "dbc3e1860e42d108b371e0c14d910724"
-                                  "dc8cf10fb0e286ef65a5491720285206",
-                ("curves", "s8"): "d51781f56344ceb5fc825446022de9aa"
-                                  "b5feec8dae175ceef8797a9e76901e8e"}
+# sha256 of the S7 and S8 curve certificates: every curve form is the
+# elimination chain applied to its template, each S8 Z-form free of the
+# guard factor b^2 mu^8 + 4 b mu^4 + 1; and since every entry carries its
+# `count`, the main family of S7 is one entry of count 54 = 3 * 18 and each
+# S8 branch one of count 120 = 4 * 30 (index null) instead of 54 and 120
+# copies
+PINNED_FORMS = {("curves", "s7"): "050e1b287801e2bf80da0135334ab208"
+                                  "3fb47794e3f27e5831fd1380e293562b",
+                ("curves", "s8"): "59ac5604a91b7f32ba5ed774ebcfe2fd"
+                                  "8c2684c046579fb37949ea1b16a3e5ad"}
 
 
 # sha256 of verdict certificates, the only output built from the record

@@ -12,7 +12,9 @@ from kleinfib.curves import (VerificationError, an_tower, certify_s6_lines,
                              s6_alpha_lines, s6_line_tower, s7_e0_tower,
                              strip_content)
 from kleinfib.geometry import build_catalog, build_surface
+from kleinfib.lattice import minus_one_classes
 from kleinfib.multipoly import MultiPoly
+from kleinfib.numeric import NumericConfig, numeric_roots
 from kleinfib.tower import FieldElement, root_of_unity
 from kleinfib.univariate import cyclotomic_poly
 
@@ -33,17 +35,17 @@ def test_q1_q2_nested_forms():
 
 def test_s6_lines():
     curves = certify_s6_lines(build_surface("s6"))
-    assert len(curves) == 27
+    assert sum(c.count for c in curves) == 27
     by_family = {}
     for c in curves:
-        by_family.setdefault(c.family, []).append(c)
-    assert len(by_family["S6-L123"]) == 3
-    assert len(by_family["S6-Lmu"]) == 24
+        by_family[c.family] = by_family.get(c.family, 0) + c.count
+    assert by_family["S6-L123"] == 3
+    assert by_family["S6-Lmu"] == 24
 
 
 def test_s7_curves_and_d_denominator():
     curves, residual = enumerate_s7(build_surface("s7"))
-    assert len(curves) == 56
+    assert sum(c.count for c in curves) == 56
     main = next(c for c in curves if c.family == "S7-main")
     nd, dd = main.data["coeff_pairs"]["d"]
     assert repr(dd) == "(115)*e^18 + (-28)*t"
@@ -51,9 +53,42 @@ def test_s7_curves_and_d_denominator():
 
 def test_s8_curves():
     curves, residuals = enumerate_s8(build_surface("s8"))
-    assert len(curves) == 240
+    assert sum(c.count for c in curves) == 240
     branches = {c.branch for c in curves}
     assert branches == {"P1", "P2"}
+
+
+def _distinct_roots(coeffs):
+    """The number of distinct complex roots of a coefficient list (low
+    first), by the floating-point oracle, which certifies them separated."""
+    return len(numeric_roots(coeffs, NumericConfig()))
+
+
+@pytest.mark.parametrize("r", [6, 7, 8])
+def test_family_counts_are_roots_times_degree(r):
+    # a radical family counts N curves, N its binomial degree, over each
+    # distinct nonzero root of its root polynomial (X - c for the lines
+    # L_mu), and the curves of S_r add up to the (-1)-classes of the
+    # degree-(9 - r) del Pezzo surface
+    s = build_surface("s%d" % r)
+    if r == 6:
+        curves = certify_s6_lines(s)
+        roots, degree = {"plus": 1, "minus": 1}, 12
+    elif r == 7:
+        curves = enumerate_s7(s)[0]
+        roots, degree = {"main": _distinct_roots(q_cubic())}, 18
+    else:
+        curves = enumerate_s8(s)[0]
+        roots = {"P1": _distinct_roots(q1_quartic()),
+                 "P2": _distinct_roots(q2_quartic())}
+        degree = 30
+    families = [c for c in curves if c.index is None]
+    assert {c.branch for c in families} == set(roots)
+    for c in families:
+        assert c.count == roots[c.branch] * degree
+        assert c.relation.degree(c.parameter) == c.count
+    assert all(c.count == 1 for c in curves if c.index is not None)
+    assert sum(c.count for c in curves) == len(minus_one_classes(r))
 
 
 def _templates(surface):

@@ -2,18 +2,24 @@
 numeric audits."""
 
 import cmath
+import copy
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from kleinfib import numeric, orbits
+import kleinfib
+from kleinfib import curves, numeric, orbits
 from kleinfib.curves import (VerificationError, q_cubic, q1_quartic,
                              q2_quartic)
 from kleinfib.geometry import build_catalog, build_surface
-from kleinfib.numeric import (NumericConfig, check_specialization,
-                              durand_kerner, numeric_curve_audit,
-                              numeric_roots, sturm_vs_numeric)
+from kleinfib.numeric import (NumericConfig, durand_kerner,
+                              numeric_curve_audit, numeric_roots,
+                              sturm_vs_numeric)
 from kleinfib.orbits import _s7_main_data, _s8_branch_data
 
 CFG = NumericConfig()
@@ -59,30 +65,45 @@ def test_durand_kerner_scaling():
 
 
 def test_specialization_guard():
-    report = check_specialization(Fraction(2))
-    assert all(report["squarefree"].values())
-    with pytest.raises(VerificationError):
-        check_specialization(Fraction(0))
+    # the residuals stay squarefree at every t != 0: Q, Q1 and Q2 are
+    # squarefree with a nonzero constant term, proved on the exact side
+    assert [curves.radical_count(q(), 1, "q")
+            for q in (q_cubic, q1_quartic, q2_quartic)] == [3, 4, 4]
+    for name in ("s6", "s7", "s8"):
+        with pytest.raises(VerificationError, match="t = 0"):
+            numeric_curve_audit(build_surface(name), NumericConfig(t=0))
+
+
+# run as `python -c`: reproduce-paper with Q replaced by the cubic argv[1]
+PATCHED_Q = """
+import sys
+from fractions import Fraction
+from kleinfib import cli, curves
+cubic = [Fraction(c) for c in sys.argv[1].split(",")]
+curves.q_cubic = lambda: list(cubic)
+sys.exit(cli.main(["reproduce-paper"]))
+"""
 
 
 @pytest.mark.parametrize("cubic,error", [
     ([-2, 5, -4, 1], "Q is not squarefree"),      # (X - 1)^2 (X - 2)
     ([0, 2, -3, 1], "Q vanishes at 0")],          # X (X - 1)(X - 2)
     ids=["double-root", "zero-constant"])
-def test_squarefree_proof_refuses(monkeypatch, cubic, error):
-    # the proof is cached once per process: cleared on both sides, so that
-    # it runs on the patched Q and nothing computed under the patch stays
-    from kleinfib import curves
-    numeric._squarefree.cache_clear()
-    try:
-        with monkeypatch.context() as m:
-            m.setattr(curves, "q_cubic",
-                      lambda: [Fraction(c) for c in cubic])
-            with pytest.raises(VerificationError, match=error):
-                numeric._squarefree()
-    finally:
-        numeric._squarefree.cache_clear()
-    assert numeric._squarefree()[:3] == ("Q", "Q1", "Q2")
+def test_squarefree_proof_refuses(cubic, error):
+    with pytest.raises(VerificationError, match=error):
+        curves.radical_count([Fraction(c) for c in cubic], 18, "Q")
+    assert curves.radical_count(q_cubic(), 18, "Q") == 54
+    # patched in as Q, the cubic fails curves-s7 of a reproduction run, in
+    # a process of its own, so that no cache here holds the failure
+    src = os.path.dirname(os.path.dirname(kleinfib.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", PATCHED_Q, ",".join(map(str, cubic))],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 1, run.stderr
+    checks = {c["name"]: c for c in json.loads(run.stdout)["checks"]}
+    assert checks["curves-s7"]["status"] == "failed"
+    assert checks["curves-s7"]["error"] == "VerificationError: " + error
 
 
 def test_sturm_vs_numeric():
@@ -146,6 +167,19 @@ def test_perturbed_coefficient_is_refuted(monkeypatch, name, data, error):
     audit = getattr(numeric, "numeric_audit_" + name)
     with pytest.raises(VerificationError, match=error):
         audit(bad, CFG)
+
+
+def test_audit_count_must_match_the_exact_families(monkeypatch):
+    # the oracle rebuilds 56 curves on s7; an exact main family that counted
+    # one fewer is refuted
+    exact, core, main = orbits._s7_main_data(build_surface("s7"))
+    short = copy.copy(main)
+    short.count -= 1
+    monkeypatch.setattr(orbits, "_s7_main_data",
+                        lambda s: (exact[:-1] + [short], core, short))
+    with pytest.raises(VerificationError, match="S7 numeric count 56 != "
+                                                "exact 55"):
+        numeric.numeric_audit_s7(build_surface("s7"), CFG)
 
 
 def _det_ratio(rows):

@@ -143,7 +143,7 @@ def test_cyclotomic_roots_of_unity():
 
 def test_zero_divisor_is_refused():
     # over the reducible x^2 - 1 in place of Phi_4, 1 + x is a zero divisor
-    ring = _Ring(4, 2, ((0, -1),), [(1, 0), (0, 1), (1, 0), (0, 1)], (3,))
+    ring = _Ring(4, (-1, 0, 1), [(1, 0), (0, 1), (1, 0), (0, 1)], (3,))
     with pytest.raises(ZeroDivisorError):
         _cyclotomic_inverse((1, 1), ring)
 
