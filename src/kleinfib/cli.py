@@ -458,8 +458,9 @@ def _run_reproduction(catalog, seed=0, timings=False):
     for order in (2, 3, 5):
         step("conjugation-s8-order%d" % order,
              "S8 conjugate pairs for xi of order 2, 3, 5",
-             lambda order=order: {"ok": _expect(
-                 s8_conjugation(catalog["s8"], order)["verified"], True)})
+             lambda order=order: {"ok": _expect(all(
+                 s8_conjugation(catalog["s8"], order, branch)["verified"]
+                 for branch in ("P1", "P2")), True)})
     step("intersections-s7-e0", "the two e = 0 curves meet at (0:1:0:0)",
          lambda: {"ok": _expect(
              s7_e0_intersection(catalog["s7"])["intersect"], True)})

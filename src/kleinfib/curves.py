@@ -56,6 +56,40 @@ def radical_count(q, degree, label):
     return (len(q) - 1) * degree
 
 
+def _xi_residue(p: MultiPoly, N: int, weights: dict):
+    """The common weight mod N of the terms of p, sum(weights[v] * exp_v)
+    over its variables, under the conjugation of a radical family; a
+    variable without a weight, mixed weights or p = 0 raise."""
+    try:
+        res = {sum(weights[v] * k for v, k in zip(p.vars, e) if k) % N
+               for e in p.terms}
+    except KeyError as ex:
+        raise VerificationError("variable %s has no xi-weight" % ex) from ex
+    if len(res) != 1:
+        raise VerificationError("polynomial is not xi-homogeneous mod %d" % N,
+                                detail=p)
+    return res.pop()
+
+
+def xi_weights(fractions, relation, param, degree):
+    """The xi-action on a radical family of binomial degree `degree`: under
+    param -> xi param (xi^degree = 1, t fixed) each coefficient num/den of
+    `fractions` (name -> (num, den) in the order solved, each in param, t
+    and the names solved after it) goes to xi^w times itself, w read off
+    the exponents of num and den, and certified: every term of each has the
+    same weight.  The relation must be xi-invariant.  Returns (degree,
+    {param: 1, "t": 0, name: w mod degree}); a xi of order dividing degree
+    acts by the weights mod its order."""
+    weights = {param: 1, "t": 0}
+    for name in reversed(fractions):
+        num, den = fractions[name]
+        weights[name] = (_xi_residue(num, degree, weights)
+                         - _xi_residue(den, degree, weights)) % degree
+    if _xi_residue(relation, degree, weights):
+        raise VerificationError("residual relation is not xi-invariant")
+    return degree, weights
+
+
 def _nested_quartic(c2, c1, c0):
     # 108000*X*(5400*X^3 + c2*X^2 + c1*X + c0) + 1, low coefficients first
     inner = [Fraction(c0), Fraction(c1), Fraction(c2), Fraction(5400)]
@@ -326,7 +360,9 @@ def enumerate_s7(s7):
     cvars = ("W", "X", "Y", "Z", "e", "t")
     forms = tuple(chain_subs(form, solved).rename(cvars)
                   for form in (YS - Yv, ZS - Zv))
-    data = {"coeff_pairs": {name: (num, den) for name, num, den in solved}}
+    pairs = {name: (num, den) for name, num, den in solved}
+    data = {"coeff_pairs": pairs, "weights": xi_weights(pairs, core, "e", 18),
+            "forms": (("a", "b"), ("c", "d", "e"))}
     main = CurveSpec("s7", "S7-main", "main", None, forms, parameter="e",
                      relation=core, data=data, count=count)
     return _s7_e0_curves(s7) + [main], core
@@ -505,6 +541,8 @@ def enumerate_s8(s8):
     forms = tuple(chain_subs(form, solved).rename(cvars)
                   for form in (YS - Yv, ZS - Zv))
     pairs = {name: (num, den) for name, num, den in solved}
+    one = MultiPoly.const(V, 1)
+    tops = {"mu2": (-mv ** 2, one), "mu3": (-mv ** 3, one)}
     residuals, curves = [], []
     qtargets = (q1_quartic(), q2_quartic())
     for bi, (Pi, qt) in enumerate(zip((P1, P2), qtargets), start=1):
@@ -514,8 +552,13 @@ def enumerate_s8(s8):
         Fi, bnum, bden = _s8_branch_residual(replayed[0], Pi, qt, bi)
         _s8_branch_replay(replayed, solved, Pi, Fi, bnum, bden, bi)
         residuals.append(Fi)
+        weights = xi_weights(dict(tops, **pairs, b=(bnum, bden)), Fi, "mu",
+                             30)
+        # the b-roots of Pi at xi mu are xi^w(b) times those at mu
+        _xi_residue(Pi, 30, weights[1])
         data = {"coeff_pairs": pairs, "branch_quartic": Pi,
-                "b_pair": (bnum, bden), "convention": "c = mu^2, g = -mu^3"}
+                "weights": weights, "convention": "c = mu^2, g = -mu^3",
+                "forms": (("a", "b", "mu2"), ("d", "e", "f", "mu3"))}
         curves.append(CurveSpec("s8", "S8-main", "P%d" % bi, None, forms,
                                 parameter="mu", relation=Fi, data=data,
                                 count=count))
@@ -598,6 +641,8 @@ def s6_line_tower(branch: str):
     K = cyclotomic(12)
     sign = 1 if branch == "plus" else -1
     c = K.lift(Fraction(-45, 243)) + _i_sqrt3(K)[1] * Fraction(sign * 26, 243)
+    if c.is_zero():
+        raise VerificationError("S6 radicand vanishes")
     T = K.extend_ratfunc("mu")
     return T, c, T.gen("mu") ** 12 / c
 
@@ -643,8 +688,6 @@ def certify_s6_lines(s6):
     # the lines L_mu: mu^12 = c t has 12 distinct roots when c != 0
     for branch in ("plus", "minus"):
         T, c, t = s6_line_tower(branch)
-        if c.is_zero():
-            raise VerificationError("S6 radicand vanishes")
         l1, l2 = s6_line_forms(T, branch)
         zsol, ysol = _s6_solve_lines(l1, l2, lv)
         _certify_membership(s6, T, {"Z": zsol, "Y": ysol}, t)

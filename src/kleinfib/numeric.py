@@ -11,11 +11,12 @@ done once: the certified roots of a polynomial are cached on (coefficients,
 seed, tol), the S6 line forms built once per process.  The squarefree proof
 of the residuals, on which the exact counts rest, is the exact side's
 (curves.radical_count).  Each xi-orbit of S7 and S8 curves is solved at one
-point and rotated by the weights read off the exact fractions, the S8
-b-roots certified where they land; S6 lines meet iff their Plucker
-coordinates pair to zero.  Samples come from random.Random(seed) in a fixed
-order (per curve, or per S8 mu, then per sample, then per coordinate), and
-every audit is cached on its (surface, NumericConfig)."""
+point and rotated by the family's xi-weights (curves.xi_weights, which the
+exact conjugation witnesses read too), the S8 b-roots certified where they
+land; S6 lines meet iff their Plucker coordinates pair to zero.  Samples
+come from random.Random(seed) in a fixed order (per curve, or per S8 mu,
+then per sample, then per coordinate), and every audit is cached on its
+(surface, NumericConfig)."""
 
 import cmath
 import math
@@ -164,11 +165,12 @@ class CompiledPoly:
         return abs(val) / scale
 
 
-def _chain(pairs, names, cenv):
-    """The solved coefficient fractions of names, compiled at cenv, in the
-    order they are solved: each may use those before it."""
+def _chain(pairs, cenv):
+    """The solved coefficient fractions name -> (num, den) of pairs,
+    compiled at cenv, in the reverse of the order solved, the order they
+    are evaluated in: each is in the names solved after it."""
     return [(n, CompiledPoly(pairs[n][0], cenv),
-             CompiledPoly(pairs[n][1], cenv)) for n in names]
+             CompiledPoly(pairs[n][1], cenv)) for n in reversed(pairs)]
 
 
 def _solve(chain, env):
@@ -357,20 +359,18 @@ def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
 
 def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
     from .curves import q_cubic
-    from .orbits import _chain_residues, _s7_main_data
+    from .orbits import _s7_main_data
     curves, _, main = _s7_main_data(s7)
-    pairs = main.data["coeff_pairs"]
+    N, weights = main.data["weights"]
     tval = float(cfg.t)
-    names = ("d", "a", "b", "c")
-    weights = _chain_residues(pairs, names, {"e": 1, "t": 0}, 18)
-    chain = _chain(pairs, names, {"t": tval})
+    chain = _chain(main.data["coeff_pairs"], {"t": tval})
     rng = random.Random(cfg.seed)
     equation = CompiledPoly(s7.equation, {"t": tval})
     # core(e) = t^3 Q(e^18 / t): 54 roots, the xi-orbits (xi^18 = 1) of
     # (u t)^(1/18) over the 3 roots u of Q
     res, count = [], 0
     for u in numeric_roots(q_cubic(), cfg):
-        for env in _orbit(chain, weights, {"e": (u * tval) ** (1 / 18)}, 18):
+        for env in _orbit(chain, weights, {"e": (u * tval) ** (1 / N)}, N):
             a, b, c, d, e = (env[n] for n in ("a", "b", "c", "d", "e"))
             for _ in range(5):
                 W, X = _sample_wx(rng)
@@ -392,41 +392,30 @@ def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
             "max_residue": max_res}
 
 
-# S8 conjugation: mu -> xi mu with xi^30 = 1
-S8_ORDER = 30
-
-
-def _b_weight(main):
-    """r_b, with b -> xi^(r_b) b under mu -> xi mu (xi^30 = 1): the roots
-    in b of the branch quartic at xi mu are xi^(r_b) times those at mu."""
-    from .orbits import _b_residue
-    return _b_residue(main, S8_ORDER)
-
-
 def _s8_b_roots(main, quartic, cfg):
     """(mu, coefficients of the branch quartic in b at mu, its four
     b-roots) for the 120 values of mu of a branch, 30 over each root x of
     its quartic (F_i ~ q_i(-mu^30 t)).  The b-quartic is solved at
     mu0 = (-x/t)^(1/30) only; the roots at mu0 xi^j (row 30 k + j) are
-    xi^(r_b j) times those, each certified at its own mu."""
+    xi^(r_b j) times those, r_b the family's weight of b, each certified at
+    its own mu."""
     tval = float(cfg.t)
     Pi = main.data["branch_quartic"]
-    r_b = _b_weight(main)
+    N, weights = main.data["weights"]
     in_b = [CompiledPoly(Pi.coeff_of("b", k), {"t": tval})
             for k in range(Pi.degree("b") + 1)]
 
     def coeffs(mu):
         return [c({"mu": mu})[0] for c in in_b]
 
-    mu0s = [(-x / tval) ** (1.0 / S8_ORDER) for x in numeric_roots(quartic,
-                                                                   cfg)]
-    xi = _roots_of_unity(S8_ORDER)
+    mu0s = [(-x / tval) ** (1.0 / N) for x in numeric_roots(quartic, cfg)]
+    xi = _roots_of_unity(N)
     out = []
     for mu0, b0 in zip(mu0s, durand_kerner([coeffs(m) for m in mu0s], cfg)):
-        for j in range(S8_ORDER):
+        for j in range(N):
             mu = mu0 * xi[j]
             cs = coeffs(mu)
-            rot = xi[r_b * j % S8_ORDER]
+            rot = xi[weights["b"] * j % N]
             out.append((mu, cs, _certify(cs, [rot * b for b in b0],
                                          cfg.tol)))
     return out
@@ -436,16 +425,12 @@ def _s8_chains(main, quartic, cfg):
     """For each of the 120 mu of a branch, the chains (dicts of mu, b, f, a,
     e, d) at its four b-roots, solved at each orbit's mu0 only.  The b-roots
     are those of _s8_b_roots, certified first: a wrong r_b fails there."""
-    from .orbits import _chain_residues
     rows = _s8_b_roots(main, quartic, cfg)
-    pairs, names = main.data["coeff_pairs"], ("f", "a", "e", "d")
-    weights = _chain_residues(pairs, names,
-                              {"mu": 1, "t": 0, "b": _b_weight(main)},
-                              S8_ORDER)
-    chain = _chain(pairs, names, {"t": float(cfg.t)})
-    return [envs for mu0, _, b0 in rows[::S8_ORDER]
-            for envs in zip(*(_orbit(chain, weights, {"mu": mu0, "b": b},
-                                     S8_ORDER) for b in b0))]
+    N, weights = main.data["weights"]
+    chain = _chain(main.data["coeff_pairs"], {"t": float(cfg.t)})
+    return [envs for mu0, _, b0 in rows[::N]
+            for envs in zip(*(_orbit(chain, weights, {"mu": mu0, "b": b}, N)
+                              for b in b0))]
 
 
 def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:

@@ -255,49 +255,7 @@ def s6_intersections(s6) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# xi-residues: how the solved coefficient fractions transform under the
-# conjugation parameter -> xi * parameter (xi^N = 1)
-
-def _xi_residue(p: MultiPoly, N: int, action: dict):
-    """Common value mod N of sum(action[v] * exp_v) over the terms of p;
-    action gives the residue weight of each variable under the conjugation
-    (the radical parameter has weight 1, t has weight 0, derived symbols
-    carry their own residues).  Mixed residues -> error."""
-    res = None
-    for e in p.terms:
-        r = sum(action.get(v, 0) * k for v, k in zip(p.vars, e)) % N
-        for v, k in zip(p.vars, e):
-            if k and v not in action:
-                raise VerificationError("variable %s has no xi-action" % v)
-        if res is None:
-            res = r
-        elif r != res:
-            raise VerificationError(
-                "polynomial is not xi-homogeneous mod %d" % N, detail=p)
-    if res is None:
-        raise VerificationError("zero polynomial has no xi-residue")
-    return res
-
-
-def _fraction_residue(pair, N, action):
-    num, den = pair
-    return (_xi_residue(num, N, action) - _xi_residue(den, N, action)) % N
-
-
-def _chain_residues(pairs, names, action, N):
-    """action, with the residue of each solved fraction of names, read in
-    chain order: each fraction may use those before it."""
-    action = dict(action)
-    for n in names:
-        action[n] = _fraction_residue(pairs[n], N, action)
-    return action
-
-
-def _param_invertible(rel: MultiPoly, param: str):
-    """gcd(param, relation) = 1: the relation has a term free of param."""
-    ip = rel.vars.index(param)
-    return any(e[ip] == 0 for e in rel.terms)
-
+# conjugate curves of the S7 and S8 radical families
 
 def _s7_main_data(s7):
     """The curves of s7, its residual and its main family, the last curve."""
@@ -311,122 +269,72 @@ def _s8_branch_data(s8):
     return curves, {c.branch: c for c in curves}
 
 
-@_surface_cache
-def s7_conjugation(s7, order: int) -> dict:
-    """Witness report for the pair (L_mu, L_{xi mu}) on s7, xi^order = 1,
-    order in {2, 3}.  The curve is Y = aW + bX, Z = cW^2 + dWX + eX^2 with
-    coefficients rational in the parameter e; conjugation acts by e -> xi e
-    and multiplies each coefficient q by xi^{r(q)}, where the residue r(q)
-    is read off (and certified) from the exponents of the solved fractions.
-
-      order 3: witness (1:0:a:c) -- needs r(a) = r(c) = 0 (mod 3).
-      order 2: witness on the Z = 0 slice at a root x0 of c + dx + ex^2
-               (lc e invertible) -- needs r(a) = r(b) = 0 and
-               r(c) = r(d) = r(e) (mod 2).
-
+def _conjugation(family, order):
+    """Witness report for the pair (L_mu, L_{xi mu}) of a radical family,
+    xi^order = 1, order dividing the family's binomial degree.  Its curves
+    are Y = sum_k y_k W^(m-k) X^k, Z = sum_k z_k W^(n-k) X^k, with the
+    coefficient names y, z of data["forms"]; conjugation multiplies each
+    coefficient q by xi^r(q), r(q) = weights[q] mod order (curves.xi_weights).
+    The top coefficients y_m, z_n are +- powers of the parameter: they are
+    invertible once it is modulo the relation, and L_{xi mu} is another
+    curve once one of them moves.  The witness is the first of
+      (1:0:y_0:z_0), the X=0 point, if y_0 and z_0 are xi-invariant;
+      the Z=0 slice (1:x0:Y(x0):0) at a root x0 of Z(1, x0), if every y_k
+      is xi-invariant and the z_k share one weight;
+      the Y=0 slice, the same with Y and Z swapped.
     Both curve memberships then reduce termwise to verified identities;
     surface membership follows from the certified pullback of the family."""
+    weights = family.data["weights"][1]
+    y, z = family.data["forms"]
+    r = {n: weights[n] % order for n in y + z}
+    rel, param = family.relation, family.parameter
+    if all(e[rel.vars.index(param)] for e in rel.terms):
+        raise VerificationError("parameter %s not invertible mod relation"
+                                % param)
+    if not (r[y[-1]] or r[z[-1]]):
+        raise VerificationError("conjugate curve is not distinct")
+    invariant = {n for n in r if not r[n]}
+    if {y[0], z[0]} <= invariant:
+        witness = "(W:X:Y:Z) = (1:0:%s:%s), the X=0 point of L_mu" % (y[0],
+                                                                       z[0])
+    elif set(y) <= invariant and len({r[n] for n in z}) == 1:
+        witness = _slice("(1:x0:Y(x0):0)", z)
+    elif set(z) <= invariant and len({r[n] for n in y}) == 1:
+        witness = _slice("(1:x0:0:Z(x0))", y)
+    else:
+        raise VerificationError("%s order-%d conjugation residues support "
+                                "no witness" % (family.surface.upper(), order),
+                                detail=r)
+    return {"surface": family.surface, "xi_order": order, "residues": r,
+            "witness": witness, "verified": True}
+
+
+def _slice(point, names):
+    """The text of a slice witness: point, at a root x0 of the form with
+    the coefficients names, by rising power of x0."""
+    terms = [n + ("" if k == 0 else "*x0" if k == 1 else "*x0^%d" % k)
+             for k, n in enumerate(names)]
+    return "%s with %s = 0 (lc %s invertible)" % (point, " + ".join(terms),
+                                                   names[-1])
+
+
+@_surface_cache
+def s7_conjugation(s7, order: int) -> dict:
+    """Witness report for (L_e, L_{xi e}) on the S7 main family, xi^order
+    = 1 with order in {2, 3}; see _conjugation."""
     if order not in (2, 3):
         raise ValueError("S7 conjugations have order 2 or 3")
-    N = order
-    _, core, main = _s7_main_data(s7)
-    pairs = main.data["coeff_pairs"]
-    # the relation must be xi-invariant: every e-exponent divisible by N
-    if _xi_residue(core, N, {"e": 1, "t": 0}) != 0:
-        raise VerificationError("residual relation is not xi-invariant")
-    act = _chain_residues(pairs, ("d", "a", "b", "c"), {"e": 1, "t": 0}, N)
-    r = {name: act[name] % N for name in ("a", "b", "c", "d", "e")}
-    y_res = [r["a"], r["b"]]
-    z_res = [r["c"], r["d"], r["e"]]
-    if not _param_invertible(core, "e"):
-        raise VerificationError("parameter e not invertible mod relation")
-    checks = {"relation_invariant": True, "residues": r,
-              "parameter_invertible": True,
-              "curves_distinct": r["e"] % N != 0}
-    if not checks["curves_distinct"]:
-        raise VerificationError("conjugate curve is not distinct")
-    if order == 3:
-        ok = r["a"] % 3 == 0 and r["c"] % 3 == 0
-        witness = "(W:X:Y:Z) = (1:0:a:c), the X=0 point of L_mu"
-        reason = ("a and c are xi-invariant, so the X=0 point of L_mu "
-                  "satisfies both conjugate curve equations")
-    else:
-        ok = (all(v % 2 == 0 for v in y_res)
-              and len(set(v % 2 for v in z_res)) == 1)
-        witness = ("(1:x0:a+b*x0:0) with c + d*x0 + e*x0^2 = 0 "
-                   "(root in the algebraic closure; lc e invertible)")
-        reason = ("Y-coefficients are xi-invariant and the Z-form picks up "
-                  "a global factor xi^%d, so the Z=0 slice of L_mu lies on "
-                  "L_{xi mu} as well" % z_res[0])
-    if not ok:
-        raise VerificationError("S7 order-%d conjugation residues do not "
-                                "support the witness" % order, detail=r)
-    checks.update({"witness": witness, "reason": reason, "verified": True,
-                   "xi_order": order, "surface": "s7"})
-    return checks
-
-
-def _b_residue(main, N):
-    """The residue of b, read off the b-fraction of an S8 branch; the branch
-    quartic must transform consistently under it."""
-    act = {"mu": 1, "t": 0}
-    act["b"] = _fraction_residue(main.data["b_pair"], N, act)
-    _xi_residue(main.data["branch_quartic"], N, act)
-    return act["b"]
+    return _conjugation(_s7_main_data(s7)[2], order)
 
 
 @_surface_cache
 def s8_conjugation(s8, order: int, branch: str = "P1") -> dict:
-    """Witness report for (L_mu, L_{xi mu}) on s8, xi^order = 1 with order
-    in {2, 3, 5}: the fixed locus of the conjugation-compatible
-    automorphism cuts the curve in Z = 0 (order 2), Y = 0 (order 3) and
-    X = 0 (order 5).  Residue bookkeeping as in s7_conjugation, with the
-    extra symbol b bound by the branch quartic."""
+    """Witness report for (L_mu, L_{xi mu}) on the S8 family of a branch,
+    xi^order = 1 with order in {2, 3, 5}; see _conjugation."""
     if order not in (2, 3, 5):
         raise ValueError("S8 conjugations have order 2, 3 or 5")
-    N = order
-    _, mains = _s8_branch_data(s8)
-    main = mains[branch]
-    pairs = main.data["coeff_pairs"]
-    Fi = main.relation
-    if _xi_residue(Fi, N, {"mu": 1, "t": 0}) != 0:
-        raise VerificationError("branch relation is not xi-invariant")
-    act = _chain_residues(pairs, ("f", "a", "e", "d"),
-                          {"mu": 1, "t": 0, "b": _b_residue(main, N)}, N)
-    r = dict({n: act[n] for n in ("a", "b", "f", "e", "d")},
-             mu2=2 % N, mu3=3 % N)
-    if not _param_invertible(Fi, "mu"):
-        raise VerificationError("parameter mu not invertible mod relation")
-    y_res = [r["a"], r["b"], r["mu2"]]
-    z_res = [r["d"], r["e"], r["f"], r["mu3"]]
-    distinct = r["mu2"] % N != 0 or r["mu3"] % N != 0
-    if not distinct:
-        raise VerificationError("conjugate curve is not distinct")
-    if order == 5:
-        ok = r["a"] % 5 == 0 and r["d"] % 5 == 0
-        witness = "(W:X:Y:Z) = (1:0:a:d), the X=0 point of L_mu"
-        reason = "a and d are xi-invariant"
-    elif order == 3:
-        ok = (len(set(v % 3 for v in y_res)) == 1
-              and all(v % 3 == 0 for v in z_res))
-        witness = ("(1:x0:0:Z(x0)) with a + b*x0 - mu^2*x0^2 = 0 "
-                   "(lc mu^2 invertible)")
-        reason = ("Z-coefficients are xi-invariant; the Y-form picks up a "
-                  "global factor xi^%d and vanishes at x0" % y_res[0])
-    else:
-        ok = (len(set(v % 2 for v in z_res)) == 1
-              and all(v % 2 == 0 for v in y_res))
-        witness = ("(1:x0:Y(x0):0) with d + e*x0 + f*x0^2 - mu^3*x0^3 = 0 "
-                   "(lc mu^3 invertible)")
-        reason = ("Y-coefficients are xi-invariant; the Z-form picks up a "
-                  "global factor xi^%d and vanishes at x0" % z_res[0])
-    if not ok:
-        raise VerificationError("S8 order-%d conjugation residues do not "
-                                "support the witness" % order, detail=r)
-    return {"surface": "s8", "branch": branch, "xi_order": order,
-            "residues": r, "parameter_invertible": True,
-            "curves_distinct": True, "witness": witness, "reason": reason,
-            "verified": True}
+    return dict(_conjugation(_s8_branch_data(s8)[1][branch], order),
+                branch=branch)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +485,8 @@ def minimal_model(case: str, ext: BaseExtension,
                         "families intersect (%s)" % AXIOM)
         return _dp(2, ext, just)
     if kind == "e8":
-        just = {"intersections": [s8_conjugation(surface, k)
+        just = {"intersections": [s8_conjugation(surface, k, branch)
+                                  for branch in ("P1", "P2")
                                   for k in (2, 3, 5)], "axiom": AXIOM}
         if m % 30 == 0:
             just["step"] = ("all 240 curves split over C(t^{1/30}); "

@@ -373,9 +373,15 @@ PINNED_RECORDS = {("verdict", "dn:6", "--ext", "6"):
                   ("verdict", "dn:12", "--ext", "3"):
                   "6f8d22c68bd3e04d5724ddbf03fefe30"
                   "0c6c09b09df3a9f6dc11d594d9ace8d2",
+                  # since the S8 conjugation witnesses come from one rule
+                  # over the family's stored xi-weights: each report drops
+                  # the always-true reason, parameter_invertible and
+                  # curves_distinct, its witness text names the slice form
+                  # by its coefficients, and branch P2's three reports
+                  # follow P1's
                   ("verdict", "e8", "--ext", "30"):
-                  "aff3549c373c92178a8fcd45af7b5180"
-                  "c30ed3d4fa4affe104ed997d10b5114c"}
+                  "f13ad482795264ea372d24abec8172ae"
+                  "ad45e3c308dce76327e967577f5d544d"}
 
 
 def _sha256_of(argv):

@@ -211,3 +211,14 @@ def test_witness_towers_are_cyclotomic_plus_one_ratfunc():
         assert kinds in (["ratfunc"], ["algebraic", "ratfunc"]), T
         if kinds[0] == "algebraic":
             assert list(T.steps[0].minpoly) in phis, T
+
+
+def test_vanishing_s6_radicand_is_refused(monkeypatch):
+    # with sqrt3 read as 45/26 the radicand c+ = (-45 + 26 sqrt3)/243 of the
+    # plus branch is 0: the refusal comes before t = mu^12 / c divides by
+    # it (the uncached certifier, so that no cache keeps the failure)
+    from kleinfib.curves import _i_sqrt3
+    monkeypatch.setattr("kleinfib.curves._i_sqrt3", lambda T: (
+        _i_sqrt3(T)[0], T.lift(Fraction(45, 26))))
+    with pytest.raises(VerificationError, match="S6 radicand vanishes"):
+        certify_s6_lines.__wrapped__(build_surface("s6"))

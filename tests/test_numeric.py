@@ -232,10 +232,11 @@ def test_rotated_b_roots_match_a_direct_solve(branch, quartic):
 
 
 def test_wrong_b_weight_is_refuted(monkeypatch):
-    weight = numeric._b_weight
-    main = _s8_branch_data(build_surface("s8"))[1]["P1"]
-    assert weight(main) == 26
-    monkeypatch.setattr(numeric, "_b_weight", lambda m: weight(m) + 1)
+    # the oracle rotates the b-roots by the weight of b the exact family
+    # stores; one off by one is refuted where the rotated roots land
+    weights = _s8_branch_data(build_surface("s8"))[1]["P1"].data["weights"]
+    assert weights[0] == 30 and weights[1]["b"] == 26
+    monkeypatch.setitem(weights[1], "b", 27)
     with pytest.raises(VerificationError, match="root residual"):
         numeric.numeric_audit_s8(build_surface("s8"), CFG)
 
@@ -270,36 +271,33 @@ def test_rotated_chain_matches_a_direct_solve(name, branch):
             assert [(env["mu"], env["b"]) for env in envs] == [
                 (mu, b) for b in bs]
         envs = [env for envs in rows[::7] for env in envs]
-        names, free = ("f", "a", "e", "d"), ("mu", "b")
-        chain = numeric._chain(main.data["coeff_pairs"], names, {"t": tval})
+        free = ("mu", "b")
+        chain = numeric._chain(main.data["coeff_pairs"], {"t": tval})
     else:
         # the 54 e of the audit: the orbits of (u t)^(1/18), u a root of Q
         main = _s7_main_data(build_surface("s7"))[2]
-        names, free = ("d", "a", "b", "c"), ("e",)
-        weights = orbits._chain_residues(main.data["coeff_pairs"], names,
-                                         {"e": 1, "t": 0}, 18)
-        chain = numeric._chain(main.data["coeff_pairs"], names, {"t": tval})
+        free = ("e",)
+        weights = main.data["weights"][1]
+        chain = numeric._chain(main.data["coeff_pairs"], {"t": tval})
         envs = [env for u in numeric_roots(q_cubic(), CFG)
                 for env in numeric._orbit(chain, weights,
                                           {"e": (u * tval) ** (1 / 18)}, 18)]
         assert len(envs) == 54
     for env in envs:
         direct = numeric._solve(chain, {n: env[n] for n in free})
-        for n in names:
+        for n in main.data["coeff_pairs"]:
             assert abs(env[n] - direct[n]) < 1e-9 * (1 + abs(env[n]))
 
 
 @pytest.mark.parametrize("name,error", [("s7", "S7 residue"),
                                         ("s8", "b-roots on the surface")])
 def test_wrong_chain_weight_is_refuted(monkeypatch, name, error):
-    weights = orbits._chain_residues
-
-    def off_by_one(pairs, names, act, N):
-        out = weights(pairs, names, act, N)
-        out[names[1]] += 1
-        return out
-
-    monkeypatch.setattr(orbits, "_chain_residues", off_by_one)
+    # the oracle rotates the solved chain by the weights the exact family
+    # stores; a weight of a off by one is refuted by the residues
+    data = _s7_main_data if name == "s7" else _s8_branch_data
+    family = next(c for c in data(build_surface(name))[0] if c.index is None)
+    weights = family.data["weights"][1]
+    monkeypatch.setitem(weights, "a", weights["a"] + 1)
     audit = getattr(numeric, "numeric_audit_" + name)
     with pytest.raises(VerificationError, match=error):
         audit(build_surface(name), CFG)

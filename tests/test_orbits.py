@@ -1,8 +1,11 @@
 """Galois orbits, intersection witnesses and rationality verdicts."""
 
+import copy
+
 import pytest
 
 from kleinfib import orbits, tower
+from kleinfib.base import VerificationError
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.orbits import (BaseExtension, GRID_CASES, an_intersections,
                              dn_intersections, minimal_model,
@@ -145,6 +148,67 @@ def test_s7_conjugation(order):
 @pytest.mark.parametrize("order", [2, 3, 5])
 def test_s8_conjugation(order):
     assert s8_conjugation(build_surface("s8"), order)["verified"]
+
+
+def _family(surface, branch):
+    s = build_surface(surface)
+    if surface == "s7":
+        return orbits._s7_main_data(s)[2]
+    return orbits._s8_branch_data(s)[1][branch]
+
+
+def _with_weights(family, **changes):
+    """A copy of family whose stored xi-weights carry changes."""
+    degree, weights = family.data["weights"]
+    patched = copy.copy(family)
+    patched.data = dict(family.data,
+                        weights=(degree, dict(weights, **changes)))
+    return patched
+
+
+WITNESS_KINDS = {"X=0 point": "the X=0 point of L_mu",
+                 "Z=0 slice": "(1:x0:Y(x0):0) with ",
+                 "Y=0 slice": "(1:x0:0:Z(x0)) with "}
+
+
+@pytest.mark.parametrize("surface,branch,order,kind", [
+    ("s7", "main", 3, "X=0 point"), ("s7", "main", 2, "Z=0 slice"),
+    ("s8", "P1", 5, "X=0 point"), ("s8", "P1", 3, "Y=0 slice"),
+    ("s8", "P1", 2, "Z=0 slice"), ("s8", "P2", 5, "X=0 point"),
+    ("s8", "P2", 3, "Y=0 slice"), ("s8", "P2", 2, "Z=0 slice")])
+def test_conjugation_witness_kind(surface, branch, order, kind):
+    # the one rule takes the first witness the weights support
+    s = build_surface(surface)
+    report = (s7_conjugation(s, order) if surface == "s7"
+              else s8_conjugation(s, order, branch))
+    assert report["verified"]
+    assert [k for k, text in WITNESS_KINDS.items()
+            if text in report["witness"]] == [kind]
+
+
+def test_conjugation_without_a_witness_is_refused():
+    # a weight of a off by one on S7, order 2: a is no longer invariant, so
+    # neither the X=0 point nor the Z=0 slice fits, and the Z-coefficients
+    # are not invariant, so the Y=0 slice does not fit either
+    family = _family("s7", "main")
+    a = family.data["weights"][1]["a"]
+    assert orbits._conjugation(family, 2)["verified"]
+    with pytest.raises(VerificationError, match="support no witness"):
+        orbits._conjugation(_with_weights(family, a=a + 1), 2)
+
+
+@pytest.mark.parametrize("surface,branch,orders", [
+    ("s7", "main", (2, 3)), ("s8", "P1", (2, 3, 5)), ("s8", "P2", (2, 3, 5))])
+def test_conjugation_with_invariant_tops_is_not_distinct(surface, branch,
+                                                         orders):
+    # the top coefficients (+- powers of the parameter) all of weight 0:
+    # L_{xi mu} is L_mu itself, whatever the other weights
+    family = _family(surface, branch)
+    y, z = family.data["forms"]
+    patched = _with_weights(family, **{y[-1]: 0, z[-1]: 0})
+    for order in orders:
+        with pytest.raises(VerificationError, match="not distinct"):
+            orbits._conjugation(patched, order)
 
 
 def test_s7_e0_pair_meets():

@@ -1,7 +1,9 @@
 """The benchmark's tracer still finds every method and span it reads, and a
 traced run leaves kleinfib as it found it; every command runs without numpy,
-and each starts on only the modules it runs."""
+and each starts on only the modules it runs; no module-level function or
+class of kleinfib is left without a reference."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
@@ -9,8 +11,10 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -168,3 +172,29 @@ def test_each_command_loads_only_its_pipeline(argv, unloaded):
               if name.startswith("kleinfib.")}
     assert loaded == PACKAGE - unloaded
     assert "dataclasses" not in modules
+
+
+def test_every_module_level_name_is_referenced():
+    # a def or class at module level in src/kleinfib whose name occurs
+    # nowhere in src/ outside its own body, neither as a name in code nor
+    # as a word in a string, has no caller: comments do not count
+    defs, refs = [], {}
+    for path in sorted(Path(kleinfib.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type == tokenize.NAME:
+                words = [tok.string]
+            elif tok.type == tokenize.STRING:
+                words = re.findall(r"\w+", tok.string)
+            else:
+                continue
+            for word in words:
+                refs.setdefault(word, []).append((path, tok.start[0]))
+        defs += [(path, node.name, node.lineno, node.end_lineno)
+                 for node in ast.parse(text).body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    unreferenced = ["%s:%d %s" % (path.name, first, name)
+                    for path, name, first, last in defs
+                    if all(where == path and first <= line <= last
+                           for where, line in refs[name])]
+    assert not unreferenced
