@@ -59,9 +59,10 @@ def check_invariance(f: MultiPoly, phi: PolyMap) -> dict:
     return {"invariant": False, "lambda": lam, "residue": residue}
 
 
-def map_order(phi: PolyMap, bound: int = 24):
+def map_order(phi: PolyMap):
+    """The order of phi if it is at most 6, else "exceeds bound"."""
     cur = phi
-    for k in range(1, bound + 1):
+    for k in range(1, 7):
         if cur.is_identity():
             return k
         cur = phi.compose(cur)
@@ -192,9 +193,9 @@ def _diagonal_map(coeffs):
 # ---------------------------------------------------------------------------
 # tau on d_4 and the a_n shear family
 
-def tau_map(tower=None) -> PolyMap:
+def tau_map() -> PolyMap:
     """tau = (-x/2 + (i/2) y, (3i/2) x - y/2, z) over Q(i)."""
-    T = tower or cyclotomic(4)
+    T = cyclotomic(4)
     i = root_of_unity(T, 4)
     x, y, z = (MultiPoly.var(AFFINE_VARS, v) for v in AFFINE_VARS)
     half = Fraction(1, 2)
@@ -209,7 +210,7 @@ def verify_tau(s) -> dict:
     lambda = 1 and has order 3."""
     tau = tau_map()
     res = check_invariance(s.equation, tau)
-    order = map_order(tau, bound=6)
+    order = map_order(tau)
     ok = res["invariant"] and res["lambda"] == 1 and order == 3
     if not ok:
         raise VerificationError("tau verification failed",
@@ -226,7 +227,7 @@ def tau_normalizes_diagonal(s, group: DiagonalGroupDescriptor,
     certifies."""
     T = cyclotomic(4)
     f = s.equation
-    tau = tau_map(T)
+    tau = tau_map()
     tau_inv = tau.compose(tau)
     if not tau.compose(tau_inv).is_identity():
         raise VerificationError("tau^3 != identity")

@@ -43,8 +43,8 @@ def wp(weights):
 
 
 def bundle_atlas(a, b):
-    """P^2-bundle F_{a,b} over the line, as two charts ((w:y:z), x) glued by
-    the involution ((w:y:z), x) -> ((w : x^-a y : x^-b z), 1/x)."""
+    """P^2-bundle F_{a,b} over the line, as two charts ((w:y:z), x), glued
+    as charts_compatible states."""
     return AmbientSpace("atlas", ("w", "y", "z", "x"), (1, 1, 1, 0), (a, b))
 
 
@@ -327,17 +327,6 @@ def check_homogeneous(s: SurfaceSpec) -> int:
     return degrees.pop()
 
 
-class PointSpec:
-    """A point of `ambient` in chart `chart`; coords are FieldElements (or
-    Fractions) in one tower."""
-
-    def __init__(self, ambient, coords, chart=0):
-        if (ambient.kind != "affine"
-                and all(_is_zero_coord(c) for c in coords)):
-            raise GeometryError("projective point with all-zero coordinates")
-        self.ambient, self.coords, self.chart = ambient, coords, chart
-
-
 def _is_zero_coord(c):
     if isinstance(c, FieldElement):
         return c.is_zero()
@@ -351,15 +340,18 @@ def _coord_tower(coords):
     return None
 
 
-def on_surface(s: SurfaceSpec, p: PointSpec, t=None) -> bool:
-    """Exact membership: the chart equation vanishes at p in p's tower, with
-    t the given element of that tower (default: its generator named t)."""
-    tower = _coord_tower(p.coords)
+def on_surface(s: SurfaceSpec, coords, t=None) -> bool:
+    """Exact membership: the chart-0 equation of s vanishes at the point
+    coords of its ambient, FieldElements (or Fractions) in one tower, with t
+    the given element of that tower (default: its generator named t)."""
+    if (s.ambient.kind != "affine"
+            and all(_is_zero_coord(c) for c in coords)):
+        raise GeometryError("projective point with all-zero coordinates")
+    tower = _coord_tower(coords)
     if tower is None:
         raise GeometryError("point must carry at least one tower element")
-    eq = s.equations[p.chart]
-    eq = eq.map_coeffs(tower.lift)
-    env = dict(zip(s.ambient.variables, map(tower.lift, p.coords)))
+    eq = s.equation.map_coeffs(tower.lift)
+    env = dict(zip(s.ambient.variables, map(tower.lift, coords)))
     if s.has_t:
         env["t"] = tower.gen("t") if t is None else tower.lift(t)
     val = eq.evaluate(env)
@@ -438,59 +430,55 @@ def verify_contraction_S6(s6: SurfaceSpec, s6p: SurfaceSpec) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# atlas transition checks
+# the conic-bundle atlas
 
-def _laurent_compose(f, g):
-    """Compose Laurent-monomial maps var -> {var: exponent}."""
-    out = {}
-    for v, mono in f.items():
-        acc = {}
-        for u, e in mono.items():
-            for w_, e2 in g[u].items():
-                acc[w_] = acc.get(w_, 0) + e * e2
-        out[v] = {k: e for k, e in acc.items() if e}
-    return out
-
-
-def _transition_map(a, b):
-    return {"w": {"w": 1}, "y": {"y": 1, "x": -a},
-            "z": {"z": 1, "x": -b}, "x": {"x": -1}}
-
-
-def chart_transition_check(ambient: AmbientSpace, corrupt=False) -> bool:
-    """True iff transition . transition = identity symbolically.  With
-    corrupt=True, (a, b) is swapped in one direction only (negative
-    control; detects a non-involutive gluing when a != b)."""
-    if ambient.kind != "atlas":
-        raise GeometryError("transition check needs an atlas ambient")
-    a, b = ambient.transition
-    fwd = _transition_map(a, b)
-    back = _transition_map(b, a) if corrupt else _transition_map(a, b)
-    comp = _laurent_compose(fwd, back)
-    ident = {v: {v: 1} for v in ("w", "y", "z", "x")}
-    return comp == ident
+def _twist(s: SurfaceSpec) -> int:
+    """d of the class 2H + dF of the atlas surface s: the largest
+    a e_y + b e_z + e_x over its chart-0 terms, (a, b) its transition."""
+    if s.ambient.kind != "atlas":
+        raise GeometryError("%s is not an atlas surface" % s.name)
+    a, b = s.ambient.transition
+    e0 = s.equation
+    iy, iz, ix = (e0.vars.index(v) for v in ("y", "z", "x"))
+    return max(a * e[iy] + b * e[iz] + e[ix] for e in e0.terms)
 
 
 def charts_compatible(s: SurfaceSpec) -> bool:
-    """The chart-0 equation transforms into the chart-oo equation under the
-    transition map, after clearing the monomial unit x^k."""
-    if s.ambient.kind != "atlas":
-        raise GeometryError("chart compatibility needs an atlas surface")
+    """The gluing of F_{a,b}, ((w:y:z), x) -> ((w : x^-a y : x^-b z), 1/x),
+    carries the chart-0 equation of s to its chart-oo equation once the unit
+    x^d is cleared, d = _twist(s): w^i y^j z^k x^l goes to
+    w^i y^j z^k x^(d - a j - b k - l).  A mismatch raises VerificationError
+    with the difference of the two chart-oo equations as detail."""
+    d = _twist(s)
     a, b = s.ambient.transition
     e0, e1 = s.equations
-    idx = {v: e0.vars.index(v) for v in ("w", "y", "z", "x")}
+    iy, iz, ix = (e0.vars.index(v) for v in ("y", "z", "x"))
     moved = {}
-    minx = None
-    for exps, c in e0.terms.items():
-        ew, ey, ez, ex = (exps[idx[v]] for v in ("w", "y", "z", "x"))
-        newx = -a * ey - b * ez - ex
-        key = list(exps)
-        key[idx["x"]] = newx
+    for e, c in e0.terms.items():
+        key = list(e)
+        key[ix] = d - a * e[iy] - b * e[iz] - e[ix]
         moved[tuple(key)] = c
-        minx = newx if minx is None else min(minx, newx)
-    shifted = {}
-    for exps, c in moved.items():
-        key = list(exps)
-        key[idx["x"]] -= minx
-        shifted[tuple(key)] = c
-    return MultiPoly(e0.vars, shifted) == e1
+    diff = MultiPoly(e0.vars, moved) - e1
+    if not diff.is_zero():
+        raise VerificationError("%s: chart 0 does not glue to chart oo"
+                                % s.name, detail=diff)
+    return True
+
+
+@_surface_cache
+def boundary_selfintersection(s: SurfaceSpec) -> int:
+    """C^2 of the boundary curve C, the curve w = 0 on the conic bundle s,
+    in the Chow ring of F_{a,b}: w, y and z are sections of O(H), O(H + aF)
+    and O(H + bF) with no common zero, so F^2 = 0, H^2 F = 1 and
+    H^3 = -(a + b); s has class 2H + dF, d = _twist(s), and
+        C^2 = H^2 (2H + dF) = d - 2(a + b).
+    Both hypotheses are checked: w does not divide the chart-0 equation (C
+    is a curve), and s is a conic in (w, y, z)."""
+    d = _twist(s)
+    iw = s.equation.vars.index("w")
+    if all(e[iw] for e in s.equation.terms):
+        raise VerificationError("%s: w divides the equation" % s.name,
+                                detail=s.equation)
+    if check_homogeneous(s) != 2:
+        raise VerificationError("%s is not a conic in (w, y, z)" % s.name)
+    return d - 2 * sum(s.ambient.transition)

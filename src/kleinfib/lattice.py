@@ -3,12 +3,10 @@ intersection form (1, -1, ..., -1), ADE root bases, Dynkin classification,
 Coxeter numbers (computed two independent ways) and (-1)-class counts."""
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from operator import mul
 
-from .multipoly import MultiPoly
 from .base import VerificationError
 
 
@@ -117,20 +115,21 @@ def _classify_component(adj, comp):
     raise VerificationError("unrecognized diagram")
 
 
-def _coxeter_order(cartan, limit=100):
+def _coxeter_order(cartan):
     """Order of the product of the simple reflections, acting on the span:
-    track the images of the simple roots, in simple-root coordinates."""
+    track the images of the simple roots, in simple-root coordinates, for
+    at most 100 steps."""
     def cox(v):
         for j, row in enumerate(cartan):
             v = _reflect(v, j, row)
         return v
     simples = _unit_vectors(len(cartan))
     images = simples
-    for k in range(1, limit + 1):
+    for k in range(1, 101):
         images = [cox(v) for v in images]
         if images == simples:
             return k
-    raise VerificationError("Coxeter order exceeds %d" % limit)
+    raise VerificationError("Coxeter order exceeds 100")
 
 
 def _finish(label, simples, dot):
@@ -299,30 +298,3 @@ def _distinct_permutations(ms):
             j -= 1
         a[i], a[j] = a[j], a[i]
         a[i + 1:] = a[:i:-1]
-
-
-# ---------------------------------------------------------------------------
-# D_n boundary self-intersection
-
-@lru_cache(maxsize=None)
-def dn_boundary_selfintersection(n: int) -> int:
-    """(C_n)^2 = 3 - n, replayed from the divisor bookkeeping: with
-    C.D = 2k+1-n, div(w x^{k-1}/y) = C - D + (k-1) F0 and C.F = 2,
-        C^2 = C.D - (k-1) C.F = (2k+1-n) - 2(k-1) = 3 - n.
-    The arithmetic identity is checked symbolically in k for both parities
-    n = 2k and n = 2k+1."""
-    if n < 4:
-        raise ValueError("n must be >= 4")
-    vs = ("k",)
-    K = MultiPoly.var(vs, "k")
-    one = MultiPoly.const(vs, Fraction(1))
-    for parity in (0, 1):
-        npoly = K.scale(Fraction(2)) + one.scale(Fraction(parity))
-        cd = K.scale(Fraction(2)) + one - npoly          # 2k + 1 - n
-        c2 = cd - (K - one).scale(Fraction(2))           # - (k-1) * C.F
-        expected = one.scale(Fraction(3)) - npoly
-        if not (c2 - expected).is_zero():
-            raise VerificationError(
-                "boundary self-intersection replay failed (parity %d)"
-                % parity)
-    return 3 - n

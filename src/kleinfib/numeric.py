@@ -135,8 +135,7 @@ class CompiledPoly:
     each coefficient is a tower constant evaluated there, times the powers
     of the fixed variables."""
 
-    def __init__(self, p: MultiPoly, cenv=None):
-        cenv = cenv or {}
+    def __init__(self, p: MultiPoly, cenv):
         idx = [i for i, v in enumerate(p.vars)
                if v not in cenv and any(e[i] for e in p.terms)]
         fixed = [(i, cenv[v]) for i, v in enumerate(p.vars) if v in cenv]
@@ -538,9 +537,8 @@ def sturm_vs_numeric(cfg: NumericConfig) -> dict:
 
 
 @_surface_cache
-def numeric_curve_audit(s, cfg: NumericConfig = None) -> dict:
+def numeric_curve_audit(s, cfg: NumericConfig) -> dict:
     """The audit of the catalog surface s at cfg.t."""
-    cfg = cfg or NumericConfig()
     if cfg.t == 0:
         raise VerificationError("t = 0 lies on every discriminant locus")
     audit = {"s6": numeric_audit_s6, "s7": numeric_audit_s7,
@@ -558,11 +556,11 @@ def numeric_curve_audit(s, cfg: NumericConfig = None) -> dict:
                                 % (s.name, cfg.t, ex))
 
 
-def full_audit(catalog, t_values=(2, 3, 5), tol=1e-8, seed=0) -> dict:
+def full_audit(catalog, tol=1e-8, seed=0) -> dict:
     """The oracle section of the reproduction run: counts, residues and
-    graphs of the catalog's surfaces at several specializations."""
-    report = {"t_values": list(t_values), "surfaces": {}, "sturm": None}
-    for t in t_values:
+    graphs of the catalog's surfaces at t = 2, 3 and 5."""
+    report = {"t_values": [2, 3, 5], "surfaces": {}, "sturm": None}
+    for t in (2, 3, 5):
         cfg = NumericConfig(t=Fraction(t), tol=tol, seed=seed)
         for name in ("s6", "s7", "s8", "an:2", "dn:4"):
             rep = numeric_curve_audit(catalog[name], cfg)

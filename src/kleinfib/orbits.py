@@ -10,7 +10,7 @@ from math import gcd
 from .multipoly import MultiPoly
 from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
 from .base import GeometryError, VerificationError, _surface_cache
-from .geometry import PointSpec, on_surface
+from .geometry import on_surface
 from .curves import (enumerate_s7, enumerate_s8, enumerate_an, enumerate_dn,
                      s6_alpha_lines, s6_line_tower, s6_line_forms,
                      s7_e0_tower, an_tower, dn_tower)
@@ -55,13 +55,6 @@ class Verdict:
         self.over, self.descriptor = over, descriptor
 
 
-def two_part(n: int) -> int:
-    p = 1
-    while n % 2 == 0:
-        p, n = 2 * p, n // 2
-    return p
-
-
 def parse_case(case: str):
     if case in ("e6", "e7", "e8"):
         return case, None
@@ -83,9 +76,12 @@ def case_surface(case: str) -> str:
 
 
 def rationality_degree(case: str) -> int:
+    """a, the least m whose verdict is rational: for dn:<n> the least m at
+    which mu and -mu split (_splits); the paper's values for the others."""
     kind, n = parse_case(case)
     if kind == "dn":
-        return two_part(2 * (n - 1))
+        N = 2 * (n - 1)
+        return next(m for m in range(1, N + 1) if _splits(N, m))
     return {"e6": 12, "e7": 18, "e8": 30, "an": 1}[kind]
 
 
@@ -130,13 +126,20 @@ def _binomial_blocks(N: int, g: int) -> tuple:
     return tuple(tuple(range(i, N, g)) for i in range(g))
 
 
+def _splits(N: int, m: int) -> bool:
+    """mu and -mu, the roots 0 and N/2 of X^N = c t (N even), lie in
+    different blocks of orbit_structure(N, m)."""
+    return all(N // 2 not in block
+               for block in orbit_structure(N, m)["blocks"] if 0 in block)
+
+
 # ---------------------------------------------------------------------------
 # lines in P^3
 
-def _form_rows(forms, tower, nvars=4):
+def _form_rows(forms, tower):
     rows = []
     for f in forms:
-        row = [tower.from_fraction(Fraction(0))] * nvars
+        row = [tower.from_fraction(Fraction(0))] * 4
         for e, c in f.terms.items():
             if sum(e) != 1:
                 raise GeometryError("form is not linear")
@@ -197,7 +200,7 @@ def lines_intersect_p3(forms1, forms2, tower, surface, t):
         val = f.evaluate({v: env[v] for v in f.vars})
         if not val.is_zero():
             raise VerificationError("kernel witness fails a line form")
-    if not on_surface(surface, PointSpec(surface.ambient, tuple(witness)), t):
+    if not on_surface(surface, tuple(witness), t):
         raise VerificationError("line intersection witness not on the "
                                 "surface")
     return True, witness
@@ -351,7 +354,7 @@ def _meet_at(curves, s, coords, t, what):
             if not (val.is_zero() if isinstance(val, FieldElement)
                     else val == 0):
                 raise VerificationError("%s witness fails" % what)
-    if not on_surface(s, PointSpec(s.ambient, tuple(coords)), t):
+    if not on_surface(s, tuple(coords), t):
         raise VerificationError("%s witness not on the surface" % what)
 
 
@@ -497,17 +500,11 @@ def minimal_model(case: str, ext: BaseExtension,
         return _dp(1, ext, just)
     if kind == "dn":
         N = 2 * (n - 1)
-        a = two_part(N)
-        orbit = orbit_structure(N, m)
-        g = orbit["g"]
-        split = (N // 2) % g != 0      # mu and -mu in different orbits
-        if split != (m % a == 0):
-            raise VerificationError("2-part criterion disagrees with the "
-                                    "orbit partition")
-        just = {"orbits": {"mu": orbit, "x0": orbit_structure(2, m)},
+        just = {"orbits": {"mu": orbit_structure(N, m),
+                           "x0": orbit_structure(2, m)},
                 "intersections": dn_intersections(surface)["pairs"],
                 "axiom": AXIOM}
-        if m % a == 0:
+        if _splits(N, m):
             just["step"] = ("every mu-orbit separates mu from -mu and its "
                             "members lie over distinct fibres (pairwise "
                             "disjoint): all n-1 split fibres contract; "
@@ -546,8 +543,7 @@ def _rational_point(s) -> bool:
     rationality rule."""
     T = FieldTower.rationals().extend_ratfunc("t")
     zero, one = T.from_fraction(Fraction(0)), T.from_fraction(Fraction(1))
-    p = PointSpec(s.ambient, (zero, one, zero, zero))
-    return on_surface(s, p)
+    return on_surface(s, (zero, one, zero, zero))
 
 
 @_surface_cache
@@ -585,19 +581,15 @@ GRID_DEGREES = range(1, 31)          # the degrees m of the extensions
 
 
 def verdict_grid(catalog):
-    """The full consistency grid over the catalog's surfaces: for every case
-    and m the rule-table verdict must coincide with the divisibility
-    criterion a | m."""
+    """The verdict of every case and m over the catalog's surfaces, beside
+    the divisibility criterion a | m; rationality_verdict refuses a cell
+    where they differ."""
     cells = []
     for case in GRID_CASES:
-        a = rationality_degree(case)
         surface = catalog[case_surface(case)]
         for m in GRID_DEGREES:
             v = rationality_verdict(case, BaseExtension(m), surface)
             cells.append({"case": case, "m": m, "rational": v.rational,
-                          "rule": v.rule, "a": a,
-                          "divisibility": m % a == 0})
-            if v.rational != (m % a == 0):
-                raise VerificationError("grid cell inconsistent: %s, m=%d"
-                                        % (case, m))
+                          "rule": v.rule, "a": v.a,
+                          "divisibility": m % v.a == 0})
     return cells

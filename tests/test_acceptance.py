@@ -152,7 +152,7 @@ def test_criterion_8_contraction_identity():
 
 
 def test_criterion_9_numeric_oracle():
-    report = full_audit(build_catalog(), t_values=(2, 3, 5))
+    report = full_audit(build_catalog())
     for name, expected in (("s6", 27), ("s7", 56), ("s8", 240)):
         for entry in report["surfaces"][name]:
             assert entry["count"] == expected
@@ -217,13 +217,59 @@ def test_mutation_fails_every_check_that_reads_it(mutation):
     assert all(c["error_kind"] == "verification" for c in failed)
 
 
+def test_failed_gluing_names_its_surface():
+    code, out = _run_cli(["reproduce-paper", "--mutate", "dn:5,1,0,1"])
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"]
+              if c["status"] == "failed"]
+    assert [c["name"] for c in failed] == ["charts-dn:5"]
+    assert failed[0]["error_kind"] == "verification"
+    assert "dn:5" in failed[0]["error"]
+
+
+# The verified checks that read no surface, each a fact about constants.
+READS_NOTHING = {
+    "lattice-classes": "(-1)-class counts of the Picard lattice",
+    "lattice-coxeter": "Coxeter numbers of the root systems",
+    "a-table": "the E rows of rationality_degree are the paper's values, "
+               "and the D_n rows come from orbit partitions alone",
+    "sturm": "it counts the real roots of the literal Q, Q1 and Q2",
+}
+
+
+def test_every_verified_check_reads_a_surface(monkeypatch):
+    # every check reaches its surfaces through catalog[name]; each call of
+    # cli.check closes one step, so the reads logged since the last call
+    # are that step's
+    reads, steps = [], {}
+
+    class LoggedCatalog(dict):
+        def __getitem__(self, name):
+            reads.append(name)
+            return dict.__getitem__(self, name)
+
+    def logged_check(name, ref, status="verified", **extra):
+        steps[name] = (status, set(reads))
+        reads.clear()
+        return record(name, ref, status, **extra)
+    record = cli.check
+    monkeypatch.setattr(cli, "check", logged_check)
+    checks = cli._run_reproduction(LoggedCatalog(build_catalog()))
+    assert len(checks) == len(steps) == 66
+    blind = {name for name, (status, names) in steps.items()
+             if status == "verified" and not names}
+    assert blind == set(READS_NOTHING)
+    assert steps["lattice-dn-boundary"][1] == {
+        "dn:%d" % n for n in geometry.DN_RANGE}
+
+
 # the pure pipelines cached on the surfaces (and configs) they read, and
 # the checks of constants
 PIPELINE_CACHES = [
     curves.certify_s6_lines, curves.enumerate_s7, curves.enumerate_s8,
     curves.enumerate_an, curves.enumerate_dn, numeric.numeric_curve_audit,
     numeric.sturm_vs_numeric, lattice.minus_one_classes,
-    lattice.coxeter_number, lattice.dn_boundary_selfintersection,
+    lattice.coxeter_number, geometry.boundary_selfintersection,
     orbits.s6_intersections, orbits.s7_conjugation, orbits.s8_conjugation,
     orbits.s7_e0_intersection, orbits.dn_intersections,
     orbits.an_intersections, orbits._rational_point,

@@ -9,11 +9,12 @@ import pytest
 import kleinfib
 
 from kleinfib.curves import VerificationError
-from kleinfib.geometry import (GeometryError, PointSpec, build_catalog,
-                               build_surface, chart_transition_check,
+from kleinfib.geometry import (GeometryError, boundary_selfintersection,
+                               build_catalog, build_surface, bundle_atlas,
                                charts_compatible, check_homogeneous,
                                on_surface, surface_names,
                                verify_contraction_S6)
+from kleinfib.multipoly import MultiPoly
 
 
 def test_catalog_builds_and_is_homogeneous():
@@ -78,13 +79,46 @@ def test_transitions_and_compatibility():
     for name, s in catalog.items():
         if s.ambient.kind != "atlas":
             continue
-        assert chart_transition_check(s.ambient)
         assert charts_compatible(s)
 
 
-def test_corrupt_transition_detected():
-    s = build_surface("an:3")
-    assert not chart_transition_check(s.ambient, corrupt=True)
+def test_failed_gluing_names_surface_and_difference():
+    s = build_catalog(("an:3", 1, 0, Fraction(1)))["an:3"]
+    with pytest.raises(VerificationError, match="an:3") as info:
+        charts_compatible(s)
+    # the mutation cancels the -yz term of chart oo, and the glued chart 0
+    # keeps it
+    y, z = (MultiPoly.var(s.equation.vars, v) for v in ("y", "z"))
+    assert info.value.detail == -(y * z)
+
+
+@pytest.mark.parametrize("n", range(4, 33))
+def test_boundary_selfintersection(n):
+    assert boundary_selfintersection(build_surface("dn:%d" % n)) == 3 - n
+
+
+def test_boundary_selfintersection_checks_its_hypotheses():
+    s = build_surface("dn:5")
+    w = MultiPoly.var(s.equation.vars, "w")
+    times_w = s._replace(equations=tuple(w * e for e in s.equations))
+    with pytest.raises(VerificationError, match="w divides"):
+        boundary_selfintersection(times_w)
+    y = MultiPoly.var(s.equation.vars, "y")
+    cubic = s._replace(equations=tuple((w + y) * e for e in s.equations))
+    with pytest.raises(VerificationError, match="not a conic"):
+        boundary_selfintersection(cubic)
+    with pytest.raises(GeometryError):
+        boundary_selfintersection(build_surface("s7"))
+
+
+@pytest.mark.parametrize("n", range(5, 33, 2))
+def test_boundary_selfintersection_reads_the_atlas(n):
+    # on odd n, F_{a+1,b} raises d by one and a + b by one; on even n the
+    # x y^2 term raises d by two, and C^2 stays 3 - n
+    s = build_surface("dn:%d" % n)
+    a, b = s.ambient.transition
+    moved = s._replace(ambient=bundle_atlas(a + 1, b))
+    assert boundary_selfintersection(moved) == 2 - n
 
 
 def test_mutation_changes_equation():
@@ -102,8 +136,9 @@ def test_on_surface_rejects_off_point():
     catalog = build_catalog()
     s = catalog["s8"]
     T = s.const_tower.extend_ratfunc("t")
-    p = PointSpec(s.ambient, tuple(T.from_fraction(k) for k in (1, 1, 1, 1)))
-    assert not on_surface(s, p)
+    assert not on_surface(s, tuple(T.from_fraction(k) for k in (1, 1, 1, 1)))
+    with pytest.raises(GeometryError, match="all-zero"):
+        on_surface(s, tuple(T.from_fraction(0) for _ in range(4)))
 
 
 def test_contraction_identity_both_charts():

@@ -6,7 +6,6 @@ from itertools import combinations_with_replacement, permutations
 import pytest
 
 from kleinfib.lattice import (build_root_system, coxeter_number,
-                              dn_boundary_selfintersection,
                               minus_one_classes, standard_root_system)
 
 
@@ -47,11 +46,6 @@ def test_coxeter_two_ways(label, h):
     rs = standard_root_system(label)
     assert len(rs.roots) == h * rs.rank
     assert rs.coxeter_number == h
-
-
-@pytest.mark.parametrize("n", range(4, 10))
-def test_dn_boundary_selfintersection(n):
-    assert dn_boundary_selfintersection(n) == 3 - n
 
 
 def test_rank_out_of_range():

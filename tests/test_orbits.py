@@ -12,12 +12,7 @@ from kleinfib.orbits import (BaseExtension, GRID_CASES, an_intersections,
                              orbit_structure, rationality_degree,
                              rationality_verdict, s6_intersections,
                              s7_conjugation, s7_e0_intersection,
-                             s8_conjugation, two_part, verdict_grid)
-
-
-def test_two_part():
-    assert [two_part(k) for k in (1, 2, 6, 8, 12, 16)] == \
-        [1, 2, 2, 8, 4, 16]
+                             s8_conjugation, verdict_grid)
 
 
 def test_rationality_degrees():
@@ -29,6 +24,20 @@ def test_rationality_degrees():
     assert rationality_degree("dn:5") == 8
     assert rationality_degree("dn:6") == 2
     assert rationality_degree("dn:9") == 16
+
+
+@pytest.mark.parametrize("n", range(4, 33))
+def test_dn_degree_is_the_least_splitting_extension(n):
+    # a of dn:<n> is the least m over which mu (root 0) and -mu (root n-1)
+    # of X^(2(n-1)) = c t lie in different orbit blocks
+    def separated(m):
+        blocks = orbit_structure(2 * (n - 1), m)["blocks"]
+        return next(b for b in blocks if 0 in b) != \
+            next(b for b in blocks if n - 1 in b)
+    least = next(m for m in range(1, 2 * n) if separated(m))
+    assert rationality_degree("dn:%d" % n) == least
+    # the paper's form: the 2-part of 2(n-1)
+    assert least == (2 * (n - 1)) & -(2 * (n - 1))
 
 
 @pytest.mark.parametrize("N,m", [(12, 1), (12, 4), (12, 12), (3, 2),
