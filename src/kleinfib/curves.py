@@ -703,8 +703,8 @@ def s6_alpha_lines():
     T = cyclotomic(12).extend_ratfunc("alpha")
     z3, alpha = root_of_unity(T, 3), T.gen("alpha")
     W, Y, Z = (MultiPoly.var(("W", "X", "Y", "Z"), v) for v in "WYZ")
-    return T, alpha ** 3, [(Z, Y - W.scale(z3 ** j * alpha))
-                           for j in range(3)]
+    return T, alpha ** 3, [(Z, Y - W.scale(z3j * alpha))
+                           for z3j in z3.powers(3)]
 
 
 def _s6_solve_lines(l1, l2, lv):
@@ -744,8 +744,8 @@ def enumerate_an(s):
     rel = MultiPoly(("alpha", "t"), {(n, 0): Fraction(1),
                                      (0, 1): Fraction(-1)})
     curves = []
-    for j in range(n):
-        root = MultiPoly.const(cv, zeta ** j * alpha)
+    for j, zj in enumerate(zeta.powers(n)):
+        root = MultiPoly.const(cv, zj * alpha)
         for comp, zero_var in (("y0", "y"), ("z0", "z")):
             _certify_membership(s, T, {"x": root,
                                        zero_var: MultiPoly.zero(cv)}, t)
@@ -790,8 +790,8 @@ def enumerate_dn(s):
         curves.append(CurveSpec("dn:%d" % n, "Dn-x0", "x0", idx,
                                 (x, z - zr), parameter="mu", relation=relN,
                                 data={"sign": sgn}))
-    for j in range(N):
-        mj = zeta ** j * mu
+    for j, zj in enumerate(zeta.powers(N)):
+        mj = zj * mu
         sub = {"x": MultiPoly.const(cv, mj ** 2), "z": y.scale(i * mj)}
         _certify_membership(s, T, sub, t)
         curves.append(CurveSpec("dn:%d" % n, "Dn-mu", "mu", j,

@@ -13,10 +13,11 @@ of the residuals, on which the exact counts rest, is the exact side's
 (curves.radical_count).  Each xi-orbit of S7 and S8 curves is solved at one
 point and rotated by the family's xi-weights (curves.xi_weights, which the
 exact conjugation witnesses read too), the S8 b-roots certified where they
-land; S6 lines meet iff their Plucker coordinates pair to zero.  Samples
-come from random.Random(seed) in a fixed order (per curve, or per S8 mu,
-then per sample, then per coordinate), and every audit is cached on its
-(surface, NumericConfig)."""
+land; S6 lines meet iff their Plucker coordinates pair to zero, as on the
+exact side (orbits.lines_intersect_p3).  Samples come from
+random.Random(seed) in a fixed order (per curve, or per S8 mu, then per
+sample, then per coordinate), and every audit is cached on its (surface,
+NumericConfig)."""
 
 import cmath
 import math
@@ -148,9 +149,13 @@ class CompiledPoly:
 
     def __call__(self, env):
         """(value, scale) at the point env, which maps each free variable
-        to a number; scale is the sum of the absolute values of the terms,
-        at least 1e-300."""
-        x = [env[v] for v in self.used]
+        to a number; see at."""
+        return self.at([env[v] for v in self.used])
+
+    def at(self, x):
+        """(value, scale) at the point x, the values of `used` in order;
+        scale is the sum of the absolute values of the terms, at least
+        1e-300."""
         value, scale = 0j, 0.0
         for c, monomial in self.terms:
             for i, k in monomial:
@@ -438,25 +443,28 @@ def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
     curves, mains = _s8_branch_data(s8)
     rng = random.Random(cfg.seed)
     equation = CompiledPoly(s8.equation, {"t": float(cfg.t)})
+    # where each variable the equation uses sits in a point (W, X, Y, Z)
+    slots = ["WXYZ".index(v) for v in equation.used]
     count, max_res = 0, 0.0
     for branch, quartic in (("P1", q1_quartic()), ("P2", q2_quartic())):
         # the certified b-fraction cancels catastrophically in doubles;
         # instead, of the four b-roots of the branch quartic exactly one
         # continues to a curve on the surface
         for envs in _s8_chains(mains[branch], quartic, cfg):
-            samples = [_sample_wx(rng) for _ in range(5)]
+            samples = [(W, X, W ** 2, W ** 3, X ** 2, X ** 3)
+                       for W, X in (_sample_wx(rng) for _ in range(5))]
             on_surface = 0
             for env in envs:
                 mu, b = env["mu"], env["b"]
                 a, d, e, f = (env[n] for n in ("a", "d", "e", "f"))
+                mu2, mu3 = mu ** 2, mu ** 3
                 # a b-root is off the surface at its first failing sample
                 res = []
-                for W, X in samples:
-                    res.append(equation.residue(
-                        {"W": W, "X": X,
-                         "Y": a * W ** 2 + b * W * X - mu ** 2 * X ** 2,
-                         "Z": (d * W ** 3 + e * W ** 2 * X + f * W * X ** 2
-                               - mu ** 3 * X ** 3)}))
+                for W, X, W2, W3, X2, X3 in samples:
+                    point = (W, X, a * W2 + b * W * X - mu2 * X2,
+                             d * W3 + e * W2 * X + f * W * X2 - mu3 * X3)
+                    val, scale = equation.at([point[i] for i in slots])
+                    res.append(abs(val) / scale)
                     if not res[-1] < cfg.tol:
                         break
                 else:

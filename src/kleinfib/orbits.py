@@ -116,9 +116,9 @@ def _binomial_blocks(N: int, g: int) -> tuple:
     vs = ("X", "rho")
     one = T.from_fraction(Fraction(1))
     prod = MultiPoly.const(vs, one)
-    for i in range(g):
+    for zi in zeta.powers(g):
         prod = prod * (MultiPoly(vs, {(b, 0): one}) -
-                       MultiPoly(vs, {(0, 1): zeta ** i}))
+                       MultiPoly(vs, {(0, 1): zi}))
     target = MultiPoly(vs, {(N, 0): one}) - MultiPoly(vs, {(0, g): one})
     if not (prod - target).is_zero():
         raise VerificationError("binomial factorization identity failed "
@@ -161,11 +161,12 @@ def _kernel(rows, tower):
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
         inv = mat[r][c].invert()
-        mat[r] = [x * inv for x in mat[r]]
+        mat[r] = [x * inv if x else x for x in mat[r]]
         for i in range(len(mat)):
             if i != r and not mat[i][c].is_zero():
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                mat[i] = [x - f * y if y else x
+                          for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
     free = [c for c in range(n) if c not in pivots]
@@ -181,19 +182,33 @@ def _kernel(rows, tower):
     return r, basis
 
 
+def _plucker(rows):
+    """The Plucker coordinates p01, p02, p03, p12, p13, p23 of a 2x4 matrix."""
+    r, s = rows
+    return [r[i] * s[j] - r[j] * s[i]
+            for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+
+
 def lines_intersect_p3(forms1, forms2, tower, surface, t):
     """Exact intersection of two lines in P^3, each cut by two linear forms
-    over a common tower.  Returns (bool, witness coords or None); on a true
-    answer the kernel vector is verified against all four forms and the
-    surface at the tower element t."""
-    for forms in (forms1, forms2):
-        rank, _ = _kernel(_form_rows(forms, tower), tower)
-        if rank != 2:
-            raise GeometryError("degenerate line")
-    rows = _form_rows(tuple(forms1) + tuple(forms2), tower)
-    rank, basis = _kernel(rows, tower)
-    if rank == 4:
+    over a common tower, with Plucker coordinates p, q (degenerate if all
+    vanish).  They meet iff the pairing, the determinant of the four forms,
+        p01 q23 - p02 q13 + p03 q12 + p12 q03 - p13 q02 + p23 q01
+    is zero, the rule numeric.py applies in floating point; only then is
+    the kernel of the forms solved (rank 4 refutes the pairing), and its
+    vector, the witness, verified on the four forms and the surface at the
+    tower element t.  Returns (bool, witness coords or None)."""
+    rows1, rows2 = _form_rows(forms1, tower), _form_rows(forms2, tower)
+    p, q = _plucker(rows1), _plucker(rows2)
+    if all(x.is_zero() for x in p) or all(x.is_zero() for x in q):
+        raise GeometryError("degenerate line")
+    if not (p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2]
+            - p[4] * q[1] + p[5] * q[0]).is_zero():
         return False, None
+    rank, basis = _kernel(rows1 + rows2, tower)
+    if rank == 4:
+        raise VerificationError("lines with a zero Plucker pairing have "
+                                "independent forms")
     witness = basis[0]
     env = dict(zip(("W", "X", "Y", "Z"), witness))
     for f in tuple(forms1) + tuple(forms2):
@@ -238,9 +253,9 @@ def s6_intersections(s6) -> dict:
         T, _, t = s6_line_tower(branch)
         z12 = root_of_unity(T, 12)
         forms1 = s6_line_forms(T, branch)
-        pattern = {}
+        pattern, xis = {}, z12.powers(12)
         for k in range(1, 12):
-            forms2 = s6_line_forms(T, branch, z12 ** k)
+            forms2 = s6_line_forms(T, branch, xis[k])
             ok, wit = lines_intersect_p3(forms1, forms2, T, s6, t)
             pattern[k] = ok
             report["pairs"].append(
@@ -367,25 +382,25 @@ def dn_intersections(s) -> dict:
     curves = enumerate_dn(s)
     N = 2 * (n - 1)
     T, t = dn_tower(n)
-    zeta, mu = root_of_unity(T, N), T.gen("mu")
+    zeta2, mu = root_of_unity(T, N // 2).powers(N), T.gen("mu")  # zeta^(2d)
     zero, one = T.zero(), T.one()
     report = {"surface": "dn:%d" % n, "pairs": []}
     _meet_at([c for c in curves if c.family == "Dn-x0"], s,
              (zero, one, zero, zero), t, "D_n x=0 components")
     report["pairs"].append({"pair": "x0+/x0-", "intersect": True,
                             "witness": "((0:1:0), x=0)"})
+    # once per unordered pair {zeta^j mu, -zeta^j mu}: one fibre, one point
     mu_curves = [c for c in curves if c.family == "Dn-mu"]
-    for j1 in range(N):
-        j2 = (j1 + N // 2) % N
-        _meet_at([mu_curves[j1], mu_curves[j2]], s,
-                 (one, zero, zero, (zeta ** j1 * mu) ** 2), t,
+    for j1 in range(N // 2):
+        _meet_at([mu_curves[j1], mu_curves[j1 + N // 2]], s,
+                 (one, zero, zero, zeta2[j1] * mu * mu), t,
                  "D_n mu-pair (j=%d)" % j1)
     report["pairs"].append({"pair": "mu_j / -mu_j (all j)",
                             "intersect": True,
                             "witness": "((1:0:0), x=mu_j^2)"})
     # distinct fibres: zeta^{2d} != 1 for 2d not divisible by N
     for d in range(1, N):
-        if (2 * d) % N and (zeta ** (2 * d) - one).is_zero():
+        if (2 * d) % N and (zeta2[d] - one).is_zero():
             raise VerificationError("fibre values coincide unexpectedly")
     report["pairs"].append({"pair": "mu_j / xi mu_j, xi^2 != 1",
                             "intersect": False,
@@ -401,18 +416,18 @@ def an_intersections(s) -> dict:
     n = s.index
     curves = enumerate_an(s)
     T, t = an_tower(n)
-    zeta, alpha = root_of_unity(T, n), T.gen("alpha")
+    zetas, alpha = root_of_unity(T, n).powers(n), T.gen("alpha")
     zero, one = T.zero(), T.one()
     report = {"surface": "an:%d" % n, "pairs": []}
     for j in range(n):
         _meet_at([c for c in curves if c.index == j], s,
-                 (one, zero, zero, zeta ** j * alpha), t,
+                 (one, zero, zero, zetas[j] * alpha), t,
                  "A_n same-fibre (j=%d)" % j)
     report["pairs"].append({"pair": "y0_j / z0_j (all j)",
                             "intersect": True,
                             "witness": "((1:0:0), x=zeta^j alpha)"})
     for d in range(1, n):
-        if (zeta ** d - one).is_zero():
+        if (zetas[d] - one).is_zero():
             raise VerificationError("fibre values coincide unexpectedly")
     report["pairs"].append({"pair": "components over distinct fibres",
                             "intersect": False,

@@ -327,6 +327,13 @@ class FieldElement:
                 base = _mul(T, base, base).payload
         return FieldElement(T, result)
 
+    def powers(self, n: int) -> list:
+        """[self^0, ..., self^(n-1)], n >= 1, by one product each."""
+        out = [self.tower.one(), self]
+        while len(out) < n:
+            out.append(out[-1] * self)
+        return out[:n]
+
     def invert(self):
         terms, den = self.payload
         if not terms:

@@ -217,6 +217,15 @@ def test_mutation_fails_every_check_that_reads_it(mutation):
     assert all(c["error_kind"] == "verification" for c in failed)
 
 
+def test_mutated_dn9_fails_its_intersections():
+    # one witness per unordered mu-pair still reads the mutated surface
+    code, out = _run_cli(["reproduce-paper", "--mutate", "dn:9,0,0,1"])
+    assert code == 1
+    failed = {c["name"] for c in json.loads(out)["checks"]
+              if c["status"] == "failed"}
+    assert "intersections-dn:9" in failed
+
+
 def test_failed_gluing_names_its_surface():
     code, out = _run_cli(["reproduce-paper", "--mutate", "dn:5,1,0,1"])
     assert code == 1

@@ -5,7 +5,8 @@ import copy
 import pytest
 
 from kleinfib import orbits, tower
-from kleinfib.base import VerificationError
+from kleinfib.base import GeometryError, VerificationError
+from kleinfib.curves import s6_alpha_lines, s6_line_forms, s6_line_tower
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.orbits import (BaseExtension, GRID_CASES, an_intersections,
                              dn_intersections, minimal_model,
@@ -126,6 +127,57 @@ def test_s6_intersections():
     assert len(l123) == 3 and all(e["intersect"] for e in l123)
 
 
+def _s6_line_pairs():
+    """The 25 pairs s6_intersections decides, as (forms1, forms2, tower,
+    t): L1..L3 pairwise, and L_mu against L_{zeta12^k mu} on each branch."""
+    T0, t0, lines = s6_alpha_lines()
+    pairs = [(lines[a], lines[b], T0, t0)
+             for a in range(3) for b in range(a + 1, 3)]
+    for branch in ("plus", "minus"):
+        T, _, t = s6_line_tower(branch)
+        xis = tower.root_of_unity(T, 12).powers(12)
+        pairs += [(s6_line_forms(T, branch), s6_line_forms(T, branch, xi),
+                   T, t) for xi in xis[1:]]
+    return pairs
+
+
+def test_plucker_pairing_agrees_with_elimination():
+    # the rule it replaced: both lines of rank 2, and the four forms of
+    # rank 4 iff the lines are disjoint, the witness their kernel vector
+    s6 = build_surface("s6")
+    pairs = _s6_line_pairs()
+    disjoint = 0
+    for forms1, forms2, T, t in pairs:
+        for forms in (forms1, forms2):
+            assert orbits._kernel(orbits._form_rows(forms, T), T)[0] == 2
+        rank, basis = orbits._kernel(
+            orbits._form_rows(tuple(forms1) + tuple(forms2), T), T)
+        ok, witness = orbits.lines_intersect_p3(forms1, forms2, T, s6, t)
+        assert ok == (rank < 4)
+        assert witness == (basis[0] if ok else None)
+        disjoint += not ok
+    assert len(pairs) == 25 and disjoint == 12
+
+
+def test_proportional_forms_are_a_degenerate_line():
+    T, t, lines = s6_alpha_lines()
+    Z = lines[0][0]
+    flat = (Z, Z.scale(3))
+    for forms1, forms2 in ((flat, lines[1]), (lines[1], flat)):
+        with pytest.raises(GeometryError, match="degenerate line"):
+            orbits.lines_intersect_p3(forms1, forms2, T, build_surface("s6"),
+                                      t)
+
+
+def test_zero_pairing_with_independent_forms_is_refused(monkeypatch):
+    # L1 and L2 pair to zero; an elimination finding rank 4 refutes that
+    T, t, lines = s6_alpha_lines()
+    monkeypatch.setattr(orbits, "_kernel", lambda rows, tower: (4, []))
+    with pytest.raises(VerificationError, match="zero Plucker pairing"):
+        orbits.lines_intersect_p3(lines[0], lines[1], T, build_surface("s6"),
+                                  t)
+
+
 def test_witnesses_stay_off_the_euclid_path(monkeypatch):
     # Laurent witnesses invert only monomials: an inversion by the Galois
     # norm runs only for their irrational constant coefficients in
@@ -229,6 +281,21 @@ def test_dn_intersections(n):
     report = dn_intersections(build_surface("dn:%d" % n))
     assert any(e["intersect"] for e in report["pairs"])
     assert any(not e["intersect"] for e in report["pairs"])
+
+
+def test_dn_witnesses_each_mu_pair_once(monkeypatch):
+    # dn:9, N = 16: the x=0 pair, then mu_j with -mu_j = mu_(j+8) for j < 8
+    calls = []
+    meet = orbits._meet_at
+
+    def counted(curves, *args):
+        calls.append([c.index for c in curves])
+        return meet(curves, *args)
+    monkeypatch.setattr(orbits, "_meet_at", counted)
+    dn_intersections.cache_clear()
+    dn_intersections(build_surface("dn:9"))
+    assert len(calls) == 9
+    assert calls[1:] == [[j, j + 8] for j in range(8)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

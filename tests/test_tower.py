@@ -141,6 +141,19 @@ def test_cyclotomic_roots_of_unity():
         root_of_unity(FieldTower.rationals(), 1)
 
 
+@pytest.mark.parametrize("M", [12, 28, 44])
+def test_powers_are_successive_products(M):
+    # zeta^k is reduced modulo Phi_M from k = phi(M) on and wraps at k = M
+    T = cyclotomic(M).extend_ratfunc("s")
+    z, s = T.gen("z%d" % M), T.gen("s")
+    for x, n in ((z, 2 * M + 1), (z * s, M + 2),
+                 (z ** -1 * s - Fraction(2, 3), 9)):
+        table = x.powers(n)
+        assert len(table) == n
+        assert all(p == x ** k for k, p in enumerate(table))
+    assert z.powers(M + 1)[M] == 1 and z.powers(1) == [1]
+
+
 def test_zero_divisor_is_refused():
     # over the reducible x^2 - 1 in place of Phi_4, 1 + x is a zero divisor
     ring = _Ring(4, (-1, 0, 1), [(1, 0), (0, 1), (1, 0), (0, 1)], (3,))
