@@ -18,20 +18,15 @@ class PicardLattice(namedtuple("PicardLattice", "rank")):
     def dot(self, u, v):
         if len(u) != self.rank or len(v) != self.rank:
             raise ValueError("vector length mismatch")
-        return u[0] * v[0] - sum(a * b for a, b in zip(u[1:], v[1:]))
+        return u[0] * v[0] - sum(map(mul, u[1:], v[1:]))
 
     def minus_k(self):
         """The anticanonical class 3 e0 - e1 - ... - er."""
         return (3,) + (-1,) * (self.rank - 1)
 
 
-class RootSystem:
-    def __init__(self, label, rank, simple_roots, roots, cartan,
-                 coxeter_number, dot):
-        self.label, self.rank, self.simple_roots, self.roots = \
-            label, rank, simple_roots, roots
-        self.cartan, self.coxeter_number, self.dot = \
-            cartan, coxeter_number, dot
+RootSystem = namedtuple("RootSystem", "label rank simple_roots roots cartan "
+                                      "coxeter_number dot")  # cached, shared
 
 
 def _reflect(v, j, row):
@@ -182,6 +177,7 @@ def _finish(label, simples, dot):
     return RootSystem(found, n, simples, tuple(sorted(roots)), cartan, h, dot)
 
 
+@lru_cache(maxsize=None)
 def build_root_system(r: int) -> RootSystem:
     """Simple roots e0-e1-e2-e3, e1-e2, ..., e_{r-1}-e_r in the Picard
     lattice of the plane blown up in r points; type E6/E7/E8 for r=6,7,8."""
@@ -298,3 +294,67 @@ def _distinct_permutations(ms):
             j -= 1
         a[i], a[j] = a[j], a[i]
         a[i + 1:] = a[:i:-1]
+
+
+# ---------------------------------------------------------------------------
+# the Coxeter element on the (-1)-classes
+
+@lru_cache(maxsize=None)
+def coxeter_cycles(r: int) -> tuple:
+    """The cycles (v, cv, ...) of c = s_0...s_{r-1}, s(v) = v + (v.alpha)alpha,
+    on minus_one_classes(r), each from its least class v with its meeting
+    numbers v.c^k v; and the traces of c^0..c^(h-1).  alpha is kept as its
+    nonzero (i, stored entry, Picard entry a_i): v.alpha = sum v_i a_i."""
+    alphas = [[(i, -x if i else x, x) for i, x in enumerate(a) if x]
+              for a in reversed(build_root_system(r).simple_roots)]
+    def c(v):
+        v = list(v)
+        for a in alphas:
+            k = sum(v[i] * x for i, _, x in a)
+            for i, x, _ in a if k else ():
+                v[i] += k * x
+        return tuple(v)
+    seen, cycles, dot = set(), [], PicardLattice(r + 1).dot
+    for v in minus_one_classes(r):
+        if v not in seen:
+            cycle, w = [v], c(v)
+            while w != v:
+                cycle, w = cycle + [w], c(w)
+            seen.update(cycle)
+            cycles.append((tuple(cycle), tuple(dot(v, w) for w in cycle)))
+    if len(seen) != len(minus_one_classes(r)):
+        raise VerificationError("c leaves the (-1)-classes")
+    images, traces = _unit_vectors(r + 1), []
+    for _ in range(build_root_system(r).coxeter_number):
+        traces.append(sum(v[i] for i, v in enumerate(images)))
+        images = [c(v) for v in images]
+    return tuple(cycles), tuple(traces)
+
+
+@lru_cache(maxsize=None)
+def coxeter_contraction(r: int, g: int) -> tuple:
+    """One pass over the <c^g>-orbits of (-1)-classes by least class,
+    contracting each orbit pairwise disjoint and orthogonal to all before.
+    Returns K^2, rho = rank Pic^<c^g> (the mean trace of c^(gj)), the number
+    of contracted orbits, and per kept orbit (cycle index, first index) the
+    k that keep it: v.c^k v != 0, c^k v in the orbit or contracted before."""
+    cycles, traces = coxeter_cycles(r)
+    orbits = sorted((min(cycle[i::gcd(g, len(cycle))]), n, i)
+                    for n, (cycle, _) in enumerate(cycles)
+                    for i in range(gcd(g, len(cycle))))
+    contracted, gone, kept, dot = [], {}, {}, PicardLattice(r + 1).dot
+    for _, n, i in orbits:
+        cycle, meets = cycles[n]
+        size, step = len(cycle), gcd(g, len(cycle))
+        # the k to test: 0 mod step (within the orbit), and j - i mod step
+        # (onto each orbit j of this cycle contracted before)
+        starts = [step] + [(j - i) % step for j in gone.get(n, ())]
+        keep = tuple(sorted(k for s in starts for k in range(s, size, step)
+                            if meets[k]))
+        if keep or any(dot(v, w) for v in cycle[i::step] for w in contracted):
+            kept[n, i] = keep
+        else:
+            contracted += cycle[i::step]
+            gone.setdefault(n, []).append(i)
+    rho = sum(traces[::g]) * g // len(traces)
+    return 9 - r + len(contracted), rho, len(orbits) - len(kept), kept

@@ -277,7 +277,7 @@ class MultiPoly:
                 if k:
                     pw = powers.get((i, k))
                     if pw is None:
-                        pw = powers[i, k] = idx[i] ** k
+                        pw = powers[i, k] = idx[i] ** k if k > 1 else idx[i]
                     term = term * pw
             total = term if total is None else total + term
         if total is None:

@@ -5,7 +5,7 @@ over the base extensions K = C(t^{1/m})."""
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .multipoly import MultiPoly
 from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
@@ -15,11 +15,11 @@ from .curves import (enumerate_s7, enumerate_s8, enumerate_an, enumerate_dn,
                      s6_alpha_lines, s6_line_tower, s6_line_forms,
                      s7_e0_tower, an_tower, dn_tower)
 
-# The contraction bookkeeping below ("axiom table") encodes the standard
-# minimal-model facts the verdicts rest on; everything the engine can check
-# symbolically (orbit partitions, intersection witnesses, membership) is
-# checked, and the remaining birational-geometry steps are labeled as axioms
-# in the reports rather than silently assumed.
+# The verdicts assume two statements, named in the reports by this label: a
+# surface is minimal iff no Galois orbit of pairwise-disjoint (-1)-curves is
+# left, and a minimal geometrically rational surface with a point is rational
+# iff K^2 >= 5 (Iskovskikh).  What they apply to is computed: the orbits, the
+# witnesses, and for E the contraction of the Coxeter element's orbits.
 AXIOM = "axiom-table"
 
 
@@ -33,26 +33,13 @@ class BaseExtension(namedtuple("BaseExtension", "m")):
         return super().__new__(cls, m)
 
 
-class MinimalModelDescriptor:
-    """kind is "DelPezzo" (degree 1..9) or "ConicBundle" (singular_fibres
-    verified singular fibres)."""
-    _fields = ("kind", "over", "degree", "singular_fibres",
-               "extra_fibre_unknown", "justification")
-
-    def __init__(self, kind, over, degree=None, singular_fibres=None,
-                 extra_fibre_unknown=False, justification=None):
-        self.kind, self.over, self.degree = kind, over, degree
-        self.singular_fibres = singular_fibres
-        self.extra_fibre_unknown = extra_fibre_unknown
-        self.justification = {} if justification is None else justification
-
-
-class Verdict:
-    _fields = ("case", "rational", "rule", "a", "over", "descriptor")
-
-    def __init__(self, case, rational, rule, a, over, descriptor=None):
-        self.case, self.rational, self.rule, self.a = case, rational, rule, a
-        self.over, self.descriptor = over, descriptor
+# immutable, as the cached verdicts hand one value to every caller; kind is
+# "DelPezzo" (of degree K^2) or "ConicBundle" (with singular_fibres verified
+# singular fibres)
+MinimalModelDescriptor = namedtuple(
+    "MinimalModelDescriptor", "kind over degree singular_fibres "
+    "extra_fibre_unknown justification", defaults=(None, None, False, None))
+Verdict = namedtuple("Verdict", "case rational rule a over descriptor")
 
 
 def parse_case(case: str):
@@ -75,14 +62,17 @@ def case_surface(case: str) -> str:
     return {"e6": "s6", "e7": "s7", "e8": "s8"}.get(kind, case)
 
 
-def rationality_degree(case: str) -> int:
-    """a, the least m whose verdict is rational: for dn:<n> the least m at
-    which mu and -mu split (_splits); the paper's values for the others."""
+@_surface_cache
+def rationality_degree(case: str, surface) -> int:
+    """a, the least m up to the period (n for an:<n>, 2(n-1) for dn:<n>, for
+    E h, the lcm of the xi-orders) with a rational verdict on `surface`."""
     kind, n = parse_case(case)
-    if kind == "dn":
-        N = 2 * (n - 1)
-        return next(m for m in range(1, N + 1) if _splits(N, m))
-    return {"e6": 12, "e7": 18, "e8": 30, "an": 1}[kind]
+    period = n if kind == "an" else 2 * (n - 1) if kind == "dn" else \
+        lcm(*(family[1] for family in _coxeter_match(kind, surface)[0]))
+    for m in range(1, period + 1):
+        if _rule(minimal_model(case, BaseExtension(m), surface), surface)[0]:
+            return m
+    raise VerificationError("no rational verdict for %s" % case)
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +114,6 @@ def _binomial_blocks(N: int, g: int) -> tuple:
         raise VerificationError("binomial factorization identity failed "
                                 "for N=%d, g=%d" % (N, g))
     return tuple(tuple(range(i, N, g)) for i in range(g))
-
-
-def _splits(N: int, m: int) -> bool:
-    """mu and -mu, the roots 0 and N/2 of X^N = c t (N even), lie in
-    different blocks of orbit_structure(N, m)."""
-    return all(N // 2 not in block
-               for block in orbit_structure(N, m)["blocks"] if 0 in block)
 
 
 # ---------------------------------------------------------------------------
@@ -227,48 +210,35 @@ def _serialize_point(coords):
 
 @_surface_cache
 def s6_intersections(s6) -> dict:
-    """Exact witnesses for the conjugate-line intersections on the cubic s6:
-    L_j pairs meet at (0:1:0:0); L_mu meets L_{xi mu} for xi of order 2 and
-    order 3; for xi of order 12 the determinant is nonzero (disjoint)."""
+    """Exact witnesses for the conjugate-line intersections on the cubic s6,
+    L_j against L_j' and L_mu against L_{xi mu} for every xi^12 = 1, xi != 1:
+    a meeting point, or a nonzero determinant (disjoint)."""
     report = {"surface": "s6", "pairs": []}
 
-    # L1, L2, L3 pairwise at (0:1:0:0)
+    # L1, L2, L3 pairwise, meeting at (0:1:0:0)
     T0, t0, alpha_lines = s6_alpha_lines()
     for j1 in range(3):
         for j2 in range(j1 + 1, 3):
             ok, wit = lines_intersect_p3(alpha_lines[j1], alpha_lines[j2],
                                          T0, s6, t0)
-            if not ok:
-                raise VerificationError("L%d and L%d do not intersect"
-                                        % (j1 + 1, j2 + 1))
             report["pairs"].append({"pair": "L%d/L%d" % (j1 + 1, j2 + 1),
-                                    "intersect": True,
-                                    "witness": _serialize_point(wit)})
+                                    "intersect": ok, "witness":
+                                    _serialize_point(wit) if ok else None})
 
-    # L_mu vs L_{xi mu}, xi = z12^k: the pairs of xi-order 2 (k=6) and
-    # 3 (k=4,8) must intersect on both branches; the remaining dets are
-    # recorded as measured, and at least one must be nonzero (disjoint
-    # conjugate lines exist).
+    # L_mu vs L_{xi mu}, xi = z12^k, on both branches; the verdicts match
+    # the pattern to a cycle of the Coxeter element (_coxeter_match)
     for branch in ("plus", "minus"):
         T, _, t = s6_line_tower(branch)
         z12 = root_of_unity(T, 12)
         forms1 = s6_line_forms(T, branch)
-        pattern, xis = {}, z12.powers(12)
+        xis = z12.powers(12)
         for k in range(1, 12):
             forms2 = s6_line_forms(T, branch, xis[k])
             ok, wit = lines_intersect_p3(forms1, forms2, T, s6, t)
-            pattern[k] = ok
             report["pairs"].append(
                 {"pair": "Lmu/Lximu", "branch": branch, "k": k,
                  "xi_order": 12 // gcd(12, k), "intersect": ok,
                  "witness": _serialize_point(wit) if ok else None})
-        if not (pattern[6] and pattern[4] and pattern[8]):
-            raise VerificationError(
-                "L_mu must meet L_{xi mu} for xi of order 2 and 3 "
-                "(branch %s)" % branch)
-        if all(pattern.values()):
-            raise VerificationError("expected at least one disjoint "
-                                    "conjugate pair (branch %s)" % branch)
     return report
 
 
@@ -448,12 +418,70 @@ def s7_e0_intersection(s7) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# E: the xi-families matched to the cycles of the Coxeter element c
+
+def _e_families(kind, s):
+    """The witness reports of the E surface s, and its xi-families as (name,
+    N, number of c-cycles of length N it covers, the family's reports)."""
+    if kind == "e6":
+        pairs = s6_intersections(s)["pairs"]
+        return pairs, [("L123", 3, 1, [p for p in pairs if "k" not in p])] + [
+            ("Lmu_" + b, 12, 1, [p for p in pairs if p.get("branch") == b])
+            for b in ("plus", "minus")]
+    if kind == "e7":
+        reps = [s7_e0_intersection(s), s7_conjugation(s, 2),
+                s7_conjugation(s, 3)]
+        return reps, [("e0", 2, 1, reps[:1]),
+                      ("main", 18, _s7_main_data(s)[2].count // 18, reps[1:])]
+    reps = [s8_conjugation(s, k, b) for b in ("P1", "P2") for k in (2, 3, 5)]
+    return reps, [(b, 30, f.count // 30, [r for r in reps if r["branch"] == b])
+                  for b, f in sorted(_s8_branch_data(s)[1].items())]
+
+
+def _certified(N, reports, ok):
+    """The powers k at which the reports certify that L_mu meets (ok) or misses
+    L_{xi^k mu}: a report's k, else the multiples of N / its xi_order (N)."""
+    out = set()
+    for rep in reports:
+        if rep.get("intersect", rep.get("verified")) == ok:
+            step = N // rep.get("xi_order", N)
+            out.update([rep["k"]] if "k" in rep else range(step, N, step))
+    return out
+
+
+@_surface_cache
+def _coxeter_match(kind, s):
+    """Match each xi-family of the E surface s, xi acting as c, to unused
+    c-cycles of its length, each the first to agree with every meet and miss
+    its witnesses certify; refuse a family or cycle left over.  Returns the
+    families, their reports and the certified meets of each cycle."""
+    from .lattice import coxeter_cycles
+    reports, families = _e_families(kind, s)
+    cycles = coxeter_cycles(int(kind[1]))[0]
+    free, certified = list(range(len(cycles))), {}
+    for name, N, count, reps in families:
+        meets, misses = (_certified(N, reps, ok) for ok in (True, False))
+        for _ in range(count):
+            fits = [n for n in free if len(cycles[n][0]) == N]
+            n = next((n for n in fits if all(cycles[n][1][k] for k in meets)
+                      and not any(cycles[n][1][k] for k in misses)), None)
+            if n is None:
+                raise VerificationError(
+                    "%s: no free c-cycle fits the witnesses of %s"
+                    % (kind, name),
+                    detail={"meets": sorted(meets), "misses": sorted(misses),
+                            "cycles": [[k for k, x in enumerate(cycles[i][1])
+                                        if x > 0] for i in fits]})
+            free.remove(n)
+            certified[n] = meets
+    if free:
+        raise VerificationError("%s: c-cycles %s match no xi-family"
+                                % (kind, free))
+    return families, reports, certified
+
+
+# ---------------------------------------------------------------------------
 # minimal models and verdicts
-
-def _dp(degree, ext, justification):
-    return MinimalModelDescriptor("DelPezzo", ext, degree=degree,
-                                  justification=justification)
-
 
 def minimal_model(case: str, ext: BaseExtension,
                   surface) -> MinimalModelDescriptor:
@@ -461,65 +489,41 @@ def minimal_model(case: str, ext: BaseExtension,
     `surface`, the catalog surface named by case_surface(case)."""
     kind, n = parse_case(case)
     m = ext.m
-    if kind == "e6":
-        orbits = {"L123": orbit_structure(3, m),
-                  "Lmu_plus": orbit_structure(12, m),
-                  "Lmu_minus": orbit_structure(12, m)}
-        certs = s6_intersections(surface)
-        just = {"orbits": orbits, "intersections": certs["pairs"],
-                "axiom": AXIOM}
-        if m % 12 == 0:
-            just["step"] = ("all 27 lines are singleton orbits; the surface "
-                            "is contracted to the plane (%s)" % AXIOM)
-            return _dp(9, ext, just)
-        if m % 3 == 0:
-            just["step"] = ("L1..L3 split into singletons but meet pairwise "
-                            "at (0:1:0:0): exactly one can be contracted; "
-                            "every L_mu orbit of size > 1 contains a "
-                            "verified intersecting pair (%s)" % AXIOM)
-            return _dp(4, ext, just)
-        just["step"] = ("every orbit of size > 1 contains a verified "
-                        "intersecting conjugate pair; minimal (%s)" % AXIOM)
-        return _dp(3, ext, just)
-    if kind == "e7":
-        orbits = {"e0": orbit_structure(2, m)}
-        just = {"orbits": orbits,
-                "intersections": [s7_e0_intersection(surface),
-                                  s7_conjugation(surface, 2),
-                                  s7_conjugation(surface, 3)],
-                "axiom": AXIOM}
-        if m % 18 == 0:
-            just["step"] = ("all 56 curves split over C(t^{1/18}); "
-                            "contraction to the plane (%s)" % AXIOM)
-            return _dp(9, ext, just)
-        if m % 2 == 0:
-            just["step"] = ("the two curves Y=0, Z=+-sqrt(t)W^2 become "
-                            "rational but meet at (0:1:0:0): exactly one "
-                            "contracts, degree 2 -> 3; the 54-curve family "
-                            "has verified intersecting conjugate pairs "
-                            "(%s)" % AXIOM)
-            return _dp(3, ext, just)
-        just["step"] = ("no orbit is contractible: conjugate pairs of both "
-                        "families intersect (%s)" % AXIOM)
-        return _dp(2, ext, just)
-    if kind == "e8":
-        just = {"intersections": [s8_conjugation(surface, k, branch)
-                                  for branch in ("P1", "P2")
-                                  for k in (2, 3, 5)], "axiom": AXIOM}
-        if m % 30 == 0:
-            just["step"] = ("all 240 curves split over C(t^{1/30}); "
-                            "contraction to the plane (%s)" % AXIOM)
-            return _dp(9, ext, just)
-        just["step"] = ("conjugate pairs of xi-order 2, 3, 5 intersect; "
-                        "minimal (%s)" % AXIOM)
-        return _dp(1, ext, just)
+    if kind[0] == "e":
+        # xi acts as c^g, g = gcd(m, h), h the lcm of the xi-orders; at
+        # K^2 <= 4 each kept orbit needs a certified meeting pair (minimal)
+        from .lattice import coxeter_contraction
+        families, reports, certified = _coxeter_match(kind, surface)
+        g = gcd(m, lcm(*(N for _, N, _, _ in families)))
+        k2, rho, contracted, kept = coxeter_contraction(int(kind[1]), g)
+        for (c, _), ks in kept.items() if k2 <= 4 else ():
+            if certified[c].isdisjoint(ks):
+                raise VerificationError(
+                    "%s, m=%d: a kept <c^%d>-orbit has no certified meeting "
+                    "pair" % (case, m, g),
+                    detail={"certified": sorted(certified[c]), "cycle": ks})
+        rho -= contracted
+        if rho not in (1, 2):
+            raise VerificationError("%s: end point of rank %d" % (case, rho))
+        # the orbit partition of each family that is one binomial X^N = c t
+        just = {"orbits": {name: orbit_structure(N, m)
+                           for name, N, count, _ in families if count == 1},
+                "intersections": reports, "axiom": AXIOM,
+                "step": "xi acts as c^%d; orbits contracted: %d, K^2 = %d, "
+                        "rho = %d (%s)" % (g, contracted, k2, rho, AXIOM)}
+        return MinimalModelDescriptor(
+            ("DelPezzo", "ConicBundle")[rho - 1], ext,
+            degree=k2 if rho == 1 else None,
+            singular_fibres=8 - k2 if rho == 2 else None, justification=just)
     if kind == "dn":
         N = 2 * (n - 1)
         just = {"orbits": {"mu": orbit_structure(N, m),
                            "x0": orbit_structure(2, m)},
                 "intersections": dn_intersections(surface)["pairs"],
                 "axiom": AXIOM}
-        if _splits(N, m):
+        # mu and -mu, the roots 0 and N/2, in different blocks
+        if all(N // 2 not in block
+               for block in just["orbits"]["mu"]["blocks"] if 0 in block):
             just["step"] = ("every mu-orbit separates mu from -mu and its "
                             "members lie over distinct fibres (pairwise "
                             "disjoint): all n-1 split fibres contract; "
@@ -539,14 +543,13 @@ def minimal_model(case: str, ext: BaseExtension,
             "ConicBundle", ext, singular_fibres=fibres,
             extra_fibre_unknown=True, justification=just)
     # a_n
-    orbit = orbit_structure(n, m)
-    just = {"orbits": {"fibres": orbit},
+    just = {"orbits": {"fibres": orbit_structure(n, m)},
             "intersections": an_intersections(surface)["pairs"],
-            "axiom": AXIOM}
-    just["step"] = ("the y=0 components form a Galois-stable pairwise "
+            "axiom": AXIOM,
+            "step": "the y=0 components form a Galois-stable pairwise "
                     "disjoint family (distinct fibres): contracting them "
                     "leaves at most the unverified fibre at infinity (%s)"
-                    % AXIOM)
+                    % AXIOM}
     return MinimalModelDescriptor("ConicBundle", ext, singular_fibres=0,
                                   extra_fibre_unknown=True,
                                   justification=just)
@@ -554,41 +557,36 @@ def minimal_model(case: str, ext: BaseExtension,
 
 @_surface_cache
 def _rational_point(s) -> bool:
-    """Exact rational point on the conic bundle s, needed by the d <= 1
-    rationality rule."""
+    """Exact rational point on the conic bundle s, for the d <= 1 rule."""
     T = FieldTower.rationals().extend_ratfunc("t")
     zero, one = T.from_fraction(Fraction(0)), T.from_fraction(Fraction(1))
     return on_surface(s, (zero, one, zero, zero))
 
 
+def _rule(desc, surface):
+    """(rational, rule) of a minimal model: rational iff K^2 >= 5, a conic
+    bundle having K^2 = 8 - its singular fibres, one more if one may hide at
+    infinity; over the C_1 field C(t^{1/m}) a del Pezzo has a point (Tsen)."""
+    if desc.kind == "DelPezzo":
+        if desc.degree >= 5:
+            return True, "del-pezzo-degree-ge-5-rational"
+        return False, "minimal-del-pezzo-degree-le-4-not-rational"
+    if desc.singular_fibres >= 4:
+        return False, "conic-bundle-ge-4-fibres-not-rational"
+    if desc.singular_fibres + 1 <= 1:
+        if not _rational_point(surface):
+            raise VerificationError("missing rational point for the "
+                                    "d <= 1 rule")
+        return True, "conic-bundle-le-1-fibre-with-point-rational"
+    raise VerificationError("conic bundle with %d fibres: no rule"
+                            % desc.singular_fibres)
+
+
 @_surface_cache
 def rationality_verdict(case: str, ext: BaseExtension, surface) -> Verdict:
     desc = minimal_model(case, ext, surface)
-    a = rationality_degree(case)
-    if desc.kind == "DelPezzo":
-        if desc.degree == 9:
-            rational, rule = True, "del-pezzo-degree-9-rational"
-        elif desc.degree <= 4:
-            rational, rule = False, "minimal-del-pezzo-degree-le-4-not-rational"
-        else:
-            raise VerificationError("no rule for del Pezzo degree %d"
-                                    % desc.degree)
-    else:
-        if desc.singular_fibres >= 4:
-            rational, rule = False, "conic-bundle-ge-4-fibres-not-rational"
-        elif desc.singular_fibres + 1 <= 1:
-            if not _rational_point(surface):
-                raise VerificationError("missing rational point for the "
-                                        "d <= 1 rule")
-            rational, rule = True, "conic-bundle-le-1-fibre-with-point-rational"
-        else:
-            raise VerificationError("conic bundle with %d fibres: no rule"
-                                    % desc.singular_fibres)
-    if rational != (ext.m % a == 0):
-        raise VerificationError(
-            "rule table and degree formula disagree for %s, m=%d: "
-            "rule says rational=%s but a=%d" % (case, ext.m, rational, a))
-    return Verdict(case, rational, rule, a, ext, desc)
+    return Verdict(case, *_rule(desc, surface),
+                   rationality_degree(case, surface), ext, desc)
 
 
 GRID_CASES = ("an:2", "dn:5", "e6", "e7", "e8")
@@ -596,15 +594,13 @@ GRID_DEGREES = range(1, 31)          # the degrees m of the extensions
 
 
 def verdict_grid(catalog):
-    """The verdict of every case and m over the catalog's surfaces, beside
-    the divisibility criterion a | m; rationality_verdict refuses a cell
-    where they differ."""
+    """The verdict of every case and m over the catalog's surfaces, with the
+    least rational m, a, of its case."""
     cells = []
     for case in GRID_CASES:
         surface = catalog[case_surface(case)]
         for m in GRID_DEGREES:
             v = rationality_verdict(case, BaseExtension(m), surface)
             cells.append({"case": case, "m": m, "rational": v.rational,
-                          "rule": v.rule, "a": v.a,
-                          "divisibility": m % v.a == 0})
+                          "rule": v.rule, "a": v.a})
     return cells

@@ -24,7 +24,7 @@ from kleinfib.lattice import coxeter_number, minus_one_classes
 from kleinfib.multipoly import MultiPoly
 from kleinfib.numeric import (NumericConfig, full_audit, numeric_curve_audit,
                               sturm_vs_numeric)
-from kleinfib.orbits import (an_intersections, dn_intersections,
+from kleinfib.orbits import (an_intersections, case_surface, dn_intersections,
                              rationality_degree, s6_intersections,
                              s7_conjugation, s7_e0_intersection,
                              s8_conjugation, verdict_grid)
@@ -76,17 +76,17 @@ def test_criterion_3_sturm_counts():
 
 def test_criterion_4_rationality_table_and_grid():
     started = time.monotonic()
-    assert rationality_degree("e6") == 12
-    assert rationality_degree("e7") == 18
-    assert rationality_degree("e8") == 30
+    catalog = build_catalog()
+    for case, a in (("e6", 12), ("e7", 18), ("e8", 30)):
+        assert rationality_degree(case, catalog[case_surface(case)]) == a
     for n, a in ((4, 2), (5, 8), (6, 2), (9, 16)):
-        assert rationality_degree("dn:%d" % n) == a
+        assert rationality_degree("dn:%d" % n, catalog["dn:%d" % n]) == a
     for n in range(2, 7):
-        assert rationality_degree("an:%d" % n) == 1
-    cells = verdict_grid(build_catalog())
+        assert rationality_degree("an:%d" % n, catalog["an:%d" % n]) == 1
+    cells = verdict_grid(catalog)
     assert len(cells) == 150
     for c in cells:
-        assert c["rational"] == c["divisibility"]
+        assert c["rational"] == (c["m"] % c["a"] == 0)
     assert time.monotonic() - started < 120
 
 
@@ -192,13 +192,13 @@ def test_criterion_10_fault_injection():
 # klein-e6,0,0,-1 deletes the z^2 term of E6, and autos-e6 refutes the
 # diagonal group it leaves, whose free part has rank 2.
 MUTATION_REACH = {
-    "s6,0,0,1": {"contraction-s6", "curves-s6", "intersections-s6",
-                 "numeric-oracle", "verdict-grid"},
-    "s7,0,0,1": {"conjugation-s7-order2", "conjugation-s7-order3",
+    "s6,0,0,1": {"a-table", "contraction-s6", "curves-s6",
+                 "intersections-s6", "numeric-oracle", "verdict-grid"},
+    "s7,0,0,1": {"a-table", "conjugation-s7-order2", "conjugation-s7-order3",
                  "curves-s7", "dehomogenization", "intersections-s7-e0",
                  "numeric-oracle", "verdict-grid"},
-    "dn:5,0,0,1": {"charts-dn:5", "curves-dn:5", "dehomogenization",
-                   "intersections-dn:5", "verdict-grid"},
+    "dn:5,0,0,1": {"a-table", "charts-dn:5", "curves-dn:5",
+                   "dehomogenization", "intersections-dn:5", "verdict-grid"},
     "klein-an:2,0,0,2": {"autos-an:2", "dehomogenization"},
     "dn:5,1,0,1": {"charts-dn:5"},
     "klein-e7,0,1,1": {"dehomogenization"},
@@ -240,8 +240,6 @@ def test_failed_gluing_names_its_surface():
 READS_NOTHING = {
     "lattice-classes": "(-1)-class counts of the Picard lattice",
     "lattice-coxeter": "Coxeter numbers of the root systems",
-    "a-table": "the E rows of rationality_degree are the paper's values, "
-               "and the D_n rows come from orbit partitions alone",
     "sturm": "it counts the real roots of the literal Q, Q1 and Q2",
 }
 

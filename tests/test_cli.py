@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from kleinfib import autos, cli, curves, numeric, orbits
+from kleinfib import autos, cli, curves, lattice, numeric, orbits
 from kleinfib.cli import _parse_poly, main
 from kleinfib.curves import VerificationError, dn_tower
 from kleinfib.geometry import build_catalog, build_surface
@@ -49,6 +49,45 @@ def test_verdict_examples():
     code, cert = run(["verdict", "e6", "--ext", "6"])
     assert code == 0
     assert cert["verdict"]["rational"] is False
+    assert cert["verdict"]["rule"] == "conic-bundle-ge-4-fibres-not-rational"
+
+
+def test_failed_check_carries_its_detail(monkeypatch):
+    # a refused cycle matching shows the certified powers beside each
+    # cycle's own, truncated to 200 characters
+    full = orbits.s6_intersections(build_surface("s6"))
+    pairs = [dict(p, intersect=True) if p.get("branch") == "plus"
+             and p["k"] == 2 else p for p in full["pairs"]]
+    monkeypatch.setattr(orbits, "s6_intersections",
+                        lambda s6: dict(full, pairs=pairs))
+    caches = (orbits._coxeter_match, orbits.rationality_verdict)
+    for fn in caches:
+        fn.cache_clear()
+    try:
+        code, cert = run(["verdict", "e6", "--ext", "1"])
+    finally:
+        for fn in caches:
+            fn.cache_clear()
+    assert code == 1
+    (pipeline,) = cert["checks"]
+    assert pipeline["error"] == "VerificationError: e6: no free c-cycle " \
+                                "fits the witnesses of Lmu_plus"
+    assert pipeline["detail"].startswith(
+        "{'meets': [2, 4, 5, 6, 7, 8], 'misses': [1, 3, 9, 10, 11], "
+        "'cycles': [[1, 4, 6, 8, 11], [4, 5, 6, 7, 8]]}")
+
+
+def test_a_table_compares_the_e_rows_with_h(monkeypatch):
+    # a is checked against the paper and, for e6, e7, e8, against the
+    # Coxeter number: a wrong h fails a-table with the verdicts unchanged
+    real = lattice.coxeter_number
+    monkeypatch.setattr(lattice, "coxeter_number",
+                        lambda label: 13 if label == "E6" else real(label))
+    code, cert = run(["reproduce-paper"])
+    assert code == 1
+    checks = {c["name"]: c for c in cert["checks"]}
+    assert "'e6': 13" in checks["a-table"]["error"]
+    assert checks["verdict-grid"]["status"] == "verified"
 
 
 def test_verdict_bad_case():
@@ -291,21 +330,23 @@ def test_failed_checks_carry_error_kind(monkeypatch):
 
 
 def test_failed_surface_computation_runs_once():
-    # verdict-grid and intersections-s6 both read the mutated cubic; the
-    # failure is cached with the surface, so it is computed once and both
-    # checks report the same error.  The verdicts on the mutated cubic are
-    # cached too, from any earlier run of this mutation, and a cached
-    # verdict does not read the witnesses again
+    # a-table, verdict-grid and intersections-s6 all read the mutated cubic;
+    # the failure is cached with the surface, so it is computed once and the
+    # checks report the same error.  The verdicts, degrees and cycle matchings
+    # on the mutated cubic are cached too, from any earlier run of this
+    # mutation, and a cached one does not read the witnesses again
     orbits.s6_intersections.cache_clear()
     orbits.rationality_verdict.cache_clear()
+    orbits.rationality_degree.cache_clear()
+    orbits._coxeter_match.cache_clear()
     code, cert = run(["reproduce-paper", "--mutate", "s6,0,0,1"])
     assert code == 1
     info = orbits.s6_intersections.cache_info()
     assert info.misses == 1 and info.hits >= 1
     checks = {c["name"]: c for c in cert["checks"]}
     assert checks["intersections-s6"]["error"] == \
-        checks["verdict-grid"]["error"] == "VerificationError: line " \
-        "intersection witness not on the surface"
+        checks["verdict-grid"]["error"] == checks["a-table"]["error"] == \
+        "VerificationError: line intersection witness not on the surface"
 
 
 def test_timings_per_check():
@@ -346,10 +387,17 @@ PINNED = {
     # since every curve entry carries its `count`, here 1 for each
     ("curves", "dn:5"): "c491588008aea91d2171dd20294c2aa6"
                         "a71b2596146a1c2e7e8abd4181d1db74",
-    # as printed at the commit before the field towers became (M, var)
-    # values
-    ("verdict", "e6", "--ext", "12"): "042f9d7d463ce90e340f9406e1c35b1e"
-                                      "1a71471e9fa604c3b0b10e7013e0a31c"}
+    # since the E verdicts come from the contraction of the Coxeter
+    # element's orbits: `rule` (in the verdict and its check) reads
+    # del-pezzo-degree-ge-5-rational, the `rule-table` note names the two
+    # statements assumed, and the justification's `step` names g, the
+    # contracted orbits, K^2 and rho
+    ("verdict", "e6", "--ext", "12"): "fc825a2ae703d128f033e652e0e77de0"
+                                      "e0fca3319ddbfd954f3e00a808a2f7d1",
+    # the default certificate of the whole suite (seed 0), the behavioural
+    # contract that a refactor must keep byte for byte
+    ("reproduce-paper",): "54b826450db9327ccc9a6ab0f79e86b1"
+                          "a0e8cb15aec9ec9936d70640a87d4a8e"}
 
 
 # sha256 of the S7 and S8 curve certificates: every curve form is the
@@ -373,15 +421,14 @@ PINNED_RECORDS = {("verdict", "dn:6", "--ext", "6"):
                   ("verdict", "dn:12", "--ext", "3"):
                   "6f8d22c68bd3e04d5724ddbf03fefe30"
                   "0c6c09b09df3a9f6dc11d594d9ace8d2",
-                  # since the S8 conjugation witnesses come from one rule
-                  # over the family's stored xi-weights: each report drops
-                  # the always-true reason, parameter_invertible and
-                  # curves_distinct, its witness text names the slice form
-                  # by its coefficients, and branch P2's three reports
-                  # follow P1's
+                  # since the E verdicts come from the contraction of the
+                  # Coxeter element's orbits: as for e6 --ext 12 the `rule`,
+                  # the `rule-table` note and the `step` change, and the
+                  # justification gains an empty `orbits` (neither S8
+                  # branch is one binomial X^30 = c t)
                   ("verdict", "e8", "--ext", "30"):
-                  "f13ad482795264ea372d24abec8172ae"
-                  "ad45e3c308dce76327e967577f5d544d"}
+                  "3dc171ab0e19f95e84a43cec91fdd69d"
+                  "4543b17ec65fd076c4a9e883eab28d90"}
 
 
 def _sha256_of(argv):

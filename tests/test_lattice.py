@@ -5,7 +5,8 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from kleinfib.lattice import (build_root_system, coxeter_number,
+from kleinfib.lattice import (build_root_system, coxeter_contraction,
+                              coxeter_cycles, coxeter_number,
                               minus_one_classes, standard_root_system)
 
 
@@ -99,3 +100,55 @@ def test_root_counts_and_coxeter_numbers(label, roots, h):
         assert len(rs.roots) == roots
         assert rs.coxeter_number == h
         assert set(rs.roots) == _ambient_closure(rs.simple_roots, rs.dot)
+
+
+@pytest.mark.parametrize("r,lengths", [
+    (6, [12, 12, 3]), (7, [18, 18, 18, 2]), (8, [30] * 8)])
+def test_coxeter_cycles(r, lengths):
+    # c permutes the (-1)-classes in cycles from their least class, and the
+    # stored meeting numbers are v.c^k v, symmetric in k -> -k
+    cycles, traces = coxeter_cycles(r)
+    assert [len(cycle) for cycle, _ in cycles] == lengths
+    classes = [v for cycle, _ in cycles for v in cycle]
+    assert sorted(classes) == minus_one_classes(r)
+    for cycle, meets in cycles:
+        assert cycle[0] == min(cycle) and meets[0] == -1
+        v = cycle[0]
+        assert [v[0] * w[0] - sum(a * b for a, b in zip(v[1:], w[1:]))
+                for w in cycle] == list(meets)
+        assert all(meets[k] == meets[-k] for k in range(1, len(cycle)))
+    # c has order h on the lattice, and fixes K
+    assert len(traces) == coxeter_number("E%d" % r) and traces[0] == r + 1
+
+
+# K^2 of the end point and rho = rank Pic^<c^g> for each divisor g of h
+CONTRACTIONS = {
+    6: {1: (3, 1), 2: (3, 1), 3: (4, 3), 4: (3, 1), 6: (4, 3), 12: (9, 7)},
+    7: {1: (2, 1), 2: (3, 2), 3: (2, 1), 6: (3, 2), 9: (2, 1), 18: (9, 8)},
+    8: {g: (9, 9) if g == 30 else (1, 1)
+        for g in (1, 2, 3, 5, 6, 10, 15, 30)}}
+
+
+@pytest.mark.parametrize("r", sorted(CONTRACTIONS))
+def test_coxeter_contraction(r):
+    for g, (k2, rho) in CONTRACTIONS[r].items():
+        got_k2, got_rho, contracted, kept = coxeter_contraction(r, g)
+        assert (got_k2, got_rho) == (k2, rho), g
+        # each contracted orbit raises K^2 by its size and lowers rho by 1;
+        # the end point has Picard rank 1, or 2 for E6 at g = 3, 6
+        assert got_rho - contracted == (2 if (r, g) in ((6, 3), (6, 6))
+                                        else 1)
+        if k2 <= 4:
+            assert all(kept.values())
+
+
+def test_contraction_runs_in_order_of_least_class():
+    # the first <c^12>-orbits of E6 are e1..e6, so the pass ends at the
+    # plane; the six classes contracted are pairwise orthogonal
+    k2, rho, contracted, kept = coxeter_contraction(6, 12)
+    assert (k2, contracted) == (9, 6)
+    cycles = coxeter_cycles(6)[0]
+    gone = sorted(cycles[n][0][i] for n, cycle in enumerate(cycles)
+                  for i in range(len(cycle[0])) if (n, i) not in kept)
+    assert gone == minus_one_classes(6)[:6]
+    assert all(v[0] == 0 for v in gone)

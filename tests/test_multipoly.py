@@ -89,6 +89,25 @@ def test_substitute_and_evaluate():
                        "z": Fraction(0)}) == 7
 
 
+
+def test_evaluate_takes_no_first_powers(monkeypatch):
+    # a variable of exponent 1 enters a term as it is given, not as a power
+    T = cyclotomic(12)
+    a, b = T.gen("z12"), T.gen("z12") + T.one()
+    exponents = []
+    power = type(a).__pow__
+
+    def traced(self, n):
+        exponents.append(n)
+        return power(self, n)
+    monkeypatch.setattr(type(a), "__pow__", traced)
+    x, y = MultiPoly.var(VARS, "x"), MultiPoly.var(VARS, "y")
+    f = x * y + x ** 2 * y + y
+    got = f.evaluate({"x": a, "y": b, "z": T.zero()})
+    assert exponents == [2]
+    assert got == a * b + a * a * b + b
+
+
 # ---------------------------------------------------------------------------
 # differential tests: the flat form (int numerators over one denominator)
 # against plain {exps: Fraction} dicts, operated on as the Fraction-valued

@@ -1,30 +1,35 @@
 """Galois orbits, intersection witnesses and rationality verdicts."""
 
 import copy
+from math import gcd
 
 import pytest
 
-from kleinfib import orbits, tower
+from kleinfib import lattice, orbits, tower
 from kleinfib.base import GeometryError, VerificationError
 from kleinfib.curves import s6_alpha_lines, s6_line_forms, s6_line_tower
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.orbits import (BaseExtension, GRID_CASES, an_intersections,
-                             dn_intersections, minimal_model,
+                             case_surface, dn_intersections, minimal_model,
                              orbit_structure, rationality_degree,
                              rationality_verdict, s6_intersections,
                              s7_conjugation, s7_e0_intersection,
                              s8_conjugation, verdict_grid)
 
 
+def _degree(case):
+    return rationality_degree(case, build_surface(case_surface(case)))
+
+
 def test_rationality_degrees():
-    assert rationality_degree("e6") == 12
-    assert rationality_degree("e7") == 18
-    assert rationality_degree("e8") == 30
-    assert rationality_degree("an:2") == 1
-    assert rationality_degree("dn:4") == 2
-    assert rationality_degree("dn:5") == 8
-    assert rationality_degree("dn:6") == 2
-    assert rationality_degree("dn:9") == 16
+    assert _degree("e6") == 12
+    assert _degree("e7") == 18
+    assert _degree("e8") == 30
+    assert _degree("an:2") == 1
+    assert _degree("dn:4") == 2
+    assert _degree("dn:5") == 8
+    assert _degree("dn:6") == 2
+    assert _degree("dn:9") == 16
 
 
 @pytest.mark.parametrize("n", range(4, 33))
@@ -36,7 +41,7 @@ def test_dn_degree_is_the_least_splitting_extension(n):
         return next(b for b in blocks if 0 in b) != \
             next(b for b in blocks if n - 1 in b)
     least = next(m for m in range(1, 2 * n) if separated(m))
-    assert rationality_degree("dn:%d" % n) == least
+    assert _degree("dn:%d" % n) == least
     # the paper's form: the 2-part of 2(n-1)
     assert least == (2 * (n - 1)) & -(2 * (n - 1))
 
@@ -58,9 +63,12 @@ def test_verdict_examples():
     assert v.rational and v.a == 12
     v = rationality_verdict("e6", BaseExtension(6), s6)
     assert not v.rational and v.a == 12
-    # m = 3: the three lines L1..L3 become rational, blow down to DP(4)
+    # m = 3: the three lines L1..L3 become rational and meet pairwise, so
+    # one contracts: K^2 = 4 with Picard rank 3 - 1 = 2, a conic bundle with
+    # 8 - 4 = 4 singular fibres, not a del Pezzo surface of degree 4
     d = minimal_model("e6", BaseExtension(3), s6)
-    assert d.kind == "DelPezzo" and d.degree == 4
+    assert d.kind == "ConicBundle" and d.singular_fibres == 4
+    assert d.degree is None
     assert not rationality_verdict("e6", BaseExtension(3), s6).rational
     # d4 over the base field: minimal conic bundle with >= 4 fibres
     d = minimal_model("dn:4", BaseExtension(1), d4)
@@ -92,7 +100,121 @@ def test_verdict_grid_consistency():
     assert len(cells) == 150
     assert {c["case"] for c in cells} == set(GRID_CASES)
     for c in cells:
-        assert c["rational"] == c["divisibility"]
+        assert c["rational"] == (c["m"] % c["a"] == 0)
+
+
+@pytest.fixture
+def fresh_verdicts():
+    """The verdict caches emptied before and after the test, so that what it
+    computes from patched witnesses or cycles stays with it."""
+    caches = (orbits._coxeter_match, orbits.rationality_degree,
+              orbits.rationality_verdict)
+    for fn in caches:
+        fn.cache_clear()
+    yield
+    for fn in caches:
+        fn.cache_clear()
+
+
+def _s6_reporting(monkeypatch, edit):
+    """s6_intersections patched to return its pairs through edit, which
+    returns a pair or None to leave it out."""
+    full = s6_intersections(build_surface("s6"))
+    pairs = [edit(p) for p in full["pairs"]]
+    monkeypatch.setattr(orbits, "s6_intersections", lambda s6: dict(
+        full, pairs=[p for p in pairs if p is not None]))
+
+
+def _endpoint(case, m, surface):
+    d = minimal_model(case, BaseExtension(m), surface)
+    return d.kind, d.degree, d.singular_fibres
+
+
+def test_kept_orbits_need_a_certified_meeting_pair(monkeypatch,
+                                                     fresh_verdicts):
+    # without the xi-order-3 witnesses (k = 4, 8) no certified pair keeps
+    # the <c^4>-orbits of L_mu, whose only meets are at k = 4 and 8: the
+    # cells with gcd(m, 12) = 4 and a are refused, and no other cell changes
+    s6 = build_surface("s6")
+    before = {m: _endpoint("e6", m, s6) for m in range(1, 31)}
+    orbits._coxeter_match.cache_clear()
+    _s6_reporting(monkeypatch, lambda p: None if p.get("k") in (4, 8) else p)
+    for m in range(1, 31):
+        if gcd(m, 12) == 4:
+            with pytest.raises(VerificationError,
+                               match="no certified meeting pair") as info:
+                minimal_model("e6", BaseExtension(m), s6)
+            assert info.value.detail["cycle"] == (4, 8)
+            assert 4 not in info.value.detail["certified"]
+        else:
+            assert _endpoint("e6", m, s6) == before[m]
+    with pytest.raises(VerificationError):
+        rationality_degree("e6", s6)
+
+
+@pytest.mark.parametrize("k,meet,meets", [(2, True, [2, 4, 5, 6, 7, 8]),
+                                           (6, False, [4, 5, 7, 8])])
+def test_a_witness_the_lattice_refutes_fails_the_matching(
+        monkeypatch, fresh_verdicts, k, meet, meets):
+    # L_mu+ meets L_{xi^k mu+} for k = 4..8 only: a reported meet at k = 2,
+    # or a disjointness at k = 6, fits neither 12-cycle, and every e6 cell
+    # is refused
+    def edited(p):
+        if p.get("branch") == "plus" and p["k"] == k:
+            return dict(p, intersect=meet)
+        return p
+    _s6_reporting(monkeypatch, edited)
+    s6 = build_surface("s6")
+    for m in (1, 3, 4, 12):
+        with pytest.raises(VerificationError,
+                           match="no free c-cycle fits the witnesses of "
+                                 "Lmu_plus") as info:
+            minimal_model("e6", BaseExtension(m), s6)
+    assert info.value.detail["meets"] == meets
+    assert sorted(info.value.detail["cycles"]) == [[1, 4, 6, 8, 11],
+                                                   [4, 5, 6, 7, 8]]
+
+
+def _squared_cycles(r, real=lattice.coxeter_cycles):
+    """The cycles of c^2 in place of those of c, with their meeting
+    numbers: xi matched to c^2."""
+    cycles, traces = real(r)
+    out = []
+    for cycle, meets in cycles:
+        size, parts = len(cycle), gcd(2, len(cycle))
+        for i in range(parts):
+            out.append((tuple(cycle[(i + 2 * j) % size]
+                              for j in range(size // parts)),
+                        tuple(meets[2 * j % size]
+                              for j in range(size // parts))))
+    return tuple(out), traces
+
+
+@pytest.mark.parametrize("case", ["e6", "e7", "e8"])
+def test_xi_matched_to_c_squared_fails_every_cell(monkeypatch,
+                                                   fresh_verdicts, case):
+    monkeypatch.setattr(lattice, "coxeter_cycles", _squared_cycles)
+    surface = build_surface(case_surface(case))
+    for m in range(1, 31):
+        with pytest.raises(VerificationError, match="no free c-cycle"):
+            minimal_model(case, BaseExtension(m), surface)
+
+
+def test_end_point_of_picard_rank_above_2_is_refused(monkeypatch,
+                                                     fresh_verdicts):
+    # a contraction leaving rank 3 names neither a del Pezzo surface nor a
+    # conic bundle
+    monkeypatch.setattr(lattice, "coxeter_contraction",
+                        lambda r, g: (4, 4, 1, {}))
+    with pytest.raises(VerificationError, match="end point of rank 3"):
+        minimal_model("e6", BaseExtension(1), build_surface("s6"))
+
+
+def test_huge_extension_reads_its_gcd_with_h():
+    s8 = build_surface("s8")
+    assert rationality_verdict("e8", BaseExtension(30 * 7 ** 20), s8).rational
+    assert not rationality_verdict("e8", BaseExtension(7 ** 20), s8).rational
+    assert minimal_model("e8", BaseExtension(7 ** 20), s8).degree == 1
 
 
 def test_binomial_identity_verified_once_per_n_and_g():
@@ -309,6 +431,6 @@ def test_an_contractible_orbit_disjoint(n):
 
 def test_invalid_case():
     with pytest.raises(ValueError):
-        rationality_degree("e9")
+        rationality_degree("e9", build_surface("s8"))
     with pytest.raises(ValueError):
         BaseExtension(0)

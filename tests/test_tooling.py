@@ -145,7 +145,8 @@ PACKAGE = {path.stem for path in Path(kleinfib.__file__).parent.glob("*.py")
     (["curves", "s7"], {"orbits", "autos", "lattice", "numeric"}),
     (["autos", "an", "--n", "3", "--poly", "1+y"],
      {"curves", "orbits", "lattice", "numeric"}),
-    (["verdict", "e8", "--ext", "30"], {"autos", "lattice", "numeric"}),
+    (["verdict", "e8", "--ext", "30"], {"autos", "numeric"}),
+    (["verdict", "dn:6", "--ext", "6"], {"autos", "lattice", "numeric"}),
     (["audit", "dn:9", "--t", "5"], {"autos", "curves", "lattice", "orbits"}),
     (["reproduce-paper"], set())],
     ids=lambda v: " ".join(sorted(v) if isinstance(v, set) else v))
