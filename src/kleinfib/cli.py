@@ -11,6 +11,7 @@ import json
 import re
 import sys
 import time
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
@@ -83,7 +84,12 @@ def _curve_entry(c):
 
 
 def emit(cert, out=None):
-    text = json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    """Print cert (and write it to `out`) as json.dumps(cert, sort_keys=True,
+    indent=2) + "\n", splicing in the text each check keeps."""
+    text = json.dumps(dict(cert, checks=[]), sort_keys=True, indent=2) + "\n"
+    if cert["checks"]:
+        text = text.replace('\n  "checks": []', '\n  "checks": [\n    %s\n  ]'
+                            % ",\n    ".join(c.text for c in cert["checks"]))
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -102,10 +108,24 @@ def certificate(command, inputs, checks, payload=None, elapsed=None):
     return cert
 
 
+class _Entry(dict):
+    """A check of a certificate with its JSON `text`, indented to its place
+    there; a memoized one is shared, so every mutator raises TypeError."""
+    __slots__ = ("text",)
+
+    def __init__(self, fields):
+        super().__init__(fields)
+        self.text = json.dumps(self, sort_keys=True, indent=2).replace(
+            "\n", "\n    ")
+
+    def _frozen(self, *args, **kwargs):
+        raise TypeError("a check entry is shared; change a copy of it")
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = \
+        setdefault = update = _frozen
+
+
 def check(name, ref, status="verified", **extra):
-    entry = {"name": name, "status": status, "ref": ref}
-    entry.update(_jsonable(extra))
-    return entry
+    return _Entry(dict(name=name, status=status, ref=ref, **_jsonable(extra)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +387,44 @@ def _failure(ex):
                 **({} if detail is None else {"detail": str(detail)[:200]}))
 
 
+class _ReadLog(Mapping):
+    """The catalog as a check sees it: each name looked up is logged, and
+    iterating logs them all, so no surface is read unseen."""
+
+    def __init__(self, surfaces):
+        self.surfaces, self.names = surfaces, set()
+
+    def __getitem__(self, name):
+        self.names.add(name)
+        return self.surfaces[name]
+
+    def __iter__(self):
+        self.names.update(self.surfaces)
+        return iter(self.surfaces)
+
+    def __len__(self):
+        return len(self.surfaces)
+
+
+class _CheckMemo(dict):
+    """(check name, seed) -> [(reads, entry)]: an entry, failed or not, is
+    reused while each (name, surface) pair its run read is the catalog's."""
+
+    def lookup(self, key, surfaces):
+        return next((run for run in self.get(key, ()) if all(
+            (s := surfaces.get(name)) is read or s == read
+            for name, read in run[0])), None)
+
+    cache_clear = dict.clear
+
+
+_check_memo = _CheckMemo()
+
+
 def _run_reproduction(catalog, seed=0, timings=False):
-    """Every check of the paper, each reading its surfaces from `catalog`;
-    with `timings`, each check carries its wall time as `elapsed`."""
+    """Every check of the paper, each reading its surfaces from `catalog`,
+    reused from _check_memo while they are unchanged; with `timings`, each
+    carries its wall time, `elapsed`, and its surfaces' names, `reads`."""
     from .autos import autos_report
     from .geometry import (AN_RANGE, DN_RANGE, boundary_selfintersection,
                            charts_compatible, verify_contraction_S6)
@@ -379,19 +434,26 @@ def _run_reproduction(catalog, seed=0, timings=False):
                          rationality_degree, s6_intersections, s7_conjugation,
                          s7_e0_intersection, s8_conjugation, verdict_grid)
     checks = []
+    catalog = _ReadLog(catalog)
 
-    def step(name, ref, fn, status="verified", **extra):
+    def step(name, ref, fn, status="verified"):
         started = time.monotonic()
-        try:
-            fn_extra = fn()
-        except Exception as ex:
-            entry = check(name, ref, status="failed", **_failure(ex), **extra)
-        else:
-            entry = check(name, ref, status=status, **extra)
-            if isinstance(fn_extra, dict):
-                entry.update(_jsonable(fn_extra))
+        hit = _check_memo.lookup((name, seed), catalog.surfaces)
+        if hit is None:
+            catalog.names.clear()
+            try:
+                fn_extra = fn()
+            except Exception as ex:
+                entry = check(name, ref, status="failed", **_failure(ex))
+            else:
+                entry = check(name, ref, status=status, **(fn_extra or {}))
+            hit = (tuple((n, catalog.surfaces.get(n))
+                         for n in sorted(catalog.names)), entry)
+            _check_memo.setdefault((name, seed), []).append(hit)
+        reads, entry = hit
         if timings:
-            entry["elapsed"] = time.monotonic() - started
+            entry = _Entry(dict(entry, elapsed=time.monotonic() - started,
+                                reads=[n for n, _ in reads]))
         checks.append(entry)
 
     # 1-2. curve enumerations and the displayed residual polynomials

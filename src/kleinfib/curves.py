@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 from .base import VerificationError, _surface_cache
 from .multipoly import MultiPoly
-from .tower import FieldTower, cyclotomic, root_of_unity
+from .tower import FieldElement, FieldTower, cyclotomic, root_of_unity
 from .univariate import (derivative, primitive_gcd, resultant_poly,
                          subresultant_prs, to_multipoly)
 
@@ -426,6 +426,23 @@ def _certify_membership(surface, tower, substitution, t):
         raise VerificationError("membership residue nonzero", detail=eq)
 
 
+def rotate_forms(forms, e):
+    """sigma_e of each form: FieldElement.rotate on its tower coefficients."""
+    return tuple(f.map_coeffs(lambda c: c.rotate(e) if isinstance(
+        c, FieldElement) else c) for f in forms)
+
+
+def _certify_member(surface, tower, t, substitution, forms, rep, e):
+    """Certify the curve cut by `forms` on surface by substitution, or as
+    sigma_e(rep) when rep is given: sigma_e fixes Q(zeta_M), so the surface
+    equation, and once it fixes t, rep's zero residue maps to this one's."""
+    if rep is None:
+        _certify_membership(surface, tower, substitution, t)
+    elif t.rotate(e) != t or forms != rotate_forms(rep.equations, e):
+        raise VerificationError("%s %s member is not sigma_%d of index %s"
+                                % (rep.family, rep.branch, e, rep.index))
+
+
 # ---------------------------------------------------------------------------
 # S8: 240 curves, residual quartics Q1, Q2
 
@@ -647,12 +664,10 @@ def s6_line_tower(branch: str):
     return T, c, T.gen("mu") ** 12 / c
 
 
-def s6_line_forms(T, branch: str, xi=None):
-    """The two linear forms cutting L_mu, or L_{xi mu} when xi is given; the
+def s6_line_forms(T, branch: str):
+    """The two linear forms cutting L_mu (rotate_forms gives L_{xi mu}); the
     minus branch carries the sqrt3 -> -sqrt3 conjugated coefficients."""
     (i, s3), mu = _i_sqrt3(T), T.gen("mu")
-    if xi is not None:
-        mu = xi * mu
     if branch == "minus":
         s3 = -s3
     lv = ("W", "X", "Y", "Z")
@@ -746,11 +761,11 @@ def enumerate_an(s):
     curves = []
     for j, zj in enumerate(zeta.powers(n)):
         root = MultiPoly.const(cv, zj * alpha)
-        for comp, zero_var in (("y0", "y"), ("z0", "z")):
-            _certify_membership(s, T, {"x": root,
-                                       zero_var: MultiPoly.zero(cv)}, t)
-            curves.append(CurveSpec("an:%d" % n, "An-fiber", comp, j,
-                                    (x - root, MultiPoly.var(cv, zero_var)),
+        for k, (comp, zero_var) in enumerate((("y0", "y"), ("z0", "z"))):
+            forms = (x - root, MultiPoly.var(cv, zero_var))
+            _certify_member(s, T, t, {"x": root, zero_var: MultiPoly.zero(cv)},
+                            forms, curves[k] if j else None, j)
+            curves.append(CurveSpec("an:%d" % n, "An-fiber", comp, j, forms,
                                     parameter="alpha", relation=rel,
                                     data={"zeta_power": j,
                                           "contractible_orbit": comp == "y0"}))
@@ -783,19 +798,21 @@ def enumerate_dn(s):
     relN = MultiPoly(("mu", "t"), {(N, 0): Fraction(1),
                                    (0, 1): Fraction(-1)})
     curves = []
-    r = mu ** (n - 1)
+    # zeta = zeta_M^e; sigma_e takes r to zeta^(n-1) r = -r: one orbit
+    r, e = mu ** (n - 1), T.M // N
     for idx, sgn in enumerate((1, -1)):
         zr = w.scale(r * sgn)
-        _certify_membership(s, T, {"x": MultiPoly.zero(cv), "z": zr}, t)
+        _certify_member(s, T, t, {"x": MultiPoly.zero(cv), "z": zr},
+                        (x, z - zr), curves[0] if idx else None, e)
         curves.append(CurveSpec("dn:%d" % n, "Dn-x0", "x0", idx,
                                 (x, z - zr), parameter="mu", relation=relN,
                                 data={"sign": sgn}))
     for j, zj in enumerate(zeta.powers(N)):
         mj = zj * mu
         sub = {"x": MultiPoly.const(cv, mj ** 2), "z": y.scale(i * mj)}
-        _certify_membership(s, T, sub, t)
-        curves.append(CurveSpec("dn:%d" % n, "Dn-mu", "mu", j,
-                                (x - sub["x"], z - sub["z"]),
+        forms = (x - sub["x"], z - sub["z"])
+        _certify_member(s, T, t, sub, forms, curves[2] if j else None, e * j)
+        curves.append(CurveSpec("dn:%d" % n, "Dn-mu", "mu", j, forms,
                                 parameter="mu", relation=relN,
                                 data={"zeta_power": j}))
     if len(curves) != 2 + N:

@@ -13,7 +13,7 @@ from .base import GeometryError, VerificationError, _surface_cache
 from .geometry import on_surface
 from .curves import (enumerate_s7, enumerate_s8, enumerate_an, enumerate_dn,
                      s6_alpha_lines, s6_line_tower, s6_line_forms,
-                     s7_e0_tower, an_tower, dn_tower)
+                     s7_e0_tower, an_tower, dn_tower, rotate_forms)
 
 # The verdicts assume two statements, named in the reports by this label: a
 # surface is minimal iff no Galois orbit of pairwise-disjoint (-1)-curves is
@@ -165,26 +165,28 @@ def _kernel(rows, tower):
     return r, basis
 
 
-def _plucker(rows):
-    """The Plucker coordinates p01, p02, p03, p12, p13, p23 of a 2x4 matrix."""
-    r, s = rows
-    return [r[i] * s[j] - r[j] * s[i]
-            for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+def line_p3(forms, tower):
+    """The line of P^3 cut by two linear forms over `tower`, as (forms, their
+    rows, its Plucker coordinates p01, p02, p03, p12, p13, p23); a line
+    whose coordinates all vanish is degenerate."""
+    r, s = rows = _form_rows(forms, tower)
+    p = [r[i] * s[j] - r[j] * s[i]
+         for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
+    if all(x.is_zero() for x in p):
+        raise GeometryError("degenerate line")
+    return forms, rows, p
 
 
-def lines_intersect_p3(forms1, forms2, tower, surface, t):
-    """Exact intersection of two lines in P^3, each cut by two linear forms
-    over a common tower, with Plucker coordinates p, q (degenerate if all
-    vanish).  They meet iff the pairing, the determinant of the four forms,
+def lines_intersect_p3(line1, line2, tower, surface, t):
+    """Exact intersection of two lines of P^3 (line_p3) over a common
+    tower, with Plucker coordinates p, q.  They meet iff the pairing, the
+    determinant of the four forms,
         p01 q23 - p02 q13 + p03 q12 + p12 q03 - p13 q02 + p23 q01
     is zero, the rule numeric.py applies in floating point; only then is
     the kernel of the forms solved (rank 4 refutes the pairing), and its
     vector, the witness, verified on the four forms and the surface at the
     tower element t.  Returns (bool, witness coords or None)."""
-    rows1, rows2 = _form_rows(forms1, tower), _form_rows(forms2, tower)
-    p, q = _plucker(rows1), _plucker(rows2)
-    if all(x.is_zero() for x in p) or all(x.is_zero() for x in q):
-        raise GeometryError("degenerate line")
+    (forms1, rows1, p), (forms2, rows2, q) = line1, line2
     if not (p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2]
             - p[4] * q[1] + p[5] * q[0]).is_zero():
         return False, None
@@ -217,24 +219,24 @@ def s6_intersections(s6) -> dict:
 
     # L1, L2, L3 pairwise, meeting at (0:1:0:0)
     T0, t0, alpha_lines = s6_alpha_lines()
+    lines = [line_p3(forms, T0) for forms in alpha_lines]
     for j1 in range(3):
         for j2 in range(j1 + 1, 3):
-            ok, wit = lines_intersect_p3(alpha_lines[j1], alpha_lines[j2],
-                                         T0, s6, t0)
+            ok, wit = lines_intersect_p3(lines[j1], lines[j2], T0, s6, t0)
             report["pairs"].append({"pair": "L%d/L%d" % (j1 + 1, j2 + 1),
                                     "intersect": ok, "witness":
                                     _serialize_point(wit) if ok else None})
 
-    # L_mu vs L_{xi mu}, xi = z12^k, on both branches; the verdicts match
-    # the pattern to a cycle of the Coxeter element (_coxeter_match)
+    # L_mu vs L_{xi mu}, xi = z12^k, on both branches: L_{xi mu} is L_mu
+    # under mu -> xi mu.  The verdicts match the pattern to a cycle of the
+    # Coxeter element (_coxeter_match)
     for branch in ("plus", "minus"):
         T, _, t = s6_line_tower(branch)
-        z12 = root_of_unity(T, 12)
-        forms1 = s6_line_forms(T, branch)
-        xis = z12.powers(12)
+        forms = s6_line_forms(T, branch)
+        line = line_p3(forms, T)
         for k in range(1, 12):
-            forms2 = s6_line_forms(T, branch, xis[k])
-            ok, wit = lines_intersect_p3(forms1, forms2, T, s6, t)
+            ok, wit = lines_intersect_p3(
+                line, line_p3(rotate_forms(forms, k), T), T, s6, t)
             report["pairs"].append(
                 {"pair": "Lmu/Lximu", "branch": branch, "k": k,
                  "xi_order": 12 // gcd(12, k), "intersect": ok,
@@ -359,12 +361,15 @@ def dn_intersections(s) -> dict:
              (zero, one, zero, zero), t, "D_n x=0 components")
     report["pairs"].append({"pair": "x0+/x0-", "intersect": True,
                             "witness": "((0:1:0), x=0)"})
-    # once per unordered pair {zeta^j mu, -zeta^j mu}: one fibre, one point
+    # one point per unordered pair {zeta^j mu, -zeta^j mu}: pair j and its
+    # point are sigma_j of pair 0's, as enumerate_dn certifies each curve
     mu_curves = [c for c in curves if c.family == "Dn-mu"]
-    for j1 in range(N // 2):
-        _meet_at([mu_curves[j1], mu_curves[j1 + N // 2]], s,
-                 (one, zero, zero, zeta2[j1] * mu * mu), t,
-                 "D_n mu-pair (j=%d)" % j1)
+    _meet_at([mu_curves[0], mu_curves[N // 2]], s, (one, zero, zero, mu * mu),
+             t, "D_n mu-pair (j=0)")
+    for j1 in range(1, N // 2):
+        if zeta2[j1] * mu * mu != (mu * mu).rotate(T.M // N * j1):
+            raise VerificationError("D_n mu-pair (j=%d) witness is not "
+                                    "sigma_j of the pair 0's" % j1)
     report["pairs"].append({"pair": "mu_j / -mu_j (all j)",
                             "intersect": True,
                             "witness": "((1:0:0), x=mu_j^2)"})

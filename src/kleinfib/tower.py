@@ -334,6 +334,12 @@ class FieldElement:
             out.append(out[-1] * self)
         return out[:n]
 
+    def rotate(self, e: int):
+        """sigma_e(self), sigma_e: s -> zeta_M^e s fixing Q(zeta_M)."""
+        ring, (terms, den) = self.tower._ring, self.payload
+        return self.tower._elem({k: ring.mul(v, ring.powers[e * k % ring.M])
+                                 for k, v in terms.items()}, den)
+
     def invert(self):
         terms, den = self.payload
         if not terms:

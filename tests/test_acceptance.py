@@ -244,30 +244,44 @@ READS_NOTHING = {
 }
 
 
-def test_every_verified_check_reads_a_surface(monkeypatch):
-    # every check reaches its surfaces through catalog[name]; each call of
-    # cli.check closes one step, so the reads logged since the last call
-    # are that step's
-    reads, steps = [], {}
-
-    class LoggedCatalog(dict):
-        def __getitem__(self, name):
-            reads.append(name)
-            return dict.__getitem__(self, name)
-
-    def logged_check(name, ref, status="verified", **extra):
-        steps[name] = (status, set(reads))
-        reads.clear()
-        return record(name, ref, status, **extra)
-    record = cli.check
-    monkeypatch.setattr(cli, "check", logged_check)
-    checks = cli._run_reproduction(LoggedCatalog(build_catalog()))
+def test_every_verified_check_reads_a_surface():
+    # every check reaches its surfaces through the catalog it is handed,
+    # which logs each lookup; the reads are kept with the check's memoized
+    # entry, and --timings prints them as `reads`
+    checks = cli._run_reproduction(build_catalog(), timings=True)
+    steps = {c["name"]: (c["status"], set(c["reads"])) for c in checks}
     assert len(checks) == len(steps) == 66
     blind = {name for name, (status, names) in steps.items()
              if status == "verified" and not names}
     assert blind == set(READS_NOTHING)
     assert steps["lattice-dn-boundary"][1] == {
         "dn:%d" % n for n in geometry.DN_RANGE}
+
+
+def test_memo_recomputes_exactly_the_checks_that_read_a_mutation(
+        fresh_check_memo):
+    # each (surface, chart) mutated at term 0 by 1: the checks whose reads
+    # include the surface are recomputed, every other one is reused, and the
+    # certificate is byte for byte the one printed with the memo cleared
+    code, out = _run_cli(["--timings", "reproduce-paper"])
+    assert code == 0
+    reads = {c["name"]: set(c["reads"]) for c in json.loads(out)["checks"]}
+    catalog = build_catalog()
+    pairs = [(name, chart) for name in sorted(catalog)
+             for chart in range(len(catalog[name].equations))]
+    assert len(pairs) == 40
+    for name, chart in pairs:
+        argv = ["reproduce-paper", "--mutate", "%s,%d,0,1" % (name, chart)]
+        before = {key: len(runs) for key, runs in fresh_check_memo.items()}
+        code, warm = _run_cli(argv)
+        recomputed = {key[0] for key, runs in fresh_check_memo.items()
+                      if len(runs) != before.get(key, 0)}
+        assert recomputed == {check for check, names in reads.items()
+                              if name in names}, argv
+        fresh_check_memo.cache_clear()
+        assert _run_cli(argv) == (code, warm), argv
+        fresh_check_memo.cache_clear()
+        assert _run_cli(["reproduce-paper"])[0] == 0
 
 
 # the pure pipelines cached on the surfaces (and configs) they read, and
@@ -285,21 +299,26 @@ PIPELINE_CACHES = [
     cli.build_parser]
 
 
-def test_unmutated_rerun_misses_no_cache():
+def test_unmutated_rerun_misses_no_cache(fresh_check_memo):
+    # the memo is cleared between the runs, so the second one calls the
+    # pipelines again and each must answer from its cache
     assert _run_cli(["reproduce-paper"])[0] == 0
     misses = [fn.cache_info().misses for fn in PIPELINE_CACHES]
+    fresh_check_memo.cache_clear()
     assert _run_cli(["reproduce-paper"])[0] == 0
     assert [fn.cache_info().misses for fn in PIPELINE_CACHES] == misses
 
 
 def test_mutation_recomputes_only_what_reads_the_mutated_surface(
-        monkeypatch):
+        monkeypatch, fresh_check_memo):
     # the checks of klein-dn:5 are its automorphisms and its pair in the
     # dehomogenization; whatever an earlier test cached for them is cleared
     autos._default_report.cache_clear()
     cli._dehomogenizes.cache_clear()
     assert _run_cli(["reproduce-paper"])[0] == 0
     sizes = [fn.cache_info().currsize for fn in PIPELINE_CACHES]
+    # every check runs again, the clean ones from their pipelines' caches
+    fresh_check_memo.cache_clear()
     computed = []
 
     def report(s, seed, wild_polys):

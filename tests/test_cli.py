@@ -77,7 +77,8 @@ def test_failed_check_carries_its_detail(monkeypatch):
         "'cycles': [[1, 4, 6, 8, 11], [4, 5, 6, 7, 8]]}")
 
 
-def test_a_table_compares_the_e_rows_with_h(monkeypatch):
+def test_a_table_compares_the_e_rows_with_h(monkeypatch,
+                                            fresh_check_memo):
     # a is checked against the paper and, for e6, e7, e8, against the
     # Coxeter number: a wrong h fails a-table with the verdicts unchanged
     real = lattice.coxeter_number
@@ -303,7 +304,7 @@ def test_audit_takes_a_negative_t_without_equals_sign(argv):
     assert cert["inputs"]["t"] == argv[-1].replace("--t=", "")
 
 
-def test_failed_checks_carry_error_kind(monkeypatch):
+def test_failed_checks_carry_error_kind(monkeypatch, fresh_check_memo):
     def bug(*args, **kwargs):
         raise TypeError("a bug")
 
@@ -329,7 +330,7 @@ def test_failed_checks_carry_error_kind(monkeypatch):
         assert ("error_kind" in c) == (c["status"] == "failed"), c["name"]
 
 
-def test_failed_surface_computation_runs_once():
+def test_failed_surface_computation_runs_once(fresh_check_memo):
     # a-table, verdict-grid and intersections-s6 all read the mutated cubic;
     # the failure is cached with the surface, so it is computed once and the
     # checks report the same error.  The verdicts, degrees and cycle matchings
@@ -451,6 +452,52 @@ def test_curve_form_certificates_are_pinned(argv):
 @pytest.mark.parametrize("argv", sorted(PINNED_RECORDS), ids=" ".join)
 def test_record_certificates_are_pinned(argv):
     assert _sha256_of(argv) == PINNED_RECORDS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED) + sorted(PINNED_RECORDS) + [
+    ("reproduce-paper", "--mutate", "s6,0,0,1"),
+    ("--timings", "reproduce-paper")], ids=" ".join)
+def test_emit_prints_the_canonical_json(monkeypatch, argv):
+    # the memoized checks keep their text, which emit splices in; the
+    # output stays json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    certs = []
+
+    def spy(cert, out=None):
+        certs.append(cert)
+        emit(cert, out)
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit", spy)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main(list(argv))
+    (cert,) = certs
+    assert buf.getvalue() == json.dumps(cert, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("checks", [
+    [], [cli.check("a", "b", status="failed", v=[[], {}], w="\u00e9\n")]])
+def test_emit_encodes_any_certificate_as_json_dumps(capsys, checks):
+    cert = {"checks": checks, "z": {"b": [1.5, None, {}], "a": "\u00e9\n"},
+            "elapsed": 0.25, "empty": [], "nested": [[], [{"k": True}]],
+            "x": '\n  "checks": []'}
+    cli.emit(cert)
+    assert capsys.readouterr().out == \
+        json.dumps(cert, sort_keys=True, indent=2) + "\n"
+
+
+def test_check_entries_cannot_be_mutated():
+    # a memoized entry is shared by every certificate that reuses it, and
+    # emit prints the text it keeps: a change would print stale bytes
+    entry = cli.check("a", "b", v=1)
+    for mutate in (lambda: entry.__setitem__("v", 2),
+                   lambda: entry.__delitem__("v"), lambda: entry.update(v=2),
+                   lambda: entry.pop("v"), lambda: entry.popitem(),
+                   lambda: entry.setdefault("w", 2), lambda: entry.clear(),
+                   lambda: entry.__ior__({"v": 2})):
+        with pytest.raises(TypeError):
+            mutate()
+    assert entry == {"name": "a", "ref": "b", "status": "verified", "v": 1}
+    assert json.loads(entry.text) == entry
 
 
 def test_byte_identical_output():

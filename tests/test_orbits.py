@@ -7,7 +7,8 @@ import pytest
 
 from kleinfib import lattice, orbits, tower
 from kleinfib.base import GeometryError, VerificationError
-from kleinfib.curves import s6_alpha_lines, s6_line_forms, s6_line_tower
+from kleinfib.curves import (rotate_forms, s6_alpha_lines, s6_line_forms,
+                             s6_line_tower)
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.orbits import (BaseExtension, GRID_CASES, an_intersections,
                              case_surface, dn_intersections, minimal_model,
@@ -257,10 +258,24 @@ def _s6_line_pairs():
              for a in range(3) for b in range(a + 1, 3)]
     for branch in ("plus", "minus"):
         T, _, t = s6_line_tower(branch)
-        xis = tower.root_of_unity(T, 12).powers(12)
-        pairs += [(s6_line_forms(T, branch), s6_line_forms(T, branch, xi),
-                   T, t) for xi in xis[1:]]
+        forms = s6_line_forms(T, branch)
+        pairs += [(forms, rotate_forms(forms, k), T, t) for k in range(1, 12)]
     return pairs
+
+
+def test_rotated_s6_forms_substitute_xi_mu():
+    # L_{xi mu}, xi = zeta12^k, is L_mu with xi mu in place of mu: both
+    # forms are mu-linear combinations of W, X, Y, Z, with coefficients
+    # c(mu) of degree 6, 3, 2 or 0 in mu
+    for branch in ("plus", "minus"):
+        T, _, _ = s6_line_tower(branch)
+        z12, mu = tower.root_of_unity(T, 12), T.gen("mu")
+        for k in range(12):
+            for f, g in zip(s6_line_forms(T, branch),
+                            rotate_forms(s6_line_forms(T, branch), k)):
+                for e, c in f.terms.items():
+                    (d, _), = c.payload[0].items()
+                    assert g.terms[e] == c * z12 ** (k * d)
 
 
 def test_plucker_pairing_agrees_with_elimination():
@@ -274,7 +289,8 @@ def test_plucker_pairing_agrees_with_elimination():
             assert orbits._kernel(orbits._form_rows(forms, T), T)[0] == 2
         rank, basis = orbits._kernel(
             orbits._form_rows(tuple(forms1) + tuple(forms2), T), T)
-        ok, witness = orbits.lines_intersect_p3(forms1, forms2, T, s6, t)
+        ok, witness = orbits.lines_intersect_p3(
+            orbits.line_p3(forms1, T), orbits.line_p3(forms2, T), T, s6, t)
         assert ok == (rank < 4)
         assert witness == (basis[0] if ok else None)
         disjoint += not ok
@@ -287,8 +303,9 @@ def test_proportional_forms_are_a_degenerate_line():
     flat = (Z, Z.scale(3))
     for forms1, forms2 in ((flat, lines[1]), (lines[1], flat)):
         with pytest.raises(GeometryError, match="degenerate line"):
-            orbits.lines_intersect_p3(forms1, forms2, T, build_surface("s6"),
-                                      t)
+            orbits.lines_intersect_p3(orbits.line_p3(forms1, T),
+                                      orbits.line_p3(forms2, T), T,
+                                      build_surface("s6"), t)
 
 
 def test_zero_pairing_with_independent_forms_is_refused(monkeypatch):
@@ -296,8 +313,9 @@ def test_zero_pairing_with_independent_forms_is_refused(monkeypatch):
     T, t, lines = s6_alpha_lines()
     monkeypatch.setattr(orbits, "_kernel", lambda rows, tower: (4, []))
     with pytest.raises(VerificationError, match="zero Plucker pairing"):
-        orbits.lines_intersect_p3(lines[0], lines[1], T, build_surface("s6"),
-                                  t)
+        orbits.lines_intersect_p3(orbits.line_p3(lines[0], T),
+                                  orbits.line_p3(lines[1], T), T,
+                                  build_surface("s6"), t)
 
 
 def test_witnesses_stay_off_the_euclid_path(monkeypatch):
@@ -406,7 +424,8 @@ def test_dn_intersections(n):
 
 
 def test_dn_witnesses_each_mu_pair_once(monkeypatch):
-    # dn:9, N = 16: the x=0 pair, then mu_j with -mu_j = mu_(j+8) for j < 8
+    # dn:9, N = 16: the x=0 pair, then mu_0 with -mu_0 = mu_8; each pair
+    # {mu_j, mu_(j+8)}, j < 8, is sigma_j of that one, its point too
     calls = []
     meet = orbits._meet_at
 
@@ -416,8 +435,7 @@ def test_dn_witnesses_each_mu_pair_once(monkeypatch):
     monkeypatch.setattr(orbits, "_meet_at", counted)
     dn_intersections.cache_clear()
     dn_intersections(build_surface("dn:9"))
-    assert len(calls) == 9
-    assert calls[1:] == [[j, j + 8] for j in range(8)]
+    assert calls == [[0, 1], [0, 8]]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])

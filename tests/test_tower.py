@@ -281,3 +281,30 @@ def test_repr_strings():
     ]
     for x, text in cases:
         assert repr(x) == text
+
+
+@pytest.mark.parametrize("M", [None, 2, 8, 12, 28])
+def test_rotate_is_mu_to_zeta_mu(M):
+    # sigma_e(x) is x with zeta_M^e mu in place of mu, computed term by term
+    # by tower arithmetic; it is a ring map fixing Q(zeta_M)
+    base = FieldTower.rationals() if M is None else cyclotomic(M)
+    T = base.extend_ratfunc("mu")
+    z = T.one() if M is None else T.gen("z%d" % M)
+    mu, rng = T.gen("mu"), random.Random(M)
+
+    def sample():
+        return sum((T.from_fraction(Fraction(rng.randint(-9, 9),
+                                             rng.randint(1, 4)))
+                    * z ** rng.randrange(8) * mu ** k
+                    for k in rng.sample(range(-4, 7), 3)), T.zero())
+    for e in range(M or 1):
+        for _ in range(3):
+            x, y = sample(), sample()
+            image = sum((T._elem({k: v}, x.payload[1])
+                         * (z ** e * mu) ** k * mu ** -k
+                         for k, v in x.payload[0].items()), T.zero())
+            assert x.rotate(e) == image
+            assert (x * y).rotate(e) == x.rotate(e) * y.rotate(e)
+            assert (x - y).rotate(e) == x.rotate(e) - y.rotate(e)
+        c = z ** 3 + 5
+        assert c.rotate(e) == c
