@@ -327,27 +327,16 @@ def check_homogeneous(s: SurfaceSpec) -> int:
     return degrees.pop()
 
 
-def _is_zero_coord(c):
-    if isinstance(c, FieldElement):
-        return c.is_zero()
-    return Fraction(c) == 0
-
-
-def _coord_tower(coords):
-    for c in coords:
-        if isinstance(c, FieldElement):
-            return c.tower
-    return None
-
-
 def on_surface(s: SurfaceSpec, coords, t=None) -> bool:
     """Exact membership: the chart-0 equation of s vanishes at the point
     coords of its ambient, FieldElements (or Fractions) in one tower, with t
     the given element of that tower (default: its generator named t)."""
-    if (s.ambient.kind != "affine"
-            and all(_is_zero_coord(c) for c in coords)):
+    if s.ambient.kind != "affine" and all(
+            c.is_zero() if isinstance(c, FieldElement) else Fraction(c) == 0
+            for c in coords):
         raise GeometryError("projective point with all-zero coordinates")
-    tower = _coord_tower(coords)
+    tower = next((c.tower for c in coords if isinstance(c, FieldElement)),
+                 None)
     if tower is None:
         raise GeometryError("point must carry at least one tower element")
     eq = s.equation.map_coeffs(tower.lift)

@@ -303,8 +303,10 @@ def _distinct_permutations(ms):
 def coxeter_cycles(r: int) -> tuple:
     """The cycles (v, cv, ...) of c = s_0...s_{r-1}, s(v) = v + (v.alpha)alpha,
     on minus_one_classes(r), each from its least class v with its meeting
-    numbers v.c^k v; and the traces of c^0..c^(h-1).  alpha is kept as its
-    nonzero (i, stored entry, Picard entry a_i): v.alpha = sum v_i a_i."""
+    numbers v.c^k v; and the traces of c^0..c^(h-1), read from the cycles:
+    e1..er are (-1)-classes and e0 = (e0 - e1 - e2) + e1 + e2.  alpha is kept
+    as its nonzero (i, stored entry, Picard entry a_i): v.alpha = sum v_i a_i;
+    a class is stored as (d, m_1..m_r), d e0 - sum m_i e_i."""
     alphas = [[(i, -x if i else x, x) for i, x in enumerate(a) if x]
               for a in reversed(build_root_system(r).simple_roots)]
     def c(v):
@@ -324,11 +326,18 @@ def coxeter_cycles(r: int) -> tuple:
             cycles.append((tuple(cycle), tuple(dot(v, w) for w in cycle)))
     if len(seen) != len(minus_one_classes(r)):
         raise VerificationError("c leaves the (-1)-classes")
-    images, traces = _unit_vectors(r + 1), []
-    for _ in range(build_root_system(r).coxeter_number):
-        traces.append(sum(v[i] for i, v in enumerate(images)))
-        images = [c(v) for v in images]
-    return tuple(cycles), tuple(traces)
+    where = {v: (cycle, p) for cycle, _ in cycles for p, v in enumerate(cycle)}
+    def power(v, k):                    # c^k v, read from the cycle of v
+        cycle, p = where[v]
+        return cycle[(p + k) % len(cycle)]
+    # tr c^k: the e0-coefficient d of c^k e0, e0 = (e0 - e1 - e2) + e1 + e2,
+    # plus the e_i-coefficient -m_i of each c^k e_i, e_i stored as m_i = -1
+    units = [tuple(-int(i == j) for i in range(r + 1)) for j in range(1, r + 1)]
+    e0 = ((1, 1, 1) + (0,) * (r - 2), units[0], units[1])
+    traces = tuple(sum(power(v, k)[0] for v in e0)
+                   - sum(power(v, k)[i] for i, v in enumerate(units, 1))
+                   for k in range(build_root_system(r).coxeter_number))
+    return tuple(cycles), traces
 
 
 @lru_cache(maxsize=None)

@@ -33,11 +33,11 @@ class BaseExtension(namedtuple("BaseExtension", "m")):
         return super().__new__(cls, m)
 
 
-# immutable, as the cached verdicts hand one value to every caller; kind is
-# "DelPezzo" (of degree K^2) or "ConicBundle" (with singular_fibres verified
-# singular fibres)
+# immutable, as the cached minimal models hand one value to every caller;
+# kind is "DelPezzo" (of degree K^2) or "ConicBundle" (with singular_fibres
+# verified singular fibres)
 MinimalModelDescriptor = namedtuple(
-    "MinimalModelDescriptor", "kind over degree singular_fibres "
+    "MinimalModelDescriptor", "kind degree singular_fibres "
     "extra_fibre_unknown justification", defaults=(None, None, False, None))
 Verdict = namedtuple("Verdict", "case rational rule a over descriptor")
 
@@ -62,17 +62,24 @@ def case_surface(case: str) -> str:
     return {"e6": "s6", "e7": "s7", "e8": "s8"}.get(kind, case)
 
 
-@_surface_cache
-def rationality_degree(case: str, surface) -> int:
-    """a, the least m up to the period (n for an:<n>, 2(n-1) for dn:<n>, for
-    E h, the lcm of the xi-orders) with a rational verdict on `surface`."""
+def _period(case: str, surface) -> int:
+    """P, n for an:<n>, 2(n-1) for dn:<n>, for E h, the lcm of the xi-orders:
+    every binomial X^N = c t a verdict reads has N | P, so the verdict over
+    C(t^{1/m}) is the one at gcd(m, P)."""
     kind, n = parse_case(case)
-    period = n if kind == "an" else 2 * (n - 1) if kind == "dn" else \
+    return n if kind == "an" else 2 * (n - 1) if kind == "dn" else \
         lcm(*(family[1] for family in _coxeter_match(kind, surface)[0]))
-    for m in range(1, period + 1):
-        if _rule(minimal_model(case, BaseExtension(m), surface), surface)[0]:
-            return m
-    raise VerificationError("no rational verdict for %s" % case)
+
+
+def rationality_degree(case: str, surface) -> int:
+    """a, the least divisor g of the period with a rational verdict on
+    `surface`; the model at every divisor is built, and one refused fails a."""
+    period = _period(case, surface)
+    rational = [g for g in range(1, period + 1) if not period % g
+                and _rule(minimal_model(case, g, surface), surface)[0]]
+    if not rational:
+        raise VerificationError("no rational verdict for %s" % case)
+    return rational[0]
 
 
 # ---------------------------------------------------------------------------
@@ -83,37 +90,35 @@ def orbit_structure(N: int, m: int) -> dict:
     C(t^{1/m}).  With g = gcd(N, m) the binomial factors into g irreducible
     binomials of degree N/g; the factorization identity
         prod_{i<g} (X^b - rho zeta_g^i) = X^N - rho^g      (b = N/g)
-    is verified over Q(zeta_g), and the orbits are the residue classes of
-    the root index modulo g."""
+    is _verify_binomial_identity(g) at Y = X^b, and the orbits are the
+    residue classes of the root index modulo g."""
     if N < 1 or m < 1:
         raise ValueError("N, m must be >= 1")
     g = gcd(N, m)
     b = N // g
-    blocks = [list(block) for block in _binomial_blocks(N, g)]
-    return {"N": N, "m": m, "g": g, "block_size": b, "blocks": blocks,
+    _verify_binomial_identity(g)
+    return {"N": N, "g": g, "block_size": b,
+            "blocks": [list(range(i, N, g)) for i in range(g)],
             "identity": "prod_{i<%d}(X^%d - rho zeta^i) = X^%d - rho^%d"
                         % (g, b, N, g)}
 
 
 @lru_cache(maxsize=None)
-def _binomial_blocks(N: int, g: int) -> tuple:
-    """The root-index classes modulo g of X^N = c t, after verifying the
-    factorization identity over Q(zeta_g); it depends on m only through
-    g = gcd(N, m), so each (N, g) is verified once."""
-    b = N // g
+def _verify_binomial_identity(g: int) -> None:
+    """prod_{i<g} (Y - rho zeta_g^i) = Y^g - rho^g over Q(zeta_g); it does not
+    depend on N, so each g is verified once."""
     T = cyclotomic(g)
     zeta = root_of_unity(T, g)
-    vs = ("X", "rho")
+    vs = ("Y", "rho")
     one = T.from_fraction(Fraction(1))
     prod = MultiPoly.const(vs, one)
     for zi in zeta.powers(g):
-        prod = prod * (MultiPoly(vs, {(b, 0): one}) -
+        prod = prod * (MultiPoly(vs, {(1, 0): one}) -
                        MultiPoly(vs, {(0, 1): zi}))
-    target = MultiPoly(vs, {(N, 0): one}) - MultiPoly(vs, {(0, g): one})
+    target = MultiPoly(vs, {(g, 0): one}) - MultiPoly(vs, {(0, g): one})
     if not (prod - target).is_zero():
         raise VerificationError("binomial factorization identity failed "
-                                "for N=%d, g=%d" % (N, g))
-    return tuple(tuple(range(i, N, g)) for i in range(g))
+                                "for g=%d" % g)
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +211,24 @@ def lines_intersect_p3(line1, line2, tower, surface, t):
     return True, witness
 
 
-def _serialize_point(coords):
-    return [str(c) for c in coords]
-
-
 @_surface_cache
 def s6_intersections(s6) -> dict:
     """Exact witnesses for the conjugate-line intersections on the cubic s6,
     L_j against L_j' and L_mu against L_{xi mu} for every xi^12 = 1, xi != 1:
     a meeting point, or a nonzero determinant (disjoint)."""
-    report = {"surface": "s6", "pairs": []}
+    pairs = []
+
+    def decide(line1, line2, tower, t, **entry):
+        ok, wit = lines_intersect_p3(line1, line2, tower, s6, t)
+        pairs.append(dict(entry, intersect=ok,
+                          witness=[str(c) for c in wit] if ok else None))
 
     # L1, L2, L3 pairwise, meeting at (0:1:0:0)
     T0, t0, alpha_lines = s6_alpha_lines()
     lines = [line_p3(forms, T0) for forms in alpha_lines]
-    for j1 in range(3):
-        for j2 in range(j1 + 1, 3):
-            ok, wit = lines_intersect_p3(lines[j1], lines[j2], T0, s6, t0)
-            report["pairs"].append({"pair": "L%d/L%d" % (j1 + 1, j2 + 1),
-                                    "intersect": ok, "witness":
-                                    _serialize_point(wit) if ok else None})
+    for j1, j2 in ((0, 1), (0, 2), (1, 2)):
+        decide(lines[j1], lines[j2], T0, t0,
+               pair="L%d/L%d" % (j1 + 1, j2 + 1))
 
     # L_mu vs L_{xi mu}, xi = z12^k, on both branches: L_{xi mu} is L_mu
     # under mu -> xi mu.  The verdicts match the pattern to a cycle of the
@@ -235,13 +238,10 @@ def s6_intersections(s6) -> dict:
         forms = s6_line_forms(T, branch)
         line = line_p3(forms, T)
         for k in range(1, 12):
-            ok, wit = lines_intersect_p3(
-                line, line_p3(rotate_forms(forms, k), T), T, s6, t)
-            report["pairs"].append(
-                {"pair": "Lmu/Lximu", "branch": branch, "k": k,
-                 "xi_order": 12 // gcd(12, k), "intersect": ok,
-                 "witness": _serialize_point(wit) if ok else None})
-    return report
+            decide(line, line_p3(rotate_forms(forms, k), T), T, t,
+                   pair="Lmu/Lximu", branch=branch, k=k,
+                   xi_order=12 // gcd(12, k))
+    return {"surface": "s6", "pairs": pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +394,14 @@ def an_intersections(s) -> dict:
     zetas, alpha = root_of_unity(T, n).powers(n), T.gen("alpha")
     zero, one = T.zero(), T.one()
     report = {"surface": "an:%d" % n, "pairs": []}
-    for j in range(n):
-        _meet_at([c for c in curves if c.index == j], s,
-                 (one, zero, zero, zetas[j] * alpha), t,
-                 "A_n same-fibre (j=%d)" % j)
+    # fibre j and its point are sigma_j of fibre 0's, as enumerate_an
+    # certifies each curve
+    _meet_at([c for c in curves if c.index == 0], s, (one, zero, zero, alpha),
+             t, "A_n same-fibre (j=0)")
+    for j in range(1, n):
+        if zetas[j] * alpha != alpha.rotate(j):
+            raise VerificationError("A_n same-fibre (j=%d) witness is not "
+                                    "sigma_j of the fibre 0's" % j)
     report["pairs"].append({"pair": "y0_j / z0_j (all j)",
                             "intersect": True,
                             "witness": "((1:0:0), x=zeta^j alpha)"})
@@ -488,76 +492,70 @@ def _coxeter_match(kind, s):
 # ---------------------------------------------------------------------------
 # minimal models and verdicts
 
-def minimal_model(case: str, ext: BaseExtension,
-                  surface) -> MinimalModelDescriptor:
-    """The minimal model over ext, from the orbits and the witnesses on
-    `surface`, the catalog surface named by case_surface(case)."""
+@_surface_cache
+def minimal_model(case: str, g: int, surface) -> MinimalModelDescriptor:
+    """The minimal model over C(t^{1/m}) for every m with gcd(m, P) = g, g a
+    divisor of the period P, from the orbits and the witnesses on `surface`,
+    the catalog surface named by case_surface(case)."""
     kind, n = parse_case(case)
-    m = ext.m
+    if g < 1 or _period(case, surface) % g:
+        raise ValueError("g=%d does not divide the period of %s" % (g, case))
     if kind[0] == "e":
-        # xi acts as c^g, g = gcd(m, h), h the lcm of the xi-orders; at
-        # K^2 <= 4 each kept orbit needs a certified meeting pair (minimal)
+        # xi acts as c^g; at K^2 <= 4 each kept orbit needs a certified
+        # meeting pair (minimal)
         from .lattice import coxeter_contraction
-        families, reports, certified = _coxeter_match(kind, surface)
-        g = gcd(m, lcm(*(N for _, N, _, _ in families)))
+        families, pairs, certified = _coxeter_match(kind, surface)
         k2, rho, contracted, kept = coxeter_contraction(int(kind[1]), g)
         for (c, _), ks in kept.items() if k2 <= 4 else ():
             if certified[c].isdisjoint(ks):
                 raise VerificationError(
-                    "%s, m=%d: a kept <c^%d>-orbit has no certified meeting "
-                    "pair" % (case, m, g),
+                    "%s: a kept <c^%d>-orbit has no certified meeting pair"
+                    % (case, g),
                     detail={"certified": sorted(certified[c]), "cycle": ks})
         rho -= contracted
         if rho not in (1, 2):
             raise VerificationError("%s: end point of rank %d" % (case, rho))
         # the orbit partition of each family that is one binomial X^N = c t
-        just = {"orbits": {name: orbit_structure(N, m)
-                           for name, N, count, _ in families if count == 1},
-                "intersections": reports, "axiom": AXIOM,
-                "step": "xi acts as c^%d; orbits contracted: %d, K^2 = %d, "
-                        "rho = %d (%s)" % (g, contracted, k2, rho, AXIOM)}
-        return MinimalModelDescriptor(
-            ("DelPezzo", "ConicBundle")[rho - 1], ext,
+        parts = {name: orbit_structure(N, g)
+                 for name, N, count, _ in families if count == 1}
+        step = "xi acts as c^%d; orbits contracted: %d, K^2 = %d, rho = %d" \
+            % (g, contracted, k2, rho)
+        desc = MinimalModelDescriptor(
+            ("DelPezzo", "ConicBundle")[rho - 1],
             degree=k2 if rho == 1 else None,
-            singular_fibres=8 - k2 if rho == 2 else None, justification=just)
-    if kind == "dn":
+            singular_fibres=8 - k2 if rho == 2 else None)
+    elif kind == "dn":
         N = 2 * (n - 1)
-        just = {"orbits": {"mu": orbit_structure(N, m),
-                           "x0": orbit_structure(2, m)},
-                "intersections": dn_intersections(surface)["pairs"],
-                "axiom": AXIOM}
+        parts = {"mu": orbit_structure(N, g), "x0": orbit_structure(2, g)}
+        pairs = dn_intersections(surface)["pairs"]
         # mu and -mu, the roots 0 and N/2, in different blocks
         if all(N // 2 not in block
-               for block in just["orbits"]["mu"]["blocks"] if 0 in block):
-            just["step"] = ("every mu-orbit separates mu from -mu and its "
-                            "members lie over distinct fibres (pairwise "
-                            "disjoint): all n-1 split fibres contract; "
-                            "m is even, so the x=0 fibre splits too (%s)"
-                            % AXIOM)
-            return MinimalModelDescriptor(
-                "ConicBundle", ext, singular_fibres=0,
-                extra_fibre_unknown=True, justification=just)
-        fibres = (n - 1) + (1 if m % 2 else 0)
-        if fibres < 4:
-            raise VerificationError("singular fibre bound %d < 4" % fibres)
-        just["step"] = ("mu and -mu stay conjugate and their components "
-                        "meet: %d singular fibres survive (>= 4), plus at "
-                        "most one unverified fibre at infinity which cannot "
-                        "change the verdict (%s)" % (fibres, AXIOM))
-        return MinimalModelDescriptor(
-            "ConicBundle", ext, singular_fibres=fibres,
-            extra_fibre_unknown=True, justification=just)
-    # a_n
-    just = {"orbits": {"fibres": orbit_structure(n, m)},
-            "intersections": an_intersections(surface)["pairs"],
-            "axiom": AXIOM,
-            "step": "the y=0 components form a Galois-stable pairwise "
-                    "disjoint family (distinct fibres): contracting them "
-                    "leaves at most the unverified fibre at infinity (%s)"
-                    % AXIOM}
-    return MinimalModelDescriptor("ConicBundle", ext, singular_fibres=0,
-                                  extra_fibre_unknown=True,
-                                  justification=just)
+               for block in parts["mu"]["blocks"] if 0 in block):
+            fibres, step = 0, (
+                "every mu-orbit separates mu from -mu and its members lie "
+                "over distinct fibres (pairwise disjoint): all n-1 split "
+                "fibres contract; m is even, so the x=0 fibre splits too")
+        else:
+            fibres = (n - 1) + g % 2    # g has the parity of m, as P is even
+            if fibres < 4:
+                raise VerificationError("singular fibre bound %d < 4" % fibres)
+            step = ("mu and -mu stay conjugate and their components meet: "
+                    "%d singular fibres survive (>= 4), plus at most one "
+                    "unverified fibre at infinity which cannot change the "
+                    "verdict" % fibres)
+        desc = MinimalModelDescriptor("ConicBundle", singular_fibres=fibres,
+                                      extra_fibre_unknown=True)
+    else:   # a_n
+        parts, pairs = ({"fibres": orbit_structure(n, g)},
+                        an_intersections(surface)["pairs"])
+        step = ("the y=0 components form a Galois-stable pairwise disjoint "
+                "family (distinct fibres): contracting them leaves at most "
+                "the unverified fibre at infinity")
+        desc = MinimalModelDescriptor("ConicBundle", singular_fibres=0,
+                                      extra_fibre_unknown=True)
+    return desc._replace(justification={
+        "orbits": parts, "intersections": pairs, "axiom": AXIOM,
+        "step": "%s (%s)" % (step, AXIOM)})
 
 
 @_surface_cache
@@ -587,9 +585,9 @@ def _rule(desc, surface):
                             % desc.singular_fibres)
 
 
-@_surface_cache
 def rationality_verdict(case: str, ext: BaseExtension, surface) -> Verdict:
-    desc = minimal_model(case, ext, surface)
+    """The verdict over ext, the one at gcd(m, P) (minimal_model)."""
+    desc = minimal_model(case, gcd(ext.m, _period(case, surface)), surface)
     return Verdict(case, *_rule(desc, surface),
                    rationality_degree(case, surface), ext, desc)
 
@@ -599,13 +597,15 @@ GRID_DEGREES = range(1, 31)          # the degrees m of the extensions
 
 
 def verdict_grid(catalog):
-    """The verdict of every case and m over the catalog's surfaces, with the
-    least rational m, a, of its case."""
+    """The verdict of every case and m over the catalog's surfaces, the
+    model's at gcd(m, P), with the least rational m, a, of its case."""
     cells = []
     for case in GRID_CASES:
         surface = catalog[case_surface(case)]
+        period, a = _period(case, surface), rationality_degree(case, surface)
         for m in GRID_DEGREES:
-            v = rationality_verdict(case, BaseExtension(m), surface)
-            cells.append({"case": case, "m": m, "rational": v.rational,
-                          "rule": v.rule, "a": v.a})
+            rational, rule = _rule(minimal_model(case, gcd(m, period),
+                                                 surface), surface)
+            cells.append({"case": case, "m": m, "rational": rational,
+                          "rule": rule, "a": a})
     return cells

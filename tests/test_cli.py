@@ -60,7 +60,7 @@ def test_failed_check_carries_its_detail(monkeypatch):
              and p["k"] == 2 else p for p in full["pairs"]]
     monkeypatch.setattr(orbits, "s6_intersections",
                         lambda s6: dict(full, pairs=pairs))
-    caches = (orbits._coxeter_match, orbits.rationality_verdict)
+    caches = (orbits._coxeter_match, orbits.minimal_model)
     for fn in caches:
         fn.cache_clear()
     try:
@@ -333,12 +333,11 @@ def test_failed_checks_carry_error_kind(monkeypatch, fresh_check_memo):
 def test_failed_surface_computation_runs_once(fresh_check_memo):
     # a-table, verdict-grid and intersections-s6 all read the mutated cubic;
     # the failure is cached with the surface, so it is computed once and the
-    # checks report the same error.  The verdicts, degrees and cycle matchings
+    # checks report the same error.  The minimal models and cycle matchings
     # on the mutated cubic are cached too, from any earlier run of this
     # mutation, and a cached one does not read the witnesses again
     orbits.s6_intersections.cache_clear()
-    orbits.rationality_verdict.cache_clear()
-    orbits.rationality_degree.cache_clear()
+    orbits.minimal_model.cache_clear()
     orbits._coxeter_match.cache_clear()
     code, cert = run(["reproduce-paper", "--mutate", "s6,0,0,1"])
     assert code == 1
@@ -392,9 +391,11 @@ PINNED = {
     # element's orbits: `rule` (in the verdict and its check) reads
     # del-pezzo-degree-ge-5-rational, the `rule-table` note names the two
     # statements assumed, and the justification's `step` names g, the
-    # contracted orbits, K^2 and rho
-    ("verdict", "e6", "--ext", "12"): "fc825a2ae703d128f033e652e0e77de0"
-                                      "e0fca3319ddbfd954f3e00a808a2f7d1",
+    # contracted orbits, K^2 and rho; since the minimal model is built once
+    # per divisor g of the period, the descriptor has no `over` and no
+    # `orbit_structure` entry an `m` (the verdict's `over` names m)
+    ("verdict", "e6", "--ext", "12"): "b09f6e0ca609f0978af57fc7e2bcff7e"
+                                      "709ee4b22783d0d24a5d418dcc59ddc0",
     # the default certificate of the whole suite (seed 0), the behavioural
     # contract that a refactor must keep byte for byte
     ("reproduce-paper",): "54b826450db9327ccc9a6ab0f79e86b1"
@@ -415,21 +416,24 @@ PINNED_FORMS = {("curves", "s7"): "050e1b287801e2bf80da0135334ab208"
 
 # sha256 of verdict certificates, the only output built from the record
 # classes (Verdict, MinimalModelDescriptor, BaseExtension): a change to how
-# those records are declared must leave their JSON byte for byte as it was
+# those records are declared must leave their JSON byte for byte as it was.
+# Since the minimal model is built once per divisor g of the period, each
+# lost two fields: the descriptor's `over` (the verdict's `over` still names
+# m) and the `m` of each `orbit_structure` entry (its partition prints g)
 PINNED_RECORDS = {("verdict", "dn:6", "--ext", "6"):
-                  "868a6b466f35f993dfb7c85295717ce8"
-                  "a9656a7c7b00e8b38c566c33a3653233",
+                  "ef165772d42229c2ad389fb75024a4c6"
+                  "c454ecb8f1ba7bc459d26069cf9b10eb",
                   ("verdict", "dn:12", "--ext", "3"):
-                  "6f8d22c68bd3e04d5724ddbf03fefe30"
-                  "0c6c09b09df3a9f6dc11d594d9ace8d2",
+                  "e9a3e24296674278e24e615200bd82fc"
+                  "a1da9c4eb2dc20b8d942803d7682f029",
                   # since the E verdicts come from the contraction of the
                   # Coxeter element's orbits: as for e6 --ext 12 the `rule`,
                   # the `rule-table` note and the `step` change, and the
                   # justification gains an empty `orbits` (neither S8
                   # branch is one binomial X^30 = c t)
                   ("verdict", "e8", "--ext", "30"):
-                  "3dc171ab0e19f95e84a43cec91fdd69d"
-                  "4543b17ec65fd076c4a9e883eab28d90"}
+                  "beff16e17d0421ea3c5e43b192276c93"
+                  "e5e74f25cc56012c99abb19cb209be55"}
 
 
 def _sha256_of(argv):

@@ -5,9 +5,10 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from kleinfib.lattice import (build_root_system, coxeter_contraction,
-                              coxeter_cycles, coxeter_number,
-                              minus_one_classes, standard_root_system)
+from kleinfib.lattice import (PicardLattice, build_root_system,
+                              coxeter_contraction, coxeter_cycles,
+                              coxeter_number, minus_one_classes,
+                              standard_root_system)
 
 
 @pytest.mark.parametrize("r,label,roots,h", [
@@ -119,6 +120,27 @@ def test_coxeter_cycles(r, lengths):
         assert all(meets[k] == meets[-k] for k in range(1, len(cycle)))
     # c has order h on the lattice, and fixes K
     assert len(traces) == coxeter_number("E%d" % r) and traces[0] == r + 1
+
+
+@pytest.mark.parametrize("r", [6, 7, 8])
+def test_coxeter_traces_read_from_the_cycles(r):
+    # the traces read from the (-1)-class cycles are those of c iterated
+    # on e0..er in Picard coordinates
+    rs = build_root_system(r)
+    dot = PicardLattice(r + 1).dot
+
+    def c(v):
+        for a in reversed(rs.simple_roots):
+            k = dot(v, a)
+            v = tuple(x + k * y for x, y in zip(v, a))
+        return v
+    units = [tuple(int(i == j) for i in range(r + 1)) for j in range(r + 1)]
+    images, traces = units, []
+    for _ in range(rs.coxeter_number):
+        traces.append(sum(v[i] for i, v in enumerate(images)))
+        images = [c(v) for v in images]
+    assert images == units          # c^h = 1
+    assert coxeter_cycles(r)[1] == tuple(traces)
 
 
 # K^2 of the end point and rho = rank Pic^<c^g> for each divisor g of h

@@ -22,6 +22,12 @@ def _degree(case):
     return rationality_degree(case, build_surface(case_surface(case)))
 
 
+def _model(case, m, surface):
+    """The minimal model over C(t^{1/m}): the one at gcd(m, P)."""
+    return minimal_model(case, gcd(m, orbits._period(case, surface)),
+                         surface)
+
+
 def test_rationality_degrees():
     assert _degree("e6") == 12
     assert _degree("e7") == 18
@@ -67,12 +73,12 @@ def test_verdict_examples():
     # m = 3: the three lines L1..L3 become rational and meet pairwise, so
     # one contracts: K^2 = 4 with Picard rank 3 - 1 = 2, a conic bundle with
     # 8 - 4 = 4 singular fibres, not a del Pezzo surface of degree 4
-    d = minimal_model("e6", BaseExtension(3), s6)
+    d = _model("e6", 3, s6)
     assert d.kind == "ConicBundle" and d.singular_fibres == 4
     assert d.degree is None
     assert not rationality_verdict("e6", BaseExtension(3), s6).rational
     # d4 over the base field: minimal conic bundle with >= 4 fibres
-    d = minimal_model("dn:4", BaseExtension(1), d4)
+    d = _model("dn:4", 1, d4)
     assert d.kind == "ConicBundle"
     assert d.singular_fibres >= 4
     assert not rationality_verdict("dn:4", BaseExtension(1), d4).rational
@@ -80,7 +86,7 @@ def test_verdict_examples():
 
 def test_e7_even_extension_keeps_one_curve():
     # the two e = 0 curves meet, so only one contracts: DP(3), not DP(4)
-    d = minimal_model("e7", BaseExtension(2), build_surface("s7"))
+    d = _model("e7", 2, build_surface("s7"))
     assert d.kind == "DelPezzo" and d.degree == 3
 
 
@@ -108,8 +114,7 @@ def test_verdict_grid_consistency():
 def fresh_verdicts():
     """The verdict caches emptied before and after the test, so that what it
     computes from patched witnesses or cycles stays with it."""
-    caches = (orbits._coxeter_match, orbits.rationality_degree,
-              orbits.rationality_verdict)
+    caches = (orbits._coxeter_match, orbits.minimal_model)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -127,7 +132,7 @@ def _s6_reporting(monkeypatch, edit):
 
 
 def _endpoint(case, m, surface):
-    d = minimal_model(case, BaseExtension(m), surface)
+    d = _model(case, m, surface)
     return d.kind, d.degree, d.singular_fibres
 
 
@@ -139,12 +144,13 @@ def test_kept_orbits_need_a_certified_meeting_pair(monkeypatch,
     s6 = build_surface("s6")
     before = {m: _endpoint("e6", m, s6) for m in range(1, 31)}
     orbits._coxeter_match.cache_clear()
+    orbits.minimal_model.cache_clear()
     _s6_reporting(monkeypatch, lambda p: None if p.get("k") in (4, 8) else p)
     for m in range(1, 31):
         if gcd(m, 12) == 4:
             with pytest.raises(VerificationError,
                                match="no certified meeting pair") as info:
-                minimal_model("e6", BaseExtension(m), s6)
+                _model("e6", m, s6)
             assert info.value.detail["cycle"] == (4, 8)
             assert 4 not in info.value.detail["certified"]
         else:
@@ -170,7 +176,7 @@ def test_a_witness_the_lattice_refutes_fails_the_matching(
         with pytest.raises(VerificationError,
                            match="no free c-cycle fits the witnesses of "
                                  "Lmu_plus") as info:
-            minimal_model("e6", BaseExtension(m), s6)
+            _model("e6", m, s6)
     assert info.value.detail["meets"] == meets
     assert sorted(info.value.detail["cycles"]) == [[1, 4, 6, 8, 11],
                                                    [4, 5, 6, 7, 8]]
@@ -198,7 +204,7 @@ def test_xi_matched_to_c_squared_fails_every_cell(monkeypatch,
     surface = build_surface(case_surface(case))
     for m in range(1, 31):
         with pytest.raises(VerificationError, match="no free c-cycle"):
-            minimal_model(case, BaseExtension(m), surface)
+            _model(case, m, surface)
 
 
 def test_end_point_of_picard_rank_above_2_is_refused(monkeypatch,
@@ -208,29 +214,48 @@ def test_end_point_of_picard_rank_above_2_is_refused(monkeypatch,
     monkeypatch.setattr(lattice, "coxeter_contraction",
                         lambda r, g: (4, 4, 1, {}))
     with pytest.raises(VerificationError, match="end point of rank 3"):
-        minimal_model("e6", BaseExtension(1), build_surface("s6"))
+        minimal_model("e6", 1, build_surface("s6"))
 
 
 def test_huge_extension_reads_its_gcd_with_h():
     s8 = build_surface("s8")
     assert rationality_verdict("e8", BaseExtension(30 * 7 ** 20), s8).rational
     assert not rationality_verdict("e8", BaseExtension(7 ** 20), s8).rational
-    assert minimal_model("e8", BaseExtension(7 ** 20), s8).degree == 1
+    assert _model("e8", 7 ** 20, s8).degree == 1
 
 
-def test_binomial_identity_verified_once_per_n_and_g():
-    # a verdict cached by an earlier test would not read the orbits
-    orbits.rationality_verdict.cache_clear()
-    orbits._binomial_blocks.cache_clear()
+def test_binomial_identity_verified_once_per_g():
+    # a model cached by an earlier test would not read the orbits
+    orbits.minimal_model.cache_clear()
+    orbits._verify_binomial_identity.cache_clear()
     catalog = build_catalog()
     cells = verdict_grid(catalog)
-    checked = orbits._binomial_blocks.cache_info().misses
-    assert checked == 14        # distinct (N, gcd(N, m)) over the grid
+    checked = orbits._verify_binomial_identity.cache_info().misses
+    assert checked == 7         # distinct gcd(N, m) over the grid
     assert verdict_grid(catalog) == cells
-    assert orbits._binomial_blocks.cache_info().misses == checked
+    assert orbits._verify_binomial_identity.cache_info().misses == checked
     # every caller gets lists of its own
     orbit_structure(12, 4)["blocks"][0].append(99)
     assert orbit_structure(12, 4)["blocks"][0] == [0, 4, 8]
+
+
+# minimal_model evaluations of the a-table's cases: one per divisor of the
+# period P, 12, 18 and 30 for E, n for an:<n>, 2(n-1) for dn:<n>
+EVALUATIONS = {"e6": 6, "e7": 6, "e8": 8, "an:2": 2, "an:5": 2, "dn:4": 4,
+               "dn:5": 4, "dn:6": 4, "dn:9": 5}
+
+
+def test_minimal_model_is_built_once_per_divisor_of_the_period():
+    catalog = build_catalog()
+    orbits.minimal_model.cache_clear()
+    for case, count in EVALUATIONS.items():
+        before = orbits.minimal_model.cache_info().misses
+        rationality_degree(case, catalog[case_surface(case)])
+        assert orbits.minimal_model.cache_info().misses - before == count
+    verdict_grid(catalog)
+    assert orbits.minimal_model.cache_info().misses == 41
+    with pytest.raises(ValueError, match="does not divide the period"):
+        minimal_model("e6", 5, catalog["s6"])
 
 
 def test_s6_intersections():
@@ -436,6 +461,31 @@ def test_dn_witnesses_each_mu_pair_once(monkeypatch):
     dn_intersections.cache_clear()
     dn_intersections(build_surface("dn:9"))
     assert calls == [[0, 1], [0, 8]]
+
+
+def test_an_witnesses_fibre_0_once(monkeypatch):
+    # an:5: the components y=0, z=0 of fibre 0 meet at ((1:0:0), alpha);
+    # fibre j and its point are sigma_j of those
+    calls = []
+    meet = orbits._meet_at
+
+    def counted(curves, *args):
+        calls.append([c.index for c in curves])
+        return meet(curves, *args)
+    monkeypatch.setattr(orbits, "_meet_at", counted)
+    an5 = build_surface("an:5")
+    orbits.enumerate_an(an5)
+    an_intersections.cache_clear()
+    an_intersections(an5)
+    assert calls == [[0, 0]]
+    # a point that is not sigma_j of fibre 0's is refused
+    monkeypatch.setattr(tower.FieldElement, "rotate", lambda x, e: x)
+    an_intersections.cache_clear()
+    try:
+        with pytest.raises(VerificationError, match="not sigma_j"):
+            an_intersections(an5)
+    finally:
+        an_intersections.cache_clear()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
