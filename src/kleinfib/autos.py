@@ -13,7 +13,7 @@ from math import gcd, lcm, prod
 
 from .multipoly import MultiPoly
 from .tower import FieldTower, cyclotomic, root_of_unity
-from .base import VerificationError, _surface_cache
+from .base import VerificationError
 
 AFFINE_VARS = ("x", "y", "z")
 COMPLETENESS_NOTE = ("the completeness of the group (no further "
@@ -265,19 +265,7 @@ def verify_an_wild_family(s, P: MultiPoly) -> bool:
 
 
 def autos_report(s, seed: int = 0, wild_polys=None) -> dict:
-    """Full verification bundle for one affine Klein surface s.  Without
-    wild_polys it is a function of (s, seed) alone, cached on them."""
-    if wild_polys is None:
-        return _default_report(s, seed)
-    return _report(s, seed, wild_polys)
-
-
-@_surface_cache
-def _default_report(s, seed):
-    return _report(s, seed, None)
-
-
-def _report(s, seed, wild_polys):
+    """Full verification bundle for one affine Klein surface s."""
     base = s.name.replace("klein-", "")
     report = {"surface": s.name, "verified": True,
               "completeness": COMPLETENESS_NOTE}

@@ -11,7 +11,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .base import GeometryError, VerificationError, _surface_cache
+from .base import GeometryError, VerificationError
 from .multipoly import MultiPoly
 from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
 
@@ -350,7 +350,6 @@ def on_surface(s: SurfaceSpec, coords, t=None) -> bool:
 # ---------------------------------------------------------------------------
 # the S6' -> S6 contraction
 
-@_surface_cache
 def verify_contraction_S6(s6: SurfaceSpec, s6p: SurfaceSpec) -> dict:
     """Replay the contraction of the quartic surface s6p,
     tW^4 = X^4 + Y^3 W + Z^2 in P(1,1,1,2), onto the cubic s6,
@@ -358,9 +357,11 @@ def verify_contraction_S6(s6: SurfaceSpec, s6p: SurfaceSpec) -> dict:
 
     Both displayed chart formulas are substituted into the cubic and reduced
     modulo the quartic; the residues must vanish identically, and the curve
-    W = 0, Z = iX^2 must land on (0:0:0:1).  The reduction needs the quartic
-    to have Z-degree 2 with a single-term leading coefficient; a quartic
-    without that shape is not the model and fails with VerificationError."""
+    W = 0, Z = iX^2 must land on (0:0:0:1).  A step that fails raises
+    VerificationError naming it, with the residue, quotient or image as
+    detail.  The reduction needs the quartic to have Z-degree 2 with a
+    single-term leading coefficient; a quartic without that shape is not
+    the model and fails with VerificationError."""
     quartic = s6p.equation
     dz = quartic.degree("Z")
     lead = quartic.coeff_of("Z", dz)
@@ -373,49 +374,37 @@ def verify_contraction_S6(s6: SurfaceSpec, s6p: SurfaceSpec) -> dict:
     i = root_of_unity(T, 4)
     vs = ("W", "X", "Y", "Z", "t")
     W, X, Y, Z = (MultiPoly.var(vs, v) for v in ("W", "X", "Y", "Z"))
-    one = MultiPoly.const(vs, T.from_fraction(1))
     cubic = s6.equation
 
-    result = {"charts": [], "blowdown_image": None}
+    def require(ok, step, detail):
+        if not ok:
+            raise VerificationError("contraction of s6prime onto s6 fails: "
+                                    + step, detail=detail)
 
     # chart 1: (W^2 : WX : WY : Z + iX^2)
+    map1 = "(W^2 : WX : WY : Z + iX^2)"
     m1 = {"W": W * W, "X": W * X, "Y": W * Y, "Z": Z + (X * X).scale(i)}
-    comp1 = cubic.substitute(m1)
-    q1, r1 = comp1.div_univariate(quartic, "Z")
-    expect = (W * W).scale(T.from_fraction(-1))
-    result["charts"].append({
-        "map": "(W^2 : WX : WY : Z + iX^2)",
-        "residue_zero": r1.is_zero(),
-        "residue": r1,
-        "quotient_is_minus_W2": q1 == expect,
-    })
+    q1, r1 = cubic.substitute(m1).div_univariate(quartic, "Z")
+    require(r1.is_zero(), "chart 1 %s residue is not 0" % map1, r1)
+    require(q1 == (W * W).scale(T.from_fraction(-1)),
+            "chart 1 %s quotient is not -W^2" % map1, q1)
 
     # chart 2: (W(Z - iX^2) : X(Z - iX^2) : Y(Z - iX^2) : tW^3 - Y^3)
+    map2 = "(W(Z-iX^2) : X(Z-iX^2) : Y(Z-iX^2) : tW^3 - Y^3)"
     u = Z - (X * X).scale(i)
-    tpoly = MultiPoly.var(vs, "t")
     m2 = {"W": W * u, "X": X * u, "Y": Y * u,
-          "Z": tpoly * W ** 3 - Y ** 3}
-    comp2 = cubic.substitute(m2)
-    q2, r2 = comp2.div_univariate(quartic, "Z")
-    result["charts"].append({
-        "map": "(W(Z-iX^2) : X(Z-iX^2) : Y(Z-iX^2) : tW^3 - Y^3)",
-        "residue_zero": r2.is_zero(),
-        "residue": r2,
-    })
+          "Z": MultiPoly.var(vs, "t") * W ** 3 - Y ** 3}
+    r2 = cubic.substitute(m2).div_univariate(quartic, "Z")[1]
+    require(r2.is_zero(), "chart 2 %s residue is not 0" % map2, r2)
 
     # the contracted curve W = 0, Z = iX^2 (X, Y stay free parameters)
     curve = {"W": MultiPoly.zero(vs), "Z": (X * X).scale(i)}
     image = [m1[v].substitute(curve) for v in ("W", "X", "Y", "Z")]
-    result["blowdown_image"] = {
-        "first_three_vanish": all(c.is_zero() for c in image[:3]),
-        "last_nonzero": not image[3].is_zero(),
-        "target": "(0:0:0:1)",
-    }
-    result["ok"] = (r1.is_zero() and r2.is_zero()
-                    and result["charts"][0]["quotient_is_minus_W2"]
-                    and result["blowdown_image"]["first_three_vanish"]
-                    and result["blowdown_image"]["last_nonzero"])
-    return result
+    require(all(c.is_zero() for c in image[:3]) and not image[3].is_zero(),
+            "the blow-down image of W = 0, Z = iX^2 is not (0:0:0:1)", image)
+    return {"charts": [{"map": map1, "residue": r1},
+                       {"map": map2, "residue": r2}],
+            "blowdown_image": {"target": "(0:0:0:1)"}, "ok": True}
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +443,6 @@ def charts_compatible(s: SurfaceSpec) -> bool:
     return True
 
 
-@_surface_cache
 def boundary_selfintersection(s: SurfaceSpec) -> int:
     """C^2 of the boundary curve C, the curve w = 0 on the conic bundle s,
     in the Chow ring of F_{a,b}: w, y and z are sections of O(H), O(H + aF)

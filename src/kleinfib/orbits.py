@@ -7,7 +7,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .multipoly import MultiPoly
 from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
 from .base import GeometryError, VerificationError, _surface_cache
 from .geometry import on_surface
@@ -105,18 +104,20 @@ def orbit_structure(N: int, m: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _verify_binomial_identity(g: int) -> None:
-    """prod_{i<g} (Y - rho zeta_g^i) = Y^g - rho^g over Q(zeta_g); it does not
-    depend on N, so each g is verified once."""
+    """prod_{i<g} (Y - rho zeta^i) = Y^g - rho^g over Q(zeta_g), certified by
+    power sums: zeta^g = 1, and p_d = sum_{i<g} zeta^(i d) = 0 for every
+    proper divisor d of g.  Once zeta^g = 1, p_k depends only on gcd(k, g),
+    as a unit mod g/d only permutes the exponents; so p_k = 0 for 0 < k < g
+    and p_g = g, and Newton's identities over Q give e_k(1, zeta, ...,
+    zeta^(g-1)) = 0 for 0 < k < g and e_g = (-1)^(g-1), which is the
+    identity in any Q-algebra: no domain hypothesis (Phi_g irreducible) is
+    needed.  It does not depend on N, so each g is verified once."""
     T = cyclotomic(g)
     zeta = root_of_unity(T, g)
-    vs = ("Y", "rho")
-    one = T.from_fraction(Fraction(1))
-    prod = MultiPoly.const(vs, one)
-    for zi in zeta.powers(g):
-        prod = prod * (MultiPoly(vs, {(1, 0): one}) -
-                       MultiPoly(vs, {(0, 1): zi}))
-    target = MultiPoly(vs, {(g, 0): one}) - MultiPoly(vs, {(0, g): one})
-    if not (prod - target).is_zero():
+    powers = zeta.powers(g)
+    if powers[-1] * zeta != T.one() or any(
+            not sum((powers[i * d % g] for i in range(g)), T.zero()).is_zero()
+            for d in range(1, g) if not g % d):
         raise VerificationError("binomial factorization identity failed "
                                 "for g=%d" % g)
 
@@ -515,9 +516,7 @@ def minimal_model(case: str, g: int, surface) -> MinimalModelDescriptor:
         rho -= contracted
         if rho not in (1, 2):
             raise VerificationError("%s: end point of rank %d" % (case, rho))
-        # the orbit partition of each family that is one binomial X^N = c t
-        parts = {name: orbit_structure(N, g)
-                 for name, N, count, _ in families if count == 1}
+        parts = {name: orbit_structure(N, g) for name, N, _, _ in families}
         step = "xi acts as c^%d; orbits contracted: %d, K^2 = %d, rho = %d" \
             % (g, contracted, k2, rho)
         desc = MinimalModelDescriptor(

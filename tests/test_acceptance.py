@@ -148,7 +148,7 @@ def test_criterion_8_contraction_identity():
     catalog = build_catalog()
     report = verify_contraction_S6(catalog["s6"], catalog["s6prime"])
     assert report["ok"]
-    assert all(c["residue_zero"] for c in report["charts"])
+    assert all(c["residue"].is_zero() for c in report["charts"])
 
 
 def test_criterion_9_numeric_oracle():
@@ -290,13 +290,10 @@ PIPELINE_CACHES = [
     curves.certify_s6_lines, curves.enumerate_s7, curves.enumerate_s8,
     curves.enumerate_an, curves.enumerate_dn, numeric.numeric_curve_audit,
     numeric.sturm_vs_numeric, lattice.minus_one_classes,
-    lattice.coxeter_number, geometry.boundary_selfintersection,
-    orbits.s6_intersections, orbits.s7_conjugation, orbits.s8_conjugation,
-    orbits.s7_e0_intersection, orbits.dn_intersections,
-    orbits.an_intersections, orbits._rational_point,
-    orbits.minimal_model, geometry.verify_contraction_S6,
-    geometry._clean_catalog, autos._default_report, cli._dehomogenizes,
-    cli.build_parser]
+    lattice.coxeter_number, orbits.s6_intersections, orbits.s7_conjugation,
+    orbits.s8_conjugation, orbits.s7_e0_intersection, orbits.dn_intersections,
+    orbits.an_intersections, orbits._rational_point, orbits.minimal_model,
+    geometry._clean_catalog, cli._dehomogenizes, cli.build_parser]
 
 
 def test_reproduction_builds_one_minimal_model_per_divisor(fresh_check_memo):
@@ -320,27 +317,27 @@ def test_unmutated_rerun_misses_no_cache(fresh_check_memo):
 def test_mutation_recomputes_only_what_reads_the_mutated_surface(
         monkeypatch, fresh_check_memo):
     # the checks of klein-dn:5 are its automorphisms and its pair in the
-    # dehomogenization; whatever an earlier test cached for them is cleared
-    autos._default_report.cache_clear()
+    # dehomogenization; whatever an earlier test cached for the pair is
+    # cleared
     cli._dehomogenizes.cache_clear()
     assert _run_cli(["reproduce-paper"])[0] == 0
     sizes = [fn.cache_info().currsize for fn in PIPELINE_CACHES]
-    # every check runs again, the clean ones from their pipelines' caches
-    fresh_check_memo.cache_clear()
+    # the memo serves every check that does not read klein-dn:5, and the
+    # dehomogenization recomputes only the mutated pair
     computed = []
 
-    def report(s, seed, wild_polys):
+    def report(s, seed=0, wild_polys=None):
         computed.append(s.name)
         return compute(s, seed, wild_polys)
-    compute = autos._report
-    monkeypatch.setattr(autos, "_report", report)
+    compute = autos.autos_report
+    monkeypatch.setattr(autos, "autos_report", report)
     code, out = _run_cli(["reproduce-paper", "--mutate",
                           "klein-dn:5,0,1,1/2"])
     assert code == 1
     added = {fn.__name__: fn.cache_info().currsize - size
              for fn, size in zip(PIPELINE_CACHES, sizes)
              if fn.cache_info().currsize != size}
-    assert added == {"_default_report": 1, "_dehomogenizes": 1}
+    assert added == {"_dehomogenizes": 1}
     assert computed == ["klein-dn:5"]
 
 

@@ -50,6 +50,24 @@ def test_verdict_examples():
     assert code == 0
     assert cert["verdict"]["rational"] is False
     assert cert["verdict"]["rule"] == "conic-bundle-ge-4-fibres-not-rational"
+    # every xi-family lists its Galois partition, the S7 main family too
+    code, cert = run(["verdict", "e7", "--ext", "6"])
+    assert code == 0
+    parts = cert["verdict"]["descriptor"]["justification"]["orbits"]
+    assert {name: (p["g"], p["block_size"]) for name, p in parts.items()} \
+        == {"e0": (2, 1), "main": (6, 3)}
+
+
+def test_failed_contraction_names_its_chart():
+    # a moved quartic term is not reduced away in chart 1: the check names
+    # the chart and carries the residue
+    code, cert = run(["reproduce-paper", "--mutate", "s6prime,0,1,1"])
+    assert code == 1
+    (check,) = [c for c in cert["checks"] if c["name"] == "contraction-s6"]
+    assert check["status"] == "failed"
+    assert "chart 1 (W^2 : WX : WY : Z + iX^2) residue is not 0" \
+        in check["error"]
+    assert check["detail"] == "((1))*W^2*X^4"
 
 
 def test_failed_check_carries_its_detail(monkeypatch):
@@ -429,11 +447,13 @@ PINNED_RECORDS = {("verdict", "dn:6", "--ext", "6"):
                   # since the E verdicts come from the contraction of the
                   # Coxeter element's orbits: as for e6 --ext 12 the `rule`,
                   # the `rule-table` note and the `step` change, and the
-                  # justification gains an empty `orbits` (neither S8
-                  # branch is one binomial X^30 = c t)
+                  # justification gains `orbits`; since each partition is
+                  # certified by power sums, `orbits` holds the
+                  # `orbit_structure` of the branches P1 and P2, where it
+                  # was empty
                   ("verdict", "e8", "--ext", "30"):
-                  "beff16e17d0421ea3c5e43b192276c93"
-                  "e5e74f25cc56012c99abb19cb209be55"}
+                  "8363cba02c81c6d1b596bf3b136dde8f"
+                  "2edda62e027ced5b4f97bbd867942325"}
 
 
 def _sha256_of(argv):

@@ -145,7 +145,7 @@ def test_contraction_identity_both_charts():
     catalog = build_catalog()
     report = verify_contraction_S6(catalog["s6"], catalog["s6prime"])
     assert report["ok"]
-    assert all(c["residue_zero"] for c in report["charts"])
+    assert all(c["residue"].is_zero() for c in report["charts"])
     assert report["blowdown_image"]["target"] == "(0:0:0:1)"
 
 

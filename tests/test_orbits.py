@@ -231,12 +231,27 @@ def test_binomial_identity_verified_once_per_g():
     catalog = build_catalog()
     cells = verdict_grid(catalog)
     checked = orbits._verify_binomial_identity.cache_info().misses
-    assert checked == 7         # distinct gcd(N, m) over the grid
+    # distinct gcd(N, g) over the grid, g a divisor of the period: with
+    # the S7 main family and the S8 branches, N = 18 and 30 add 5, 9, 10,
+    # 15, 18 and 30
+    assert checked == 13
     assert verdict_grid(catalog) == cells
     assert orbits._verify_binomial_identity.cache_info().misses == checked
     # every caller gets lists of its own
     orbit_structure(12, 4)["blocks"][0].append(99)
     assert orbit_structure(12, 4)["blocks"][0] == [0, 4, 8]
+
+
+@pytest.mark.parametrize("g, zeta", [
+    (12, lambda root: root ** 2),   # order 6: sum_i zeta^(6 i) = 12
+    (9, lambda root: -root)])       # (-zeta)^9 = -1
+def test_binomial_identity_refuses_a_wrong_root(monkeypatch, g, zeta):
+    root_of_unity = orbits.root_of_unity
+    monkeypatch.setattr(orbits, "root_of_unity",
+                        lambda T, k: zeta(root_of_unity(T, k)))
+    orbits._verify_binomial_identity.cache_clear()
+    with pytest.raises(VerificationError, match="g=%d" % g):
+        orbits._verify_binomial_identity(g)
 
 
 # minimal_model evaluations of the a-table's cases: one per divisor of the
