@@ -219,7 +219,8 @@ def _klein_surface(case):
 def cmd_verdict(args):
     if args.ext < 1:
         raise UsageError("--ext must be >= 1")
-    from .orbits import BaseExtension, case_surface, rationality_verdict
+    from .orbits import (AXIOM, BaseExtension, case_surface,
+                         rationality_verdict)
     try:
         name = case_surface(args.case)
     except ValueError as ex:
@@ -229,8 +230,11 @@ def cmd_verdict(args):
     note = ("minimal: no Galois orbit of pairwise-disjoint (-1)-curves; "
             "rational iff K^2 >= 5 (Iskovskikh); S7/S8 match Coxeter cycles "
             "by lengths and certified meets only") if args.case[0] == "e" \
-        else ("the contraction endpoint table is theory-sourced; orbit and "
-              "intersection inputs are machine-verified")
+        else ("%s: minimal: no Galois orbit of pairwise-disjoint "
+              "(-1)-curves; a conic bundle (K^2 = 8 - its singular fibres) "
+              "with <= 1 singular fibre and a point is rational, one with "
+              ">= 4 is not (Iskovskikh); orbit and intersection inputs are "
+              "machine-verified" % AXIOM)
     checks = [check("rationality-verdict",
                     "rule table over the radical extension",
                     rational=verdict.rational, a=verdict.a,
@@ -488,10 +492,11 @@ def _run_reproduction(catalog, seed=0, timings=False):
          lambda: {"ok": verify_contraction_S6(
              catalog["s6"], catalog["s6prime"])["ok"]})
 
-    # 3. Sturm counts and the numeric cross-check; sturm_vs_numeric refuses
-    # a count other than 3, 4, 4
+    # 3. Sturm counts of the residuals of s7 and s8 and the numeric
+    # cross-check; sturm_vs_numeric refuses a count other than 3, 4, 4
     step("sturm", "real-root counts of Q, Q1, Q2",
-         lambda: {"numeric": sturm_vs_numeric(NumericConfig(seed=seed))})
+         lambda: {"numeric": sturm_vs_numeric(
+             catalog["s7"], catalog["s8"], NumericConfig(seed=seed))})
 
     # 4. the paper's degrees a against the verdicts and h, and the 150 cells
     table = {"e6": 12, "e7": 18, "e8": 30, "an:2": 1, "an:5": 1,

@@ -14,7 +14,7 @@ from math import gcd, lcm
 from .base import VerificationError, _surface_cache
 from .multipoly import MultiPoly
 from .tower import FieldElement, FieldTower, cyclotomic, root_of_unity
-from .univariate import (derivative, primitive_gcd, resultant_poly,
+from .univariate import (coprime_mod_p, derivative, resultant_poly,
                          subresultant_prs, to_multipoly)
 
 
@@ -47,9 +47,11 @@ def radical_count(q, degree, label):
     nonzero monomial in t (S7: e^18 / t, S8: -mu^30 t).  Hypotheses, checked
     exactly here: q is squarefree, so it has deg q distinct roots x, and
     q(0) != 0, so each binomial u X^degree = x has degree distinct roots
-    and no two binomials share one."""
+    and no two binomials share one.  Squarefree is certified by q and q'
+    coprime modulo p (univariate.coprime_mod_p), which also refuses a q
+    whose discriminant p divides."""
     f = to_multipoly(q)
-    if primitive_gcd(f, derivative(f, "X"), "X").degree("X") != 0:
+    if not coprime_mod_p(f, derivative(f, "X"), "X"):
         raise VerificationError("%s is not squarefree" % label)
     if q[0] == 0:
         raise VerificationError("%s vanishes at 0" % label)
@@ -195,23 +197,11 @@ def wx_coefficients(p: MultiPoly, degree: int):
 
 
 def coprime_at_t2(f: MultiPoly, g: MultiPoly, name: str) -> bool:
-    """Coprimality certificate over Q(t): specialize t = 2 and take a
-    univariate gcd, by the primitive PRS over Z (Brown 1971).  Hypothesis,
-    checked here: the leading coefficient of f in `name` does not vanish at
-    t = 2.  Then Res(f, g) at t = 2 is a nonzero multiple of
-    Res(f(2), g(2)), so a unit gcd at the specialization forces a unit
-    generic gcd."""
-    two = Fraction(2)
-    fs = f.substitute({"t": two}) if "t" in f.vars else f
-    gs = g.substitute({"t": two}) if "t" in g.vars else g
-    if fs.degree(name) != f.degree(name):
-        raise VerificationError("coprimality at t = 2: the leading "
-                                "coefficient in %s vanishes there" % name,
-                                detail=f)
-    for p in (fs, gs):
-        if any(p.degree(v) > 0 for v in p.vars if v != name):
-            raise ValueError("polynomial is not univariate in %r" % name)
-    return primitive_gcd(fs, gs, name).degree(name) == 0
+    """Coprimality certificate over Q(t): f and g at t = 2, coprime modulo
+    p by univariate.coprime_mod_p, which checks its hypothesis (the leading
+    coefficient of f in `name` is not 0 modulo p at t = 2, so it does not
+    vanish there)."""
+    return coprime_mod_p(f, g, name, {"t": 2})
 
 
 def univariate_from_pure(p: MultiPoly, var_block: str, block: int,
@@ -329,8 +319,7 @@ def enumerate_s7(s7):
                                     "vanish on the residual locus"
                                     % (4 - j, j), detail=R)
     # extract the cubic itself from the (e^18, t)-support
-    qx = univariate_from_pure(
-        _homog_to_pure(extracted, 18, 3), "e", 18, "t", sign_flip=False)
+    qx = residual_coefficients(extracted, "e")
     if qx != qc:
         raise VerificationError("residual cubic coefficients deviate",
                                 detail=qx)
@@ -383,6 +372,17 @@ def _homog_to_pure(p: MultiPoly, block: int, deg: int):
         e2[it] = k // block
         out[tuple(e2)] = c
     return MultiPoly(p.vars, out)
+
+
+def residual_coefficients(residual: MultiPoly, parameter: str):
+    """The displayed polynomial of a residual that enumerate_s7 or
+    enumerate_s8 returns, as a coefficient list (low first): Q of
+    t^3 Q(e^18 / t) (parameter "e"), Q1 or Q2 of F_i ~ q_i(-mu^30 t)
+    (parameter "mu"); a residual of another support raises."""
+    if parameter == "e":
+        return univariate_from_pure(_homog_to_pure(residual, 18, 3), "e", 18,
+                                    "t", sign_flip=False)
+    return univariate_from_pure(residual, "mu", 30, "t", sign_flip=True)
 
 
 def _s7_e0_curves(s7):
@@ -601,7 +601,7 @@ def _s8_branch_residual(W6n, Pi, qtarget, bi):
         raise VerificationError("branch %d residual lost its constant term"
                                 % bi)
     norm = prim.scale(Fraction(1) / gamma)
-    qx = univariate_from_pure(norm, "mu", 30, "t", sign_flip=True)
+    qx = residual_coefficients(norm, "mu")
     if qx != qtarget:
         raise VerificationError("branch %d residual quartic deviates "
                                 "from the displayed coefficients" % bi,

@@ -13,13 +13,15 @@ of the residuals, on which the exact counts rest, is the exact side's
 (curves.radical_count).  Each xi-orbit of S7 and S8 curves is solved at one
 point and rotated by the family's xi-weights (curves.xi_weights, which the
 exact conjugation witnesses read too), the S8 b-roots certified where they
-land; S6 lines meet iff their Plucker coordinates pair to zero, as on the
-exact side (orbits.lines_intersect_p3).  Samples come from
+land, and the terms in W and X alone of each S8 sample summed once for the
+four b-roots; S6 lines meet iff their Plucker coordinates pair to zero, as
+on the exact side (orbits.lines_intersect_p3).  Samples come from
 random.Random(seed) in a fixed order (per curve, or per S8 mu, then per
 sample, then per coordinate), and every audit is cached on its (surface,
 NumericConfig)."""
 
 import cmath
+import copy
 import math
 import random
 from collections import namedtuple
@@ -81,11 +83,13 @@ def _durand_kerner_row(coeffs, seed):
     for _ in range(DK_MAX_ITER):
         dz = []
         for k, zk in enumerate(z):
-            val = 0j
+            val, den = 0j, 1
             for c in b:
                 val = val * zk + c
-            dz.append(val / math.prod(zk - zj for j, zj in enumerate(z)
-                                      if j != k))
+            for j, zj in enumerate(z):
+                if j != k:
+                    den *= zk - zj
+            dz.append(val / den)
         z = [zk - d for zk, d in zip(z, dz)]
         if all(abs(d) / (1 + abs(zk)) < 1e-14 for d, zk in zip(dz, z)):
             break
@@ -98,17 +102,19 @@ def _certify(coeffs, roots, tol):
     """roots, once certified as roots of sum(c[k] X^k): the residual below
     tol relative to the coefficient 1-norm evaluated at the root, and the
     roots pairwise separated."""
-    for r in roots:
-        val, scale, mag = 0j, 0.0, abs(r)
-        for c in reversed(coeffs):
+    terms = [(c, abs(c)) for c in reversed(coeffs)]
+    mags = [abs(r) for r in roots]
+    for r, mag in zip(roots, mags):
+        val, scale = 0j, 0.0
+        for c, size in terms:
             val = val * r + c
-            scale = scale * mag + abs(c)
+            scale = scale * mag + size
         if not abs(val) <= tol * (1 + scale):
             raise VerificationError("root residual %.3g exceeds tolerance"
                                     % abs(val))
-    for i, r in enumerate(roots):
-        for s in roots[i + 1:]:
-            if abs(r - s) < 1e-8 * (1 + abs(r) + abs(s)):
+    for i, (r, mr) in enumerate(zip(roots, mags)):
+        for s, ms in zip(roots[i + 1:], mags[i + 1:]):
+            if abs(r - s) < 1e-8 * (1 + mr + ms):
                 raise VerificationError("roots are not separated")
     return roots
 
@@ -131,14 +137,19 @@ def _cached_roots(coeffs, seed, tol):
 class CompiledPoly:
     """A MultiPoly compiled for complex evaluation: its terms as (complex
     coefficient, ((variable index, exponent), ...)) with the zero exponents
-    left out, the indices into `used`, the variables left free.  cenv maps
+    left out, the indices into `used`, the variables left free (those that
+    occur, or the tuple `order`, which must name each of them).  cenv maps
     generator names, and the variables it fixes (such as t), to values:
     each coefficient is a tower constant evaluated there, times the powers
     of the fixed variables."""
 
-    def __init__(self, p: MultiPoly, cenv):
-        idx = [i for i, v in enumerate(p.vars)
-               if v not in cenv and any(e[i] for e in p.terms)]
+    def __init__(self, p: MultiPoly, cenv, order=None):
+        free = [i for i, v in enumerate(p.vars)
+                if v not in cenv and any(e[i] for e in p.terms)]
+        idx = free if order is None else [p.vars.index(v) for v in order]
+        if not set(free) <= set(idx):
+            raise ValueError("variables %s left out of the order"
+                             % [p.vars[i] for i in free if i not in idx])
         fixed = [(i, cenv[v]) for i, v in enumerate(p.vars) if v in cenv]
         self.used = tuple(p.vars[i] for i in idx)
         self.terms = tuple(
@@ -152,21 +163,38 @@ class CompiledPoly:
         to a number; see at."""
         return self.at([env[v] for v in self.used])
 
-    def at(self, x):
-        """(value, scale) at the point x, the values of `used` in order;
-        scale is the sum of the absolute values of the terms, at least
-        1e-300."""
-        value, scale = 0j, 0.0
+    def at(self, x, start=(0j, 0.0)):
+        """(value, scale) at the point x, the values of `used` in order:
+        the sum of the terms and the sum of their absolute values, each
+        term added in order to the sums `start`."""
+        value, scale = start
         for c, monomial in self.terms:
             for i, k in monomial:
                 c *= x[i] if k == 1 else x[i] ** k
             value += c
             scale += abs(c)
-        return value, max(scale, 1e-300)
+        return value, scale
+
+    def split(self, k):
+        """(head, tail): the leading terms in the first k variables of
+        `used` alone, and the others.  head.at reads only x[:k], and
+        tail.at(x, head.at(x)) is at(x) bit for bit, so a head evaluated
+        once serves every point that shares those k values."""
+        n = 0
+        while n < len(self.terms) and all(i < k for i, _ in self.terms[n][1]):
+            n += 1
+        head, tail = copy.copy(self), copy.copy(self)
+        head.terms, tail.terms = self.terms[:n], self.terms[n:]
+        return head, tail
 
     def residue(self, env):
-        val, scale = self(env)
-        return abs(val) / scale
+        """|value| / scale at the point env (see __call__)."""
+        return _residue(*self(env))
+
+
+def _residue(value, scale):
+    """|value| / scale, scale taken as at least 1e-300."""
+    return abs(value) / max(scale, 1e-300)
 
 
 def _chain(pairs, cenv):
@@ -183,13 +211,14 @@ def _solve(chain, env):
     return env
 
 
-def _orbit(chain, weights, env0, N):
-    """The chain solved at the N points of the xi-orbit of env0, in order:
-    solved at env0 only, a value of weight r at the j-th point is xi^(r j)
-    times its value at env0."""
+def _orbit(chain, weights, env0, N, names):
+    """The values of `names` on the chain solved at the N points of the
+    xi-orbit of env0, one tuple per point, in order: solved at env0 only, a
+    value of weight r at the j-th point is xi^(r j) times its value at
+    env0."""
     base, xi = _solve(chain, dict(env0)), _roots_of_unity(N)
-    return [{n: v * xi[weights[n] * j % N] for n, v in base.items()}
-            for j in range(N)]
+    return list(zip(*([base[n] * xi[weights[n] * j % N] for j in range(N)]
+                      for n in names)))
 
 
 def _exact_count(curves, count, name):
@@ -369,18 +398,18 @@ def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
     tval = float(cfg.t)
     chain = _chain(main.data["coeff_pairs"], {"t": tval})
     rng = random.Random(cfg.seed)
-    equation = CompiledPoly(s7.equation, {"t": tval})
+    equation = CompiledPoly(s7.equation, {"t": tval}, order="WXYZ")
     # core(e) = t^3 Q(e^18 / t): 54 roots, the xi-orbits (xi^18 = 1) of
     # (u t)^(1/18) over the 3 roots u of Q
     res, count = [], 0
     for u in numeric_roots(q_cubic(), cfg):
-        for env in _orbit(chain, weights, {"e": (u * tval) ** (1 / N)}, N):
-            a, b, c, d, e = (env[n] for n in ("a", "b", "c", "d", "e"))
+        for a, b, c, d, e in _orbit(chain, weights,
+                                    {"e": (u * tval) ** (1 / N)}, N, "abcde"):
             for _ in range(5):
                 W, X = _sample_wx(rng)
-                res.append(equation.residue(
-                    {"W": W, "X": X, "Y": a * W + b * X,
-                     "Z": c * W ** 2 + d * W * X + e * X ** 2}))
+                res.append(_residue(*equation.at(
+                    (W, X, a * W + b * X,
+                     c * W ** 2 + d * W * X + e * X ** 2))))
             count += 1
     max_res = _max_residue(res, cfg, "S7 residue %.3g at root")
     # the two e=0 curves: Y = 0, Z = +- sqrt(t) W^2
@@ -388,8 +417,7 @@ def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
     for z in (cmath.sqrt(tval), -cmath.sqrt(tval)):
         for _ in range(5):
             W, X = _sample_wx(rng)
-            res.append(equation.residue(
-                {"W": W, "X": X, "Y": 0j, "Z": z * W ** 2}))
+            res.append(_residue(*equation.at((W, X, 0j, z * W ** 2))))
         count += 1
     max_res = max(max_res, _max_residue(res, cfg, "S7 e=0 residue %.3g"))
     return {"surface": "s7", "count": _exact_count(curves, count, "S7"),
@@ -406,11 +434,18 @@ def _s8_b_roots(main, quartic, cfg):
     tval = float(cfg.t)
     Pi = main.data["branch_quartic"]
     N, weights = main.data["weights"]
-    in_b = [CompiledPoly(Pi.coeff_of("b", k), {"t": tval})
-            for k in range(Pi.degree("b") + 1)]
+    # each term of Pi as (its degree in b, its coefficient at t, its
+    # exponent of mu): the coefficients in b at mu in one pass over the
+    # terms, each summed in the order of its terms in Pi
+    compiled = CompiledPoly(Pi, {"t": tval}, order=("b", "mu"))
+    terms = [(dict(m).get(0, 0), c, dict(m).get(1, 0))
+             for c, m in compiled.terms]
 
     def coeffs(mu):
-        return [c({"mu": mu})[0] for c in in_b]
+        out = [0j] * (Pi.degree("b") + 1)
+        for k, c, e in terms:
+            out[k] += c * mu if e == 1 else c * mu ** e if e else c
+        return out
 
     mu0s = [(-x / tval) ** (1.0 / N) for x in numeric_roots(quartic, cfg)]
     xi = _roots_of_unity(N)
@@ -425,16 +460,21 @@ def _s8_b_roots(main, quartic, cfg):
     return out
 
 
+# the values the S8 audit reads of each point of a chain
+S8_NAMES = ("mu", "b", "a", "d", "e", "f")
+
+
 def _s8_chains(main, quartic, cfg):
-    """For each of the 120 mu of a branch, the chains (dicts of mu, b, f, a,
-    e, d) at its four b-roots, solved at each orbit's mu0 only.  The b-roots
-    are those of _s8_b_roots, certified first: a wrong r_b fails there."""
+    """For each of the 120 mu of a branch, the chains at its four b-roots,
+    each a tuple of the values of S8_NAMES, solved at each orbit's mu0
+    only.  The b-roots are those of _s8_b_roots, certified first: a wrong
+    r_b fails there."""
     rows = _s8_b_roots(main, quartic, cfg)
     N, weights = main.data["weights"]
     chain = _chain(main.data["coeff_pairs"], {"t": float(cfg.t)})
-    return [envs for mu0, _, b0 in rows[::N]
-            for envs in zip(*(_orbit(chain, weights, {"mu": mu0, "b": b}, N)
-                              for b in b0))]
+    return [points for mu0, _, b0 in rows[::N]
+            for points in zip(*(_orbit(chain, weights, {"mu": mu0, "b": b},
+                                       N, S8_NAMES) for b in b0))]
 
 
 def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
@@ -442,29 +482,28 @@ def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
     from .orbits import _s8_branch_data
     curves, mains = _s8_branch_data(s8)
     rng = random.Random(cfg.seed)
-    equation = CompiledPoly(s8.equation, {"t": float(cfg.t)})
-    # where each variable the equation uses sits in a point (W, X, Y, Z)
-    slots = ["WXYZ".index(v) for v in equation.used]
+    equation = CompiledPoly(s8.equation, {"t": float(cfg.t)}, order="WXYZ")
+    # the leading terms in W and X alone (t W^6, W X^5) are summed once per
+    # sample, for all four b-roots, and the other terms continue the sums
+    head, tail = equation.split(2)
     count, max_res = 0, 0.0
     for branch, quartic in (("P1", q1_quartic()), ("P2", q2_quartic())):
         # the certified b-fraction cancels catastrophically in doubles;
         # instead, of the four b-roots of the branch quartic exactly one
         # continues to a curve on the surface
-        for envs in _s8_chains(mains[branch], quartic, cfg):
-            samples = [(W, X, W ** 2, W ** 3, X ** 2, X ** 3)
+        for points in _s8_chains(mains[branch], quartic, cfg):
+            samples = [(W, X, W ** 2, W ** 3, X ** 2, X ** 3, head.at((W, X)))
                        for W, X in (_sample_wx(rng) for _ in range(5))]
             on_surface = 0
-            for env in envs:
-                mu, b = env["mu"], env["b"]
-                a, d, e, f = (env[n] for n in ("a", "d", "e", "f"))
+            for mu, b, a, d, e, f in points:
                 mu2, mu3 = mu ** 2, mu ** 3
                 # a b-root is off the surface at its first failing sample
                 res = []
-                for W, X, W2, W3, X2, X3 in samples:
-                    point = (W, X, a * W2 + b * W * X - mu2 * X2,
-                             d * W3 + e * W2 * X + f * W * X2 - mu3 * X3)
-                    val, scale = equation.at([point[i] for i in slots])
-                    res.append(abs(val) / scale)
+                for W, X, W2, W3, X2, X3, sums in samples:
+                    res.append(_residue(*tail.at(
+                        (W, X, a * W2 + b * W * X - mu2 * X2,
+                         d * W3 + e * W2 * X + f * W * X2 - mu3 * X3),
+                        sums)))
                     if not res[-1] < cfg.tol:
                         break
                 else:
@@ -525,13 +564,17 @@ def numeric_audit_conic(s, cfg: NumericConfig) -> dict:
 
 
 @_surface_cache
-def sturm_vs_numeric(cfg: NumericConfig) -> dict:
-    """Exact Sturm real-root counts vs numeric counts for Q, Q1, Q2."""
-    from .curves import q_cubic, q1_quartic, q2_quartic
+def sturm_vs_numeric(s7, s8, cfg: NumericConfig) -> dict:
+    """Exact Sturm real-root counts vs numeric counts for Q, Q1, Q2, read
+    from the residuals that enumerate_s7(s7) and enumerate_s8(s8) return
+    (certified there equal to the displayed polynomials)."""
+    from .curves import enumerate_s7, enumerate_s8, residual_coefficients
+    core, (f1, f2) = enumerate_s7(s7)[1], enumerate_s8(s8)[1]
     out = {}
-    for label, q, expected in (("Q", q_cubic(), 3),
-                               ("Q1", q1_quartic(), 4),
-                               ("Q2", q2_quartic(), 4)):
+    for label, residual, parameter, expected in (("Q", core, "e", 3),
+                                                 ("Q1", f1, "mu", 4),
+                                                 ("Q2", f2, "mu", 4)):
+        q = residual_coefficients(residual, parameter)
         exact = count_real_roots(q)
         roots = numeric_roots(q, cfg)
         numeric = sum(1 for z in roots
@@ -575,5 +618,6 @@ def full_audit(catalog, tol=1e-8, seed=0) -> dict:
             report["surfaces"].setdefault(name, []).append(
                 {"t": t, "count": rep["count"],
                  "max_residue": rep["max_residue"]})
-    report["sturm"] = sturm_vs_numeric(NumericConfig(tol=tol, seed=seed))
+    report["sturm"] = sturm_vs_numeric(catalog["s7"], catalog["s8"],
+                                       NumericConfig(tol=tol, seed=seed))
     return report

@@ -516,7 +516,9 @@ def minimal_model(case: str, g: int, surface) -> MinimalModelDescriptor:
         rho -= contracted
         if rho not in (1, 2):
             raise VerificationError("%s: end point of rank %d" % (case, rho))
-        parts = {name: orbit_structure(N, g) for name, N, _, _ in families}
+        # each family's partition, with the number of c-cycles it covers
+        parts = {name: dict(orbit_structure(N, g), cycles=count)
+                 for name, N, count, _ in families}
         step = "xi acts as c^%d; orbits contracted: %d, K^2 = %d, rho = %d" \
             % (g, contracted, k2, rho)
         desc = MinimalModelDescriptor(

@@ -69,9 +69,11 @@ def test_criterion_3_sturm_counts():
     assert count_real_roots(q_cubic()) == 3
     assert count_real_roots(q1_quartic()) == 4
     assert count_real_roots(q2_quartic()) == 4
-    report = sturm_vs_numeric(NumericConfig(tol=1e-8))
+    # the counted polynomials are the residuals the enumerations return
+    report = sturm_vs_numeric(build_surface("s7"), build_surface("s8"),
+                              NumericConfig(tol=1e-8))
     for label, expected in (("Q", 3), ("Q1", 4), ("Q2", 4)):
-        assert report[label]["numeric"] == expected
+        assert report[label] == {"sturm": expected, "numeric": expected}
 
 
 def test_criterion_4_rationality_table_and_grid():
@@ -196,7 +198,10 @@ MUTATION_REACH = {
                  "intersections-s6", "numeric-oracle", "verdict-grid"},
     "s7,0,0,1": {"a-table", "conjugation-s7-order2", "conjugation-s7-order3",
                  "curves-s7", "dehomogenization", "intersections-s7-e0",
-                 "numeric-oracle", "verdict-grid"},
+                 "numeric-oracle", "sturm", "verdict-grid"},
+    "s8,0,1,2": {"a-table", "conjugation-s8-order2", "conjugation-s8-order3",
+                 "conjugation-s8-order5", "curves-s8", "dehomogenization",
+                 "numeric-oracle", "sturm", "verdict-grid"},
     "dn:5,0,0,1": {"a-table", "charts-dn:5", "curves-dn:5",
                    "dehomogenization", "intersections-dn:5", "verdict-grid"},
     "klein-an:2,0,0,2": {"autos-an:2", "dehomogenization"},
@@ -240,7 +245,6 @@ def test_failed_gluing_names_its_surface():
 READS_NOTHING = {
     "lattice-classes": "(-1)-class counts of the Picard lattice",
     "lattice-coxeter": "Coxeter numbers of the root systems",
-    "sturm": "it counts the real roots of the literal Q, Q1 and Q2",
 }
 
 

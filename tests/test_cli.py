@@ -58,6 +58,33 @@ def test_verdict_examples():
         == {"e0": (2, 1), "main": (6, 3)}
 
 
+@pytest.mark.parametrize("case,cycles", [
+    ("e6", {"L123": 1, "Lmu_plus": 1, "Lmu_minus": 1}),
+    ("e7", {"e0": 1, "main": 3}), ("e8", {"P1": 4, "P2": 4})])
+def test_every_e_family_says_how_many_c_cycles_it_covers(case, cycles):
+    # a family of count curves in binomials of degree N covers count // N
+    # cycles of c: 54 = 3 * 18 curves for main, 120 = 4 * 30 for P1 and P2
+    code, cert = run(["verdict", case, "--ext", "30"])
+    assert code == 0
+    parts = cert["verdict"]["descriptor"]["justification"]["orbits"]
+    assert {name: p["cycles"] for name, p in parts.items()} == cycles
+    # one partition of the N roots, whatever the number of cycles
+    assert all(len(p["blocks"]) * p["block_size"] == p["N"]
+               for p in parts.values())
+
+
+@pytest.mark.parametrize("case", ["an:3", "dn:6"])
+def test_conic_bundle_rule_note_names_what_it_assumes(case):
+    code, cert = run(["verdict", case, "--ext", "2"])
+    assert code == 0
+    (rule,) = [c for c in cert["checks"] if c["name"] == "rule-table"]
+    assert rule["status"] == "assumed"
+    assert rule["note"].startswith(orbits.AXIOM + ": minimal: no Galois "
+                                   "orbit of pairwise-disjoint (-1)-curves")
+    assert "<= 1 singular fibre and a point is rational" in rule["note"]
+    assert "endpoint table" not in rule["note"]
+
+
 def test_failed_contraction_names_its_chart():
     # a moved quartic term is not reduced away in chart 1: the check names
     # the chart and carries the residue
@@ -411,9 +438,11 @@ PINNED = {
     # statements assumed, and the justification's `step` names g, the
     # contracted orbits, K^2 and rho; since the minimal model is built once
     # per divisor g of the period, the descriptor has no `over` and no
-    # `orbit_structure` entry an `m` (the verdict's `over` names m)
-    ("verdict", "e6", "--ext", "12"): "b09f6e0ca609f0978af57fc7e2bcff7e"
-                                      "709ee4b22783d0d24a5d418dcc59ddc0",
+    # `orbit_structure` entry an `m` (the verdict's `over` names m); since
+    # each E family's entry says how many c-cycles it covers, each of the
+    # three carries `cycles` 1
+    ("verdict", "e6", "--ext", "12"): "538a588a1fef4a6753d7c7a01cea6511"
+                                      "292b71c6c5c76a472dc06209887b7e59",
     # the default certificate of the whole suite (seed 0), the behavioural
     # contract that a refactor must keep byte for byte
     ("reproduce-paper",): "54b826450db9327ccc9a6ab0f79e86b1"
@@ -437,23 +466,27 @@ PINNED_FORMS = {("curves", "s7"): "050e1b287801e2bf80da0135334ab208"
 # those records are declared must leave their JSON byte for byte as it was.
 # Since the minimal model is built once per divisor g of the period, each
 # lost two fields: the descriptor's `over` (the verdict's `over` still names
-# m) and the `m` of each `orbit_structure` entry (its partition prints g)
+# m) and the `m` of each `orbit_structure` entry (its partition prints g).
+# Since the `rule-table` note of an A_n or D_n verdict names what it assumes
+# (the axiom-table statements), not the deleted contraction endpoint table,
+# the two D_n records changed in that note only.
 PINNED_RECORDS = {("verdict", "dn:6", "--ext", "6"):
-                  "ef165772d42229c2ad389fb75024a4c6"
-                  "c454ecb8f1ba7bc459d26069cf9b10eb",
+                  "6de174dd3b14ae4ebb414c25efb2064d"
+                  "90afdca4650262faa111a7e322fc3396",
                   ("verdict", "dn:12", "--ext", "3"):
-                  "e9a3e24296674278e24e615200bd82fc"
-                  "a1da9c4eb2dc20b8d942803d7682f029",
+                  "93d95da3caa4ee61da989895ab88a6f3"
+                  "253d571a94c09e90e8f9d88671bb75ee",
                   # since the E verdicts come from the contraction of the
                   # Coxeter element's orbits: as for e6 --ext 12 the `rule`,
                   # the `rule-table` note and the `step` change, and the
                   # justification gains `orbits`; since each partition is
                   # certified by power sums, `orbits` holds the
                   # `orbit_structure` of the branches P1 and P2, where it
-                  # was empty
+                  # was empty; since each says how many c-cycles its family
+                  # covers, both carry `cycles` 4
                   ("verdict", "e8", "--ext", "30"):
-                  "8363cba02c81c6d1b596bf3b136dde8f"
-                  "2edda62e027ced5b4f97bbd867942325"}
+                  "e74043d78e69c2149807ea3c3c336837"
+                  "105d36134db415478542978c90144e80"}
 
 
 def _sha256_of(argv):

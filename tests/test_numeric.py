@@ -107,7 +107,7 @@ def test_squarefree_proof_refuses(cubic, error):
 
 
 def test_sturm_vs_numeric():
-    report = sturm_vs_numeric(CFG)
+    report = sturm_vs_numeric(build_surface("s7"), build_surface("s8"), CFG)
     assert report["Q"] == {"sturm": 3, "numeric": 3}
     assert report["Q1"] == {"sturm": 4, "numeric": 4}
     assert report["Q2"] == {"sturm": 4, "numeric": 4}
@@ -116,10 +116,13 @@ def test_sturm_vs_numeric():
 def test_full_audit_sturm_uses_its_seed_and_tol(monkeypatch):
     seen, sturm = [], numeric.sturm_vs_numeric
     monkeypatch.setattr(numeric, "sturm_vs_numeric",
-                        lambda cfg: seen.append(cfg) or sturm(cfg))
-    report = numeric.full_audit(build_catalog(), tol=1e-9, seed=3)
-    assert seen == [NumericConfig(tol=1e-9, seed=3)]
-    assert report["sturm"] == sturm(NumericConfig(tol=1e-9, seed=3))
+                        lambda s7, s8, cfg: seen.append((s7, s8, cfg))
+                        or sturm(s7, s8, cfg))
+    catalog = build_catalog()
+    report = numeric.full_audit(catalog, tol=1e-9, seed=3)
+    cfg = NumericConfig(tol=1e-9, seed=3)
+    assert seen == [(catalog["s7"], catalog["s8"], cfg)]
+    assert report["sturm"] == sturm(catalog["s7"], catalog["s8"], cfg)
 
 
 @pytest.mark.parametrize("name,count", [
@@ -167,6 +170,24 @@ def test_perturbed_coefficient_is_refuted(monkeypatch, name, data, error):
     audit = getattr(numeric, "numeric_audit_" + name)
     with pytest.raises(VerificationError, match=error):
         audit(bad, CFG)
+
+
+@pytest.mark.parametrize("term,monomial", [(3, (6, 0, 0, 0, 1)),
+                                           (2, (1, 5, 0, 0, 0))],
+                         ids=["t W^6", "W X^5"])
+def test_shared_sample_terms_come_from_the_model(monkeypatch, term,
+                                                  monomial):
+    # the terms in W and X alone, summed once per sample for all four
+    # b-roots, are read from the audited equation: either coefficient
+    # changed, the exact curves of the unchanged surface are refuted
+    bad = build_catalog(mutation=("s8", 0, term, Fraction(1, 2)))["s8"]
+    clean = build_surface("s8")
+    assert {e for e in bad.equation.terms
+            if bad.equation.terms[e] != clean.equation.terms[e]} == {monomial}
+    exact = orbits._s8_branch_data
+    monkeypatch.setattr(orbits, "_s8_branch_data", lambda s: exact(clean))
+    with pytest.raises(VerificationError, match="0 of 4 b-roots"):
+        numeric.numeric_audit_s8(bad, CFG)
 
 
 def test_audit_count_must_match_the_exact_families(monkeypatch):
@@ -249,8 +270,9 @@ def test_q_q1_q2_are_solved_once(monkeypatch):
     monkeypatch.setattr(numeric, "durand_kerner",
                         lambda c, cfg: calls.append(list(c)) or solve(c, cfg))
     cfg = NumericConfig(tol=1e-9, seed=17)
-    sturm_vs_numeric(cfg)
-    numeric.full_audit(build_catalog(), tol=cfg.tol, seed=cfg.seed)
+    catalog = build_catalog()
+    sturm_vs_numeric(catalog["s7"], catalog["s8"], cfg)
+    numeric.full_audit(catalog, tol=cfg.tol, seed=cfg.seed)
     for q in (q_cubic(), q1_quartic(), q2_quartic()):
         assert calls.count(q) == 1
 
@@ -266,27 +288,39 @@ def test_rotated_chain_matches_a_direct_solve(name, branch):
         quartic = q1_quartic() if branch == "P1" else q2_quartic()
         rows = numeric._s8_chains(main, quartic, CFG)
         # the chains sit at the certified mu and b-roots
-        for (mu, _, bs), envs in zip(numeric._s8_b_roots(main, quartic, CFG),
-                                     rows, strict=True):
-            assert [(env["mu"], env["b"]) for env in envs] == [
-                (mu, b) for b in bs]
-        envs = [env for envs in rows[::7] for env in envs]
+        for (mu, _, bs), points in zip(
+                numeric._s8_b_roots(main, quartic, CFG), rows, strict=True):
+            assert [point[:2] for point in points] == [(mu, b) for b in bs]
+        names = numeric.S8_NAMES
+        points = [point for points in rows[::7] for point in points]
         free = ("mu", "b")
         chain = numeric._chain(main.data["coeff_pairs"], {"t": tval})
     else:
         # the 54 e of the audit: the orbits of (u t)^(1/18), u a root of Q
         main = _s7_main_data(build_surface("s7"))[2]
-        free = ("e",)
+        names, free = "abcde", ("e",)
         weights = main.data["weights"][1]
         chain = numeric._chain(main.data["coeff_pairs"], {"t": tval})
-        envs = [env for u in numeric_roots(q_cubic(), CFG)
-                for env in numeric._orbit(chain, weights,
-                                          {"e": (u * tval) ** (1 / 18)}, 18)]
-        assert len(envs) == 54
-    for env in envs:
+        points = [point for u in numeric_roots(q_cubic(), CFG)
+                  for point in numeric._orbit(
+                      chain, weights, {"e": (u * tval) ** (1 / 18)}, 18,
+                      names)]
+        assert len(points) == 54
+    for point in points:
+        env = dict(zip(names, point, strict=True))
         direct = numeric._solve(chain, {n: env[n] for n in free})
         for n in main.data["coeff_pairs"]:
             assert abs(env[n] - direct[n]) < 1e-9 * (1 + abs(env[n]))
+
+
+def test_wrong_f_weight_is_refuted(monkeypatch):
+    # f is rotated with the chain too: its weight off by one is refuted by
+    # the residues, as that of a is
+    family = _s8_branch_data(build_surface("s8"))[1]["P1"]
+    weights = family.data["weights"][1]
+    monkeypatch.setitem(weights, "f", weights["f"] + 1)
+    with pytest.raises(VerificationError, match="b-roots on the surface"):
+        numeric.numeric_audit_s8(build_surface("s8"), CFG)
 
 
 @pytest.mark.parametrize("name,error", [("s7", "S7 residue"),

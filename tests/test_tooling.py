@@ -68,6 +68,22 @@ def test_benchmark_spans_name_public_functions_of_their_layers():
         assert fn.__module__ == "kleinfib." + layer, span
 
 
+def test_modular_coprimality_is_traced_in_univariate():
+    # curves calls the modular coprimality test by the name it imports,
+    # which the tracer replaces too: the time of both the squarefree proof
+    # and the coprimality certificates counts in the univariate layer
+    curves = importlib.import_module("kleinfib.curves")
+    spans = _tracer().Tracer()
+    spans.install()
+    try:
+        curves.radical_count(curves.q_cubic(), 18, "Q")
+        e, t = (curves.MultiPoly.var(("e", "t"), v) for v in "et")
+        assert curves.coprime_at_t2(e * 2, e ** 3 - t, "e")
+    finally:
+        spans.uninstall()
+    assert spans.totals["univariate.coprime_mod_p"][0] == 2
+
+
 def test_traced_commands_record_spans_and_restore_every_name():
     tracer = _tracer()
     modules = [importlib.import_module("kleinfib." + layer)
