@@ -411,15 +411,30 @@ class _ReadLog(Mapping):
 
 
 class _CheckMemo(dict):
-    """(check name, seed) -> [(reads, entry)]: an entry, failed or not, is
-    reused while each (name, surface) pair its run read is the catalog's."""
+    """(check name, seed) -> {(names, surfaces): entry}: an entry, failed or
+    not, is reused while the surfaces its run read are the catalog's; `names`
+    keeps each key's distinct sorted names read, one dict lookup each."""
+
+    def __init__(self):
+        super().__init__()
+        self.names = {}
 
     def lookup(self, key, surfaces):
-        return next((run for run in self.get(key, ()) if all(
-            (s := surfaces.get(name)) is read or s == read
-            for name, read in run[0])), None)
+        runs = self.get(key, {})
+        for names in self.names.get(key, ()):
+            entry = runs.get((names, tuple(map(surfaces.get, names))))
+            if entry is not None:
+                return names, entry
+        return None
 
-    cache_clear = dict.clear
+    def add(self, key, names, surfaces, entry):
+        self.setdefault(key, {})[names, tuple(map(surfaces.get, names))] = \
+            entry
+        self.names.setdefault(key, {})[names] = None
+
+    def cache_clear(self):
+        self.clear()
+        self.names.clear()
 
 
 _check_memo = _CheckMemo()
@@ -451,13 +466,13 @@ def _run_reproduction(catalog, seed=0, timings=False):
                 entry = check(name, ref, status="failed", **_failure(ex))
             else:
                 entry = check(name, ref, status=status, **(fn_extra or {}))
-            hit = (tuple((n, catalog.surfaces.get(n))
-                         for n in sorted(catalog.names)), entry)
-            _check_memo.setdefault((name, seed), []).append(hit)
-        reads, entry = hit
+            reads = tuple(sorted(catalog.names))
+            _check_memo.add((name, seed), reads, catalog.surfaces, entry)
+        else:
+            reads, entry = hit
         if timings:
             entry = _Entry(dict(entry, elapsed=time.monotonic() - started,
-                                reads=[n for n, _ in reads]))
+                                reads=list(reads)))
         checks.append(entry)
 
     # 1-2. curve enumerations and the displayed residual polynomials

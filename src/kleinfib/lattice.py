@@ -5,7 +5,7 @@ Coxeter numbers (computed two independent ways) and (-1)-class counts."""
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from .base import VerificationError
 
@@ -45,20 +45,23 @@ def _unit_vectors(n):
 
 
 def _closure(simples, cartan):
-    """The roots spanned by `simples` under their reflections: the orbit of
-    the simple roots, reflected in simple-root coordinates with the integer
-    Cartan rows, then mapped back to the ambient lattice."""
-    roots = set(_unit_vectors(len(simples)))
-    queue = list(roots)
-    while queue:
-        v = queue.pop()
-        for j, row in enumerate(cartan):
-            w = _reflect(v, j, row)
-            if w not in roots:
-                roots.add(w)
-                queue.append(w)
-    return {tuple(sum(map(mul, v, col)) for col in zip(*simples))
-            for v in roots}
+    """The roots spanned by `simples`: the positive ones by root strings
+    from the simple roots (simply laced: v + alpha_j is a root iff
+    <v, alpha_j^vee> < 0, for a positive root v != alpha_j), each kept with
+    its pairings <v, alpha_i^vee>, which alpha_j's Cartan row raises; then
+    their negatives."""
+    level = dict(zip(simples, cartan))
+    roots = set(level)
+    while level:
+        up = {}
+        for v, pairs in level.items():
+            for j, c in enumerate(pairs):
+                if c < 0:
+                    up[tuple(map(add, v, simples[j]))] = tuple(
+                        map(add, pairs, cartan[j]))
+        roots.update(up)
+        level = up
+    return roots | {tuple(-x for x in v) for v in roots}
 
 
 def _components(adj, n):
@@ -163,7 +166,8 @@ def _finish(label, simples, dot):
         if not sub_roots <= roots:
             raise VerificationError("component roots escape the closure")
         if len(sub_roots) % len(comp):
-            raise VerificationError("root count not divisible by the rank")
+            raise VerificationError("Coxeter number mismatch: %d roots on "
+                                    "rank %d" % (len(sub_roots), len(comp)))
         hc = len(sub_roots) // len(comp)
         total += len(sub_roots)
         lcm_h = lcm_h * hc // gcd(lcm_h, hc)

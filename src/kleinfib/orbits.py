@@ -111,12 +111,12 @@ def _verify_binomial_identity(g: int) -> None:
     and p_g = g, and Newton's identities over Q give e_k(1, zeta, ...,
     zeta^(g-1)) = 0 for 0 < k < g and e_g = (-1)^(g-1), which is the
     identity in any Q-algebra: no domain hypothesis (Phi_g irreducible) is
-    needed.  It does not depend on N, so each g is verified once."""
-    T = cyclotomic(g)
-    zeta = root_of_unity(T, g)
-    powers = zeta.powers(g)
-    if powers[-1] * zeta != T.one() or any(
-            not sum((powers[i * d % g] for i in range(g)), T.zero()).is_zero()
+    needed.  It does not depend on N, so each g is verified once.  The
+    zeta^i are the int tuples the ring of Q(zeta_g) holds, reduced."""
+    ring = cyclotomic(g)._ring
+    powers = ring.powers
+    if ring.mul(powers[-1], powers[1 % g]) != powers[0] or any(
+            any(map(sum, zip(*(powers[i * d % g] for i in range(g)))))
             for d in range(1, g) if not g % d):
         raise VerificationError("binomial factorization identity failed "
                                 "for g=%d" % g)
@@ -219,8 +219,7 @@ def s6_intersections(s6) -> dict:
     a meeting point, or a nonzero determinant (disjoint)."""
     pairs = []
 
-    def decide(line1, line2, tower, t, **entry):
-        ok, wit = lines_intersect_p3(line1, line2, tower, s6, t)
+    def decide(ok, wit, **entry):
         pairs.append(dict(entry, intersect=ok,
                           witness=[str(c) for c in wit] if ok else None))
 
@@ -228,19 +227,33 @@ def s6_intersections(s6) -> dict:
     T0, t0, alpha_lines = s6_alpha_lines()
     lines = [line_p3(forms, T0) for forms in alpha_lines]
     for j1, j2 in ((0, 1), (0, 2), (1, 2)):
-        decide(lines[j1], lines[j2], T0, t0,
+        decide(*lines_intersect_p3(lines[j1], lines[j2], T0, s6, t0),
                pair="L%d/L%d" % (j1 + 1, j2 + 1))
 
     # L_mu vs L_{xi mu}, xi = z12^k, on both branches: L_{xi mu} is L_mu
-    # under mu -> xi mu.  The verdicts match the pattern to a cycle of the
-    # Coxeter element (_coxeter_match)
+    # under sigma_k: mu -> xi mu.  k <= 6 is solved; sigma_k, once it fixes
+    # t and undoes sigma_(12-k) on the forms, carries the pair (L_mu,
+    # L_{xi^(12-k) mu}) to (L_{xi^k mu}, L_mu), with the pairing and the
+    # kernel, normalised at its free column (sigma keeps the pivots).  The
+    # verdicts match the pattern to a Coxeter cycle (_coxeter_match)
     for branch in ("plus", "minus"):
         T, _, t = s6_line_tower(branch)
         forms = s6_line_forms(T, branch)
-        line = line_p3(forms, T)
+        line, solved = line_p3(forms, T), {}
+        if t.rotate(1) != t:
+            raise VerificationError("sigma_1 moves t")
         for k in range(1, 12):
-            decide(line, line_p3(rotate_forms(forms, k), T), T, t,
-                   pair="Lmu/Lximu", branch=branch, k=k,
+            if k <= 6:
+                rotated = rotate_forms(forms, k)
+                solved[k] = rotated, *lines_intersect_p3(
+                    line, line_p3(rotated, T), T, s6, t)
+            elif rotate_forms(solved[12 - k][0], k) != forms:
+                raise VerificationError("sigma_%d does not undo sigma_%d on "
+                                        "the %s forms" % (k, 12 - k, branch))
+            _, ok, wit = solved[min(k, 12 - k)]
+            if k > 6 and ok:
+                wit = [c.rotate(k) for c in wit]
+            decide(ok, wit, pair="Lmu/Lximu", branch=branch, k=k,
                    xi_order=12 // gcd(12, k))
     return {"surface": "s6", "pairs": pairs}
 

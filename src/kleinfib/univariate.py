@@ -5,13 +5,15 @@ A univariate polynomial over Q is a MultiPoly in one named variable (over
 Q it is flat, int numerators over one common denominator, so everything
 below runs fraction-free on ints).  Here are the derivative, a coprimality
 certificate by Euclid over F_p, p = 2^61 - 1 (``coprime_mod_p``), Sturm's
-real-root counts by ``div_univariate``, the cyclotomic polynomials by one
-exact division, and the pseudo-remainders, subresultant PRS and resultants
-of the elimination chains (Brown and Traub 1971).  Coefficient lists over
-Q, low degree first, are read and written only at the edges
-(``to_multipoly``, ``from_multipoly``): the displayed residual polynomials
-and the field towers keep that form.  The modular test alone reduces its
-inputs to coefficient lists over F_p, on which Euclid runs.
+real-root counts by ``div_univariate``, and the pseudo-remainders,
+subresultant PRS and resultants of the elimination chains (Brown and Traub
+1971).  Coefficient lists over Q, low degree first, are read and written
+only at the edges (``to_multipoly``, ``curves.residual_coefficients``): the
+displayed residual polynomials and the field towers keep that form.  Two
+computations run on lists: the modular test reduces its inputs to
+coefficient lists over F_p, on which Euclid runs, and the cyclotomic
+polynomials are int lists, products and exact quotients of binomials
+X^d - 1.
 """
 
 from __future__ import annotations
@@ -26,17 +28,6 @@ def to_multipoly(coeffs) -> MultiPoly:
     """The MultiPoly in X with the coefficient list coeffs (ints or
     Fractions, low degree first)."""
     return MultiPoly(("X",), {(k,): c for k, c in enumerate(coeffs)})
-
-
-def from_multipoly(p: MultiPoly, name: str):
-    """Coefficient list of a MultiPoly that is univariate in `name`."""
-    out = []
-    for k in range(p.degree(name) + 1):
-        c = p.coeff_of(name, k)
-        if not c.is_constant():
-            raise ValueError("polynomial is not univariate in %r" % name)
-        out.append(c.constant())
-    return out
 
 
 def derivative(p: MultiPoly, name: str) -> MultiPoly:
@@ -242,14 +233,31 @@ def cyclotomic_poly(n: int):
 
 @lru_cache(maxsize=None)
 def _cyclotomic(n: int) -> tuple:
-    """Phi_n: X^n - 1 divided exactly by the product of the lower Phi_d,
-    d | n."""
-    lower = MultiPoly.const(("X",), 1)
-    for d in range(1, n):
-        if n % d == 0:
-            lower = lower * to_multipoly(_cyclotomic(d))
-    quo, rem = to_multipoly([-1] + [0] * (n - 1) + [1]).div_univariate(
-        lower, "X")
-    if not rem.is_zero():
-        raise VerificationError("cyclotomic division must be exact", rem)
-    return tuple(int(c) for c in from_multipoly(quo, "X"))
+    """Phi_n = prod_{d | n} (X^d - 1)^mu(n/d), the Moebius inversion of
+    X^n - 1 = prod_{d | n} Phi_d, on int lists: d = n / (a product of
+    distinct primes of n), and mu(n/d) = 1 (multiplied in first) or -1
+    (divided out from the top down, exactly) by the parity of their number."""
+    ups, downs = [n], []
+    for p in range(2, n + 1):
+        if not n % p and all(p % q for q in range(2, p)):
+            ups, downs = (ups + [d // p for d in downs],
+                          downs + [d // p for d in ups])
+    phi = [1]
+    for d in ups:
+        phi = _times_binomial(phi, d)
+    for d in downs:
+        quo = phi[d:]
+        for k in range(len(quo) - 1, d - 1, -1):
+            quo[k - d] += quo[k]
+        if any(c + (quo[k] if k < len(quo) else 0)
+               for k, c in enumerate(phi[:d])):
+            raise VerificationError("cyclotomic division by X^%d - 1 must be "
+                                    "exact" % d, phi)
+        phi = quo
+    return tuple(phi)
+
+
+def _times_binomial(a: list, d: int) -> list:
+    """The int list a (low degree first) times X^d - 1: shift, subtract."""
+    return [(a[k - d] if k >= d else 0) - (a[k] if k < len(a) else 0)
+            for k in range(len(a) + d)]

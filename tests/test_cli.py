@@ -375,6 +375,25 @@ def test_failed_checks_carry_error_kind(monkeypatch, fresh_check_memo):
         assert ("error_kind" in c) == (c["status"] == "failed"), c["name"]
 
 
+def test_check_memo_tries_each_set_of_names_a_run_read():
+    # a run is found by the surfaces under the names it read, whichever of
+    # the check's sets of names that is; a surface changed under any of
+    # them misses
+    memo, key = cli._CheckMemo(), ("check", 0)
+    clean, mutated = build_surface("s6"), build_surface("s7")
+    memo.add(key, ("s6",), {"s6": clean}, "short run")
+    memo.add(key, ("s6", "s7"), {"s6": mutated, "s7": clean}, "long run")
+    assert memo.lookup(key, {"s6": mutated, "s7": clean}) == (
+        ("s6", "s7"), "long run")
+    assert memo.lookup(key, {"s6": clean, "s7": mutated}) == (
+        ("s6",), "short run")
+    assert memo.lookup(key, {"s6": mutated, "s7": mutated}) is None
+    assert memo.lookup(("other", 0), {"s6": clean}) is None
+    assert len(memo[key]) == 2
+    memo.cache_clear()
+    assert not memo and not memo.names
+
+
 def test_failed_surface_computation_runs_once(fresh_check_memo):
     # a-table, verdict-grid and intersections-s6 all read the mutated cubic;
     # the failure is cached with the surface, so it is computed once and the

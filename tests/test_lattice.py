@@ -5,6 +5,8 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
+from kleinfib import lattice
+from kleinfib.base import VerificationError
 from kleinfib.lattice import (PicardLattice, build_root_system,
                               coxeter_contraction, coxeter_cycles,
                               coxeter_number, minus_one_classes,
@@ -101,6 +103,36 @@ def test_root_counts_and_coxeter_numbers(label, roots, h):
         assert len(rs.roots) == roots
         assert rs.coxeter_number == h
         assert set(rs.roots) == _ambient_closure(rs.simple_roots, rs.dot)
+
+
+ROOT_STRING_LABELS = (["A%d" % n for n in range(2, 9)]
+                      + ["D%d" % n for n in range(4, 13)] + ["E6", "E7", "E8"])
+
+
+@pytest.mark.parametrize("label", ROOT_STRING_LABELS)
+def test_root_strings_give_the_reflection_closure(label):
+    # the positive roots by root strings, with their negatives, are the
+    # closure of the simple roots under the reflections
+    rs = standard_root_system(label)
+    roots = lattice._closure(rs.simple_roots, rs.cartan)
+    assert roots == _ambient_closure(rs.simple_roots, rs.dot)
+    assert len(roots) == rs.coxeter_number * rs.rank
+
+
+@pytest.mark.parametrize("label", ROOT_STRING_LABELS)
+def test_a_missed_root_fails_the_coxeter_check(monkeypatch, label):
+    # one positive root and its negative left out: #roots / rank is no
+    # longer the order of the product of the simple reflections
+    rs = standard_root_system(label)
+    closure = lattice._closure
+    highest = max(rs.roots, key=lambda v: sum(abs(x) for x in v))
+
+    def missing_one(simples, cartan):
+        return closure(simples, cartan) - {highest,
+                                           tuple(-x for x in highest)}
+    monkeypatch.setattr(lattice, "_closure", missing_one)
+    with pytest.raises(VerificationError, match="Coxeter number mismatch"):
+        lattice._finish(label, rs.simple_roots, rs.dot)
 
 
 @pytest.mark.parametrize("r,lengths", [

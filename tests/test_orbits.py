@@ -2,6 +2,7 @@
 
 import copy
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -246,12 +247,34 @@ def test_binomial_identity_verified_once_per_g():
     (12, lambda root: root ** 2),   # order 6: sum_i zeta^(6 i) = 12
     (9, lambda root: -root)])       # (-zeta)^9 = -1
 def test_binomial_identity_refuses_a_wrong_root(monkeypatch, g, zeta):
-    root_of_unity = orbits.root_of_unity
-    monkeypatch.setattr(orbits, "root_of_unity",
-                        lambda T, k: zeta(root_of_unity(T, k)))
+    # the identity reads zeta^i from the ring of Q(zeta_g): a ring whose
+    # powers are those of another root of Phi_g's ring is refused
+    ring = tower.cyclotomic(g)._ring
+    z = tower.FieldElement(tower.cyclotomic(g), ({0: ring.powers[1]}, 1))
+    _refuse_ring_powers(monkeypatch, g,
+                        [w.payload[0][0] for w in zeta(z).powers(g)])
+
+
+def test_binomial_identity_refuses_powers_read_one_off(monkeypatch):
+    # zeta^(i+1) in place of zeta^i: every power sum still vanishes, and
+    # the list fails zeta^(g-1) * zeta = 1
+    powers = tower.cyclotomic(12)._ring.powers
+    _refuse_ring_powers(monkeypatch, 12, powers[1:] + powers[:1])
+
+
+def _refuse_ring_powers(monkeypatch, g, powers):
+    """_verify_binomial_identity(g) refuses the ring of Q(zeta_g) with
+    `powers` in place of its zeta^i."""
+    ring = tower.cyclotomic(g)._ring
+    swapped = tower._Ring(g, ring.phi, powers, ring.units)
+    monkeypatch.setattr(orbits, "cyclotomic",
+                        lambda M: SimpleNamespace(_ring=swapped))
     orbits._verify_binomial_identity.cache_clear()
-    with pytest.raises(VerificationError, match="g=%d" % g):
-        orbits._verify_binomial_identity(g)
+    try:
+        with pytest.raises(VerificationError, match="g=%d" % g):
+            orbits._verify_binomial_identity(g)
+    finally:
+        orbits._verify_binomial_identity.cache_clear()
 
 
 # minimal_model evaluations of the a-table's cases: one per divisor of the
@@ -301,6 +324,63 @@ def _s6_line_pairs():
         forms = s6_line_forms(T, branch)
         pairs += [(forms, rotate_forms(forms, k), T, t) for k in range(1, 12)]
     return pairs
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_sigma_derived_s6_pairs_match_a_direct_solve(branch):
+    # the pairs k = 7..11 are sigma_k of the pairs 12 - k: each equals the
+    # entry a kernel solve of (L_mu, L_{zeta12^k mu}) prints, witness
+    # strings included
+    report = s6_intersections(build_surface("s6"))
+    entries = {e["k"]: e for e in report["pairs"]
+               if e.get("branch") == branch}
+    T, _, t = s6_line_tower(branch)
+    forms = s6_line_forms(T, branch)
+    line = orbits.line_p3(forms, T)
+    for k in range(1, 12):
+        ok, wit = orbits.lines_intersect_p3(
+            line, orbits.line_p3(rotate_forms(forms, k), T), T,
+            build_surface("s6"), t)
+        assert entries[k]["intersect"] == ok, k
+        assert entries[k]["witness"] == (
+            [str(c) for c in wit] if ok else None), k
+    assert any(entries[k]["intersect"] for k in range(7, 12))
+
+
+def test_s6_pairs_refuse_a_sigma_that_does_not_carry_the_forms(monkeypatch):
+    # sigma_k must undo sigma_(12-k) on the forms before a pair k > 6 is
+    # read off the pair 12 - k
+    rotate = orbits.rotate_forms
+
+    def skewed(forms, e):
+        out = rotate(forms, e)
+        return out if e <= 6 else (out[0] + out[1],) + out[1:]
+    monkeypatch.setattr(orbits, "rotate_forms", skewed)
+    s6 = build_surface("s6")
+    orbits.s6_intersections.cache_clear()
+    try:
+        with pytest.raises(VerificationError, match="does not undo"):
+            s6_intersections(s6)
+    finally:
+        orbits.s6_intersections.cache_clear()
+
+
+def test_s6_pairs_refuse_a_t_that_sigma_moves(monkeypatch):
+    # the pairs k > 6 are read off the pairs 12 - k only while sigma_1
+    # fixes t
+    line_tower = orbits.s6_line_tower
+
+    def moved(branch):
+        T, c, t = line_tower(branch)
+        return T, c, t * T.gen("mu")
+    monkeypatch.setattr(orbits, "s6_line_tower", moved)
+    s6 = build_surface("s6")
+    orbits.s6_intersections.cache_clear()
+    try:
+        with pytest.raises(VerificationError, match="sigma_1 moves t"):
+            s6_intersections(s6)
+    finally:
+        orbits.s6_intersections.cache_clear()
 
 
 def test_rotated_s6_forms_substitute_xi_mu():

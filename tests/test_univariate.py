@@ -3,6 +3,7 @@ the Sylvester-matrix oracle, Sturm counts against numpy roots."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -12,9 +13,8 @@ from kleinfib import univariate
 from kleinfib.base import VerificationError
 from kleinfib.multipoly import MultiPoly
 from kleinfib.univariate import (PRIME, coprime_mod_p, count_real_roots,
-                                 cyclotomic_poly, derivative, from_multipoly,
-                                 resultant_poly, subresultant_prs,
-                                 to_multipoly)
+                                 cyclotomic_poly, derivative, resultant_poly,
+                                 subresultant_prs, to_multipoly)
 
 
 def normalize(f):
@@ -157,8 +157,7 @@ def test_sturm_against_numpy():
         coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(deg)] + \
                  [Fraction(rng.randint(1, 9))]
         f = to_multipoly(coeffs)
-        sqf = from_multipoly(
-            f.exact_div(exact_gcd(f, derivative(f, "X"))), "X")
+        sqf = _coeffs(f.exact_div(exact_gcd(f, derivative(f, "X"))), "X")
         # the squarefree part is certified squarefree, and f exactly when
         # it is its own squarefree part
         sq = to_multipoly(sqf)
@@ -201,18 +200,44 @@ def test_cyclotomic_is_memoized_but_returns_fresh_lists():
     assert sum(cyclotomic_poly(124)) == 1
 
 
+def _phi(n):
+    """Euler's phi by counting."""
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def test_cyclotomic_degrees_and_integrality():
+    for n in range(1, 201):
+        f = cyclotomic_poly(n)
+        assert len(f) == _phi(n) + 1 and f[-1] == 1, n
+        assert all(type(c) is int for c in f), n
+
+
+@pytest.mark.parametrize("n", [12, 30, 105, 124])
+def test_cyclotomic_factors_x_to_the_n_minus_1(n):
+    # prod_{d | n} Phi_d = X^n - 1, multiplied out as MultiPoly
+    product = MultiPoly.const(("X",), 1)
+    for d in range(1, n + 1):
+        if not n % d:
+            product = product * to_multipoly(cyclotomic_poly(d))
+    assert product == to_multipoly([-1] + [0] * (n - 1) + [1])
+
+
 def test_inexact_division_raises(monkeypatch):
     # the exactness check raises rather than asserts, so that python -O
-    # keeps it; the cyclotomic cache is cleared on both sides, so that
-    # Phi_6 is divided under the patch and nothing computed under it stays
-    divide = MultiPoly.div_univariate
+    # keeps it: a product off by one in its constant term leaves a nonzero
+    # remainder in the division by X^d - 1.  The cyclotomic cache is
+    # cleared on both sides, so that Phi_6 is divided under the patch and
+    # nothing computed under it stays
+    times = univariate._times_binomial
 
-    def with_remainder(self, divisor, name):
-        return divide(self, divisor, name)[0], MultiPoly.const(self.vars, 1)
+    def off_by_one(a, d):
+        out = times(a, d)
+        out[0] += 1
+        return out
     univariate._cyclotomic.cache_clear()
     try:
         with monkeypatch.context() as m:
-            m.setattr(MultiPoly, "div_univariate", with_remainder)
+            m.setattr(univariate, "_times_binomial", off_by_one)
             with pytest.raises(VerificationError, match="cyclotomic"):
                 cyclotomic_poly(6)
     finally:
@@ -229,9 +254,14 @@ def test_derivative():
     assert derivative(to_multipoly([Fraction(7, 2)]), "X").is_zero()
 
 
+def _coeffs(p, name):
+    """The coefficient list of p, univariate in `name`, low degree first."""
+    return [p.coeff_of(name, k).constant() for k in range(p.degree(name) + 1)]
+
+
 def _at(p, y0):
     """p(x, y0) as a dense coefficient list in x."""
-    return from_multipoly(p.substitute({"y": Fraction(y0)}), "x")
+    return _coeffs(p.substitute({"y": Fraction(y0)}), "x")
 
 
 @settings(max_examples=60, deadline=None)
