@@ -11,7 +11,7 @@ modulo the residual relation.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .base import VerificationError, _surface_cache
+from .base import GeometryError, VerificationError, _surface_cache
 from .multipoly import MultiPoly
 from .tower import FieldElement, FieldTower, cyclotomic, root_of_unity
 from .univariate import (coprime_mod_p, derivative, resultant_poly,
@@ -685,29 +685,25 @@ def certify_s6_lines(s6):
     3 lines Z = 0, Y = zeta3^j alpha W (alpha^3 = t) and, on each branch,
     the family of the 12 lines L_mu, mu^12 = c t with
     c = (1/27)(-5 +- (26/9) sqrt3) != 0."""
-    lv = ("W", "X", "Y", "Z")
     curves = []
 
     # L1, L2, L3
     T0, t0, alpha_lines = s6_alpha_lines()
     relA = MultiPoly(("alpha", "t"), {(3, 0): Fraction(1),
                                       (0, 1): Fraction(-1)})
-    Y = MultiPoly.var(lv, "Y")
-    for j, (Z, l2) in enumerate(alpha_lines):
-        _certify_membership(s6, T0, {"Z": MultiPoly.zero(lv), "Y": Y - l2},
-                            t0)
-        curves.append(CurveSpec("s6", "S6-L123", "alpha", j, (Z, l2),
+    for j, forms in enumerate(alpha_lines):
+        _certify_membership(s6, T0, _graph_substitution(forms, T0), t0)
+        curves.append(CurveSpec("s6", "S6-L123", "alpha", j, forms,
                                 parameter="alpha", relation=relA,
                                 data={"zeta3_power": j}))
 
     # the lines L_mu: mu^12 = c t has 12 distinct roots when c != 0
     for branch in ("plus", "minus"):
         T, c, t = s6_line_tower(branch)
-        l1, l2 = s6_line_forms(T, branch)
-        zsol, ysol = _s6_solve_lines(l1, l2, lv)
-        _certify_membership(s6, T, {"Z": zsol, "Y": ysol}, t)
+        forms = s6_line_forms(T, branch)
+        _certify_membership(s6, T, _graph_substitution(forms, T), t)
         relM = MultiPoly(("mu", "t"), {(12, 0): c.tower.one(), (0, 1): -c})
-        curves.append(CurveSpec("s6", "S6-Lmu", branch, None, (l1, l2),
+        curves.append(CurveSpec("s6", "S6-Lmu", branch, None, forms,
                                 parameter="mu", relation=relM, count=12))
     return curves
 
@@ -722,18 +718,30 @@ def s6_alpha_lines():
                            for z3j in z3.powers(3)]
 
 
-def _s6_solve_lines(l1, l2, lv):
-    """Solve l1 for Z (coefficients of W, X) and then l2 for Y."""
-    zc = l1.terms[(0, 0, 0, 1)]
-    zinv = zc.invert()
+def s6_line(forms, tower):
+    """The S6 line cut by forms = (l1, l2) as (forms, Y, Z), its graph over
+    P^1_(W:X): Z from l1, which has a Z term and no Y term, then Y from l2,
+    which has a Y term, each as its coefficients (of W, of X) in tower; the
+    W and X terms may be absent."""
+    l1, l2 = ({"WXYZ"[e.index(1)]: tower.lift(c) for e, c in f.terms.items()}
+              for f in forms)
+    if "Y" in l1 or "Z" not in l1 or "Y" not in l2:
+        raise GeometryError("the forms cut no graph over P^1_(W:X)")
+    zero, zinv, yinv = tower.zero(), l1["Z"].invert(), l2["Y"].invert()
+    z = [-l1.get(v, zero) * zinv for v in "WX"]
+    y = [-(l2.get(v, zero) + l2.get("Z", zero) * zv) * yinv
+         for v, zv in zip("WX", z)]
+    return forms, y, z
+
+
+def _graph_substitution(forms, tower):
+    """{"Y": Y, "Z": Z}, the graph of the line cut by forms as linear forms
+    in W, X (s6_line)."""
+    lv = ("W", "X", "Y", "Z")
     W, X = MultiPoly.var(lv, "W"), MultiPoly.var(lv, "X")
-    zsol = -(W.scale(l1.terms.get((1, 0, 0, 0)) * zinv)
-             + X.scale(l1.terms.get((0, 1, 0, 0)) * zinv))
-    yc = l2.terms[(0, 0, 1, 0)]
-    yinv = yc.invert()
-    rest = l2.substitute({"Y": MultiPoly.zero(lv), "Z": zsol})
-    ysol = -rest.map_coeffs(lambda v: v * yinv)
-    return zsol, ysol
+    _, y, z = s6_line(forms, tower)
+    return {"Y": W.scale(y[0]) + X.scale(y[1]),
+            "Z": W.scale(z[0]) + X.scale(z[1])}
 
 
 # ---------------------------------------------------------------------------

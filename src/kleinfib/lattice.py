@@ -5,7 +5,7 @@ Coxeter numbers (computed two independent ways) and (-1)-class counts."""
 from collections import namedtuple
 from functools import lru_cache
 from math import gcd
-from operator import add, mul
+from operator import add, mul, neg
 
 from .base import VerificationError
 
@@ -27,17 +27,6 @@ class PicardLattice(namedtuple("PicardLattice", "rank")):
 
 RootSystem = namedtuple("RootSystem", "label rank simple_roots roots cartan "
                                       "coxeter_number dot")  # cached, shared
-
-
-def _reflect(v, j, row):
-    """s_j(v) for v in simple-root coordinates, with row the j-th row of
-    the Cartan matrix: only coordinate j moves, by <v, alpha_j^vee>."""
-    c = sum(map(mul, row, v))
-    if not c:
-        return v
-    w = list(v)
-    w[j] -= c
-    return tuple(w)
 
 
 def _unit_vectors(n):
@@ -116,16 +105,19 @@ def _classify_component(adj, comp):
 def _coxeter_order(cartan):
     """Order of the product of the simple reflections, acting on the span:
     track the images of the simple roots, in simple-root coordinates, for
-    at most 100 steps."""
-    def cox(v):
-        for j, row in enumerate(cartan):
-            v = _reflect(v, j, row)
-        return v
-    simples = _unit_vectors(len(cartan))
-    images = simples
+    at most 100 steps.  s_j moves only coordinate j, by <v, alpha_j^vee>:
+    as the Cartan matrix is simply laced (_finish), it sets it to the sum
+    over j's neighbours in the diagram minus itself.  coords[j] holds
+    coordinate j of every image."""
+    nbrs = [[i for i, a in enumerate(row) if a and i != j]
+            for j, row in enumerate(cartan)]
+    simples = [list(v) for v in _unit_vectors(len(cartan))]
+    coords = list(simples)
     for k in range(1, 101):
-        images = [cox(v) for v in images]
-        if images == simples:
+        for j, nb in enumerate(nbrs):
+            coords[j] = [sum(c) for c in zip(*[coords[i] for i in nb],
+                                             map(neg, coords[j]))]
+        if coords == simples:
             return k
     raise VerificationError("Coxeter order exceeds 100")
 

@@ -14,8 +14,9 @@ of the residuals, on which the exact counts rest, is the exact side's
 point and rotated by the family's xi-weights (curves.xi_weights, which the
 exact conjugation witnesses read too), the S8 b-roots certified where they
 land, and the terms in W and X alone of each S8 sample summed once for the
-four b-roots; S6 lines meet iff their Plucker coordinates pair to zero, as
-on the exact side (orbits.lines_intersect_p3).  Samples come from
+four b-roots; S6 lines meet iff their Plucker coordinates pair to zero, a
+method apart from the exact side's, one 2x2 determinant on the lines'
+graphs over P^1_(W:X) (orbits.lines_meet).  Samples come from
 random.Random(seed) in a fixed order (per curve, or per S8 mu, then per
 sample, then per coordinate), and every audit is cached on its (surface,
 NumericConfig)."""

@@ -11,7 +11,7 @@ from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
 from .base import GeometryError, VerificationError, _surface_cache
 from .geometry import on_surface
 from .curves import (enumerate_s7, enumerate_s8, enumerate_an, enumerate_dn,
-                     s6_alpha_lines, s6_line_tower, s6_line_forms,
+                     s6_alpha_lines, s6_line, s6_line_tower, s6_line_forms,
                      s7_e0_tower, an_tower, dn_tower, rotate_forms)
 
 # The verdicts assume two statements, named in the reports by this label: a
@@ -123,89 +123,30 @@ def _verify_binomial_identity(g: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# lines in P^3
+# the lines of S6, as graphs over P^1_(W:X)
 
-def _form_rows(forms, tower):
-    rows = []
-    for f in forms:
-        row = [tower.from_fraction(Fraction(0))] * 4
-        for e, c in f.terms.items():
-            if sum(e) != 1:
-                raise GeometryError("form is not linear")
-            row[list(e).index(1)] = tower.lift(c)
-        rows.append(row)
-    return rows
-
-
-def _kernel(rows, tower):
-    """Exact Gaussian elimination; returns (rank, kernel basis vectors)."""
-    n = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(mat)) if not mat[i][c].is_zero()),
-                   None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][c].invert()
-        mat[r] = [x * inv if x else x for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and not mat[i][c].is_zero():
-                f = mat[i][c]
-                mat[i] = [x - f * y if y else x
-                          for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    one = tower.from_fraction(Fraction(1))
-    zero = tower.from_fraction(Fraction(0))
-    for fc in free:
-        v = [zero] * n
-        v[fc] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
-        basis.append(v)
-    return r, basis
-
-
-def line_p3(forms, tower):
-    """The line of P^3 cut by two linear forms over `tower`, as (forms, their
-    rows, its Plucker coordinates p01, p02, p03, p12, p13, p23); a line
-    whose coordinates all vanish is degenerate."""
-    r, s = rows = _form_rows(forms, tower)
-    p = [r[i] * s[j] - r[j] * s[i]
-         for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))]
-    if all(x.is_zero() for x in p):
-        raise GeometryError("degenerate line")
-    return forms, rows, p
-
-
-def lines_intersect_p3(line1, line2, tower, surface, t):
-    """Exact intersection of two lines of P^3 (line_p3) over a common
-    tower, with Plucker coordinates p, q.  They meet iff the pairing, the
-    determinant of the four forms,
-        p01 q23 - p02 q13 + p03 q12 + p12 q03 - p13 q02 + p23 q01
-    is zero, the rule numeric.py applies in floating point; only then is
-    the kernel of the forms solved (rank 4 refutes the pairing), and its
-    vector, the witness, verified on the four forms and the surface at the
-    tower element t.  Returns (bool, witness coords or None)."""
-    (forms1, rows1, p), (forms2, rows2, q) = line1, line2
-    if not (p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2]
-            - p[4] * q[1] + p[5] * q[0]).is_zero():
+def lines_meet(line1, line2, surface, t):
+    """Exact incidence of two lines (forms, Y, Z) of curves.s6_line over a
+    common tower.  They meet iff the differences dY, dZ, linear forms in
+    (W, X), share a root: iff one of them is 0 or their 2x2 determinant is,
+    the Plucker pairing in these coordinates, the rule numeric.py applies
+    in floating point.  The witness, line 1's point over that root divided
+    by its last nonzero coordinate, is verified on the four forms and on
+    the surface at the tower element t.  Returns (bool, witness or None)."""
+    (forms1, y1, z1), (forms2, y2, z2) = line1, line2
+    dy, dz = [a - b for a, b in zip(y1, y2)], [a - b for a, b in zip(z1, z2)]
+    if dy[0] * dz[1] - dy[1] * dz[0]:
         return False, None
-    rank, basis = _kernel(rows1 + rows2, tower)
-    if rank == 4:
-        raise VerificationError("lines with a zero Plucker pairing have "
-                                "independent forms")
-    witness = basis[0]
-    env = dict(zip(("W", "X", "Y", "Z"), witness))
-    for f in tuple(forms1) + tuple(forms2):
-        val = f.evaluate({v: env[v] for v in f.vars})
-        if not val.is_zero():
-            raise VerificationError("kernel witness fails a line form")
+    a, b = dy if any(dy) else dz        # the root of a W + b X is (b : -a)
+    if not (a or b):
+        raise GeometryError("a line is paired with itself")
+    point = [b, -a, y1[0] * b - y1[1] * a, z1[0] * b - z1[1] * a]
+    inv = next(c for c in reversed(point) if c).invert()
+    witness = [c * inv for c in point]
+    env = dict(zip("WXYZ", witness))
+    if any(f.evaluate(env) for f in forms1 + forms2):
+        raise VerificationError("line intersection witness fails a line "
+                                "form")
     if not on_surface(surface, tuple(witness), t):
         raise VerificationError("line intersection witness not on the "
                                 "surface")
@@ -225,35 +166,22 @@ def s6_intersections(s6) -> dict:
 
     # L1, L2, L3 pairwise, meeting at (0:1:0:0)
     T0, t0, alpha_lines = s6_alpha_lines()
-    lines = [line_p3(forms, T0) for forms in alpha_lines]
+    lines = [s6_line(forms, T0) for forms in alpha_lines]
     for j1, j2 in ((0, 1), (0, 2), (1, 2)):
-        decide(*lines_intersect_p3(lines[j1], lines[j2], T0, s6, t0),
+        decide(*lines_meet(lines[j1], lines[j2], s6, t0),
                pair="L%d/L%d" % (j1 + 1, j2 + 1))
 
     # L_mu vs L_{xi mu}, xi = z12^k, on both branches: L_{xi mu} is L_mu
-    # under sigma_k: mu -> xi mu.  k <= 6 is solved; sigma_k, once it fixes
-    # t and undoes sigma_(12-k) on the forms, carries the pair (L_mu,
-    # L_{xi^(12-k) mu}) to (L_{xi^k mu}, L_mu), with the pairing and the
-    # kernel, normalised at its free column (sigma keeps the pivots).  The
-    # verdicts match the pattern to a Coxeter cycle (_coxeter_match)
+    # under sigma_k: mu -> xi mu.  The verdicts match the pattern to a
+    # Coxeter cycle (_coxeter_match)
     for branch in ("plus", "minus"):
         T, _, t = s6_line_tower(branch)
         forms = s6_line_forms(T, branch)
-        line, solved = line_p3(forms, T), {}
-        if t.rotate(1) != t:
-            raise VerificationError("sigma_1 moves t")
+        line = s6_line(forms, T)
         for k in range(1, 12):
-            if k <= 6:
-                rotated = rotate_forms(forms, k)
-                solved[k] = rotated, *lines_intersect_p3(
-                    line, line_p3(rotated, T), T, s6, t)
-            elif rotate_forms(solved[12 - k][0], k) != forms:
-                raise VerificationError("sigma_%d does not undo sigma_%d on "
-                                        "the %s forms" % (k, 12 - k, branch))
-            _, ok, wit = solved[min(k, 12 - k)]
-            if k > 6 and ok:
-                wit = [c.rotate(k) for c in wit]
-            decide(ok, wit, pair="Lmu/Lximu", branch=branch, k=k,
+            decide(*lines_meet(line, s6_line(rotate_forms(forms, k), T), s6,
+                               t),
+                   pair="Lmu/Lximu", branch=branch, k=k,
                    xi_order=12 // gcd(12, k))
     return {"surface": "s6", "pairs": pairs}
 

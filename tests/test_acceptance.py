@@ -222,6 +222,18 @@ def test_mutation_fails_every_check_that_reads_it(mutation):
     assert all(c["error_kind"] == "verification" for c in failed)
 
 
+@pytest.mark.parametrize("delta", ["1", "1/2"])
+@pytest.mark.parametrize("term", range(4))
+def test_every_s6_term_reaches_every_s6_check(term, delta):
+    # a fault in any term of the cubic, not only the first, fails every
+    # check that reads s6, and no other
+    code, out = _run_cli(["reproduce-paper", "--mutate",
+                          "s6,0,%d,%s" % (term, delta)])
+    assert code == 1
+    assert {c["name"] for c in json.loads(out)["checks"]
+            if c["status"] == "failed"} == MUTATION_REACH["s6,0,0,1"]
+
+
 def test_mutated_dn9_fails_its_intersections():
     # one witness per unordered mu-pair still reads the mutated surface
     code, out = _run_cli(["reproduce-paper", "--mutate", "dn:9,0,0,1"])

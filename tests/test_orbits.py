@@ -1,15 +1,16 @@
 """Galois orbits, intersection witnesses and rationality verdicts."""
 
 import copy
+from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
 import pytest
 
-from kleinfib import lattice, orbits, tower
+from kleinfib import lattice, numeric, orbits, tower
 from kleinfib.base import GeometryError, VerificationError
-from kleinfib.curves import (rotate_forms, s6_alpha_lines, s6_line_forms,
-                             s6_line_tower)
+from kleinfib.curves import (rotate_forms, s6_alpha_lines, s6_line,
+                             s6_line_forms, s6_line_tower)
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.orbits import (BaseExtension, GRID_CASES, an_intersections,
                              case_surface, dn_intersections, minimal_model,
@@ -327,47 +328,27 @@ def _s6_line_pairs():
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
-def test_sigma_derived_s6_pairs_match_a_direct_solve(branch):
-    # the pairs k = 7..11 are sigma_k of the pairs 12 - k: each equals the
-    # entry a kernel solve of (L_mu, L_{zeta12^k mu}) prints, witness
-    # strings included
-    report = s6_intersections(build_surface("s6"))
-    entries = {e["k"]: e for e in report["pairs"]
-               if e.get("branch") == branch}
+def test_s6_witnesses_are_sigma_equivariant(branch):
+    # sigma_k carries the pair (L_mu, L_{xi^(12-k) mu}) to (L_{xi^k mu},
+    # L_mu): the witness of pair k is sigma_k of the witness of pair 12 - k
+    s6 = build_surface("s6")
     T, _, t = s6_line_tower(branch)
     forms = s6_line_forms(T, branch)
-    line = orbits.line_p3(forms, T)
+    line = s6_line(forms, T)
+    entries = {e["k"]: e for e in s6_intersections(s6)["pairs"]
+               if e.get("branch") == branch}
     for k in range(1, 12):
-        ok, wit = orbits.lines_intersect_p3(
-            line, orbits.line_p3(rotate_forms(forms, k), T), T,
-            build_surface("s6"), t)
-        assert entries[k]["intersect"] == ok, k
+        ok, wit = orbits.lines_meet(
+            line, s6_line(rotate_forms(forms, 12 - k), T), s6, t)
+        assert entries[k]["intersect"] == ok == entries[12 - k]["intersect"]
         assert entries[k]["witness"] == (
-            [str(c) for c in wit] if ok else None), k
+            [str(c.rotate(k)) for c in wit] if ok else None), k
     assert any(entries[k]["intersect"] for k in range(7, 12))
 
 
-def test_s6_pairs_refuse_a_sigma_that_does_not_carry_the_forms(monkeypatch):
-    # sigma_k must undo sigma_(12-k) on the forms before a pair k > 6 is
-    # read off the pair 12 - k
-    rotate = orbits.rotate_forms
-
-    def skewed(forms, e):
-        out = rotate(forms, e)
-        return out if e <= 6 else (out[0] + out[1],) + out[1:]
-    monkeypatch.setattr(orbits, "rotate_forms", skewed)
-    s6 = build_surface("s6")
-    orbits.s6_intersections.cache_clear()
-    try:
-        with pytest.raises(VerificationError, match="does not undo"):
-            s6_intersections(s6)
-    finally:
-        orbits.s6_intersections.cache_clear()
-
-
 def test_s6_pairs_refuse_a_t_that_sigma_moves(monkeypatch):
-    # the pairs k > 6 are read off the pairs 12 - k only while sigma_1
-    # fixes t
+    # a t that sigma_1 moves is no longer mu^12 / c: the witnesses leave
+    # the surface
     line_tower = orbits.s6_line_tower
 
     def moved(branch):
@@ -377,7 +358,7 @@ def test_s6_pairs_refuse_a_t_that_sigma_moves(monkeypatch):
     s6 = build_surface("s6")
     orbits.s6_intersections.cache_clear()
     try:
-        with pytest.raises(VerificationError, match="sigma_1 moves t"):
+        with pytest.raises(VerificationError, match="not on the surface"):
             s6_intersections(s6)
     finally:
         orbits.s6_intersections.cache_clear()
@@ -398,44 +379,50 @@ def test_rotated_s6_forms_substitute_xi_mu():
                     assert g.terms[e] == c * z12 ** (k * d)
 
 
-def test_plucker_pairing_agrees_with_elimination():
-    # the rule it replaced: both lines of rank 2, and the four forms of
-    # rank 4 iff the lines are disjoint, the witness their kernel vector
+def test_graph_rule_agrees_with_the_oracle_plucker_ratio():
+    # the exact rule against the oracle's floating-point Plucker test, at
+    # a sample alpha and mu: 12 of the 25 pairs are disjoint, and every
+    # witness zeroes the four forms
     s6 = build_surface("s6")
-    pairs = _s6_line_pairs()
-    disjoint = 0
+    env = dict(numeric.S6_ENV, alpha=1.3 - 0.4j, mu=0.8 + 0.5j)
+    pairs, disjoint = _s6_line_pairs(), 0
     for forms1, forms2, T, t in pairs:
-        for forms in (forms1, forms2):
-            assert orbits._kernel(orbits._form_rows(forms, T), T)[0] == 2
-        rank, basis = orbits._kernel(
-            orbits._form_rows(tuple(forms1) + tuple(forms2), T), T)
-        ok, witness = orbits.lines_intersect_p3(
-            orbits.line_p3(forms1, T), orbits.line_p3(forms2, T), T, s6, t)
-        assert ok == (rank < 4)
-        assert witness == (basis[0] if ok else None)
+        ok, witness = orbits.lines_meet(s6_line(forms1, T),
+                                        s6_line(forms2, T), s6, t)
+        plk = [numeric._plucker(numeric._form_matrix(f, env))
+               for f in (forms1, forms2)]
+        assert ok == (numeric._plucker_ratio(*plk) < 1e-8)
+        if ok:
+            point = dict(zip("WXYZ", witness))
+            assert not any(f.evaluate(point) for f in forms1 + forms2)
         disjoint += not ok
     assert len(pairs) == 25 and disjoint == 12
 
 
 def test_proportional_forms_are_a_degenerate_line():
+    # proportional forms cut no graph over P^1_(W:X), and a line is not
+    # paired with itself
     T, t, lines = s6_alpha_lines()
     Z = lines[0][0]
-    flat = (Z, Z.scale(3))
-    for forms1, forms2 in ((flat, lines[1]), (lines[1], flat)):
-        with pytest.raises(GeometryError, match="degenerate line"):
-            orbits.lines_intersect_p3(orbits.line_p3(forms1, T),
-                                      orbits.line_p3(forms2, T), T,
-                                      build_surface("s6"), t)
+    with pytest.raises(GeometryError, match="no graph"):
+        s6_line((Z, Z.scale(3)), T)
+    line = s6_line(lines[1], T)
+    with pytest.raises(GeometryError, match="paired with itself"):
+        orbits.lines_meet(line, line, build_surface("s6"), t)
 
 
-def test_zero_pairing_with_independent_forms_is_refused(monkeypatch):
-    # L1 and L2 pair to zero; an elimination finding rank 4 refutes that
-    T, t, lines = s6_alpha_lines()
-    monkeypatch.setattr(orbits, "_kernel", lambda rows, tower: (4, []))
-    with pytest.raises(VerificationError, match="zero Plucker pairing"):
-        orbits.lines_intersect_p3(orbits.line_p3(lines[0], T),
-                                  orbits.line_p3(lines[1], T), T,
-                                  build_surface("s6"), t)
+def test_a_witness_off_a_form_or_the_surface_is_refused():
+    # L_mu meets L_{-mu}; their witness misses the forms of L_{zeta12 mu}
+    # and leaves a mutated s6
+    T, _, t = s6_line_tower("plus")
+    forms = s6_line_forms(T, "plus")
+    line, other = s6_line(forms, T), s6_line(rotate_forms(forms, 6), T)
+    with pytest.raises(VerificationError, match="fails a line form"):
+        orbits.lines_meet((rotate_forms(forms, 1),) + line[1:], other,
+                          build_surface("s6"), t)
+    bad = build_catalog(mutation=("s6", 0, 0, Fraction(1)))["s6"]
+    with pytest.raises(VerificationError, match="not on the surface"):
+        orbits.lines_meet(line, other, bad, t)
 
 
 def test_witnesses_stay_off_the_euclid_path(monkeypatch):
@@ -453,9 +440,11 @@ def test_witnesses_stay_off_the_euclid_path(monkeypatch):
                orbits.enumerate_dn):
         fn.cache_clear()
     s6_intersections(build_surface("s6"))
-    # 122 measured (the extended Euclid it replaced ran 189 times, also for
-    # rational constants); normalizing quotients by a gcd took 11707
-    assert calls and len(calls) <= 400
+    # 63 measured: 2 for t = mu^12 / c, 2 per graph of an L_mu line and 1
+    # per witness (the kernel solves before the graphs made 122, and the
+    # extended Euclid before them 189, also for rational constants);
+    # normalizing quotients by a gcd took 11707
+    assert calls and len(calls) <= 100
     del calls[:]
     dn_intersections(build_surface("dn:9"))
     assert not calls

@@ -1,7 +1,8 @@
 """The benchmark's tracer still finds every method and span it reads, and a
 traced run leaves kleinfib as it found it; every command runs without numpy,
 and each starts on only the modules it runs; no module-level function or
-class of kleinfib is left without a reference."""
+class of kleinfib is left without a reference, and every module.name that
+README.md names exists."""
 
 import ast
 import contextlib
@@ -215,3 +216,19 @@ def test_every_module_level_name_is_referenced():
                     if all(where == path and first <= line <= last
                            for where, line in refs[name])]
     assert not unreferenced
+
+
+def test_readme_names_exist():
+    # every backticked <module>.<name> in README.md, for a module of
+    # kleinfib, names an attribute of that module (file names such as
+    # cli.py aside): a renamed or deleted function leaves no stale name
+    package = Path(kleinfib.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    readme = (package.parents[1] / "README.md").read_text()
+    stale = sorted({"%s.%s" % (module, name)
+                    for span in re.findall(r"`([^`\n]+)`", readme)
+                    for module, name in re.findall(r"\b(\w+)\.(\w+)", span)
+                    if module in modules and name != "py" and not hasattr(
+                        importlib.import_module("kleinfib." + module),
+                        name)})
+    assert not stale
