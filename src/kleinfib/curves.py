@@ -734,6 +734,14 @@ def s6_line(forms, tower):
     return forms, y, z
 
 
+def rotate_line(line, e):
+    """sigma_e of a line (forms, Y, Z) of s6_line, coefficient by
+    coefficient: the graph of rotate_forms(forms, e), sigma_e a field map."""
+    forms, y, z = line
+    return (rotate_forms(forms, e), [c.rotate(e) for c in y],
+            [c.rotate(e) for c in z])
+
+
 def _graph_substitution(forms, tower):
     """{"Y": Y, "Z": Z}, the graph of the line cut by forms as linear forms
     in W, X (s6_line)."""

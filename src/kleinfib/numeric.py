@@ -8,15 +8,15 @@ compiled once, into (complex coefficient, ((variable index, exponent), ...))
 terms, and evaluated point by point; Durand-Kerner iterates row by row on
 geometrically rescaled monic polynomials.  Work that does not depend on t is
 done once: the certified roots of a polynomial are cached on (coefficients,
-seed, tol), the S6 line forms built once per process.  The squarefree proof
-of the residuals, on which the exact counts rest, is the exact side's
+seed, tol), the exact S6 line graphs over P^1_(W:X) (curves.s6_line) built
+once per process and evaluated at each t.  The squarefree proof of the
+residuals, on which the exact counts rest, is the exact side's
 (curves.radical_count).  Each xi-orbit of S7 and S8 curves is solved at one
 point and rotated by the family's xi-weights (curves.xi_weights, which the
 exact conjugation witnesses read too), the S8 b-roots certified where they
 land, and the terms in W and X alone of each S8 sample summed once for the
-four b-roots; S6 lines meet iff their Plucker coordinates pair to zero, a
-method apart from the exact side's, one 2x2 determinant on the lines'
-graphs over P^1_(W:X) (orbits.lines_meet).  Samples come from
+four b-roots; two S6 lines meet by the float form of the exact rule
+(orbits.lines_meet).  Samples come from
 random.Random(seed) in a fixed order (per curve, or per S8 mu, then per
 sample, then per coordinate), and every audit is cached on its (surface,
 NumericConfig)."""
@@ -265,127 +265,95 @@ S6_ENV = {"z12": cmath.exp(1j * math.pi / 6)}
 
 
 @lru_cache(maxsize=None)
-def _s6_branch_forms(branch):
-    """The radicand c and the form pair of L_mu on a branch: they depend
-    neither on t nor on the surface."""
-    from .curves import s6_line_forms, s6_line_tower
-    T, c, _ = s6_line_tower(branch)
-    return c.as_complex(S6_ENV), s6_line_forms(T, branch)
+def _s6_graphs():
+    """The exact graphs (Y, Z) of curves.s6_line, built once per process:
+    those of L1-L3 over Q(zeta_12)(alpha), and for each branch (branch, its
+    radicand c, the graph of L_mu over Q(zeta_12)(mu))."""
+    from .curves import s6_alpha_lines, s6_line, s6_line_forms, s6_line_tower
+    T0, _, alpha_lines = s6_alpha_lines()
+    branches = []
+    for branch in ("plus", "minus"):
+        T, c, _ = s6_line_tower(branch)
+        branches.append((branch, c.as_complex(S6_ENV),
+                         s6_line(s6_line_forms(T, branch), T)[1:]))
+    return [s6_line(forms, T0)[1:] for forms in alpha_lines], branches
+
+
+def _graph_at(graph, env):
+    return [[c.as_complex(env) for c in coeffs] for coeffs in graph]
 
 
 def _s6_numeric_lines(cfg):
-    """The 27 lines: their (family or branch, j) tags, and their 2x4
-    coefficient matrices."""
-    from .curves import s6_alpha_lines
+    """The 27 lines at t: their (family or branch, j) tags, and their
+    graphs (Y, Z), the coefficients (of W, of X) of the exact graphs at the
+    float alpha = t^(1/3) and at the 12 float mu, mu^12 = c t."""
     tval = float(cfg.t)
+    alpha_graphs, branches = _s6_graphs()
     env = dict(S6_ENV, alpha=tval ** (1.0 / 3.0))
     tags = [("L123", j) for j in range(3)]
-    mats = [_form_matrix(forms, env) for forms in s6_alpha_lines()[2]]
-    for branch in ("plus", "minus"):
-        cval, forms = _s6_branch_forms(branch)
+    lines = [_graph_at(graph, env) for graph in alpha_graphs]
+    for branch, cval, graph in branches:
         mu0 = (cval * tval) ** (1.0 / 12.0)
         for j, w in enumerate(_roots_of_unity(12)):
             tags.append((branch, j))
-            mats.append(_form_matrix(forms, dict(S6_ENV, mu=mu0 * w)))
-    return tags, mats
+            lines.append(_graph_at(graph, dict(S6_ENV, mu=mu0 * w)))
+    return tags, lines
 
 
-def _form_matrix(forms, cenv):
-    rows = []
-    for f in forms:
-        row = [0j] * 4
-        for e, c in f.terms.items():
-            row[list(e).index(1)] = _coeff_complex(c, cenv)
-        rows.append(row)
-    return rows
-
-
-def _kernel_basis(rows):
-    """A basis of the kernel of a full-rank complex matrix with 4 columns:
-    Gauss-Jordan elimination with complete pivoting, then one vector per
-    column without a pivot."""
-    a, cols = [list(r) for r in rows], []
-    for r in range(len(a)):
-        piv, p, q = max((abs(a[i][j]), i, j) for i in range(r, len(a))
-                        for j in range(4) if j not in cols)
-        if not piv:
-            raise VerificationError("form matrix is rank deficient")
-        a[r], a[p] = a[p], a[r]
-        a[r] = [x / a[r][q] for x in a[r]]
-        for i in range(len(a)):
-            if i != r:
-                f = a[i][q]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        cols.append(q)
-    basis = []
-    for f in set(range(4)) - set(cols):
-        basis.append([0j] * 4)
-        basis[-1][f] = 1
-        for r, q in enumerate(cols):
-            basis[-1][q] = -a[r][f]
-    return basis
-
-
-def _plucker(rows):
-    """The six 2x2 minors p_ij (i < j, in lexicographic order) of a 2x4
-    matrix, and the product of its two row norms."""
-    r, s = rows
-    return ([r[i] * s[j] - r[j] * s[i]
-             for i, j in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))],
-            math.prod(math.sqrt(sum(abs(x) ** 2 for x in v)) for v in rows))
-
-
-def _plucker_ratio(line, other):
-    """|det| / prod(|row|) of the 4x4 matrix that stacks two lines' 2x4
-    matrices, in [0, 1] (Hadamard), from their _plucker data: the Laplace
-    expansion of the determinant along the first two rows."""
-    (p, n), (q, m) = line, other
-    return abs(p[0] * q[5] - p[1] * q[4] + p[2] * q[3] + p[3] * q[2]
-               - p[4] * q[1] + p[5] * q[0]) / (n * m)
+def _meet_ratio(line1, line2):
+    """How far two float graphs (Y, Z) are from meeting, the float form of
+    orbits.lines_meet: 0 if dY or dZ vanishes (its 1-norm at most 1e-12
+    times that of the two lines' coefficients of Y, or of Z), else
+    |det(dY, dZ)| / (|dY| |dZ|), in [0, 1].  They meet iff it is < 1e-8."""
+    diffs = []
+    for (a0, a1), (b0, b1) in zip(line1, line2):
+        d0, d1 = a0 - b0, a1 - b1
+        if abs(d0) + abs(d1) <= 1e-12 * sum(map(abs, (a0, a1, b0, b1))):
+            return 0.0
+        diffs += d0, d1, math.hypot(abs(d0), abs(d1))
+    y0, y1, ny, z0, z1, nz = diffs
+    return abs(y0 * z1 - y1 * z0) / (ny * nz)
 
 
 def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
     from .curves import certify_s6_lines
     from .orbits import s6_intersections
     rng = random.Random(cfg.seed)
-    tags, mats = _s6_numeric_lines(cfg)
+    tags, lines = _s6_numeric_lines(cfg)
     n = len(tags)
-    equation = CompiledPoly(s6.equation, dict(S6_ENV, t=float(cfg.t)))
-    # five points a p0 + p1 on each line, (p0, p1) a basis of its kernel
+    equation = CompiledPoly(s6.equation, dict(S6_ENV, t=float(cfg.t)),
+                            order="WXYZ")
+    # five points (W : X : Y(W, X) : Z(W, X)) on each line
     res = []
-    for m in mats:
-        p0, p1 = _kernel_basis(m)
+    for (y0, y1), (z0, z1) in lines:
         for _ in range(5):
-            a = _complex_draw(rng)
-            res.append(equation.residue(
-                dict(zip("WXYZ", (a * x + y for x, y in zip(p0, p1))))))
+            W, X = _sample_wx(rng)
+            res.append(_residue(*equation.at(
+                (W, X, y0 * W + y1 * X, z0 * W + z1 * X))))
     max_res = _max_residue(res, cfg, "S6 membership residue %.3g")
-    # intersection graph: two lines meet iff their four forms are dependent
-    plk = [_plucker(m) for m in mats]
+    # intersection graph: two lines meet iff dY and dZ share a root
     adj = [[False] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            adj[i][j] = adj[j][i] = _plucker_ratio(plk[i], plk[j]) < 1e-8
+            adj[i][j] = adj[j][i] = _meet_ratio(lines[i], lines[j]) < 1e-8
     degrees = [sum(row) for row in adj]
     if not all(d == 10 for d in degrees):
         raise VerificationError("S6 line degrees are not all 10: %s"
                                 % sorted(set(degrees)))
-    # agreement with the exact same-branch pattern
+    # agreement with every exact pair: L_j/L_j' and the same-branch pairs
     exact = s6_intersections(s6)
     idx = {tag: k for k, tag in enumerate(tags)}
     for entry in exact["pairs"]:
-        if entry["pair"] != "Lmu/Lximu":
-            continue
-        b, k = entry["branch"], entry["k"]
-        for j in range(12):
-            got = adj[idx[(b, j)]][idx[(b, (j + k) % 12)]]
-            if got != entry["intersect"]:
-                raise VerificationError(
-                    "exact/numeric disagreement: branch %s, k=%d" % (b, k))
-    for j1 in range(3):
-        for j2 in range(j1 + 1, 3):
-            if not adj[idx[("L123", j1)]][idx[("L123", j2)]]:
-                raise VerificationError("L%d/L%d numeric miss" % (j1, j2))
+        if entry["pair"] == "Lmu/Lximu":
+            b, k = entry["branch"], entry["k"]
+            got = {adj[idx[(b, j)]][idx[(b, (j + k) % 12)]]
+                   for j in range(12)}
+        else:                           # "L1/L2", "L1/L3", "L2/L3"
+            j1, j2 = (int(x) - 1 for x in entry["pair"][1::3])
+            got = {adj[idx[("L123", j1)]][idx[("L123", j2)]]}
+        if got != {entry["intersect"]}:
+            raise VerificationError("exact/numeric disagreement: %s %s"
+                                    % (entry["pair"], entry.get("k", "")))
     count = _exact_count(certify_s6_lines(s6), n, "S6")
     return {"surface": "s6", "count": count, "max_residue": max_res,
             "degrees": degrees, "graph_checked": True}

@@ -12,7 +12,7 @@ from .base import GeometryError, VerificationError, _surface_cache
 from .geometry import on_surface
 from .curves import (enumerate_s7, enumerate_s8, enumerate_an, enumerate_dn,
                      s6_alpha_lines, s6_line, s6_line_tower, s6_line_forms,
-                     s7_e0_tower, an_tower, dn_tower, rotate_forms)
+                     s7_e0_tower, an_tower, dn_tower, rotate_line)
 
 # The verdicts assume two statements, named in the reports by this label: a
 # surface is minimal iff no Galois orbit of pairwise-disjoint (-1)-curves is
@@ -129,10 +129,10 @@ def lines_meet(line1, line2, surface, t):
     """Exact incidence of two lines (forms, Y, Z) of curves.s6_line over a
     common tower.  They meet iff the differences dY, dZ, linear forms in
     (W, X), share a root: iff one of them is 0 or their 2x2 determinant is,
-    the Plucker pairing in these coordinates, the rule numeric.py applies
-    in floating point.  The witness, line 1's point over that root divided
-    by its last nonzero coordinate, is verified on the four forms and on
-    the surface at the tower element t.  Returns (bool, witness or None)."""
+    the rule numeric._meet_ratio applies in floating point.  The witness,
+    line 1's point over that root divided by its last nonzero coordinate,
+    is verified on the four forms and on the surface at the tower element
+    t.  Returns (bool, witness or None)."""
     (forms1, y1, z1), (forms2, y2, z2) = line1, line2
     dy, dz = [a - b for a, b in zip(y1, y2)], [a - b for a, b in zip(z1, z2)]
     if dy[0] * dz[1] - dy[1] * dz[0]:
@@ -172,15 +172,13 @@ def s6_intersections(s6) -> dict:
                pair="L%d/L%d" % (j1 + 1, j2 + 1))
 
     # L_mu vs L_{xi mu}, xi = z12^k, on both branches: L_{xi mu} is L_mu
-    # under sigma_k: mu -> xi mu.  The verdicts match the pattern to a
-    # Coxeter cycle (_coxeter_match)
+    # under sigma_k: mu -> xi mu, its graph rotated, not solved again.  The
+    # verdicts match the pattern to a Coxeter cycle (_coxeter_match)
     for branch in ("plus", "minus"):
         T, _, t = s6_line_tower(branch)
-        forms = s6_line_forms(T, branch)
-        line = s6_line(forms, T)
+        line = s6_line(s6_line_forms(T, branch), T)
         for k in range(1, 12):
-            decide(*lines_meet(line, s6_line(rotate_forms(forms, k), T), s6,
-                               t),
+            decide(*lines_meet(line, rotate_line(line, k), s6, t),
                    pair="Lmu/Lximu", branch=branch, k=k,
                    xi_order=12 // gcd(12, k))
     return {"surface": "s6", "pairs": pairs}

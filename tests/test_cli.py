@@ -463,9 +463,12 @@ PINNED = {
     ("verdict", "e6", "--ext", "12"): "538a588a1fef4a6753d7c7a01cea6511"
                                       "292b71c6c5c76a472dc06209887b7e59",
     # the default certificate of the whole suite (seed 0), the behavioural
-    # contract that a refactor must keep byte for byte
-    ("reproduce-paper",): "54b826450db9327ccc9a6ab0f79e86b1"
-                          "a0e8cb15aec9ec9936d70640a87d4a8e"}
+    # contract that a refactor must keep byte for byte; since the oracle
+    # samples each S6 line on its exact graph over P^1_(W:X) instead of on
+    # a kernel basis, the three numeric-oracle audit.surfaces.s6[t]
+    # max_residue values (t = 2, 3, 5) changed, each still about 4e-14
+    ("reproduce-paper",): "da80e595bd79b10b063d730760577639"
+                          "e4e387a3e2b55052c8d6b29707d2349d"}
 
 
 # sha256 of the S7 and S8 curve certificates: every curve form is the

@@ -203,12 +203,13 @@ def test_audit_count_must_match_the_exact_families(monkeypatch):
         numeric.numeric_audit_s7(build_surface("s7"), CFG)
 
 
-def _det_ratio(rows):
-    """|det| / prod(|row|) of a square complex matrix by Gaussian
-    elimination with partial pivoting: the reference for the Plucker
-    ratio."""
-    norm = math.prod(math.sqrt(sum(abs(x) ** 2 for x in r)) for r in rows)
-    a, det = [list(r) for r in rows], 1.0
+def _stacked_det(line1, line2):
+    """|det| of the 4x4 matrix that stacks the forms Y - y0 W - y1 X,
+    Z - z0 W - z1 X of two float graphs, by Gaussian elimination with
+    partial pivoting: the reference for det(dY, dZ)."""
+    a = [[-y0, -y1, 1, 0] for (y0, y1), _ in (line1, line2)] + \
+        [[-z0, -z1, 0, 1] for _, (z0, z1) in (line1, line2)]
+    det = 1.0
     while a:
         pivot = a.pop(max(range(len(a)), key=lambda i: abs(a[i][0])))
         det *= abs(pivot[0])
@@ -216,28 +217,63 @@ def _det_ratio(rows):
             break
         a = [[x - r[0] / pivot[0] * y for x, y in zip(r[1:], pivot[1:])]
              for r in a]
-    return det / norm
+    return det
 
 
 @pytest.mark.parametrize("t", [Fraction(2), Fraction(5), Fraction(2 ** 12),
                                Fraction(-2 ** 12), Fraction(1, 2 ** 12),
                                Fraction(-1, 2 ** 12)], ids=str)
 def test_s6_determinant_gap(t):
-    # |det| / prod |row| of the stacked forms, from the Plucker
-    # coordinates: near rounding on the 135 meeting pairs, far from the
-    # 1e-8 threshold on the 216 disjoint ones, and equal to the ratio by
-    # elimination
-    _, mats = numeric._s6_numeric_lines(NumericConfig(t=t))
-    plk = [numeric._plucker(m) for m in mats]
+    # the oracle's rule on the float graphs: near rounding on the 135
+    # meeting pairs, far from the 1e-8 threshold on the 216 disjoint ones
+    tags, lines = numeric._s6_numeric_lines(NumericConfig(t=t))
     pairs = [(i, j) for i in range(27) for j in range(i + 1, 27)]
-    ratios = [numeric._plucker_ratio(plk[i], plk[j]) for i, j in pairs]
-    for (i, j), r in zip(pairs, ratios):
-        assert abs(r - _det_ratio(mats[i] + mats[j])) < 1e-14
+    ratios = [numeric._meet_ratio(lines[i], lines[j]) for i, j in pairs]
     meeting = [r for r in ratios if r < 1e-8]
     disjoint = [r for r in ratios if r >= 1e-8]
     assert len(meeting) == 135 and len(disjoint) == 216
     assert max(meeting) < 1e-12
     assert min(disjoint) > 1e-4
+    # 27 pairs have a vanishing difference dY or dZ: exactly for L_j/L_j'
+    # (Z = 0 on all three), only to rounding for L_mu against L_{xi^4 mu}
+    # and L_{xi^8 mu}; there det(dY, dZ) is rounding over rounding, and a
+    # rule on it alone reads 111 meets and degrees {8, 10}
+    vanishing, det_meets, degrees = {}, 0, [0] * 27
+    for (i, j), r in zip(pairs, ratios):
+        (ya, za), (yb, zb) = lines[i], lines[j]
+        dy = [ya[0] - yb[0], ya[1] - yb[1]]
+        dz = [za[0] - zb[0], za[1] - zb[1]]
+        det = abs(dy[0] * dz[1] - dy[1] * dz[0])
+        size = sum(map(abs, dy)) * sum(map(abs, dz))
+        assert abs(det - _stacked_det(lines[i], lines[j])) < 1e-11 * (1 + size)
+        rel = min(sum(map(abs, dy)) / sum(map(abs, ya + yb)),
+                  sum(map(abs, dz)) / max(sum(map(abs, za + zb)), 1e-300))
+        if rel <= 1e-12:
+            assert r == 0
+            vanishing[tags[i], tags[j]] = rel
+        if det <= 1e-8 * math.hypot(*map(abs, dy)) * math.hypot(*map(abs, dz)):
+            det_meets += 1
+            degrees[i] += 1
+            degrees[j] += 1
+    assert len(vanishing) == 27
+    for ((b1, j1), (b2, j2)), rel in vanishing.items():
+        if b1 == "L123":
+            assert b2 == "L123" and rel == 0
+        else:
+            assert b1 == b2 and (j2 - j1) % 12 in (4, 8) and 0 < rel < 1e-13
+    assert det_meets == 111 and set(degrees) == {8, 10}
+
+
+def test_perturbed_s6_graph_is_refuted(monkeypatch):
+    # the oracle samples the exact graphs it is handed: one coefficient of
+    # the plus branch's graph off by a relative 1e-6 leaves the surface
+    alpha_graphs, branches = numeric._s6_graphs()
+    (branch, c, (y, z)), other = branches
+    bad = [(branch, c, ([y[0] * (1 + Fraction(1, 10 ** 6)), y[1]], z)),
+           other]
+    monkeypatch.setattr(numeric, "_s6_graphs", lambda: (alpha_graphs, bad))
+    with pytest.raises(VerificationError, match="S6 membership residue"):
+        numeric.numeric_audit_s6(build_surface("s6"), CFG)
 
 
 @pytest.mark.parametrize("branch,quartic", [("P1", q1_quartic()),

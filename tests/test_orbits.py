@@ -9,8 +9,8 @@ import pytest
 
 from kleinfib import lattice, numeric, orbits, tower
 from kleinfib.base import GeometryError, VerificationError
-from kleinfib.curves import (rotate_forms, s6_alpha_lines, s6_line,
-                             s6_line_forms, s6_line_tower)
+from kleinfib.curves import (rotate_forms, rotate_line, s6_alpha_lines,
+                             s6_line, s6_line_forms, s6_line_tower)
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.orbits import (BaseExtension, GRID_CASES, an_intersections,
                              case_surface, dn_intersections, minimal_model,
@@ -379,24 +379,34 @@ def test_rotated_s6_forms_substitute_xi_mu():
                     assert g.terms[e] == c * z12 ** (k * d)
 
 
-def test_graph_rule_agrees_with_the_oracle_plucker_ratio():
-    # the exact rule against the oracle's floating-point Plucker test, at
-    # a sample alpha and mu: 12 of the 25 pairs are disjoint, and every
-    # witness zeroes the four forms
+def test_graph_rule_agrees_with_the_oracle_float_rule():
+    # the exact rule against the oracle's float form of it, on the same
+    # graphs at a sample alpha and mu: 12 of the 25 pairs are disjoint, and
+    # every witness zeroes the four forms
     s6 = build_surface("s6")
     env = dict(numeric.S6_ENV, alpha=1.3 - 0.4j, mu=0.8 + 0.5j)
     pairs, disjoint = _s6_line_pairs(), 0
     for forms1, forms2, T, t in pairs:
-        ok, witness = orbits.lines_meet(s6_line(forms1, T),
-                                        s6_line(forms2, T), s6, t)
-        plk = [numeric._plucker(numeric._form_matrix(f, env))
-               for f in (forms1, forms2)]
-        assert ok == (numeric._plucker_ratio(*plk) < 1e-8)
+        lines = [s6_line(f, T) for f in (forms1, forms2)]
+        ok, witness = orbits.lines_meet(*lines, s6, t)
+        floats = [numeric._graph_at(line[1:], env) for line in lines]
+        assert ok == (numeric._meet_ratio(*floats) < 1e-8)
         if ok:
             point = dict(zip("WXYZ", witness))
             assert not any(f.evaluate(point) for f in forms1 + forms2)
         disjoint += not ok
     assert len(pairs) == 25 and disjoint == 12
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_rotated_graph_is_the_graph_of_the_rotated_forms(branch):
+    # s6_intersections rotates L_mu's graph instead of solving it again:
+    # sigma_k of the graph is the graph of sigma_k of the forms
+    T, _, _ = s6_line_tower(branch)
+    forms = s6_line_forms(T, branch)
+    line = s6_line(forms, T)
+    for k in range(1, 12):
+        assert rotate_line(line, k) == s6_line(rotate_forms(forms, k), T)
 
 
 def test_proportional_forms_are_a_degenerate_line():
@@ -440,11 +450,12 @@ def test_witnesses_stay_off_the_euclid_path(monkeypatch):
                orbits.enumerate_dn):
         fn.cache_clear()
     s6_intersections(build_surface("s6"))
-    # 63 measured: 2 for t = mu^12 / c, 2 per graph of an L_mu line and 1
-    # per witness (the kernel solves before the graphs made 122, and the
-    # extended Euclid before them 189, also for rational constants);
-    # normalizing quotients by a gcd took 11707
-    assert calls and len(calls) <= 100
+    # 19 measured: 2 for t = mu^12 / c, 2 per branch for the graph of L_mu,
+    # which sigma_k rotates to the other 11, and 1 per witness (solving
+    # each of the 24 graphs made 63, the kernel solves before the graphs
+    # 122, and the extended Euclid before them 189, also for rational
+    # constants); normalizing quotients by a gcd took 11707
+    assert calls and len(calls) <= 25
     del calls[:]
     dn_intersections(build_surface("dn:9"))
     assert not calls
