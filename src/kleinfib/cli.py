@@ -7,6 +7,7 @@ with the same inputs and seed (canonical key ordering, no timestamps
 unless --timings is given)."""
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -14,6 +15,7 @@ import time
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 from . import __version__
 from .base import GeometryError, VerificationError, _surface_cache
@@ -392,15 +394,16 @@ def _failure(ex):
 
 
 class _ReadLog(Mapping):
-    """The catalog as a check sees it: each name looked up is logged, and
-    iterating logs them all, so no surface is read unseen."""
+    """The catalog as a check sees it: the name of each surface looked up
+    is logged, and iterating logs them all, so no surface is read unseen."""
 
     def __init__(self, surfaces):
         self.surfaces, self.names = surfaces, set()
 
     def __getitem__(self, name):
+        surface = self.surfaces[name]
         self.names.add(name)
-        return self.surfaces[name]
+        return surface
 
     def __iter__(self):
         self.names.update(self.surfaces)
@@ -410,10 +413,20 @@ class _ReadLog(Mapping):
         return len(self.surfaces)
 
 
+# a catalog surface's hash, computed once when it is built
+_surface_hash = attrgetter("_hash")
+
+
 class _CheckMemo(dict):
-    """(check name, seed) -> {(names, surfaces): entry}: an entry, failed or
-    not, is reused while the surfaces its run read are the catalog's; `names`
-    keeps each key's distinct sorted names read, one dict lookup each."""
+    """(check name, seed) -> {(names, hashes): [(surfaces, entry), ...]}:
+    an entry, failed or not, is reused while the surfaces its run read are
+    the catalog's.  Runs are found by the surfaces' cached hash ints
+    (SurfaceSpec._hash), not through the Python-level __hash__, and a run
+    holds only if each of its surfaces is the catalog's or equals it.  Runs
+    whose surfaces share their hashes share one list: unequal surfaces can
+    (CPython hashes -1 and -2 alike, so a coefficient -1 mutated by -1
+    keeps the surface's hash).  `names` keeps each key's distinct sorted
+    names read, one dict lookup each."""
 
     def __init__(self):
         super().__init__()
@@ -422,14 +435,18 @@ class _CheckMemo(dict):
     def lookup(self, key, surfaces):
         runs = self.get(key, {})
         for names in self.names.get(key, ()):
-            entry = runs.get((names, tuple(map(surfaces.get, names))))
-            if entry is not None:
-                return names, entry
+            read = tuple(map(surfaces.get, names))
+            for stored, entry in runs.get(
+                    (names, tuple(map(_surface_hash, read))), ()):
+                if stored == read:
+                    return names, entry
         return None
 
     def add(self, key, names, surfaces, entry):
-        self.setdefault(key, {})[names, tuple(map(surfaces.get, names))] = \
-            entry
+        read = tuple(map(surfaces.get, names))
+        self.setdefault(key, {}).setdefault(
+            (names, tuple(map(_surface_hash, read))), []).append(
+                (read, entry))
         self.names.setdefault(key, {})[names] = None
 
     def cache_clear(self):
@@ -696,8 +713,23 @@ def _attach_values(argv):
 
 
 def main(argv=None):
+    """Run one command; without argv, the process's own, as its entry point
+    (the console script, python -m kleinfib.cli).  Everything such a run
+    builds lives until the process exits, so before returning it is frozen
+    out of the cyclic collector (gc.freeze): the interpreter's exit-time
+    collections would only walk it.  main(argv) leaves the collector as it
+    is, for callers that go on running."""
+    if argv is not None:
+        return _main(argv)
+    try:
+        return _main(sys.argv[1:])
+    finally:
+        gc.freeze()
+
+
+def _main(argv):
     parser = build_parser()
-    argv = _attach_values(sys.argv[1:] if argv is None else argv)
+    argv = _attach_values(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as ex:

@@ -5,21 +5,24 @@ the exact engine, and its own curve counts against the exact family counts.
 
 Pure Python on cmath and math.  Each polynomial an audit evaluates is
 compiled once, into (complex coefficient, ((variable index, exponent), ...))
-terms, and evaluated point by point; Durand-Kerner iterates row by row on
-geometrically rescaled monic polynomials.  Work that does not depend on t is
-done once: the certified roots of a polynomial are cached on (coefficients,
-seed, tol), the exact S6 line graphs over P^1_(W:X) (curves.s6_line) built
-once per process and evaluated at each t.  The squarefree proof of the
-residuals, on which the exact counts rest, is the exact side's
-(curves.radical_count).  Each xi-orbit of S7 and S8 curves is solved at one
-point and rotated by the family's xi-weights (curves.xi_weights, which the
-exact conjugation witnesses read too), the S8 b-roots certified where they
-land, and the terms in W and X alone of each S8 sample summed once for the
-four b-roots; two S6 lines meet by the float form of the exact rule
-(orbits.lines_meet).  Samples come from
-random.Random(seed) in a fixed order (per curve, or per S8 mu, then per
-sample, then per coordinate), and every audit is cached on its (surface,
-NumericConfig)."""
+terms, and evaluated point by point; Durand-Kerner iterates on a
+geometrically rescaled monic polynomial.  Work that does not depend on t is
+done once per process: the certified roots of a polynomial are cached on
+(coefficients, seed, tol), among them those of Q, Q1, Q2 and of the S8
+branch x-quartics P_i, Pi(b, mu) = P_i(b mu^4), off which the b-roots of
+every mu are read; the exact S6 line graphs over P^1_(W:X)
+(curves.s6_line) are built once and evaluated at each t; and the S8 sample
+points with their powers are drawn once per seed, only the terms in W and X
+alone evaluated anew at each t.  The squarefree proof of the residuals, on
+which the exact counts rest, is the exact side's (curves.radical_count).
+Each xi-orbit of S7 and S8 curves is solved at one point and rotated by the
+family's xi-weights (curves.xi_weights, which the exact conjugation
+witnesses read too), the S8 b-roots certified where they land, and the
+terms in W and X alone of each S8 sample summed once for the four b-roots;
+two S6 lines meet by the float form of the exact rule (orbits.lines_meet).
+Samples come from random.Random(seed) in a fixed order (per curve, or per
+S8 mu, then per sample, then per coordinate), and every audit is cached on
+its (surface, NumericConfig)."""
 
 import cmath
 import copy
@@ -55,17 +58,10 @@ class NumericConfig(namedtuple("NumericConfig", "t tol seed")):
 # root finding
 
 def durand_kerner(coeffs, cfg: NumericConfig):
-    """All complex roots of sum(c[k] X^k), for one coefficient list c, or
-    one list of roots for each row c of a list of them.  Each polynomial is
-    made monic and its variable rescaled X = sigma X', with log(sigma) the
-    mean of log|c_k/c_n|/(n-k) over the nonzero coefficients, so
-    Durand-Kerner iterates on a balanced polynomial."""
-    if coeffs and isinstance(coeffs[0], (list, tuple)):
-        return [_durand_kerner_row(row, cfg.seed) for row in coeffs]
-    return _durand_kerner_row(coeffs, cfg.seed)
-
-
-def _durand_kerner_row(coeffs, seed):
+    """All complex roots of sum(c[k] X^k).  The polynomial is made monic and
+    its variable rescaled X = sigma X', with log(sigma) the mean of
+    log|c_k/c_n|/(n-k) over the nonzero coefficients, so Durand-Kerner
+    iterates on a balanced polynomial."""
     cs = [complex(c) for c in coeffs]
     while cs and not cs[-1]:
         cs.pop()
@@ -78,7 +74,7 @@ def _durand_kerner_row(coeffs, seed):
             if 0 < abs(c) < math.inf]
     sigma = math.exp(sum(logs) / max(len(logs), 1))
     b = [c * sigma ** (k - n) for k, c in enumerate(b)][::-1]  # for Horner
-    angle = random.Random(seed).uniform(0, 2 * math.pi)
+    angle = random.Random(cfg.seed).uniform(0, 2 * math.pi)
     z = [cmath.exp(1j * (angle + 2 * math.pi * k / n)) * (1.3 + 0.01 * k)
          for k in range(n)]
     for _ in range(DK_MAX_ITER):
@@ -396,30 +392,40 @@ def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
 def _s8_b_roots(main, quartic, cfg):
     """(mu, coefficients of the branch quartic in b at mu, its four
     b-roots) for the 120 values of mu of a branch, 30 over each root x of
-    its quartic (F_i ~ q_i(-mu^30 t)).  The b-quartic is solved at
-    mu0 = (-x/t)^(1/30) only; the roots at mu0 xi^j (row 30 k + j) are
-    xi^(r_b j) times those, r_b the family's weight of b, each certified at
-    its own mu."""
+    its quartic (F_i ~ q_i(-mu^30 t)).  The branch quartic is
+    Pi(b, mu) = P_i(b mu^k), each term b^i mu^e with e = k i (else
+    VerificationError), so its b-roots at mu0 = (-x/t)^(1/30) are
+    beta / mu0^k over the roots beta of P_i, which numeric_roots solves once
+    per process; the roots at mu0 xi^j (row 30 k + j) are xi^(r_b j) times
+    those, r_b the family's weight of b, each certified at its own mu."""
     tval = float(cfg.t)
-    Pi = main.data["branch_quartic"]
     N, weights = main.data["weights"]
     # each term of Pi as (its degree in b, its coefficient at t, its
     # exponent of mu): the coefficients in b at mu in one pass over the
     # terms, each summed in the order of its terms in Pi
-    compiled = CompiledPoly(Pi, {"t": tval}, order=("b", "mu"))
+    compiled = CompiledPoly(main.data["branch_quartic"], {"t": tval},
+                            order=("b", "mu"))
     terms = [(dict(m).get(0, 0), c, dict(m).get(1, 0))
              for c, m in compiled.terms]
+    k = next((e // i for i, _, e in terms if i), 0)
+    if any(e != k * i for i, _, e in terms):
+        raise VerificationError("S8 branch %s: the branch quartic is not "
+                                "P(b mu^k)" % main.branch)
+    size = max(i for i, _, _ in terms) + 1
 
     def coeffs(mu):
-        out = [0j] * (Pi.degree("b") + 1)
-        for k, c, e in terms:
-            out[k] += c * mu if e == 1 else c * mu ** e if e else c
+        out = [0j] * size
+        for i, c, e in terms:
+            out[i] += c * mu if e == 1 else c * mu ** e if e else c
         return out
 
-    mu0s = [(-x / tval) ** (1.0 / N) for x in numeric_roots(quartic, cfg)]
+    # P_i(x) = Pi(x, 1)
+    betas = numeric_roots(coeffs(1), cfg)
     xi = _roots_of_unity(N)
     out = []
-    for mu0, b0 in zip(mu0s, durand_kerner([coeffs(m) for m in mu0s], cfg)):
+    for x in numeric_roots(quartic, cfg):
+        mu0 = (-x / tval) ** (1.0 / N)
+        b0 = [beta / mu0 ** k for beta in betas]
         for j in range(N):
             mu = mu0 * xi[j]
             cs = coeffs(mu)
@@ -446,38 +452,55 @@ def _s8_chains(main, quartic, cfg):
                                        N, S8_NAMES) for b in b0))]
 
 
+@lru_cache(maxsize=None)
+def _s8_samples(seed, groups):
+    """The S8 audit's sample points, which do not depend on t: `groups`
+    groups of five (W, X, W^2, W^3, X^2, X^3), one group per mu, drawn by
+    _sample_wx from random.Random(seed) in the audit's order."""
+    rng = random.Random(seed)
+    return [[(W, X, W ** 2, W ** 3, X ** 2, X ** 3)
+             for W, X in (_sample_wx(rng) for _ in range(5))]
+            for _ in range(groups)]
+
+
 def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
     from .curves import q1_quartic, q2_quartic
     from .orbits import _s8_branch_data
     curves, mains = _s8_branch_data(s8)
-    rng = random.Random(cfg.seed)
+    tol = cfg.tol
     equation = CompiledPoly(s8.equation, {"t": float(cfg.t)}, order="WXYZ")
     # the leading terms in W and X alone (t W^6, W X^5) are summed once per
     # sample, for all four b-roots, and the other terms continue the sums
     head, tail = equation.split(2)
+    branches = [(branch, _s8_chains(mains[branch], quartic, cfg))
+                for branch, quartic in (("P1", q1_quartic()),
+                                        ("P2", q2_quartic()))]
+    samples = iter(_s8_samples(cfg.seed, sum(len(rows)
+                                             for _, rows in branches)))
     count, max_res = 0, 0.0
-    for branch, quartic in (("P1", q1_quartic()), ("P2", q2_quartic())):
+    for branch, rows in branches:
         # the certified b-fraction cancels catastrophically in doubles;
         # instead, of the four b-roots of the branch quartic exactly one
         # continues to a curve on the surface
-        for points in _s8_chains(mains[branch], quartic, cfg):
-            samples = [(W, X, W ** 2, W ** 3, X ** 2, X ** 3, head.at((W, X)))
-                       for W, X in (_sample_wx(rng) for _ in range(5))]
+        for points, group in zip(rows, samples):
+            sums = [head.at(sample[:2]) for sample in group]
             on_surface = 0
             for mu, b, a, d, e, f in points:
                 mu2, mu3 = mu ** 2, mu ** 3
                 # a b-root is off the surface at its first failing sample
-                res = []
-                for W, X, W2, W3, X2, X3, sums in samples:
-                    res.append(_residue(*tail.at(
+                worst = 0.0
+                for (W, X, W2, W3, X2, X3), start in zip(group, sums):
+                    value, scale = tail.at(
                         (W, X, a * W2 + b * W * X - mu2 * X2,
-                         d * W3 + e * W2 * X + f * W * X2 - mu3 * X3),
-                        sums)))
-                    if not res[-1] < cfg.tol:
+                         d * W3 + e * W2 * X + f * W * X2 - mu3 * X3), start)
+                    r = abs(value) / max(scale, 1e-300)
+                    if not r < tol:
                         break
+                    if r > worst:
+                        worst = r
                 else:
                     on_surface += 1
-                    max_res = max(max_res, *res)
+                    max_res = max(max_res, worst)
             if on_surface != 1:
                 raise VerificationError(
                     "S8 branch %s: %d of 4 b-roots on the surface"

@@ -17,6 +17,7 @@ from kleinfib import curves, numeric, orbits
 from kleinfib.curves import (VerificationError, q_cubic, q1_quartic,
                              q2_quartic)
 from kleinfib.geometry import build_catalog, build_surface
+from kleinfib.multipoly import MultiPoly
 from kleinfib.numeric import (NumericConfig, durand_kerner,
                               numeric_curve_audit, numeric_roots,
                               sturm_vs_numeric)
@@ -145,14 +146,6 @@ def test_s6_line_graph_degree_ten():
 def test_unknown_surface():
     with pytest.raises(ValueError):
         numeric_curve_audit(build_surface("s6prime"), CFG)
-
-
-def test_durand_kerner_batch_rows():
-    # a batch of rows gives each row its own roots: X^2 - c for c = 1, 4, -9
-    roots = durand_kerner([[-1, 0, 1], [-4, 0, 1], [9, 0, 1]], CFG)
-    assert len(roots) == 3 and all(len(row) == 2 for row in roots)
-    for row, c in zip(roots, (1, 4, -9)):
-        assert all(abs(r * r - c) < 1e-12 for r in row)
 
 
 @pytest.mark.parametrize("name,data,error", [
@@ -309,8 +302,27 @@ def test_q_q1_q2_are_solved_once(monkeypatch):
     catalog = build_catalog()
     sturm_vs_numeric(catalog["s7"], catalog["s8"], cfg)
     numeric.full_audit(catalog, tol=cfg.tol, seed=cfg.seed)
-    for q in (q_cubic(), q1_quartic(), q2_quartic()):
+    # nor do those of the S8 branch x-quartics P1(x), P2(x), Pi = Pi(b mu^4):
+    # the b-roots of every row are read off them, no b-quartic row is solved
+    p1, p2 = [-1, -30, -260, -690, 5], [-1, -10, -20, 10, 5]
+    solved = (q_cubic(), q1_quartic(), q2_quartic(), p1, p2)
+    for q in solved:
         assert calls.count(q) == 1
+    assert len(calls) == len(solved)
+
+
+def test_branch_quartic_must_be_a_polynomial_in_b_mu_k(monkeypatch):
+    # the b-roots are read off P_i(x) only while each term b^i mu^e of the
+    # branch quartic has e = k i; an extra b mu^5 term is refused
+    curves, mains = _s8_branch_data(build_surface("s8"))
+    bad = copy.copy(mains["P1"])
+    Pi = bad.data["branch_quartic"]
+    bad.data = dict(bad.data, branch_quartic=Pi + MultiPoly.var(
+        Pi.vars, "b") * MultiPoly.var(Pi.vars, "mu", 5))
+    monkeypatch.setattr(orbits, "_s8_branch_data",
+                        lambda s: (curves, dict(mains, P1=bad)))
+    with pytest.raises(VerificationError, match="P1: the branch quartic"):
+        numeric.numeric_audit_s8(build_surface("s8"), CFG)
 
 
 @pytest.mark.parametrize("name,branch", [("s8", "P1"), ("s8", "P2"),
