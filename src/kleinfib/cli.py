@@ -30,15 +30,18 @@ SCHEMA = "kleinfib-certificate/1"
 # (x + yP)^n, so the cost grows steeply with n
 MAX_FAMILY_INDEX = 32
 
-# the |t| accepted by audit: the oracle evaluates powers of t and of the
-# roots it finds in doubles, and further out an S7 or S8 sample overflows or
-# the root finder stalls, which would read as a refuted check
+# the |t| accepted by audit: the oracle evaluates powers of t and of each
+# curve's parameter in doubles, and far out they overflow (S8 at |t| =
+# 1e300), which would read as a refuted check; every audited surface
+# verifies at 2^+-20, so the range has room to spare
 AUDIT_T_RANGE = (Fraction(1, 2**12), Fraction(2**12))
 
 # the --tol accepted by audit: every audited surface verifies across it at
 # every t tried in AUDIT_T_RANGE; a tighter tolerance refutes correct
-# surfaces on rounding error, a looser one lets wrong candidates pass (and
-# --tol 1 cannot fail: a relative residue never exceeds 1)
+# surfaces on rounding error, a looser one lets wrong curves pass: an S7 or
+# S8 graph with one coefficient off by a relative 1e-6 leaves largest
+# residues of 2.5e-8 to 6e-7 (and --tol 1 cannot fail: a relative residue
+# never exceeds 1)
 AUDIT_TOL_RANGE = (1e-10, 1e-8)
 
 # --poly: an expanded sum of terms c, y, y^k, c*y or c*y^k (c, k decimal)
@@ -230,8 +233,9 @@ def cmd_verdict(args):
     verdict = rationality_verdict(args.case, BaseExtension(args.ext),
                                   _surface(name))
     note = ("minimal: no Galois orbit of pairwise-disjoint (-1)-curves; "
-            "rational iff K^2 >= 5 (Iskovskikh); S7/S8 match Coxeter cycles "
-            "by lengths and certified meets only") if args.case[0] == "e" \
+            "rational iff K^2 >= 5 (Iskovskikh); each Galois orbit of "
+            "curves is matched to the one c-cycle whose meeting numbers are "
+            "its exact row") if args.case[0] == "e" \
         else ("%s: minimal: no Galois orbit of pairwise-disjoint "
               "(-1)-curves; a conic bundle (K^2 = 8 - its singular fibres) "
               "with <= 1 singular fibre and a point is rational, one with "

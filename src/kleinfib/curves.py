@@ -3,19 +3,23 @@
 The fibred surfaces carry finitely many exceptional curves cut out by one
 or two auxiliary forms; their coefficients satisfy a triangular system
 obtained by equating the W/X-coefficients of the substituted surface
-equation to zero.  This module replays those chains exactly over Q,
-extracts the residual polynomials, and certifies every curve's membership
-modulo the residual relation.
+equation to zero.  This module replays those chains exactly over Q and
+extracts the residual polynomials.  Each residual's roots are exhibited in
+Q(zeta_h), one stored and the others its Galois conjugates, and over each
+root its family is one exact graph (Y, Z) over P^1_(W:X) with coefficients
+in Q(zeta_h)[s, 1/s], certified by substitution, as the S6 lines are; its
+rotations s -> zeta_h^k s and conjugates zeta_h -> zeta_h^j are the other
+curves.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .base import GeometryError, VerificationError, _surface_cache
 from .multipoly import MultiPoly
 from .tower import FieldElement, FieldTower, cyclotomic, root_of_unity
-from .univariate import (coprime_mod_p, derivative, resultant_poly,
-                         subresultant_prs, to_multipoly)
+from .univariate import coprime_mod_p, resultant_poly, subresultant_prs
 
 
 class CurveSpec:
@@ -39,57 +43,6 @@ class CurveSpec:
 def q_cubic():
     """X^3 - 29496 X^2 + 401808 X - 64, as a coefficient list (low first)."""
     return [Fraction(-64), Fraction(401808), Fraction(-29496), Fraction(1)]
-
-
-def radical_count(q, degree, label):
-    """deg q * degree, the number of curves of a radical family: one for
-    each root X of q(u X^degree), q a coefficient list (low first) and u a
-    nonzero monomial in t (S7: e^18 / t, S8: -mu^30 t).  Hypotheses, checked
-    exactly here: q is squarefree, so it has deg q distinct roots x, and
-    q(0) != 0, so each binomial u X^degree = x has degree distinct roots
-    and no two binomials share one.  Squarefree is certified by q and q'
-    coprime modulo p (univariate.coprime_mod_p), which also refuses a q
-    whose discriminant p divides."""
-    f = to_multipoly(q)
-    if not coprime_mod_p(f, derivative(f, "X"), "X"):
-        raise VerificationError("%s is not squarefree" % label)
-    if q[0] == 0:
-        raise VerificationError("%s vanishes at 0" % label)
-    return (len(q) - 1) * degree
-
-
-def _xi_residue(p: MultiPoly, N: int, weights: dict):
-    """The common weight mod N of the terms of p, sum(weights[v] * exp_v)
-    over its variables, under the conjugation of a radical family; a
-    variable without a weight, mixed weights or p = 0 raise."""
-    try:
-        res = {sum(weights[v] * k for v, k in zip(p.vars, e) if k) % N
-               for e in p.terms}
-    except KeyError as ex:
-        raise VerificationError("variable %s has no xi-weight" % ex) from ex
-    if len(res) != 1:
-        raise VerificationError("polynomial is not xi-homogeneous mod %d" % N,
-                                detail=p)
-    return res.pop()
-
-
-def xi_weights(fractions, relation, param, degree):
-    """The xi-action on a radical family of binomial degree `degree`: under
-    param -> xi param (xi^degree = 1, t fixed) each coefficient num/den of
-    `fractions` (name -> (num, den) in the order solved, each in param, t
-    and the names solved after it) goes to xi^w times itself, w read off
-    the exponents of num and den, and certified: every term of each has the
-    same weight.  The relation must be xi-invariant.  Returns (degree,
-    {param: 1, "t": 0, name: w mod degree}); a xi of order dividing degree
-    acts by the weights mod its order."""
-    weights = {param: 1, "t": 0}
-    for name in reversed(fractions):
-        num, den = fractions[name]
-        weights[name] = (_xi_residue(num, degree, weights)
-                         - _xi_residue(den, degree, weights)) % degree
-    if _xi_residue(relation, degree, weights):
-        raise VerificationError("residual relation is not xi-invariant")
-    return degree, weights
 
 
 def _nested_quartic(c2, c1, c0):
@@ -296,28 +249,20 @@ def enumerate_s7(s7):
         raise VerificationError("d-numerator deviates", detail=nd)
     solved.append(("d", nd, dd))
 
-    # residual: t^3 * Q(e^18 / t), vanishing at 3 * 18 distinct e
+    # residual: t^3 * Q(e^18 / t)
     qc = q_cubic()
-    count = radical_count(qc, 18, "Q")
     core = MultiPoly.zero(V)
     for k, c in enumerate(qc):
         core = core + MultiPoly.const(V, c) * \
             MultiPoly.var(V, "e", 18 * k) * MultiPoly.var(V, "t", 3 - k)
 
-    replayed = [chain_subs(c, solved) for c in co]
-    extracted = replayed[1]
+    extracted = chain_subs(co[1], solved)
     # peel off any leftover powers of the d-denominator
     while extracted.degree("e") > 54:
         extracted = strip_content(extracted.exact_div(dd))
     if extracted != strip_content(core):
         raise VerificationError("extracted S7 residual deviates from Q",
                                 detail=extracted)
-    # full replay of all five original coefficients
-    for j, R in enumerate(replayed):
-        if not R.reduce_mod(core, "e").is_zero():
-            raise VerificationError("S7 coefficient of W^%d X^%d does not "
-                                    "vanish on the residual locus"
-                                    % (4 - j, j), detail=R)
     # extract the cubic itself from the (e^18, t)-support
     qx = residual_coefficients(extracted, "e")
     if qx != qc:
@@ -344,16 +289,18 @@ def enumerate_s7(s7):
             raise VerificationError("denominator %s not invertible modulo "
                                     "the residual" % label)
 
-    # the main family, one curve per root e of the residual; forms
-    # symbolic in (e, t)
+    # the main family, one curve per root e of the residual, 18 over each
+    # root u of Q: forms symbolic in (e, t), and the graph at t = e^18 / u
     cvars = ("W", "X", "Y", "Z", "e", "t")
     forms = tuple(chain_subs(form, solved).rename(cvars)
                   for form in (YS - Yv, ZS - Zv))
     pairs = {name: (num, den) for name, num, den in solved}
-    data = {"coeff_pairs": pairs, "weights": xi_weights(pairs, core, "e", 18),
-            "forms": (("a", "b"), ("c", "d", "e"))}
+    roots = residual_roots(qx, 18, S7_ROOT, "Q")
+    e = cyclotomic(18).extend_ratfunc("e").gen("e")
+    data = dict(_root_graph(s7, pairs, (YS, ZS), roots, e ** 18 / roots[1]),
+                coeff_pairs=pairs)
     main = CurveSpec("s7", "S7-main", "main", None, forms, parameter="e",
-                     relation=core, data=data, count=count)
+                     relation=core, data=data, count=18 * len(roots))
     return _s7_e0_curves(s7) + [main], core
 
 
@@ -400,9 +347,11 @@ def _s7_e0_curves(s7):
         eqs = (Y, Z - W2.scale(T.lift(sgn) * r))
         _certify_membership(s7, T, {"Y": MultiPoly.zero(cvars),
                                     "Z": W2.scale(T.lift(sgn) * r)}, t)
+        graph = ([T.zero()] * 2, [T.lift(sgn) * r, T.zero(), T.zero()])
         curves.append(CurveSpec("s7", "S7-e0", "e0", idx, eqs,
                                 parameter="r", relation=rel,
-                                data={"c": "+-sqrt(t)", "sign": sgn}))
+                                data={"c": "+-sqrt(t)", "sign": sgn,
+                                      "graph": graph}))
     return curves
 
 
@@ -532,7 +481,7 @@ def enumerate_s8(s8):
         raise VerificationError("a-numerator deviates from the displayed "
                                 "form up to sign", detail=na)
     solved.append(("a", na, da))
-    replayed = [chain_subs(c, solved) for c in co]
+    replayed = [chain_subs(c, solved) for c in co[:3]]
 
     # branch split: X^2 W^4 numerator factors exactly as P1 * P2
     P1, P2 = s8_branch_quartics(V)
@@ -547,38 +496,28 @@ def enumerate_s8(s8):
     # the X W^5 numerator splits off P1 * P2 too (exact_div raises if not)
     replayed[1].exact_div(P1).exact_div(P2)
 
-    # guard coprimality: incompatible with either branch quartic
-    for Pi, lab in ((P1, "P1"), (P2, "P2")):
-        rg = resultant_poly(Pi, guard, "b")
-        if rg.is_zero():
-            raise VerificationError("guard %s-resultant vanished" % lab)
-
     # the curve forms, symbolic in (b, mu); b stays bound by the branch data
     cvars = ("W", "X", "Y", "Z", "b", "mu", "t")
     forms = tuple(chain_subs(form, solved).rename(cvars)
                   for form in (YS - Yv, ZS - Zv))
     pairs = {name: (num, den) for name, num, den in solved}
-    one = MultiPoly.const(V, 1)
-    tops = {"mu2": (-mv ** 2, one), "mu3": (-mv ** 3, one)}
+    mu = cyclotomic(30).extend_ratfunc("mu").gen("mu")
     residuals, curves = [], []
     qtargets = (q1_quartic(), q2_quartic())
     for bi, (Pi, qt) in enumerate(zip((P1, P2), qtargets), start=1):
-        # F_i ~ q_i(-mu^30 t), vanishing at 4 * 30 distinct mu
-        count = radical_count(qt, 30, "Q%d" % bi)
         # the W^6 coefficient, fully substituted: degree 18 in b
         Fi, bnum, bden = _s8_branch_residual(replayed[0], Pi, qt, bi)
-        _s8_branch_replay(replayed, solved, Pi, Fi, bnum, bden, bi)
         residuals.append(Fi)
-        weights = xi_weights(dict(tops, **pairs, b=(bnum, bden)), Fi, "mu",
-                             30)
-        # the b-roots of Pi at xi mu are xi^w(b) times those at mu
-        _xi_residue(Pi, 30, weights[1])
-        data = {"coeff_pairs": pairs, "branch_quartic": Pi,
-                "weights": weights, "convention": "c = mu^2, g = -mu^3",
-                "forms": (("a", "b", "mu2"), ("d", "e", "f", "mu3"))}
+        # F_i ~ q_i(-mu^30 t): 30 curves over each root x of Q_i, the graph
+        # at t = -x / mu^30, b solved first
+        roots = residual_roots(residual_coefficients(Fi, "mu"), 30,
+                               S8_ROOTS[bi - 1], "Q%d" % bi)
+        data = _root_graph(s8, dict(pairs, b=(bnum, bden)), (YS, ZS), roots,
+                           -mu ** -30 * roots[1])
+        data.update(coeff_pairs=pairs, convention="c = mu^2, g = -mu^3")
         curves.append(CurveSpec("s8", "S8-main", "P%d" % bi, None, forms,
                                 parameter="mu", relation=Fi, data=data,
-                                count=count))
+                                count=30 * len(roots)))
     return curves, tuple(residuals)
 
 
@@ -609,36 +548,82 @@ def _s8_branch_residual(W6n, Pi, qtarget, bi):
     return norm, bnum, bden
 
 
-def _s8_branch_replay(replayed, solved, Pi, Fi, bnum, bden, bi):
-    """Soundness replay: every original W/X coefficient, after the full
-    substitution chain (`replayed`) and with b = bnum/bden, vanishes
-    modulo Fi.
+# ---------------------------------------------------------------------------
+# S7, S8: each residual's roots in Q(zeta_h), each family a graph over them
 
-    Route: reduce each chained coefficient modulo Pi in b first (the
-    quartic's leading coefficient is the monomial 5 mu^16), then substitute
-    the b-fraction and reduce modulo Fi; Pi(b) itself is certified to
-    vanish modulo Fi, and all denominators are certified invertible."""
-    # Pi(bnum/bden) = 0 modulo Fi
-    pib = subs_fraction(Pi, "b", bnum, bden)
-    if not pib.reduce_mod(Fi, "mu").is_zero():
-        raise VerificationError("branch %d: P%d(b) does not vanish on the "
-                                "residual locus" % (bi, bi), detail=pib)
-    for j, D in enumerate(replayed):
-        rem = D.reduce_mod(Pi, "b")
-        val = subs_fraction(rem, "b", bnum, bden)
-        if not val.reduce_mod(Fi, "mu").is_zero():
-            raise VerificationError(
-                "branch %d: coefficient of X^%d W^%d does not vanish"
-                % (bi, j, 6 - j), detail=rem)
-    # invertibility certificates for every denominator used
-    dens = [("b-denominator", bden)]
-    dens += [("den(%s)" % n, d) for n, _, d in solved]
-    for lab, d in dens:
-        db = d if d.degree("b") == 0 else d.reduce_mod(Pi, "b")
-        db = subs_fraction(db, "b", bnum, bden) if db.degree("b") else db
-        if not coprime_at_t2(db, Fi, "mu"):
-            raise VerificationError("branch %d: %s not invertible modulo "
-                                    "the residual" % (bi, lab))
+# One root of each residual, exactly: ((a_0, ..., a_(d-1)), D) stands for
+# sum a_i c^i / D, c = zeta_h + 1/zeta_h, in the real subfield of Q(zeta_h);
+# the other roots are its Galois conjugates.  u of Q (h = 18), x of Q1 and
+# of Q2 (h = 30).
+S7_ROOT = ((32176, 3876, -11172), 1)
+S8_ROOTS = (((-488224190217, 2220110716196, 737789894744, -892029982568),
+             900),
+            ((-262333, 1193004, 396056, -479632), 900))
+
+
+def residual_roots(q, h, stored, label):
+    """{j: sigma_j(x)} for the units j < h/2 mod h, x the `stored` root of
+    the polynomial q (coefficients low first), certified q(x) = 0 and x != 0;
+    sigma_j: zeta_h -> zeta_h^j (sigma_-j agrees on the real x).  As q has
+    rational coefficients each sigma_j(x) is a root of q; certified pairwise
+    distinct and deg q in number, they are all its roots.  So q is
+    squarefree with q(0) != 0, and the binomials s^h = (root) t have h
+    distinct roots s each, no two binomials sharing one."""
+    coeffs, den = stored
+    K = cyclotomic(h)
+    z = root_of_unity(K, h)
+    x = sum(map(mul, coeffs, (z + z ** (h - 1)).powers(len(coeffs))),
+            K.zero()) / den
+    value = K.zero()
+    for c in reversed(q):
+        value = value * x + c
+    if value or not x:
+        raise VerificationError("the stored root of %s is not a nonzero "
+                                "root of it" % label, detail=x)
+    roots = {j: x.conjugate(j) for j in range(1, h // 2) if gcd(j, h) == 1}
+    distinct = len(set(roots.values()))
+    if distinct != len(q) - 1:
+        raise VerificationError("%s has %d distinct conjugate roots, not %d"
+                                % (label, distinct, len(q) - 1))
+    return roots
+
+
+def _graph_forms(y, z):
+    """The polynomials Y(W, X), Z(W, X) of a graph over P^1_(W:X), given by
+    their coefficient lists by rising power of X, in (W, X, Y, Z)."""
+    return tuple(MultiPoly(("W", "X", "Y", "Z"),
+                           {(len(cs) - 1 - k, k, 0, 0): c
+                            for k, c in enumerate(cs)}) for cs in (y, z))
+
+
+def _root_graph(surface, fractions, templates, roots, t):
+    """The curve over the stored root x = roots[1] at the generator s of
+    t's tower Q(zeta_h)[s, 1/s], t = c s^(+-h) with c from x, as its graph
+    (Y, Z) over P^1_(W:X): the solved fractions name -> (num, den) evaluated
+    at s and t in the reverse of the order solved (each is in the names
+    solved after it), every denominator a nonzero monomial there, then the
+    templates for Y and Z read off by rising power of X.  Certified on the
+    surface by substitution.  sigma_k: s -> zeta_h^k s fixes t and sigma_j:
+    zeta_h -> zeta_h^j takes it to the t of sigma_j(x), and both fix the
+    surface's rational coefficients: the graph's rotations and conjugates
+    are the family's other members, as _certify_member reads a
+    representative.  Returns {"graph": (Y, Z), each coefficient list in
+    the format of s6_line, "t": t, "roots": roots}."""
+    T = t.tower
+    env = dict.fromkeys(templates[0].vars, T.zero())
+    env.update({T.var: T.gen(T.var), "t": t})
+    for name in reversed(fractions):
+        num, den = (T.lift(p.evaluate(env)) for p in fractions[name])
+        try:
+            env[name] = num * den.invert()
+        except (ValueError, ZeroDivisionError) as ex:
+            raise VerificationError("den(%s) is not a nonzero monomial at "
+                                    "the root" % name, detail=den) from ex
+    y, z = ([T.lift(c.evaluate(env))
+             for c in wx_coefficients(form, form.degree("W"))]
+            for form in templates)
+    _certify_membership(surface, T, dict(zip("YZ", _graph_forms(y, z))), t)
+    return {"graph": (y, z), "t": t, "roots": roots}
 
 
 # ---------------------------------------------------------------------------
@@ -745,11 +730,7 @@ def rotate_line(line, e):
 def _graph_substitution(forms, tower):
     """{"Y": Y, "Z": Z}, the graph of the line cut by forms as linear forms
     in W, X (s6_line)."""
-    lv = ("W", "X", "Y", "Z")
-    W, X = MultiPoly.var(lv, "W"), MultiPoly.var(lv, "X")
-    _, y, z = s6_line(forms, tower)
-    return {"Y": W.scale(y[0]) + X.scale(y[1]),
-            "Z": W.scale(z[0]) + X.scale(z[1])}
+    return dict(zip("YZ", _graph_forms(*s6_line(forms, tower)[1:])))
 
 
 # ---------------------------------------------------------------------------

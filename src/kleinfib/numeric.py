@@ -1,36 +1,34 @@
-"""Independent floating-point oracle: specializes t, finds complex roots of
-the residual polynomials, reconstructs every curve numerically and
-cross-checks membership residues and the S6 line-intersection graph against
-the exact engine, and its own curve counts against the exact family counts.
+"""Independent floating-point oracle: specializes t, evaluates the exact
+curves at the float roots of their binomials, and cross-checks membership
+residues and the S6 line-intersection graph against the exact engine, and
+its own curve counts against the exact family counts; it also solves Q,
+Q1 and Q2 in floats for the real-root counts beside Sturm's.
 
 Pure Python on cmath and math.  Each polynomial an audit evaluates is
 compiled once, into (complex coefficient, ((variable index, exponent), ...))
 terms, and evaluated point by point; Durand-Kerner iterates on a
-geometrically rescaled monic polynomial.  Work that does not depend on t is
-done once per process: the certified roots of a polynomial are cached on
-(coefficients, seed, tol), among them those of Q, Q1, Q2 and of the S8
-branch x-quartics P_i, Pi(b, mu) = P_i(b mu^4), off which the b-roots of
-every mu are read; the exact S6 line graphs over P^1_(W:X)
-(curves.s6_line) are built once and evaluated at each t; and the S8 sample
-points with their powers are drawn once per seed, only the terms in W and X
-alone evaluated anew at each t.  The squarefree proof of the residuals, on
-which the exact counts rest, is the exact side's (curves.radical_count).
-Each xi-orbit of S7 and S8 curves is solved at one point and rotated by the
-family's xi-weights (curves.xi_weights, which the exact conjugation
-witnesses read too), the S8 b-roots certified where they land, and the
-terms in W and X alone of each S8 sample summed once for the four b-roots;
-two S6 lines meet by the float form of the exact rule (orbits.lines_meet).
-Samples come from random.Random(seed) in a fixed order (per curve, or per
-S8 mu, then per sample, then per coordinate), and every audit is cached on
-its (surface, NumericConfig)."""
+geometrically rescaled monic polynomial, and its certified roots are cached
+on (coefficients, seed, tol).  Every S6, S7 and S8 curve is sampled on its
+exact graph over P^1_(W:X) through one routine, _graph_at: the graph's
+coefficients, monomials c s^k, are taken once per process as (complex c,
+k), and evaluated at each float s.  The S6 lines are those of
+curves.s6_line, at the float alpha and mu; each S7/S8 Galois orbit is the
+sigma_j-conjugate of its family's representative graph over the certified
+root sigma_j(x), its constants embedded exactly and rounded once, at the h
+values of s with t = c s^(+-h).  Two S6 lines meet by the float form of the
+exact rule (orbits.lines_meet).  Samples come from random.Random(seed) in a
+fixed order (per curve, then per sample, then per coordinate), those of S7
+and S8 drawn once per seed, and every audit is cached on its (surface,
+NumericConfig)."""
 
 import cmath
-import copy
 import math
 import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
+from operator import mul
 
 from .multipoly import MultiPoly
 from .tower import _coeff_complex
@@ -160,29 +158,16 @@ class CompiledPoly:
         to a number; see at."""
         return self.at([env[v] for v in self.used])
 
-    def at(self, x, start=(0j, 0.0)):
+    def at(self, x):
         """(value, scale) at the point x, the values of `used` in order:
-        the sum of the terms and the sum of their absolute values, each
-        term added in order to the sums `start`."""
-        value, scale = start
+        the sum of the terms and the sum of their absolute values."""
+        value, scale = 0j, 0.0
         for c, monomial in self.terms:
             for i, k in monomial:
                 c *= x[i] if k == 1 else x[i] ** k
             value += c
             scale += abs(c)
         return value, scale
-
-    def split(self, k):
-        """(head, tail): the leading terms in the first k variables of
-        `used` alone, and the others.  head.at reads only x[:k], and
-        tail.at(x, head.at(x)) is at(x) bit for bit, so a head evaluated
-        once serves every point that shares those k values."""
-        n = 0
-        while n < len(self.terms) and all(i < k for i, _ in self.terms[n][1]):
-            n += 1
-        head, tail = copy.copy(self), copy.copy(self)
-        head.terms, tail.terms = self.terms[:n], self.terms[n:]
-        return head, tail
 
     def residue(self, env):
         """|value| / scale at the point env (see __call__)."""
@@ -192,30 +177,6 @@ class CompiledPoly:
 def _residue(value, scale):
     """|value| / scale, scale taken as at least 1e-300."""
     return abs(value) / max(scale, 1e-300)
-
-
-def _chain(pairs, cenv):
-    """The solved coefficient fractions name -> (num, den) of pairs,
-    compiled at cenv, in the reverse of the order solved, the order they
-    are evaluated in: each is in the names solved after it."""
-    return [(n, CompiledPoly(pairs[n][0], cenv),
-             CompiledPoly(pairs[n][1], cenv)) for n in reversed(pairs)]
-
-
-def _solve(chain, env):
-    for n, num, den in chain:
-        env[n] = num(env)[0] / den(env)[0]
-    return env
-
-
-def _orbit(chain, weights, env0, N, names):
-    """The values of `names` on the chain solved at the N points of the
-    xi-orbit of env0, one tuple per point, in order: solved at env0 only, a
-    value of weight r at the j-th point is xi^(r j) times its value at
-    env0."""
-    base, xi = _solve(chain, dict(env0)), _roots_of_unity(N)
-    return list(zip(*([base[n] * xi[weights[n] * j % N] for j in range(N)]
-                      for n in names)))
 
 
 def _exact_count(curves, count, name):
@@ -260,23 +221,90 @@ def _roots_of_unity(n):
 S6_ENV = {"z12": cmath.exp(1j * math.pi / 6)}
 
 
+def _constants(graph, embed):
+    """The coefficients of an exact graph (Y, Z), each 0 or a monomial
+    c s^k of its tower, as (embed(c), k): the complex constant of c taken
+    once, by embed."""
+    out = []
+    for coeffs in graph:
+        terms = []
+        for c in coeffs:
+            if len(c.payload[0]) > 1:
+                raise VerificationError("graph coefficient %r is not a "
+                                        "monomial" % c)
+            terms.append((embed(c), next(iter(c.payload[0]), 0)))
+        out.append(terms)
+    return out
+
+
+# the bits of the fixed-point roots of unity that S7/S8 constants are
+# embedded with: their coordinates in the power basis of Q(zeta_h) cancel
+# by up to 16 digits (the roots of Q1 span 1e-6 to 4e9)
+EMBED_BITS = 256
+
+
+def _fixed_mul(a, b):
+    return ((a[0] * b[0] - a[1] * b[1]) >> EMBED_BITS,
+            (a[0] * b[1] + a[1] * b[0]) >> EMBED_BITS)
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(h):
+    """exp(2 pi i m / h) for m < h, as (re, im) ints scaled by
+    2^EMBED_BITS: the double exp(2 pi i / h) polished by Newton steps on
+    z^h = 1 (each doubles the correct bits), then its powers."""
+    one, w = 1 << EMBED_BITS, cmath.exp(2j * math.pi / h)
+    z = (int(w.real * one), int(w.imag * one))
+    for _ in range(3):
+        p = (one, 0)
+        for _ in range(h - 1):
+            p = _fixed_mul(p, z)
+        num, den = _fixed_mul(p, z), (h * p[0], h * p[1])
+        norm = den[0] ** 2 + den[1] ** 2
+        z = (z[0] - (((num[0] - one) * den[0] + num[1] * den[1])
+                     << EMBED_BITS) // norm,
+             z[1] - ((num[1] * den[0] - (num[0] - one) * den[1])
+                     << EMBED_BITS) // norm)
+    powers = [(one, 0)]
+    for _ in range(h - 1):
+        powers.append(_fixed_mul(powers[-1], z))
+    return powers
+
+
+def _embed(c, j):
+    """The constant of the monomial c of Q(zeta_h)[s, 1/s] under
+    zeta_h -> exp(2 pi i j / h), summed exactly over _zeta_powers and
+    rounded once."""
+    (terms, den), h = c.payload, c.tower.M
+    zeta = _zeta_powers(h)
+    v = next(iter(terms.values()), ())
+    re = sum(x * zeta[i * j % h][0] for i, x in enumerate(v))
+    im = sum(x * zeta[i * j % h][1] for i, x in enumerate(v))
+    return complex(re / (den << EMBED_BITS), im / (den << EMBED_BITS))
+
+
+def _graph_at(constants, s):
+    """The float graph (Y, Z) at s: c s^k for each (c, k) of _constants."""
+    return [[c * s ** k for c, k in coeffs] for coeffs in constants]
+
+
 @lru_cache(maxsize=None)
 def _s6_graphs():
-    """The exact graphs (Y, Z) of curves.s6_line, built once per process:
-    those of L1-L3 over Q(zeta_12)(alpha), and for each branch (branch, its
-    radicand c, the graph of L_mu over Q(zeta_12)(mu))."""
+    """The _constants of the exact graphs (Y, Z) of curves.s6_line, built
+    once per process: those of L1-L3 over Q(zeta_12)(alpha), and for each
+    branch (branch, its radicand c, the constants of L_mu over
+    Q(zeta_12)(mu))."""
     from .curves import s6_alpha_lines, s6_line, s6_line_forms, s6_line_tower
     T0, _, alpha_lines = s6_alpha_lines()
     branches = []
     for branch in ("plus", "minus"):
         T, c, _ = s6_line_tower(branch)
-        branches.append((branch, c.as_complex(S6_ENV),
-                         s6_line(s6_line_forms(T, branch), T)[1:]))
-    return [s6_line(forms, T0)[1:] for forms in alpha_lines], branches
-
-
-def _graph_at(graph, env):
-    return [[c.as_complex(env) for c in coeffs] for coeffs in graph]
+        branches.append((branch, c.as_complex(S6_ENV), _constants(
+            s6_line(s6_line_forms(T, branch), T)[1:],
+            lambda c: c.as_complex(dict(S6_ENV, mu=1)))))
+    return [_constants(s6_line(forms, T0)[1:],
+                       lambda c: c.as_complex(dict(S6_ENV, alpha=1)))
+            for forms in alpha_lines], branches
 
 
 def _s6_numeric_lines(cfg):
@@ -285,14 +313,14 @@ def _s6_numeric_lines(cfg):
     float alpha = t^(1/3) and at the 12 float mu, mu^12 = c t."""
     tval = float(cfg.t)
     alpha_graphs, branches = _s6_graphs()
-    env = dict(S6_ENV, alpha=tval ** (1.0 / 3.0))
+    alpha = tval ** (1.0 / 3.0)
     tags = [("L123", j) for j in range(3)]
-    lines = [_graph_at(graph, env) for graph in alpha_graphs]
+    lines = [_graph_at(graph, alpha) for graph in alpha_graphs]
     for branch, cval, graph in branches:
         mu0 = (cval * tval) ** (1.0 / 12.0)
         for j, w in enumerate(_roots_of_unity(12)):
             tags.append((branch, j))
-            lines.append(_graph_at(graph, dict(S6_ENV, mu=mu0 * w)))
+            lines.append(_graph_at(graph, mu0 * w))
     return tags, lines
 
 
@@ -355,33 +383,68 @@ def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
             "degrees": degrees, "graph_checked": True}
 
 
+@lru_cache(maxsize=None)
+def _radical_graphs(family):
+    """The members of an S7/S8 family in floats, built once per process:
+    (n, [(c, constants)]), t = c s^n at each root sigma_j(x) of
+    curves.residual_roots, with the _constants of the sigma_j-conjugate of
+    the representative's graph: sigma_j followed by the embedding
+    zeta_h -> exp(2 pi i / h) is _embed at j."""
+    t, (y, z) = family.data["t"], family.data["graph"]
+    (n, _), = t.payload[0].items()
+    return n, [(_embed(t, j), _constants((y, z), lambda c: _embed(c, j)))
+               for j in family.data["roots"]]
+
+
+@lru_cache(maxsize=None)
+def _samples(seed, count):
+    """The S7 and S8 audits' sample points, which do not depend on t: count
+    points (W, X) drawn by _sample_wx from random.Random(seed), each with
+    its monomials [W^(d-k) X^k for k = 0..d] for d = 0..3."""
+    rng, out = random.Random(seed), []
+    for _ in range(count):
+        W, X = _sample_wx(rng)
+        Wp, Xp = [1, W, W * W, W * W * W], [1, X, X * X, X * X * X]
+        out.append((W, X, [[Wp[d - k] * Xp[k] for k in range(d + 1)]
+                           for d in range(4)]))
+    return out
+
+
+def _radical_residues(equation, families, cfg, samples):
+    """(residues, count) of the members of the S7/S8 families at t: over
+    each root, the graph of _radical_graphs at each of the |n| values s of
+    t = c s^n, evaluated at the next five of the points `samples`."""
+    tval, res, count = float(cfg.t), [], 0
+    for family in families:
+        n, roots = _radical_graphs(family)
+        for c, constants in roots:
+            s0 = (tval / c) ** (1 / n)
+            if not (s0 and cmath.isfinite(s0)):
+                raise OverflowError("s = (t / c)^(1/%d) at c = %r" % (n, c))
+            for w in _roots_of_unity(abs(n)):
+                y, z = _graph_at(constants, s0 * w)
+                for _ in range(5):
+                    W, X, monomials = next(samples)
+                    res.append(_residue(*equation.at((
+                        W, X, sum(map(mul, y, monomials[len(y) - 1])),
+                        sum(map(mul, z, monomials[len(z) - 1]))))))
+                count += 1
+    return res, count
+
+
 def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
-    from .curves import q_cubic
     from .orbits import _s7_main_data
     curves, _, main = _s7_main_data(s7)
-    N, weights = main.data["weights"]
     tval = float(cfg.t)
-    chain = _chain(main.data["coeff_pairs"], {"t": tval})
-    rng = random.Random(cfg.seed)
+    samples = iter(_samples(cfg.seed, 5 * 56))
     equation = CompiledPoly(s7.equation, {"t": tval}, order="WXYZ")
-    # core(e) = t^3 Q(e^18 / t): 54 roots, the xi-orbits (xi^18 = 1) of
-    # (u t)^(1/18) over the 3 roots u of Q
-    res, count = [], 0
-    for u in numeric_roots(q_cubic(), cfg):
-        for a, b, c, d, e in _orbit(chain, weights,
-                                    {"e": (u * tval) ** (1 / N)}, N, "abcde"):
-            for _ in range(5):
-                W, X = _sample_wx(rng)
-                res.append(_residue(*equation.at(
-                    (W, X, a * W + b * X,
-                     c * W ** 2 + d * W * X + e * X ** 2))))
-            count += 1
+    # core(e) = t^3 Q(e^18 / t): 54 roots, 18 over each root u of Q
+    res, count = _radical_residues(equation, [main], cfg, samples)
     max_res = _max_residue(res, cfg, "S7 residue %.3g at root")
     # the two e=0 curves: Y = 0, Z = +- sqrt(t) W^2
     res = []
     for z in (cmath.sqrt(tval), -cmath.sqrt(tval)):
-        for _ in range(5):
-            W, X = _sample_wx(rng)
+        for W, X, _ in islice(samples, 5):
             res.append(_residue(*equation.at((W, X, 0j, z * W ** 2))))
         count += 1
     max_res = max(max_res, _max_residue(res, cfg, "S7 e=0 residue %.3g"))
@@ -389,125 +452,16 @@ def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
             "max_residue": max_res}
 
 
-def _s8_b_roots(main, quartic, cfg):
-    """(mu, coefficients of the branch quartic in b at mu, its four
-    b-roots) for the 120 values of mu of a branch, 30 over each root x of
-    its quartic (F_i ~ q_i(-mu^30 t)).  The branch quartic is
-    Pi(b, mu) = P_i(b mu^k), each term b^i mu^e with e = k i (else
-    VerificationError), so its b-roots at mu0 = (-x/t)^(1/30) are
-    beta / mu0^k over the roots beta of P_i, which numeric_roots solves once
-    per process; the roots at mu0 xi^j (row 30 k + j) are xi^(r_b j) times
-    those, r_b the family's weight of b, each certified at its own mu."""
-    tval = float(cfg.t)
-    N, weights = main.data["weights"]
-    # each term of Pi as (its degree in b, its coefficient at t, its
-    # exponent of mu): the coefficients in b at mu in one pass over the
-    # terms, each summed in the order of its terms in Pi
-    compiled = CompiledPoly(main.data["branch_quartic"], {"t": tval},
-                            order=("b", "mu"))
-    terms = [(dict(m).get(0, 0), c, dict(m).get(1, 0))
-             for c, m in compiled.terms]
-    k = next((e // i for i, _, e in terms if i), 0)
-    if any(e != k * i for i, _, e in terms):
-        raise VerificationError("S8 branch %s: the branch quartic is not "
-                                "P(b mu^k)" % main.branch)
-    size = max(i for i, _, _ in terms) + 1
-
-    def coeffs(mu):
-        out = [0j] * size
-        for i, c, e in terms:
-            out[i] += c * mu if e == 1 else c * mu ** e if e else c
-        return out
-
-    # P_i(x) = Pi(x, 1)
-    betas = numeric_roots(coeffs(1), cfg)
-    xi = _roots_of_unity(N)
-    out = []
-    for x in numeric_roots(quartic, cfg):
-        mu0 = (-x / tval) ** (1.0 / N)
-        b0 = [beta / mu0 ** k for beta in betas]
-        for j in range(N):
-            mu = mu0 * xi[j]
-            cs = coeffs(mu)
-            rot = xi[weights["b"] * j % N]
-            out.append((mu, cs, _certify(cs, [rot * b for b in b0],
-                                         cfg.tol)))
-    return out
-
-
-# the values the S8 audit reads of each point of a chain
-S8_NAMES = ("mu", "b", "a", "d", "e", "f")
-
-
-def _s8_chains(main, quartic, cfg):
-    """For each of the 120 mu of a branch, the chains at its four b-roots,
-    each a tuple of the values of S8_NAMES, solved at each orbit's mu0
-    only.  The b-roots are those of _s8_b_roots, certified first: a wrong
-    r_b fails there."""
-    rows = _s8_b_roots(main, quartic, cfg)
-    N, weights = main.data["weights"]
-    chain = _chain(main.data["coeff_pairs"], {"t": float(cfg.t)})
-    return [points for mu0, _, b0 in rows[::N]
-            for points in zip(*(_orbit(chain, weights, {"mu": mu0, "b": b},
-                                       N, S8_NAMES) for b in b0))]
-
-
-@lru_cache(maxsize=None)
-def _s8_samples(seed, groups):
-    """The S8 audit's sample points, which do not depend on t: `groups`
-    groups of five (W, X, W^2, W^3, X^2, X^3), one group per mu, drawn by
-    _sample_wx from random.Random(seed) in the audit's order."""
-    rng = random.Random(seed)
-    return [[(W, X, W ** 2, W ** 3, X ** 2, X ** 3)
-             for W, X in (_sample_wx(rng) for _ in range(5))]
-            for _ in range(groups)]
-
-
 def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
-    from .curves import q1_quartic, q2_quartic
     from .orbits import _s8_branch_data
-    curves, mains = _s8_branch_data(s8)
-    tol = cfg.tol
+    curves, families = _s8_branch_data(s8)
     equation = CompiledPoly(s8.equation, {"t": float(cfg.t)}, order="WXYZ")
-    # the leading terms in W and X alone (t W^6, W X^5) are summed once per
-    # sample, for all four b-roots, and the other terms continue the sums
-    head, tail = equation.split(2)
-    branches = [(branch, _s8_chains(mains[branch], quartic, cfg))
-                for branch, quartic in (("P1", q1_quartic()),
-                                        ("P2", q2_quartic()))]
-    samples = iter(_s8_samples(cfg.seed, sum(len(rows)
-                                             for _, rows in branches)))
-    count, max_res = 0, 0.0
-    for branch, rows in branches:
-        # the certified b-fraction cancels catastrophically in doubles;
-        # instead, of the four b-roots of the branch quartic exactly one
-        # continues to a curve on the surface
-        for points, group in zip(rows, samples):
-            sums = [head.at(sample[:2]) for sample in group]
-            on_surface = 0
-            for mu, b, a, d, e, f in points:
-                mu2, mu3 = mu ** 2, mu ** 3
-                # a b-root is off the surface at its first failing sample
-                worst = 0.0
-                for (W, X, W2, W3, X2, X3), start in zip(group, sums):
-                    value, scale = tail.at(
-                        (W, X, a * W2 + b * W * X - mu2 * X2,
-                         d * W3 + e * W2 * X + f * W * X2 - mu3 * X3), start)
-                    r = abs(value) / max(scale, 1e-300)
-                    if not r < tol:
-                        break
-                    if r > worst:
-                        worst = r
-                else:
-                    on_surface += 1
-                    max_res = max(max_res, worst)
-            if on_surface != 1:
-                raise VerificationError(
-                    "S8 branch %s: %d of 4 b-roots on the surface"
-                    % (branch, on_surface))
-            count += 1
+    # F_i ~ q_i(-mu^30 t): 120 roots on each branch, 30 over each root x
+    res, count = _radical_residues(equation, [families["P1"],
+                                              families["P2"]],
+                                   cfg, iter(_samples(cfg.seed, 5 * 240)))
     return {"surface": "s8", "count": _exact_count(curves, count, "S8"),
-            "max_residue": max_res}
+            "max_residue": _max_residue(res, cfg, "S8 residue %.3g")}
 
 
 def numeric_audit_conic(s, cfg: NumericConfig) -> dict:

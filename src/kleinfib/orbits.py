@@ -123,23 +123,60 @@ def _verify_binomial_identity(g: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the lines of S6, as graphs over P^1_(W:X)
+# curves as graphs over P^1_(W:X): one incidence rule
+
+def _trim(p):
+    """The coefficient list p without its zero top coefficients."""
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
+
+
+def _gcd_degree(f, g):
+    """deg gcd(f, g) over the fraction field of the coefficients' domain,
+    for nonzero trimmed coefficient lists f, g (low first), by pseudo-
+    division: f becomes lc(g) f - lc(f) x^(deg f - deg g) g until its degree
+    drops below g's, so no coefficient is ever inverted."""
+    while g:
+        while len(f) >= len(g):
+            shift, lf, lg = len(f) - len(g), f[-1], g[-1]
+            f = _trim([a * lg - lf * g[k - shift] if k >= shift else a * lg
+                       for k, a in enumerate(f[:-1])])
+        f, g = g, f
+    return len(f) - 1
+
+
+def meet_number(graph1, graph2):
+    """C1.C2 of two distinct curves, each a graph (Y, Z) over P^1_(W:X) with
+    Y, Z given by their coefficients by rising power of X in one domain
+    (the lines of curves.s6_line, the S7/S8 and e = 0 graphs): the degree of
+    gcd(dY, dZ) as binary forms in (W, X), dY = Y1 - Y2, dZ = Z1 - Z2, the
+    points over which the curves meet, counted.  An identically zero
+    difference leaves the degree of the other; otherwise the forms are read
+    at W = 1, where the root (0:1) drops out, and W^min(its multiplicities)
+    is put back.  The rule numeric._meet_ratio applies to lines in floats."""
+    (y1, z1), (y2, z2) = graph1, graph2
+    dy, dz = [a - b for a, b in zip(y1, y2)], [a - b for a, b in zip(z1, z2)]
+    fy, fz = _trim(dy), _trim(dz)
+    if not fy or not fz:
+        if not (fy or fz):
+            raise GeometryError("a curve is paired with itself")
+        return len(dz if fz else dy) - 1
+    return _gcd_degree(fy, fz) + min(len(dy) - len(fy), len(dz) - len(fz))
+
 
 def lines_meet(line1, line2, surface, t):
     """Exact incidence of two lines (forms, Y, Z) of curves.s6_line over a
-    common tower.  They meet iff the differences dY, dZ, linear forms in
-    (W, X), share a root: iff one of them is 0 or their 2x2 determinant is,
-    the rule numeric._meet_ratio applies in floating point.  The witness,
-    line 1's point over that root divided by its last nonzero coordinate,
-    is verified on the four forms and on the surface at the tower element
-    t.  Returns (bool, witness or None)."""
+    common tower: they meet iff meet_number is 1, as the differences dY, dZ,
+    linear forms in (W, X), share a root.  The witness, line 1's point over
+    that root divided by its last nonzero coordinate, is verified on the
+    four forms and on the surface at the tower element t.  Returns (bool,
+    witness or None)."""
     (forms1, y1, z1), (forms2, y2, z2) = line1, line2
-    dy, dz = [a - b for a, b in zip(y1, y2)], [a - b for a, b in zip(z1, z2)]
-    if dy[0] * dz[1] - dy[1] * dz[0]:
+    if not meet_number((y1, z1), (y2, z2)):
         return False, None
+    dy, dz = [a - b for a, b in zip(y1, y2)], [a - b for a, b in zip(z1, z2)]
     a, b = dy if any(dy) else dz        # the root of a W + b X is (b : -a)
-    if not (a or b):
-        raise GeometryError("a line is paired with itself")
     point = [b, -a, y1[0] * b - y1[1] * a, z1[0] * b - z1[1] * a]
     inv = next(c for c in reversed(point) if c).invert()
     witness = [c * inv for c in point]
@@ -199,71 +236,64 @@ def _s8_branch_data(s8):
     return curves, {c.branch: c for c in curves}
 
 
-def _conjugation(family, order):
-    """Witness report for the pair (L_mu, L_{xi mu}) of a radical family,
-    xi^order = 1, order dividing the family's binomial degree.  Its curves
-    are Y = sum_k y_k W^(m-k) X^k, Z = sum_k z_k W^(n-k) X^k, with the
-    coefficient names y, z of data["forms"]; conjugation multiplies each
-    coefficient q by xi^r(q), r(q) = weights[q] mod order (curves.xi_weights).
-    The top coefficients y_m, z_n are +- powers of the parameter: they are
-    invertible once it is modulo the relation, and L_{xi mu} is another
-    curve once one of them moves.  The witness is the first of
-      (1:0:y_0:z_0), the X=0 point, if y_0 and z_0 are xi-invariant;
-      the Z=0 slice (1:x0:Y(x0):0) at a root x0 of Z(1, x0), if every y_k
-      is xi-invariant and the z_k share one weight;
-      the Y=0 slice, the same with Y and Z swapped.
-    Both curve memberships then reduce termwise to verified identities;
-    surface membership follows from the certified pullback of the family."""
-    weights = family.data["weights"][1]
-    y, z = family.data["forms"]
-    r = {n: weights[n] % order for n in y + z}
-    rel, param = family.relation, family.parameter
-    if all(e[rel.vars.index(param)] for e in rel.terms):
-        raise VerificationError("parameter %s not invertible mod relation"
-                                % param)
-    if not (r[y[-1]] or r[z[-1]]):
-        raise VerificationError("conjugate curve is not distinct")
-    invariant = {n for n in r if not r[n]}
-    if {y[0], z[0]} <= invariant:
-        witness = "(W:X:Y:Z) = (1:0:%s:%s), the X=0 point of L_mu" % (y[0],
-                                                                       z[0])
-    elif set(y) <= invariant and len({r[n] for n in z}) == 1:
-        witness = _slice("(1:x0:Y(x0):0)", z)
-    elif set(z) <= invariant and len({r[n] for n in y}) == 1:
-        witness = _slice("(1:x0:0:Z(x0))", y)
-    else:
-        raise VerificationError("%s order-%d conjugation residues support "
-                                "no witness" % (family.surface.upper(), order),
-                                detail=r)
-    return {"surface": family.surface, "xi_order": order, "residues": r,
-            "witness": witness, "verified": True}
+def _row(graph, h):
+    """[-1] + [C.C_k for k = 1..h-1] of the curve C with the graph (Y, Z),
+    C_k the curve over xi^k s, xi = zeta_h, whose graph is sigma_k of C's
+    (as in curves.rotate_line): meet_number for k <= h/2, and C.C_(h-k) =
+    C.C_k, as sigma_-k carries the pair (C, C_k) to (C_(h-k), C)."""
+    y, z = graph
+    half = [meet_number((y, z), ([c.rotate(k) for c in y],
+                                 [c.rotate(k) for c in z]))
+            for k in range(1, h // 2 + 1)]
+    return [-1] + [half[min(k, h - k) - 1] for k in range(1, h)]
 
 
-def _slice(point, names):
-    """The text of a slice witness: point, at a root x0 of the form with
-    the coefficients names, by rising power of x0."""
-    terms = [n + ("" if k == 0 else "*x0" if k == 1 else "*x0^%d" % k)
-             for k, n in enumerate(names)]
-    return "%s with %s = 0 (lc %s invertible)" % (point, " + ".join(terms),
-                                                   names[-1])
+@_surface_cache
+def _root_rows(s, branch) -> dict:
+    """{j: row} for the S7 (branch "main") or S8 family of s: the exact row
+    k -> C.C_k of the orbit over each root sigma_j(x) (curves.residual_roots),
+    _row of the representative graph for j = 1.  sigma_j carries the pair
+    (C, C_k) over x to (sigma_j C, (sigma_j C)_(j k)) over sigma_j(x), so
+    the row of sigma_j(x) takes j k to the representative's value at k."""
+    family = _s7_main_data(s)[2] if branch == "main" else \
+        _s8_branch_data(s)[1][branch]
+    roots = family.data["roots"]
+    h = family.count // len(roots)
+    row = _row(family.data["graph"], h)
+    return {j: [row[k * pow(j, -1, h) % h] for k in range(h)] for j in roots}
+
+
+def _conjugation(surface, row, order):
+    """Report on the pairs (C, C_k) of the representative orbit with xi^k
+    of order `order`: their intersection numbers, all positive (else
+    refused).  Every orbit of the family has the same ones, as sigma_j
+    keeps the order of xi^k."""
+    h = len(row)
+    meets = {k: row[k] for k in range(1, h) if h // gcd(h, k) == order}
+    if not all(meets.values()):
+        raise VerificationError("%s: conjugates over xi of order %d do not "
+                                "meet" % (surface.upper(), order),
+                                detail=meets)
+    return {"surface": surface, "xi_order": order, "meets": meets,
+            "verified": True}
 
 
 @_surface_cache
 def s7_conjugation(s7, order: int) -> dict:
-    """Witness report for (L_e, L_{xi e}) on the S7 main family, xi^order
-    = 1 with order in {2, 3}; see _conjugation."""
+    """Report on (C_e, C_(xi e)) on the S7 main family, xi^order = 1 with
+    order in {2, 3}; see _conjugation."""
     if order not in (2, 3):
         raise ValueError("S7 conjugations have order 2 or 3")
-    return _conjugation(_s7_main_data(s7)[2], order)
+    return _conjugation("s7", _root_rows(s7, "main")[1], order)
 
 
 @_surface_cache
 def s8_conjugation(s8, order: int, branch: str = "P1") -> dict:
-    """Witness report for (L_mu, L_{xi mu}) on the S8 family of a branch,
-    xi^order = 1 with order in {2, 3, 5}; see _conjugation."""
+    """Report on (C_mu, C_(xi mu)) on the S8 family of a branch, xi^order
+    = 1 with order in {2, 3, 5}; see _conjugation."""
     if order not in (2, 3, 5):
         raise ValueError("S8 conjugations have order 2, 3 or 5")
-    return dict(_conjugation(_s8_branch_data(s8)[1][branch], order),
+    return dict(_conjugation("s8", _root_rows(s8, branch)[1], order),
                 branch=branch)
 
 
@@ -357,13 +387,16 @@ def an_intersections(s) -> dict:
 @_surface_cache
 def s7_e0_intersection(s7) -> dict:
     """The two rational curves Y=0, Z=+-sqrt(t) W^2 on s7 meet at
-    (0:1:0:0)."""
+    (0:1:0:0), twice: dY = 0 and dZ = 2 sqrt(t) W^2, so meet_number is 2,
+    and their orbit's row is [-1, 2]."""
     T, t = s7_e0_tower()
     zero, one = T.zero(), T.one()
-    _meet_at([c for c in enumerate_s7(s7)[0] if c.family == "S7-e0"],
-             s7, (zero, one, zero, zero), t, "S7 e=0 pair")
+    pair = [c for c in enumerate_s7(s7)[0] if c.family == "S7-e0"]
+    _meet_at(pair, s7, (zero, one, zero, zero), t, "S7 e=0 pair")
+    meets = meet_number(*(c.data["graph"] for c in pair))
     return {"surface": "s7", "pair": "Y=0, Z=+-sqrt(t)W^2",
-            "intersect": True, "witness": "(0:1:0:0)"}
+            "intersect": meets > 0, "row": [-1, meets],
+            "witness": "(0:1:0:0)"}
 
 
 # ---------------------------------------------------------------------------
@@ -371,62 +404,52 @@ def s7_e0_intersection(s7) -> dict:
 
 def _e_families(kind, s):
     """The witness reports of the E surface s, and its xi-families as (name,
-    N, number of c-cycles of length N it covers, the family's reports)."""
+    N, rows): the exact row k -> C.C_k (k = 0..N-1) of each Galois orbit it
+    covers, C_k the curve over xi^k.  The S6 rows are read off the line
+    pairs: L1 against L2 and L3, L_mu against each L_(xi^k mu)."""
     if kind == "e6":
         pairs = s6_intersections(s)["pairs"]
-        return pairs, [("L123", 3, 1, [p for p in pairs if "k" not in p])] + [
-            ("Lmu_" + b, 12, 1, [p for p in pairs if p.get("branch") == b])
-            for b in ("plus", "minus")]
+        meets = {(p.get("branch"), p.get("k", p["pair"])): int(p["intersect"])
+                 for p in pairs}
+        rows = {"L123": [-1, meets.get((None, "L1/L2")),
+                         meets.get((None, "L1/L3"))]}
+        for b in ("plus", "minus"):
+            rows["Lmu_" + b] = [-1] + [meets.get((b, k)) for k in range(1, 12)]
+        return pairs, [(name, len(row), [row]) for name, row in rows.items()]
     if kind == "e7":
-        reps = [s7_e0_intersection(s), s7_conjugation(s, 2),
-                s7_conjugation(s, 3)]
-        return reps, [("e0", 2, 1, reps[:1]),
-                      ("main", 18, _s7_main_data(s)[2].count // 18, reps[1:])]
-    reps = [s8_conjugation(s, k, b) for b in ("P1", "P2") for k in (2, 3, 5)]
-    return reps, [(b, 30, f.count // 30, [r for r in reps if r["branch"] == b])
-                  for b, f in sorted(_s8_branch_data(s)[1].items())]
-
-
-def _certified(N, reports, ok):
-    """The powers k at which the reports certify that L_mu meets (ok) or misses
-    L_{xi^k mu}: a report's k, else the multiples of N / its xi_order (N)."""
-    out = set()
-    for rep in reports:
-        if rep.get("intersect", rep.get("verified")) == ok:
-            step = N // rep.get("xi_order", N)
-            out.update([rep["k"]] if "k" in rep else range(step, N, step))
-    return out
+        e0, rows = s7_e0_intersection(s), _root_rows(s, "main")
+        return [e0, {"surface": "s7", "branch": "main", "rows": rows}], [
+            ("e0", 2, [e0["row"]]), ("main", 18, list(rows.values()))]
+    reps = [{"surface": "s8", "branch": b, "rows": _root_rows(s, b)}
+            for b in ("P1", "P2")]
+    return reps, [(r["branch"], 30, list(r["rows"].values())) for r in reps]
 
 
 @_surface_cache
 def _coxeter_match(kind, s):
-    """Match each xi-family of the E surface s, xi acting as c, to unused
-    c-cycles of its length, each the first to agree with every meet and miss
-    its witnesses certify; refuse a family or cycle left over.  Returns the
-    families, their reports and the certified meets of each cycle."""
+    """Match each Galois orbit of the E surface s, xi acting as c, to the
+    one free c-cycle whose meeting numbers v.c^k v are its exact row; refuse
+    an orbit that fits no free cycle or several, and a cycle left over.
+    Returns the families and their reports."""
     from .lattice import coxeter_cycles
     reports, families = _e_families(kind, s)
     cycles = coxeter_cycles(int(kind[1]))[0]
-    free, certified = list(range(len(cycles))), {}
-    for name, N, count, reps in families:
-        meets, misses = (_certified(N, reps, ok) for ok in (True, False))
-        for _ in range(count):
-            fits = [n for n in free if len(cycles[n][0]) == N]
-            n = next((n for n in fits if all(cycles[n][1][k] for k in meets)
-                      and not any(cycles[n][1][k] for k in misses)), None)
-            if n is None:
+    free = list(range(len(cycles)))
+    for name, _, rows in families:
+        for row in rows:
+            fits = [n for n in free if list(cycles[n][1]) == row]
+            if len(fits) != 1:
                 raise VerificationError(
-                    "%s: no free c-cycle fits the witnesses of %s"
-                    % (kind, name),
-                    detail={"meets": sorted(meets), "misses": sorted(misses),
-                            "cycles": [[k for k, x in enumerate(cycles[i][1])
-                                        if x > 0] for i in fits]})
-            free.remove(n)
-            certified[n] = meets
+                    "%s: %s free c-cycle fits the row of %s"
+                    % (kind, "no" if not fits else "more than one", name),
+                    detail={"row": row, "cycles": [
+                        list(cycles[n][1]) for n in free
+                        if len(cycles[n][0]) == len(row)]})
+            free.remove(fits[0])
     if free:
         raise VerificationError("%s: c-cycles %s match no xi-family"
                                 % (kind, free))
-    return families, reports, certified
+    return families, reports
 
 
 # ---------------------------------------------------------------------------
@@ -441,23 +464,23 @@ def minimal_model(case: str, g: int, surface) -> MinimalModelDescriptor:
     if g < 1 or _period(case, surface) % g:
         raise ValueError("g=%d does not divide the period of %s" % (g, case))
     if kind[0] == "e":
-        # xi acts as c^g; at K^2 <= 4 each kept orbit needs a certified
-        # meeting pair (minimal)
+        # xi acts as c^g; at K^2 <= 4 each kept orbit needs a meeting pair
+        # (minimal), certified, as _coxeter_match matched the rows of the
+        # cycles to the families' exact rows
         from .lattice import coxeter_contraction
-        families, pairs, certified = _coxeter_match(kind, surface)
+        families, pairs = _coxeter_match(kind, surface)
         k2, rho, contracted, kept = coxeter_contraction(int(kind[1]), g)
         for (c, _), ks in kept.items() if k2 <= 4 else ():
-            if certified[c].isdisjoint(ks):
+            if not ks:
                 raise VerificationError(
-                    "%s: a kept <c^%d>-orbit has no certified meeting pair"
-                    % (case, g),
-                    detail={"certified": sorted(certified[c]), "cycle": ks})
+                    "%s: a kept <c^%d>-orbit has no meeting pair" % (case, g),
+                    detail={"cycle": c})
         rho -= contracted
         if rho not in (1, 2):
             raise VerificationError("%s: end point of rank %d" % (case, rho))
         # each family's partition, with the number of c-cycles it covers
-        parts = {name: dict(orbit_structure(N, g), cycles=count)
-                 for name, N, count, _ in families}
+        parts = {name: dict(orbit_structure(N, g), cycles=len(rows))
+                 for name, N, rows in families}
         step = "xi acts as c^%d; orbits contracted: %d, K^2 = %d, rho = %d" \
             % (g, contracted, k2, rho)
         desc = MinimalModelDescriptor(

@@ -84,6 +84,15 @@ class _Ring:
         """The product of two int tuples, reduced."""
         return self.reduce(self.convolve(u, v, [0] * (2 * self.d - 1)))
 
+    def conjugate(self, v, j):
+        """sigma_j(v), zeta -> zeta^j, for the int tuple v, reduced."""
+        out = [0] * self.d
+        for i, x in enumerate(v):
+            if x:
+                for m, y in enumerate(self.powers[i * j % self.M]):
+                    out[m] += x * y
+        return tuple(out)
+
 
 @lru_cache(maxsize=None)
 def _ring(M):
@@ -237,18 +246,14 @@ def _cyclotomic_inverse(v, ring):
     """(w, n) with v*w = n in Z[zeta_M] for the irrational int tuple v: w is
     the product of the conjugates sigma_j(v), j in (Z/M)^* other than 1, and
     n = N(v) > 0, as Q(zeta_M), M > 2, has no real embedding."""
-    M, powers, w = ring.M, ring.powers, None
+    w = None
     for j in ring.units:
-        conj = [0] * ring.d
-        for i, x in enumerate(v):
-            if x:
-                for m, y in enumerate(powers[i * j % M]):
-                    conj[m] += x * y
-        w = tuple(conj) if w is None else ring.mul(w, conj)
+        conj = ring.conjugate(v, j)
+        w = conj if w is None else ring.mul(w, conj)
     norm = ring.mul(v, w)
     if norm[0] <= 0 or any(norm[1:]):
         raise ZeroDivisorError("the norm of %r in Q(zeta_%d) is not a positive"
-                               " rational: %r" % (v, M, norm))
+                               " rational: %r" % (v, ring.M, norm))
     return w, norm[0]
 
 
@@ -339,6 +344,13 @@ class FieldElement:
         ring, (terms, den) = self.tower._ring, self.payload
         return self.tower._elem({k: ring.mul(v, ring.powers[e * k % ring.M])
                                  for k, v in terms.items()}, den)
+
+    def conjugate(self, j: int):
+        """sigma_j(self), sigma_j: zeta_M -> zeta_M^j fixing s, j a unit
+        mod M: the Galois conjugate, on each coefficient of s."""
+        ring, (terms, den) = self.tower._ring, self.payload
+        return FieldElement(self.tower, ({k: ring.conjugate(v, j)
+                                          for k, v in terms.items()}, den))
 
     def invert(self):
         terms, den = self.payload

@@ -222,6 +222,50 @@ def test_mutation_fails_every_check_that_reads_it(mutation):
     assert all(c["error_kind"] == "verification" for c in failed)
 
 
+def _blind(name, chart, readers):
+    """The checks among `readers` that read the surface `name` but not the
+    coefficient that --mutate <name>,<chart>,0,1 changes."""
+    kind = name.partition(":")[0]
+    if kind in ("an", "dn") and chart == 1:
+        # chart oo: only the gluing check reads it
+        return readers - {"charts-" + name}
+    if kind == "an":
+        # the y z term of chart 0: the components y = 0 and z = 0, and the
+        # point where they meet, lie on the surface whatever its coefficient
+        return readers & {"curves-" + name, "intersections-" + name,
+                          "a-table", "verdict-grid", "numeric-oracle"}
+    if kind == "dn":
+        # the boundary self-intersection reads the index n, not the terms
+        return {"lattice-dn-boundary"}
+    if kind.startswith("klein-") and kind != "klein-an":
+        # a diagonal map scales every monomial whatever its coefficient
+        return {"autos-" + name.partition("-")[2]}
+    return set()
+
+
+def test_every_mutation_fails_every_check_that_reads_its_coefficient():
+    # each of the 40 (surface, chart) pairs mutated at term 0 by 1 fails
+    # exactly the checks whose --timings reads include the surface, but for
+    # those _blind lists, and each failure is a verification failure
+    code, out = _run_cli(["--timings", "reproduce-paper"])
+    assert code == 0
+    reads = {c["name"]: set(c["reads"]) for c in json.loads(out)["checks"]}
+    catalog = build_catalog()
+    pairs = [(name, chart) for name in sorted(catalog)
+             for chart in range(len(catalog[name].equations))]
+    assert len(pairs) == 40
+    for name, chart in pairs:
+        mutation = "%s,%d,0,1" % (name, chart)
+        code, out = _run_cli(["reproduce-paper", "--mutate", mutation])
+        failed = [c for c in json.loads(out)["checks"]
+                  if c["status"] == "failed"]
+        readers = {check for check, names in reads.items() if name in names}
+        assert code == 1, mutation
+        assert {c["name"] for c in failed} == \
+            readers - _blind(name, chart, readers), mutation
+        assert all(c["error_kind"] == "verification" for c in failed)
+
+
 @pytest.mark.parametrize("delta", ["1", "1/2"])
 @pytest.mark.parametrize("term", range(4))
 def test_every_s6_term_reaches_every_s6_check(term, delta):

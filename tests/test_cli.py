@@ -103,8 +103,8 @@ def test_failed_contraction_names_its_chart():
 
 
 def test_failed_check_carries_its_detail(monkeypatch):
-    # a refused cycle matching shows the certified powers beside each
-    # cycle's own, truncated to 200 characters
+    # a refused cycle matching shows the family's row beside those of the
+    # free cycles of its length, truncated to 200 characters
     full = orbits.s6_intersections(build_surface("s6"))
     pairs = [dict(p, intersect=True) if p.get("branch") == "plus"
              and p["k"] == 2 else p for p in full["pairs"]]
@@ -121,10 +121,11 @@ def test_failed_check_carries_its_detail(monkeypatch):
     assert code == 1
     (pipeline,) = cert["checks"]
     assert pipeline["error"] == "VerificationError: e6: no free c-cycle " \
-                                "fits the witnesses of Lmu_plus"
-    assert pipeline["detail"].startswith(
-        "{'meets': [2, 4, 5, 6, 7, 8], 'misses': [1, 3, 9, 10, 11], "
-        "'cycles': [[1, 4, 6, 8, 11], [4, 5, 6, 7, 8]]}")
+                                "fits the row of Lmu_plus"
+    assert pipeline["detail"] == (
+        "{'row': [-1, 0, 1, 0, 1, 1, 1, 1, 1, 0, 0, 0], 'cycles': "
+        "[[-1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1], "
+        "[-1, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0]]}")
 
 
 def test_a_table_compares_the_e_rows_with_h(monkeypatch,
@@ -296,10 +297,12 @@ def test_audit_runs():
 
 
 def test_audit_never_verifies_an_overflow():
-    # at t = 1e300 the S7 samples overflow in doubles; a NaN residue must
-    # fail the audit, not pass it
-    with pytest.raises(VerificationError):
-        numeric_curve_audit(build_surface("s7"), NumericConfig(t=10**300))
+    # at t = 1e305 the S7 graphs, and at t = 1e300 the parameter s of an S8
+    # member, overflow in doubles: the audit must fail, not pass
+    with pytest.raises(VerificationError, match="a double overflows"):
+        numeric_curve_audit(build_surface("s7"), NumericConfig(t=10**305))
+    with pytest.raises(VerificationError, match="a double overflows"):
+        numeric_curve_audit(build_surface("s8"), NumericConfig(t=10**300))
 
 
 @pytest.mark.parametrize("argv", [
@@ -337,8 +340,8 @@ def test_audit_verifies_at_the_ends_of_the_tol_range(tol):
 
 @pytest.mark.parametrize("tol", ["1e-6", "1", "1e-300"])
 def test_audit_tol_out_of_range_exits_2(monkeypatch, tol):
-    # --tol 1 cannot fail, 1e-6 lets a wrong S8 candidate pass at
-    # t = 1/4096, and 1e-300 refutes S7 on rounding error
+    # --tol 1 cannot fail, 1e-6 lets an S7 or S8 graph with one coefficient
+    # off by a relative 1e-6 pass, and 1e-300 refutes S7 on rounding error
     def unreachable(*args, **kwargs):
         raise AssertionError("the oracle ran at a tolerance out of range")
     monkeypatch.setattr(numeric, "numeric_curve_audit", unreachable)
@@ -508,9 +511,12 @@ PINNED = {
     # per divisor g of the period, the descriptor has no `over` and no
     # `orbit_structure` entry an `m` (the verdict's `over` names m); since
     # each E family's entry says how many c-cycles it covers, each of the
-    # three carries `cycles` 1
-    ("verdict", "e6", "--ext", "12"): "538a588a1fef4a6753d7c7a01cea6511"
-                                      "292b71c6c5c76a472dc06209887b7e59",
+    # three carries `cycles` 1; since each Galois orbit is matched to the
+    # one c-cycle whose meeting numbers are its exact row, the `rule-table`
+    # note says so instead of "S7/S8 match Coxeter cycles by lengths and
+    # certified meets only"
+    ("verdict", "e6", "--ext", "12"): "fd6b91e1843080bcc4e33541037b821b"
+                                      "b8dc000c03e5eb71a72e73f876fb956e",
     # the default certificate of the whole suite (seed 0), the behavioural
     # contract that a refactor must keep byte for byte; since the oracle
     # samples each S6 line on its exact graph over P^1_(W:X) instead of on
@@ -518,9 +524,12 @@ PINNED = {
     # max_residue values (t = 2, 3, 5) changed, each still about 4e-14;
     # since the S8 b-roots are read off the roots of the branch x-quartics
     # P_i instead of solved at each mu0, the three numeric-oracle
-    # audit.surfaces.s8[t] max_residue values changed, each still < 1e-11
-    ("reproduce-paper",): "375aa8c5e38b488c28166492de79847d"
-                          "2ffc204a5ef1e7bc4d95c77e51d0058a"}
+    # audit.surfaces.s8[t] max_residue values changed, each still < 1e-11;
+    # since the oracle samples each S7 and S8 member on the exact graph of
+    # its root over P^1_(W:X), the six audit.surfaces.s7[t] and s8[t]
+    # max_residue values changed, each now about 5e-15 (s7) or 1e-14 (s8)
+    ("reproduce-paper",): "6f50d836a270ce25e9480422766f5aaa"
+                          "aaba059e65038c95b60c2dcebdeb6afb"}
 
 
 # sha256 of the S7 and S8 curve certificates: every curve form is the
@@ -557,10 +566,15 @@ PINNED_RECORDS = {("verdict", "dn:6", "--ext", "6"):
                   # certified by power sums, `orbits` holds the
                   # `orbit_structure` of the branches P1 and P2, where it
                   # was empty; since each says how many c-cycles its family
-                  # covers, both carry `cycles` 4
+                  # covers, both carry `cycles` 4; since each Galois orbit
+                  # is matched to a c-cycle by its exact row, the
+                  # justification's `intersections` are the rows of the
+                  # four orbits of each branch, not the witnesses at the
+                  # xi-orders 2, 3 and 5, and the `rule-table` note names
+                  # that match
                   ("verdict", "e8", "--ext", "30"):
-                  "e74043d78e69c2149807ea3c3c336837"
-                  "105d36134db415478542978c90144e80"}
+                  "bbc86f5145d6504b51b56e09fb5df48b"
+                  "e9e200cb77d6ce84e4bab24b948317fc"}
 
 
 def _sha256_of(argv):

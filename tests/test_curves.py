@@ -1,14 +1,22 @@
 """Exceptional-curve enumeration: counts and the displayed residual
 polynomials, bit for bit."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from kleinfib.curves import (VerificationError, an_tower, certify_s6_lines,
-                             chain_subs, coprime_at_t2, dn_tower,
-                             enumerate_an, enumerate_dn, enumerate_s7,
-                             enumerate_s8, q_cubic, q1_quartic, q2_quartic,
+import kleinfib
+from kleinfib import numeric
+from kleinfib.curves import (VerificationError, _certify_membership,
+                             _graph_forms, _root_graph, an_tower,
+                             certify_s6_lines, chain_subs, coprime_at_t2,
+                             dn_tower, enumerate_an, enumerate_dn,
+                             enumerate_s7, enumerate_s8, q_cubic, q1_quartic,
+                             q2_quartic, residual_coefficients,
                              s6_alpha_lines, s6_line_tower, s7_e0_tower,
                              strip_content)
 from kleinfib.geometry import build_catalog, build_surface
@@ -222,3 +230,91 @@ def test_vanishing_s6_radicand_is_refused(monkeypatch):
         _i_sqrt3(T)[0], T.lift(Fraction(45, 26))))
     with pytest.raises(VerificationError, match="S6 radicand vanishes"):
         certify_s6_lines.__wrapped__(build_surface("s6"))
+
+
+# run as `python -c`: reproduce-paper with one int of the stored root of Q
+# (argv[1] = s7) or of Q1 (s8) off by one
+PATCHED_ROOT = """
+import sys
+from kleinfib import cli, curves
+if sys.argv[1] == "s7":
+    (a, *rest), den = curves.S7_ROOT
+    curves.S7_ROOT = ((a + 1, *rest), den)
+else:
+    ((a, *rest), den), other = curves.S8_ROOTS
+    curves.S8_ROOTS = (((a + 1, *rest), den), other)
+sys.exit(cli.main(["reproduce-paper"]))
+"""
+
+
+@pytest.mark.parametrize("surface,label", [("s7", "Q"), ("s8", "Q1")])
+def test_a_stored_root_off_by_one_fails_its_curve_check(surface, label):
+    # in a process of its own, so that no cache here holds the failure
+    src = os.path.dirname(os.path.dirname(kleinfib.__file__))
+    run = subprocess.run([sys.executable, "-c", PATCHED_ROOT, surface],
+                         capture_output=True, text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 1, run.stderr
+    checks = {c["name"]: c for c in json.loads(run.stdout)["checks"]}
+    assert checks["curves-" + surface]["error"] == (
+        "VerificationError: the stored root of %s is not a nonzero root of "
+        "it" % label)
+
+
+@pytest.mark.parametrize("surface,branch", [("s7", "main"), ("s8", "P1"),
+                                            ("s8", "P2")])
+def test_a_changed_graph_coefficient_fails_membership(surface, branch):
+    # the representative's graph lies on the surface, and with any one of
+    # its coefficients scaled by 1 + 10^-6 it no longer does
+    s = build_surface(surface)
+    curves = (enumerate_s7 if surface == "s7" else enumerate_s8)(s)[0]
+    family = next(c for c in curves if c.branch == branch)
+    y, z = family.data["graph"]
+    t = family.data["t"]
+    graph = [list(y), list(z)]
+    _certify_membership(s, t.tower, dict(zip("YZ", _graph_forms(*graph))), t)
+    for row, coeffs in enumerate(graph):
+        for k, c in enumerate(coeffs):
+            bad = [list(y), list(z)]
+            bad[row][k] = c * Fraction(10 ** 6 + 1, 10 ** 6)
+            with pytest.raises(VerificationError, match="membership"):
+                _certify_membership(s, t.tower,
+                                    dict(zip("YZ", _graph_forms(*bad))), t)
+
+
+@pytest.mark.parametrize("surface,count", [("s7", 3), ("s8", 4)])
+def test_the_roots_are_all_the_residual_roots(surface, count):
+    # each family counts binomial degree times its distinct conjugate
+    # roots, and their floats are the residual's roots solved directly
+    curves, residuals = (enumerate_s7 if surface == "s7"
+                         else enumerate_s8)(build_surface(surface))
+    families = [c for c in curves if c.index is None]
+    residuals = [residuals] if surface == "s7" else list(residuals)
+    for family, residual in zip(families, residuals, strict=True):
+        roots = family.data["roots"]
+        h = roots[1].tower.M
+        assert len(roots) == count and family.count == h * count
+        q = residual_coefficients(residual, family.parameter)
+        direct = numeric_roots(q, NumericConfig())
+        values = [numeric._embed(x, 1) for x in roots.values()]
+        for value in values:
+            assert min(abs(value - r) for r in direct) < 1e-9 * abs(value)
+        assert len(values) == len(direct)
+
+
+def test_a_denominator_no_monomial_at_the_root_is_refused():
+    # at t = e^18 / u the S7 d-denominator 115 e^18 - 28 t is a nonzero
+    # monomial; with a term e added it is not, and the graph is refused
+    s7 = build_surface("s7")
+    main = enumerate_s7(s7)[0][-1]
+    V, templates = _templates("s7")
+    pairs = dict(main.data["coeff_pairs"])
+    nd, dd = pairs["d"]
+    pairs["d"] = (nd, dd + MultiPoly.var(dd.vars, "e"))
+    t, roots = main.data["t"], main.data["roots"]
+    with pytest.raises(VerificationError, match=r"den\(d\) is not a nonzero "
+                                                "monomial"):
+        _root_graph(s7, pairs, (templates["Y"], templates["Z"]), roots, t)
+    graph = _root_graph(s7, main.data["coeff_pairs"],
+                        (templates["Y"], templates["Z"]), roots, t)["graph"]
+    assert graph == main.data["graph"]

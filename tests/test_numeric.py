@@ -3,21 +3,15 @@ numeric audits."""
 
 import cmath
 import copy
-import json
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
-import kleinfib
 from kleinfib import curves, numeric, orbits
 from kleinfib.curves import (VerificationError, q_cubic, q1_quartic,
                              q2_quartic)
 from kleinfib.geometry import build_catalog, build_surface
-from kleinfib.multipoly import MultiPoly
 from kleinfib.numeric import (NumericConfig, durand_kerner,
                               numeric_curve_audit, numeric_roots,
                               sturm_vs_numeric)
@@ -66,45 +60,29 @@ def test_durand_kerner_scaling():
 
 
 def test_specialization_guard():
-    # the residuals stay squarefree at every t != 0: Q, Q1 and Q2 are
-    # squarefree with a nonzero constant term, proved on the exact side
-    assert [curves.radical_count(q(), 1, "q")
-            for q in (q_cubic, q1_quartic, q2_quartic)] == [3, 4, 4]
+    # the residuals stay squarefree at every t != 0: Q, Q1 and Q2 each have
+    # deg q distinct nonzero roots, exhibited on the exact side
+    assert [len(curves.residual_roots(q(), h, root, "q")) for q, h, root in (
+        (q_cubic, 18, curves.S7_ROOT), (q1_quartic, 30, curves.S8_ROOTS[0]),
+        (q2_quartic, 30, curves.S8_ROOTS[1]))] == [3, 4, 4]
     for name in ("s6", "s7", "s8"):
         with pytest.raises(VerificationError, match="t = 0"):
             numeric_curve_audit(build_surface(name), NumericConfig(t=0))
 
 
-# run as `python -c`: reproduce-paper with Q replaced by the cubic argv[1]
-PATCHED_Q = """
-import sys
-from fractions import Fraction
-from kleinfib import cli, curves
-cubic = [Fraction(c) for c in sys.argv[1].split(",")]
-curves.q_cubic = lambda: list(cubic)
-sys.exit(cli.main(["reproduce-paper"]))
-"""
-
-
-@pytest.mark.parametrize("cubic,error", [
-    ([-2, 5, -4, 1], "Q is not squarefree"),      # (X - 1)^2 (X - 2)
-    ([0, 2, -3, 1], "Q vanishes at 0")],          # X (X - 1)(X - 2)
+@pytest.mark.parametrize("cubic,root,error", [
+    ([-2, 5, -4, 1], 1, "Q has 1 distinct conjugate roots, not 3"),
+    ([0, 2, -3, 1], 0, "the stored root of Q is not a nonzero root")],
     ids=["double-root", "zero-constant"])
-def test_squarefree_proof_refuses(cubic, error):
+def test_squarefree_proof_refuses(cubic, root, error):
+    # (X - 1)^2 (X - 2) and X (X - 1)(X - 2), each with a stored root of its
+    # own: the certificate needs deg Q distinct nonzero conjugate roots,
+    # which a cubic with a double root or a root 0 does not have
     with pytest.raises(VerificationError, match=error):
-        curves.radical_count([Fraction(c) for c in cubic], 18, "Q")
-    assert curves.radical_count(q_cubic(), 18, "Q") == 54
-    # patched in as Q, the cubic fails curves-s7 of a reproduction run, in
-    # a process of its own, so that no cache here holds the failure
-    src = os.path.dirname(os.path.dirname(kleinfib.__file__))
-    run = subprocess.run(
-        [sys.executable, "-c", PATCHED_Q, ",".join(map(str, cubic))],
-        capture_output=True, text=True, timeout=300,
-        env=dict(os.environ, PYTHONPATH=src))
-    assert run.returncode == 1, run.stderr
-    checks = {c["name"]: c for c in json.loads(run.stdout)["checks"]}
-    assert checks["curves-s7"]["status"] == "failed"
-    assert checks["curves-s7"]["error"] == "VerificationError: " + error
+        curves.residual_roots([Fraction(c) for c in cubic], 18,
+                              ((root, 0, 0), 1), "Q")
+    assert len(curves.residual_roots(q_cubic(), 18, curves.S7_ROOT,
+                                     "Q")) == 3
 
 
 def test_sturm_vs_numeric():
@@ -150,7 +128,7 @@ def test_unknown_surface():
 
 @pytest.mark.parametrize("name,data,error", [
     ("s7", "_s7_main_data", "S7 residue"),
-    ("s8", "_s8_branch_data", "S8 branch P1: 0 of 4 b-roots")])
+    ("s8", "_s8_branch_data", "S8 residue")])
 def test_perturbed_coefficient_is_refuted(monkeypatch, name, data, error):
     bad = build_catalog(mutation=(name, 0, 1, Fraction(1)))[name]
     with pytest.raises(VerificationError):
@@ -170,16 +148,16 @@ def test_perturbed_coefficient_is_refuted(monkeypatch, name, data, error):
                          ids=["t W^6", "W X^5"])
 def test_shared_sample_terms_come_from_the_model(monkeypatch, term,
                                                   monomial):
-    # the terms in W and X alone, summed once per sample for all four
-    # b-roots, are read from the audited equation: either coefficient
-    # changed, the exact curves of the unchanged surface are refuted
+    # the sample points are drawn once per seed, and the terms in W and X
+    # alone are read from the audited equation: either coefficient changed,
+    # the exact curves of the unchanged surface are refuted
     bad = build_catalog(mutation=("s8", 0, term, Fraction(1, 2)))["s8"]
     clean = build_surface("s8")
     assert {e for e in bad.equation.terms
             if bad.equation.terms[e] != clean.equation.terms[e]} == {monomial}
     exact = orbits._s8_branch_data
     monkeypatch.setattr(orbits, "_s8_branch_data", lambda s: exact(clean))
-    with pytest.raises(VerificationError, match="0 of 4 b-roots"):
+    with pytest.raises(VerificationError, match="S8 residue"):
         numeric.numeric_audit_s8(bad, CFG)
 
 
@@ -257,44 +235,116 @@ def test_s6_determinant_gap(t):
     assert det_meets == 111 and set(degrees) == {8, 10}
 
 
+def _perturbed(constants, row, k):
+    """_constants with coefficient k of graph row (0 for Y, 1 for Z) off by
+    a relative 1e-6."""
+    out = [list(coeffs) for coeffs in constants]
+    c, e = out[row][k]
+    out[row][k] = (c * (1 + 1e-6), e)
+    return out
+
+
 def test_perturbed_s6_graph_is_refuted(monkeypatch):
     # the oracle samples the exact graphs it is handed: one coefficient of
-    # the plus branch's graph off by a relative 1e-6 leaves the surface
+    # the plus branch's graph off by a relative 1e-6 leaves the surface; so
+    # does one of the S7 representative's and one of the S8 P1 family's, at
+    # t = 2 and at the ends of the t range
     alpha_graphs, branches = numeric._s6_graphs()
-    (branch, c, (y, z)), other = branches
-    bad = [(branch, c, ([y[0] * (1 + Fraction(1, 10 ** 6)), y[1]], z)),
-           other]
+    (branch, c, graph), other = branches
+    bad = [(branch, c, _perturbed(graph, 0, 0)), other]
     monkeypatch.setattr(numeric, "_s6_graphs", lambda: (alpha_graphs, bad))
     with pytest.raises(VerificationError, match="S6 membership residue"):
         numeric.numeric_audit_s6(build_surface("s6"), CFG)
+    exact = numeric._radical_graphs
+
+    def perturbed(family):
+        n, roots = exact(family)
+        (c, constants), *rest = roots
+        return n, [(c, _perturbed(constants, 1, 1))] + rest
+    monkeypatch.setattr(numeric, "_radical_graphs", perturbed)
+    for t in (2, 2 ** 12, -2 ** 12, Fraction(1, 2 ** 12),
+              Fraction(-1, 2 ** 12)):
+        cfg = NumericConfig(t=t)
+        with pytest.raises(VerificationError, match="S7 residue"):
+            numeric.numeric_audit_s7(build_surface("s7"), cfg)
+        with pytest.raises(VerificationError, match="S8 residue"):
+            numeric.numeric_audit_s8(build_surface("s8"), cfg)
+
+
+def _member_b(family, cfg):
+    """(mu, b) of the 120 members of an S8 branch family at cfg.t, read off
+    the oracle's float graphs: b is the coefficient of W X in Y."""
+    n, roots = numeric._radical_graphs(family)
+    tval, out = float(cfg.t), []
+    for c, constants in roots:
+        s0 = (tval / c) ** (1 / n)
+        for w in numeric._roots_of_unity(abs(n)):
+            out.append((s0 * w, numeric._graph_at(constants, s0 * w)[0][1]))
+    return out
 
 
 @pytest.mark.parametrize("branch,quartic", [("P1", q1_quartic()),
                                             ("P2", q2_quartic())])
 def test_rotated_b_roots_match_a_direct_solve(branch, quartic):
-    main = _s8_branch_data(build_surface("s8"))[1][branch]
-    rows = numeric._s8_b_roots(main, quartic, CFG)
-    assert len(rows) == 120
-    for _, coeffs, rotated in rows[::7]:
-        direct = durand_kerner(coeffs, CFG)
-        for b in rotated:
-            assert min(abs(b - d) for d in direct) < 1e-9 * (1 + abs(b))
+    # the members' x = -mu^30 t are the roots of Q_i, and their b, rotated
+    # and conjugated from the representative's exact graph, are roots of
+    # the branch quartic at their mu, both solved directly in floats
+    family = _s8_branch_data(build_surface("s8"))[1][branch]
+    Pi = _b_quartic_at(family)
+    members = _member_b(family, CFG)
+    assert len(members) == 120
+    xs = numeric_roots(quartic, CFG)
+    for mu, b in members[::7]:
+        x = -mu ** 30 * float(CFG.t)
+        assert min(abs(x - r) for r in xs) < 1e-9 * (1 + abs(x))
+        direct = durand_kerner(Pi(mu), CFG)
+        assert min(abs(b - d) for d in direct) < 1e-9 * (1 + abs(b))
+
+
+def _b_quartic_at(family):
+    """The branch quartic P_i(b mu^4) of an S8 family as mu -> its
+    coefficients in b."""
+    P = curves.s8_branch_quartics(("b", "mu"))[int(family.branch[1]) - 1]
+
+    def coeffs(mu):
+        out = [0j] * 5
+        for (i, e), c in P.terms.items():
+            out[i] += complex(c) * mu ** e
+        return out
+    return coeffs
 
 
 def test_wrong_b_weight_is_refuted(monkeypatch):
-    # the oracle rotates the b-roots by the weight of b the exact family
-    # stores; one off by one is refuted where the rotated roots land
-    weights = _s8_branch_data(build_surface("s8"))[1]["P1"].data["weights"]
-    assert weights[0] == 30 and weights[1]["b"] == 26
-    monkeypatch.setitem(weights[1], "b", 27)
-    with pytest.raises(VerificationError, match="root residual"):
+    # the oracle rotates each graph coefficient by its power of mu, which
+    # the exact graph stores: b = beta mu^-4 taken as beta mu^-3 is refuted
+    # at the members it moves
+    _wrong_weight(monkeypatch, "s8", 0, 1)
+    with pytest.raises(VerificationError, match="S8 residue"):
         numeric.numeric_audit_s8(build_surface("s8"), CFG)
 
 
+def _wrong_weight(monkeypatch, name, row, k):
+    """The exact family of s7 or s8 (branch P1) with the power of s in
+    coefficient k of its graph's Y (row 0) or Z (row 1) raised by one."""
+    data = orbits._s7_main_data if name == "s7" else orbits._s8_branch_data
+    found = data(build_surface(name))
+    family = found[2] if name == "s7" else found[1]["P1"]
+    graph = [list(cs) for cs in family.data["graph"]]
+    graph[row][k] = graph[row][k] * graph[row][k].tower.gen(
+        family.data["t"].tower.var)
+    patched = copy.copy(family)
+    patched.data = dict(family.data, graph=graph)
+    if name == "s7":
+        patched_data = (found[0], found[1], patched)
+    else:
+        patched_data = (found[0], dict(found[1], P1=patched))
+    monkeypatch.setattr(orbits, data.__name__, lambda s: patched_data)
+
+
 def test_q_q1_q2_are_solved_once(monkeypatch):
-    # the roots of Q, Q1 and Q2 do not depend on t: the Sturm step and the
-    # audits at t = 2, 3, 5 share one solve of each (a fresh seed and tol
-    # keep the caches cold)
+    # the roots of Q, Q1 and Q2 do not depend on t: the Sturm step solves
+    # each once, and the audits at t = 2, 3, 5 solve none, as they read the
+    # exact roots (a fresh seed and tol keep the caches cold)
     calls, solve = [], numeric.durand_kerner
     monkeypatch.setattr(numeric, "durand_kerner",
                         lambda c, cfg: calls.append(list(c)) or solve(c, cfg))
@@ -302,84 +352,86 @@ def test_q_q1_q2_are_solved_once(monkeypatch):
     catalog = build_catalog()
     sturm_vs_numeric(catalog["s7"], catalog["s8"], cfg)
     numeric.full_audit(catalog, tol=cfg.tol, seed=cfg.seed)
-    # nor do those of the S8 branch x-quartics P1(x), P2(x), Pi = Pi(b mu^4):
-    # the b-roots of every row are read off them, no b-quartic row is solved
-    p1, p2 = [-1, -30, -260, -690, 5], [-1, -10, -20, 10, 5]
-    solved = (q_cubic(), q1_quartic(), q2_quartic(), p1, p2)
+    solved = (q_cubic(), q1_quartic(), q2_quartic())
     for q in solved:
         assert calls.count(q) == 1
     assert len(calls) == len(solved)
 
 
-def test_branch_quartic_must_be_a_polynomial_in_b_mu_k(monkeypatch):
-    # the b-roots are read off P_i(x) only while each term b^i mu^e of the
-    # branch quartic has e = k i; an extra b mu^5 term is refused
-    curves, mains = _s8_branch_data(build_surface("s8"))
-    bad = copy.copy(mains["P1"])
-    Pi = bad.data["branch_quartic"]
-    bad.data = dict(bad.data, branch_quartic=Pi + MultiPoly.var(
-        Pi.vars, "b") * MultiPoly.var(Pi.vars, "mu", 5))
-    monkeypatch.setattr(orbits, "_s8_branch_data",
-                        lambda s: (curves, dict(mains, P1=bad)))
-    with pytest.raises(VerificationError, match="P1: the branch quartic"):
-        numeric.numeric_audit_s8(build_surface("s8"), CFG)
+def test_branch_quartic_must_be_a_polynomial_in_b_mu_k():
+    # each term b^i mu^e of the branch quartic P_i(b, mu) has e = 4 i, and
+    # the b of each branch's exact graph, from the certified b-fraction, is
+    # beta / mu^4 with P_i(beta) = 0 exactly in Q(zeta_30)
+    families = _s8_branch_data(build_surface("s8"))[1]
+    for i, Pi in enumerate(curves.s8_branch_quartics(("b", "mu"))):
+        assert all(e == 4 * k for k, e in Pi.terms)
+        b = families["P%d" % (i + 1)].data["graph"][0][1]
+        (k, _), = b.payload[0].items()
+        beta = b * b.tower.gen("mu") ** 4
+        assert k == -4 and Pi.evaluate({"b": beta, "mu": 1}) == 0
 
 
 @pytest.mark.parametrize("name,branch", [("s8", "P1"), ("s8", "P2"),
                                          ("s7", None)])
 def test_rotated_chain_matches_a_direct_solve(name, branch):
-    # the chain rotated to each point equals the chain solved there: S8 at
-    # every 7th mu, S7 at every e
+    # each member's float graph, the representative's exact graph rotated
+    # and conjugated, equals the elimination chain solved directly at its
+    # s and t in floats: S8 at every 7th member, from the root b of the
+    # branch quartic at its mu nearest its graph's (the b-fraction cancels
+    # catastrophically in doubles), S7 at every member
     tval = float(CFG.t)
     if name == "s8":
-        main = _s8_branch_data(build_surface("s8"))[1][branch]
-        quartic = q1_quartic() if branch == "P1" else q2_quartic()
-        rows = numeric._s8_chains(main, quartic, CFG)
-        # the chains sit at the certified mu and b-roots
-        for (mu, _, bs), points in zip(
-                numeric._s8_b_roots(main, quartic, CFG), rows, strict=True):
-            assert [point[:2] for point in points] == [(mu, b) for b in bs]
-        names = numeric.S8_NAMES
-        points = [point for points in rows[::7] for point in points]
-        free = ("mu", "b")
-        chain = numeric._chain(main.data["coeff_pairs"], {"t": tval})
+        family = _s8_branch_data(build_surface("s8"))[1][branch]
+        free, names, step = "mu", ("a", "b", "d", "e", "f"), 7
     else:
-        # the 54 e of the audit: the orbits of (u t)^(1/18), u a root of Q
-        main = _s7_main_data(build_surface("s7"))[2]
-        names, free = "abcde", ("e",)
-        weights = main.data["weights"][1]
-        chain = numeric._chain(main.data["coeff_pairs"], {"t": tval})
-        points = [point for u in numeric_roots(q_cubic(), CFG)
-                  for point in numeric._orbit(
-                      chain, weights, {"e": (u * tval) ** (1 / 18)}, 18,
-                      names)]
-        assert len(points) == 54
-    for point in points:
-        env = dict(zip(names, point, strict=True))
-        direct = numeric._solve(chain, {n: env[n] for n in free})
-        for n in main.data["coeff_pairs"]:
-            assert abs(env[n] - direct[n]) < 1e-9 * (1 + abs(env[n]))
+        family = _s7_main_data(build_surface("s7"))[2]
+        free, names, step = "e", ("a", "b", "c", "d", "e"), 1
+    n, roots = numeric._radical_graphs(family)
+    members = []
+    for c, constants in roots:
+        s0 = (tval / c) ** (1 / n)
+        members += [(s0 * w, numeric._graph_at(constants, s0 * w))
+                    for w in numeric._roots_of_unity(abs(n))]
+    assert len(members) == family.count
+    for s, (y, z) in members[::step]:
+        env = {free: s, "t": tval}
+        if name == "s8":
+            env["b"] = min(durand_kerner(_b_quartic_at(family)(s), CFG),
+                           key=lambda b: abs(b - y[1]))
+        fractions = family.data["coeff_pairs"]
+        for v, (num, den) in reversed(fractions.items()):
+            env[v] = _float_at(num, env) / _float_at(den, env)
+        values = y + z if name == "s7" else y[:2] + z[:3]
+        for v, value in zip(names, values, strict=True):
+            assert abs(value - env[v]) < 1e-7 * (1 + abs(env[v])), v
+
+
+def _float_at(p, env):
+    """The MultiPoly p at the floats env (its other variables 0)."""
+    total = 0j
+    for e, c in p.terms.items():
+        term = complex(c)
+        for v, k in zip(p.vars, e):
+            if k:
+                term *= env.get(v, 0) ** k
+        total += term
+    return total
 
 
 def test_wrong_f_weight_is_refuted(monkeypatch):
-    # f is rotated with the chain too: its weight off by one is refuted by
-    # the residues, as that of a is
-    family = _s8_branch_data(build_surface("s8"))[1]["P1"]
-    weights = family.data["weights"][1]
-    monkeypatch.setitem(weights, "f", weights["f"] + 1)
-    with pytest.raises(VerificationError, match="b-roots on the surface"):
+    # f is rotated with the graph too: its power of mu off by one is
+    # refuted by the residues, as that of a is
+    _wrong_weight(monkeypatch, "s8", 1, 2)
+    with pytest.raises(VerificationError, match="S8 residue"):
         numeric.numeric_audit_s8(build_surface("s8"), CFG)
 
 
 @pytest.mark.parametrize("name,error", [("s7", "S7 residue"),
-                                        ("s8", "b-roots on the surface")])
+                                        ("s8", "S8 residue")])
 def test_wrong_chain_weight_is_refuted(monkeypatch, name, error):
-    # the oracle rotates the solved chain by the weights the exact family
-    # stores; a weight of a off by one is refuted by the residues
-    data = _s7_main_data if name == "s7" else _s8_branch_data
-    family = next(c for c in data(build_surface(name))[0] if c.index is None)
-    weights = family.data["weights"][1]
-    monkeypatch.setitem(weights, "a", weights["a"] + 1)
+    # the oracle rotates each coefficient of the exact graph by its power
+    # of the parameter; that of a off by one is refuted by the residues
+    _wrong_weight(monkeypatch, name, 0, 0)
     audit = getattr(numeric, "numeric_audit_" + name)
     with pytest.raises(VerificationError, match=error):
         audit(build_surface(name), CFG)

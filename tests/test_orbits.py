@@ -1,6 +1,5 @@
 """Galois orbits, intersection witnesses and rationality verdicts."""
 
-import copy
 from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
@@ -140,23 +139,20 @@ def _endpoint(case, m, surface):
 
 def test_kept_orbits_need_a_certified_meeting_pair(monkeypatch,
                                                      fresh_verdicts):
-    # without the xi-order-3 witnesses (k = 4, 8) no certified pair keeps
-    # the <c^4>-orbits of L_mu, whose only meets are at k = 4 and 8: the
-    # cells with gcd(m, 12) = 4 and a are refused, and no other cell changes
+    # without the xi-order-3 witnesses (k = 4, 8), the only meets of the
+    # <c^4>-orbits of L_mu, the rows of L_mu are incomplete: they fit no
+    # c-cycle, and every e6 cell is refused, those with gcd(m, 12) = 4 too
     s6 = build_surface("s6")
-    before = {m: _endpoint("e6", m, s6) for m in range(1, 31)}
     orbits._coxeter_match.cache_clear()
     orbits.minimal_model.cache_clear()
     _s6_reporting(monkeypatch, lambda p: None if p.get("k") in (4, 8) else p)
     for m in range(1, 31):
-        if gcd(m, 12) == 4:
-            with pytest.raises(VerificationError,
-                               match="no certified meeting pair") as info:
-                _model("e6", m, s6)
-            assert info.value.detail["cycle"] == (4, 8)
-            assert 4 not in info.value.detail["certified"]
-        else:
-            assert _endpoint("e6", m, s6) == before[m]
+        with pytest.raises(VerificationError,
+                           match="no free c-cycle fits the row of Lmu_plus"
+                           ) as info:
+            _model("e6", m, s6)
+        row = info.value.detail["row"]
+        assert row[4] is row[8] is None
     with pytest.raises(VerificationError):
         rationality_degree("e6", s6)
 
@@ -166,8 +162,8 @@ def test_kept_orbits_need_a_certified_meeting_pair(monkeypatch,
 def test_a_witness_the_lattice_refutes_fails_the_matching(
         monkeypatch, fresh_verdicts, k, meet, meets):
     # L_mu+ meets L_{xi^k mu+} for k = 4..8 only: a reported meet at k = 2,
-    # or a disjointness at k = 6, fits neither 12-cycle, and every e6 cell
-    # is refused
+    # or a disjointness at k = 6, gives a row that is neither 12-cycle's,
+    # and every e6 cell is refused
     def edited(p):
         if p.get("branch") == "plus" and p["k"] == k:
             return dict(p, intersect=meet)
@@ -176,12 +172,63 @@ def test_a_witness_the_lattice_refutes_fails_the_matching(
     s6 = build_surface("s6")
     for m in (1, 3, 4, 12):
         with pytest.raises(VerificationError,
-                           match="no free c-cycle fits the witnesses of "
+                           match="no free c-cycle fits the row of "
                                  "Lmu_plus") as info:
             _model("e6", m, s6)
-    assert info.value.detail["meets"] == meets
-    assert sorted(info.value.detail["cycles"]) == [[1, 4, 6, 8, 11],
-                                                   [4, 5, 6, 7, 8]]
+    row = info.value.detail["row"]
+    assert [j for j in range(12) if row[j] > 0] == meets
+    assert sorted([j for j in range(12) if cycle[j] > 0]
+                  for cycle in info.value.detail["cycles"]) == [
+        [1, 4, 6, 8, 11], [4, 5, 6, 7, 8]]
+
+
+def test_an_orbit_fitting_several_cycles_is_refused(monkeypatch,
+                                                   fresh_verdicts):
+    # with the two 12-cycles given one row, L_mu+ fits both: refused
+    def same_rows(r, real=lattice.coxeter_cycles):
+        cycles, traces = real(r)
+        twelve = next(meets for cycle, meets in cycles
+                      if len(cycle) == 12 and meets[5])
+        return tuple((cycle, twelve if len(cycle) == 12 else meets)
+                     for cycle, meets in cycles), traces
+    monkeypatch.setattr(lattice, "coxeter_cycles", same_rows)
+    with pytest.raises(VerificationError,
+                       match="more than one free c-cycle fits the row of "
+                             "Lmu_plus"):
+        _model("e6", 1, build_surface("s6"))
+
+
+@pytest.mark.parametrize("case,orbits_", [("e7", 4), ("e8", 8)])
+def test_each_root_orbit_matches_one_cycle_by_its_row(case, orbits_):
+    # every Galois orbit of S7 (the e = 0 pair and one per root of Q) and
+    # of S8 (one per root of Q1, Q2) has an exact row, equal to exactly one
+    # c-cycle's, all rows distinct
+    s = build_surface(case_surface(case))
+    families, reports = orbits._coxeter_match(case, s)
+    rows = [row for _, _, rs in families for row in rs]
+    assert len(rows) == orbits_ and len({tuple(r) for r in rows}) == orbits_
+    cycles = [list(meets) for _, meets in lattice.coxeter_cycles(
+        int(case[1]))[0]]
+    assert sorted(rows) == sorted(cycles)
+    for row in rows:
+        assert cycles.count(row) == 1
+
+
+@pytest.mark.parametrize("case,branch,k", [("e7", "main", 1),
+                                           ("e8", "P2", 7)])
+def test_a_row_with_one_entry_changed_is_refused(monkeypatch, fresh_verdicts,
+                                                 case, branch, k):
+    # the exact rows feed the match: one entry off by one fits no cycle
+    s = build_surface(case_surface(case))
+    rows, rows_of = orbits._root_rows(s, branch), orbits._root_rows
+    bad = {j: list(row) for j, row in rows.items()}
+    bad[1][k] += 1
+    bad[1][len(bad[1]) - k] += 1
+    monkeypatch.setattr(orbits, "_root_rows",
+                        lambda s, b: bad if b == branch else rows_of(s, b))
+    with pytest.raises(VerificationError, match="no free c-cycle fits the "
+                                                "row of %s" % branch):
+        orbits._coxeter_match(case, s)
 
 
 def _squared_cycles(r, real=lattice.coxeter_cycles):
@@ -384,12 +431,15 @@ def test_graph_rule_agrees_with_the_oracle_float_rule():
     # graphs at a sample alpha and mu: 12 of the 25 pairs are disjoint, and
     # every witness zeroes the four forms
     s6 = build_surface("s6")
-    env = dict(numeric.S6_ENV, alpha=1.3 - 0.4j, mu=0.8 + 0.5j)
+    at = {"alpha": 1.3 - 0.4j, "mu": 0.8 + 0.5j}
     pairs, disjoint = _s6_line_pairs(), 0
     for forms1, forms2, T, t in pairs:
         lines = [s6_line(f, T) for f in (forms1, forms2)]
         ok, witness = orbits.lines_meet(*lines, s6, t)
-        floats = [numeric._graph_at(line[1:], env) for line in lines]
+        env = dict(numeric.S6_ENV, **{T.var: 1})
+        floats = [numeric._graph_at(numeric._constants(
+            line[1:], lambda c: c.as_complex(env)), at[T.var])
+            for line in lines]
         assert ok == (numeric._meet_ratio(*floats) < 1e-8)
         if ok:
             point = dict(zip("WXYZ", witness))
@@ -471,65 +521,35 @@ def test_s8_conjugation(order):
     assert s8_conjugation(build_surface("s8"), order)["verified"]
 
 
-def _family(surface, branch):
+def test_conjugation_without_a_witness_is_refused(monkeypatch):
+    # a row without a meet at xi of order 2 (k = 9 on S7): the order-2
+    # conjugates are not shown to meet, and the report is refused
+    s7 = build_surface("s7")
+    rows = orbits._root_rows(s7, "main")
+    assert rows[1][9] == 2 and orbits.s7_conjugation(s7, 2)["meets"] == {
+        9: 2}
+    monkeypatch.setattr(orbits, "_root_rows", lambda s, b: {
+        1: rows[1][:9] + [0] + rows[1][10:]})
+    with pytest.raises(VerificationError, match="order 2 do not meet"):
+        orbits.s7_conjugation.__wrapped__(s7, 2)
+    assert orbits.s7_conjugation.__wrapped__(s7, 3)["meets"] == {6: 1, 12: 1}
+
+
+@pytest.mark.parametrize("surface,branch", [("s7", "main"), ("s8", "P1"),
+                                            ("s8", "P2")])
+def test_conjugate_rows_are_the_representative_row_permuted(surface,
+                                                             branch):
+    # sigma_j carries the pair (C, C_k) over x to (sigma_j C, its curve at
+    # j k) over sigma_j(x): the row of sigma_j(x), computed directly on the
+    # conjugated graph, is the representative's row at k / j
     s = build_surface(surface)
-    if surface == "s7":
-        return orbits._s7_main_data(s)[2]
-    return orbits._s8_branch_data(s)[1][branch]
-
-
-def _with_weights(family, **changes):
-    """A copy of family whose stored xi-weights carry changes."""
-    degree, weights = family.data["weights"]
-    patched = copy.copy(family)
-    patched.data = dict(family.data,
-                        weights=(degree, dict(weights, **changes)))
-    return patched
-
-
-WITNESS_KINDS = {"X=0 point": "the X=0 point of L_mu",
-                 "Z=0 slice": "(1:x0:Y(x0):0) with ",
-                 "Y=0 slice": "(1:x0:0:Z(x0)) with "}
-
-
-@pytest.mark.parametrize("surface,branch,order,kind", [
-    ("s7", "main", 3, "X=0 point"), ("s7", "main", 2, "Z=0 slice"),
-    ("s8", "P1", 5, "X=0 point"), ("s8", "P1", 3, "Y=0 slice"),
-    ("s8", "P1", 2, "Z=0 slice"), ("s8", "P2", 5, "X=0 point"),
-    ("s8", "P2", 3, "Y=0 slice"), ("s8", "P2", 2, "Z=0 slice")])
-def test_conjugation_witness_kind(surface, branch, order, kind):
-    # the one rule takes the first witness the weights support
-    s = build_surface(surface)
-    report = (s7_conjugation(s, order) if surface == "s7"
-              else s8_conjugation(s, order, branch))
-    assert report["verified"]
-    assert [k for k, text in WITNESS_KINDS.items()
-            if text in report["witness"]] == [kind]
-
-
-def test_conjugation_without_a_witness_is_refused():
-    # a weight of a off by one on S7, order 2: a is no longer invariant, so
-    # neither the X=0 point nor the Z=0 slice fits, and the Z-coefficients
-    # are not invariant, so the Y=0 slice does not fit either
-    family = _family("s7", "main")
-    a = family.data["weights"][1]["a"]
-    assert orbits._conjugation(family, 2)["verified"]
-    with pytest.raises(VerificationError, match="support no witness"):
-        orbits._conjugation(_with_weights(family, a=a + 1), 2)
-
-
-@pytest.mark.parametrize("surface,branch,orders", [
-    ("s7", "main", (2, 3)), ("s8", "P1", (2, 3, 5)), ("s8", "P2", (2, 3, 5))])
-def test_conjugation_with_invariant_tops_is_not_distinct(surface, branch,
-                                                         orders):
-    # the top coefficients (+- powers of the parameter) all of weight 0:
-    # L_{xi mu} is L_mu itself, whatever the other weights
-    family = _family(surface, branch)
-    y, z = family.data["forms"]
-    patched = _with_weights(family, **{y[-1]: 0, z[-1]: 0})
-    for order in orders:
-        with pytest.raises(VerificationError, match="not distinct"):
-            orbits._conjugation(patched, order)
+    rows = orbits._root_rows(s, branch)
+    family = (orbits._s7_main_data(s)[2] if surface == "s7"
+              else orbits._s8_branch_data(s)[1][branch])
+    h = len(rows[1])
+    for j in rows:
+        graph = [[c.conjugate(j) for c in cs] for cs in family.data["graph"]]
+        assert orbits._row(graph, h) == rows[j], j
 
 
 def test_s7_e0_pair_meets():

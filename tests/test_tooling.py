@@ -71,18 +71,38 @@ def test_benchmark_spans_name_public_functions_of_their_layers():
 
 def test_modular_coprimality_is_traced_in_univariate():
     # curves calls the modular coprimality test by the name it imports,
-    # which the tracer replaces too: the time of both the squarefree proof
-    # and the coprimality certificates counts in the univariate layer
+    # which the tracer replaces too: the time of the coprimality
+    # certificates of the S7/S8 denominators counts in the univariate layer
     curves = importlib.import_module("kleinfib.curves")
     spans = _tracer().Tracer()
     spans.install()
     try:
-        curves.radical_count(curves.q_cubic(), 18, "Q")
         e, t = (curves.MultiPoly.var(("e", "t"), v) for v in "et")
         assert curves.coprime_at_t2(e * 2, e ** 3 - t, "e")
+        assert not curves.coprime_at_t2(e - t, e ** 2 - t ** 2, "e")
     finally:
         spans.uninstall()
     assert spans.totals["univariate.coprime_mod_p"][0] == 2
+
+
+def test_benchmark_output_checks_pass_in_process():
+    # the benchmark's own output checks, run in process on what it runs:
+    # every command of the mix and of the known defects, an unmutated
+    # reproduction and a mutated one, so that an output the benchmark would
+    # refuse as incorrect fails here first
+    run = _load("run")
+    from kleinfib.cli import main
+
+    def cli(text):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(text.split())
+        return code, out.getvalue(), err.getvalue()
+    for text, expected, fields in run.MIX + run.KNOWN_DEFECTS:
+        assert run.check_command(expected, fields, *cli(text)) == [], text
+    assert run.check_reproduction(*cli("reproduce-paper")[:2]) == []
+    assert run.check_mutation(
+        *cli("reproduce-paper --mutate s8,0,1,2")[:2]) == []
 
 
 def test_traced_commands_record_spans_and_restore_every_name():

@@ -3,6 +3,7 @@
 import cmath
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -308,3 +309,38 @@ def test_rotate_is_mu_to_zeta_mu(M):
             assert (x - y).rotate(e) == x.rotate(e) - y.rotate(e)
         c = z ** 3 + 5
         assert c.rotate(e) == c
+
+
+@pytest.mark.parametrize("M", [12, 18, 30])
+def test_conjugate_is_zeta_to_zeta_power(M):
+    # sigma_j(x), j a unit mod M, is x with zeta_M^j in place of zeta_M and
+    # mu fixed: a ring map, sigma_j sigma_k = sigma_(jk), commuting with the
+    # rotations, and its product over the units other than 1 is the
+    # cofactor that _cyclotomic_inverse takes
+    T = cyclotomic(M).extend_ratfunc("mu")
+    z, mu, rng = T.gen("z%d" % M), T.gen("mu"), random.Random(M)
+
+    def sample():
+        return sum((T.from_fraction(Fraction(rng.randint(-9, 9),
+                                             rng.randint(1, 4)))
+                    * z ** rng.randrange(M) * mu ** k
+                    for k in rng.sample(range(-4, 7), 3)), T.zero())
+    units = [j for j in range(1, M) if gcd(j, M) == 1]
+    for j in units:
+        x, y = sample(), sample()
+        image = sum((T._elem({k: v}, x.payload[1]).conjugate(j)
+                     for k, v in x.payload[0].items()), T.zero())
+        assert x.conjugate(j) == image
+        assert (z ** 5 * mu ** 2).conjugate(j) == z ** (5 * j) * mu ** 2
+        assert (x * y).conjugate(j) == x.conjugate(j) * y.conjugate(j)
+        assert (x + y).conjugate(j) == x.conjugate(j) + y.conjugate(j)
+        assert x.conjugate(j).rotate(3) == x.rotate(3 * pow(j, -1, M)
+                                                    ).conjugate(j)
+        for k in units:
+            assert x.conjugate(j).conjugate(k) == x.conjugate(j * k % M)
+    v = (z + 3).payload[0][0]
+    ring = T._ring
+    cofactor = ring.conjugate(v, units[1])
+    for j in units[2:]:
+        cofactor = ring.mul(cofactor, ring.conjugate(v, j))
+    assert _cyclotomic_inverse(v, ring)[0] == cofactor
