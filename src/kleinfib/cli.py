@@ -719,12 +719,14 @@ def _attach_values(argv):
 def main(argv=None):
     """Run one command; without argv, the process's own, as its entry point
     (the console script, python -m kleinfib.cli).  Everything such a run
-    builds lives until the process exits, so before returning it is frozen
-    out of the cyclic collector (gc.freeze): the interpreter's exit-time
-    collections would only walk it.  main(argv) leaves the collector as it
-    is, for callers that go on running."""
+    builds lives until the process exits, so the cyclic collector is off
+    while it runs (gc.disable: an automatic collection would only walk it)
+    and it is frozen out of the collector before returning (gc.freeze): the
+    interpreter's exit-time collections would only walk it too.  main(argv)
+    leaves the collector as it is, for callers that go on running."""
     if argv is not None:
         return _main(argv)
+    gc.disable()
     try:
         return _main(sys.argv[1:])
     finally:

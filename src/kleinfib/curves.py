@@ -19,7 +19,7 @@ from operator import mul
 from .base import GeometryError, VerificationError, _surface_cache
 from .multipoly import MultiPoly
 from .tower import FieldElement, FieldTower, cyclotomic, root_of_unity
-from .univariate import coprime_mod_p, resultant_poly, subresultant_prs
+from .univariate import resultant_poly, subresultant_prs
 
 
 class CurveSpec:
@@ -149,14 +149,6 @@ def wx_coefficients(p: MultiPoly, degree: int):
     return out
 
 
-def coprime_at_t2(f: MultiPoly, g: MultiPoly, name: str) -> bool:
-    """Coprimality certificate over Q(t): f and g at t = 2, coprime modulo
-    p by univariate.coprime_mod_p, which checks its hypothesis (the leading
-    coefficient of f in `name` is not 0 modulo p at t = 2, so it does not
-    vanish there)."""
-    return coprime_mod_p(f, g, name, {"t": 2})
-
-
 def univariate_from_pure(p: MultiPoly, var_block: str, block: int,
                          tvar: str, sign_flip: bool):
     """Interpret a (mu, t)-polynomial supported on (mu^(block*k), t^k) as a
@@ -282,12 +274,6 @@ def enumerate_s7(s7):
     if hits < 1:
         raise VerificationError("resultant cross-check: residual does not "
                                 "divide Res_d", detail=res)
-
-    # denominators invertible on the residual locus (specialized gcd cert)
-    for dpoly, label in ((2 * ev, "2e"), (dd, "115e^18 - 28t")):
-        if not coprime_at_t2(dpoly, core, "e"):
-            raise VerificationError("denominator %s not invertible modulo "
-                                    "the residual" % label)
 
     # the main family, one curve per root e of the residual, 18 over each
     # root u of Q: forms symbolic in (e, t), and the graph at t = e^18 / u

@@ -17,9 +17,10 @@ sigma_j-conjugate of its family's representative graph over the certified
 root sigma_j(x), its constants embedded exactly and rounded once, at the h
 values of s with t = c s^(+-h).  Two S6 lines meet by the float form of the
 exact rule (orbits.lines_meet).  Samples come from random.Random(seed) in a
-fixed order (per curve, then per sample, then per coordinate), those of S7
-and S8 drawn once per seed, and every audit is cached on its (surface,
-NumericConfig)."""
+fixed order (per curve, then per sample, then per coordinate).  The sample
+points (W, X) do not depend on t, so they are drawn once per seed: the 135
+of the S6 lines, and the 1200 of the S8 members, the first 280 of which are
+those of S7.  Every audit is cached on its (surface, NumericConfig)."""
 
 import cmath
 import math
@@ -339,10 +340,19 @@ def _meet_ratio(line1, line2):
     return abs(y0 * z1 - y1 * z0) / (ny * nz)
 
 
+@lru_cache(maxsize=None)
+def _s6_samples(seed):
+    """The S6 audit's sample points, which do not depend on t: five points
+    (W, X) for each of the 27 lines, drawn by _sample_wx from
+    random.Random(seed)."""
+    rng = random.Random(seed)
+    return [_sample_wx(rng) for _ in range(5 * 27)]
+
+
 def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
     from .curves import certify_s6_lines
     from .orbits import s6_intersections
-    rng = random.Random(cfg.seed)
+    samples = iter(_s6_samples(cfg.seed))
     tags, lines = _s6_numeric_lines(cfg)
     n = len(tags)
     equation = CompiledPoly(s6.equation, dict(S6_ENV, t=float(cfg.t)),
@@ -350,8 +360,7 @@ def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
     # five points (W : X : Y(W, X) : Z(W, X)) on each line
     res = []
     for (y0, y1), (z0, z1) in lines:
-        for _ in range(5):
-            W, X = _sample_wx(rng)
+        for W, X in islice(samples, 5):
             res.append(_residue(*equation.at(
                 (W, X, y0 * W + y1 * X, z0 * W + z1 * X))))
     max_res = _max_residue(res, cfg, "S6 membership residue %.3g")
@@ -396,17 +405,24 @@ def _radical_graphs(family):
                for j in family.data["roots"]]
 
 
+# the sample points of the S7 and S8 audits: five for each of the 240
+# members of S8, of which S7 reads the first 5 * 56
+RADICAL_SAMPLES = 5 * 240
+
+
 @lru_cache(maxsize=None)
-def _samples(seed, count):
-    """The S7 and S8 audits' sample points, which do not depend on t: count
-    points (W, X) drawn by _sample_wx from random.Random(seed), each with
-    its monomials [W^(d-k) X^k for k = 0..d] for d = 0..3."""
+def _samples(seed):
+    """The S7 and S8 audits' sample points, which do not depend on t:
+    RADICAL_SAMPLES points (W, X) drawn by _sample_wx from
+    random.Random(seed), each with its monomials (W^(d-k) X^k for
+    k = 0..d) for the degrees d = 1, 2, 3 of the graphs' Y and Z, those of
+    degree d at index d - 1."""
     rng, out = random.Random(seed), []
-    for _ in range(count):
+    for _ in range(RADICAL_SAMPLES):
         W, X = _sample_wx(rng)
-        Wp, Xp = [1, W, W * W, W * W * W], [1, X, X * X, X * X * X]
-        out.append((W, X, [[Wp[d - k] * Xp[k] for k in range(d + 1)]
-                           for d in range(4)]))
+        W2, X2 = W * W, X * X
+        out.append((W, X, ((W, X), (W2, W * X, X2),
+                           (W2 * W, W2 * X, W * X2, X2 * X))))
     return out
 
 
@@ -415,19 +431,22 @@ def _radical_residues(equation, families, cfg, samples):
     each root, the graph of _radical_graphs at each of the |n| values s of
     t = c s^n, evaluated at the next five of the points `samples`."""
     tval, res, count = float(cfg.t), [], 0
+    point = [0j] * 4            # (W, X, Y, Z), refilled at each sample
     for family in families:
         n, roots = _radical_graphs(family)
+        unity = _roots_of_unity(abs(n))
         for c, constants in roots:
             s0 = (tval / c) ** (1 / n)
             if not (s0 and cmath.isfinite(s0)):
                 raise OverflowError("s = (t / c)^(1/%d) at c = %r" % (n, c))
-            for w in _roots_of_unity(abs(n)):
+            for w in unity:
                 y, z = _graph_at(constants, s0 * w)
-                for _ in range(5):
-                    W, X, monomials = next(samples)
-                    res.append(_residue(*equation.at((
-                        W, X, sum(map(mul, y, monomials[len(y) - 1])),
-                        sum(map(mul, z, monomials[len(z) - 1]))))))
+                dy, dz = len(y) - 2, len(z) - 2
+                for point[0], point[1], monomials in islice(samples, 5):
+                    point[2] = sum(map(mul, y, monomials[dy]))
+                    point[3] = sum(map(mul, z, monomials[dz]))
+                    value, scale = equation.at(point)
+                    res.append(abs(value) / max(scale, 1e-300))  # _residue
                 count += 1
     return res, count
 
@@ -436,7 +455,7 @@ def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
     from .orbits import _s7_main_data
     curves, _, main = _s7_main_data(s7)
     tval = float(cfg.t)
-    samples = iter(_samples(cfg.seed, 5 * 56))
+    samples = iter(_samples(cfg.seed))
     equation = CompiledPoly(s7.equation, {"t": tval}, order="WXYZ")
     # core(e) = t^3 Q(e^18 / t): 54 roots, 18 over each root u of Q
     res, count = _radical_residues(equation, [main], cfg, samples)
@@ -459,7 +478,7 @@ def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
     # F_i ~ q_i(-mu^30 t): 120 roots on each branch, 30 over each root x
     res, count = _radical_residues(equation, [families["P1"],
                                               families["P2"]],
-                                   cfg, iter(_samples(cfg.seed, 5 * 240)))
+                                   cfg, iter(_samples(cfg.seed)))
     return {"surface": "s8", "count": _exact_count(curves, count, "S8"),
             "max_residue": _max_residue(res, cfg, "S8 residue %.3g")}
 

@@ -3,17 +3,14 @@ the one univariate core of the package.
 
 A univariate polynomial over Q is a MultiPoly in one named variable (over
 Q it is flat, int numerators over one common denominator, so everything
-below runs fraction-free on ints).  Here are the derivative, a coprimality
-certificate by Euclid over F_p, p = 2^61 - 1 (``coprime_mod_p``), Sturm's
+below runs fraction-free on ints).  Here are the derivative, Sturm's
 real-root counts by ``div_univariate``, and the pseudo-remainders,
 subresultant PRS and resultants of the elimination chains (Brown and Traub
 1971).  Coefficient lists over Q, low degree first, are read and written
 only at the edges (``to_multipoly``, ``curves.residual_coefficients``): the
-displayed residual polynomials and the field towers keep that form.  Two
-computations run on lists: the modular test reduces its inputs to
-coefficient lists over F_p, on which Euclid runs, and the cyclotomic
-polynomials are int lists, products and exact quotients of binomials
-X^d - 1.
+displayed residual polynomials and the field towers keep that form.  One
+computation runs on lists: the cyclotomic polynomials are int lists,
+products and exact quotients of binomials X^d - 1.
 """
 
 from __future__ import annotations
@@ -38,79 +35,6 @@ def derivative(p: MultiPoly, name: str) -> MultiPoly:
         if e[i]:
             out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
     return MultiPoly(p.vars, out)
-
-
-# the prime of coprime_mod_p, the Mersenne prime 2^61 - 1
-PRIME = (1 << 61) - 1
-
-
-def coprime_mod_p(f: MultiPoly, g: MultiPoly, name: str, point=None) -> bool:
-    """Whether Euclid over F_p, p = PRIME, certifies f and g coprime in
-    `name` (over Q, or over Q(v) for the other variables v), from f and g
-    at the point: each other variable v set to the int point[v].
-    Hypotheses, checked here (VerificationError otherwise): p divides no
-    denominator of f or g, and not the leading coefficient of f in `name`
-    at the point (which so is not 0 there).  Then Res(f, g) at the point is
-    a nonzero multiple of the resultant of f and g at the point, so a common
-    factor of f and g, which makes Res(f, g) = 0, leaves f and g at the
-    point a common factor over Q; taken primitive in Z[name], it keeps its
-    degree modulo p (Gauss: p does not divide its leading coefficient,
-    which divides f's).  So a unit gcd modulo p proves f and g coprime;
-    False proves nothing."""
-    point = point or {}
-    fp = _mod_p_coeffs(f, name, point)
-    if len(fp) != f.degree(name) + 1:
-        raise VerificationError("coprimality modulo p: the leading "
-                                "coefficient in %s is 0 modulo p at %r"
-                                % (name, point), detail=f)
-    return len(_gcd_mod_p(fp, _mod_p_coeffs(g, name, point))) == 1
-
-
-def _mod_p_coeffs(f: MultiPoly, name: str, point) -> list:
-    """The coefficient list of f in `name` at the point, modulo PRIME, high
-    degree first and without leading zeros."""
-    i = f.vars.index(name)
-    fixed = [(j, point[v]) for j, v in enumerate(f.vars) if v in point]
-    free = [j for j, v in enumerate(f.vars) if v != name and v not in point]
-    out = [0] * (f.degree(name) + 1)
-    for e, c in f.terms.items():
-        if any(e[j] for j in free):
-            raise ValueError("polynomial is not univariate in %r" % name)
-        if not c.denominator % PRIME:
-            raise VerificationError("coprimality modulo p: p divides a "
-                                    "denominator", detail=f)
-        v = c.numerator * pow(c.denominator, -1, PRIME)
-        for j, x in fixed:
-            if e[j]:
-                v = v * pow(x, e[j], PRIME)
-        out[e[i]] = (out[e[i]] + v) % PRIME
-    return _strip(out[::-1])
-
-
-def _strip(a: list) -> list:
-    """a (high degree first) without its leading zeros."""
-    k = 0
-    while k < len(a) and not a[k]:
-        k += 1
-    return a[k:]
-
-
-def _gcd_mod_p(a: list, b: list) -> list:
-    """A gcd of a and b over F_p, p = PRIME, [] if both are 0: the last
-    nonzero remainder of Euclid on coefficient lists (high degree first, no
-    leading zeros), each division subtracting only the nonzero terms of the
-    divisor."""
-    while b:
-        inv = pow(b[0], -1, PRIME)
-        tail = [(j, c * inv % PRIME) for j, c in enumerate(b) if j and c]
-        a, start = a[:], len(a) - len(b) + 1
-        for i in range(start):
-            q = a[i]
-            if q:
-                for j, c in tail:
-                    a[i + j] = (a[i + j] - q * c) % PRIME
-        a, b = b, _strip(a[max(start, 0):])
-    return a
 
 
 # ---------------------------------------------------------------------------

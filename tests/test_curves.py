@@ -13,12 +13,11 @@ import kleinfib
 from kleinfib import numeric
 from kleinfib.curves import (VerificationError, _certify_membership,
                              _graph_forms, _root_graph, an_tower,
-                             certify_s6_lines, chain_subs, coprime_at_t2,
-                             dn_tower, enumerate_an, enumerate_dn,
-                             enumerate_s7, enumerate_s8, q_cubic, q1_quartic,
-                             q2_quartic, residual_coefficients,
-                             s6_alpha_lines, s6_line_tower, s7_e0_tower,
-                             strip_content)
+                             certify_s6_lines, chain_subs, dn_tower,
+                             enumerate_an, enumerate_dn, enumerate_s7,
+                             enumerate_s8, q_cubic, q1_quartic, q2_quartic,
+                             residual_coefficients, s6_alpha_lines,
+                             s6_line_tower, s7_e0_tower, strip_content)
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.lattice import minus_one_classes
 from kleinfib.multipoly import MultiPoly
@@ -166,17 +165,6 @@ def test_mutated_s6_fails_line_certification():
     bad = build_catalog(mutation=("s6", 0, 0, Fraction(1, 2)))
     with pytest.raises(VerificationError):
         certify_s6_lines(bad["s6"])
-
-
-def test_coprime_at_t2_checks_its_hypothesis():
-    e, t = MultiPoly.var(("e", "t"), "e"), MultiPoly.var(("e", "t"), "t")
-    # f(2) = 1 is a unit, yet gcd(f, f) = f: the leading coefficient t - 2
-    # vanishes at the specialization, so no certificate may be issued
-    f = (t - 2) * e + 1
-    with pytest.raises(VerificationError):
-        coprime_at_t2(f, f, "e")
-    assert coprime_at_t2(e * 2, e ** 3 - t, "e")
-    assert not coprime_at_t2(e - t, e ** 2 - t ** 2, "e")
 
 
 @pytest.mark.parametrize("n", range(4, 13))

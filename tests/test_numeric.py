@@ -358,6 +358,35 @@ def test_q_q1_q2_are_solved_once(monkeypatch):
     assert len(calls) == len(solved)
 
 
+def test_sample_points_are_drawn_once_per_seed(monkeypatch):
+    # the points (W, X) do not depend on t: one full audit draws the 1200
+    # of S8, whose first 280 are those of S7, and the 135 of S6, once each
+    # (a fresh seed keeps the audit cache cold), and every t reads them
+    draws, seen, where = [], {}, []
+    draw, audit, at = (numeric._sample_wx, numeric.numeric_curve_audit,
+                       numeric.CompiledPoly.at)
+
+    def spy_at(self, x):
+        # the (W, X) of each point evaluated, under its (surface, t)
+        seen.setdefault(where[-1], []).append(tuple(x[:2]))
+        return at(self, x)
+    monkeypatch.setattr(numeric, "_sample_wx",
+                        lambda rng: draws.append(1) or draw(rng))
+    monkeypatch.setattr(numeric, "numeric_curve_audit",
+                        lambda s, cfg: where.append((s.name, cfg.t))
+                        or audit(s, cfg))
+    monkeypatch.setattr(numeric.CompiledPoly, "at", spy_at)
+    numeric._samples.cache_clear()
+    numeric._s6_samples.cache_clear()
+    numeric.full_audit(build_catalog(), seed=29)
+    assert len(draws) == 1200 + 135
+    for t in (2, 3, 5):
+        assert len(seen["s8", t]) == 1200 and len(seen["s6", t]) == 135
+        assert seen["s7", t] == seen["s8", t][:280]
+        assert seen["s6", t] == seen["s6", 2] and \
+            seen["s8", t] == seen["s8", 2]
+
+
 def test_branch_quartic_must_be_a_polynomial_in_b_mu_k():
     # each term b^i mu^e of the branch quartic P_i(b, mu) has e = 4 i, and
     # the b of each branch's exact graph, from the certified b-fraction, is

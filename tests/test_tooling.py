@@ -69,22 +69,6 @@ def test_benchmark_spans_name_public_functions_of_their_layers():
         assert fn.__module__ == "kleinfib." + layer, span
 
 
-def test_modular_coprimality_is_traced_in_univariate():
-    # curves calls the modular coprimality test by the name it imports,
-    # which the tracer replaces too: the time of the coprimality
-    # certificates of the S7/S8 denominators counts in the univariate layer
-    curves = importlib.import_module("kleinfib.curves")
-    spans = _tracer().Tracer()
-    spans.install()
-    try:
-        e, t = (curves.MultiPoly.var(("e", "t"), v) for v in "et")
-        assert curves.coprime_at_t2(e * 2, e ** 3 - t, "e")
-        assert not curves.coprime_at_t2(e - t, e ** 2 - t ** 2, "e")
-    finally:
-        spans.uninstall()
-    assert spans.totals["univariate.coprime_mod_p"][0] == 2
-
-
 def test_benchmark_output_checks_pass_in_process():
     # the benchmark's own output checks, run in process on what it runs:
     # every command of the mix and of the known defects, an unmutated

@@ -1,5 +1,5 @@
-"""Univariate layer: resultants and the modular coprimality test against
-the Sylvester-matrix oracle, Sturm counts against numpy roots."""
+"""Univariate layer: resultants and the subresultant gcd against the
+Sylvester-matrix oracle, Sturm counts against numpy roots."""
 
 import random
 from fractions import Fraction
@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from kleinfib import univariate
 from kleinfib.base import VerificationError
 from kleinfib.multipoly import MultiPoly
-from kleinfib.univariate import (PRIME, coprime_mod_p, count_real_roots,
-                                 cyclotomic_poly, derivative, resultant_poly,
-                                 subresultant_prs, to_multipoly)
+from kleinfib.univariate import (count_real_roots, cyclotomic_poly,
+                                 derivative, resultant_poly, subresultant_prs,
+                                 to_multipoly)
 
 
 def normalize(f):
@@ -88,66 +88,10 @@ def exact_gcd(f, g):
 @settings(max_examples=60, deadline=None)
 @given(polys, polys)
 def test_resultant_vanishes_iff_common_root(f, g):
-    # f and g have small heights: p divides none of their nonzero
-    # resultants, so the modular test certifies exactly the coprime pairs
     if len(f) < 2 or len(g) < 2:
         return
-    coprime = coprime_mod_p(to_multipoly(f), to_multipoly(g), "X")
-    assert (sylvester_resultant(f, g) == 0) == (not coprime)
-    assert (exact_gcd(to_multipoly(f), to_multipoly(g)).degree("X") > 0) \
-        == (not coprime)
-
-
-@settings(max_examples=60, deadline=None)
-@given(polys, polys, polys)
-def test_coprime_mod_p_refuses_a_common_factor(f, g, h):
-    if not h or not (f or g):
-        return
-    F, G, H = (to_multipoly(p) for p in (f, g, h))
-    A, B, Hp = F * H, G * H, univariate._mod_p_coeffs(H, "X", {})
-    # the gcd modulo p keeps the common factor, with its degree
-    d = univariate._gcd_mod_p(univariate._mod_p_coeffs(A, "X", {}),
-                              univariate._mod_p_coeffs(B, "X", {}))
-    assert len(d) - 1 >= H.degree("X")
-    assert len(univariate._gcd_mod_p(d, Hp)) == len(Hp)    # H divides d
-    if H.degree("X") > 0 and not A.is_zero():
-        assert not coprime_mod_p(A, B, "X")
-        # f g^2 is never certified squarefree
-        square = A * H
-        assert not coprime_mod_p(square, derivative(square, "X"), "X")
-
-
-def test_coprime_mod_p_checks_its_hypotheses():
-    e, t = MultiPoly.var(("e", "t"), "e"), MultiPoly.var(("e", "t"), "t")
-    # the leading coefficient t - 2 vanishes at t = 2
-    f = (t - 2) * e + 1
-    with pytest.raises(VerificationError, match="leading coefficient"):
-        coprime_mod_p(f, e, "e", {"t": 2})
-    # the leading coefficient p is 0 modulo p, though not 0: x p + 1 and
-    # x p + 1 share everything and would reduce to the unit 1
-    g = e * PRIME + 1
-    with pytest.raises(VerificationError, match="leading coefficient"):
-        coprime_mod_p(g, g, "e", {"t": 2})
-    # t - 2 + p is p at t = 2: not 0, but 0 modulo p
-    with pytest.raises(VerificationError, match="leading coefficient"):
-        coprime_mod_p((t - 2 + PRIME) * e + 1, e, "e", {"t": 2})
-    assert coprime_mod_p((t - 3 + PRIME) * e + 1, e, "e", {"t": 2})
-    # a denominator divisible by p, in f or in g
-    bad = e * 2 + MultiPoly.const(("e", "t"), Fraction(1, PRIME))
-    for a, b in ((bad, e - 1), (e - 1, bad)):
-        with pytest.raises(VerificationError, match="denominator"):
-            coprime_mod_p(a, b, "e", {"t": 2})
-    # a variable left free
-    with pytest.raises(ValueError, match="not univariate"):
-        coprime_mod_p(e - t, e - 1, "e")
-    assert coprime_mod_p(e * 2, e ** 3 - t, "e", {"t": 2})
-    assert not coprime_mod_p(e - t, e ** 2 - t ** 2, "e", {"t": 2})
-    # a nonzero constant f is a unit, against any g, zero included
-    one = MultiPoly.const(("e", "t"), 3)
-    assert coprime_mod_p(one, e ** 2 - t, "e", {"t": 2})
-    assert coprime_mod_p(one, MultiPoly.zero(("e", "t")), "e", {"t": 2})
-    assert not coprime_mod_p(e - 1, MultiPoly.zero(("e", "t")), "e",
-                             {"t": 2})
+    common = exact_gcd(to_multipoly(f), to_multipoly(g)).degree("X") > 0
+    assert (sylvester_resultant(f, g) == 0) == common
 
 
 def test_sturm_against_numpy():
@@ -161,8 +105,8 @@ def test_sturm_against_numpy():
         # the squarefree part is certified squarefree, and f exactly when
         # it is its own squarefree part
         sq = to_multipoly(sqf)
-        assert coprime_mod_p(sq, derivative(sq, "X"), "X")
-        assert coprime_mod_p(f, derivative(f, "X"), "X") == \
+        assert exact_gcd(sq, derivative(sq, "X")).degree("X") == 0
+        assert (exact_gcd(f, derivative(f, "X")).degree("X") == 0) == \
             (len(sqf) == len(coeffs))
         exact = count_real_roots(sqf)
         roots = np.roots([float(c) for c in reversed(sqf)])
