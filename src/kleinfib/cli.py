@@ -313,11 +313,15 @@ def _parse_poly(text):
                          "terms c, y^k or c*y^k" % text)
     terms = {}
     for sign, coeff, y, exp, const in re.findall(_SIGNED_TERM, text):
-        k = (int(exp) if exp else 1) if y else 0
+        try:
+            k = (int(exp) if exp else 1) if y else 0
+            c = Fraction(int(coeff or const or 1)) * (-1 if sign == "-" else 1)
+        except ValueError:      # past sys.get_int_max_str_digits() digits
+            raise UsageError("a number in polynomial %r has too many digits"
+                             % text) from None
         if k > POLY_MAX_DEGREE:
             raise UsageError("degree %d exceeds %d in polynomial %r"
                              % (k, POLY_MAX_DEGREE, text))
-        c = Fraction(int(coeff or const or 1)) * (-1 if sign == "-" else 1)
         terms[(0, k, 0)] = terms.get((0, k, 0), 0) + c
     return MultiPoly(("x", "y", "z"), terms)
 
@@ -552,7 +556,7 @@ def _run_reproduction(catalog, seed=0, timings=False):
 
     # 5. intersection witnesses
     step("intersections-s6", "conjugate line meetings on the cubic",
-         lambda: {"pairs": len(s6_intersections(catalog["s6"])["pairs"])})
+         lambda: {"rows": s6_intersections(catalog["s6"])["rows"]})
     for order in (2, 3):
         step("conjugation-s7-order%d" % order,
              "S7 conjugate pairs share a point",

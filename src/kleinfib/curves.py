@@ -5,11 +5,12 @@ or two auxiliary forms; their coefficients satisfy a triangular system
 obtained by equating the W/X-coefficients of the substituted surface
 equation to zero.  This module replays those chains exactly over Q and
 extracts the residual polynomials.  Each residual's roots are exhibited in
-Q(zeta_h), one stored and the others its Galois conjugates, and over each
-root its family is one exact graph (Y, Z) over P^1_(W:X) with coefficients
-in Q(zeta_h)[s, 1/s], certified by substitution, as the S6 lines are; its
+Q(zeta_h), one stored and the others its Galois conjugates, and over the
+stored root its family is one exact graph (Y, Z) over P^1_(W:X) with
+coefficients in Q(zeta_h)[s, 1/s], certified by substitution; its
 rotations s -> zeta_h^k s and conjugates zeta_h -> zeta_h^j are the other
-curves.
+curves.  The 24 lines L_mu of S6 are such a family too, over the two roots
+of their radicand C, and L1-L3 one over the root 1 of X - 1.
 """
 
 from fractions import Fraction
@@ -19,7 +20,7 @@ from operator import mul
 from .base import GeometryError, VerificationError, _surface_cache
 from .multipoly import MultiPoly
 from .tower import FieldElement, FieldTower, cyclotomic, root_of_unity
-from .univariate import resultant_poly, subresultant_prs
+from .univariate import subresultant_prs
 
 
 class CurveSpec:
@@ -260,20 +261,6 @@ def enumerate_s7(s7):
     if qx != qc:
         raise VerificationError("residual cubic coefficients deviate",
                                 detail=qx)
-
-    # secondary path: d-resultant of the two remaining coefficients
-    res = strip_content(resultant_poly(C0, C1, "d"))
-    probe = res
-    hits = 0
-    while True:
-        try:
-            probe = strip_content(probe.exact_div(core))
-            hits += 1
-        except ArithmeticError:
-            break
-    if hits < 1:
-        raise VerificationError("resultant cross-check: residual does not "
-                                "divide Res_d", detail=res)
 
     # the main family, one curve per root e of the residual, 18 over each
     # root u of Q: forms symbolic in (e, t), and the graph at t = e^18 / u
@@ -535,12 +522,14 @@ def _s8_branch_residual(W6n, Pi, qtarget, bi):
 
 
 # ---------------------------------------------------------------------------
-# S7, S8: each residual's roots in Q(zeta_h), each family a graph over them
+# S6, S7, S8: each residual's roots in Q(zeta_h), each family a graph over
+# them
 
 # One root of each residual, exactly: ((a_0, ..., a_(d-1)), D) stands for
 # sum a_i c^i / D, c = zeta_h + 1/zeta_h, in the real subfield of Q(zeta_h);
-# the other roots are its Galois conjugates.  u of Q (h = 18), x of Q1 and
-# of Q2 (h = 30).
+# the other roots are its Galois conjugates.  c+ of C (h = 12, c = sqrt3),
+# u of Q (h = 18), x of Q1 and of Q2 (h = 30).
+S6_ROOT = ((-45, 26), 243)
 S7_ROOT = ((32176, 3876, -11172), 1)
 S8_ROOTS = (((-488224190217, 2220110716196, 737789894744, -892029982568),
              900),
@@ -583,18 +572,12 @@ def _graph_forms(y, z):
 
 
 def _root_graph(surface, fractions, templates, roots, t):
-    """The curve over the stored root x = roots[1] at the generator s of
-    t's tower Q(zeta_h)[s, 1/s], t = c s^(+-h) with c from x, as its graph
-    (Y, Z) over P^1_(W:X): the solved fractions name -> (num, den) evaluated
-    at s and t in the reverse of the order solved (each is in the names
-    solved after it), every denominator a nonzero monomial there, then the
-    templates for Y and Z read off by rising power of X.  Certified on the
-    surface by substitution.  sigma_k: s -> zeta_h^k s fixes t and sigma_j:
-    zeta_h -> zeta_h^j takes it to the t of sigma_j(x), and both fix the
-    surface's rational coefficients: the graph's rotations and conjugates
-    are the family's other members, as _certify_member reads a
-    representative.  Returns {"graph": (Y, Z), each coefficient list in
-    the format of s6_line, "t": t, "roots": roots}."""
+    """The _root_family of the curve over the stored root x = roots[1] at
+    the generator s of t's tower Q(zeta_h)[s, 1/s], t = c s^(+-h) with c
+    from x: the solved fractions name -> (num, den) evaluated at s and t in
+    the reverse of the order solved (each is in the names solved after it),
+    every denominator a nonzero monomial there, then the templates for Y
+    and Z read off by rising power of X."""
     T = t.tower
     env = dict.fromkeys(templates[0].vars, T.zero())
     env.update({T.var: T.gen(T.var), "t": t})
@@ -608,39 +591,55 @@ def _root_graph(surface, fractions, templates, roots, t):
     y, z = ([T.lift(c.evaluate(env))
              for c in wx_coefficients(form, form.degree("W"))]
             for form in templates)
-    _certify_membership(surface, T, dict(zip("YZ", _graph_forms(y, z))), t)
-    return {"graph": (y, z), "t": t, "roots": roots}
+    return _root_family(surface, (y, z), t, roots)
+
+
+def _root_family(surface, graph, t, roots):
+    """{"graph": graph, "t": t, "roots": roots} of the radical family whose
+    member over the stored root x = roots[1] has the graph (Y, Z) over
+    P^1_(W:X), each coefficient list in the format of s6_line, in t's
+    tower Q(zeta_M)[s, 1/s], t = c s^(+-h) with c from x and h | M:
+    certified on the surface by substitution.  sigma_k: s -> zeta_M^k s
+    fixes t for M/h | k, and sigma_j: zeta_M -> zeta_M^j takes it to the t
+    of sigma_j(x); sigma_k fixes the surface equation, and sigma_j is
+    checked to fix each of its coefficients (S6 has -2i), so the graph's
+    rotations and conjugates are the family's other members, as
+    _certify_member reads a representative."""
+    T = t.tower
+    _certify_membership(surface, T, dict(zip("YZ", _graph_forms(*graph))), t)
+    coeffs = [T.lift(c) for c in surface.equation.terms.values()]
+    for j in roots:
+        if any(c.conjugate(j) != c for c in coeffs):
+            raise VerificationError("sigma_%d moves a coefficient of the %s "
+                                    "equation" % (j, surface.name))
+    return {"graph": graph, "t": t, "roots": roots}
 
 
 # ---------------------------------------------------------------------------
 # S6: the 27 lines
 
-def _i_sqrt3(T):
-    """i = zeta_12^3 and sqrt3 = 2 zeta_12 - zeta_12^3 in a Q(zeta_12) tower."""
-    z = root_of_unity(T, 12)
+def s6_radicand():
+    """C(c) = 59049 c^2 + 21870 c - 3, as a coefficient list (low first):
+    its roots c+- = (-45 +- 26 sqrt3)/243 are the radicands of the lines
+    L_mu, mu^12 = c t."""
+    return [Fraction(-3), Fraction(21870), Fraction(59049)]
+
+
+def s6_line_tower():
+    """Q(zeta_12)[mu, 1/mu], the field of the lines L_mu, the roots
+    {1: c+, 5: c-} of C (residual_roots; sigma_5 takes sqrt3 to -sqrt3 and
+    fixes i) and t = mu^12 / c+.  Returns (tower, roots, t)."""
+    roots = residual_roots(s6_radicand(), 12, S6_ROOT, "C")
+    T = cyclotomic(12).extend_ratfunc("mu")
+    return T, roots, T.gen("mu") ** 12 / roots[1]
+
+
+def s6_line_forms(T):
+    """The two linear forms cutting L_mu over c+ (rotate_forms gives
+    L_(xi mu); their sigma_5-conjugates cut the lines over c-)."""
+    z, mu = root_of_unity(T, 12), T.gen("mu")
     i = z ** 3
-    return i, 2 * z - i
-
-
-def s6_line_tower(branch: str):
-    """Q(zeta_12)(mu), the field of the lines L_mu, with t = mu^12 / c and
-    c = (-45 +- 26 sqrt3)/243 according to the branch.  Returns
-    (tower, c, t), with c in Q(zeta_12)."""
-    K = cyclotomic(12)
-    sign = 1 if branch == "plus" else -1
-    c = K.lift(Fraction(-45, 243)) + _i_sqrt3(K)[1] * Fraction(sign * 26, 243)
-    if c.is_zero():
-        raise VerificationError("S6 radicand vanishes")
-    T = K.extend_ratfunc("mu")
-    return T, c, T.gen("mu") ** 12 / c
-
-
-def s6_line_forms(T, branch: str):
-    """The two linear forms cutting L_mu (rotate_forms gives L_{xi mu}); the
-    minus branch carries the sqrt3 -> -sqrt3 conjugated coefficients."""
-    (i, s3), mu = _i_sqrt3(T), T.gen("mu")
-    if branch == "minus":
-        s3 = -s3
+    s3 = 2 * z - i                      # sqrt3 = zeta_12 + 1/zeta_12
     lv = ("W", "X", "Y", "Z")
     W, X, Y, Z = (MultiPoly.var(lv, v) for v in lv)
     l1 = W.scale(27 * i * (s3 + 3) * mu ** 6) + X.scale(18 * mu ** 3) \
@@ -652,10 +651,10 @@ def s6_line_forms(T, branch: str):
 
 @_surface_cache
 def certify_s6_lines(s6):
-    """All 27 lines of the cubic, with exact zero substitution residues:
-    3 lines Z = 0, Y = zeta3^j alpha W (alpha^3 = t) and, on each branch,
-    the family of the 12 lines L_mu, mu^12 = c t with
-    c = (1/27)(-5 +- (26/9) sqrt3) != 0."""
+    """All 27 lines of the cubic, each family certified by _root_family: the
+    3 lines Z = 0, Y = zeta3^j alpha W over the root 1 of X - 1, t = alpha^3,
+    each by substitution, and the 24 lines L_mu, mu^12 = c t, 12 over each
+    root c of C, as one family over c+."""
     curves = []
 
     # L1, L2, L3
@@ -663,19 +662,21 @@ def certify_s6_lines(s6):
     relA = MultiPoly(("alpha", "t"), {(3, 0): Fraction(1),
                                       (0, 1): Fraction(-1)})
     for j, forms in enumerate(alpha_lines):
-        _certify_membership(s6, T0, _graph_substitution(forms, T0), t0)
+        data = _root_family(s6, s6_line(forms, T0)[1:], t0, {1: T0.one()})
         curves.append(CurveSpec("s6", "S6-L123", "alpha", j, forms,
                                 parameter="alpha", relation=relA,
-                                data={"zeta3_power": j}))
+                                data=dict(data, zeta3_power=j)))
 
-    # the lines L_mu: mu^12 = c t has 12 distinct roots when c != 0
-    for branch in ("plus", "minus"):
-        T, c, t = s6_line_tower(branch)
-        forms = s6_line_forms(T, branch)
-        _certify_membership(s6, T, _graph_substitution(forms, T), t)
-        relM = MultiPoly(("mu", "t"), {(12, 0): c.tower.one(), (0, 1): -c})
-        curves.append(CurveSpec("s6", "S6-Lmu", branch, None, forms,
-                                parameter="mu", relation=relM, count=12))
+    # the lines L_mu: t^2 C(mu^12 / t) = 0
+    T, roots, t = s6_line_tower()
+    forms = s6_line_forms(T)
+    relC = MultiPoly(("mu", "t"), {(12 * k, 2 - k): c
+                                   for k, c in enumerate(s6_radicand())})
+    curves.append(CurveSpec("s6", "S6-Lmu", "Lmu", None, forms,
+                            parameter="mu", relation=relC,
+                            data=_root_family(s6, s6_line(forms, T)[1:], t,
+                                              roots),
+                            count=12 * len(roots)))
     return curves
 
 
@@ -703,20 +704,6 @@ def s6_line(forms, tower):
     y = [-(l2.get(v, zero) + l2.get("Z", zero) * zv) * yinv
          for v, zv in zip("WX", z)]
     return forms, y, z
-
-
-def rotate_line(line, e):
-    """sigma_e of a line (forms, Y, Z) of s6_line, coefficient by
-    coefficient: the graph of rotate_forms(forms, e), sigma_e a field map."""
-    forms, y, z = line
-    return (rotate_forms(forms, e), [c.rotate(e) for c in y],
-            [c.rotate(e) for c in z])
-
-
-def _graph_substitution(forms, tower):
-    """{"Y": Y, "Z": Z}, the graph of the line cut by forms as linear forms
-    in W, X (s6_line)."""
-    return dict(zip("YZ", _graph_forms(*s6_line(forms, tower)[1:])))
 
 
 # ---------------------------------------------------------------------------

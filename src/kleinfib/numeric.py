@@ -11,16 +11,17 @@ geometrically rescaled monic polynomial, and its certified roots are cached
 on (coefficients, seed, tol).  Every S6, S7 and S8 curve is sampled on its
 exact graph over P^1_(W:X) through one routine, _graph_at: the graph's
 coefficients, monomials c s^k, are taken once per process as (complex c,
-k), and evaluated at each float s.  The S6 lines are those of
-curves.s6_line, at the float alpha and mu; each S7/S8 Galois orbit is the
-sigma_j-conjugate of its family's representative graph over the certified
-root sigma_j(x), its constants embedded exactly and rounded once, at the h
-values of s with t = c s^(+-h).  Two S6 lines meet by the float form of the
-exact rule (orbits.lines_meet).  Samples come from random.Random(seed) in a
-fixed order (per curve, then per sample, then per coordinate).  The sample
-points (W, X) do not depend on t, so they are drawn once per seed: the 135
-of the S6 lines, and the 1200 of the S8 members, the first 280 of which are
-those of S7.  Every audit is cached on its (surface, NumericConfig)."""
+k), and evaluated at each float s.  Each Galois orbit (L1-L3, the 12 lines
+L_mu over each root of C, the 18 or 30 curves over each root of Q, Q1 or
+Q2) is the sigma_j-conjugate of its family's representative graph over the
+certified root sigma_j(x), its constants embedded exactly and rounded once,
+at the h values of s with t = c s^(+-h).  Two S6 lines meet by the float
+form of the exact rule (orbits.meet_number).  Samples come from
+random.Random(seed) in a fixed order (per curve, then per sample, then per
+coordinate).  The sample points (W, X) do not depend on t, so they are
+drawn once per seed: the 1200 of the S8 members, the first 135 of which
+are those of the S6 lines and the first 280 those of S7.  Every audit is
+cached on its (surface, NumericConfig)."""
 
 import cmath
 import math
@@ -218,7 +219,7 @@ def _roots_of_unity(n):
 # ---------------------------------------------------------------------------
 # per-surface audits
 
-# the generator of Q(zeta_12), the constants of the S6 family
+# the generator of Q(zeta_12), for the coefficient -2i of the S6 equation
 S6_ENV = {"z12": cmath.exp(1j * math.pi / 6)}
 
 
@@ -289,46 +290,10 @@ def _graph_at(constants, s):
     return [[c * s ** k for c, k in coeffs] for coeffs in constants]
 
 
-@lru_cache(maxsize=None)
-def _s6_graphs():
-    """The _constants of the exact graphs (Y, Z) of curves.s6_line, built
-    once per process: those of L1-L3 over Q(zeta_12)(alpha), and for each
-    branch (branch, its radicand c, the constants of L_mu over
-    Q(zeta_12)(mu))."""
-    from .curves import s6_alpha_lines, s6_line, s6_line_forms, s6_line_tower
-    T0, _, alpha_lines = s6_alpha_lines()
-    branches = []
-    for branch in ("plus", "minus"):
-        T, c, _ = s6_line_tower(branch)
-        branches.append((branch, c.as_complex(S6_ENV), _constants(
-            s6_line(s6_line_forms(T, branch), T)[1:],
-            lambda c: c.as_complex(dict(S6_ENV, mu=1)))))
-    return [_constants(s6_line(forms, T0)[1:],
-                       lambda c: c.as_complex(dict(S6_ENV, alpha=1)))
-            for forms in alpha_lines], branches
-
-
-def _s6_numeric_lines(cfg):
-    """The 27 lines at t: their (family or branch, j) tags, and their
-    graphs (Y, Z), the coefficients (of W, of X) of the exact graphs at the
-    float alpha = t^(1/3) and at the 12 float mu, mu^12 = c t."""
-    tval = float(cfg.t)
-    alpha_graphs, branches = _s6_graphs()
-    alpha = tval ** (1.0 / 3.0)
-    tags = [("L123", j) for j in range(3)]
-    lines = [_graph_at(graph, alpha) for graph in alpha_graphs]
-    for branch, cval, graph in branches:
-        mu0 = (cval * tval) ** (1.0 / 12.0)
-        for j, w in enumerate(_roots_of_unity(12)):
-            tags.append((branch, j))
-            lines.append(_graph_at(graph, mu0 * w))
-    return tags, lines
-
-
 def _meet_ratio(line1, line2):
-    """How far two float graphs (Y, Z) are from meeting, the float form of
-    orbits.lines_meet: 0 if dY or dZ vanishes (its 1-norm at most 1e-12
-    times that of the two lines' coefficients of Y, or of Z), else
+    """How far two float lines (Y, Z) are from meeting, the float form of
+    orbits.meet_number on lines: 0 if dY or dZ vanishes (its 1-norm at most
+    1e-12 times that of the two lines' coefficients of Y, or of Z), else
     |det(dY, dZ)| / (|dY| |dZ|), in [0, 1].  They meet iff it is < 1e-8."""
     diffs = []
     for (a0, a1), (b0, b1) in zip(line1, line2):
@@ -340,31 +305,19 @@ def _meet_ratio(line1, line2):
     return abs(y0 * z1 - y1 * z0) / (ny * nz)
 
 
-@lru_cache(maxsize=None)
-def _s6_samples(seed):
-    """The S6 audit's sample points, which do not depend on t: five points
-    (W, X) for each of the 27 lines, drawn by _sample_wx from
-    random.Random(seed)."""
-    rng = random.Random(seed)
-    return [_sample_wx(rng) for _ in range(5 * 27)]
-
-
 def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
     from .curves import certify_s6_lines
     from .orbits import s6_intersections
-    samples = iter(_s6_samples(cfg.seed))
-    tags, lines = _s6_numeric_lines(cfg)
-    n = len(tags)
+    curves = certify_s6_lines(s6)
     equation = CompiledPoly(s6.equation, dict(S6_ENV, t=float(cfg.t)),
                             order="WXYZ")
-    # five points (W : X : Y(W, X) : Z(W, X)) on each line
-    res = []
-    for (y0, y1), (z0, z1) in lines:
-        for W, X in islice(samples, 5):
-            res.append(_residue(*equation.at(
-                (W, X, y0 * W + y1 * X, z0 * W + z1 * X))))
+    # L1-L3 at the 3 alpha, alpha^3 = t, then 12 lines L_mu over each root
+    # c of C, mu^12 = c t
+    res, lines = _radical_residues(equation, [curves[0], curves[-1]], cfg,
+                                   iter(_samples(cfg.seed)))
     max_res = _max_residue(res, cfg, "S6 membership residue %.3g")
     # intersection graph: two lines meet iff dY and dZ share a root
+    n = len(lines)
     adj = [[False] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -373,46 +326,44 @@ def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
     if not all(d == 10 for d in degrees):
         raise VerificationError("S6 line degrees are not all 10: %s"
                                 % sorted(set(degrees)))
-    # agreement with every exact pair: L_j/L_j' and the same-branch pairs
-    exact = s6_intersections(s6)
-    idx = {tag: k for k, tag in enumerate(tags)}
-    for entry in exact["pairs"]:
-        if entry["pair"] == "Lmu/Lximu":
-            b, k = entry["branch"], entry["k"]
-            got = {adj[idx[(b, j)]][idx[(b, (j + k) % 12)]]
-                   for j in range(12)}
-        else:                           # "L1/L2", "L1/L3", "L2/L3"
-            j1, j2 = (int(x) - 1 for x in entry["pair"][1::3])
-            got = {adj[idx[("L123", j1)]][idx[("L123", j2)]]}
-        if got != {entry["intersect"]}:
-            raise VerificationError("exact/numeric disagreement: %s %s"
-                                    % (entry["pair"], entry.get("k", "")))
-    count = _exact_count(certify_s6_lines(s6), n, "S6")
-    return {"surface": "s6", "count": count, "max_residue": max_res,
-            "degrees": degrees, "graph_checked": True}
+    # agreement with the exact row of each Galois orbit, its h lines in
+    # order: L1-L3, then L_mu over each root of C
+    rows = s6_intersections(s6)["rows"]
+    first = 0
+    for row in [rows["L123"], *rows["Lmu"].values()]:
+        h = len(row)
+        for a in range(h):
+            for k in range(1, h):
+                if adj[first + a][first + (a + k) % h] != (row[k] > 0):
+                    raise VerificationError(
+                        "exact/numeric disagreement: line %d against its "
+                        "conjugate at k = %d" % (first + a, k))
+        first += h
+    return {"surface": "s6", "count": _exact_count(curves, n, "S6"),
+            "max_residue": max_res, "degrees": degrees, "graph_checked": True}
 
 
 @lru_cache(maxsize=None)
 def _radical_graphs(family):
-    """The members of an S7/S8 family in floats, built once per process:
-    (n, [(c, constants)]), t = c s^n at each root sigma_j(x) of
+    """The members of an S6, S7 or S8 family in floats, built once per
+    process: (n, [(c, constants)]), t = c s^n at each root sigma_j(x) of
     curves.residual_roots, with the _constants of the sigma_j-conjugate of
     the representative's graph: sigma_j followed by the embedding
-    zeta_h -> exp(2 pi i / h) is _embed at j."""
+    zeta_M -> exp(2 pi i / M) is _embed at j."""
     t, (y, z) = family.data["t"], family.data["graph"]
     (n, _), = t.payload[0].items()
     return n, [(_embed(t, j), _constants((y, z), lambda c: _embed(c, j)))
                for j in family.data["roots"]]
 
 
-# the sample points of the S7 and S8 audits: five for each of the 240
-# members of S8, of which S7 reads the first 5 * 56
+# the sample points of the S6, S7 and S8 audits: five for each of the 240
+# members of S8, of which S6 reads the first 5 * 27 and S7 the first 5 * 56
 RADICAL_SAMPLES = 5 * 240
 
 
 @lru_cache(maxsize=None)
 def _samples(seed):
-    """The S7 and S8 audits' sample points, which do not depend on t:
+    """The S6, S7 and S8 audits' sample points, which do not depend on t:
     RADICAL_SAMPLES points (W, X) drawn by _sample_wx from
     random.Random(seed), each with its monomials (W^(d-k) X^k for
     k = 0..d) for the degrees d = 1, 2, 3 of the graphs' Y and Z, those of
@@ -427,10 +378,11 @@ def _samples(seed):
 
 
 def _radical_residues(equation, families, cfg, samples):
-    """(residues, count) of the members of the S7/S8 families at t: over
-    each root, the graph of _radical_graphs at each of the |n| values s of
-    t = c s^n, evaluated at the next five of the points `samples`."""
-    tval, res, count = float(cfg.t), [], 0
+    """(residues, graphs) of the members of the families at t: over each
+    root, the float graph (Y, Z) of _radical_graphs at each of the |n|
+    values s of t = c s^n, evaluated at the next five of the points
+    `samples`."""
+    tval, res, graphs = float(cfg.t), [], []
     point = [0j] * 4            # (W, X, Y, Z), refilled at each sample
     for family in families:
         n, roots = _radical_graphs(family)
@@ -447,8 +399,8 @@ def _radical_residues(equation, families, cfg, samples):
                     point[3] = sum(map(mul, z, monomials[dz]))
                     value, scale = equation.at(point)
                     res.append(abs(value) / max(scale, 1e-300))  # _residue
-                count += 1
-    return res, count
+                graphs.append((y, z))
+    return res, graphs
 
 
 def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
@@ -458,8 +410,9 @@ def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
     samples = iter(_samples(cfg.seed))
     equation = CompiledPoly(s7.equation, {"t": tval}, order="WXYZ")
     # core(e) = t^3 Q(e^18 / t): 54 roots, 18 over each root u of Q
-    res, count = _radical_residues(equation, [main], cfg, samples)
+    res, graphs = _radical_residues(equation, [main], cfg, samples)
     max_res = _max_residue(res, cfg, "S7 residue %.3g at root")
+    count = len(graphs)
     # the two e=0 curves: Y = 0, Z = +- sqrt(t) W^2
     res = []
     for z in (cmath.sqrt(tval), -cmath.sqrt(tval)):
@@ -476,10 +429,10 @@ def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
     curves, families = _s8_branch_data(s8)
     equation = CompiledPoly(s8.equation, {"t": float(cfg.t)}, order="WXYZ")
     # F_i ~ q_i(-mu^30 t): 120 roots on each branch, 30 over each root x
-    res, count = _radical_residues(equation, [families["P1"],
-                                              families["P2"]],
-                                   cfg, iter(_samples(cfg.seed)))
-    return {"surface": "s8", "count": _exact_count(curves, count, "S8"),
+    res, graphs = _radical_residues(equation, [families["P1"],
+                                               families["P2"]],
+                                    cfg, iter(_samples(cfg.seed)))
+    return {"surface": "s8", "count": _exact_count(curves, len(graphs), "S8"),
             "max_residue": _max_residue(res, cfg, "S8 residue %.3g")}
 
 

@@ -10,9 +10,9 @@ from math import gcd, lcm
 from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
 from .base import GeometryError, VerificationError, _surface_cache
 from .geometry import on_surface
-from .curves import (enumerate_s7, enumerate_s8, enumerate_an, enumerate_dn,
-                     s6_alpha_lines, s6_line, s6_line_tower, s6_line_forms,
-                     s7_e0_tower, an_tower, dn_tower, rotate_line)
+from .curves import (certify_s6_lines, enumerate_s7, enumerate_s8,
+                     enumerate_an, enumerate_dn, s7_e0_tower, an_tower,
+                     dn_tower)
 
 # The verdicts assume two statements, named in the reports by this label: a
 # surface is minimal iff no Galois orbit of pairwise-disjoint (-1)-curves is
@@ -165,64 +165,8 @@ def meet_number(graph1, graph2):
     return _gcd_degree(fy, fz) + min(len(dy) - len(fy), len(dz) - len(fz))
 
 
-def lines_meet(line1, line2, surface, t):
-    """Exact incidence of two lines (forms, Y, Z) of curves.s6_line over a
-    common tower: they meet iff meet_number is 1, as the differences dY, dZ,
-    linear forms in (W, X), share a root.  The witness, line 1's point over
-    that root divided by its last nonzero coordinate, is verified on the
-    four forms and on the surface at the tower element t.  Returns (bool,
-    witness or None)."""
-    (forms1, y1, z1), (forms2, y2, z2) = line1, line2
-    if not meet_number((y1, z1), (y2, z2)):
-        return False, None
-    dy, dz = [a - b for a, b in zip(y1, y2)], [a - b for a, b in zip(z1, z2)]
-    a, b = dy if any(dy) else dz        # the root of a W + b X is (b : -a)
-    point = [b, -a, y1[0] * b - y1[1] * a, z1[0] * b - z1[1] * a]
-    inv = next(c for c in reversed(point) if c).invert()
-    witness = [c * inv for c in point]
-    env = dict(zip("WXYZ", witness))
-    if any(f.evaluate(env) for f in forms1 + forms2):
-        raise VerificationError("line intersection witness fails a line "
-                                "form")
-    if not on_surface(surface, tuple(witness), t):
-        raise VerificationError("line intersection witness not on the "
-                                "surface")
-    return True, witness
-
-
-@_surface_cache
-def s6_intersections(s6) -> dict:
-    """Exact witnesses for the conjugate-line intersections on the cubic s6,
-    L_j against L_j' and L_mu against L_{xi mu} for every xi^12 = 1, xi != 1:
-    a meeting point, or a nonzero determinant (disjoint)."""
-    pairs = []
-
-    def decide(ok, wit, **entry):
-        pairs.append(dict(entry, intersect=ok,
-                          witness=[str(c) for c in wit] if ok else None))
-
-    # L1, L2, L3 pairwise, meeting at (0:1:0:0)
-    T0, t0, alpha_lines = s6_alpha_lines()
-    lines = [s6_line(forms, T0) for forms in alpha_lines]
-    for j1, j2 in ((0, 1), (0, 2), (1, 2)):
-        decide(*lines_meet(lines[j1], lines[j2], s6, t0),
-               pair="L%d/L%d" % (j1 + 1, j2 + 1))
-
-    # L_mu vs L_{xi mu}, xi = z12^k, on both branches: L_{xi mu} is L_mu
-    # under sigma_k: mu -> xi mu, its graph rotated, not solved again.  The
-    # verdicts match the pattern to a Coxeter cycle (_coxeter_match)
-    for branch in ("plus", "minus"):
-        T, _, t = s6_line_tower(branch)
-        line = s6_line(s6_line_forms(T, branch), T)
-        for k in range(1, 12):
-            decide(*lines_meet(line, rotate_line(line, k), s6, t),
-                   pair="Lmu/Lximu", branch=branch, k=k,
-                   xi_order=12 // gcd(12, k))
-    return {"surface": "s6", "pairs": pairs}
-
-
 # ---------------------------------------------------------------------------
-# conjugate curves of the S7 and S8 radical families
+# conjugate curves of the S6, S7 and S8 radical families
 
 def _s7_main_data(s7):
     """The curves of s7, its residual and its main family, the last curve."""
@@ -237,30 +181,44 @@ def _s8_branch_data(s8):
 
 
 def _row(graph, h):
-    """[-1] + [C.C_k for k = 1..h-1] of the curve C with the graph (Y, Z),
-    C_k the curve over xi^k s, xi = zeta_h, whose graph is sigma_k of C's
-    (as in curves.rotate_line): meet_number for k <= h/2, and C.C_(h-k) =
-    C.C_k, as sigma_-k carries the pair (C, C_k) to (C_(h-k), C)."""
+    """[-1] + [C.C_k for k = 1..h-1] of the curve C with the graph (Y, Z)
+    over Q(zeta_M)[s, 1/s], h | M, C_k the curve over xi^k s, xi = zeta_h,
+    whose graph is sigma_(k M/h) of C's: meet_number for k <= h/2, and
+    C.C_(h-k) = C.C_k, as sigma_-k carries the pair (C, C_k) to (C_(h-k),
+    C)."""
     y, z = graph
-    half = [meet_number((y, z), ([c.rotate(k) for c in y],
-                                 [c.rotate(k) for c in z]))
+    step = y[0].tower.M // h
+    half = [meet_number((y, z), ([c.rotate(k * step) for c in y],
+                                 [c.rotate(k * step) for c in z]))
             for k in range(1, h // 2 + 1)]
     return [-1] + [half[min(k, h - k) - 1] for k in range(1, h)]
 
 
 @_surface_cache
 def _root_rows(s, branch) -> dict:
-    """{j: row} for the S7 (branch "main") or S8 family of s: the exact row
-    k -> C.C_k of the orbit over each root sigma_j(x) (curves.residual_roots),
-    _row of the representative graph for j = 1.  sigma_j carries the pair
+    """{j: row} for the radical family `branch` of s, L_mu of S6 ("Lmu"),
+    the S7 main family ("main") or an S8 branch: the exact row k -> C.C_k
+    of the orbit over each root sigma_j(x) (curves.residual_roots), _row
+    of the representative graph for j = 1.  sigma_j carries the pair
     (C, C_k) over x to (sigma_j C, (sigma_j C)_(j k)) over sigma_j(x), so
     the row of sigma_j(x) takes j k to the representative's value at k."""
-    family = _s7_main_data(s)[2] if branch == "main" else \
+    family = certify_s6_lines(s)[-1] if branch == "Lmu" else \
+        _s7_main_data(s)[2] if branch == "main" else \
         _s8_branch_data(s)[1][branch]
     roots = family.data["roots"]
     h = family.count // len(roots)
     row = _row(family.data["graph"], h)
     return {j: [row[k * pow(j, -1, h) % h] for k in range(h)] for j in roots}
+
+
+@_surface_cache
+def s6_intersections(s6) -> dict:
+    """The exact rows of the Galois orbits of the 27 lines on the cubic s6:
+    L1 against L2 and L3 (_row at h = 3, alpha -> zeta_3 alpha), and L_mu
+    over each root of C against each L_(xi^k mu) (_root_rows)."""
+    return {"surface": "s6", "rows": {
+        "L123": _row(certify_s6_lines(s6)[0].data["graph"], 3),
+        "Lmu": _root_rows(s6, "Lmu")}}
 
 
 def _conjugation(surface, row, order):
@@ -405,17 +363,12 @@ def s7_e0_intersection(s7) -> dict:
 def _e_families(kind, s):
     """The witness reports of the E surface s, and its xi-families as (name,
     N, rows): the exact row k -> C.C_k (k = 0..N-1) of each Galois orbit it
-    covers, C_k the curve over xi^k.  The S6 rows are read off the line
-    pairs: L1 against L2 and L3, L_mu against each L_(xi^k mu)."""
+    covers, C_k the curve over xi^k."""
     if kind == "e6":
-        pairs = s6_intersections(s)["pairs"]
-        meets = {(p.get("branch"), p.get("k", p["pair"])): int(p["intersect"])
-                 for p in pairs}
-        rows = {"L123": [-1, meets.get((None, "L1/L2")),
-                         meets.get((None, "L1/L3"))]}
-        for b in ("plus", "minus"):
-            rows["Lmu_" + b] = [-1] + [meets.get((b, k)) for k in range(1, 12)]
-        return pairs, [(name, len(row), [row]) for name, row in rows.items()]
+        report = s6_intersections(s)
+        rows = report["rows"]
+        return [report], [("L123", 3, [rows["L123"]]),
+                          ("Lmu", 12, list(rows["Lmu"].values()))]
     if kind == "e7":
         e0, rows = s7_e0_intersection(s), _root_rows(s, "main")
         return [e0, {"surface": "s7", "branch": "main", "rows": rows}], [

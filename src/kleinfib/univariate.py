@@ -4,10 +4,10 @@ the one univariate core of the package.
 A univariate polynomial over Q is a MultiPoly in one named variable (over
 Q it is flat, int numerators over one common denominator, so everything
 below runs fraction-free on ints).  Here are the derivative, Sturm's
-real-root counts by ``div_univariate``, and the pseudo-remainders,
-subresultant PRS and resultants of the elimination chains (Brown and Traub
-1971).  Coefficient lists over Q, low degree first, are read and written
-only at the edges (``to_multipoly``, ``curves.residual_coefficients``): the
+real-root counts by ``div_univariate``, and the pseudo-remainders and
+subresultant PRS of the elimination chains (Brown and Traub 1971).
+Coefficient lists over Q, low degree first, are read and written only at
+the edges (``to_multipoly``, ``curves.residual_coefficients``): the
 displayed residual polynomials and the field towers keep that form.  One
 computation runs on lists: the cyclotomic polynomials are int lists,
 products and exact quotients of binomials X^d - 1.
@@ -90,10 +90,9 @@ def prem(A: MultiPoly, B: MultiPoly, name: str) -> MultiPoly:
     return R
 
 
-def _subresultant_loop(A: MultiPoly, B: MultiPoly, name: str):
-    """Brown-Traub subresultant loop: the sequence [A, B, R1, R2, ...] up to
-    the first zero pseudo-remainder or constant member, and the final
-    scaling factor h."""
+def subresultant_prs(A: MultiPoly, B: MultiPoly, name: str):
+    """The Brown-Traub subresultant pseudo-remainder sequence [A, B, R1,
+    R2, ...] up to the first zero pseudo-remainder or constant member."""
     seq = [A, B]
     g = MultiPoly.const(A.vars, 1)
     h = MultiPoly.const(A.vars, 1)
@@ -113,40 +112,7 @@ def _subresultant_loop(A: MultiPoly, B: MultiPoly, name: str):
             h = (g ** delta).exact_div(h ** (delta - 1)) if delta > 1 else g
         if seq[-1].degree(name) <= 0:
             break
-    return seq, h
-
-
-def subresultant_prs(A: MultiPoly, B: MultiPoly, name: str):
-    """The subresultant pseudo-remainder sequence [A, B, R1, R2, ...]."""
-    return _subresultant_loop(A, B, name)[0]
-
-
-def resultant_poly(A: MultiPoly, B: MultiPoly, name: str) -> MultiPoly:
-    """Resultant with respect to `name`, by the subresultant PRS.
-
-    Returns a MultiPoly free of `name` (possibly zero).
-    """
-    dA, dB = A.degree(name), B.degree(name)
-    if dA < 0 or dB < 0:
-        return MultiPoly(A.vars)
-    if dA < dB:
-        r = resultant_poly(B, A, name)
-        return -r if (dA % 2 and dB % 2) else r
-    if dB == 0:
-        return B ** dA if dA > 0 else MultiPoly.const(A.vars, 1)
-    seq, h = _subresultant_loop(A, B, name)
-    last = seq[-1]
-    if last.degree(name) > 0:
-        return MultiPoly(A.vars)
-    # each step (A_k, A_{k+1}) -> A_{k+2} contributes (-1)^(d_k d_{k+1})
-    degs = [p.degree(name) for p in seq]
-    s = -1 if sum(d1 * d2 for d1, d2 in zip(degs[:-2], degs[1:-1])) % 2 else 1
-    dA = degs[-2]
-    if dA > 1:
-        h = (last ** dA).exact_div(h ** (dA - 1))
-    else:
-        h = last ** dA
-    return h.scale(s)
+    return seq
 
 
 def cyclotomic_poly(n: int):

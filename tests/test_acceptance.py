@@ -94,15 +94,12 @@ def test_criterion_4_rationality_table_and_grid():
 
 def test_criterion_5_intersection_witnesses():
     catalog = build_catalog()
-    s6 = s6_intersections(catalog["s6"])
-    for entry in s6["pairs"]:
-        if entry["intersect"]:
-            assert entry["witness"] is not None
-    pattern = {(e["branch"], e["k"]): e for e in s6["pairs"]
-               if e["pair"] == "Lmu/Lximu"}
-    for branch in ("plus", "minus"):
+    s6 = s6_intersections(catalog["s6"])["rows"]
+    assert s6["L123"] == [-1, 1, 1]
+    assert len(s6["Lmu"]) == 2
+    for row in s6["Lmu"].values():
         for k in (4, 6, 8):  # xi of order 3, 2, 3
-            assert pattern[(branch, k)]["intersect"]
+            assert row[k] == 1
     for order in (2, 3):
         assert s7_conjugation(catalog["s7"], order)["verified"]
     for order in (2, 3, 5):

@@ -64,11 +64,12 @@ def test_verdict_examples():
 
 
 @pytest.mark.parametrize("case,cycles", [
-    ("e6", {"L123": 1, "Lmu_plus": 1, "Lmu_minus": 1}),
+    ("e6", {"L123": 1, "Lmu": 2}),
     ("e7", {"e0": 1, "main": 3}), ("e8", {"P1": 4, "P2": 4})])
 def test_every_e_family_says_how_many_c_cycles_it_covers(case, cycles):
     # a family of count curves in binomials of degree N covers count // N
-    # cycles of c: 54 = 3 * 18 curves for main, 120 = 4 * 30 for P1 and P2
+    # cycles of c: 24 = 2 * 12 lines for Lmu, 54 = 3 * 18 curves for main,
+    # 120 = 4 * 30 for P1 and P2
     code, cert = run(["verdict", case, "--ext", "30"])
     assert code == 0
     parts = cert["verdict"]["descriptor"]["justification"]["orbits"]
@@ -106,10 +107,10 @@ def test_failed_check_carries_its_detail(monkeypatch):
     # a refused cycle matching shows the family's row beside those of the
     # free cycles of its length, truncated to 200 characters
     full = orbits.s6_intersections(build_surface("s6"))
-    pairs = [dict(p, intersect=True) if p.get("branch") == "plus"
-             and p["k"] == 2 else p for p in full["pairs"]]
-    monkeypatch.setattr(orbits, "s6_intersections",
-                        lambda s6: dict(full, pairs=pairs))
+    rows = dict(full["rows"]["Lmu"])
+    rows[1] = rows[1][:2] + [1] + rows[1][3:]
+    monkeypatch.setattr(orbits, "s6_intersections", lambda s6: dict(
+        full, rows=dict(full["rows"], Lmu=rows)))
     caches = (orbits._coxeter_match, orbits.minimal_model)
     for fn in caches:
         fn.cache_clear()
@@ -121,7 +122,7 @@ def test_failed_check_carries_its_detail(monkeypatch):
     assert code == 1
     (pipeline,) = cert["checks"]
     assert pipeline["error"] == "VerificationError: e6: no free c-cycle " \
-                                "fits the row of Lmu_plus"
+                                "fits the row of Lmu"
     assert pipeline["detail"] == (
         "{'row': [-1, 0, 1, 0, 1, 1, 1, 1, 1, 0, 0, 0], 'cycles': "
         "[[-1, 1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 1], "
@@ -214,7 +215,11 @@ def test_parse_poly_signed_terms():
     assert p.terms == {(0, 2, 0): Fraction(-2), (0, 0, 0): Fraction(7)}
 
 
-@pytest.mark.parametrize("text", ["9^9^9", "y^100000", "y+q"])
+@pytest.mark.parametrize("text", [
+    "9^9^9", "y^100000", "y+q",
+    # numbers of more digits than int() converts from a string
+    pytest.param("9" * 5000 + "*y", id="5000-digit coefficient"),
+    pytest.param("y^" + "9" * 5000, id="5000-digit exponent")])
 def test_bad_poly_exits_before_arithmetic(monkeypatch, text):
     def unreachable(*args, **kwargs):
         raise AssertionError("arithmetic ran on a rejected polynomial")
@@ -454,9 +459,10 @@ def test_main_with_argv_leaves_the_collector_as_it_is():
 def test_failed_surface_computation_runs_once(fresh_check_memo):
     # a-table, verdict-grid and intersections-s6 all read the mutated cubic;
     # the failure is cached with the surface, so it is computed once and the
-    # checks report the same error.  The minimal models and cycle matchings
-    # on the mutated cubic are cached too, from any earlier run of this
-    # mutation, and a cached one does not read the witnesses again
+    # checks report the same error, that of the lines they read.  The
+    # minimal models and cycle matchings on the mutated cubic are cached
+    # too, from any earlier run of this mutation, and a cached one does not
+    # read the rows again
     orbits.s6_intersections.cache_clear()
     orbits.minimal_model.cache_clear()
     orbits._coxeter_match.cache_clear()
@@ -467,7 +473,7 @@ def test_failed_surface_computation_runs_once(fresh_check_memo):
     checks = {c["name"]: c for c in cert["checks"]}
     assert checks["intersections-s6"]["error"] == \
         checks["verdict-grid"]["error"] == checks["a-table"]["error"] == \
-        "VerificationError: line intersection witness not on the surface"
+        "VerificationError: membership residue nonzero"
 
 
 def test_timings_per_check():
@@ -502,9 +508,12 @@ def test_cached_parser_runs_the_current_command_function(monkeypatch):
 # sha256 of certificates that print tower elements
 PINNED = {
     # since every curve entry carries its `count`, and each branch of the
-    # lines L_mu is one entry of count 12 (index null) instead of 12 copies
-    ("curves", "s6"): "0d383f2b155f1904748a11cec5325078"
-                      "4dd5c0d6f4ff5afe81bde587ddb16cd7",
+    # lines L_mu is one entry of count 12 (index null) instead of 12 copies;
+    # since L_mu is one family over the two roots of its radicand C, the
+    # two entries are one, of `branch` Lmu, `count` 24 and `relation`
+    # t^2 C(mu^12 / t), with the forms over c+
+    ("curves", "s6"): "11585f5966c1ea7047e6f4aae8f4283f"
+                      "36ef684d3978bd2d8c8248350ab0f60d",
     # since every curve entry carries its `count`, here 1 for each
     ("curves", "dn:5"): "c491588008aea91d2171dd20294c2aa6"
                         "a71b2596146a1c2e7e8abd4181d1db74",
@@ -519,9 +528,13 @@ PINNED = {
     # three carries `cycles` 1; since each Galois orbit is matched to the
     # one c-cycle whose meeting numbers are its exact row, the `rule-table`
     # note says so instead of "S7/S8 match Coxeter cycles by lengths and
-    # certified meets only"
-    ("verdict", "e6", "--ext", "12"): "fd6b91e1843080bcc4e33541037b821b"
-                                      "b8dc000c03e5eb71a72e73f876fb956e",
+    # certified meets only"; since L_mu is one family over the two roots
+    # of C, the justification's `orbits` has one entry Lmu, with `cycles`
+    # 2, for Lmu_plus and Lmu_minus, and its `intersections` are the rows
+    # of L1-L3 and of L_mu over each root, not the 25 line pairs with
+    # their witness points
+    ("verdict", "e6", "--ext", "12"): "46bc76070e3a27a6ffb48526d2203b9f"
+                                      "d8615d289fb65bc4432859141913caf7",
     # the default certificate of the whole suite (seed 0), the behavioural
     # contract that a refactor must keep byte for byte; since the oracle
     # samples each S6 line on its exact graph over P^1_(W:X) instead of on
@@ -532,18 +545,28 @@ PINNED = {
     # audit.surfaces.s8[t] max_residue values changed, each still < 1e-11;
     # since the oracle samples each S7 and S8 member on the exact graph of
     # its root over P^1_(W:X), the six audit.surfaces.s7[t] and s8[t]
-    # max_residue values changed, each now about 5e-15 (s7) or 1e-14 (s8)
-    ("reproduce-paper",): "6f50d836a270ce25e9480422766f5aaa"
-                          "aaba059e65038c95b60c2dcebdeb6afb",
+    # max_residue values changed, each now about 5e-15 (s7) or 1e-14 (s8);
+    # since L_mu is one family over the two roots of C, the
+    # intersections-s6 check prints the `rows` of L1-L3 and of L_mu over
+    # each root instead of `pairs` 25, and since the oracle samples the S6
+    # lines as the members of those families, the three
+    # audit.surfaces.s6[t] max_residue values changed, each now about
+    # 3e-15 (was 4e-14)
+    ("reproduce-paper",): "e3ad887f09a2c745ace38986c5feaf06"
+                          "e29669e34efaf7d7c54b225192ec639c",
     # the float oracle away from seed 0 and through `audit`: its residues
     # depend on the order in which the sample points are drawn and on the
     # arithmetic of each residue, so a change to either fails here
+    ("audit", "s6", "--t", "3"): "b2bb1eb56f02de67f43dfe4022ea756c"
+                                 "b9f56b4cf9527703109fe3750f691e34",
     ("audit", "s7", "--t", "3"): "56c8d35cd413ecd08888a1c35a78bee3"
                                  "83ff2d1386ed03b3c183da1f44b85b1f",
     ("audit", "s8", "--t", "3", "--seed", "2"):
         "8ed148e7ac1eb931157ce65f00af23d830ef0cf41a5f5e0edfcd6a75318f8a42",
-    ("reproduce-paper", "--seed", "3"): "b6f7da178b4055e9c6b709d1a959c8fc"
-                                        "9aa95ef9474fc3b16844306749f090d0"}
+    # as reproduce-paper: the intersections-s6 `rows` and the three
+    # audit.surfaces.s6[t] max_residue values changed
+    ("reproduce-paper", "--seed", "3"): "8a983d78c63aea962277a48797fc1a22"
+                                        "ce6ff9949132f7e7473bb5aaaf3a0d8c"}
 
 
 # sha256 of the S7 and S8 curve certificates: every curve form is the

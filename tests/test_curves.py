@@ -12,12 +12,14 @@ import pytest
 import kleinfib
 from kleinfib import numeric
 from kleinfib.curves import (VerificationError, _certify_membership,
-                             _graph_forms, _root_graph, an_tower,
+                             _graph_forms, _root_family, _root_graph,
+                             an_tower,
                              certify_s6_lines, chain_subs, dn_tower,
                              enumerate_an, enumerate_dn, enumerate_s7,
                              enumerate_s8, q_cubic, q1_quartic, q2_quartic,
                              residual_coefficients, s6_alpha_lines,
-                             s6_line_tower, s7_e0_tower, strip_content)
+                             s6_line_tower, s6_radicand, s7_e0_tower,
+                             strip_content)
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.lattice import minus_one_classes
 from kleinfib.multipoly import MultiPoly
@@ -74,13 +76,13 @@ def _distinct_roots(coeffs):
 @pytest.mark.parametrize("r", [6, 7, 8])
 def test_family_counts_are_roots_times_degree(r):
     # a radical family counts N curves, N its binomial degree, over each
-    # distinct nonzero root of its root polynomial (X - c for the lines
-    # L_mu), and the curves of S_r add up to the (-1)-classes of the
+    # distinct nonzero root of its root polynomial (C for the lines L_mu),
+    # and the curves of S_r add up to the (-1)-classes of the
     # degree-(9 - r) del Pezzo surface
     s = build_surface("s%d" % r)
     if r == 6:
         curves = certify_s6_lines(s)
-        roots, degree = {"plus": 1, "minus": 1}, 12
+        roots, degree = {"Lmu": _distinct_roots(s6_radicand())}, 12
     elif r == 7:
         curves = enumerate_s7(s)[0]
         roots, degree = {"main": _distinct_roots(q_cubic())}, 18
@@ -183,8 +185,7 @@ def test_dn_constants_form_a_field(n):
 
 
 def _witness_towers():
-    towers = [s6_line_tower(b)[0] for b in ("plus", "minus")]
-    towers += [s6_alpha_lines()[0], s7_e0_tower()[0]]
+    towers = [s6_line_tower()[0], s6_alpha_lines()[0], s7_e0_tower()[0]]
     towers += [an_tower(n)[0] for n in range(2, 8)]
     towers += [dn_tower(n)[0] for n in range(4, 13)]
     catalog = build_catalog()
@@ -210,22 +211,37 @@ def test_witness_towers_are_cyclotomic_plus_one_ratfunc():
 
 
 def test_vanishing_s6_radicand_is_refused(monkeypatch):
-    # with sqrt3 read as 45/26 the radicand c+ = (-45 + 26 sqrt3)/243 of the
-    # plus branch is 0: the refusal comes before t = mu^12 / c divides by
-    # it (the uncached certifier, so that no cache keeps the failure)
-    from kleinfib.curves import _i_sqrt3
-    monkeypatch.setattr("kleinfib.curves._i_sqrt3", lambda T: (
-        _i_sqrt3(T)[0], T.lift(Fraction(45, 26))))
-    with pytest.raises(VerificationError, match="S6 radicand vanishes"):
+    # with the stored c+ = (-45 + 26 sqrt3)/243 read as 0 (both ints 0), the
+    # refusal comes before t = mu^12 / c divides by it (the uncached
+    # certifier, so that no cache keeps the failure)
+    monkeypatch.setattr("kleinfib.curves.S6_ROOT", ((0, 0), 243))
+    with pytest.raises(VerificationError, match="the stored root of C is "
+                                                "not a nonzero root"):
         certify_s6_lines.__wrapped__(build_surface("s6"))
 
 
-# run as `python -c`: reproduce-paper with one int of the stored root of Q
-# (argv[1] = s7) or of Q1 (s8) off by one
+def test_a_conjugation_moving_a_surface_coefficient_is_refused():
+    # the family over c- is sigma_5 of the one over c+ because sigma_5
+    # fixes -2i, the one irrational coefficient of the cubic; sigma_7 takes
+    # i to -i, and a root named by 7 is refused
+    s6 = build_surface("s6")
+    family = certify_s6_lines(s6)[-1]
+    graph, t, roots = (family.data[k] for k in ("graph", "t", "roots"))
+    assert _root_family(s6, graph, t, roots)["roots"] == roots
+    with pytest.raises(VerificationError, match="sigma_7 moves a "
+                                                "coefficient of the s6"):
+        _root_family(s6, graph, t, {**roots, 7: roots[1]})
+
+
+# run as `python -c`: reproduce-paper with one int of the stored root of C
+# (argv[1] = s6), of Q (s7) or of Q1 (s8) off by one
 PATCHED_ROOT = """
 import sys
 from kleinfib import cli, curves
-if sys.argv[1] == "s7":
+if sys.argv[1] == "s6":
+    (a, *rest), den = curves.S6_ROOT
+    curves.S6_ROOT = ((a + 1, *rest), den)
+elif sys.argv[1] == "s7":
     (a, *rest), den = curves.S7_ROOT
     curves.S7_ROOT = ((a + 1, *rest), den)
 else:
@@ -235,7 +251,8 @@ sys.exit(cli.main(["reproduce-paper"]))
 """
 
 
-@pytest.mark.parametrize("surface,label", [("s7", "Q"), ("s8", "Q1")])
+@pytest.mark.parametrize("surface,label", [("s6", "C"), ("s7", "Q"),
+                                           ("s8", "Q1")])
 def test_a_stored_root_off_by_one_fails_its_curve_check(surface, label):
     # in a process of its own, so that no cache here holds the failure
     src = os.path.dirname(os.path.dirname(kleinfib.__file__))
@@ -270,19 +287,25 @@ def test_a_changed_graph_coefficient_fails_membership(surface, branch):
                                     dict(zip("YZ", _graph_forms(*bad))), t)
 
 
-@pytest.mark.parametrize("surface,count", [("s7", 3), ("s8", 4)])
+@pytest.mark.parametrize("surface,count", [("s6", 2), ("s7", 3), ("s8", 4)])
 def test_the_roots_are_all_the_residual_roots(surface, count):
     # each family counts binomial degree times its distinct conjugate
     # roots, and their floats are the residual's roots solved directly
-    curves, residuals = (enumerate_s7 if surface == "s7"
-                         else enumerate_s8)(build_surface(surface))
+    # (the radicand C itself for the lines L_mu of S6)
+    s = build_surface(surface)
+    if surface == "s6":
+        curves, qs = certify_s6_lines(s), [s6_radicand()]
+    else:
+        curves, residuals = (enumerate_s7 if surface == "s7"
+                             else enumerate_s8)(s)
+        residuals = [residuals] if surface == "s7" else list(residuals)
+        qs = [residual_coefficients(residual, curves[-1].parameter)
+              for residual in residuals]
     families = [c for c in curves if c.index is None]
-    residuals = [residuals] if surface == "s7" else list(residuals)
-    for family, residual in zip(families, residuals, strict=True):
+    for family, q in zip(families, qs, strict=True):
         roots = family.data["roots"]
         h = roots[1].tower.M
         assert len(roots) == count and family.count == h * count
-        q = residual_coefficients(residual, family.parameter)
         direct = numeric_roots(q, NumericConfig())
         values = [numeric._embed(x, 1) for x in roots.values()]
         for value in values:

@@ -174,6 +174,21 @@ def test_audit_count_must_match_the_exact_families(monkeypatch):
         numeric.numeric_audit_s7(build_surface("s7"), CFG)
 
 
+def _s6_float_lines(cfg):
+    """The 27 float lines the S6 audit reads at cfg.t, in its order, with
+    their (orbit, member) tags: L1-L3 ("L123"), then the 12 lines L_mu over
+    each root j of C (j)."""
+    s6 = build_surface("s6")
+    lines = curves.certify_s6_lines(s6)
+    equation = numeric.CompiledPoly(
+        s6.equation, dict(numeric.S6_ENV, t=float(cfg.t)), order="WXYZ")
+    graphs = numeric._radical_residues(equation, [lines[0], lines[-1]], cfg,
+                                       iter(numeric._samples(cfg.seed)))[1]
+    tags = [("L123", k) for k in range(3)] + [
+        (j, k) for j in lines[-1].data["roots"] for k in range(12)]
+    return tags, graphs
+
+
 def _stacked_det(line1, line2):
     """|det| of the 4x4 matrix that stacks the forms Y - y0 W - y1 X,
     Z - z0 W - z1 X of two float graphs, by Gaussian elimination with
@@ -197,7 +212,7 @@ def _stacked_det(line1, line2):
 def test_s6_determinant_gap(t):
     # the oracle's rule on the float graphs: near rounding on the 135
     # meeting pairs, far from the 1e-8 threshold on the 216 disjoint ones
-    tags, lines = numeric._s6_numeric_lines(NumericConfig(t=t))
+    tags, lines = _s6_float_lines(NumericConfig(t=t))
     pairs = [(i, j) for i in range(27) for j in range(i + 1, 27)]
     ratios = [numeric._meet_ratio(lines[i], lines[j]) for i, j in pairs]
     meeting = [r for r in ratios if r < 1e-8]
@@ -235,6 +250,21 @@ def test_s6_determinant_gap(t):
     assert det_meets == 111 and set(degrees) == {8, 10}
 
 
+@pytest.mark.parametrize("orbit,k", [("L123", 1), (5, 6)])
+def test_s6_graph_must_agree_with_the_exact_rows(monkeypatch, orbit, k):
+    # the float meets within each Galois orbit are checked against its
+    # exact row: an entry flipped there, in L1-L3 or in L_mu over c-, is
+    # refused
+    exact = orbits.s6_intersections(build_surface("s6"))
+    rows = {"L123": list(exact["rows"]["L123"]),
+            **{j: list(row) for j, row in exact["rows"]["Lmu"].items()}}
+    rows[orbit][k] = 1 - rows[orbit][k]
+    monkeypatch.setattr(orbits, "s6_intersections", lambda s6: dict(
+        exact, rows={"L123": rows.pop("L123"), "Lmu": rows}))
+    with pytest.raises(VerificationError, match="exact/numeric disagreement"):
+        numeric.numeric_audit_s6(build_surface("s6"), CFG)
+
+
 def _perturbed(constants, row, k):
     """_constants with coefficient k of graph row (0 for Y, 1 for Z) off by
     a relative 1e-6."""
@@ -246,15 +276,10 @@ def _perturbed(constants, row, k):
 
 def test_perturbed_s6_graph_is_refuted(monkeypatch):
     # the oracle samples the exact graphs it is handed: one coefficient of
-    # the plus branch's graph off by a relative 1e-6 leaves the surface; so
-    # does one of the S7 representative's and one of the S8 P1 family's, at
-    # t = 2 and at the ends of the t range
-    alpha_graphs, branches = numeric._s6_graphs()
-    (branch, c, graph), other = branches
-    bad = [(branch, c, _perturbed(graph, 0, 0)), other]
-    monkeypatch.setattr(numeric, "_s6_graphs", lambda: (alpha_graphs, bad))
-    with pytest.raises(VerificationError, match="S6 membership residue"):
-        numeric.numeric_audit_s6(build_surface("s6"), CFG)
+    # the graph of L_mu over c+ off by a relative 1e-6 leaves the surface;
+    # so does one of the S7 representative's and one of the S8 P1 family's,
+    # at t = 2 and at the ends of the t range (the coefficient of X in Z,
+    # which is 0 on L1-L3)
     exact = numeric._radical_graphs
 
     def perturbed(family):
@@ -265,6 +290,8 @@ def test_perturbed_s6_graph_is_refuted(monkeypatch):
     for t in (2, 2 ** 12, -2 ** 12, Fraction(1, 2 ** 12),
               Fraction(-1, 2 ** 12)):
         cfg = NumericConfig(t=t)
+        with pytest.raises(VerificationError, match="S6 membership residue"):
+            numeric.numeric_audit_s6(build_surface("s6"), cfg)
         with pytest.raises(VerificationError, match="S7 residue"):
             numeric.numeric_audit_s7(build_surface("s7"), cfg)
         with pytest.raises(VerificationError, match="S8 residue"):
@@ -360,8 +387,9 @@ def test_q_q1_q2_are_solved_once(monkeypatch):
 
 def test_sample_points_are_drawn_once_per_seed(monkeypatch):
     # the points (W, X) do not depend on t: one full audit draws the 1200
-    # of S8, whose first 280 are those of S7, and the 135 of S6, once each
-    # (a fresh seed keeps the audit cache cold), and every t reads them
+    # of S8, whose first 135 are those of S6 and first 280 those of S7,
+    # once (a fresh seed keeps the audit cache cold), and every t reads
+    # them
     draws, seen, where = [], {}, []
     draw, audit, at = (numeric._sample_wx, numeric.numeric_curve_audit,
                        numeric.CompiledPoly.at)
@@ -377,11 +405,11 @@ def test_sample_points_are_drawn_once_per_seed(monkeypatch):
                         or audit(s, cfg))
     monkeypatch.setattr(numeric.CompiledPoly, "at", spy_at)
     numeric._samples.cache_clear()
-    numeric._s6_samples.cache_clear()
     numeric.full_audit(build_catalog(), seed=29)
-    assert len(draws) == 1200 + 135
+    assert len(draws) == 1200
     for t in (2, 3, 5):
         assert len(seen["s8", t]) == 1200 and len(seen["s6", t]) == 135
+        assert seen["s6", t] == seen["s8", t][:135]
         assert seen["s7", t] == seen["s8", t][:280]
         assert seen["s6", t] == seen["s6", 2] and \
             seen["s8", t] == seen["s8", 2]

@@ -6,9 +6,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from kleinfib import lattice, numeric, orbits, tower
+from kleinfib import curves, lattice, numeric, orbits, tower
 from kleinfib.base import GeometryError, VerificationError
-from kleinfib.curves import (rotate_forms, rotate_line, s6_alpha_lines,
+from kleinfib.curves import (certify_s6_lines, rotate_forms, s6_alpha_lines,
                              s6_line, s6_line_forms, s6_line_tower)
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.orbits import (BaseExtension, GRID_CASES, an_intersections,
@@ -124,12 +124,13 @@ def fresh_verdicts():
 
 
 def _s6_reporting(monkeypatch, edit):
-    """s6_intersections patched to return its pairs through edit, which
-    returns a pair or None to leave it out."""
+    """s6_intersections patched to return the row of L_mu over c+ (root 1)
+    through edit, which changes a copy of it in place."""
     full = s6_intersections(build_surface("s6"))
-    pairs = [edit(p) for p in full["pairs"]]
+    lmu = {j: list(row) for j, row in full["rows"]["Lmu"].items()}
+    edit(lmu[1])
     monkeypatch.setattr(orbits, "s6_intersections", lambda s6: dict(
-        full, pairs=[p for p in pairs if p is not None]))
+        full, rows=dict(full["rows"], Lmu=lmu)))
 
 
 def _endpoint(case, m, surface):
@@ -139,16 +140,19 @@ def _endpoint(case, m, surface):
 
 def test_kept_orbits_need_a_certified_meeting_pair(monkeypatch,
                                                      fresh_verdicts):
-    # without the xi-order-3 witnesses (k = 4, 8), the only meets of the
-    # <c^4>-orbits of L_mu, the rows of L_mu are incomplete: they fit no
+    # without the xi-order-3 meets (k = 4, 8), the only meets of the
+    # <c^4>-orbits of L_mu, the row of L_mu is incomplete: it fits no
     # c-cycle, and every e6 cell is refused, those with gcd(m, 12) = 4 too
     s6 = build_surface("s6")
     orbits._coxeter_match.cache_clear()
     orbits.minimal_model.cache_clear()
-    _s6_reporting(monkeypatch, lambda p: None if p.get("k") in (4, 8) else p)
+
+    def unmet(row):
+        row[4] = row[8] = None
+    _s6_reporting(monkeypatch, unmet)
     for m in range(1, 31):
         with pytest.raises(VerificationError,
-                           match="no free c-cycle fits the row of Lmu_plus"
+                           match="no free c-cycle fits the row of Lmu$"
                            ) as info:
             _model("e6", m, s6)
         row = info.value.detail["row"]
@@ -161,19 +165,17 @@ def test_kept_orbits_need_a_certified_meeting_pair(monkeypatch,
                                            (6, False, [4, 5, 7, 8])])
 def test_a_witness_the_lattice_refutes_fails_the_matching(
         monkeypatch, fresh_verdicts, k, meet, meets):
-    # L_mu+ meets L_{xi^k mu+} for k = 4..8 only: a reported meet at k = 2,
-    # or a disjointness at k = 6, gives a row that is neither 12-cycle's,
-    # and every e6 cell is refused
-    def edited(p):
-        if p.get("branch") == "plus" and p["k"] == k:
-            return dict(p, intersect=meet)
-        return p
+    # L_mu over c+ meets L_{xi^k mu} for k = 4..8 only: a meet at k = 2, or
+    # a disjointness at k = 6, gives a row that is neither 12-cycle's, and
+    # every e6 cell is refused
+    def edited(row):
+        row[k] = int(meet)
     _s6_reporting(monkeypatch, edited)
     s6 = build_surface("s6")
     for m in (1, 3, 4, 12):
         with pytest.raises(VerificationError,
                            match="no free c-cycle fits the row of "
-                                 "Lmu_plus") as info:
+                                 "Lmu$") as info:
             _model("e6", m, s6)
     row = info.value.detail["row"]
     assert [j for j in range(12) if row[j] > 0] == meets
@@ -184,7 +186,7 @@ def test_a_witness_the_lattice_refutes_fails_the_matching(
 
 def test_an_orbit_fitting_several_cycles_is_refused(monkeypatch,
                                                    fresh_verdicts):
-    # with the two 12-cycles given one row, L_mu+ fits both: refused
+    # with the two 12-cycles given one row, L_mu over c+ fits both: refused
     def same_rows(r, real=lattice.coxeter_cycles):
         cycles, traces = real(r)
         twelve = next(meets for cycle, meets in cycles
@@ -194,7 +196,7 @@ def test_an_orbit_fitting_several_cycles_is_refused(monkeypatch,
     monkeypatch.setattr(lattice, "coxeter_cycles", same_rows)
     with pytest.raises(VerificationError,
                        match="more than one free c-cycle fits the row of "
-                             "Lmu_plus"):
+                             "Lmu$"):
         _model("e6", 1, build_surface("s6"))
 
 
@@ -345,82 +347,89 @@ def test_minimal_model_is_built_once_per_divisor_of_the_period():
 
 
 def test_s6_intersections():
-    report = s6_intersections(build_surface("s6"))
-    pattern = {(e["branch"], e["k"]): e["intersect"]
-               for e in report["pairs"] if e["pair"] == "Lmu/Lximu"}
-    # order-2 and order-3 conjugates always meet
-    for branch in ("plus", "minus"):
-        assert pattern[(branch, 6)]
-        assert pattern[(branch, 4)]
-        assert pattern[(branch, 8)]
-        # and some conjugate pairs are disjoint (negative control)
-        assert not all(pattern[(branch, k)] for k in range(1, 12))
+    rows = s6_intersections(build_surface("s6"))["rows"]
     # the three coordinate lines pairwise meet at (0:1:0:0)
-    l123 = [e for e in report["pairs"] if e["pair"].startswith("L")
-            and "/L" in e["pair"] and "mu" not in e["pair"]]
-    assert len(l123) == 3 and all(e["intersect"] for e in l123)
+    assert rows["L123"] == [-1, 1, 1]
+    # one orbit of L_mu over each root of C, c+ (j = 1) and c- (j = 5)
+    assert list(rows["Lmu"]) == [1, 5]
+    for row in rows["Lmu"].values():
+        # order-2 and order-3 conjugates always meet
+        assert row[6] and row[4] and row[8]
+        # and some conjugate pairs are disjoint (negative control)
+        assert not all(row[1:])
+
+
+# the root sigma_j(c+) of C of each former branch of L_mu
+ROOT = {"plus": 1, "minus": 5}
+
+
+def _lmu_forms(T, j):
+    """The forms of L_mu over sigma_j(c+): sigma_j of those over c+."""
+    return tuple(f.map_coeffs(lambda c: c.conjugate(j))
+                 for f in s6_line_forms(T))
 
 
 def _s6_line_pairs():
-    """The 25 pairs s6_intersections decides, as (forms1, forms2, tower,
-    t): L1..L3 pairwise, and L_mu against L_{zeta12^k mu} on each branch."""
-    T0, t0, lines = s6_alpha_lines()
-    pairs = [(lines[a], lines[b], T0, t0)
+    """The 25 pairs s6_intersections decides, as (forms1, forms2, tower):
+    L1..L3 pairwise, and L_mu against L_{zeta12^k mu} over each root of C."""
+    T0, _, lines = s6_alpha_lines()
+    pairs = [(lines[a], lines[b], T0)
              for a in range(3) for b in range(a + 1, 3)]
-    for branch in ("plus", "minus"):
-        T, _, t = s6_line_tower(branch)
-        forms = s6_line_forms(T, branch)
-        pairs += [(forms, rotate_forms(forms, k), T, t) for k in range(1, 12)]
+    T, roots, _ = s6_line_tower()
+    for j in roots:
+        forms = _lmu_forms(T, j)
+        pairs += [(forms, rotate_forms(forms, k), T) for k in range(1, 12)]
     return pairs
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 def test_s6_witnesses_are_sigma_equivariant(branch):
     # sigma_k carries the pair (L_mu, L_{xi^(12-k) mu}) to (L_{xi^k mu},
-    # L_mu): the witness of pair k is sigma_k of the witness of pair 12 - k
-    s6 = build_surface("s6")
-    T, _, t = s6_line_tower(branch)
-    forms = s6_line_forms(T, branch)
-    line = s6_line(forms, T)
-    entries = {e["k"]: e for e in s6_intersections(s6)["pairs"]
-               if e.get("branch") == branch}
+    # L_mu): the row's entry k, which _row reads off entry 12 - k for
+    # k > 6 and _root_rows off the row over c+ for c-, is meet_number of
+    # L_mu and the line solved from the forms rotated by 12 - k
+    j = ROOT[branch]
+    T, _, _ = s6_line_tower()
+    forms = _lmu_forms(T, j)
+    line = s6_line(forms, T)[1:]
+    row = s6_intersections(build_surface("s6"))["rows"]["Lmu"][j]
     for k in range(1, 12):
-        ok, wit = orbits.lines_meet(
-            line, s6_line(rotate_forms(forms, 12 - k), T), s6, t)
-        assert entries[k]["intersect"] == ok == entries[12 - k]["intersect"]
-        assert entries[k]["witness"] == (
-            [str(c.rotate(k)) for c in wit] if ok else None), k
-    assert any(entries[k]["intersect"] for k in range(7, 12))
+        other = s6_line(rotate_forms(forms, 12 - k), T)[1:]
+        assert orbits.meet_number(line, other) == row[k] == row[12 - k], k
+    assert any(row[7:])
 
 
 def test_s6_pairs_refuse_a_t_that_sigma_moves(monkeypatch):
-    # a t that sigma_1 moves is no longer mu^12 / c: the witnesses leave
-    # the surface
-    line_tower = orbits.s6_line_tower
+    # a t that sigma_1 moves is no longer mu^12 / c: L_mu leaves the
+    # surface, and its rows are refused with it
+    line_tower = curves.s6_line_tower
 
-    def moved(branch):
-        T, c, t = line_tower(branch)
-        return T, c, t * T.gen("mu")
-    monkeypatch.setattr(orbits, "s6_line_tower", moved)
+    def moved():
+        T, roots, t = line_tower()
+        return T, roots, t * T.gen("mu")
+    monkeypatch.setattr(curves, "s6_line_tower", moved)
     s6 = build_surface("s6")
-    orbits.s6_intersections.cache_clear()
+    caches = (certify_s6_lines, orbits._root_rows, s6_intersections)
+    for fn in caches:
+        fn.cache_clear()
     try:
-        with pytest.raises(VerificationError, match="not on the surface"):
+        with pytest.raises(VerificationError, match="membership residue"):
             s6_intersections(s6)
     finally:
-        orbits.s6_intersections.cache_clear()
+        for fn in caches:
+            fn.cache_clear()
 
 
 def test_rotated_s6_forms_substitute_xi_mu():
     # L_{xi mu}, xi = zeta12^k, is L_mu with xi mu in place of mu: both
     # forms are mu-linear combinations of W, X, Y, Z, with coefficients
-    # c(mu) of degree 6, 3, 2 or 0 in mu
-    for branch in ("plus", "minus"):
-        T, _, _ = s6_line_tower(branch)
-        z12, mu = tower.root_of_unity(T, 12), T.gen("mu")
+    # c(mu) of degree 6, 3, 2 or 0 in mu, over each root of C
+    T, roots, _ = s6_line_tower()
+    z12 = tower.root_of_unity(T, 12)
+    for j in roots:
+        forms = _lmu_forms(T, j)
         for k in range(12):
-            for f, g in zip(s6_line_forms(T, branch),
-                            rotate_forms(s6_line_forms(T, branch), k)):
+            for f, g in zip(forms, rotate_forms(forms, k)):
                 for e, c in f.terms.items():
                     (d, _), = c.payload[0].items()
                     assert g.terms[e] == c * z12 ** (k * d)
@@ -428,35 +437,36 @@ def test_rotated_s6_forms_substitute_xi_mu():
 
 def test_graph_rule_agrees_with_the_oracle_float_rule():
     # the exact rule against the oracle's float form of it, on the same
-    # graphs at a sample alpha and mu: 12 of the 25 pairs are disjoint, and
-    # every witness zeroes the four forms
-    s6 = build_surface("s6")
+    # graphs at a sample alpha and mu: 12 of the 25 pairs are disjoint
     at = {"alpha": 1.3 - 0.4j, "mu": 0.8 + 0.5j}
     pairs, disjoint = _s6_line_pairs(), 0
-    for forms1, forms2, T, t in pairs:
-        lines = [s6_line(f, T) for f in (forms1, forms2)]
-        ok, witness = orbits.lines_meet(*lines, s6, t)
+    for forms1, forms2, T in pairs:
+        lines = [s6_line(f, T)[1:] for f in (forms1, forms2)]
+        meets = orbits.meet_number(*lines)
         env = dict(numeric.S6_ENV, **{T.var: 1})
         floats = [numeric._graph_at(numeric._constants(
-            line[1:], lambda c: c.as_complex(env)), at[T.var])
-            for line in lines]
-        assert ok == (numeric._meet_ratio(*floats) < 1e-8)
-        if ok:
-            point = dict(zip("WXYZ", witness))
-            assert not any(f.evaluate(point) for f in forms1 + forms2)
-        disjoint += not ok
+            line, lambda c: c.as_complex(env)), at[T.var]) for line in lines]
+        assert meets in (0, 1)
+        assert meets == (numeric._meet_ratio(*floats) < 1e-8)
+        disjoint += not meets
     assert len(pairs) == 25 and disjoint == 12
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 def test_rotated_graph_is_the_graph_of_the_rotated_forms(branch):
-    # s6_intersections rotates L_mu's graph instead of solving it again:
-    # sigma_k of the graph is the graph of sigma_k of the forms
-    T, _, _ = s6_line_tower(branch)
-    forms = s6_line_forms(T, branch)
-    line = s6_line(forms, T)
+    # _row rotates the graph of L_mu instead of solving it again, and the
+    # family over c- is sigma_5 of the one over c+: sigma_k of the graph is
+    # the graph of sigma_k of the forms, and sigma_j of the graph over c+
+    # is the graph of the forms over sigma_j(c+)
+    j = ROOT[branch]
+    T, _, _ = s6_line_tower()
+    forms = _lmu_forms(T, j)
+    y, z = s6_line(forms, T)[1:]
+    plus = certify_s6_lines(build_surface("s6"))[-1].data["graph"]
+    assert [[c.conjugate(j) for c in cs] for cs in plus] == [y, z]
     for k in range(1, 12):
-        assert rotate_line(line, k) == s6_line(rotate_forms(forms, k), T)
+        assert [[c.rotate(k) for c in y], [c.rotate(k) for c in z]] == \
+            list(s6_line(rotate_forms(forms, k), T)[1:])
 
 
 def test_proportional_forms_are_a_degenerate_line():
@@ -466,27 +476,13 @@ def test_proportional_forms_are_a_degenerate_line():
     Z = lines[0][0]
     with pytest.raises(GeometryError, match="no graph"):
         s6_line((Z, Z.scale(3)), T)
-    line = s6_line(lines[1], T)
+    line = s6_line(lines[1], T)[1:]
     with pytest.raises(GeometryError, match="paired with itself"):
-        orbits.lines_meet(line, line, build_surface("s6"), t)
-
-
-def test_a_witness_off_a_form_or_the_surface_is_refused():
-    # L_mu meets L_{-mu}; their witness misses the forms of L_{zeta12 mu}
-    # and leaves a mutated s6
-    T, _, t = s6_line_tower("plus")
-    forms = s6_line_forms(T, "plus")
-    line, other = s6_line(forms, T), s6_line(rotate_forms(forms, 6), T)
-    with pytest.raises(VerificationError, match="fails a line form"):
-        orbits.lines_meet((rotate_forms(forms, 1),) + line[1:], other,
-                          build_surface("s6"), t)
-    bad = build_catalog(mutation=("s6", 0, 0, Fraction(1)))["s6"]
-    with pytest.raises(VerificationError, match="not on the surface"):
-        orbits.lines_meet(line, other, bad, t)
+        orbits.meet_number(line, line)
 
 
 def test_witnesses_stay_off_the_euclid_path(monkeypatch):
-    # Laurent witnesses invert only monomials: an inversion by the Galois
+    # Laurent graphs invert only monomials: an inversion by the Galois
     # norm runs only for their irrational constant coefficients in
     # Q(zeta_M), never for a denominator
     calls = []
@@ -496,16 +492,16 @@ def test_witnesses_stay_off_the_euclid_path(monkeypatch):
         calls.append(1)
         return inverse(*args)
     monkeypatch.setattr(tower, "_cyclotomic_inverse", counted)
-    for fn in (orbits.s6_intersections, orbits.dn_intersections,
-               orbits.enumerate_dn):
+    for fn in (certify_s6_lines, orbits._root_rows, orbits.s6_intersections,
+               orbits.dn_intersections, orbits.enumerate_dn):
         fn.cache_clear()
     s6_intersections(build_surface("s6"))
-    # 19 measured: 2 for t = mu^12 / c, 2 per branch for the graph of L_mu,
-    # which sigma_k rotates to the other 11, and 1 per witness (solving
-    # each of the 24 graphs made 63, the kernel solves before the graphs
-    # 122, and the extended Euclid before them 189, also for rational
-    # constants); normalizing quotients by a gcd took 11707
-    assert calls and len(calls) <= 25
+    # 3 measured: 1 for t = mu^12 / c+ and 2 for the graph of L_mu over
+    # c+, which sigma_k and sigma_5 carry to the other 23 (solving each of
+    # the 24 graphs made 63, the kernel solves before the graphs 122, and
+    # the extended Euclid before them 189, also for rational constants);
+    # normalizing quotients by a gcd took 11707
+    assert calls and len(calls) <= 5
     del calls[:]
     dn_intersections(build_surface("dn:9"))
     assert not calls
@@ -535,16 +531,18 @@ def test_conjugation_without_a_witness_is_refused(monkeypatch):
     assert orbits.s7_conjugation.__wrapped__(s7, 3)["meets"] == {6: 1, 12: 1}
 
 
-@pytest.mark.parametrize("surface,branch", [("s7", "main"), ("s8", "P1"),
-                                            ("s8", "P2")])
+@pytest.mark.parametrize("surface,branch", [("s6", "Lmu"), ("s7", "main"),
+                                            ("s8", "P1"), ("s8", "P2")])
 def test_conjugate_rows_are_the_representative_row_permuted(surface,
                                                              branch):
     # sigma_j carries the pair (C, C_k) over x to (sigma_j C, its curve at
     # j k) over sigma_j(x): the row of sigma_j(x), computed directly on the
-    # conjugated graph, is the representative's row at k / j
+    # conjugated graph, is the representative's row at k / j (the row of
+    # L_mu over c- is the one over c+ read at 5 k)
     s = build_surface(surface)
     rows = orbits._root_rows(s, branch)
-    family = (orbits._s7_main_data(s)[2] if surface == "s7"
+    family = (certify_s6_lines(s)[-1] if surface == "s6"
+              else orbits._s7_main_data(s)[2] if surface == "s7"
               else orbits._s8_branch_data(s)[1][branch])
     h = len(rows[1])
     for j in rows:
