@@ -247,7 +247,7 @@ def verify_an_wild_family(s, P: MultiPoly) -> bool:
     n = s.index
     if P.vars != AFFINE_VARS:
         P = P.rename(AFFINE_VARS)
-    if P.degree("x") or P.degree("z"):
+    if P.degree("x") > 0 or P.degree("z") > 0:
         raise ValueError("P must be a polynomial in y")
     x, y, z = (MultiPoly.var(AFFINE_VARS, v) for v in AFFINE_VARS)
     u = x + y * P

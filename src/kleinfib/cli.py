@@ -78,11 +78,11 @@ def _jsonable(obj):
 
 
 def _curve_entry(c):
-    """The certificate entry of c, one curve or a family of c.count."""
+    """The certificate entry of c, a family of c.count curves."""
     data = {k: _jsonable(v) for k, v in sorted(c.data.items())
             if isinstance(v, (str, int, bool, Fraction))}
     return {"surface": c.surface, "family": c.family, "branch": c.branch,
-            "index": c.index, "chart": c.chart, "parameter": c.parameter,
+            "chart": c.chart, "parameter": c.parameter,
             "count": c.count, "equations": [repr(e) for e in c.equations],
             "relation": repr(c.relation) if c.relation is not None else None,
             "data": data}

@@ -10,7 +10,11 @@ stored root its family is one exact graph (Y, Z) over P^1_(W:X) with
 coefficients in Q(zeta_h)[s, 1/s], certified by substitution; its
 rotations s -> zeta_h^k s and conjugates zeta_h -> zeta_h^j are the other
 curves.  The 24 lines L_mu of S6 are such a family too, over the two roots
-of their radicand C, and L1-L3 one over the root 1 of X - 1.
+of their radicand C, and L1-L3 and the S7 e = 0 pair are ones over the root
+1 of X - 1.  So are the A_n and D_n fibre components, each family given by
+its member over x = alpha or mu.  Every CurveSpec is one such family: its
+representative is certified by substitution, and the rotations, fixing t
+and the surface equation, carry it to the others.
 """
 
 from fractions import Fraction
@@ -19,19 +23,18 @@ from operator import mul
 
 from .base import GeometryError, VerificationError, _surface_cache
 from .multipoly import MultiPoly
-from .tower import FieldElement, FieldTower, cyclotomic, root_of_unity
+from .tower import FieldElement, cyclotomic, root_of_unity
 from .univariate import subresultant_prs
 
 
 class CurveSpec:
-    """The `count` curves cut in chart `chart` by the forms `equations`, one
-    for each root of the defining `relation` in the generator `parameter`:
-    one curve, or a whole radical family (then `index` is None)."""
+    """The radical family of `count` curves cut in chart `chart` by the forms
+    `equations` and their Galois images, one for each root of the defining
+    `relation` in the generator `parameter`."""
 
-    def __init__(self, surface, family, branch, index, equations,
-                 parameter=None, relation=None, chart=0, data=None, count=1):
-        self.surface, self.family, self.branch, self.index = \
-            surface, family, branch, index
+    def __init__(self, surface, family, branch, equations, count,
+                 parameter=None, relation=None, chart=0, data=None):
+        self.surface, self.family, self.branch = surface, family, branch
         self.equations, self.parameter, self.relation, self.chart = \
             equations, parameter, relation, chart
         self.data = {} if data is None else data
@@ -272,9 +275,9 @@ def enumerate_s7(s7):
     e = cyclotomic(18).extend_ratfunc("e").gen("e")
     data = dict(_root_graph(s7, pairs, (YS, ZS), roots, e ** 18 / roots[1]),
                 coeff_pairs=pairs)
-    main = CurveSpec("s7", "S7-main", "main", None, forms, parameter="e",
-                     relation=core, data=data, count=18 * len(roots))
-    return _s7_e0_curves(s7) + [main], core
+    main = CurveSpec("s7", "S7-main", "main", forms, 18 * len(roots),
+                     parameter="e", relation=core, data=data)
+    return [_s7_e0_curves(s7), main], core
 
 
 def _homog_to_pure(p: MultiPoly, block: int, deg: int):
@@ -306,32 +309,28 @@ def residual_coefficients(residual: MultiPoly, parameter: str):
 
 
 def _s7_e0_curves(s7):
-    """The 2 curves of the e = 0 branch: a = b = d = 0, c^2 = t; curves
-    Y = 0, Z = +-sqrt(t) W^2."""
-    curves = []
+    """The e = 0 branch, a = b = d = 0, c^2 = t: the family of the 2 curves
+    Y = 0, Z = +-r W^2, r^2 = t, over the root 1 of X - 1 in Q(zeta_2)[r,
+    1/r], where _root_family's rotation sigma_1: r -> -r is the other
+    member."""
     T, t = s7_e0_tower()
     r = T.gen("r")
     cvars = ("W", "X", "Y", "Z")
-    Y = MultiPoly.var(cvars, "Y")
-    Z = MultiPoly.var(cvars, "Z")
-    W2 = MultiPoly.var(cvars, "W", 2)
+    Y, Z = MultiPoly.var(cvars, "Y"), MultiPoly.var(cvars, "Z")
+    graph = ([T.zero()] * 2, [r, T.zero(), T.zero()])
     rel = MultiPoly(("r", "t"), {(2, 0): Fraction(1), (0, 1): Fraction(-1)})
-    for idx, sgn in enumerate((1, -1)):
-        eqs = (Y, Z - W2.scale(T.lift(sgn) * r))
-        _certify_membership(s7, T, {"Y": MultiPoly.zero(cvars),
-                                    "Z": W2.scale(T.lift(sgn) * r)}, t)
-        graph = ([T.zero()] * 2, [T.lift(sgn) * r, T.zero(), T.zero()])
-        curves.append(CurveSpec("s7", "S7-e0", "e0", idx, eqs,
-                                parameter="r", relation=rel,
-                                data={"c": "+-sqrt(t)", "sign": sgn,
-                                      "graph": graph}))
-    return curves
+    return CurveSpec("s7", "S7-e0", "e0",
+                     (Y, Z - MultiPoly.var(cvars, "W", 2).scale(r)), 2,
+                     parameter="r", relation=rel,
+                     data=dict(_root_family(s7, graph, t, {1: T.one()}),
+                               c="+-sqrt(t)"))
 
 
 def s7_e0_tower():
-    """Q(r), the field of the two e = 0 curves Z = +-r W^2 on S7, with
-    t = r^2.  Returns (tower, t)."""
-    T = FieldTower.rationals().extend_ratfunc("r")
+    """Q(zeta_2)[r, 1/r], the field of the two e = 0 curves Z = +-r W^2 on
+    S7, with t = r^2, so that rotation by zeta_2 = -1 is r -> -r.  Returns
+    (tower, t)."""
+    T = cyclotomic(2).extend_ratfunc("r")
     return T, T.gen("r") ** 2
 
 
@@ -352,17 +351,6 @@ def rotate_forms(forms, e):
     """sigma_e of each form: FieldElement.rotate on its tower coefficients."""
     return tuple(f.map_coeffs(lambda c: c.rotate(e) if isinstance(
         c, FieldElement) else c) for f in forms)
-
-
-def _certify_member(surface, tower, t, substitution, forms, rep, e):
-    """Certify the curve cut by `forms` on surface by substitution, or as
-    sigma_e(rep) when rep is given: sigma_e fixes Q(zeta_M), so the surface
-    equation, and once it fixes t, rep's zero residue maps to this one's."""
-    if rep is None:
-        _certify_membership(surface, tower, substitution, t)
-    elif t.rotate(e) != t or forms != rotate_forms(rep.equations, e):
-        raise VerificationError("%s %s member is not sigma_%d of index %s"
-                                % (rep.family, rep.branch, e, rep.index))
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +476,9 @@ def enumerate_s8(s8):
         data = _root_graph(s8, dict(pairs, b=(bnum, bden)), (YS, ZS), roots,
                            -mu ** -30 * roots[1])
         data.update(coeff_pairs=pairs, convention="c = mu^2, g = -mu^3")
-        curves.append(CurveSpec("s8", "S8-main", "P%d" % bi, None, forms,
-                                parameter="mu", relation=Fi, data=data,
-                                count=30 * len(roots)))
+        curves.append(CurveSpec("s8", "S8-main", "P%d" % bi, forms,
+                                30 * len(roots), parameter="mu", relation=Fi,
+                                data=data))
     return curves, tuple(residuals)
 
 
@@ -603,8 +591,8 @@ def _root_family(surface, graph, t, roots):
     fixes t for M/h | k, and sigma_j: zeta_M -> zeta_M^j takes it to the t
     of sigma_j(x); sigma_k fixes the surface equation, and sigma_j is
     checked to fix each of its coefficients (S6 has -2i), so the graph's
-    rotations and conjugates are the family's other members, as
-    _certify_member reads a representative."""
+    rotations and conjugates lie on the surface: they are the family's
+    other members, distinct as the roots are and as zeta_h has order h."""
     T = t.tower
     _certify_membership(surface, T, dict(zip("YZ", _graph_forms(*graph))), t)
     coeffs = [T.lift(c) for c in surface.equation.terms.values()]
@@ -651,33 +639,25 @@ def s6_line_forms(T):
 
 @_surface_cache
 def certify_s6_lines(s6):
-    """All 27 lines of the cubic, each family certified by _root_family: the
-    3 lines Z = 0, Y = zeta3^j alpha W over the root 1 of X - 1, t = alpha^3,
-    each by substitution, and the 24 lines L_mu, mu^12 = c t, 12 over each
-    root c of C, as one family over c+."""
-    curves = []
-
-    # L1, L2, L3
+    """All 27 lines of the cubic, as two families certified by _root_family:
+    the 3 lines L1-L3, Z = 0, Y = zeta3^j alpha W over the root 1 of X - 1,
+    t = alpha^3, and the 24 lines L_mu, mu^12 = c t, 12 over each root c of
+    C, over c+."""
     T0, t0, alpha_lines = s6_alpha_lines()
     relA = MultiPoly(("alpha", "t"), {(3, 0): Fraction(1),
                                       (0, 1): Fraction(-1)})
-    for j, forms in enumerate(alpha_lines):
-        data = _root_family(s6, s6_line(forms, T0)[1:], t0, {1: T0.one()})
-        curves.append(CurveSpec("s6", "S6-L123", "alpha", j, forms,
-                                parameter="alpha", relation=relA,
-                                data=dict(data, zeta3_power=j)))
-
-    # the lines L_mu: t^2 C(mu^12 / t) = 0
     T, roots, t = s6_line_tower()
     forms = s6_line_forms(T)
+    # the lines L_mu: t^2 C(mu^12 / t) = 0
     relC = MultiPoly(("mu", "t"), {(12 * k, 2 - k): c
                                    for k, c in enumerate(s6_radicand())})
-    curves.append(CurveSpec("s6", "S6-Lmu", "Lmu", None, forms,
-                            parameter="mu", relation=relC,
-                            data=_root_family(s6, s6_line(forms, T)[1:], t,
-                                              roots),
-                            count=12 * len(roots)))
-    return curves
+    return [CurveSpec("s6", "S6-L123", "alpha", alpha_lines[0], 3,
+                      parameter="alpha", relation=relA,
+                      data=_root_family(s6, s6_line(alpha_lines[0], T0)[1:],
+                                        t0, {1: T0.one()})),
+            CurveSpec("s6", "S6-Lmu", "Lmu", forms, 12 * len(roots),
+                      parameter="mu", relation=relC,
+                      data=_root_family(s6, s6_line(forms, T)[1:], t, roots))]
 
 
 def s6_alpha_lines():
@@ -720,28 +700,25 @@ def an_tower(n: int):
 def enumerate_an(s):
     """The 2n fibre components of the A_n conic bundle s: over each root
     x = zeta^j alpha of x^n = t, the fibre x^n w^2 - yz = t w^2 splits
-    into the lines y = 0 and z = 0."""
+    into the lines y = 0 and z = 0.  Two families of n, each certified by
+    substitution at x = alpha: sigma_j: alpha -> zeta^j alpha fixes t and
+    Q(zeta_n), hence the surface equation, and carries that component to
+    the one over zeta^j alpha, the n x-values distinct as zeta has order n."""
     n = s.index
     T, t = an_tower(n)
-    zeta, alpha = root_of_unity(T, n), T.gen("alpha")
     cv = ("w", "y", "z", "x")
-    w, y, z, x = (MultiPoly.var(cv, v) for v in cv)
+    root = MultiPoly.const(cv, T.gen("alpha"))
     rel = MultiPoly(("alpha", "t"), {(n, 0): Fraction(1),
                                      (0, 1): Fraction(-1)})
     curves = []
-    for j, zj in enumerate(zeta.powers(n)):
-        root = MultiPoly.const(cv, zj * alpha)
-        for k, (comp, zero_var) in enumerate((("y0", "y"), ("z0", "z"))):
-            forms = (x - root, MultiPoly.var(cv, zero_var))
-            _certify_member(s, T, t, {"x": root, zero_var: MultiPoly.zero(cv)},
-                            forms, curves[k] if j else None, j)
-            curves.append(CurveSpec("an:%d" % n, "An-fiber", comp, j, forms,
-                                    parameter="alpha", relation=rel,
-                                    data={"zeta_power": j,
-                                          "contractible_orbit": comp == "y0"}))
-    if len(curves) != 2 * n:
-        raise VerificationError("A_%d component count %d != %d"
-                                % (n, len(curves), 2 * n))
+    for comp, zero_var in (("y0", "y"), ("z0", "z")):
+        _certify_membership(s, T, {"x": root, zero_var: MultiPoly.zero(cv)},
+                            t)
+        curves.append(CurveSpec("an:%d" % n, "An-fiber", comp,
+                                (MultiPoly.var(cv, "x") - root,
+                                 MultiPoly.var(cv, zero_var)), n,
+                                parameter="alpha", relation=rel,
+                                data={"contractible_orbit": comp == "y0"}))
     return curves
 
 
@@ -756,36 +733,29 @@ def dn_tower(n: int):
 
 @_surface_cache
 def enumerate_dn(s):
-    """On the D_n conic bundle s: 2 lines z = +- r w over x = 0,
-    r = mu^(n-1) = sqrt(t), plus 2(n-1) curves x = (zeta^j mu)^2,
-    z = i zeta^j mu y over x^(n-1) = t."""
+    """On the D_n conic bundle s: the 2 lines z = +- r w over x = 0,
+    r = mu^(n-1) = sqrt(t), and the 2(n-1) curves x = (zeta^j mu)^2,
+    z = i zeta^j mu y over x^(n-1) = t.  Two families, each certified by
+    substitution at j = 0: sigma_e: mu -> zeta mu, zeta = zeta_M^e, fixes
+    t and Q(zeta_M), hence the surface equation, takes r to zeta^(n-1) r =
+    -r, and carries the curve over mu to the one over zeta^j mu, the roots
+    zeta^j mu distinct as zeta has order N."""
     n = s.index
     cv = ("w", "y", "z", "x")
     w, y, z, x = (MultiPoly.var(cv, v) for v in cv)
     N = 2 * (n - 1)
     T, t = dn_tower(n)
-    i, zeta, mu = root_of_unity(T, 4), root_of_unity(T, N), T.gen("mu")
+    i, mu = root_of_unity(T, 4), T.gen("mu")
     relN = MultiPoly(("mu", "t"), {(N, 0): Fraction(1),
                                    (0, 1): Fraction(-1)})
     curves = []
-    # zeta = zeta_M^e; sigma_e takes r to zeta^(n-1) r = -r: one orbit
-    r, e = mu ** (n - 1), T.M // N
-    for idx, sgn in enumerate((1, -1)):
-        zr = w.scale(r * sgn)
-        _certify_member(s, T, t, {"x": MultiPoly.zero(cv), "z": zr},
-                        (x, z - zr), curves[0] if idx else None, e)
-        curves.append(CurveSpec("dn:%d" % n, "Dn-x0", "x0", idx,
-                                (x, z - zr), parameter="mu", relation=relN,
-                                data={"sign": sgn}))
-    for j, zj in enumerate(zeta.powers(N)):
-        mj = zj * mu
-        sub = {"x": MultiPoly.const(cv, mj ** 2), "z": y.scale(i * mj)}
-        forms = (x - sub["x"], z - sub["z"])
-        _certify_member(s, T, t, sub, forms, curves[2] if j else None, e * j)
-        curves.append(CurveSpec("dn:%d" % n, "Dn-mu", "mu", j, forms,
-                                parameter="mu", relation=relN,
-                                data={"zeta_power": j}))
-    if len(curves) != 2 + N:
-        raise VerificationError("D_%d curve count %d != %d"
-                                % (n, len(curves), 2 + N))
+    for family, branch, count, sub in (
+            ("Dn-x0", "x0", 2, {"x": MultiPoly.zero(cv),
+                                "z": w.scale(mu ** (n - 1))}),
+            ("Dn-mu", "mu", N, {"x": MultiPoly.const(cv, mu ** 2),
+                                "z": y.scale(i * mu)})):
+        _certify_membership(s, T, sub, t)
+        curves.append(CurveSpec("dn:%d" % n, family, branch,
+                                (x - sub["x"], z - sub["z"]), count,
+                                parameter="mu", relation=relN))
     return curves

@@ -311,9 +311,9 @@ def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
     curves = certify_s6_lines(s6)
     equation = CompiledPoly(s6.equation, dict(S6_ENV, t=float(cfg.t)),
                             order="WXYZ")
-    # L1-L3 at the 3 alpha, alpha^3 = t, then 12 lines L_mu over each root
-    # c of C, mu^12 = c t
-    res, lines = _radical_residues(equation, [curves[0], curves[-1]], cfg,
+    # the two families: L1-L3 at the 3 alpha, alpha^3 = t, then 12 lines
+    # L_mu over each root c of C, mu^12 = c t
+    res, lines = _radical_residues(equation, curves, cfg,
                                    iter(_samples(cfg.seed)))
     max_res = _max_residue(res, cfg, "S6 membership residue %.3g")
     # intersection graph: two lines meet iff dY and dZ share a root

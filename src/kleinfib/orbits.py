@@ -1,17 +1,18 @@
 """Galois orbits of radical curve families, exact intersection witnesses
-between conjugate curves, minimal-model bookkeeping and rationality verdicts
-over the base extensions K = C(t^{1/m})."""
+between conjugate curves, each read off a family's representative and its
+rotations, minimal-model bookkeeping and rationality verdicts over the base
+extensions K = C(t^{1/m})."""
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .tower import FieldTower, FieldElement, cyclotomic, root_of_unity
+from .tower import FieldTower, cyclotomic, root_of_unity
 from .base import GeometryError, VerificationError, _surface_cache
 from .geometry import on_surface
 from .curves import (certify_s6_lines, enumerate_s7, enumerate_s8,
-                     enumerate_an, enumerate_dn, s7_e0_tower, an_tower,
+                     enumerate_an, enumerate_dn, rotate_forms, an_tower,
                      dn_tower)
 
 # The verdicts assume two statements, named in the reports by this label: a
@@ -259,15 +260,13 @@ def s8_conjugation(s8, order: int, branch: str = "P1") -> dict:
 # conic-bundle fibre component intersections (A_n, D_n)
 
 def _meet_at(curves, s, coords, t, what):
-    """Witness that the curves share the point `coords` (in the ambient
-    variables of s) and that it lies on s, with t the element of the
-    curves' tower."""
+    """Witness that the curves, each given by its pair of forms, share the
+    point `coords` (in the ambient variables of s) and that it lies on s,
+    with t the element of the forms' tower."""
     env = dict(zip(s.ambient.variables, coords))
-    for curve in curves:
-        for eq in curve.equations:
-            val = eq.evaluate({v: env[v] for v in eq.vars})
-            if not (val.is_zero() if isinstance(val, FieldElement)
-                    else val == 0):
+    for forms in curves:
+        for eq in forms:
+            if eq.evaluate({v: env[v] for v in eq.vars}):
                 raise VerificationError("%s witness fails" % what)
     if not on_surface(s, tuple(coords), t):
         raise VerificationError("%s witness not on the surface" % what)
@@ -277,25 +276,27 @@ def _meet_at(curves, s, coords, t, what):
 def dn_intersections(s) -> dict:
     """D_n: the x=0 components meet at ((0:1:0), x=0); the component
     x = mu^2, z = i y mu meets its conjugate z = -i y mu at ((1:0:0), mu^2);
-    components over distinct fibres are disjoint (distinct x-values)."""
+    components over distinct fibres are disjoint (distinct x-values).  Each
+    partner is a rotation of its family's representative (rotate_forms)."""
     n = s.index
-    curves = enumerate_dn(s)
+    x0, mu_family = enumerate_dn(s)
     N = 2 * (n - 1)
     T, t = dn_tower(n)
+    e = T.M // N
     zeta2, mu = root_of_unity(T, N // 2).powers(N), T.gen("mu")  # zeta^(2d)
     zero, one = T.zero(), T.one()
     report = {"surface": "dn:%d" % n, "pairs": []}
-    _meet_at([c for c in curves if c.family == "Dn-x0"], s,
+    _meet_at([x0.equations, rotate_forms(x0.equations, e)], s,
              (zero, one, zero, zero), t, "D_n x=0 components")
     report["pairs"].append({"pair": "x0+/x0-", "intersect": True,
                             "witness": "((0:1:0), x=0)"})
-    # one point per unordered pair {zeta^j mu, -zeta^j mu}: pair j and its
-    # point are sigma_j of pair 0's, as enumerate_dn certifies each curve
-    mu_curves = [c for c in curves if c.family == "Dn-mu"]
-    _meet_at([mu_curves[0], mu_curves[N // 2]], s, (one, zero, zero, mu * mu),
-             t, "D_n mu-pair (j=0)")
+    # one point per unordered pair {zeta^j mu, -zeta^j mu}, zeta = zeta_M^e:
+    # pair j and its point are sigma_(e j) of pair 0's
+    forms = mu_family.equations
+    _meet_at([forms, rotate_forms(forms, T.M // 2)], s,
+             (one, zero, zero, mu * mu), t, "D_n mu-pair (j=0)")
     for j1 in range(1, N // 2):
-        if zeta2[j1] * mu * mu != (mu * mu).rotate(T.M // N * j1):
+        if zeta2[j1] * mu * mu != (mu * mu).rotate(e * j1):
             raise VerificationError("D_n mu-pair (j=%d) witness is not "
                                     "sigma_j of the pair 0's" % j1)
     report["pairs"].append({"pair": "mu_j / -mu_j (all j)",
@@ -317,15 +318,15 @@ def an_intersections(s) -> dict:
     ((1:0:0), x); components over distinct fibres are disjoint; in
     particular the y=0 orbit is pairwise disjoint (contractible)."""
     n = s.index
-    curves = enumerate_an(s)
+    y0, z0 = enumerate_an(s)
     T, t = an_tower(n)
     zetas, alpha = root_of_unity(T, n).powers(n), T.gen("alpha")
     zero, one = T.zero(), T.one()
     report = {"surface": "an:%d" % n, "pairs": []}
-    # fibre j and its point are sigma_j of fibre 0's, as enumerate_an
-    # certifies each curve
-    _meet_at([c for c in curves if c.index == 0], s, (one, zero, zero, alpha),
-             t, "A_n same-fibre (j=0)")
+    # the two representatives lie over fibre 0, x = alpha; fibre j and its
+    # point are sigma_j of fibre 0's
+    _meet_at([y0.equations, z0.equations], s, (one, zero, zero, alpha), t,
+             "A_n same-fibre (j=0)")
     for j in range(1, n):
         if zetas[j] * alpha != alpha.rotate(j):
             raise VerificationError("A_n same-fibre (j=%d) witness is not "
@@ -344,17 +345,18 @@ def an_intersections(s) -> dict:
 
 @_surface_cache
 def s7_e0_intersection(s7) -> dict:
-    """The two rational curves Y=0, Z=+-sqrt(t) W^2 on s7 meet at
-    (0:1:0:0), twice: dY = 0 and dZ = 2 sqrt(t) W^2, so meet_number is 2,
-    and their orbit's row is [-1, 2]."""
-    T, t = s7_e0_tower()
-    zero, one = T.zero(), T.one()
-    pair = [c for c in enumerate_s7(s7)[0] if c.family == "S7-e0"]
-    _meet_at(pair, s7, (zero, one, zero, zero), t, "S7 e=0 pair")
-    meets = meet_number(*(c.data["graph"] for c in pair))
+    """The two rational curves Y=0, Z=+-sqrt(t) W^2 on s7, the e = 0
+    family's representative and its rotation r -> -r, meet at (0:1:0:0),
+    twice: dY = 0 and dZ = 2 sqrt(t) W^2, so their orbit's row (_row at
+    h = 2) is [-1, 2]."""
+    e0 = enumerate_s7(s7)[0][0]
+    t = e0.data["t"]
+    zero, one = t.tower.zero(), t.tower.one()
+    _meet_at([e0.equations, rotate_forms(e0.equations, 1)], s7,
+             (zero, one, zero, zero), t, "S7 e=0 pair")
+    row = _row(e0.data["graph"], 2)
     return {"surface": "s7", "pair": "Y=0, Z=+-sqrt(t)W^2",
-            "intersect": meets > 0, "row": [-1, meets],
-            "witness": "(0:1:0:0)"}
+            "intersect": row[1] > 0, "row": row, "witness": "(0:1:0:0)"}
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,8 @@ def test_an_wild_family(n):
     x, y, z = _vars()
     one = MultiPoly.const(VARS, Fraction(1))
     s = build_surface("klein-an:%d" % n)
-    for P in (one, y, one + y + y ** 3):
+    # P = 0, of degree -1 in every variable, is the identity shear
+    for P in (one, y, one + y + y ** 3, MultiPoly.zero(VARS)):
         assert verify_an_wild_family(s, P)
 
 

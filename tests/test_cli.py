@@ -181,9 +181,11 @@ def test_lattice():
 
 
 def test_autos_wild_poly():
-    code, cert = run(["autos", "an", "--n", "3", "--poly", "1+y"])
-    assert code == 0
-    assert cert["status"] == "verified"
+    # the zero shear is the identity, which preserves a_n with lambda = 1
+    for poly in ("1+y", "0"):
+        code, cert = run(["autos", "an", "--n", "3", "--poly", poly])
+        assert code == 0
+        assert cert["status"] == "verified"
 
 
 @pytest.mark.parametrize("case,code", [
@@ -508,15 +510,24 @@ def test_cached_parser_runs_the_current_command_function(monkeypatch):
 # sha256 of certificates that print tower elements
 PINNED = {
     # since every curve entry carries its `count`, and each branch of the
-    # lines L_mu is one entry of count 12 (index null) instead of 12 copies;
-    # since L_mu is one family over the two roots of its radicand C, the
-    # two entries are one, of `branch` Lmu, `count` 24 and `relation`
-    # t^2 C(mu^12 / t), with the forms over c+
-    ("curves", "s6"): "11585f5966c1ea7047e6f4aae8f4283f"
-                      "36ef684d3978bd2d8c8248350ab0f60d",
-    # since every curve entry carries its `count`, here 1 for each
-    ("curves", "dn:5"): "c491588008aea91d2171dd20294c2aa6"
-                        "a71b2596146a1c2e7e8abd4181d1db74",
+    # lines L_mu is one entry of count 12 instead of 12 copies; since L_mu
+    # is one family over the two roots of its radicand C, the two entries
+    # are one, of `branch` Lmu, `count` 24 and `relation` t^2 C(mu^12 / t),
+    # with the forms over c+; since every entry is a family, none has an
+    # `index`, and L1-L3 are one entry of `count` 3 with the forms of L1,
+    # without `zeta3_power`
+    ("curves", "s6"): "7ece57cc8f0ae99b6870f90b773122d5"
+                      "a0956797e8a4b9f0281ece7020ddc795",
+    # since every curve entry carries its `count`; since every entry is a
+    # family, none has an `index`, and there are two: the x=0 pair of
+    # `count` 2 with the forms of z = r w and no `sign`, and the mu family
+    # of `count` 8 with the forms over mu and no `zeta_power`
+    ("curves", "dn:5"): "6e79ee576da11be96323da5bcc454dbd"
+                        "1cf0b38f2441924f22fd1f5d5f862ede",
+    # the two A_n families, y0 and z0, of `count` 5 each, with the forms
+    # over x = alpha
+    ("curves", "an:5"): "d82a817918bfc8269bdd85f5aed83675"
+                        "150ffafcb753d293778f47ecab9b16bf",
     # since the E verdicts come from the contraction of the Coxeter
     # element's orbits: `rule` (in the verdict and its check) reads
     # del-pezzo-degree-ge-5-rational, the `rule-table` note names the two
@@ -573,12 +584,14 @@ PINNED = {
 # elimination chain applied to its template, each S8 Z-form free of the
 # guard factor b^2 mu^8 + 4 b mu^4 + 1; and since every entry carries its
 # `count`, the main family of S7 is one entry of count 54 = 3 * 18 and each
-# S8 branch one of count 120 = 4 * 30 (index null) instead of 54 and 120
-# copies
-PINNED_FORMS = {("curves", "s7"): "050e1b287801e2bf80da0135334ab208"
-                                  "3fb47794e3f27e5831fd1380e293562b",
-                ("curves", "s8"): "59ac5604a91b7f32ba5ed774ebcfe2fd"
-                                  "8c2684c046579fb37949ea1b16a3e5ad"}
+# S8 branch one of count 120 = 4 * 30 instead of 54 and 120 copies.  Since
+# every entry is a family, none has an `index` (it was null on these), and
+# the S7 e = 0 pair is one entry of `count` 2 without `sign`, its Z-form
+# over Q(zeta_2)[r, 1/r], so that its coefficient -r prints as ((-1))*r
+PINNED_FORMS = {("curves", "s7"): "3e59f38f574b3f5dc30ad02f046397dd"
+                                  "19dc7325f3c54aa2017afe2598b7b282",
+                ("curves", "s8"): "1594b9eceede4ace78076430d5562f55"
+                                  "79fd8011d8add36cb8b65528ad1acc41"}
 
 
 # sha256 of verdict certificates, the only output built from the record

@@ -17,9 +17,9 @@ from kleinfib.curves import (VerificationError, _certify_membership,
                              certify_s6_lines, chain_subs, dn_tower,
                              enumerate_an, enumerate_dn, enumerate_s7,
                              enumerate_s8, q_cubic, q1_quartic, q2_quartic,
-                             residual_coefficients, s6_alpha_lines,
-                             s6_line_tower, s6_radicand, s7_e0_tower,
-                             strip_content)
+                             residual_coefficients, rotate_forms,
+                             s6_alpha_lines, s6_line_tower, s6_radicand,
+                             s7_e0_tower, strip_content)
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.lattice import minus_one_classes
 from kleinfib.multipoly import MultiPoly
@@ -73,31 +73,43 @@ def _distinct_roots(coeffs):
     return len(numeric_roots(coeffs, NumericConfig()))
 
 
-@pytest.mark.parametrize("r", [6, 7, 8])
-def test_family_counts_are_roots_times_degree(r):
+@pytest.mark.parametrize("surface", [6, 7, 8, "an:5", "dn:9"])
+def test_family_counts_are_roots_times_degree(surface):
     # a radical family counts N curves, N its binomial degree, over each
-    # distinct nonzero root of its root polynomial (C for the lines L_mu),
-    # and the curves of S_r add up to the (-1)-classes of the
-    # degree-(9 - r) del Pezzo surface
-    s = build_surface("s%d" % r)
-    if r == 6:
-        curves = certify_s6_lines(s)
-        roots, degree = {"Lmu": _distinct_roots(s6_radicand())}, 12
-    elif r == 7:
-        curves = enumerate_s7(s)[0]
-        roots, degree = {"main": _distinct_roots(q_cubic())}, 18
+    # distinct nonzero root of its root polynomial: C for the lines L_mu,
+    # Q, Q1, Q2 for the S7 and S8 main families, and X - 1 for L1-L3, the
+    # S7 e = 0 pair and the A_n, D_n fibre components.  Its relation has
+    # degree N in its parameter, but for the D_n x = 0 pair, the 2 curves
+    # over r = mu^(n-1) = sqrt(t) within mu^(2(n-1)) = t.  The curves of
+    # S_r add up to the (-1)-classes of the degree-(9 - r) del Pezzo
+    # surface, those of an:5 to 2 x 5 and those of dn:9 to 2 + 16
+    if surface == "an:5":
+        curves = enumerate_an(build_surface(surface))
+        families, total = {"y0": (1, 5, 5), "z0": (1, 5, 5)}, 2 * 5
+    elif surface == "dn:9":
+        curves = enumerate_dn(build_surface(surface))
+        families, total = {"x0": (1, 2, 16), "mu": (1, 16, 16)}, 2 + 16
     else:
-        curves = enumerate_s8(s)[0]
-        roots = {"P1": _distinct_roots(q1_quartic()),
-                 "P2": _distinct_roots(q2_quartic())}
-        degree = 30
-    families = [c for c in curves if c.index is None]
-    assert {c.branch for c in families} == set(roots)
-    for c in families:
-        assert c.count == roots[c.branch] * degree
-        assert c.relation.degree(c.parameter) == c.count
-    assert all(c.count == 1 for c in curves if c.index is not None)
-    assert sum(c.count for c in curves) == len(minus_one_classes(r))
+        s = build_surface("s%d" % surface)
+        total = len(minus_one_classes(surface))
+        if surface == 6:
+            curves = certify_s6_lines(s)
+            families = {"alpha": (1, 3, 3),
+                        "Lmu": (_distinct_roots(s6_radicand()), 12, 24)}
+        elif surface == 7:
+            curves = enumerate_s7(s)[0]
+            families = {"e0": (1, 2, 2),
+                        "main": (_distinct_roots(q_cubic()), 18, 54)}
+        else:
+            curves = enumerate_s8(s)[0]
+            families = {"P1": (_distinct_roots(q1_quartic()), 30, 120),
+                        "P2": (_distinct_roots(q2_quartic()), 30, 120)}
+    assert [c.branch for c in curves] == list(families)
+    for c in curves:
+        roots, degree, relation_degree = families[c.branch]
+        assert c.count == roots * degree
+        assert c.relation.degree(c.parameter) == relation_degree
+    assert sum(c.count for c in curves) == total
 
 
 def _templates(surface):
@@ -144,17 +156,51 @@ def test_s8_z_form_is_primitive_and_free_of_the_guard():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_an_components(n):
+    # two families of n: the components y = 0 (the contractible orbit) and
+    # z = 0 over the n roots of x^n = t
     curves = enumerate_an(build_surface("an:%d" % n))
-    assert len(curves) == 2 * n
+    assert [(c.branch, c.count) for c in curves] == [("y0", n), ("z0", n)]
+    assert sum(c.count for c in curves) == 2 * n
     contractible = [c for c in curves
                     if c.data.get("contractible_orbit")]
-    assert len(contractible) == n
+    assert [c.branch for c in contractible] == ["y0"]
 
 
 @pytest.mark.parametrize("n", [4, 5, 9])
 def test_dn_components(n):
+    # the x = 0 pair and the 2(n - 1) curves over the roots of
+    # mu^(2(n-1)) = t
     curves = enumerate_dn(build_surface("dn:%d" % n))
-    assert len(curves) == 2 + 2 * (n - 1)
+    assert [(c.branch, c.count) for c in curves] == [("x0", 2),
+                                                     ("mu", 2 * (n - 1))]
+    assert sum(c.count for c in curves) == 2 + 2 * (n - 1)
+
+
+@pytest.mark.parametrize("name", ["an:5", "dn:9"])
+def test_every_fibre_family_member_lies_on_the_surface(name):
+    # the reference for the families certified at their representative:
+    # member j is sigma_(j e) of it (rotate_forms; e = 1 for A_n, e = M/N
+    # for D_n), each is substituted into the surface equation, the count
+    # members are pairwise distinct, and the next rotation closes the orbit
+    s = build_surface(name)
+    if name.startswith("an"):
+        curves, (T, t) = enumerate_an(s), an_tower(5)
+        e = 1
+    else:
+        curves, (T, t) = enumerate_dn(s), dn_tower(9)
+        e = T.M // 16
+    for c in curves:
+        members = [rotate_forms(c.equations, j * e)
+                   for j in range(c.count + 1)]
+        assert members[-1] == c.equations
+        assert len({repr(m) for m in members[:-1]}) == c.count
+        for forms in members[:-1]:
+            # each form is monic in x, then in z or else y
+            sub = {}
+            for form in forms:
+                v = next(v for v in "xzy" if form.degree(v) == 1)
+                sub[v] = MultiPoly.var(form.vars, v) - form
+            _certify_membership(s, T, sub, t)
 
 
 def test_mutated_catalog_fails_enumeration():
@@ -301,8 +347,9 @@ def test_the_roots_are_all_the_residual_roots(surface, count):
         residuals = [residuals] if surface == "s7" else list(residuals)
         qs = [residual_coefficients(residual, curves[-1].parameter)
               for residual in residuals]
-    families = [c for c in curves if c.index is None]
-    for family, q in zip(families, qs, strict=True):
+    # the families over the residual's roots come last, after L1-L3 of S6
+    # and the e = 0 pair of S7, each over the root 1 of X - 1
+    for family, q in zip(curves[-len(qs):], qs, strict=True):
         roots = family.data["roots"]
         h = roots[1].tower.M
         assert len(roots) == count and family.count == h * count

@@ -562,35 +562,39 @@ def test_dn_intersections(n):
 
 
 def test_dn_witnesses_each_mu_pair_once(monkeypatch):
-    # dn:9, N = 16: the x=0 pair, then mu_0 with -mu_0 = mu_8; each pair
+    # dn:9, N = M = 16: the x=0 pair, its representative and sigma_1 of it
+    # (r -> -r), then mu_0 with -mu_0 = mu_8, sigma_8 of it; each pair
     # {mu_j, mu_(j+8)}, j < 8, is sigma_j of that one, its point too
     calls = []
     meet = orbits._meet_at
 
     def counted(curves, *args):
-        calls.append([c.index for c in curves])
+        calls.append(curves)
         return meet(curves, *args)
     monkeypatch.setattr(orbits, "_meet_at", counted)
+    dn9 = build_surface("dn:9")
+    x0, mu = orbits.enumerate_dn(dn9)
     dn_intersections.cache_clear()
-    dn_intersections(build_surface("dn:9"))
-    assert calls == [[0, 1], [0, 8]]
+    dn_intersections(dn9)
+    assert calls == [[x0.equations, rotate_forms(x0.equations, 1)],
+                     [mu.equations, rotate_forms(mu.equations, 8)]]
 
 
 def test_an_witnesses_fibre_0_once(monkeypatch):
-    # an:5: the components y=0, z=0 of fibre 0 meet at ((1:0:0), alpha);
-    # fibre j and its point are sigma_j of those
+    # an:5: the components y=0, z=0 of fibre 0, the two representatives,
+    # meet at ((1:0:0), alpha); fibre j and its point are sigma_j of those
     calls = []
     meet = orbits._meet_at
 
     def counted(curves, *args):
-        calls.append([c.index for c in curves])
+        calls.append(curves)
         return meet(curves, *args)
     monkeypatch.setattr(orbits, "_meet_at", counted)
     an5 = build_surface("an:5")
-    orbits.enumerate_an(an5)
+    y0, z0 = orbits.enumerate_an(an5)
     an_intersections.cache_clear()
     an_intersections(an5)
-    assert calls == [[0, 0]]
+    assert calls == [[y0.equations, z0.equations]]
     # a point that is not sigma_j of fibre 0's is refused
     monkeypatch.setattr(tower.FieldElement, "rotate", lambda x, e: x)
     an_intersections.cache_clear()
