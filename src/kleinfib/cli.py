@@ -9,6 +9,7 @@ unless --timings is given)."""
 import argparse
 import gc
 import json
+import math
 import re
 import sys
 import time
@@ -27,7 +28,8 @@ SCHEMA = "kleinfib-certificate/1"
 
 # the largest n accepted in an:<n>, dn:<n> and --n: the D_n witnesses live
 # in Q(zeta_M)(mu) with M = lcm(4, 2(n-1)), and the wild shears expand
-# (x + yP)^n, so the cost grows steeply with n
+# (x + yP)^n (bounded further by SHEAR_MAX_TERMS and SHEAR_MAX_BITS), so
+# the cost grows steeply with n
 MAX_FAMILY_INDEX = 32
 
 # the |t| accepted by audit: the oracle evaluates powers of t and of each
@@ -49,6 +51,16 @@ POLY_MAX_DEGREE = 64
 _TERM = r"(?:(\d+)\s*\*\s*)?(y)(?:\s*\^\s*(\d+))?|(\d+)"
 _POLY = r"\s*[+-]?\s*(?:%s)(?:\s*[+-]\s*(?:%s))*\s*" % (_TERM, _TERM)
 _SIGNED_TERM = r"([+-]?)\s*(?:%s)" % _TERM
+
+# the largest shear autos an verifies: (x + yP)^n, which it expands twice,
+# with at most SHEAR_MAX_TERMS terms and coefficients of at most
+# SHEAR_MAX_BITS bits (_shear_size).  The time grows about as the square of
+# the terms and with the bits: the slowest input found within both bounds,
+# n = 8 and P = c (1 + y + ... + y^64) with c = 2^249, takes about 1.2 s
+# (one 2-vCPU machine, CPython 3.11); n = 32 with P = 1 + y + ... + y^64
+# (33825 terms) ran past 120 s
+SHEAR_MAX_TERMS = 2500
+SHEAR_MAX_BITS = 2048
 
 
 class UsageError(Exception):
@@ -136,22 +148,18 @@ def check(name, ref, status="verified", **extra):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _has_curves(name):
+    """Whether curves.surface_families certifies curves on the surface
+    `name`, which the curves and audit commands then read."""
+    return name in ("s6", "s7", "s8") or name.startswith(("an:", "dn:"))
+
+
 def _paper_curves(s):
-    """The curves the enumeration of s certifies, and the number of them the
-    paper counts; a usage error for a surface without an enumeration."""
-    from . import curves
-    kind = s.name.partition(":")[0]
-    if kind == "s6":
-        return curves.certify_s6_lines(s), 27
-    if kind == "s7":
-        return curves.enumerate_s7(s)[0], 56
-    if kind == "s8":
-        return curves.enumerate_s8(s)[0], 240
-    if kind == "an":
-        return curves.enumerate_an(s), 2 * s.index
-    if kind == "dn":
-        return curves.enumerate_dn(s), 2 + 2 * (s.index - 1)
-    raise UsageError("no curve enumeration for %r" % s.name)
+    """The curve families certified on s, and the number of curves the
+    paper counts there: 2n on an:<n>, and 2 + 2(n - 1) on dn:<n>."""
+    from .curves import surface_families
+    return (list(surface_families(s).values()),
+            {"s6": 27, "s7": 56, "s8": 240}.get(s.name) or 2 * s.index)
 
 
 def _residuals(name):
@@ -165,6 +173,8 @@ def _residuals(name):
 
 def cmd_curves(args):
     s = _surface(args.surface)
+    if not _has_curves(s.name):
+        raise UsageError("no curve enumeration for %r" % s.name)
     curves, expected = _paper_curves(s)
     count = sum(c.count for c in curves)
     checks = [check("membership-residues-zero",
@@ -180,7 +190,8 @@ def cmd_curves(args):
 
 def _family_index(name):
     """n of an:<n> or dn:<n> (also klein-an:<n>, klein-dn:<n>), checked
-    against 2 <= n <= MAX_FAMILY_INDEX before any arithmetic; None for
+    against its family's range, 2 <= n <= MAX_FAMILY_INDEX for an and
+    4 <= n <= MAX_FAMILY_INDEX for dn, before any arithmetic; None for
     other names."""
     family, sep, index = name.replace("klein-", "").partition(":")
     if not sep or family not in ("an", "dn"):
@@ -189,9 +200,10 @@ def _family_index(name):
         n = int(index)
     except ValueError:
         raise UsageError("bad surface index in %r" % name)
-    if not 2 <= n <= MAX_FAMILY_INDEX:
-        raise UsageError("index out of range in %r (2..%d)"
-                         % (name, MAX_FAMILY_INDEX))
+    low = 2 if family == "an" else 4
+    if not low <= n <= MAX_FAMILY_INDEX:
+        raise UsageError("index out of range in %r (%d..%d)"
+                         % (name, low, MAX_FAMILY_INDEX))
     return n
 
 
@@ -295,6 +307,13 @@ def cmd_autos(args):
         if not s.name.startswith("klein-an:"):
             raise UsageError("--poly only applies to the an family")
         wild = [_parse_poly(args.poly)]
+        terms, bits = _shear_size(s.index, wild[0])
+        if terms > SHEAR_MAX_TERMS or bits > SHEAR_MAX_BITS:
+            raise UsageError(
+                "--poly: the shear is too large to verify: (x + yP)^%d has "
+                "up to %d terms (at most %d) with coefficients of up to %d "
+                "bits (at most %d)" % (s.index, terms, SHEAR_MAX_TERMS, bits,
+                                       SHEAR_MAX_BITS))
     from .autos import autos_report
     report = autos_report(s, seed=args.seed, wild_polys=wild)
     status = "verified" if report["verified"] else "failed"
@@ -326,6 +345,19 @@ def _parse_poly(text):
     return MultiPoly(("x", "y", "z"), terms)
 
 
+def _shear_size(n, P):
+    """(terms, bits): bounds on the number of terms of (x + yP)^n and on
+    the bits of its coefficients, from n, deg P, the number m of terms of P
+    and their 1-norm |P|: (yP)^k has at most min(k deg P + 1,
+    C(m + k - 1, k)) terms, one per degree or per multiset of k terms of P,
+    and no coefficient of (x + yP)^n exceeds (1 + |P|)^n."""
+    d, m = max(P.degree("y"), 0), len(P.terms)
+    norm = sum(abs(c) for c in P.terms.values())
+    return (sum(min(k * d + 1, math.comb(m + k - 1, k))
+                for k in range(1, n + 1)) + 1,
+            n * int(1 + norm).bit_length())
+
+
 def cmd_audit(args):
     try:
         t = Fraction(args.t)
@@ -344,8 +376,7 @@ def cmd_audit(args):
                          "verifies every audited surface" % AUDIT_TOL_RANGE)
     from .numeric import NumericConfig, numeric_curve_audit
     cfg = NumericConfig(t=t, tol=args.tol, seed=args.seed)
-    if not (args.surface in ("s6", "s7", "s8")
-            or args.surface.startswith(("an:", "dn:"))):
+    if not _has_curves(args.surface):
         raise UsageError("no numeric audit for %r" % args.surface)
     report = numeric_curve_audit(_surface(args.surface), cfg)
     checks = [check("numeric-audit", "floating-point oracle at t = %s" % t,

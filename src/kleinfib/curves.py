@@ -11,10 +11,12 @@ coefficients in Q(zeta_h)[s, 1/s], certified by substitution; its
 rotations s -> zeta_h^k s and conjugates zeta_h -> zeta_h^j are the other
 curves.  The 24 lines L_mu of S6 are such a family too, over the two roots
 of their radicand C, and L1-L3 and the S7 e = 0 pair are ones over the root
-1 of X - 1.  So are the A_n and D_n fibre components, each family given by
-its member over x = alpha or mu.  Every CurveSpec is one such family: its
-representative is certified by substitution, and the rotations, fixing t
-and the surface equation, carry it to the others.
+1 of X - 1.  So are the A_n and D_n fibre components, each family the
+graph of two coordinates over the other two at x = alpha, r or mu.  Every
+CurveSpec is one such family: its representative is certified by
+substitution, and the rotations, fixing t and the surface equation, carry
+it to the others.  surface_families maps each catalog surface to its
+families.
 """
 
 from fractions import Fraction
@@ -313,25 +315,31 @@ def _s7_e0_curves(s7):
     Y = 0, Z = +-r W^2, r^2 = t, over the root 1 of X - 1 in Q(zeta_2)[r,
     1/r], where _root_family's rotation sigma_1: r -> -r is the other
     member."""
-    T, t = s7_e0_tower()
+    T, t = sqrt_t_tower()
     r = T.gen("r")
     cvars = ("W", "X", "Y", "Z")
     Y, Z = MultiPoly.var(cvars, "Y"), MultiPoly.var(cvars, "Z")
     graph = ([T.zero()] * 2, [r, T.zero(), T.zero()])
-    rel = MultiPoly(("r", "t"), {(2, 0): Fraction(1), (0, 1): Fraction(-1)})
     return CurveSpec("s7", "S7-e0", "e0",
                      (Y, Z - MultiPoly.var(cvars, "W", 2).scale(r)), 2,
-                     parameter="r", relation=rel,
+                     parameter="r", relation=_binomial(t),
                      data=dict(_root_family(s7, graph, t, {1: T.one()}),
                                c="+-sqrt(t)"))
 
 
-def s7_e0_tower():
-    """Q(zeta_2)[r, 1/r], the field of the two e = 0 curves Z = +-r W^2 on
-    S7, with t = r^2, so that rotation by zeta_2 = -1 is r -> -r.  Returns
-    (tower, t)."""
+def sqrt_t_tower():
+    """Q(zeta_2)[r, 1/r] with t = r^2, the field of the two e = 0 curves
+    Z = +-r W^2 on S7 and of the two x = 0 lines z = +-r w on D_n, so that
+    rotation by zeta_2 = -1 is r -> -r.  Returns (tower, t)."""
     T = cyclotomic(2).extend_ratfunc("r")
     return T, T.gen("r") ** 2
+
+
+def _binomial(t):
+    """The relation s^h - t of the generator s of t's tower, t = s^h."""
+    (h, _), = t.payload[0].items()
+    return MultiPoly((t.tower.var, "t"), {(h, 0): Fraction(1),
+                                          (0, 1): Fraction(-1)})
 
 
 def _certify_membership(surface, tower, substitution, t):
@@ -551,12 +559,17 @@ def residual_roots(q, h, stored, label):
     return roots
 
 
-def _graph_forms(y, z):
+# the coordinates of a graph (Y, Z) over P^1_(W:X), base first
+GRAPH_COORDS = ("W", "X", "Y", "Z")
+
+
+def _graph_forms(y, z, coords=GRAPH_COORDS):
     """The polynomials Y(W, X), Z(W, X) of a graph over P^1_(W:X), given by
-    their coefficient lists by rising power of X, in (W, X, Y, Z)."""
-    return tuple(MultiPoly(("W", "X", "Y", "Z"),
-                           {(len(cs) - 1 - k, k, 0, 0): c
-                            for k, c in enumerate(cs)}) for cs in (y, z))
+    their coefficient lists by rising power of X, in the variables coords,
+    which name W, X, Y and Z."""
+    return tuple(MultiPoly(coords, {(len(cs) - 1 - k, k, 0, 0): c
+                                    for k, c in enumerate(cs)})
+                 for cs in (y, z))
 
 
 def _root_graph(surface, fractions, templates, roots, t):
@@ -582,10 +595,12 @@ def _root_graph(surface, fractions, templates, roots, t):
     return _root_family(surface, (y, z), t, roots)
 
 
-def _root_family(surface, graph, t, roots):
-    """{"graph": graph, "t": t, "roots": roots} of the radical family whose
-    member over the stored root x = roots[1] has the graph (Y, Z) over
-    P^1_(W:X), each coefficient list in the format of s6_line, in t's
+def _root_family(surface, graph, t, roots, coords=GRAPH_COORDS):
+    """{"graph": graph, "t": t, "roots": roots, "coords": coords} of the
+    radical family whose member over the stored root x = roots[1] has the
+    graph (Y, Z) over P^1_(W:X), W, X, Y, Z the surface's variables coords,
+    each coefficient list in the format of s6_line (a degree-0 list for a
+    weight-0 coordinate such as the x of A_n and D_n), in t's
     tower Q(zeta_M)[s, 1/s], t = c s^(+-h) with c from x and h | M:
     certified on the surface by substitution.  sigma_k: s -> zeta_M^k s
     fixes t for M/h | k, and sigma_j: zeta_M -> zeta_M^j takes it to the t
@@ -594,13 +609,14 @@ def _root_family(surface, graph, t, roots):
     rotations and conjugates lie on the surface: they are the family's
     other members, distinct as the roots are and as zeta_h has order h."""
     T = t.tower
-    _certify_membership(surface, T, dict(zip("YZ", _graph_forms(*graph))), t)
+    _certify_membership(surface, T, dict(zip(coords[2:],
+                                             _graph_forms(*graph, coords))), t)
     coeffs = [T.lift(c) for c in surface.equation.terms.values()]
     for j in roots:
         if any(c.conjugate(j) != c for c in coeffs):
             raise VerificationError("sigma_%d moves a coefficient of the %s "
                                     "equation" % (j, surface.name))
-    return {"graph": graph, "t": t, "roots": roots}
+    return {"graph": graph, "t": t, "roots": roots, "coords": coords}
 
 
 # ---------------------------------------------------------------------------
@@ -644,15 +660,13 @@ def certify_s6_lines(s6):
     t = alpha^3, and the 24 lines L_mu, mu^12 = c t, 12 over each root c of
     C, over c+."""
     T0, t0, alpha_lines = s6_alpha_lines()
-    relA = MultiPoly(("alpha", "t"), {(3, 0): Fraction(1),
-                                      (0, 1): Fraction(-1)})
     T, roots, t = s6_line_tower()
     forms = s6_line_forms(T)
     # the lines L_mu: t^2 C(mu^12 / t) = 0
     relC = MultiPoly(("mu", "t"), {(12 * k, 2 - k): c
                                    for k, c in enumerate(s6_radicand())})
     return [CurveSpec("s6", "S6-L123", "alpha", alpha_lines[0], 3,
-                      parameter="alpha", relation=relA,
+                      parameter="alpha", relation=_binomial(t0),
                       data=_root_family(s6, s6_line(alpha_lines[0], T0)[1:],
                                         t0, {1: T0.one()})),
             CurveSpec("s6", "S6-Lmu", "Lmu", forms, 12 * len(roots),
@@ -689,6 +703,27 @@ def s6_line(forms, tower):
 # ---------------------------------------------------------------------------
 # A_n / D_n fibre components
 
+# the variables of the A_n and D_n conic bundles in chart 0
+FIBRE_VARS = ("w", "y", "z", "x")
+
+
+def _fibre_family(s, family, branch, graph, t, coords=FIBRE_VARS, **data):
+    """The family of fibre components of the conic bundle s whose member
+    over the root 1 of X - 1 is the graph (V, X) over (w : u), coords =
+    (w, u, v, x), certified by _root_family in t's tower Q(zeta_M)[s, 1/s],
+    t = s^h: its h members are the rotations s -> zeta_h^k s.  It is cut
+    by the forms x - X and v - V, and its relation is s^h - t."""
+    T, relation = t.tower, _binomial(t)
+    v_form, x_form = (f.rename(FIBRE_VARS)
+                      for f in _graph_forms(*graph, coords))
+    forms = (MultiPoly.var(FIBRE_VARS, "x") - x_form,
+             MultiPoly.var(FIBRE_VARS, coords[2]) - v_form)
+    return CurveSpec(s.name, family, branch, forms, relation.degree(T.var),
+                     parameter=T.var, relation=relation,
+                     data=dict(_root_family(s, graph, t, {1: T.one()},
+                                            coords), **data))
+
+
 def an_tower(n: int):
     """Q(zeta_n)(alpha), the field of the A_n fibre components, with
     t = alpha^n.  Returns (tower, t)."""
@@ -700,26 +735,16 @@ def an_tower(n: int):
 def enumerate_an(s):
     """The 2n fibre components of the A_n conic bundle s: over each root
     x = zeta^j alpha of x^n = t, the fibre x^n w^2 - yz = t w^2 splits
-    into the lines y = 0 and z = 0.  Two families of n, each certified by
-    substitution at x = alpha: sigma_j: alpha -> zeta^j alpha fixes t and
-    Q(zeta_n), hence the surface equation, and carries that component to
-    the one over zeta^j alpha, the n x-values distinct as zeta has order n."""
-    n = s.index
-    T, t = an_tower(n)
-    cv = ("w", "y", "z", "x")
-    root = MultiPoly.const(cv, T.gen("alpha"))
-    rel = MultiPoly(("alpha", "t"), {(n, 0): Fraction(1),
-                                     (0, 1): Fraction(-1)})
-    curves = []
-    for comp, zero_var in (("y0", "y"), ("z0", "z")):
-        _certify_membership(s, T, {"x": root, zero_var: MultiPoly.zero(cv)},
-                            t)
-        curves.append(CurveSpec("an:%d" % n, "An-fiber", comp,
-                                (MultiPoly.var(cv, "x") - root,
-                                 MultiPoly.var(cv, zero_var)), n,
-                                parameter="alpha", relation=rel,
-                                data={"contractible_orbit": comp == "y0"}))
-    return curves
+    into the lines y = 0 and z = 0.  Two families of n: (y, x) = (0,
+    alpha) over (w : z) and (z, x) = (0, alpha) over (w : y), each a
+    _fibre_family whose rotations alpha -> zeta^j alpha are its members,
+    the n x-values distinct as zeta has order n."""
+    T, t = an_tower(s.index)
+    zero, alpha = T.zero(), T.gen("alpha")
+    return [_fibre_family(s, "An-fiber", "y0", ([zero, zero], [alpha]), t,
+                          ("w", "z", "y", "x"), contractible_orbit=True),
+            _fibre_family(s, "An-fiber", "z0", ([zero, zero], [alpha]), t,
+                          contractible_orbit=False)]
 
 
 def dn_tower(n: int):
@@ -733,29 +758,38 @@ def dn_tower(n: int):
 
 @_surface_cache
 def enumerate_dn(s):
-    """On the D_n conic bundle s: the 2 lines z = +- r w over x = 0,
-    r = mu^(n-1) = sqrt(t), and the 2(n-1) curves x = (zeta^j mu)^2,
-    z = i zeta^j mu y over x^(n-1) = t.  Two families, each certified by
-    substitution at j = 0: sigma_e: mu -> zeta mu, zeta = zeta_M^e, fixes
-    t and Q(zeta_M), hence the surface equation, takes r to zeta^(n-1) r =
-    -r, and carries the curve over mu to the one over zeta^j mu, the roots
-    zeta^j mu distinct as zeta has order N."""
-    n = s.index
-    cv = ("w", "y", "z", "x")
-    w, y, z, x = (MultiPoly.var(cv, v) for v in cv)
-    N = 2 * (n - 1)
-    T, t = dn_tower(n)
+    """On the D_n conic bundle s: the 2 lines z = +-r w over x = 0,
+    r^2 = t, and the 2(n-1) curves x = (zeta^j mu)^2, z = i zeta^j mu y
+    over x^(n-1) = t.  Two _fibre_family graphs of (z, x) over (w : y):
+    (r w, 0) over Q(zeta_2)[r, 1/r] (sqrt_t_tower), whose rotation
+    r -> -r is the other line, and (i mu y, mu^2) over Q(zeta_M)[mu,
+    1/mu] (dn_tower), whose rotations mu -> zeta^j mu are the other
+    curves, the roots zeta^j mu distinct as zeta = zeta_N has order N.  The
+    x = 0 pair has a tower of its own: in the mu-tower, t = mu^N, its N
+    rotations would repeat its two lines."""
+    R, t = sqrt_t_tower()
+    x0 = _fibre_family(s, "Dn-x0", "x0", ([R.gen("r"), R.zero()],
+                                          [R.zero()]), t)
+    T, t = dn_tower(s.index)
     i, mu = root_of_unity(T, 4), T.gen("mu")
-    relN = MultiPoly(("mu", "t"), {(N, 0): Fraction(1),
-                                   (0, 1): Fraction(-1)})
-    curves = []
-    for family, branch, count, sub in (
-            ("Dn-x0", "x0", 2, {"x": MultiPoly.zero(cv),
-                                "z": w.scale(mu ** (n - 1))}),
-            ("Dn-mu", "mu", N, {"x": MultiPoly.const(cv, mu ** 2),
-                                "z": y.scale(i * mu)})):
-        _certify_membership(s, T, sub, t)
-        curves.append(CurveSpec("dn:%d" % n, family, branch,
-                                (x - sub["x"], z - sub["z"]), count,
-                                parameter="mu", relation=relN))
-    return curves
+    return [x0, _fibre_family(s, "Dn-mu", "mu", ([T.zero(), i * mu],
+                                                 [mu ** 2]), t)]
+
+
+def surface_families(s):
+    """{branch: family} of the curve families certified on the catalog
+    surface s, in the order of its enumeration: L1-L3 ("alpha") and L_mu
+    ("Lmu") on s6, the e = 0 pair ("e0") and the main family ("main") on
+    s7, the branches "P1" and "P2" on s8, y0 and z0 on an:<n>, x0 and mu
+    on dn:<n>.  A surface without an enumeration (s6prime, the Klein
+    surfaces) is a ValueError, raised before any arithmetic."""
+    kind = s.name.partition(":")[0]
+    if kind == "s6":
+        curves = certify_s6_lines(s)
+    elif kind in ("s7", "s8"):
+        curves = (enumerate_s7 if kind == "s7" else enumerate_s8)(s)[0]
+    elif kind in ("an", "dn"):
+        curves = (enumerate_an if kind == "an" else enumerate_dn)(s)
+    else:
+        raise ValueError("no curve enumeration for %r" % s.name)
+    return {c.branch: c for c in curves}

@@ -8,20 +8,23 @@ Pure Python on cmath and math.  Each polynomial an audit evaluates is
 compiled once, into (complex coefficient, ((variable index, exponent), ...))
 terms, and evaluated point by point; Durand-Kerner iterates on a
 geometrically rescaled monic polynomial, and its certified roots are cached
-on (coefficients, seed, tol).  Every S6, S7 and S8 curve is sampled on its
-exact graph over P^1_(W:X) through one routine, _graph_at: the graph's
-coefficients, monomials c s^k, are taken once per process as (complex c,
-k), and evaluated at each float s.  Each Galois orbit (L1-L3, the 12 lines
-L_mu over each root of C, the 18 or 30 curves over each root of Q, Q1 or
-Q2) is the sigma_j-conjugate of its family's representative graph over the
-certified root sigma_j(x), its constants embedded exactly and rounded once,
-at the h values of s with t = c s^(+-h).  Two S6 lines meet by the float
-form of the exact rule (orbits.meet_number).  Samples come from
-random.Random(seed) in a fixed order (per curve, then per sample, then per
-coordinate).  The sample points (W, X) do not depend on t, so they are
-drawn once per seed: the 1200 of the S8 members, the first 135 of which
-are those of the S6 lines and the first 280 those of S7.  Every audit is
-cached on its (surface, NumericConfig)."""
+on (coefficients, seed, tol).  One audit serves every surface: each curve
+family that curves.surface_families certifies on it (the S6 lines, the S7
+and S8 families, the A_n and D_n fibre components) is sampled on its exact
+graph of two coordinates over the other two, through one routine,
+_graph_at: the graph's coefficients, monomials c s^k, are taken once per
+process as (complex c, k), and evaluated at each float s.  Each Galois
+orbit (L1-L3, the 12 lines L_mu over each root of C, the 18 or 30 curves
+over each root of Q, Q1 or Q2, the fibre components over x^n = t) is the
+sigma_j-conjugate of its family's representative graph over the certified
+root sigma_j(x), its constants embedded exactly and rounded once, at the h
+values of s with t = c s^(+-h).  Two S6 lines meet by the float form of the
+exact rule (orbits.meet_number).  Samples come from random.Random(seed) in
+a fixed order (per curve, then per sample, then per coordinate).  The
+sample points (W, X) do not depend on t, so they are drawn once per seed:
+the 1200 of the S8 members, the first 135 of which are those of the S6
+lines and the first 280 those of S7.  Every audit is cached on its
+(surface, NumericConfig)."""
 
 import cmath
 import math
@@ -36,8 +39,9 @@ from .multipoly import MultiPoly
 from .tower import _coeff_complex
 from .univariate import count_real_roots
 from .base import VerificationError, _surface_cache
-# the S6, S7 and S8 audits import the exact curves and orbits they check as
-# they run, so that the A_n and D_n audits load neither
+# the audits import the exact curves they check as they run, and the S6
+# audit the orbits, so that the Sturm step and the A_n and D_n audits do
+# not load orbits
 
 
 # Durand-Kerner iterations before a polynomial is declared not to converge
@@ -132,36 +136,30 @@ def _cached_roots(coeffs, seed, tol):
 # compiled evaluation
 
 class CompiledPoly:
-    """A MultiPoly compiled for complex evaluation: its terms as (complex
-    coefficient, ((variable index, exponent), ...)) with the zero exponents
-    left out, the indices into `used`, the variables left free (those that
-    occur, or the tuple `order`, which must name each of them).  cenv maps
-    generator names, and the variables it fixes (such as t), to values:
-    each coefficient is a tower constant evaluated there, times the powers
-    of the fixed variables."""
+    """A MultiPoly compiled for complex evaluation at points whose
+    coordinates are the variables `order`, which must name each variable
+    left free: its terms as (complex coefficient, ((index into order,
+    exponent), ...)) with the zero exponents left out.  cenv maps generator
+    names, and the variables it fixes (such as t), to values: each
+    coefficient is a tower constant evaluated there, times the powers of
+    the fixed variables."""
 
-    def __init__(self, p: MultiPoly, cenv, order=None):
-        free = [i for i, v in enumerate(p.vars)
+    def __init__(self, p: MultiPoly, cenv, order):
+        free = [v for i, v in enumerate(p.vars)
                 if v not in cenv and any(e[i] for e in p.terms)]
-        idx = free if order is None else [p.vars.index(v) for v in order]
-        if not set(free) <= set(idx):
+        if not set(free) <= set(order):
             raise ValueError("variables %s left out of the order"
-                             % [p.vars[i] for i in free if i not in idx])
+                             % [v for v in free if v not in order])
+        idx = [p.vars.index(v) for v in order]
         fixed = [(i, cenv[v]) for i, v in enumerate(p.vars) if v in cenv]
-        self.used = tuple(p.vars[i] for i in idx)
         self.terms = tuple(
             (_coeff_complex(c, cenv)
              * math.prod(x ** e[i] for i, x in fixed if e[i]),
              tuple((j, e[i]) for j, i in enumerate(idx) if e[i]))
             for e, c in p.terms.items())
 
-    def __call__(self, env):
-        """(value, scale) at the point env, which maps each free variable
-        to a number; see at."""
-        return self.at([env[v] for v in self.used])
-
     def at(self, x):
-        """(value, scale) at the point x, the values of `used` in order:
+        """(value, scale) at the point x, the values of `order` in turn:
         the sum of the terms and the sum of their absolute values."""
         value, scale = 0j, 0.0
         for c, monomial in self.terms:
@@ -170,15 +168,6 @@ class CompiledPoly:
             value += c
             scale += abs(c)
         return value, scale
-
-    def residue(self, env):
-        """|value| / scale at the point env (see __call__)."""
-        return _residue(*self(env))
-
-
-def _residue(value, scale):
-    """|value| / scale, scale taken as at least 1e-300."""
-    return abs(value) / max(scale, 1e-300)
 
 
 def _exact_count(curves, count, name):
@@ -201,10 +190,6 @@ def _max_residue(res, cfg, message):
     return max(res)
 
 
-def _complex_draw(rng):
-    return rng.random() + 1j * rng.random()
-
-
 def _sample_wx(rng):
     """A sample point (W, X): W on the unit circle, |X| in [0.5, 1.5)."""
     u0, u1, u2 = rng.random(), rng.random(), rng.random()
@@ -219,7 +204,8 @@ def _roots_of_unity(n):
 # ---------------------------------------------------------------------------
 # per-surface audits
 
-# the generator of Q(zeta_12), for the coefficient -2i of the S6 equation
+# the generator of Q(zeta_12), for the coefficient -2i of the S6 equation;
+# every other audited equation has rational coefficients
 S6_ENV = {"z12": cmath.exp(1j * math.pi / 6)}
 
 
@@ -305,18 +291,80 @@ def _meet_ratio(line1, line2):
     return abs(y0 * z1 - y1 * z0) / (ny * nz)
 
 
-def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
-    from .curves import certify_s6_lines
+@lru_cache(maxsize=None)
+def _radical_graphs(family):
+    """The members of an S6, S7 or S8 family in floats, built once per
+    process: (n, [(c, constants)]), t = c s^n at each root sigma_j(x) of
+    curves.residual_roots, with the _constants of the sigma_j-conjugate of
+    the representative's graph: sigma_j followed by the embedding
+    zeta_M -> exp(2 pi i / M) is _embed at j."""
+    t, (y, z) = family.data["t"], family.data["graph"]
+    (n, _), = t.payload[0].items()
+    return n, [(_embed(t, j), _constants((y, z), lambda c: _embed(c, j)))
+               for j in family.data["roots"]]
+
+
+# the sample points of the audits: five for each of the 240 members of S8,
+# of which S6 reads the first 5 * 27, S7 the first 5 * 56 and an:<n> and
+# dn:<n> the first 5 * 2n
+RADICAL_SAMPLES = 5 * 240
+
+
+@lru_cache(maxsize=None)
+def _samples(seed):
+    """The audits' sample points, which do not depend on t: RADICAL_SAMPLES
+    points (W, X) drawn by _sample_wx from random.Random(seed), each with
+    its monomials (W^(d-k) X^k for k = 0..d) for the degrees d = 0..3 of
+    the graphs' Y and Z, those of degree d at index d."""
+    rng, out = random.Random(seed), []
+    for _ in range(RADICAL_SAMPLES):
+        W, X = _sample_wx(rng)
+        W2, X2 = W * W, X * X
+        out.append((W, X, ((1,), (W, X), (W2, W * X, X2),
+                           (W2 * W, W2 * X, W * X2, X2 * X))))
+    return out
+
+
+def _radical_residues(s, families, cfg):
+    """(residues, graphs) of the members of the families of s at t =
+    cfg.t, residues[i] those of families[i]: each family's equation
+    compiled in its coordinates (W, X, Y, Z); over each root, the float
+    graph (Y, Z) of _radical_graphs at each of the |n| values s of
+    t = c s^n, evaluated at the next five points of _samples(cfg.seed)."""
+    tval, res, graphs = float(cfg.t), [], []
+    samples, equations = iter(_samples(cfg.seed)), {}
+    point = [0j] * 4            # (W, X, Y, Z), refilled at each sample
+    for family in families:
+        coords = family.data["coords"]
+        if coords not in equations:
+            equations[coords] = CompiledPoly(
+                s.equation, dict(S6_ENV, t=tval), order=coords)
+        equation, out = equations[coords], []
+        n, roots = _radical_graphs(family)
+        unity = _roots_of_unity(abs(n))
+        for c, constants in roots:
+            s0 = (tval / c) ** (1 / n)
+            if not (s0 and cmath.isfinite(s0)):
+                raise OverflowError("s = (t / c)^(1/%d) at c = %r" % (n, c))
+            for w in unity:
+                y, z = _graph_at(constants, s0 * w)
+                dy, dz = len(y) - 1, len(z) - 1
+                for point[0], point[1], monomials in islice(samples, 5):
+                    point[2] = sum(map(mul, y, monomials[dy]))
+                    point[3] = sum(map(mul, z, monomials[dz]))
+                    value, scale = equation.at(point)
+                    out.append(abs(value) / max(scale, 1e-300))
+                graphs.append((y, z))
+        res.append(out)
+    return res, graphs
+
+
+def _s6_line_graph(s6, lines):
+    """The S6 extras of the audit, from the 27 float lines in the order
+    sampled: every line meets exactly 10 others (two lines meet iff dY and
+    dZ share a root, _meet_ratio), and within each Galois orbit the meets
+    agree with its exact row (orbits.s6_intersections)."""
     from .orbits import s6_intersections
-    curves = certify_s6_lines(s6)
-    equation = CompiledPoly(s6.equation, dict(S6_ENV, t=float(cfg.t)),
-                            order="WXYZ")
-    # the two families: L1-L3 at the 3 alpha, alpha^3 = t, then 12 lines
-    # L_mu over each root c of C, mu^12 = c t
-    res, lines = _radical_residues(equation, curves, cfg,
-                                   iter(_samples(cfg.seed)))
-    max_res = _max_residue(res, cfg, "S6 membership residue %.3g")
-    # intersection graph: two lines meet iff dY and dZ share a root
     n = len(lines)
     adj = [[False] * n for _ in range(n)]
     for i in range(n):
@@ -339,146 +387,7 @@ def numeric_audit_s6(s6, cfg: NumericConfig) -> dict:
                         "exact/numeric disagreement: line %d against its "
                         "conjugate at k = %d" % (first + a, k))
         first += h
-    return {"surface": "s6", "count": _exact_count(curves, n, "S6"),
-            "max_residue": max_res, "degrees": degrees, "graph_checked": True}
-
-
-@lru_cache(maxsize=None)
-def _radical_graphs(family):
-    """The members of an S6, S7 or S8 family in floats, built once per
-    process: (n, [(c, constants)]), t = c s^n at each root sigma_j(x) of
-    curves.residual_roots, with the _constants of the sigma_j-conjugate of
-    the representative's graph: sigma_j followed by the embedding
-    zeta_M -> exp(2 pi i / M) is _embed at j."""
-    t, (y, z) = family.data["t"], family.data["graph"]
-    (n, _), = t.payload[0].items()
-    return n, [(_embed(t, j), _constants((y, z), lambda c: _embed(c, j)))
-               for j in family.data["roots"]]
-
-
-# the sample points of the S6, S7 and S8 audits: five for each of the 240
-# members of S8, of which S6 reads the first 5 * 27 and S7 the first 5 * 56
-RADICAL_SAMPLES = 5 * 240
-
-
-@lru_cache(maxsize=None)
-def _samples(seed):
-    """The S6, S7 and S8 audits' sample points, which do not depend on t:
-    RADICAL_SAMPLES points (W, X) drawn by _sample_wx from
-    random.Random(seed), each with its monomials (W^(d-k) X^k for
-    k = 0..d) for the degrees d = 1, 2, 3 of the graphs' Y and Z, those of
-    degree d at index d - 1."""
-    rng, out = random.Random(seed), []
-    for _ in range(RADICAL_SAMPLES):
-        W, X = _sample_wx(rng)
-        W2, X2 = W * W, X * X
-        out.append((W, X, ((W, X), (W2, W * X, X2),
-                           (W2 * W, W2 * X, W * X2, X2 * X))))
-    return out
-
-
-def _radical_residues(equation, families, cfg, samples):
-    """(residues, graphs) of the members of the families at t: over each
-    root, the float graph (Y, Z) of _radical_graphs at each of the |n|
-    values s of t = c s^n, evaluated at the next five of the points
-    `samples`."""
-    tval, res, graphs = float(cfg.t), [], []
-    point = [0j] * 4            # (W, X, Y, Z), refilled at each sample
-    for family in families:
-        n, roots = _radical_graphs(family)
-        unity = _roots_of_unity(abs(n))
-        for c, constants in roots:
-            s0 = (tval / c) ** (1 / n)
-            if not (s0 and cmath.isfinite(s0)):
-                raise OverflowError("s = (t / c)^(1/%d) at c = %r" % (n, c))
-            for w in unity:
-                y, z = _graph_at(constants, s0 * w)
-                dy, dz = len(y) - 2, len(z) - 2
-                for point[0], point[1], monomials in islice(samples, 5):
-                    point[2] = sum(map(mul, y, monomials[dy]))
-                    point[3] = sum(map(mul, z, monomials[dz]))
-                    value, scale = equation.at(point)
-                    res.append(abs(value) / max(scale, 1e-300))  # _residue
-                graphs.append((y, z))
-    return res, graphs
-
-
-def numeric_audit_s7(s7, cfg: NumericConfig) -> dict:
-    from .orbits import _s7_main_data
-    curves, _, main = _s7_main_data(s7)
-    tval = float(cfg.t)
-    samples = iter(_samples(cfg.seed))
-    equation = CompiledPoly(s7.equation, {"t": tval}, order="WXYZ")
-    # core(e) = t^3 Q(e^18 / t): 54 roots, 18 over each root u of Q
-    res, graphs = _radical_residues(equation, [main], cfg, samples)
-    max_res = _max_residue(res, cfg, "S7 residue %.3g at root")
-    count = len(graphs)
-    # the two e=0 curves: Y = 0, Z = +- sqrt(t) W^2
-    res = []
-    for z in (cmath.sqrt(tval), -cmath.sqrt(tval)):
-        for W, X, _ in islice(samples, 5):
-            res.append(_residue(*equation.at((W, X, 0j, z * W ** 2))))
-        count += 1
-    max_res = max(max_res, _max_residue(res, cfg, "S7 e=0 residue %.3g"))
-    return {"surface": "s7", "count": _exact_count(curves, count, "S7"),
-            "max_residue": max_res}
-
-
-def numeric_audit_s8(s8, cfg: NumericConfig) -> dict:
-    from .orbits import _s8_branch_data
-    curves, families = _s8_branch_data(s8)
-    equation = CompiledPoly(s8.equation, {"t": float(cfg.t)}, order="WXYZ")
-    # F_i ~ q_i(-mu^30 t): 120 roots on each branch, 30 over each root x
-    res, graphs = _radical_residues(equation, [families["P1"],
-                                               families["P2"]],
-                                    cfg, iter(_samples(cfg.seed)))
-    return {"surface": "s8", "count": _exact_count(curves, len(graphs), "S8"),
-            "max_residue": _max_residue(res, cfg, "S8 residue %.3g")}
-
-
-def numeric_audit_conic(s, cfg: NumericConfig) -> dict:
-    """A_n / D_n fibre components at the specialization."""
-    name, n = s.name, s.index
-    tval = float(cfg.t)
-    rng = random.Random(cfg.seed)
-    equation = CompiledPoly(s.equations[0], {"w": 1, "t": tval})
-    if name.startswith("an:"):
-        # over each root x of x^n = t: the components y = 0 and z = 0,
-        # the other coordinate free
-        res, count, expected = [], 0, 2 * n
-        for w in _roots_of_unity(n):
-            x = tval ** (1.0 / n) * w
-            for on_z in (True, False):
-                for _ in range(5):
-                    v = _complex_draw(rng)
-                    res.append(equation.residue(
-                        {"x": x, "y": 0j if on_z else v,
-                         "z": v if on_z else 0j}))
-                count += 1
-        max_res = _max_residue(res, cfg, "A_n residue %.3g")
-    else:
-        N = 2 * (n - 1)
-        res, count, expected = [], 0, 2 + N
-        for z in (cmath.sqrt(tval), -cmath.sqrt(tval)):
-            for _ in range(5):
-                res.append(equation.residue(
-                    {"y": _complex_draw(rng), "z": z, "x": 0}))
-            count += 1
-        max_res = _max_residue(res, cfg, "D_n x=0 residue %.3g")
-        res = []
-        for w in _roots_of_unity(N):
-            mu = tval ** (1.0 / N) * w
-            for _ in range(5):
-                y = _complex_draw(rng)
-                res.append(equation.residue(
-                    {"y": y, "z": 1j * y * mu, "x": mu ** 2}))
-            count += 1
-        max_res = max(max_res, _max_residue(res, cfg,
-                                            "D_n mu residue %.3g"))
-    if count != expected:
-        raise VerificationError("%s numeric count %d != %d"
-                                % (name, count, expected))
-    return {"surface": name, "count": count, "max_residue": max_res}
+    return {"degrees": degrees, "graph_checked": True}
 
 
 @_surface_cache
@@ -507,22 +416,36 @@ def sturm_vs_numeric(s7, s8, cfg: NumericConfig) -> dict:
 
 @_surface_cache
 def numeric_curve_audit(s, cfg: NumericConfig) -> dict:
-    """The audit of the catalog surface s at cfg.t."""
+    """The audit of the catalog surface s at cfg.t: every member of each
+    curve family certified on s (curves.surface_families) sampled on its
+    float graph, its residues at most cfg.tol and the number of members
+    the sum of the exact family counts; on S6 also the line graph
+    (_s6_line_graph)."""
+    from .curves import surface_families
     if cfg.t == 0:
         raise VerificationError("t = 0 lies on every discriminant locus")
-    audit = {"s6": numeric_audit_s6, "s7": numeric_audit_s7,
-             "s8": numeric_audit_s8}.get(s.name)
-    if s.name.startswith(("an:", "dn:")):
-        audit = numeric_audit_conic
-    if audit is None:
-        raise ValueError("no numeric audit for %r" % s.name)
+    families = list(surface_families(s).values())
+    if s.name == "s7":
+        # the main family first, then the e = 0 pair: the order in which
+        # S7 has always drawn its sample points
+        families.reverse()
+    name = s.name.upper()
     # a double that overflows raises OverflowError, or becomes inf or NaN,
     # which every check refuses
     try:
-        return audit(s, cfg)
+        res, graphs = _radical_residues(s, families, cfg)
     except OverflowError as ex:
         raise VerificationError("%s at t = %s: a double overflows (%s)"
                                 % (s.name, cfg.t, ex))
+    max_res = max(_max_residue(r, cfg, "%s residue %%.3g on %s"
+                               % (name, family.branch))
+                  for r, family in zip(res, families))
+    report = {"surface": s.name, "count": _exact_count(families, len(graphs),
+                                                       name),
+              "max_residue": max_res}
+    if s.name == "s6":
+        report.update(_s6_line_graph(s, graphs))
+    return report
 
 
 def full_audit(catalog, tol=1e-8, seed=0) -> dict:

@@ -11,9 +11,7 @@ from math import gcd, lcm
 from .tower import FieldTower, cyclotomic, root_of_unity
 from .base import GeometryError, VerificationError, _surface_cache
 from .geometry import on_surface
-from .curves import (certify_s6_lines, enumerate_s7, enumerate_s8,
-                     enumerate_an, enumerate_dn, rotate_forms, an_tower,
-                     dn_tower)
+from .curves import rotate_forms, surface_families
 
 # The verdicts assume two statements, named in the reports by this label: a
 # surface is minimal iff no Galois orbit of pairwise-disjoint (-1)-curves is
@@ -169,18 +167,6 @@ def meet_number(graph1, graph2):
 # ---------------------------------------------------------------------------
 # conjugate curves of the S6, S7 and S8 radical families
 
-def _s7_main_data(s7):
-    """The curves of s7, its residual and its main family, the last curve."""
-    curves, core = enumerate_s7(s7)
-    return curves, core, curves[-1]
-
-
-def _s8_branch_data(s8):
-    """The curves of s8, its two branch families, by branch name."""
-    curves = enumerate_s8(s8)[0]
-    return curves, {c.branch: c for c in curves}
-
-
 def _row(graph, h):
     """[-1] + [C.C_k for k = 1..h-1] of the curve C with the graph (Y, Z)
     over Q(zeta_M)[s, 1/s], h | M, C_k the curve over xi^k s, xi = zeta_h,
@@ -203,9 +189,7 @@ def _root_rows(s, branch) -> dict:
     of the representative graph for j = 1.  sigma_j carries the pair
     (C, C_k) over x to (sigma_j C, (sigma_j C)_(j k)) over sigma_j(x), so
     the row of sigma_j(x) takes j k to the representative's value at k."""
-    family = certify_s6_lines(s)[-1] if branch == "Lmu" else \
-        _s7_main_data(s)[2] if branch == "main" else \
-        _s8_branch_data(s)[1][branch]
+    family = surface_families(s)[branch]
     roots = family.data["roots"]
     h = family.count // len(roots)
     row = _row(family.data["graph"], h)
@@ -218,7 +202,7 @@ def s6_intersections(s6) -> dict:
     L1 against L2 and L3 (_row at h = 3, alpha -> zeta_3 alpha), and L_mu
     over each root of C against each L_(xi^k mu) (_root_rows)."""
     return {"surface": "s6", "rows": {
-        "L123": _row(certify_s6_lines(s6)[0].data["graph"], 3),
+        "L123": _row(surface_families(s6)["alpha"].data["graph"], 3),
         "Lmu": _root_rows(s6, "Lmu")}}
 
 
@@ -278,20 +262,23 @@ def dn_intersections(s) -> dict:
     x = mu^2, z = i y mu meets its conjugate z = -i y mu at ((1:0:0), mu^2);
     components over distinct fibres are disjoint (distinct x-values).  Each
     partner is a rotation of its family's representative (rotate_forms)."""
-    n = s.index
-    x0, mu_family = enumerate_dn(s)
-    N = 2 * (n - 1)
-    T, t = dn_tower(n)
-    e = T.M // N
-    zeta2, mu = root_of_unity(T, N // 2).powers(N), T.gen("mu")  # zeta^(2d)
-    zero, one = T.zero(), T.one()
-    report = {"surface": "dn:%d" % n, "pairs": []}
-    _meet_at([x0.equations, rotate_forms(x0.equations, e)], s,
+    families = surface_families(s)
+    x0, mu_family = families["x0"], families["mu"]
+    # the x = 0 pair in Q(zeta_2)[r, 1/r], its partner the rotation r -> -r
+    t = x0.data["t"]
+    zero, one = t.tower.zero(), t.tower.one()
+    report = {"surface": s.name, "pairs": []}
+    _meet_at([x0.equations, rotate_forms(x0.equations, 1)], s,
              (zero, one, zero, zero), t, "D_n x=0 components")
     report["pairs"].append({"pair": "x0+/x0-", "intersect": True,
                             "witness": "((0:1:0), x=0)"})
     # one point per unordered pair {zeta^j mu, -zeta^j mu}, zeta = zeta_M^e:
     # pair j and its point are sigma_(e j) of pair 0's
+    N, t = mu_family.count, mu_family.data["t"]
+    T = t.tower
+    e = T.M // N
+    zeta2, mu = root_of_unity(T, N // 2).powers(N), T.gen("mu")  # zeta^(2d)
+    zero, one = T.zero(), T.one()
     forms = mu_family.equations
     _meet_at([forms, rotate_forms(forms, T.M // 2)], s,
              (one, zero, zero, mu * mu), t, "D_n mu-pair (j=0)")
@@ -317,12 +304,13 @@ def an_intersections(s) -> dict:
     """A_n: over each fibre x^n = t the components y=0 and z=0 meet at
     ((1:0:0), x); components over distinct fibres are disjoint; in
     particular the y=0 orbit is pairwise disjoint (contractible)."""
-    n = s.index
-    y0, z0 = enumerate_an(s)
-    T, t = an_tower(n)
+    families = surface_families(s)
+    y0, z0 = families["y0"], families["z0"]
+    n, t = y0.count, y0.data["t"]
+    T = t.tower
     zetas, alpha = root_of_unity(T, n).powers(n), T.gen("alpha")
     zero, one = T.zero(), T.one()
-    report = {"surface": "an:%d" % n, "pairs": []}
+    report = {"surface": s.name, "pairs": []}
     # the two representatives lie over fibre 0, x = alpha; fibre j and its
     # point are sigma_j of fibre 0's
     _meet_at([y0.equations, z0.equations], s, (one, zero, zero, alpha), t,
@@ -349,7 +337,7 @@ def s7_e0_intersection(s7) -> dict:
     family's representative and its rotation r -> -r, meet at (0:1:0:0),
     twice: dY = 0 and dZ = 2 sqrt(t) W^2, so their orbit's row (_row at
     h = 2) is [-1, 2]."""
-    e0 = enumerate_s7(s7)[0][0]
+    e0 = surface_families(s7)["e0"]
     t = e0.data["t"]
     zero, one = t.tower.zero(), t.tower.one()
     _meet_at([e0.equations, rotate_forms(e0.equations, 1)], s7,

@@ -201,6 +201,20 @@ MUTATION_REACH = {
                  "numeric-oracle", "sturm", "verdict-grid"},
     "dn:5,0,0,1": {"a-table", "charts-dn:5", "curves-dn:5",
                    "dehomogenization", "intersections-dn:5", "verdict-grid"},
+    # the fibred surfaces numeric-oracle audits (an:2, dn:4), whose fault
+    # it reads through the fibre families certified on them, and two it
+    # does not; on A_n the t w^2 term (term 1), as the y z term (term 0)
+    # vanishes on y = 0 and z = 0 whatever its coefficient
+    "an:2,0,1,1": {"a-table", "charts-an:2", "curves-an:2",
+                   "dehomogenization", "intersections-an:2", "numeric-oracle",
+                   "verdict-grid"},
+    "dn:4,0,0,1": {"a-table", "charts-dn:4", "curves-dn:4",
+                   "dehomogenization", "intersections-dn:4",
+                   "numeric-oracle"},
+    "an:5,0,1,1": {"a-table", "charts-an:5", "curves-an:5",
+                   "dehomogenization", "intersections-an:5"},
+    "dn:9,0,0,1": {"a-table", "charts-dn:9", "curves-dn:9",
+                   "dehomogenization", "intersections-dn:9"},
     "klein-an:2,0,0,2": {"autos-an:2", "dehomogenization"},
     "dn:5,1,0,1": {"charts-dn:5"},
     "klein-e7,0,1,1": {"dehomogenization"},

@@ -17,6 +17,7 @@ from kleinfib import autos, cli, curves, lattice, numeric, orbits
 from kleinfib.cli import _parse_poly, main
 from kleinfib.curves import VerificationError, dn_tower
 from kleinfib.geometry import build_catalog, build_surface
+from kleinfib.multipoly import MultiPoly
 from kleinfib.numeric import NumericConfig, numeric_curve_audit
 
 
@@ -217,17 +218,55 @@ def test_parse_poly_signed_terms():
     assert p.terms == {(0, 2, 0): Fraction(-2), (0, 0, 0): Fraction(7)}
 
 
-@pytest.mark.parametrize("text", [
-    "9^9^9", "y^100000", "y+q",
+# 1 + y + ... + y^64
+DENSE_64 = "+".join(["1", "y"] + ["y^%d" % k for k in range(2, 65)])
+
+
+@pytest.mark.parametrize("n,text", [
+    pytest.param(3, "9^9^9", id="9^9^9"),
+    pytest.param(3, "y^100000", id="y^100000"),
+    pytest.param(3, "y+q", id="y+q"),
     # numbers of more digits than int() converts from a string
-    pytest.param("9" * 5000 + "*y", id="5000-digit coefficient"),
-    pytest.param("y^" + "9" * 5000, id="5000-digit exponent")])
-def test_bad_poly_exits_before_arithmetic(monkeypatch, text):
+    pytest.param(3, "9" * 5000 + "*y", id="5000-digit coefficient"),
+    pytest.param(3, "y^" + "9" * 5000, id="5000-digit exponent"),
+    # shears too large to verify: (x + yP)^32 of 33825 terms (it ran past
+    # 120 s), and one of coefficients up to 2^3232
+    pytest.param(32, DENSE_64, id="dense degree-64 shear at n = 32"),
+    pytest.param(32, "%d*y" % 2 ** 100, id="100-bit shear at n = 32")])
+def test_bad_poly_exits_before_arithmetic(monkeypatch, n, text):
     def unreachable(*args, **kwargs):
         raise AssertionError("arithmetic ran on a rejected polynomial")
     monkeypatch.setattr(autos, "autos_report", unreachable)
-    code, _ = run(["autos", "an", "--n", "3", "--poly", text])
+    code, _ = run(["autos", "an", "--n", str(n), "--poly", text])
     assert code == 2
+
+
+@pytest.mark.parametrize("n,text,size", [
+    (3, "1+y", (10, 6)), (4, "-2*y^2+7", (15, 16)), (3, "0", (1, 3)),
+    (32, "y^64", (33, 64)),
+    pytest.param(8, DENSE_64, (2313, 56), id="8-dense 64"),
+    (32, "1+y+y^2+y^3+y^4", (2145, 96)),
+    pytest.param(32, DENSE_64, (33825, 224), id="32-dense 64")])
+def test_shear_size_bounds_the_expansion(n, text, size):
+    # the bounds on the terms and coefficient bits of (x + yP)^n, checked
+    # against the expansion where it is cheap; for these P the bound on
+    # the terms is their number
+    P = _parse_poly(text)
+    assert cli._shear_size(n, P) == size
+    x, y, _ = (MultiPoly.var(P.vars, v) for v in P.vars)
+    if n <= 8:
+        expansion = (x + y * P) ** n
+        top = max(abs(c) for c in expansion.terms.values())
+        assert len(expansion.terms) == size[0]
+        assert int(top).bit_length() <= size[1]
+
+
+def test_largest_accepted_shears_verify():
+    # within the bounds: the sparse y^64 at n = 32, and the dense
+    # 1 + y + ... + y^4 at n = 32 (2145 terms)
+    for n, text in ((32, "y^64"), (32, "1+y+y^2+y^3+y^4")):
+        code, cert = run(["autos", "an", "--n", str(n), "--poly", text])
+        assert code == 0 and cert["status"] == "verified"
 
 
 @pytest.mark.parametrize("argv", [
@@ -245,6 +284,21 @@ def test_family_index_bound_exits_before_arithmetic(monkeypatch, argv):
     monkeypatch.setattr(numeric, "numeric_curve_audit", unreachable)
     code, _ = run(argv)
     assert code == 2
+
+
+@pytest.mark.parametrize("name,low", [("an:33", 2), ("an:1", 2),
+                                      ("dn:33", 4), ("dn:3", 4),
+                                      ("klein-dn:2", 4)])
+def test_family_index_error_names_the_family_range(capsys, name, low):
+    # A_n starts at n = 2 and D_n at n = 4; both end at MAX_FAMILY_INDEX
+    with pytest.raises(cli.UsageError) as info:
+        cli._family_index(name)
+    assert str(info.value) == "index out of range in %r (%d..%d)" % (
+        name, low, cli.MAX_FAMILY_INDEX)
+    if not name.startswith("klein-"):
+        code, _ = run(["curves", name])
+        assert code == 2
+        assert capsys.readouterr().err == "error: %s\n" % info.value
 
 
 def test_family_index_bound_keeps_used_indices():
@@ -521,9 +575,12 @@ PINNED = {
     # since every curve entry carries its `count`; since every entry is a
     # family, none has an `index`, and there are two: the x=0 pair of
     # `count` 2 with the forms of z = r w and no `sign`, and the mu family
-    # of `count` 8 with the forms over mu and no `zeta_power`
-    ("curves", "dn:5"): "6e79ee576da11be96323da5bcc454dbd"
-                        "1cf0b38f2441924f22fd1f5d5f862ede",
+    # of `count` 8 with the forms over mu and no `zeta_power`; since the
+    # x=0 pair is a graph over Q(zeta_2)[r, 1/r], t = r^2, its `parameter`
+    # is r, its `relation` r^2 - t and its z-form z - r w (was mu, mu^8 - t
+    # and z - mu^4 w)
+    ("curves", "dn:5"): "0d2f2d5f65c9c867492c762c567c0344"
+                        "9e2fe279301062562e8aa57f8b51b1f4",
     # the two A_n families, y0 and z0, of `count` 5 each, with the forms
     # over x = alpha
     ("curves", "an:5"): "d82a817918bfc8269bdd85f5aed83675"
@@ -562,9 +619,12 @@ PINNED = {
     # each root instead of `pairs` 25, and since the oracle samples the S6
     # lines as the members of those families, the three
     # audit.surfaces.s6[t] max_residue values changed, each now about
-    # 3e-15 (was 4e-14)
-    ("reproduce-paper",): "e3ad887f09a2c745ace38986c5feaf06"
-                          "e29669e34efaf7d7c54b225192ec639c",
+    # 3e-15 (was 4e-14); since the oracle samples the A_n and D_n fibre
+    # components on their exact graphs at the audits' shared sample points,
+    # the six audit.surfaces.an:2[t] and dn:4[t] max_residue values
+    # changed, each still about 2e-16 (an:2) or 1e-15 (dn:4)
+    ("reproduce-paper",): "a8b800b932c61bd968fedb5a6abcf0ad"
+                          "29b40bdd2061cbbaed3ed0580c1b1182",
     # the float oracle away from seed 0 and through `audit`: its residues
     # depend on the order in which the sample points are drawn and on the
     # arithmetic of each residue, so a change to either fails here
@@ -575,9 +635,10 @@ PINNED = {
     ("audit", "s8", "--t", "3", "--seed", "2"):
         "8ed148e7ac1eb931157ce65f00af23d830ef0cf41a5f5e0edfcd6a75318f8a42",
     # as reproduce-paper: the intersections-s6 `rows` and the three
-    # audit.surfaces.s6[t] max_residue values changed
-    ("reproduce-paper", "--seed", "3"): "8a983d78c63aea962277a48797fc1a22"
-                                        "ce6ff9949132f7e7473bb5aaaf3a0d8c"}
+    # audit.surfaces.s6[t] max_residue values changed, and then the six
+    # of an:2 and dn:4
+    ("reproduce-paper", "--seed", "3"): "f1deb272727f23db6a701aa5ff2f6520"
+                                        "42b7cb7fad95137012e9713579150548"}
 
 
 # sha256 of the S7 and S8 curve certificates: every curve form is the

@@ -19,7 +19,7 @@ from kleinfib.curves import (VerificationError, _certify_membership,
                              enumerate_s8, q_cubic, q1_quartic, q2_quartic,
                              residual_coefficients, rotate_forms,
                              s6_alpha_lines, s6_line_tower, s6_radicand,
-                             s7_e0_tower, strip_content)
+                             sqrt_t_tower, strip_content)
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.lattice import minus_one_classes
 from kleinfib.multipoly import MultiPoly
@@ -79,16 +79,16 @@ def test_family_counts_are_roots_times_degree(surface):
     # distinct nonzero root of its root polynomial: C for the lines L_mu,
     # Q, Q1, Q2 for the S7 and S8 main families, and X - 1 for L1-L3, the
     # S7 e = 0 pair and the A_n, D_n fibre components.  Its relation has
-    # degree N in its parameter, but for the D_n x = 0 pair, the 2 curves
-    # over r = mu^(n-1) = sqrt(t) within mu^(2(n-1)) = t.  The curves of
-    # S_r add up to the (-1)-classes of the degree-(9 - r) del Pezzo
-    # surface, those of an:5 to 2 x 5 and those of dn:9 to 2 + 16
+    # degree N in its parameter: r^2 - t for the S7 e = 0 pair and the D_n
+    # x = 0 pair.  The curves of S_r add up to the (-1)-classes of the
+    # degree-(9 - r) del Pezzo surface, those of an:5 to 2 x 5 and those of
+    # dn:9 to 2 + 16
     if surface == "an:5":
         curves = enumerate_an(build_surface(surface))
         families, total = {"y0": (1, 5, 5), "z0": (1, 5, 5)}, 2 * 5
     elif surface == "dn:9":
         curves = enumerate_dn(build_surface(surface))
-        families, total = {"x0": (1, 2, 16), "mu": (1, 16, 16)}, 2 + 16
+        families, total = {"x0": (1, 2, 2), "mu": (1, 16, 16)}, 2 + 16
     else:
         s = build_surface("s%d" % surface)
         total = len(minus_one_classes(surface))
@@ -179,17 +179,16 @@ def test_dn_components(n):
 @pytest.mark.parametrize("name", ["an:5", "dn:9"])
 def test_every_fibre_family_member_lies_on_the_surface(name):
     # the reference for the families certified at their representative:
-    # member j is sigma_(j e) of it (rotate_forms; e = 1 for A_n, e = M/N
-    # for D_n), each is substituted into the surface equation, the count
-    # members are pairwise distinct, and the next rotation closes the orbit
+    # member j is sigma_(j e) of it (rotate_forms; e = M / count in the
+    # family's tower Q(zeta_M)[s, 1/s]: 1 for A_n and the D_n x = 0 pair,
+    # M / N for the D_n mu family), each is substituted into the surface
+    # equation, the count members are pairwise distinct, and the next
+    # rotation closes the orbit
     s = build_surface(name)
-    if name.startswith("an"):
-        curves, (T, t) = enumerate_an(s), an_tower(5)
-        e = 1
-    else:
-        curves, (T, t) = enumerate_dn(s), dn_tower(9)
-        e = T.M // 16
+    curves = (enumerate_an if name.startswith("an") else enumerate_dn)(s)
     for c in curves:
+        t = c.data["t"]
+        e = t.tower.M // c.count
         members = [rotate_forms(c.equations, j * e)
                    for j in range(c.count + 1)]
         assert members[-1] == c.equations
@@ -200,7 +199,7 @@ def test_every_fibre_family_member_lies_on_the_surface(name):
             for form in forms:
                 v = next(v for v in "xzy" if form.degree(v) == 1)
                 sub[v] = MultiPoly.var(form.vars, v) - form
-            _certify_membership(s, T, sub, t)
+            _certify_membership(s, t.tower, sub, t)
 
 
 def test_mutated_catalog_fails_enumeration():
@@ -231,7 +230,7 @@ def test_dn_constants_form_a_field(n):
 
 
 def _witness_towers():
-    towers = [s6_line_tower()[0], s6_alpha_lines()[0], s7_e0_tower()[0]]
+    towers = [s6_line_tower()[0], s6_alpha_lines()[0], sqrt_t_tower()[0]]
     towers += [an_tower(n)[0] for n in range(2, 8)]
     towers += [dn_tower(n)[0] for n in range(4, 13)]
     catalog = build_catalog()

@@ -10,14 +10,17 @@ import pytest
 
 from kleinfib import curves, numeric, orbits
 from kleinfib.curves import (VerificationError, q_cubic, q1_quartic,
-                             q2_quartic)
+                             q2_quartic, surface_families)
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.numeric import (NumericConfig, durand_kerner,
                               numeric_curve_audit, numeric_roots,
                               sturm_vs_numeric)
-from kleinfib.orbits import _s7_main_data, _s8_branch_data
 
 CFG = NumericConfig()
+
+# the audit itself, without the cache of numeric_curve_audit, for the tests
+# that change what it reads
+_audit = numeric_curve_audit.__wrapped__
 
 
 def test_cube_root_of_t():
@@ -126,21 +129,28 @@ def test_unknown_surface():
         numeric_curve_audit(build_surface("s6prime"), CFG)
 
 
-@pytest.mark.parametrize("name,data,error", [
-    ("s7", "_s7_main_data", "S7 residue"),
-    ("s8", "_s8_branch_data", "S8 residue")])
-def test_perturbed_coefficient_is_refuted(monkeypatch, name, data, error):
+@pytest.mark.parametrize("name,error", [("s7", "S7 residue"),
+                                        ("s8", "S8 residue"),
+                                        ("an:5", "AN:5 residue .* on y0"),
+                                        ("dn:9", "DN:9 residue .* on mu")])
+def test_perturbed_coefficient_is_refuted(monkeypatch, name, error):
     bad = build_catalog(mutation=(name, 0, 1, Fraction(1)))[name]
     with pytest.raises(VerificationError):
         numeric_curve_audit(bad, CFG)
     # the exact curves of the unperturbed surface, evaluated on the
     # perturbed equation: the batched residues alone refute them (the audit
-    # reads them from orbits as it runs)
-    exact = getattr(orbits, data)
-    monkeypatch.setattr(orbits, data, lambda s: exact(build_surface(name)))
-    audit = getattr(numeric, "numeric_audit_" + name)
+    # reads them from curves.surface_families as it runs)
+    _clean_families(monkeypatch, build_surface(name))
     with pytest.raises(VerificationError, match=error):
-        audit(bad, CFG)
+        _audit(bad, CFG)
+
+
+def _clean_families(monkeypatch, clean, **replaced):
+    """Make curves.surface_families hand every surface the families of
+    `clean`, those named in `replaced` replaced."""
+    exact = curves.surface_families(clean)
+    monkeypatch.setattr(curves, "surface_families",
+                        lambda s: dict(exact, **replaced))
 
 
 @pytest.mark.parametrize("term,monomial", [(3, (6, 0, 0, 0, 1)),
@@ -155,23 +165,21 @@ def test_shared_sample_terms_come_from_the_model(monkeypatch, term,
     clean = build_surface("s8")
     assert {e for e in bad.equation.terms
             if bad.equation.terms[e] != clean.equation.terms[e]} == {monomial}
-    exact = orbits._s8_branch_data
-    monkeypatch.setattr(orbits, "_s8_branch_data", lambda s: exact(clean))
+    _clean_families(monkeypatch, clean)
     with pytest.raises(VerificationError, match="S8 residue"):
-        numeric.numeric_audit_s8(bad, CFG)
+        _audit(bad, CFG)
 
 
 def test_audit_count_must_match_the_exact_families(monkeypatch):
     # the oracle rebuilds 56 curves on s7; an exact main family that counted
     # one fewer is refuted
-    exact, core, main = orbits._s7_main_data(build_surface("s7"))
-    short = copy.copy(main)
+    s7 = build_surface("s7")
+    short = copy.copy(surface_families(s7)["main"])
     short.count -= 1
-    monkeypatch.setattr(orbits, "_s7_main_data",
-                        lambda s: (exact[:-1] + [short], core, short))
+    _clean_families(monkeypatch, s7, main=short)
     with pytest.raises(VerificationError, match="S7 numeric count 56 != "
                                                 "exact 55"):
-        numeric.numeric_audit_s7(build_surface("s7"), CFG)
+        _audit(s7, CFG)
 
 
 def _s6_float_lines(cfg):
@@ -180,10 +188,7 @@ def _s6_float_lines(cfg):
     each root j of C (j)."""
     s6 = build_surface("s6")
     lines = curves.certify_s6_lines(s6)
-    equation = numeric.CompiledPoly(
-        s6.equation, dict(numeric.S6_ENV, t=float(cfg.t)), order="WXYZ")
-    graphs = numeric._radical_residues(equation, [lines[0], lines[-1]], cfg,
-                                       iter(numeric._samples(cfg.seed)))[1]
+    graphs = numeric._radical_residues(s6, lines, cfg)[1]
     tags = [("L123", k) for k in range(3)] + [
         (j, k) for j in lines[-1].data["roots"] for k in range(12)]
     return tags, graphs
@@ -262,7 +267,7 @@ def test_s6_graph_must_agree_with_the_exact_rows(monkeypatch, orbit, k):
     monkeypatch.setattr(orbits, "s6_intersections", lambda s6: dict(
         exact, rows={"L123": rows.pop("L123"), "Lmu": rows}))
     with pytest.raises(VerificationError, match="exact/numeric disagreement"):
-        numeric.numeric_audit_s6(build_surface("s6"), CFG)
+        _audit(build_surface("s6"), CFG)
 
 
 def _perturbed(constants, row, k):
@@ -274,12 +279,16 @@ def _perturbed(constants, row, k):
     return out
 
 
+# t = 2 and the ends of the t range
+EDGE_TS = (2, 2 ** 12, -2 ** 12, Fraction(1, 2 ** 12), Fraction(-1, 2 ** 12))
+
+
 def test_perturbed_s6_graph_is_refuted(monkeypatch):
     # the oracle samples the exact graphs it is handed: one coefficient of
     # the graph of L_mu over c+ off by a relative 1e-6 leaves the surface;
     # so does one of the S7 representative's and one of the S8 P1 family's,
     # at t = 2 and at the ends of the t range (the coefficient of X in Z,
-    # which is 0 on L1-L3)
+    # which is 0 on L1-L3 and on the S7 e = 0 pair)
     exact = numeric._radical_graphs
 
     def perturbed(family):
@@ -287,15 +296,45 @@ def test_perturbed_s6_graph_is_refuted(monkeypatch):
         (c, constants), *rest = roots
         return n, [(c, _perturbed(constants, 1, 1))] + rest
     monkeypatch.setattr(numeric, "_radical_graphs", perturbed)
-    for t in (2, 2 ** 12, -2 ** 12, Fraction(1, 2 ** 12),
-              Fraction(-1, 2 ** 12)):
+    for t in EDGE_TS:
         cfg = NumericConfig(t=t)
-        with pytest.raises(VerificationError, match="S6 membership residue"):
-            numeric.numeric_audit_s6(build_surface("s6"), cfg)
-        with pytest.raises(VerificationError, match="S7 residue"):
-            numeric.numeric_audit_s7(build_surface("s7"), cfg)
-        with pytest.raises(VerificationError, match="S8 residue"):
-            numeric.numeric_audit_s8(build_surface("s8"), cfg)
+        with pytest.raises(VerificationError, match="S6 residue .* on Lmu"):
+            _audit(build_surface("s6"), cfg)
+        with pytest.raises(VerificationError, match="S7 residue .* on main"):
+            _audit(build_surface("s7"), cfg)
+        with pytest.raises(VerificationError, match="S8 residue .* on P1"):
+            _audit(build_surface("s8"), cfg)
+
+
+@pytest.mark.parametrize("name,branch", [
+    ("an:2", "y0"), ("an:5", "y0"), ("an:5", "z0"), ("dn:4", "x0"),
+    ("dn:4", "mu"), ("dn:9", "x0"), ("dn:9", "mu")])
+def test_perturbed_fibre_graph_is_refuted(monkeypatch, name, branch):
+    # the A_n and D_n fibre components are sampled on their exact graphs
+    # too: the last nonzero coefficient of one family's graph off by a
+    # relative 1e-6 (the alpha of x = alpha, the mu^2 of x = mu^2, the r
+    # of z = r w) is refuted on that family, at t = 2 and at the ends of
+    # the t range, and the surface audits clean without it (i mu in
+    # z = i mu y would not do: at |t| = 2^12 the term t w^2 dilutes its
+    # residue below 1e-8)
+    exact = numeric._radical_graphs
+
+    def perturbed(family):
+        n, roots = exact(family)
+        if family.branch != branch:
+            return n, roots
+        (c, constants), = roots
+        row, k = [(row, k) for row, coeffs in enumerate(constants)
+                  for k, (value, _) in enumerate(coeffs) if value][-1]
+        return n, [(c, _perturbed(constants, row, k))]
+    s = build_surface(name)
+    for t in EDGE_TS:
+        assert _audit(s, NumericConfig(t=t))["max_residue"] < 1e-13
+    monkeypatch.setattr(numeric, "_radical_graphs", perturbed)
+    for t in EDGE_TS:
+        with pytest.raises(VerificationError, match="%s residue .* on %s"
+                           % (name.upper(), branch)):
+            _audit(s, NumericConfig(t=t))
 
 
 def _member_b(family, cfg):
@@ -316,7 +355,7 @@ def test_rotated_b_roots_match_a_direct_solve(branch, quartic):
     # the members' x = -mu^30 t are the roots of Q_i, and their b, rotated
     # and conjugated from the representative's exact graph, are roots of
     # the branch quartic at their mu, both solved directly in floats
-    family = _s8_branch_data(build_surface("s8"))[1][branch]
+    family = surface_families(build_surface("s8"))[branch]
     Pi = _b_quartic_at(family)
     members = _member_b(family, CFG)
     assert len(members) == 120
@@ -347,25 +386,21 @@ def test_wrong_b_weight_is_refuted(monkeypatch):
     # at the members it moves
     _wrong_weight(monkeypatch, "s8", 0, 1)
     with pytest.raises(VerificationError, match="S8 residue"):
-        numeric.numeric_audit_s8(build_surface("s8"), CFG)
+        _audit(build_surface("s8"), CFG)
 
 
 def _wrong_weight(monkeypatch, name, row, k):
-    """The exact family of s7 or s8 (branch P1) with the power of s in
-    coefficient k of its graph's Y (row 0) or Z (row 1) raised by one."""
-    data = orbits._s7_main_data if name == "s7" else orbits._s8_branch_data
-    found = data(build_surface(name))
-    family = found[2] if name == "s7" else found[1]["P1"]
+    """The exact family of s7 (main) or s8 (branch P1) with the power of s
+    in coefficient k of its graph's Y (row 0) or Z (row 1) raised by one."""
+    s = build_surface(name)
+    branch = "main" if name == "s7" else "P1"
+    family = surface_families(s)[branch]
     graph = [list(cs) for cs in family.data["graph"]]
     graph[row][k] = graph[row][k] * graph[row][k].tower.gen(
         family.data["t"].tower.var)
     patched = copy.copy(family)
     patched.data = dict(family.data, graph=graph)
-    if name == "s7":
-        patched_data = (found[0], found[1], patched)
-    else:
-        patched_data = (found[0], dict(found[1], P1=patched))
-    monkeypatch.setattr(orbits, data.__name__, lambda s: patched_data)
+    _clean_families(monkeypatch, s, **{branch: patched})
 
 
 def test_q_q1_q2_are_solved_once(monkeypatch):
@@ -419,7 +454,7 @@ def test_branch_quartic_must_be_a_polynomial_in_b_mu_k():
     # each term b^i mu^e of the branch quartic P_i(b, mu) has e = 4 i, and
     # the b of each branch's exact graph, from the certified b-fraction, is
     # beta / mu^4 with P_i(beta) = 0 exactly in Q(zeta_30)
-    families = _s8_branch_data(build_surface("s8"))[1]
+    families = surface_families(build_surface("s8"))
     for i, Pi in enumerate(curves.s8_branch_quartics(("b", "mu"))):
         assert all(e == 4 * k for k, e in Pi.terms)
         b = families["P%d" % (i + 1)].data["graph"][0][1]
@@ -438,10 +473,10 @@ def test_rotated_chain_matches_a_direct_solve(name, branch):
     # catastrophically in doubles), S7 at every member
     tval = float(CFG.t)
     if name == "s8":
-        family = _s8_branch_data(build_surface("s8"))[1][branch]
+        family = surface_families(build_surface("s8"))[branch]
         free, names, step = "mu", ("a", "b", "d", "e", "f"), 7
     else:
-        family = _s7_main_data(build_surface("s7"))[2]
+        family = surface_families(build_surface("s7"))["main"]
         free, names, step = "e", ("a", "b", "c", "d", "e"), 1
     n, roots = numeric._radical_graphs(family)
     members = []
@@ -480,7 +515,7 @@ def test_wrong_f_weight_is_refuted(monkeypatch):
     # refuted by the residues, as that of a is
     _wrong_weight(monkeypatch, "s8", 1, 2)
     with pytest.raises(VerificationError, match="S8 residue"):
-        numeric.numeric_audit_s8(build_surface("s8"), CFG)
+        _audit(build_surface("s8"), CFG)
 
 
 @pytest.mark.parametrize("name,error", [("s7", "S7 residue"),
@@ -489,6 +524,5 @@ def test_wrong_chain_weight_is_refuted(monkeypatch, name, error):
     # the oracle rotates each coefficient of the exact graph by its power
     # of the parameter; that of a off by one is refuted by the residues
     _wrong_weight(monkeypatch, name, 0, 0)
-    audit = getattr(numeric, "numeric_audit_" + name)
     with pytest.raises(VerificationError, match=error):
-        audit(build_surface(name), CFG)
+        _audit(build_surface(name), CFG)

@@ -493,7 +493,7 @@ def test_witnesses_stay_off_the_euclid_path(monkeypatch):
         return inverse(*args)
     monkeypatch.setattr(tower, "_cyclotomic_inverse", counted)
     for fn in (certify_s6_lines, orbits._root_rows, orbits.s6_intersections,
-               orbits.dn_intersections, orbits.enumerate_dn):
+               orbits.dn_intersections, curves.enumerate_dn):
         fn.cache_clear()
     s6_intersections(build_surface("s6"))
     # 3 measured: 1 for t = mu^12 / c+ and 2 for the graph of L_mu over
@@ -541,9 +541,7 @@ def test_conjugate_rows_are_the_representative_row_permuted(surface,
     # L_mu over c- is the one over c+ read at 5 k)
     s = build_surface(surface)
     rows = orbits._root_rows(s, branch)
-    family = (certify_s6_lines(s)[-1] if surface == "s6"
-              else orbits._s7_main_data(s)[2] if surface == "s7"
-              else orbits._s8_branch_data(s)[1][branch])
+    family = curves.surface_families(s)[branch]
     h = len(rows[1])
     for j in rows:
         graph = [[c.conjugate(j) for c in cs] for cs in family.data["graph"]]
@@ -573,7 +571,7 @@ def test_dn_witnesses_each_mu_pair_once(monkeypatch):
         return meet(curves, *args)
     monkeypatch.setattr(orbits, "_meet_at", counted)
     dn9 = build_surface("dn:9")
-    x0, mu = orbits.enumerate_dn(dn9)
+    x0, mu = curves.enumerate_dn(dn9)
     dn_intersections.cache_clear()
     dn_intersections(dn9)
     assert calls == [[x0.equations, rotate_forms(x0.equations, 1)],
@@ -591,7 +589,7 @@ def test_an_witnesses_fibre_0_once(monkeypatch):
         return meet(curves, *args)
     monkeypatch.setattr(orbits, "_meet_at", counted)
     an5 = build_surface("an:5")
-    y0, z0 = orbits.enumerate_an(an5)
+    y0, z0 = curves.enumerate_an(an5)
     an_intersections.cache_clear()
     an_intersections(an5)
     assert calls == [[y0.equations, z0.equations]]
