@@ -26,7 +26,7 @@ from .multipoly import MultiPoly
 
 SCHEMA = "kleinfib-certificate/1"
 
-# the largest n accepted in an:<n>, dn:<n> and --n: the D_n witnesses live
+# the largest n accepted in an:<n>, dn:<n> and --n: the D_n families live
 # in Q(zeta_M)(mu) with M = lcm(4, 2(n-1)), and the wild shears expand
 # (x + yP)^n (bounded further by SHEAR_MAX_TERMS and SHEAR_MAX_BITS), so
 # the cost grows steeply with n
@@ -148,17 +148,20 @@ def check(name, ref, status="verified", **extra):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _has_curves(name):
-    """Whether curves.surface_families certifies curves on the surface
-    `name`, which the curves and audit commands then read."""
-    return name in ("s6", "s7", "s8") or name.startswith(("an:", "dn:"))
+def _families(s, command):
+    """curves.surface_families(s); a surface without curves, which that
+    refuses before any arithmetic, has no `command` (a usage error)."""
+    from .curves import surface_families
+    try:
+        return surface_families(s)
+    except GeometryError:
+        raise UsageError("no %s for %r" % (command, s.name))
 
 
 def _paper_curves(s):
     """The curve families certified on s, and the number of curves the
     paper counts there: 2n on an:<n>, and 2 + 2(n - 1) on dn:<n>."""
-    from .curves import surface_families
-    return (list(surface_families(s).values()),
+    return (list(_families(s, "curve enumeration").values()),
             {"s6": 27, "s7": 56, "s8": 240}.get(s.name) or 2 * s.index)
 
 
@@ -173,8 +176,6 @@ def _residuals(name):
 
 def cmd_curves(args):
     s = _surface(args.surface)
-    if not _has_curves(s.name):
-        raise UsageError("no curve enumeration for %r" % s.name)
     curves, expected = _paper_curves(s)
     count = sum(c.count for c in curves)
     checks = [check("membership-residues-zero",
@@ -376,9 +377,9 @@ def cmd_audit(args):
                          "verifies every audited surface" % AUDIT_TOL_RANGE)
     from .numeric import NumericConfig, numeric_curve_audit
     cfg = NumericConfig(t=t, tol=args.tol, seed=args.seed)
-    if not _has_curves(args.surface):
-        raise UsageError("no numeric audit for %r" % args.surface)
-    report = numeric_curve_audit(_surface(args.surface), cfg)
+    s = _surface(args.surface)
+    _families(s, "numeric audit")
+    report = numeric_curve_audit(s, cfg)
     checks = [check("numeric-audit", "floating-point oracle at t = %s" % t,
                     count=report["count"],
                     max_residue=report["max_residue"])]
@@ -505,9 +506,9 @@ def _run_reproduction(catalog, seed=0, timings=False):
                            charts_compatible, verify_contraction_S6)
     from .lattice import coxeter_number, minus_one_classes
     from .numeric import NumericConfig, full_audit, sturm_vs_numeric
-    from .orbits import (an_intersections, case_surface, dn_intersections,
-                         rationality_degree, s6_intersections, s7_conjugation,
-                         s7_e0_intersection, s8_conjugation, verdict_grid)
+    from .orbits import (case_surface, dn_intersections, family_rows,
+                         fibre_rows, rationality_degree, s6_intersections,
+                         s7_conjugation, s8_conjugation, verdict_grid)
     checks = []
     catalog = _ReadLog(catalog)
 
@@ -585,7 +586,7 @@ def _run_reproduction(catalog, seed=0, timings=False):
     step("rule-table", "minimal-model endpoints per orbit pattern",
          lambda: {}, status="assumed")
 
-    # 5. intersection witnesses
+    # 5. intersection rows
     step("intersections-s6", "conjugate line meetings on the cubic",
          lambda: {"rows": s6_intersections(catalog["s6"])["rows"]})
     for order in (2, 3):
@@ -601,15 +602,15 @@ def _run_reproduction(catalog, seed=0, timings=False):
                  for branch in ("P1", "P2")), True)})
     step("intersections-s7-e0", "the two e = 0 curves meet at (0:1:0:0)",
          lambda: {"ok": _expect(
-             s7_e0_intersection(catalog["s7"])["intersect"], True)})
+             family_rows(catalog["s7"])["rows"]["e0"][1][1] > 0, True)})
     for n in DN_RANGE:
         step("intersections-dn:%d" % n, "z = +-iymu components meet",
-             lambda n=n: {"pairs": len(
-                 dn_intersections(catalog["dn:%d" % n])["pairs"])})
+             lambda n=n: {"rows": dn_intersections(
+                 catalog["dn:%d" % n])["rows"]})
     for n in AN_RANGE:
         step("intersections-an:%d" % n, "contractible orbit is disjoint",
-             lambda n=n: {"pairs": len(
-                 an_intersections(catalog["an:%d" % n])["pairs"])})
+             lambda n=n: {"rows": fibre_rows(
+                 catalog["an:%d" % n], "y0", 0)["rows"]})
 
     # 6. lattice cross-checks
     step("lattice-classes", "(-1)-classes for r = 6, 7, 8",

@@ -25,7 +25,7 @@ from operator import mul
 
 from .base import GeometryError, VerificationError, _surface_cache
 from .multipoly import MultiPoly
-from .tower import FieldElement, cyclotomic, root_of_unity
+from .tower import cyclotomic, root_of_unity
 from .univariate import subresultant_prs
 
 
@@ -355,12 +355,6 @@ def _certify_membership(surface, tower, substitution, t):
         raise VerificationError("membership residue nonzero", detail=eq)
 
 
-def rotate_forms(forms, e):
-    """sigma_e of each form: FieldElement.rotate on its tower coefficients."""
-    return tuple(f.map_coeffs(lambda c: c.rotate(e) if isinstance(
-        c, FieldElement) else c) for f in forms)
-
-
 # ---------------------------------------------------------------------------
 # S8: 240 curves, residual quartics Q1, Q2
 
@@ -604,15 +598,17 @@ def _root_family(surface, graph, t, roots, coords=GRAPH_COORDS):
     tower Q(zeta_M)[s, 1/s], t = c s^(+-h) with c from x and h | M:
     certified on the surface by substitution.  sigma_k: s -> zeta_M^k s
     fixes t for M/h | k, and sigma_j: zeta_M -> zeta_M^j takes it to the t
-    of sigma_j(x); sigma_k fixes the surface equation, and sigma_j is
-    checked to fix each of its coefficients (S6 has -2i), so the graph's
+    of sigma_j(x); sigma_k fixes the surface equation, and sigma_j, j != 1,
+    is checked to fix each of its coefficients (S6 has -2i), so the graph's
     rotations and conjugates lie on the surface: they are the family's
     other members, distinct as the roots are and as zeta_h has order h."""
     T = t.tower
     _certify_membership(surface, T, dict(zip(coords[2:],
                                              _graph_forms(*graph, coords))), t)
-    coeffs = [T.lift(c) for c in surface.equation.terms.values()]
-    for j in roots:
+    others = [j for j in roots if j != 1]
+    coeffs = [T.lift(c) for c in surface.equation.terms.values()] \
+        if others else []
+    for j in others:
         if any(c.conjugate(j) != c for c in coeffs):
             raise VerificationError("sigma_%d moves a coefficient of the %s "
                                     "equation" % (j, surface.name))
@@ -639,8 +635,8 @@ def s6_line_tower():
 
 
 def s6_line_forms(T):
-    """The two linear forms cutting L_mu over c+ (rotate_forms gives
-    L_(xi mu); their sigma_5-conjugates cut the lines over c-)."""
+    """The two linear forms cutting L_mu over c+ (rotated by sigma_k, they
+    cut L_(xi mu); their sigma_5-conjugates cut the lines over c-)."""
     z, mu = root_of_unity(T, 12), T.gen("mu")
     i = z ** 3
     s3 = 2 * z - i                      # sqrt3 = zeta_12 + 1/zeta_12
@@ -782,7 +778,8 @@ def surface_families(s):
     ("Lmu") on s6, the e = 0 pair ("e0") and the main family ("main") on
     s7, the branches "P1" and "P2" on s8, y0 and z0 on an:<n>, x0 and mu
     on dn:<n>.  A surface without an enumeration (s6prime, the Klein
-    surfaces) is a ValueError, raised before any arithmetic."""
+    surfaces) is a GeometryError, a ValueError, raised before any
+    arithmetic."""
     kind = s.name.partition(":")[0]
     if kind == "s6":
         curves = certify_s6_lines(s)
@@ -791,5 +788,5 @@ def surface_families(s):
     elif kind in ("an", "dn"):
         curves = (enumerate_an if kind == "an" else enumerate_dn)(s)
     else:
-        raise ValueError("no curve enumeration for %r" % s.name)
+        raise GeometryError("no curve enumeration for %r" % s.name)
     return {c.branch: c for c in curves}

@@ -310,18 +310,22 @@ def _radical_graphs(family):
 RADICAL_SAMPLES = 5 * 240
 
 
+def _monomials(W, X):
+    """W^(d-k) X^k for k = 0..d, for the degrees d = 0..3 of the graphs' Y
+    and Z, those of degree d at index d."""
+    W2, X2 = W * W, X * X
+    return (1,), (W, X), (W2, W * X, X2), (W2 * W, W2 * X, W * X2, X2 * X)
+
+
 @lru_cache(maxsize=None)
 def _samples(seed):
     """The audits' sample points, which do not depend on t: RADICAL_SAMPLES
     points (W, X) drawn by _sample_wx from random.Random(seed), each with
-    its monomials (W^(d-k) X^k for k = 0..d) for the degrees d = 0..3 of
-    the graphs' Y and Z, those of degree d at index d."""
+    its _monomials."""
     rng, out = random.Random(seed), []
     for _ in range(RADICAL_SAMPLES):
         W, X = _sample_wx(rng)
-        W2, X2 = W * W, X * X
-        out.append((W, X, ((1,), (W, X), (W2, W * X, X2),
-                           (W2 * W, W2 * X, W * X2, X2 * X))))
+        out.append((W, X, _monomials(W, X)))
     return out
 
 
@@ -330,10 +334,15 @@ def _radical_residues(s, families, cfg):
     cfg.t, residues[i] those of families[i]: each family's equation
     compiled in its coordinates (W, X, Y, Z); over each root, the float
     graph (Y, Z) of _radical_graphs at each of the |n| values s of
-    t = c s^n, evaluated at the next five points of _samples(cfg.seed)."""
+    t = c s^n, evaluated at the next five points of _samples(cfg.seed).
+    On a conic bundle the fibre coordinate W = w is drawn at |w| = |s| /
+    |t|^(1/2), of the weight 1 - n/2 of w: there every term of the
+    equation is of one size on the member, and none dilutes the others'
+    residue."""
     tval, res, graphs = float(cfg.t), [], []
     samples, equations = iter(_samples(cfg.seed)), {}
     point = [0j] * 4            # (W, X, Y, Z), refilled at each sample
+    bundle = s.name.startswith(("an:", "dn:"))
     for family in families:
         coords = family.data["coords"]
         if coords not in equations:
@@ -346,10 +355,14 @@ def _radical_residues(s, families, cfg):
             s0 = (tval / c) ** (1 / n)
             if not (s0 and cmath.isfinite(s0)):
                 raise OverflowError("s = (t / c)^(1/%d) at c = %r" % (n, c))
+            size = abs(s0) / abs(tval) ** 0.5 if bundle else 1
             for w in unity:
                 y, z = _graph_at(constants, s0 * w)
                 dy, dz = len(y) - 1, len(z) - 1
                 for point[0], point[1], monomials in islice(samples, 5):
+                    if bundle:
+                        point[0] *= size
+                        monomials = _monomials(point[0], point[1])
                     point[2] = sum(map(mul, y, monomials[dy]))
                     point[3] = sum(map(mul, z, monomials[dz]))
                     value, scale = equation.at(point)
@@ -363,8 +376,8 @@ def _s6_line_graph(s6, lines):
     """The S6 extras of the audit, from the 27 float lines in the order
     sampled: every line meets exactly 10 others (two lines meet iff dY and
     dZ share a root, _meet_ratio), and within each Galois orbit the meets
-    agree with its exact row (orbits.s6_intersections)."""
-    from .orbits import s6_intersections
+    agree with its exact row (orbits.family_rows)."""
+    from .orbits import family_rows
     n = len(lines)
     adj = [[False] * n for _ in range(n)]
     for i in range(n):
@@ -376,9 +389,9 @@ def _s6_line_graph(s6, lines):
                                 % sorted(set(degrees)))
     # agreement with the exact row of each Galois orbit, its h lines in
     # order: L1-L3, then L_mu over each root of C
-    rows = s6_intersections(s6)["rows"]
     first = 0
-    for row in [rows["L123"], *rows["Lmu"].values()]:
+    for row in [row for family in family_rows(s6)["rows"].values()
+                for row in family.values()]:
         h = len(row)
         for a in range(h):
             for k in range(1, h):

@@ -1,23 +1,23 @@
-"""Galois orbits of radical curve families, exact intersection witnesses
-between conjugate curves, each read off a family's representative and its
-rotations, minimal-model bookkeeping and rationality verdicts over the base
-extensions K = C(t^{1/m})."""
+"""Galois orbits of radical curve families, the exact rows of intersection
+numbers between conjugate curves, each read off a family's representative
+and its rotations by one incidence rule, minimal-model bookkeeping and
+rationality verdicts over the base extensions K = C(t^{1/m})."""
 
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .tower import FieldTower, cyclotomic, root_of_unity
+from .tower import FieldTower, cyclotomic
 from .base import GeometryError, VerificationError, _surface_cache
 from .geometry import on_surface
-from .curves import rotate_forms, surface_families
+from .curves import surface_families
 
 # The verdicts assume two statements, named in the reports by this label: a
 # surface is minimal iff no Galois orbit of pairwise-disjoint (-1)-curves is
 # left, and a minimal geometrically rational surface with a point is rational
 # iff K^2 >= 5 (Iskovskikh).  What they apply to is computed: the orbits, the
-# witnesses, and for E the contraction of the Coxeter element's orbits.
+# rows, and for E the contraction of the Coxeter element's orbits.
 AXIOM = "axiom-table"
 
 
@@ -60,19 +60,19 @@ def case_surface(case: str) -> str:
     return {"e6": "s6", "e7": "s7", "e8": "s8"}.get(kind, case)
 
 
-def _period(case: str, surface) -> int:
-    """P, n for an:<n>, 2(n-1) for dn:<n>, for E h, the lcm of the xi-orders:
-    every binomial X^N = c t a verdict reads has N | P, so the verdict over
-    C(t^{1/m}) is the one at gcd(m, P)."""
-    kind, n = parse_case(case)
-    return n if kind == "an" else 2 * (n - 1) if kind == "dn" else \
-        lcm(*(family[1] for family in _coxeter_match(kind, surface)[0]))
+def _period(surface) -> int:
+    """P, the lcm of the lengths of the rows of family_rows(surface), the
+    degrees N of the binomials X^N = c t of its families: n on an:<n>,
+    2(n-1) on dn:<n>, h on s6, s7 and s8.  N | P for each, so the verdict
+    over C(t^{1/m}) is the one at gcd(m, P)."""
+    return lcm(*(len(family[1])
+                 for family in family_rows(surface)["rows"].values()))
 
 
 def rationality_degree(case: str, surface) -> int:
     """a, the least divisor g of the period with a rational verdict on
     `surface`; the model at every divisor is built, and one refused fails a."""
-    period = _period(case, surface)
+    period = _period(surface)
     rational = [g for g in range(1, period + 1) if not period % g
                 and _rule(minimal_model(case, g, surface), surface)[0]]
     if not rational:
@@ -148,7 +148,7 @@ def _gcd_degree(f, g):
 def meet_number(graph1, graph2):
     """C1.C2 of two distinct curves, each a graph (Y, Z) over P^1_(W:X) with
     Y, Z given by their coefficients by rising power of X in one domain
-    (the lines of curves.s6_line, the S7/S8 and e = 0 graphs): the degree of
+    (the graph of a family of curves.surface_families): the degree of
     gcd(dY, dZ) as binary forms in (W, X), dY = Y1 - Y2, dZ = Z1 - Z2, the
     points over which the curves meet, counted.  An identically zero
     difference leaves the degree of the other; otherwise the forms are read
@@ -165,7 +165,7 @@ def meet_number(graph1, graph2):
 
 
 # ---------------------------------------------------------------------------
-# conjugate curves of the S6, S7 and S8 radical families
+# the rows of the conjugate curves of every radical family
 
 def _row(graph, h):
     """[-1] + [C.C_k for k = 1..h-1] of the curve C with the graph (Y, Z)
@@ -183,10 +183,9 @@ def _row(graph, h):
 
 @_surface_cache
 def _root_rows(s, branch) -> dict:
-    """{j: row} for the radical family `branch` of s, L_mu of S6 ("Lmu"),
-    the S7 main family ("main") or an S8 branch: the exact row k -> C.C_k
-    of the orbit over each root sigma_j(x) (curves.residual_roots), _row
-    of the representative graph for j = 1.  sigma_j carries the pair
+    """{j: row} for the radical family `branch` of s: the exact row k ->
+    C.C_k of the orbit over each root sigma_j(x) (curves.residual_roots),
+    _row of the representative graph for j = 1.  sigma_j carries the pair
     (C, C_k) over x to (sigma_j C, (sigma_j C)_(j k)) over sigma_j(x), so
     the row of sigma_j(x) takes j k to the representative's value at k."""
     family = surface_families(s)[branch]
@@ -197,13 +196,43 @@ def _root_rows(s, branch) -> dict:
 
 
 @_surface_cache
+def family_rows(s) -> dict:
+    """The exact rows of every Galois orbit of curves on s, {branch: {j:
+    row}}, _root_rows of each family of curves.surface_families(s): L1-L3
+    and L_mu on s6, the e = 0 pair and the main family on s7, P1 and P2 on
+    s8, the fibre components y0 and z0 of an:<n>, x0 and mu of dn:<n>."""
+    return {"surface": s.name, "rows": {
+        branch: _root_rows(s, branch) for branch in surface_families(s)}}
+
+
 def s6_intersections(s6) -> dict:
-    """The exact rows of the Galois orbits of the 27 lines on the cubic s6:
-    L1 against L2 and L3 (_row at h = 3, alpha -> zeta_3 alpha), and L_mu
-    over each root of C against each L_(xi^k mu) (_root_rows)."""
-    return {"surface": "s6", "rows": {
-        "L123": _row(surface_families(s6)["alpha"].data["graph"], 3),
-        "Lmu": _root_rows(s6, "Lmu")}}
+    """family_rows of the cubic s6, for the intersections-s6 check."""
+    return family_rows(s6)
+
+
+def _meets(row):
+    """The k with C.C_k > 0 in the row of C: the conjugates C meets."""
+    return [k for k, c in enumerate(row) if c > 0]
+
+
+def fibre_rows(s, branch, meets) -> dict:
+    """family_rows of the conic bundle s, refused unless each curve of its
+    fibre family `branch` meets exactly `meets` of its conjugates: no y=0
+    component of A_n meets another, so that their orbit contracts, and each
+    curve mu of D_n meets one, -mu."""
+    report = family_rows(s)
+    for row in report["rows"][branch].values():
+        met = len(_meets(row))
+        if met != meets:
+            raise VerificationError(
+                "%s: a curve of %s meets %d of its conjugates, not %d"
+                % (s.name.upper(), branch, met, meets), detail=row)
+    return report
+
+
+def dn_intersections(s) -> dict:
+    """fibre_rows of the D_n conic bundle s: each mu meets one conjugate."""
+    return fibre_rows(s, "mu", 1)
 
 
 def _conjugation(surface, row, order):
@@ -241,145 +270,20 @@ def s8_conjugation(s8, order: int, branch: str = "P1") -> dict:
 
 
 # ---------------------------------------------------------------------------
-# conic-bundle fibre component intersections (A_n, D_n)
-
-def _meet_at(curves, s, coords, t, what):
-    """Witness that the curves, each given by its pair of forms, share the
-    point `coords` (in the ambient variables of s) and that it lies on s,
-    with t the element of the forms' tower."""
-    env = dict(zip(s.ambient.variables, coords))
-    for forms in curves:
-        for eq in forms:
-            if eq.evaluate({v: env[v] for v in eq.vars}):
-                raise VerificationError("%s witness fails" % what)
-    if not on_surface(s, tuple(coords), t):
-        raise VerificationError("%s witness not on the surface" % what)
-
-
-@_surface_cache
-def dn_intersections(s) -> dict:
-    """D_n: the x=0 components meet at ((0:1:0), x=0); the component
-    x = mu^2, z = i y mu meets its conjugate z = -i y mu at ((1:0:0), mu^2);
-    components over distinct fibres are disjoint (distinct x-values).  Each
-    partner is a rotation of its family's representative (rotate_forms)."""
-    families = surface_families(s)
-    x0, mu_family = families["x0"], families["mu"]
-    # the x = 0 pair in Q(zeta_2)[r, 1/r], its partner the rotation r -> -r
-    t = x0.data["t"]
-    zero, one = t.tower.zero(), t.tower.one()
-    report = {"surface": s.name, "pairs": []}
-    _meet_at([x0.equations, rotate_forms(x0.equations, 1)], s,
-             (zero, one, zero, zero), t, "D_n x=0 components")
-    report["pairs"].append({"pair": "x0+/x0-", "intersect": True,
-                            "witness": "((0:1:0), x=0)"})
-    # one point per unordered pair {zeta^j mu, -zeta^j mu}, zeta = zeta_M^e:
-    # pair j and its point are sigma_(e j) of pair 0's
-    N, t = mu_family.count, mu_family.data["t"]
-    T = t.tower
-    e = T.M // N
-    zeta2, mu = root_of_unity(T, N // 2).powers(N), T.gen("mu")  # zeta^(2d)
-    zero, one = T.zero(), T.one()
-    forms = mu_family.equations
-    _meet_at([forms, rotate_forms(forms, T.M // 2)], s,
-             (one, zero, zero, mu * mu), t, "D_n mu-pair (j=0)")
-    for j1 in range(1, N // 2):
-        if zeta2[j1] * mu * mu != (mu * mu).rotate(e * j1):
-            raise VerificationError("D_n mu-pair (j=%d) witness is not "
-                                    "sigma_j of the pair 0's" % j1)
-    report["pairs"].append({"pair": "mu_j / -mu_j (all j)",
-                            "intersect": True,
-                            "witness": "((1:0:0), x=mu_j^2)"})
-    # distinct fibres: zeta^{2d} != 1 for 2d not divisible by N
-    for d in range(1, N):
-        if (2 * d) % N and (zeta2[d] - one).is_zero():
-            raise VerificationError("fibre values coincide unexpectedly")
-    report["pairs"].append({"pair": "mu_j / xi mu_j, xi^2 != 1",
-                            "intersect": False,
-                            "reason": "distinct fibres x = xi^2 mu^2"})
-    return report
-
-
-@_surface_cache
-def an_intersections(s) -> dict:
-    """A_n: over each fibre x^n = t the components y=0 and z=0 meet at
-    ((1:0:0), x); components over distinct fibres are disjoint; in
-    particular the y=0 orbit is pairwise disjoint (contractible)."""
-    families = surface_families(s)
-    y0, z0 = families["y0"], families["z0"]
-    n, t = y0.count, y0.data["t"]
-    T = t.tower
-    zetas, alpha = root_of_unity(T, n).powers(n), T.gen("alpha")
-    zero, one = T.zero(), T.one()
-    report = {"surface": s.name, "pairs": []}
-    # the two representatives lie over fibre 0, x = alpha; fibre j and its
-    # point are sigma_j of fibre 0's
-    _meet_at([y0.equations, z0.equations], s, (one, zero, zero, alpha), t,
-             "A_n same-fibre (j=0)")
-    for j in range(1, n):
-        if zetas[j] * alpha != alpha.rotate(j):
-            raise VerificationError("A_n same-fibre (j=%d) witness is not "
-                                    "sigma_j of the fibre 0's" % j)
-    report["pairs"].append({"pair": "y0_j / z0_j (all j)",
-                            "intersect": True,
-                            "witness": "((1:0:0), x=zeta^j alpha)"})
-    for d in range(1, n):
-        if (zetas[d] - one).is_zero():
-            raise VerificationError("fibre values coincide unexpectedly")
-    report["pairs"].append({"pair": "components over distinct fibres",
-                            "intersect": False,
-                            "reason": "distinct fibres x = zeta^d alpha"})
-    return report
-
-
-@_surface_cache
-def s7_e0_intersection(s7) -> dict:
-    """The two rational curves Y=0, Z=+-sqrt(t) W^2 on s7, the e = 0
-    family's representative and its rotation r -> -r, meet at (0:1:0:0),
-    twice: dY = 0 and dZ = 2 sqrt(t) W^2, so their orbit's row (_row at
-    h = 2) is [-1, 2]."""
-    e0 = surface_families(s7)["e0"]
-    t = e0.data["t"]
-    zero, one = t.tower.zero(), t.tower.one()
-    _meet_at([e0.equations, rotate_forms(e0.equations, 1)], s7,
-             (zero, one, zero, zero), t, "S7 e=0 pair")
-    row = _row(e0.data["graph"], 2)
-    return {"surface": "s7", "pair": "Y=0, Z=+-sqrt(t)W^2",
-            "intersect": row[1] > 0, "row": row, "witness": "(0:1:0:0)"}
-
-
-# ---------------------------------------------------------------------------
-# E: the xi-families matched to the cycles of the Coxeter element c
-
-def _e_families(kind, s):
-    """The witness reports of the E surface s, and its xi-families as (name,
-    N, rows): the exact row k -> C.C_k (k = 0..N-1) of each Galois orbit it
-    covers, C_k the curve over xi^k."""
-    if kind == "e6":
-        report = s6_intersections(s)
-        rows = report["rows"]
-        return [report], [("L123", 3, [rows["L123"]]),
-                          ("Lmu", 12, list(rows["Lmu"].values()))]
-    if kind == "e7":
-        e0, rows = s7_e0_intersection(s), _root_rows(s, "main")
-        return [e0, {"surface": "s7", "branch": "main", "rows": rows}], [
-            ("e0", 2, [e0["row"]]), ("main", 18, list(rows.values()))]
-    reps = [{"surface": "s8", "branch": b, "rows": _root_rows(s, b)}
-            for b in ("P1", "P2")]
-    return reps, [(r["branch"], 30, list(r["rows"].values())) for r in reps]
-
+# E: the Galois orbits matched to the cycles of the Coxeter element c
 
 @_surface_cache
 def _coxeter_match(kind, s):
     """Match each Galois orbit of the E surface s, xi acting as c, to the
     one free c-cycle whose meeting numbers v.c^k v are its exact row; refuse
     an orbit that fits no free cycle or several, and a cycle left over.
-    Returns the families and their reports."""
+    Returns the rows of family_rows(s)."""
     from .lattice import coxeter_cycles
-    reports, families = _e_families(kind, s)
+    rows = family_rows(s)["rows"]
     cycles = coxeter_cycles(int(kind[1]))[0]
     free = list(range(len(cycles)))
-    for name, _, rows in families:
-        for row in rows:
+    for name, family in rows.items():
+        for row in family.values():
             fits = [n for n in free if list(cycles[n][1]) == row]
             if len(fits) != 1:
                 raise VerificationError(
@@ -392,7 +296,7 @@ def _coxeter_match(kind, s):
     if free:
         raise VerificationError("%s: c-cycles %s match no xi-family"
                                 % (kind, free))
-    return families, reports
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +305,17 @@ def _coxeter_match(kind, s):
 @_surface_cache
 def minimal_model(case: str, g: int, surface) -> MinimalModelDescriptor:
     """The minimal model over C(t^{1/m}) for every m with gcd(m, P) = g, g a
-    divisor of the period P, from the orbits and the witnesses on `surface`,
-    the catalog surface named by case_surface(case)."""
+    divisor of the period P, from the orbits and the rows on `surface`, the
+    catalog surface named by case_surface(case)."""
     kind, n = parse_case(case)
-    if g < 1 or _period(case, surface) % g:
+    if g < 1 or _period(surface) % g:
         raise ValueError("g=%d does not divide the period of %s" % (g, case))
     if kind[0] == "e":
         # xi acts as c^g; at K^2 <= 4 each kept orbit needs a meeting pair
         # (minimal), certified, as _coxeter_match matched the rows of the
         # cycles to the families' exact rows
         from .lattice import coxeter_contraction
-        families, pairs = _coxeter_match(kind, surface)
+        rows = _coxeter_match(kind, surface)
         k2, rho, contracted, kept = coxeter_contraction(int(kind[1]), g)
         for (c, _), ks in kept.items() if k2 <= 4 else ():
             if not ks:
@@ -421,9 +325,6 @@ def minimal_model(case: str, g: int, surface) -> MinimalModelDescriptor:
         rho -= contracted
         if rho not in (1, 2):
             raise VerificationError("%s: end point of rank %d" % (case, rho))
-        # each family's partition, with the number of c-cycles it covers
-        parts = {name: dict(orbit_structure(N, g), cycles=len(rows))
-                 for name, N, rows in families}
         step = "xi acts as c^%d; orbits contracted: %d, K^2 = %d, rho = %d" \
             % (g, contracted, k2, rho)
         desc = MinimalModelDescriptor(
@@ -431,12 +332,11 @@ def minimal_model(case: str, g: int, surface) -> MinimalModelDescriptor:
             degree=k2 if rho == 1 else None,
             singular_fibres=8 - k2 if rho == 2 else None)
     elif kind == "dn":
-        N = 2 * (n - 1)
-        parts = {"mu": orbit_structure(N, g), "x0": orbit_structure(2, g)}
-        pairs = dn_intersections(surface)["pairs"]
-        # mu and -mu, the roots 0 and N/2, in different blocks
-        if all(N // 2 not in block
-               for block in parts["mu"]["blocks"] if 0 in block):
+        rows = dn_intersections(surface)["rows"]
+        # mu meets mu_k = -mu alone; the <xi^g>-orbit of mu keeps that
+        # meeting pair iff g | k
+        (k,) = _meets(rows["mu"][1])
+        if k % g:
             fibres, step = 0, (
                 "every mu-orbit separates mu from -mu and its members lie "
                 "over distinct fibres (pairwise disjoint): all n-1 split "
@@ -452,15 +352,20 @@ def minimal_model(case: str, g: int, surface) -> MinimalModelDescriptor:
         desc = MinimalModelDescriptor("ConicBundle", singular_fibres=fibres,
                                       extra_fibre_unknown=True)
     else:   # a_n
-        parts, pairs = ({"fibres": orbit_structure(n, g)},
-                        an_intersections(surface)["pairs"])
+        rows = fibre_rows(surface, "y0", 0)["rows"]
         step = ("the y=0 components form a Galois-stable pairwise disjoint "
                 "family (distinct fibres): contracting them leaves at most "
                 "the unverified fibre at infinity")
         desc = MinimalModelDescriptor("ConicBundle", singular_fibres=0,
                                       extra_fibre_unknown=True)
+    # each family's partition; for E with the number of c-cycles it covers
+    parts = {branch: orbit_structure(len(family[1]), g)
+             for branch, family in rows.items()}
+    if kind[0] == "e":
+        for branch, family in rows.items():
+            parts[branch]["cycles"] = len(family)
     return desc._replace(justification={
-        "orbits": parts, "intersections": pairs, "axiom": AXIOM,
+        "orbits": parts, "intersections": rows, "axiom": AXIOM,
         "step": "%s (%s)" % (step, AXIOM)})
 
 
@@ -493,7 +398,7 @@ def _rule(desc, surface):
 
 def rationality_verdict(case: str, ext: BaseExtension, surface) -> Verdict:
     """The verdict over ext, the one at gcd(m, P) (minimal_model)."""
-    desc = minimal_model(case, gcd(ext.m, _period(case, surface)), surface)
+    desc = minimal_model(case, gcd(ext.m, _period(surface)), surface)
     return Verdict(case, *_rule(desc, surface),
                    rationality_degree(case, surface), ext, desc)
 
@@ -508,7 +413,7 @@ def verdict_grid(catalog):
     cells = []
     for case in GRID_CASES:
         surface = catalog[case_surface(case)]
-        period, a = _period(case, surface), rationality_degree(case, surface)
+        period, a = _period(surface), rationality_degree(case, surface)
         for m in GRID_DEGREES:
             rational, rule = _rule(minimal_model(case, gcd(m, period),
                                                  surface), surface)

@@ -24,9 +24,9 @@ from kleinfib.lattice import coxeter_number, minus_one_classes
 from kleinfib.multipoly import MultiPoly
 from kleinfib.numeric import (NumericConfig, full_audit, numeric_curve_audit,
                               sturm_vs_numeric)
-from kleinfib.orbits import (an_intersections, case_surface, dn_intersections,
-                             rationality_degree, s6_intersections,
-                             s7_conjugation, s7_e0_intersection,
+from kleinfib.orbits import (case_surface, dn_intersections, family_rows,
+                             fibre_rows, rationality_degree,
+                             s6_intersections, s7_conjugation,
                              s8_conjugation, verdict_grid)
 from kleinfib.univariate import count_real_roots
 
@@ -95,7 +95,7 @@ def test_criterion_4_rationality_table_and_grid():
 def test_criterion_5_intersection_witnesses():
     catalog = build_catalog()
     s6 = s6_intersections(catalog["s6"])["rows"]
-    assert s6["L123"] == [-1, 1, 1]
+    assert s6["alpha"] == {1: [-1, 1, 1]}
     assert len(s6["Lmu"]) == 2
     for row in s6["Lmu"].values():
         for k in (4, 6, 8):  # xi of order 3, 2, 3
@@ -104,12 +104,15 @@ def test_criterion_5_intersection_witnesses():
         assert s7_conjugation(catalog["s7"], order)["verified"]
     for order in (2, 3, 5):
         assert s8_conjugation(catalog["s8"], order)["verified"]
-    assert s7_e0_intersection(catalog["s7"])["intersect"]
+    assert family_rows(catalog["s7"])["rows"]["e0"] == {1: [-1, 2]}
     for n in range(4, 10):
-        report = dn_intersections(catalog["dn:%d" % n])
-        assert any(e["intersect"] for e in report["pairs"])
+        # mu meets -mu, and the x = 0 pair meets
+        rows = dn_intersections(catalog["dn:%d" % n])["rows"]
+        assert rows["mu"][1][n - 1] == rows["x0"][1][1] == 1
     for n in range(2, 7):
-        an_intersections(catalog["an:%d" % n])
+        # the y = 0 components are pairwise disjoint
+        rows = fibre_rows(catalog["an:%d" % n], "y0", 0)["rows"]
+        assert not any(rows["y0"][1][1:])
 
 
 def test_criterion_6_lattice_cross_check():
@@ -361,9 +364,8 @@ PIPELINE_CACHES = [
     curves.certify_s6_lines, curves.enumerate_s7, curves.enumerate_s8,
     curves.enumerate_an, curves.enumerate_dn, numeric.numeric_curve_audit,
     numeric.sturm_vs_numeric, lattice.minus_one_classes,
-    lattice.coxeter_number, orbits.s6_intersections, orbits.s7_conjugation,
-    orbits.s8_conjugation, orbits.s7_e0_intersection, orbits.dn_intersections,
-    orbits.an_intersections, orbits._rational_point, orbits.minimal_model,
+    lattice.coxeter_number, orbits.family_rows, orbits.s7_conjugation,
+    orbits.s8_conjugation, orbits._rational_point, orbits.minimal_model,
     geometry._clean_catalog, cli._dehomogenizes, cli.build_parser]
 
 

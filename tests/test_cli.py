@@ -65,7 +65,7 @@ def test_verdict_examples():
 
 
 @pytest.mark.parametrize("case,cycles", [
-    ("e6", {"L123": 1, "Lmu": 2}),
+    ("e6", {"alpha": 1, "Lmu": 2}),
     ("e7", {"e0": 1, "main": 3}), ("e8", {"P1": 4, "P2": 4})])
 def test_every_e_family_says_how_many_c_cycles_it_covers(case, cycles):
     # a family of count curves in binomials of degree N covers count // N
@@ -107,10 +107,10 @@ def test_failed_contraction_names_its_chart():
 def test_failed_check_carries_its_detail(monkeypatch):
     # a refused cycle matching shows the family's row beside those of the
     # free cycles of its length, truncated to 200 characters
-    full = orbits.s6_intersections(build_surface("s6"))
+    full = orbits.family_rows(build_surface("s6"))
     rows = dict(full["rows"]["Lmu"])
     rows[1] = rows[1][:2] + [1] + rows[1][3:]
-    monkeypatch.setattr(orbits, "s6_intersections", lambda s6: dict(
+    monkeypatch.setattr(orbits, "family_rows", lambda s: dict(
         full, rows=dict(full["rows"], Lmu=rows)))
     caches = (orbits._coxeter_match, orbits.minimal_model)
     for fn in caches:
@@ -512,24 +512,56 @@ def test_main_with_argv_leaves_the_collector_as_it_is():
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
-def test_failed_surface_computation_runs_once(fresh_check_memo):
+def test_failed_surface_computation_runs_once(monkeypatch,
+                                              fresh_check_memo):
     # a-table, verdict-grid and intersections-s6 all read the mutated cubic;
-    # the failure is cached with the surface, so it is computed once and the
-    # checks report the same error, that of the lines they read.  The
-    # minimal models and cycle matchings on the mutated cubic are cached
-    # too, from any earlier run of this mutation, and a cached one does not
-    # read the rows again
-    orbits.s6_intersections.cache_clear()
+    # the failure is cached with the surface, so its rows are computed once
+    # and the checks report the same error, that of the lines they read.
+    # The minimal models and cycle matchings on the mutated cubic are
+    # cached too, from any earlier run of this mutation, and a cached one
+    # does not read the rows again
+    orbits.family_rows.cache_clear()
     orbits.minimal_model.cache_clear()
     orbits._coxeter_match.cache_clear()
+    computed, families = [], orbits.surface_families
+
+    def counted(s):
+        computed.append(s.name)
+        return families(s)
+    monkeypatch.setattr(orbits, "surface_families", counted)
     code, cert = run(["reproduce-paper", "--mutate", "s6,0,0,1"])
     assert code == 1
-    info = orbits.s6_intersections.cache_info()
-    assert info.misses == 1 and info.hits >= 1
+    assert computed.count("s6") == 1
+    assert orbits.family_rows.cache_info().hits >= 1
     checks = {c["name"]: c for c in cert["checks"]}
     assert checks["intersections-s6"]["error"] == \
         checks["verdict-grid"]["error"] == checks["a-table"]["error"] == \
         "VerificationError: membership residue nonzero"
+
+
+def test_an_y0_row_with_a_meet_fails_its_checks(monkeypatch,
+                                                fresh_check_memo):
+    # a y = 0 component of an:5 that meets two conjugates leaves no
+    # disjoint orbit to contract: intersections-an:5 and the a-table, which
+    # reads the an:5 verdicts, fail on it, and no other check reads it
+    rows_of = orbits._root_rows
+    monkeypatch.setattr(orbits, "_root_rows", lambda s, b: {
+        1: [-1, 1, 0, 0, 1]} if (s.name, b) == ("an:5", "y0")
+        else rows_of(s, b))
+    caches = (orbits.family_rows, orbits.minimal_model)
+    for fn in caches:
+        fn.cache_clear()
+    try:
+        code, cert = run(["reproduce-paper"])
+    finally:
+        for fn in caches:
+            fn.cache_clear()
+    assert code == 1
+    failed = {c["name"]: c["error"] for c in cert["checks"]
+              if c["status"] == "failed"}
+    assert failed == dict.fromkeys(
+        ["a-table", "intersections-an:5"], "VerificationError: AN:5: a "
+        "curve of y0 meets 2 of its conjugates, not 0")
 
 
 def test_timings_per_check():
@@ -600,9 +632,12 @@ PINNED = {
     # of C, the justification's `orbits` has one entry Lmu, with `cycles`
     # 2, for Lmu_plus and Lmu_minus, and its `intersections` are the rows
     # of L1-L3 and of L_mu over each root, not the 25 line pairs with
-    # their witness points
-    ("verdict", "e6", "--ext", "12"): "46bc76070e3a27a6ffb48526d2203b9f"
-                                      "d8615d289fb65bc4432859141913caf7",
+    # their witness points; since every family's rows are read by one
+    # routine (orbits.family_rows), the `intersections` are {branch: {j:
+    # row}}, L1-L3 under their branch alpha with the root 1, and the
+    # `orbits` entry L123 is named alpha
+    ("verdict", "e6", "--ext", "12"): "69bb3ccbaf2fd135063f69145d343342"
+                                      "1ef89d4f3eeb3c634a2a94960c8b1af2",
     # the default certificate of the whole suite (seed 0), the behavioural
     # contract that a refactor must keep byte for byte; since the oracle
     # samples each S6 line on its exact graph over P^1_(W:X) instead of on
@@ -622,9 +657,16 @@ PINNED = {
     # 3e-15 (was 4e-14); since the oracle samples the A_n and D_n fibre
     # components on their exact graphs at the audits' shared sample points,
     # the six audit.surfaces.an:2[t] and dn:4[t] max_residue values
-    # changed, each still about 2e-16 (an:2) or 1e-15 (dn:4)
-    ("reproduce-paper",): "a8b800b932c61bd968fedb5a6abcf0ad"
-                          "29b40bdd2061cbbaed3ed0580c1b1182",
+    # changed, each still about 2e-16 (an:2) or 1e-15 (dn:4); since every
+    # family's rows are read by one routine (orbits.family_rows), the
+    # intersections-s6 `rows` hold L1-L3 under their branch alpha, as
+    # {1: row}, and intersections-an:<n> and -dn:<n> print the `rows` of
+    # their two families instead of `pairs` 2 or 3; since the oracle draws
+    # the fibre coordinate w of a conic bundle at |w| = |s| / |t|^(1/2),
+    # the three audit.surfaces.dn:4[t] max_residue values changed, each
+    # still about 1e-15 (an:2, where that size is 1, kept its three)
+    ("reproduce-paper",): "2e64cfe2eead1bfa2f46c5473833e7c8"
+                          "33eaabd68c12af5fb112721ff13c5fee",
     # the float oracle away from seed 0 and through `audit`: its residues
     # depend on the order in which the sample points are drawn and on the
     # arithmetic of each residue, so a change to either fails here
@@ -636,9 +678,10 @@ PINNED = {
         "8ed148e7ac1eb931157ce65f00af23d830ef0cf41a5f5e0edfcd6a75318f8a42",
     # as reproduce-paper: the intersections-s6 `rows` and the three
     # audit.surfaces.s6[t] max_residue values changed, and then the six
-    # of an:2 and dn:4
-    ("reproduce-paper", "--seed", "3"): "f1deb272727f23db6a701aa5ff2f6520"
-                                        "42b7cb7fad95137012e9713579150548"}
+    # of an:2 and dn:4; then the intersections-s6, -an:<n> and -dn:<n>
+    # `rows` and the three of dn:4
+    ("reproduce-paper", "--seed", "3"): "8398ddfe9942cc8833b8dfbc10a853a9"
+                                        "0b6f3cfed52d4bc3b33e2d286952c72b"}
 
 
 # sha256 of the S7 and S8 curve certificates: every curve form is the
@@ -663,13 +706,16 @@ PINNED_FORMS = {("curves", "s7"): "3e59f38f574b3f5dc30ad02f046397dd"
 # m) and the `m` of each `orbit_structure` entry (its partition prints g).
 # Since the `rule-table` note of an A_n or D_n verdict names what it assumes
 # (the axiom-table statements), not the deleted contraction endpoint table,
-# the two D_n records changed in that note only.
+# the two D_n records changed in that note only.  Since every family's
+# rows are read by one routine (orbits.family_rows), the justification's
+# `intersections` are the rows {branch: {j: row}} of every family, not the
+# D_n witness pairs or the E8 reports of P1 and P2.
 PINNED_RECORDS = {("verdict", "dn:6", "--ext", "6"):
-                  "6de174dd3b14ae4ebb414c25efb2064d"
-                  "90afdca4650262faa111a7e322fc3396",
+                  "7929e09c304dcb0fc3ed9aa0a51df430"
+                  "103066532150f031e6d68bfda7a9834b",
                   ("verdict", "dn:12", "--ext", "3"):
-                  "93d95da3caa4ee61da989895ab88a6f3"
-                  "253d571a94c09e90e8f9d88671bb75ee",
+                  "21ae1999bb120e2ae8b8854e1d3020f1"
+                  "7c510c076da9957fdf0ab000c7fb0057",
                   # since the E verdicts come from the contraction of the
                   # Coxeter element's orbits: as for e6 --ext 12 the `rule`,
                   # the `rule-table` note and the `step` change, and the
@@ -684,8 +730,8 @@ PINNED_RECORDS = {("verdict", "dn:6", "--ext", "6"):
                   # xi-orders 2, 3 and 5, and the `rule-table` note names
                   # that match
                   ("verdict", "e8", "--ext", "30"):
-                  "bbc86f5145d6504b51b56e09fb5df48b"
-                  "e9e200cb77d6ce84e4bab24b948317fc"}
+                  "5f975e9c15df387ed772fd25aef689f3"
+                  "f63cc4218df0b418baa3a765017f74f8"}
 
 
 def _sha256_of(argv):

@@ -17,7 +17,7 @@ from kleinfib.curves import (VerificationError, _certify_membership,
                              certify_s6_lines, chain_subs, dn_tower,
                              enumerate_an, enumerate_dn, enumerate_s7,
                              enumerate_s8, q_cubic, q1_quartic, q2_quartic,
-                             residual_coefficients, rotate_forms,
+                             residual_coefficients,
                              s6_alpha_lines, s6_line_tower, s6_radicand,
                              sqrt_t_tower, strip_content)
 from kleinfib.geometry import build_catalog, build_surface
@@ -179,18 +179,19 @@ def test_dn_components(n):
 @pytest.mark.parametrize("name", ["an:5", "dn:9"])
 def test_every_fibre_family_member_lies_on_the_surface(name):
     # the reference for the families certified at their representative:
-    # member j is sigma_(j e) of it (rotate_forms; e = M / count in the
-    # family's tower Q(zeta_M)[s, 1/s]: 1 for A_n and the D_n x = 0 pair,
-    # M / N for the D_n mu family), each is substituted into the surface
-    # equation, the count members are pairwise distinct, and the next
-    # rotation closes the orbit
+    # member j is sigma_(j e) of it (FieldElement.rotate on each tower
+    # coefficient of its forms; e = M / count in the family's tower
+    # Q(zeta_M)[s, 1/s]: 1 for A_n and the D_n x = 0 pair, M / N for the D_n
+    # mu family), each is substituted into the surface equation, the count
+    # members are pairwise distinct, and the next rotation closes the orbit
     s = build_surface(name)
     curves = (enumerate_an if name.startswith("an") else enumerate_dn)(s)
     for c in curves:
         t = c.data["t"]
         e = t.tower.M // c.count
-        members = [rotate_forms(c.equations, j * e)
-                   for j in range(c.count + 1)]
+        members = [tuple(f.map_coeffs(lambda x: x.rotate(j * e) if
+                                      isinstance(x, FieldElement) else x)
+                         for f in c.equations) for j in range(c.count + 1)]
         assert members[-1] == c.equations
         assert len({repr(m) for m in members[:-1]}) == c.count
         for forms in members[:-1]:

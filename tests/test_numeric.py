@@ -184,12 +184,12 @@ def test_audit_count_must_match_the_exact_families(monkeypatch):
 
 def _s6_float_lines(cfg):
     """The 27 float lines the S6 audit reads at cfg.t, in its order, with
-    their (orbit, member) tags: L1-L3 ("L123"), then the 12 lines L_mu over
+    their (orbit, member) tags: L1-L3 ("alpha"), then the 12 lines L_mu over
     each root j of C (j)."""
     s6 = build_surface("s6")
     lines = curves.certify_s6_lines(s6)
     graphs = numeric._radical_residues(s6, lines, cfg)[1]
-    tags = [("L123", k) for k in range(3)] + [
+    tags = [("alpha", k) for k in range(3)] + [
         (j, k) for j in lines[-1].data["roots"] for k in range(12)]
     return tags, graphs
 
@@ -248,24 +248,26 @@ def test_s6_determinant_gap(t):
             degrees[j] += 1
     assert len(vanishing) == 27
     for ((b1, j1), (b2, j2)), rel in vanishing.items():
-        if b1 == "L123":
-            assert b2 == "L123" and rel == 0
+        if b1 == "alpha":
+            assert b2 == "alpha" and rel == 0
         else:
             assert b1 == b2 and (j2 - j1) % 12 in (4, 8) and 0 < rel < 1e-13
     assert det_meets == 111 and set(degrees) == {8, 10}
 
 
-@pytest.mark.parametrize("orbit,k", [("L123", 1), (5, 6)])
-def test_s6_graph_must_agree_with_the_exact_rows(monkeypatch, orbit, k):
+@pytest.mark.parametrize("branch,j,k", [
+    pytest.param("alpha", 1, 1, id="L123-1"),
+    pytest.param("Lmu", 5, 6, id="5-6")])
+def test_s6_graph_must_agree_with_the_exact_rows(monkeypatch, branch, j, k):
     # the float meets within each Galois orbit are checked against its
     # exact row: an entry flipped there, in L1-L3 or in L_mu over c-, is
     # refused
-    exact = orbits.s6_intersections(build_surface("s6"))
-    rows = {"L123": list(exact["rows"]["L123"]),
-            **{j: list(row) for j, row in exact["rows"]["Lmu"].items()}}
-    rows[orbit][k] = 1 - rows[orbit][k]
-    monkeypatch.setattr(orbits, "s6_intersections", lambda s6: dict(
-        exact, rows={"L123": rows.pop("L123"), "Lmu": rows}))
+    exact = orbits.family_rows(build_surface("s6"))
+    rows = {b: {i: list(row) for i, row in family.items()}
+            for b, family in exact["rows"].items()}
+    rows[branch][j][k] = 1 - rows[branch][j][k]
+    monkeypatch.setattr(orbits, "family_rows", lambda s6: dict(exact,
+                                                               rows=rows))
     with pytest.raises(VerificationError, match="exact/numeric disagreement"):
         _audit(build_surface("s6"), CFG)
 
@@ -306,17 +308,21 @@ def test_perturbed_s6_graph_is_refuted(monkeypatch):
             _audit(build_surface("s8"), cfg)
 
 
-@pytest.mark.parametrize("name,branch", [
-    ("an:2", "y0"), ("an:5", "y0"), ("an:5", "z0"), ("dn:4", "x0"),
-    ("dn:4", "mu"), ("dn:9", "x0"), ("dn:9", "mu")])
-def test_perturbed_fibre_graph_is_refuted(monkeypatch, name, branch):
+@pytest.mark.parametrize("name,branch,at", [
+    pytest.param(name, branch, None, id="%s-%s" % (name, branch))
+    for name, branch in (("an:2", "y0"), ("an:5", "y0"), ("an:5", "z0"),
+                         ("dn:4", "x0"), ("dn:4", "mu"), ("dn:9", "x0"),
+                         ("dn:9", "mu"))] + [
+    pytest.param(name, "mu", (0, 1), id="%s-mu-imu" % name)
+    for name in ("dn:4", "dn:9")])
+def test_perturbed_fibre_graph_is_refuted(monkeypatch, name, branch, at):
     # the A_n and D_n fibre components are sampled on their exact graphs
-    # too: the last nonzero coefficient of one family's graph off by a
-    # relative 1e-6 (the alpha of x = alpha, the mu^2 of x = mu^2, the r
-    # of z = r w) is refuted on that family, at t = 2 and at the ends of
-    # the t range, and the surface audits clean without it (i mu in
-    # z = i mu y would not do: at |t| = 2^12 the term t w^2 dilutes its
-    # residue below 1e-8)
+    # too: a coefficient of one family's graph off by a relative 1e-6 is
+    # refuted on that family, at t = 2 and at the ends of the t range, and
+    # the surface audits clean without it.  The coefficient is the last
+    # nonzero one (the alpha of x = alpha, the mu^2 of x = mu^2, the r of
+    # z = r w), or the one at `at`: the i mu of z = i mu y, which at
+    # |t| = 2^12 the term t w^2 would dilute below 1e-8 at |w| = 1
     exact = numeric._radical_graphs
 
     def perturbed(family):
@@ -324,8 +330,8 @@ def test_perturbed_fibre_graph_is_refuted(monkeypatch, name, branch):
         if family.branch != branch:
             return n, roots
         (c, constants), = roots
-        row, k = [(row, k) for row, coeffs in enumerate(constants)
-                  for k, (value, _) in enumerate(coeffs) if value][-1]
+        row, k = at or [(row, k) for row, coeffs in enumerate(constants)
+                        for k, (value, _) in enumerate(coeffs) if value][-1]
         return n, [(c, _perturbed(constants, row, k))]
     s = build_surface(name)
     for t in EDGE_TS:

@@ -1,4 +1,5 @@
-"""Galois orbits, intersection witnesses and rationality verdicts."""
+"""Galois orbits, the rows of intersection numbers and rationality
+verdicts."""
 
 from fractions import Fraction
 from math import gcd
@@ -8,15 +9,14 @@ import pytest
 
 from kleinfib import curves, lattice, numeric, orbits, tower
 from kleinfib.base import GeometryError, VerificationError
-from kleinfib.curves import (certify_s6_lines, rotate_forms, s6_alpha_lines,
-                             s6_line, s6_line_forms, s6_line_tower)
+from kleinfib.curves import (certify_s6_lines, s6_alpha_lines, s6_line,
+                             s6_line_forms, s6_line_tower)
 from kleinfib.geometry import build_catalog, build_surface
-from kleinfib.orbits import (BaseExtension, GRID_CASES, an_intersections,
-                             case_surface, dn_intersections, minimal_model,
+from kleinfib.orbits import (BaseExtension, GRID_CASES, case_surface,
+                             dn_intersections, family_rows, minimal_model,
                              orbit_structure, rationality_degree,
                              rationality_verdict, s6_intersections,
-                             s7_conjugation, s7_e0_intersection,
-                             s8_conjugation, verdict_grid)
+                             s7_conjugation, s8_conjugation, verdict_grid)
 
 
 def _degree(case):
@@ -25,8 +25,14 @@ def _degree(case):
 
 def _model(case, m, surface):
     """The minimal model over C(t^{1/m}): the one at gcd(m, P)."""
-    return minimal_model(case, gcd(m, orbits._period(case, surface)),
-                         surface)
+    return minimal_model(case, gcd(m, orbits._period(surface)), surface)
+
+
+def _rotated(forms, e):
+    """sigma_e (s -> zeta_M^e s) of each form: FieldElement.rotate on its
+    tower coefficients, the reference for the rotated graphs _row reads."""
+    return tuple(f.map_coeffs(lambda c: c.rotate(e) if isinstance(
+        c, tower.FieldElement) else c) for f in forms)
 
 
 def test_rationality_degrees():
@@ -114,8 +120,8 @@ def test_verdict_grid_consistency():
 @pytest.fixture
 def fresh_verdicts():
     """The verdict caches emptied before and after the test, so that what it
-    computes from patched witnesses or cycles stays with it."""
-    caches = (orbits._coxeter_match, orbits.minimal_model)
+    computes from patched rows or cycles stays with it."""
+    caches = (orbits.family_rows, orbits._coxeter_match, orbits.minimal_model)
     for fn in caches:
         fn.cache_clear()
     yield
@@ -124,12 +130,12 @@ def fresh_verdicts():
 
 
 def _s6_reporting(monkeypatch, edit):
-    """s6_intersections patched to return the row of L_mu over c+ (root 1)
+    """family_rows patched to return the row of L_mu over c+ (root 1)
     through edit, which changes a copy of it in place."""
-    full = s6_intersections(build_surface("s6"))
+    full = family_rows(build_surface("s6"))
     lmu = {j: list(row) for j, row in full["rows"]["Lmu"].items()}
     edit(lmu[1])
-    monkeypatch.setattr(orbits, "s6_intersections", lambda s6: dict(
+    monkeypatch.setattr(orbits, "family_rows", lambda s6: dict(
         full, rows=dict(full["rows"], Lmu=lmu)))
 
 
@@ -206,8 +212,8 @@ def test_each_root_orbit_matches_one_cycle_by_its_row(case, orbits_):
     # of S8 (one per root of Q1, Q2) has an exact row, equal to exactly one
     # c-cycle's, all rows distinct
     s = build_surface(case_surface(case))
-    families, reports = orbits._coxeter_match(case, s)
-    rows = [row for _, _, rs in families for row in rs]
+    rows = [row for family in orbits._coxeter_match(case, s).values()
+            for row in family.values()]
     assert len(rows) == orbits_ and len({tuple(r) for r in rows}) == orbits_
     cycles = [list(meets) for _, meets in lattice.coxeter_cycles(
         int(case[1]))[0]]
@@ -349,7 +355,7 @@ def test_minimal_model_is_built_once_per_divisor_of_the_period():
 def test_s6_intersections():
     rows = s6_intersections(build_surface("s6"))["rows"]
     # the three coordinate lines pairwise meet at (0:1:0:0)
-    assert rows["L123"] == [-1, 1, 1]
+    assert rows["alpha"] == {1: [-1, 1, 1]}
     # one orbit of L_mu over each root of C, c+ (j = 1) and c- (j = 5)
     assert list(rows["Lmu"]) == [1, 5]
     for row in rows["Lmu"].values():
@@ -370,7 +376,7 @@ def _lmu_forms(T, j):
 
 
 def _s6_line_pairs():
-    """The 25 pairs s6_intersections decides, as (forms1, forms2, tower):
+    """The 25 pairs whose meets make the rows of S6, as (forms1, forms2, tower):
     L1..L3 pairwise, and L_mu against L_{zeta12^k mu} over each root of C."""
     T0, _, lines = s6_alpha_lines()
     pairs = [(lines[a], lines[b], T0)
@@ -378,7 +384,7 @@ def _s6_line_pairs():
     T, roots, _ = s6_line_tower()
     for j in roots:
         forms = _lmu_forms(T, j)
-        pairs += [(forms, rotate_forms(forms, k), T) for k in range(1, 12)]
+        pairs += [(forms, _rotated(forms, k), T) for k in range(1, 12)]
     return pairs
 
 
@@ -394,7 +400,7 @@ def test_s6_witnesses_are_sigma_equivariant(branch):
     line = s6_line(forms, T)[1:]
     row = s6_intersections(build_surface("s6"))["rows"]["Lmu"][j]
     for k in range(1, 12):
-        other = s6_line(rotate_forms(forms, 12 - k), T)[1:]
+        other = s6_line(_rotated(forms, 12 - k), T)[1:]
         assert orbits.meet_number(line, other) == row[k] == row[12 - k], k
     assert any(row[7:])
 
@@ -409,7 +415,7 @@ def test_s6_pairs_refuse_a_t_that_sigma_moves(monkeypatch):
         return T, roots, t * T.gen("mu")
     monkeypatch.setattr(curves, "s6_line_tower", moved)
     s6 = build_surface("s6")
-    caches = (certify_s6_lines, orbits._root_rows, s6_intersections)
+    caches = (certify_s6_lines, orbits._root_rows, family_rows)
     for fn in caches:
         fn.cache_clear()
     try:
@@ -429,7 +435,7 @@ def test_rotated_s6_forms_substitute_xi_mu():
     for j in roots:
         forms = _lmu_forms(T, j)
         for k in range(12):
-            for f, g in zip(forms, rotate_forms(forms, k)):
+            for f, g in zip(forms, _rotated(forms, k)):
                 for e, c in f.terms.items():
                     (d, _), = c.payload[0].items()
                     assert g.terms[e] == c * z12 ** (k * d)
@@ -466,7 +472,7 @@ def test_rotated_graph_is_the_graph_of_the_rotated_forms(branch):
     assert [[c.conjugate(j) for c in cs] for cs in plus] == [y, z]
     for k in range(1, 12):
         assert [[c.rotate(k) for c in y], [c.rotate(k) for c in z]] == \
-            list(s6_line(rotate_forms(forms, k), T)[1:])
+            list(s6_line(_rotated(forms, k), T)[1:])
 
 
 def test_proportional_forms_are_a_degenerate_line():
@@ -492,8 +498,8 @@ def test_witnesses_stay_off_the_euclid_path(monkeypatch):
         calls.append(1)
         return inverse(*args)
     monkeypatch.setattr(tower, "_cyclotomic_inverse", counted)
-    for fn in (certify_s6_lines, orbits._root_rows, orbits.s6_intersections,
-               orbits.dn_intersections, curves.enumerate_dn):
+    for fn in (certify_s6_lines, orbits._root_rows, family_rows,
+               curves.enumerate_dn):
         fn.cache_clear()
     s6_intersections(build_surface("s6"))
     # 3 measured: 1 for t = mu^12 / c+ and 2 for the graph of L_mu over
@@ -549,67 +555,114 @@ def test_conjugate_rows_are_the_representative_row_permuted(surface,
 
 
 def test_s7_e0_pair_meets():
-    assert s7_e0_intersection(build_surface("s7"))["intersect"]
+    # the curves Y = 0, Z = +-sqrt(t) W^2 meet at (0:1:0:0), twice: dY = 0
+    # and dZ = 2 sqrt(t) W^2
+    assert family_rows(build_surface("s7"))["rows"]["e0"] == {1: [-1, 2]}
 
 
 @pytest.mark.parametrize("n", [4, 5, 9])
 def test_dn_intersections(n):
-    report = dn_intersections(build_surface("dn:%d" % n))
-    assert any(e["intersect"] for e in report["pairs"])
-    assert any(not e["intersect"] for e in report["pairs"])
+    # the x = 0 pair meets at ((0:1:0), x = 0); mu meets -mu = mu_(N/2) at
+    # ((1:0:0), mu^2) and no other conjugate, each over another fibre
+    # x = xi^2 mu^2
+    N = 2 * (n - 1)
+    rows = dn_intersections(build_surface("dn:%d" % n))["rows"]
+    assert rows == {"x0": {1: [-1, 1]},
+                    "mu": {1: [-1] + [int(k == N // 2) for k in range(1, N)]}}
+
+
+def _rows_read_off_the_representative(monkeypatch, s, branch):
+    """The number of meet_number calls that make the rows of the family
+    `branch` of s afresh, each of its representative graph against one of
+    its rotations; the cached rows are the same."""
+    rows, calls, meet = orbits._root_rows(s, branch), [], orbits.meet_number
+
+    def counted(graph1, graph2):
+        calls.append(graph1)
+        return meet(graph1, graph2)
+    monkeypatch.setattr(orbits, "meet_number", counted)
+    assert orbits._root_rows.__wrapped__(s, branch) == rows
+    graph = list(curves.surface_families(s)[branch].data["graph"])
+    assert all(list(g) == graph for g in calls)
+    return len(calls)
 
 
 def test_dn_witnesses_each_mu_pair_once(monkeypatch):
-    # dn:9, N = M = 16: the x=0 pair, its representative and sigma_1 of it
-    # (r -> -r), then mu_0 with -mu_0 = mu_8, sigma_8 of it; each pair
-    # {mu_j, mu_(j+8)}, j < 8, is sigma_j of that one, its point too
-    calls = []
-    meet = orbits._meet_at
-
-    def counted(curves, *args):
-        calls.append(curves)
-        return meet(curves, *args)
-    monkeypatch.setattr(orbits, "_meet_at", counted)
+    # dn:9, N = M = 16: a row is read off the representative graph against
+    # its rotations sigma_k, k <= h/2, once for the x = 0 pair (r -> -r) and
+    # for mu against mu_1..mu_8; the other members' rows are its rotations,
+    # C.C_(h-k) = C.C_k
     dn9 = build_surface("dn:9")
-    x0, mu = curves.enumerate_dn(dn9)
-    dn_intersections.cache_clear()
-    dn_intersections(dn9)
-    assert calls == [[x0.equations, rotate_forms(x0.equations, 1)],
-                     [mu.equations, rotate_forms(mu.equations, 8)]]
+    assert _rows_read_off_the_representative(monkeypatch, dn9, "x0") == 1
+    assert _rows_read_off_the_representative(monkeypatch, dn9, "mu") == 8
 
 
 def test_an_witnesses_fibre_0_once(monkeypatch):
-    # an:5: the components y=0, z=0 of fibre 0, the two representatives,
-    # meet at ((1:0:0), alpha); fibre j and its point are sigma_j of those
-    calls = []
-    meet = orbits._meet_at
-
-    def counted(curves, *args):
-        calls.append(curves)
-        return meet(curves, *args)
-    monkeypatch.setattr(orbits, "_meet_at", counted)
+    # an:5: the row of each fibre family is read off its representative
+    # over x = alpha against x = zeta^k alpha, k = 1, 2; a rotation that
+    # moves nothing pairs a curve with itself, and is refused
     an5 = build_surface("an:5")
-    y0, z0 = curves.enumerate_an(an5)
-    an_intersections.cache_clear()
-    an_intersections(an5)
-    assert calls == [[y0.equations, z0.equations]]
-    # a point that is not sigma_j of fibre 0's is refused
+    for branch in ("y0", "z0"):
+        assert _rows_read_off_the_representative(monkeypatch, an5,
+                                                 branch) == 2
     monkeypatch.setattr(tower.FieldElement, "rotate", lambda x, e: x)
-    an_intersections.cache_clear()
-    try:
-        with pytest.raises(VerificationError, match="not sigma_j"):
-            an_intersections(an5)
-    finally:
-        an_intersections.cache_clear()
+    with pytest.raises(GeometryError, match="paired with itself"):
+        orbits._root_rows.__wrapped__(an5, "y0")
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_an_contractible_orbit_disjoint(n):
-    report = an_intersections(build_surface("an:%d" % n))
-    distinct = [e for e in report["pairs"] if "distinct" in e["pair"]]
-    assert distinct and all(not e["intersect"] for e in distinct)
-    same = [e for e in report["pairs"] if "all j" in e["pair"]]
-    assert same and all(e["intersect"] for e in same)
+    # the components of either family over distinct fibres x = zeta^k alpha
+    # are disjoint, so the y = 0 orbit contracts
+    rows = orbits.fibre_rows(build_surface("an:%d" % n), "y0", 0)["rows"]
+    assert rows == {b: {1: [-1] + [0] * (n - 1)} for b in ("y0", "z0")}
+
+
+def test_an_y0_row_with_a_meet_is_refused(monkeypatch, fresh_verdicts):
+    # a y = 0 component that meets a conjugate leaves no disjoint orbit to
+    # contract: the A_n rows and every A_n model are refused
+    s, rows_of = build_surface("an:3"), orbits._root_rows
+    monkeypatch.setattr(orbits, "_root_rows", lambda s, b: {
+        1: [-1, 1, 1]} if b == "y0" else rows_of(s, b))
+    with pytest.raises(VerificationError, match="y0 meets 2 of its "
+                                                "conjugates, not 0"):
+        orbits.fibre_rows(s, "y0", 0)
+    for m in (1, 3):
+        with pytest.raises(VerificationError, match="y0 meets 2"):
+            _model("an:3", m, s)
+
+
+@pytest.mark.parametrize("meets,fibres", [([5], [0, 6]), ([4], [5, 0]),
+                                          ([4, 6], None)])
+def test_a_mu_row_meeting_off_n_over_2_changes_the_dn_verdict(
+        monkeypatch, fresh_verdicts, meets, fibres):
+    # dn:6, N = 10: mu meets mu_5 = -mu alone, and the fibres split iff g
+    # does not divide 5: no singular fibre at g = 2, 5 + 1 at g = 5.  A row
+    # whose one meet is at k = 4 splits them iff g does not divide 4, which
+    # turns both verdicts; a row with two meets is refused
+    s, rows_of = build_surface("dn:6"), orbits._root_rows
+    monkeypatch.setattr(orbits, "_root_rows", lambda s, b: {
+        1: [-1] + [int(k in meets) for k in range(1, 10)]} if b == "mu"
+        else rows_of(s, b))
+    if fibres is None:
+        with pytest.raises(VerificationError, match="mu meets 2 of its "
+                                                    "conjugates, not 1"):
+            _model("dn:6", 2, s)
+        return
+    models = [_model("dn:6", g, s) for g in (2, 5)]
+    assert [d.singular_fibres for d in models] == fibres
+    assert [orbits._rule(d, s)[0] for d in models] == [not f for f in fibres]
+
+
+def test_period_is_the_lcm_of_the_row_lengths():
+    # the lcm of the degrees N of the families' binomials X^N = c t: n on
+    # A_n, 2(n - 1) on D_n, h on E
+    catalog = build_catalog()
+    formulas = {**{"an:%d" % n: n for n in range(2, 7)},
+                **{"dn:%d" % n: 2 * (n - 1) for n in range(4, 10)},
+                "e6": 12, "e7": 18, "e8": 30}
+    assert {case: orbits._period(catalog[case_surface(case)])
+            for case in formulas} == formulas
 
 
 def test_invalid_case():

@@ -1,8 +1,8 @@
 """The benchmark's tracer still finds every method and span it reads, and a
 traced run leaves kleinfib as it found it; every command runs without numpy,
 and each starts on only the modules it runs; no module-level function or
-class of kleinfib is left without a reference, and every module.name that
-README.md names exists."""
+class of kleinfib is left without a reference, no module-level import is
+unused, and every module.name that README.md names exists."""
 
 import ast
 import contextlib
@@ -221,6 +221,33 @@ def test_every_module_level_name_is_referenced():
                     if all(where == path and first <= line <= last
                            for where, line in refs[name])]
     assert not unreferenced
+
+
+def _unused_imports(text):
+    """The names that the module-level imports of the source `text` bind
+    (`import a.b` binds a) and that its code never reads, __future__
+    aside."""
+    tree = ast.parse(text)
+    bound = {(alias.asname or alias.name).partition(".")[0]
+             for node in tree.body
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__"
+             for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_every_module_level_import_is_used():
+    # an import left behind by deleted code, such as FieldElement in curves
+    # once its last reader is gone, fails here
+    unused = {path.name: names
+              for path in Path(kleinfib.__file__).parent.glob("*.py")
+              if (names := _unused_imports(path.read_text()))}
+    assert not unused
+    assert _unused_imports(
+        "from __future__ import annotations\nimport os.path\n"
+        "from .tower import FieldElement, cyclotomic as c\n"
+        "ring = c(3)\n") == ["FieldElement", "os"]
 
 
 def _code_names():
