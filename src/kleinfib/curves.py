@@ -30,15 +30,15 @@ from .univariate import subresultant_prs
 
 
 class CurveSpec:
-    """The radical family of `count` curves cut in chart `chart` by the forms
+    """The radical family of `count` curves cut in chart 0 by the forms
     `equations` and their Galois images, one for each root of the defining
     `relation` in the generator `parameter`."""
 
     def __init__(self, surface, family, branch, equations, count,
-                 parameter=None, relation=None, chart=0, data=None):
+                 parameter=None, relation=None, data=None):
         self.surface, self.family, self.branch = surface, family, branch
-        self.equations, self.parameter, self.relation, self.chart = \
-            equations, parameter, relation, chart
+        self.equations, self.parameter, self.relation = \
+            equations, parameter, relation
         self.data = {} if data is None else data
         self.count = count
 
@@ -668,6 +668,44 @@ def certify_s6_lines(s6):
             CurveSpec("s6", "S6-Lmu", "Lmu", forms, 12 * len(roots),
                       parameter="mu", relation=relC,
                       data=_root_family(s6, s6_line(forms, T)[1:], t, roots))]
+
+
+# lambda = 1 + zeta_12 and kappa = 9 + 6 sqrt3, each {k: the coefficient of
+# zeta_12^k}: lambda^12 c+ = c- and kappa^3 c+ = 1
+S6_SHIFTS = ({0: 1, 1: 1}, {0: 9, 1: 6, 11: 6})
+
+
+def s6_common_lines(s6):
+    """The 27 lines of the cubic s6 over the one t = mu^12 / c+ of L_mu, as
+    graphs in Q(zeta_12)[mu, 1/mu]: [(branch, j, lines)] for each Galois
+    orbit of orbits.family_rows, L1-L3 (alpha, 1), then L_mu over c+ and
+    c- (Lmu, 1 and 5), each the rotations mu -> zeta_12^k mu of its first
+    member.  That member is a certified graph (certify_s6_lines) with each
+    coefficient c s^e sent to sigma_j(c) value^e: L1 at alpha = kappa mu^4,
+    L_mu over c+ at mu, and sigma_5 of it at mu' = lambda mu, with lambda
+    and kappa the S6_SHIFTS, refused unless lambda^12 c+ = c- and kappa^3
+    c+ = 1.  Sound: each map is a ring map taking the certified t (alpha^3,
+    mu^12 / c+ or, after sigma_5, mu'^12 / c-) to mu^12 / c+, so it takes
+    lines of s6 to lines of s6 over that t; xi: mu -> zeta_12 mu fixes it
+    and takes each line to the next of its orbit (on L1-L3, alpha -> zeta_3
+    alpha), so the rows of the three first members give all 351 pairs."""
+    alpha, lmu = certify_s6_lines(s6)
+    T, roots = lmu.data["t"].tower, lmu.data["roots"]
+    z, mu = root_of_unity(T, 12), T.gen("mu")
+    lam, kappa = (sum(c * z ** k for k, c in shift.items())
+                  for shift in S6_SHIFTS)
+    if lam ** 12 * roots[1] != roots[5] or kappa ** 3 * roots[1] != 1:
+        raise VerificationError("lambda^12 c+ != c- or kappa^3 c+ != 1",
+                                detail=(lam, kappa))
+    out = []
+    for family, j, value in ((alpha, 1, kappa * mu ** 4), (lmu, 1, mu),
+                             (lmu, 5, lam * mu)):
+        graph = [[c.conjugate(j).evaluate(value) for c in cs]
+                 for cs in family.data["graph"]]
+        out.append((family.branch, j, [
+            [[c.rotate(k) for c in cs] for cs in graph]
+            for k in range(family.count // len(family.data["roots"]))]))
+    return out
 
 
 def s6_alpha_lines():

@@ -394,7 +394,7 @@ def verify_contraction_S6(s6: SurfaceSpec, s6p: SurfaceSpec) -> dict:
     u = Z - (X * X).scale(i)
     m2 = {"W": W * u, "X": X * u, "Y": Y * u,
           "Z": MultiPoly.var(vs, "t") * W ** 3 - Y ** 3}
-    r2 = cubic.substitute(m2).div_univariate(quartic, "Z")[1]
+    r2 = cubic.substitute(m2).reduce_mod(quartic, "Z")
     require(r2.is_zero(), "chart 2 %s residue is not 0" % map2, r2)
 
     # the contracted curve W = 0, Z = iX^2 (X, Y stay free parameters)

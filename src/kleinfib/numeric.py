@@ -1,8 +1,9 @@
 """Independent floating-point oracle: specializes t, evaluates the exact
-curves at the float roots of their binomials, and cross-checks membership
-residues and the S6 line-intersection graph against the exact engine, and
-its own curve counts against the exact family counts; it also solves Q,
-Q1 and Q2 in floats for the real-root counts beside Sturm's.
+curves at the float roots of their binomials, and cross-checks their
+membership residues in an arithmetic of its own, and its curve counts
+against the exact family counts; it also solves Q, Q1 and Q2 in floats for
+the real-root counts beside Sturm's.  Incidence is the exact engine's
+alone (orbits.meet_number).
 
 Pure Python on cmath and math.  Each polynomial an audit evaluates is
 compiled once, into (complex coefficient, ((variable index, exponent), ...))
@@ -18,8 +19,7 @@ orbit (L1-L3, the 12 lines L_mu over each root of C, the 18 or 30 curves
 over each root of Q, Q1 or Q2, the fibre components over x^n = t) is the
 sigma_j-conjugate of its family's representative graph over the certified
 root sigma_j(x), its constants embedded exactly and rounded once, at the h
-values of s with t = c s^(+-h).  Two S6 lines meet by the float form of the
-exact rule (orbits.meet_number).  Samples come from random.Random(seed) in
+values of s with t = c s^(+-h).  Samples come from random.Random(seed) in
 a fixed order (per curve, then per sample, then per coordinate).  The
 sample points (W, X) do not depend on t, so they are drawn once per seed:
 the 1200 of the S8 members, the first 135 of which are those of the S6
@@ -39,9 +39,8 @@ from .multipoly import MultiPoly
 from .tower import _coeff_complex
 from .univariate import count_real_roots
 from .base import VerificationError, _surface_cache
-# the audits import the exact curves they check as they run, and the S6
-# audit the orbits, so that the Sturm step and the A_n and D_n audits do
-# not load orbits
+# the audits import the exact curves they check as they run, so that they
+# read curves.surface_families as it is then (tests replace it)
 
 
 # Durand-Kerner iterations before a polynomial is declared not to converge
@@ -276,21 +275,6 @@ def _graph_at(constants, s):
     return [[c * s ** k for c, k in coeffs] for coeffs in constants]
 
 
-def _meet_ratio(line1, line2):
-    """How far two float lines (Y, Z) are from meeting, the float form of
-    orbits.meet_number on lines: 0 if dY or dZ vanishes (its 1-norm at most
-    1e-12 times that of the two lines' coefficients of Y, or of Z), else
-    |det(dY, dZ)| / (|dY| |dZ|), in [0, 1].  They meet iff it is < 1e-8."""
-    diffs = []
-    for (a0, a1), (b0, b1) in zip(line1, line2):
-        d0, d1 = a0 - b0, a1 - b1
-        if abs(d0) + abs(d1) <= 1e-12 * sum(map(abs, (a0, a1, b0, b1))):
-            return 0.0
-        diffs += d0, d1, math.hypot(abs(d0), abs(d1))
-    y0, y1, ny, z0, z1, nz = diffs
-    return abs(y0 * z1 - y1 * z0) / (ny * nz)
-
-
 @lru_cache(maxsize=None)
 def _radical_graphs(family):
     """The members of an S6, S7 or S8 family in floats, built once per
@@ -304,10 +288,11 @@ def _radical_graphs(family):
                for j in family.data["roots"]]
 
 
-# the sample points of the audits: five for each of the 240 members of S8,
-# of which S6 reads the first 5 * 27, S7 the first 5 * 56 and an:<n> and
-# dn:<n> the first 5 * 2n
-RADICAL_SAMPLES = 5 * 240
+# the sample points of the audits: CURVE_SAMPLES for each of the 240
+# members of S8, of which S6 reads the first 5 * 27, S7 the first 5 * 56
+# and an:<n> and dn:<n> the first 5 * 2n
+CURVE_SAMPLES = 5
+RADICAL_SAMPLES = CURVE_SAMPLES * 240
 
 
 def _monomials(W, X):
@@ -330,16 +315,16 @@ def _samples(seed):
 
 
 def _radical_residues(s, families, cfg):
-    """(residues, graphs) of the members of the families of s at t =
-    cfg.t, residues[i] those of families[i]: each family's equation
-    compiled in its coordinates (W, X, Y, Z); over each root, the float
-    graph (Y, Z) of _radical_graphs at each of the |n| values s of
-    t = c s^n, evaluated at the next five points of _samples(cfg.seed).
+    """The residues of the members of the families of s at t = cfg.t,
+    residues[i] those of families[i]: each family's equation compiled in
+    its coordinates (W, X, Y, Z); over each root, the float graph (Y, Z) of
+    _radical_graphs at each of the |n| values s of t = c s^n, evaluated at
+    the next CURVE_SAMPLES points of _samples(cfg.seed).
     On a conic bundle the fibre coordinate W = w is drawn at |w| = |s| /
     |t|^(1/2), of the weight 1 - n/2 of w: there every term of the
     equation is of one size on the member, and none dilutes the others'
     residue."""
-    tval, res, graphs = float(cfg.t), [], []
+    tval, res = float(cfg.t), []
     samples, equations = iter(_samples(cfg.seed)), {}
     point = [0j] * 4            # (W, X, Y, Z), refilled at each sample
     bundle = s.name.startswith(("an:", "dn:"))
@@ -359,7 +344,8 @@ def _radical_residues(s, families, cfg):
             for w in unity:
                 y, z = _graph_at(constants, s0 * w)
                 dy, dz = len(y) - 1, len(z) - 1
-                for point[0], point[1], monomials in islice(samples, 5):
+                for point[0], point[1], monomials in islice(samples,
+                                                            CURVE_SAMPLES):
                     if bundle:
                         point[0] *= size
                         monomials = _monomials(point[0], point[1])
@@ -367,40 +353,8 @@ def _radical_residues(s, families, cfg):
                     point[3] = sum(map(mul, z, monomials[dz]))
                     value, scale = equation.at(point)
                     out.append(abs(value) / max(scale, 1e-300))
-                graphs.append((y, z))
         res.append(out)
-    return res, graphs
-
-
-def _s6_line_graph(s6, lines):
-    """The S6 extras of the audit, from the 27 float lines in the order
-    sampled: every line meets exactly 10 others (two lines meet iff dY and
-    dZ share a root, _meet_ratio), and within each Galois orbit the meets
-    agree with its exact row (orbits.family_rows)."""
-    from .orbits import family_rows
-    n = len(lines)
-    adj = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            adj[i][j] = adj[j][i] = _meet_ratio(lines[i], lines[j]) < 1e-8
-    degrees = [sum(row) for row in adj]
-    if not all(d == 10 for d in degrees):
-        raise VerificationError("S6 line degrees are not all 10: %s"
-                                % sorted(set(degrees)))
-    # agreement with the exact row of each Galois orbit, its h lines in
-    # order: L1-L3, then L_mu over each root of C
-    first = 0
-    for row in [row for family in family_rows(s6)["rows"].values()
-                for row in family.values()]:
-        h = len(row)
-        for a in range(h):
-            for k in range(1, h):
-                if adj[first + a][first + (a + k) % h] != (row[k] > 0):
-                    raise VerificationError(
-                        "exact/numeric disagreement: line %d against its "
-                        "conjugate at k = %d" % (first + a, k))
-        first += h
-    return {"degrees": degrees, "graph_checked": True}
+    return res
 
 
 @_surface_cache
@@ -432,8 +386,7 @@ def numeric_curve_audit(s, cfg: NumericConfig) -> dict:
     """The audit of the catalog surface s at cfg.t: every member of each
     curve family certified on s (curves.surface_families) sampled on its
     float graph, its residues at most cfg.tol and the number of members
-    the sum of the exact family counts; on S6 also the line graph
-    (_s6_line_graph)."""
+    the sum of the exact family counts."""
     from .curves import surface_families
     if cfg.t == 0:
         raise VerificationError("t = 0 lies on every discriminant locus")
@@ -446,24 +399,21 @@ def numeric_curve_audit(s, cfg: NumericConfig) -> dict:
     # a double that overflows raises OverflowError, or becomes inf or NaN,
     # which every check refuses
     try:
-        res, graphs = _radical_residues(s, families, cfg)
+        res = _radical_residues(s, families, cfg)
     except OverflowError as ex:
         raise VerificationError("%s at t = %s: a double overflows (%s)"
                                 % (s.name, cfg.t, ex))
     max_res = max(_max_residue(r, cfg, "%s residue %%.3g on %s"
                                % (name, family.branch))
                   for r, family in zip(res, families))
-    report = {"surface": s.name, "count": _exact_count(families, len(graphs),
-                                                       name),
-              "max_residue": max_res}
-    if s.name == "s6":
-        report.update(_s6_line_graph(s, graphs))
-    return report
+    members = sum(map(len, res)) // CURVE_SAMPLES
+    return {"surface": s.name, "count": _exact_count(families, members, name),
+            "max_residue": max_res}
 
 
 def full_audit(catalog, tol=1e-8, seed=0) -> dict:
-    """The oracle section of the reproduction run: counts, residues and
-    graphs of the catalog's surfaces at t = 2, 3 and 5."""
+    """The oracle section of the reproduction run: counts and residues of
+    the catalog's surfaces at t = 2, 3 and 5, and the real-root counts."""
     report = {"t_values": [2, 3, 5], "surfaces": {}, "sturm": None}
     for t in (2, 3, 5):
         cfg = NumericConfig(t=Fraction(t), tol=tol, seed=seed)

@@ -11,7 +11,7 @@ from math import gcd, lcm
 from .tower import FieldTower, cyclotomic
 from .base import GeometryError, VerificationError, _surface_cache
 from .geometry import on_surface
-from .curves import surface_families
+from .curves import s6_common_lines, surface_families
 
 # The verdicts assume two statements, named in the reports by this label: a
 # surface is minimal iff no Galois orbit of pairwise-disjoint (-1)-curves is
@@ -153,7 +153,7 @@ def meet_number(graph1, graph2):
     points over which the curves meet, counted.  An identically zero
     difference leaves the degree of the other; otherwise the forms are read
     at W = 1, where the root (0:1) drops out, and W^min(its multiplicities)
-    is put back.  The rule numeric._meet_ratio applies to lines in floats."""
+    is put back."""
     (y1, z1), (y2, z2) = graph1, graph2
     dy, dz = [a - b for a, b in zip(y1, y2)], [a - b for a, b in zip(z1, z2)]
     fy, fz = _trim(dy), _trim(dz)
@@ -206,8 +206,25 @@ def family_rows(s) -> dict:
 
 
 def s6_intersections(s6) -> dict:
-    """family_rows of the cubic s6, for the intersections-s6 check."""
-    return family_rows(s6)
+    """family_rows of the cubic s6 with its full_rows {branch: {j: row}}:
+    by meet_number, the row of the first member of each Galois orbit of
+    curves.s6_common_lines against all 27 lines, refused unless it has -1
+    at the line itself, ten 1s and sixteen 0s (each line of a cubic meets
+    ten others) and its entries within the orbit are the orbit's row."""
+    report, full, first = family_rows(s6), {}, 0
+    families = s6_common_lines(s6)
+    lines = [line for _, _, members in families for line in members]
+    for branch, j, members in families:
+        row = [-1 if i == first else meet_number(lines[first], line)
+               for i, line in enumerate(lines)]
+        if sorted(row) != [-1] + [0] * 16 + [1] * 10 or \
+                row[first:first + len(members)] != report["rows"][branch][j]:
+            raise VerificationError("S6: the full row of %s over %d is not "
+                                    "its orbit's row with ten meets"
+                                    % (branch, j), detail=row)
+        full.setdefault(branch, {})[j] = row
+        first += len(members)
+    return dict(report, full_rows=full)
 
 
 def _meets(row):

@@ -2,11 +2,7 @@
 
 A tower is one of Q, Q(zeta_M), Q[s, 1/s] and Q(zeta_M)[s, 1/s]: the value
 (M, var), built by ``FieldTower.rationals()`` or ``cyclotomic(M)`` and at
-most one ``extend_ratfunc(var)``.  Its ``steps`` list the extensions of Q:
-
-* ``algebraic`` -- adjoin zeta_M, a root of the cyclotomic polynomial Phi_M,
-* ``ratfunc``   -- adjoin a transcendental s and its inverse (the Laurent
-  polynomials in s).
+most one ``extend_ratfunc(var)``.
 
 Every witness lives on the generic fibre with t = s^N / c, so its
 coordinates are Laurent polynomials in s and the only divisors met are
@@ -30,7 +26,6 @@ itself or, below Q(zeta_M)[s, 1/s], Q(zeta_M).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -41,11 +36,6 @@ from .univariate import cyclotomic_poly
 class ZeroDivisorError(ArithmeticError):
     """Inversion met a zero divisor: a norm is not a positive rational, so
     the relation is reducible.  Phi_M is irreducible: reaching this is a bug."""
-
-
-# kind is "algebraic" or "ratfunc" (Laurent); minpoly, algebraic only, is
-# Phi_M as the ints c0..cd (monic)
-Step = namedtuple("Step", "kind name minpoly", defaults=(None,))
 
 
 class _Ring:
@@ -110,12 +100,6 @@ class FieldTower:
     def __init__(self, M=None, var=None):
         self.M, self.var = M, var
         self._ring = _ring(1 if M is None else M)
-        steps = []
-        if M is not None:
-            steps.append(Step("algebraic", "z%d" % M, self._ring.phi))
-        if var is not None:
-            steps.append(Step("ratfunc", var))
-        self.steps = tuple(steps)
         self._zeros = (0,) * (self._ring.d - 1)
 
     @classmethod
@@ -194,9 +178,8 @@ class FieldTower:
         return hash((self.M, self.var))
 
     def __repr__(self):
-        if not self.steps:
-            return "QQ"
-        return "QQ(" + ", ".join(s.name for s in self.steps) + ")"
+        names = [n for n in (self.M and "z%d" % self.M, self.var) if n]
+        return "QQ(%s)" % ", ".join(names) if names else "QQ"
 
 
 def _add(tower, p, q, sign):
@@ -351,6 +334,13 @@ class FieldElement:
         ring, (terms, den) = self.tower._ring, self.payload
         return FieldElement(self.tower, ({k: ring.conjugate(v, j)
                                           for k, v in terms.items()}, den))
+
+    def evaluate(self, value):
+        """self at s = value, an element of a tower over the same Q(zeta_M):
+        the sum of c_k value^k over the coefficients c_k of s^k."""
+        T, (terms, den) = value.tower, self.payload
+        return sum((T._elem({0: v}, den) * value ** k
+                    for k, v in terms.items()), T.zero())
 
     def invert(self):
         terms, den = self.payload

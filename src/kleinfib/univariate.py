@@ -4,7 +4,7 @@ the one univariate core of the package.
 A univariate polynomial over Q is a MultiPoly in one named variable (over
 Q it is flat, int numerators over one common denominator, so everything
 below runs fraction-free on ints).  Here are the derivative, Sturm's
-real-root counts by ``div_univariate``, and the pseudo-remainders and
+real-root counts by ``reduce_mod``, and the pseudo-remainders and
 subresultant PRS of the elimination chains (Brown and Traub 1971).
 Coefficient lists over Q, low degree first, are read and written only at
 the edges (``to_multipoly``, ``curves.residual_coefficients``): the
@@ -54,7 +54,7 @@ def count_real_roots(coeffs) -> int:
     f = to_multipoly(coeffs)
     chain = [f, derivative(f, "X")]
     while not chain[-1].is_zero():
-        chain.append(-chain[-2].div_univariate(chain[-1], "X")[1])
+        chain.append(-chain[-2].reduce_mod(chain[-1], "X"))
     at_plus, at_minus = [], []
     for p in chain[:-1]:
         d = p.degree("X")

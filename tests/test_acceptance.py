@@ -94,8 +94,13 @@ def test_criterion_4_rationality_table_and_grid():
 
 def test_criterion_5_intersection_witnesses():
     catalog = build_catalog()
-    s6 = s6_intersections(catalog["s6"])["rows"]
+    report = s6_intersections(catalog["s6"])
+    s6 = report["rows"]
     assert s6["alpha"] == {1: [-1, 1, 1]}
+    # each of the three first members meets ten of the 27 lines
+    for family in report["full_rows"].values():
+        for row in family.values():
+            assert len(row) == 27 and row.count(1) == 10
     assert len(s6["Lmu"]) == 2
     for row in s6["Lmu"].values():
         for k in (4, 6, 8):  # xi of order 3, 2, 3
@@ -162,8 +167,7 @@ def test_criterion_9_numeric_oracle():
     for t in (2, 3, 5):
         s6 = numeric_curve_audit(build_surface("s6"),
                                  NumericConfig(t=Fraction(t)))
-        assert s6["degrees"] == [10] * 27
-        assert s6["graph_checked"]
+        assert s6["count"] == 27 and s6["max_residue"] < 1e-8
 
 
 def test_criterion_10_fault_injection():

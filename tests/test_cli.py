@@ -564,6 +564,28 @@ def test_an_y0_row_with_a_meet_fails_its_checks(monkeypatch,
         "curve of y0 meets 2 of its conjugates, not 0")
 
 
+@pytest.mark.parametrize("pair", [(0, 3), (15, 16)],
+                         ids=["L1-Lmu+", "Lmu-"])
+def test_a_flipped_s6_full_row_entry_fails_only_its_check(
+        monkeypatch, fresh_check_memo, pair):
+    # one entry of a full row flipped, the meet of L1 with the first L_mu
+    # over c+ (across orbits) or of the first two L_mu over c- (within
+    # one): intersections-s6 refuses it, and no other check reads the full
+    # rows (the exact rows of family_rows never pair these graphs)
+    lines = [line for _, _, members in
+             curves.s6_common_lines(build_surface("s6")) for line in members]
+    target, meet = [lines[i] for i in pair], orbits.meet_number
+    monkeypatch.setattr(orbits, "meet_number", lambda a, b: 1 - meet(a, b)
+                        if [a, b] == target else meet(a, b))
+    code, cert = run(["reproduce-paper"])
+    assert code == 1
+    failed = {c["name"]: c["error"] for c in cert["checks"]
+              if c["status"] == "failed"}
+    assert list(failed) == ["intersections-s6"]
+    assert "VerificationError: S6: the full row of" in failed[
+        "intersections-s6"]
+
+
 def test_timings_per_check():
     # --timings, like --out, may precede or follow the subcommand
     for argv in (["--timings", "reproduce-paper"],
@@ -664,14 +686,20 @@ PINNED = {
     # their two families instead of `pairs` 2 or 3; since the oracle draws
     # the fibre coordinate w of a conic bundle at |w| = |s| / |t|^(1/2),
     # the three audit.surfaces.dn:4[t] max_residue values changed, each
-    # still about 1e-15 (an:2, where that size is 1, kept its three)
-    ("reproduce-paper",): "2e64cfe2eead1bfa2f46c5473833e7c8"
-                          "33eaabd68c12af5fb112721ff13c5fee",
+    # still about 1e-15 (an:2, where that size is 1, kept its three);
+    # since every pair of S6 lines is decided by the exact rule, the
+    # intersections-s6 check gains `full_rows`, the rows of L1 and of L_mu
+    # over c+ and c- against all 27 lines, and the numeric-oracle `ref`
+    # no longer names the S6 line graph, which the oracle no longer builds
+    ("reproduce-paper",): "a69b5dd8a7ac17f3631c8b952afb0ee0"
+                          "50a102c3d971b510ae6ec93ab68569f1",
     # the float oracle away from seed 0 and through `audit`: its residues
     # depend on the order in which the sample points are drawn and on the
-    # arithmetic of each residue, so a change to either fails here
-    ("audit", "s6", "--t", "3"): "b2bb1eb56f02de67f43dfe4022ea756c"
-                                 "b9f56b4cf9527703109fe3750f691e34",
+    # arithmetic of each residue, so a change to either fails here; since
+    # the oracle decides no incidence, audit s6 has no report.degrees and
+    # no report.graph_checked, and its residues are unchanged
+    ("audit", "s6", "--t", "3"): "146d7df713e16023561d427835000ced"
+                                 "c029b166ba575d48f4452a62d0e2fa86",
     ("audit", "s7", "--t", "3"): "56c8d35cd413ecd08888a1c35a78bee3"
                                  "83ff2d1386ed03b3c183da1f44b85b1f",
     ("audit", "s8", "--t", "3", "--seed", "2"):
@@ -679,9 +707,10 @@ PINNED = {
     # as reproduce-paper: the intersections-s6 `rows` and the three
     # audit.surfaces.s6[t] max_residue values changed, and then the six
     # of an:2 and dn:4; then the intersections-s6, -an:<n> and -dn:<n>
-    # `rows` and the three of dn:4
-    ("reproduce-paper", "--seed", "3"): "8398ddfe9942cc8833b8dfbc10a853a9"
-                                        "0b6f3cfed52d4bc3b33e2d286952c72b"}
+    # `rows` and the three of dn:4; then the intersections-s6 `full_rows`
+    # and the numeric-oracle `ref`
+    ("reproduce-paper", "--seed", "3"): "25f1106d192c48c1d39bad7e36906a6d"
+                                        "62d2553f089039bec10ccd4b7c1e442b"}
 
 
 # sha256 of the S7 and S8 curve certificates: every curve form is the

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from kleinfib import curves, lattice, numeric, orbits, tower
+from kleinfib import curves, lattice, orbits, tower
 from kleinfib.base import GeometryError, VerificationError
 from kleinfib.curves import (certify_s6_lines, s6_alpha_lines, s6_line,
                              s6_line_forms, s6_line_tower)
@@ -365,6 +365,71 @@ def test_s6_intersections():
         assert not all(row[1:])
 
 
+def _s6_line_matrix(report):
+    """The 27 x 27 matrix of the S6 lines in the order of s6_common_lines,
+    built from the full rows of the three first members of s6_intersections
+    by xi-equivariance: xi^-a takes the pair (A_a, B_b) to (A_0, B_(b - a)),
+    A_a the member a of the orbit of A, whose size is its row's length."""
+    rows = [row for family in report["full_rows"].values()
+            for row in family.values()]
+    sizes = [len(row) for family in report["rows"].values()
+             for row in family.values()]
+    starts = [sum(sizes[:o]) for o in range(len(sizes))]
+    lines = [(o, a) for o, h in enumerate(sizes) for a in range(h)]
+    return [[rows[oa][starts[ob] + (b - a) % sizes[ob]] for ob, b in lines]
+            for oa, a in lines]
+
+
+def test_s6_full_rows_make_a_symmetric_line_graph():
+    # the three full rows fix all 351 pairs: the matrix they give by
+    # xi-equivariance is symmetric, has -1 on its diagonal and each line
+    # meets ten others, 135 meeting pairs in all (the 27 lines of a cubic)
+    report = s6_intersections(build_surface("s6"))
+    assert {b: sorted(f) for b, f in report["full_rows"].items()} == {
+        "alpha": [1], "Lmu": [1, 5]}
+    matrix = _s6_line_matrix(report)
+    assert all(matrix[a][b] == matrix[b][a]
+               for a in range(27) for b in range(27))
+    assert [matrix[a][a] for a in range(27)] == [-1] * 27
+    assert [row.count(1) for row in matrix] == [10] * 27
+    assert sum(map(sum, matrix)) == 2 * 135 - 27
+
+
+@pytest.mark.parametrize("shifts", [
+    pytest.param(({0: 1, 5: 1}, curves.S6_SHIFTS[1]), id="lambda-sigma5"),
+    pytest.param(({0: 1, 2: 1}, curves.S6_SHIFTS[1]), id="lambda-zeta6"),
+    pytest.param((curves.S6_SHIFTS[0], {0: 9, 1: -6, 11: -6}),
+                 id="kappa-sigma5"),
+    pytest.param((curves.S6_SHIFTS[0], {0: 3, 1: 2, 11: 2}),
+                 id="kappa-third")])
+def test_s6_shifts_with_the_wrong_power_are_refused(monkeypatch, shifts):
+    # lambda^12 c+ = c- and kappa^3 c+ = 1 make mu' = lambda mu and alpha =
+    # kappa mu^4 keep t = mu^12 / c+: a conjugate, or another element, whose
+    # power misses is refused before any line is read
+    monkeypatch.setattr(curves, "S6_SHIFTS", shifts)
+    with pytest.raises(VerificationError, match="lambda\\^12 c\\+ != c-"):
+        s6_intersections(build_surface("s6"))
+
+
+@pytest.mark.parametrize("branch,j,k", [
+    pytest.param("alpha", 1, 1, id="L123-1"),
+    pytest.param("Lmu", 5, 6, id="5-6")])
+def test_s6_full_rows_must_agree_with_the_exact_rows(monkeypatch, branch, j,
+                                                     k):
+    # the within-orbit entries of each full row are checked against the
+    # orbit's exact row: an entry flipped there, in L1-L3 or in L_mu over
+    # c-, is refused
+    exact = family_rows(build_surface("s6"))
+    rows = {b: {i: list(row) for i, row in family.items()}
+            for b, family in exact["rows"].items()}
+    rows[branch][j][k] = 1 - rows[branch][j][k]
+    monkeypatch.setattr(orbits, "family_rows", lambda s6: dict(exact,
+                                                               rows=rows))
+    with pytest.raises(VerificationError, match="full row of %s over %d"
+                       % (branch, j)):
+        s6_intersections(build_surface("s6"))
+
+
 # the root sigma_j(c+) of C of each former branch of L_mu
 ROOT = {"plus": 1, "minus": 5}
 
@@ -373,19 +438,6 @@ def _lmu_forms(T, j):
     """The forms of L_mu over sigma_j(c+): sigma_j of those over c+."""
     return tuple(f.map_coeffs(lambda c: c.conjugate(j))
                  for f in s6_line_forms(T))
-
-
-def _s6_line_pairs():
-    """The 25 pairs whose meets make the rows of S6, as (forms1, forms2, tower):
-    L1..L3 pairwise, and L_mu against L_{zeta12^k mu} over each root of C."""
-    T0, _, lines = s6_alpha_lines()
-    pairs = [(lines[a], lines[b], T0)
-             for a in range(3) for b in range(a + 1, 3)]
-    T, roots, _ = s6_line_tower()
-    for j in roots:
-        forms = _lmu_forms(T, j)
-        pairs += [(forms, _rotated(forms, k), T) for k in range(1, 12)]
-    return pairs
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])
@@ -439,23 +491,6 @@ def test_rotated_s6_forms_substitute_xi_mu():
                 for e, c in f.terms.items():
                     (d, _), = c.payload[0].items()
                     assert g.terms[e] == c * z12 ** (k * d)
-
-
-def test_graph_rule_agrees_with_the_oracle_float_rule():
-    # the exact rule against the oracle's float form of it, on the same
-    # graphs at a sample alpha and mu: 12 of the 25 pairs are disjoint
-    at = {"alpha": 1.3 - 0.4j, "mu": 0.8 + 0.5j}
-    pairs, disjoint = _s6_line_pairs(), 0
-    for forms1, forms2, T in pairs:
-        lines = [s6_line(f, T)[1:] for f in (forms1, forms2)]
-        meets = orbits.meet_number(*lines)
-        env = dict(numeric.S6_ENV, **{T.var: 1})
-        floats = [numeric._graph_at(numeric._constants(
-            line, lambda c: c.as_complex(env)), at[T.var]) for line in lines]
-        assert meets in (0, 1)
-        assert meets == (numeric._meet_ratio(*floats) < 1e-8)
-        disjoint += not meets
-    assert len(pairs) == 25 and disjoint == 12
 
 
 @pytest.mark.parametrize("branch", ["plus", "minus"])

@@ -1,8 +1,9 @@
 """The benchmark's tracer still finds every method and span it reads, and a
 traced run leaves kleinfib as it found it; every command runs without numpy,
 and each starts on only the modules it runs; no module-level function or
-class of kleinfib is left without a reference, no module-level import is
-unused, and every module.name that README.md names exists."""
+class of kleinfib, and no method of its classes, is left without a
+reference, no module-level import is unused, and every module.name that
+README.md names exists."""
 
 import ast
 import contextlib
@@ -170,6 +171,8 @@ PACKAGE = {path.stem for path in Path(kleinfib.__file__).parent.glob("*.py")
     (["verdict", "dn:6", "--ext", "6"], {"autos", "lattice", "numeric"}),
     # audit an|dn samples the fibre families that curves certifies
     (["audit", "dn:9", "--t", "5"], {"autos", "lattice", "orbits"}),
+    # and audit s6 the lines: incidence is the exact engine's alone
+    (["audit", "s6", "--t", "3"], {"autos", "lattice", "orbits"}),
     (["reproduce-paper"], set())],
     ids=lambda v: " ".join(sorted(v) if isinstance(v, set) else v))
 def test_each_command_loads_only_its_pipeline(argv, unloaded):
@@ -197,10 +200,11 @@ def test_each_command_loads_only_its_pipeline(argv, unloaded):
     assert "dataclasses" not in modules
 
 
-def test_every_module_level_name_is_referenced():
-    # a def or class at module level in src/kleinfib whose name occurs
-    # nowhere in src/ outside its own body, neither as a name in code nor
-    # as a word in a string, has no caller: comments do not count
+def _unreferenced(members):
+    """The defs that members(tree) yields, as (label, node), for the parsed
+    modules of src/kleinfib, whose name occurs nowhere in src/ outside
+    their own body, neither as a name in code nor as a word in a string:
+    comments do not count."""
     defs, refs = [], {}
     for path in sorted(Path(kleinfib.__file__).parent.glob("*.py")):
         text = path.read_text()
@@ -213,14 +217,31 @@ def test_every_module_level_name_is_referenced():
                 continue
             for word in words:
                 refs.setdefault(word, []).append((path, tok.start[0]))
-        defs += [(path, node.name, node.lineno, node.end_lineno)
-                 for node in ast.parse(text).body
-                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    unreferenced = ["%s:%d %s" % (path.name, first, name)
-                    for path, name, first, last in defs
-                    if all(where == path and first <= line <= last
-                           for where, line in refs[name])]
-    assert not unreferenced
+        defs += [(path, label, node) for label, node in members(
+            ast.parse(text))]
+    return ["%s:%d %s" % (path.name, node.lineno, label)
+            for path, label, node in defs
+            if all(where == path and node.lineno <= line <= node.end_lineno
+                   for where, line in refs[node.name])]
+
+
+def test_every_module_level_name_is_referenced():
+    # a def or class at module level in src/kleinfib that _unreferenced
+    # finds has no caller
+    assert not _unreferenced(lambda tree: [
+        (node.name, node) for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))])
+
+
+def test_every_method_is_referenced():
+    # by the same rule, each method of a module-level class, dunders aside:
+    # MultiPoly.reduce_mod, a wrapper of div_univariate(...)[1] that only
+    # tests called, would have failed here
+    assert not _unreferenced(lambda tree: [
+        ("%s.%s" % (cls.name, node.name), node)
+        for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for node in cls.body if isinstance(node, ast.FunctionDef)
+        and not re.fullmatch(r"__\w+__", node.name)])
 
 
 def _unused_imports(text):

@@ -105,7 +105,10 @@ def test_towers_are_values():
     assert hash(T) == hash(cyclotomic(12).extend_ratfunc("mu"))
     assert T != cyclotomic(12).extend_ratfunc("s")
     assert T != cyclotomic(12) and cyclotomic(1) != FieldTower.rationals()
-    assert [s.kind for s in T.steps] == ["algebraic", "ratfunc"]
+    assert (T.M, T.var) == (12, "mu") and repr(T) == "QQ(z12, mu)"
+    assert [repr(FieldTower.rationals()), repr(cyclotomic(1)),
+            repr(FieldTower.rationals().extend_ratfunc("t"))] == [
+        "QQ", "QQ(z1)", "QQ(t)"]
 
 
 def test_refused_coercions():
