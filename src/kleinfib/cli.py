@@ -149,13 +149,13 @@ def check(name, ref, status="verified", **extra):
 # subcommands
 
 def _families(s, command):
-    """curves.surface_families(s); a surface without curves, which that
-    refuses before any arithmetic, has no `command` (a usage error)."""
-    from .curves import surface_families
-    try:
-        return surface_families(s)
-    except GeometryError:
+    """curves.surface_families(s).  A surface without curves
+    (curves.has_curves, decided before any arithmetic) has no `command`, a
+    usage error; a failure inside an enumeration is not one."""
+    from .curves import has_curves, surface_families
+    if not has_curves(s):
         raise UsageError("no %s for %r" % (command, s.name))
+    return surface_families(s)
 
 
 def _paper_curves(s):
@@ -359,11 +359,24 @@ def _shear_size(n, P):
             n * int(1 + norm).bit_length())
 
 
+def _rational(text):
+    """Fraction(text), with a decimal exponent beyond
+    sys.get_int_max_str_digits() (4300, CPython's default, where the limit
+    is off or, before 3.10.7, absent) refused by ValueError before Fraction
+    builds 10^exponent, which takes 0.2 s for 1e1000000 and 8 s for
+    1e10000000."""
+    exponent = re.search(r"[eE]([-+]?\d[\d_]*)\s*\Z", text)
+    limit = getattr(sys, "get_int_max_str_digits", int)() or 4300
+    if exponent and abs(int(exponent.group(1))) > limit:
+        raise ValueError("the exponent of %r is beyond +-%d" % (text, limit))
+    return Fraction(text)
+
+
 def cmd_audit(args):
     try:
-        t = Fraction(args.t)
-    except (ValueError, ZeroDivisionError):
-        raise UsageError("--t must be a rational number")
+        t = _rational(args.t)
+    except (ValueError, ZeroDivisionError) as ex:
+        raise UsageError("--t must be a rational number: %s" % ex)
     if t == 0:
         raise UsageError("t = 0 lies on every discriminant locus")
     low, high = AUDIT_T_RANGE
@@ -659,9 +672,10 @@ def cmd_reproduce(args):
             raise UsageError("--mutate takes surface,chart,term,delta")
         try:
             mutation = (parts[0], int(parts[1]), int(parts[2]),
-                        Fraction(parts[3]))
-        except (ValueError, ZeroDivisionError):
-            raise UsageError("bad --mutate argument %r" % args.mutate)
+                        _rational(parts[3]))
+        except (ValueError, ZeroDivisionError) as ex:
+            raise UsageError("bad --mutate argument %r: %s"
+                             % (args.mutate, ex))
     from .geometry import build_catalog
     try:
         catalog = build_catalog(mutation)
@@ -779,6 +793,8 @@ def _main(argv):
         return 2 if ex.code not in (0, None) else 0
     started = time.monotonic()
     try:
+        if args.out:
+            _check_writable(args.out)
         # looked up by name on each call, so that a command function rebound
         # on this module after the parser was built (by a test or a tracer)
         # is the one that runs
@@ -797,6 +813,16 @@ def _main(argv):
                        elapsed=elapsed)
     emit(cert, args.out)
     return 0 if cert["status"] == "verified" else 1
+
+
+def _check_writable(path):
+    """Refuse, as a usage error, an --out that cannot be opened for writing,
+    before the command runs; opening it to append changes no file that
+    exists."""
+    try:
+        open(path, "a").close()
+    except OSError as ex:
+        raise UsageError("cannot write --out %s: %s" % (path, ex.strerror))
 
 
 def _inputs(args):

@@ -1,26 +1,27 @@
 """Exceptional-curve enumeration via exact elimination replays.
 
-The fibred surfaces carry finitely many exceptional curves cut out by one
-or two auxiliary forms; their coefficients satisfy a triangular system
-obtained by equating the W/X-coefficients of the substituted surface
-equation to zero.  This module replays those chains exactly over Q and
-extracts the residual polynomials.  Each residual's roots are exhibited in
-Q(zeta_h), one stored and the others its Galois conjugates, and over the
-stored root its family is one exact graph (Y, Z) over P^1_(W:X) with
-coefficients in Q(zeta_h)[s, 1/s], certified by substitution; its
-rotations s -> zeta_h^k s and conjugates zeta_h -> zeta_h^j are the other
-curves.  The 24 lines L_mu of S6 are such a family too, over the two roots
-of their radicand C, and L1-L3 and the S7 e = 0 pair are ones over the root
-1 of X - 1.  So are the A_n and D_n fibre components, each family the
-graph of two coordinates over the other two at x = alpha, r or mu.  Every
-CurveSpec is one such family: its representative is certified by
-substitution, and the rotations, fixing t and the surface equation, carry
-it to the others.  surface_families maps each catalog surface to its
-families.
+The fibred surfaces carry finitely many exceptional curves, each cut out by
+two forms.  On S7 and S8 the coefficients of the forms satisfy a triangular
+system, obtained by equating the W/X-coefficients of the substituted
+surface equation to zero; this module replays those chains exactly over Q,
+which gives the forms the curves command prints, and extracts the residual
+polynomials.  Each residual's roots are exhibited in Q(zeta_h), one stored
+and the others its Galois conjugates.  Every CurveSpec is one radical
+family: over its stored root its member is one exact graph (Y, Z) over
+P^1_(W:X) with coefficients in Q(zeta_h)[s, 1/s], certified by
+substitution, and its rotations s -> zeta_h^k s and conjugates zeta_h ->
+zeta_h^j, which fix t and the surface equation, are the other curves.  The
+24 lines L_mu of S6 are such a family over the two roots of their radicand
+C, and L1-L3 and the S7 e = 0 pair are ones over the root 1 of X - 1.  For
+these and the S7 and S8 families, _root_graph reads the graph off the very
+forms that are printed.  The A_n and D_n fibre components, each the graph
+of two coordinates over the other two at x = alpha, r or mu, are given by
+their graph, and their forms are read off it.  surface_families maps each
+catalog surface to its families.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .base import GeometryError, VerificationError, _surface_cache
@@ -155,26 +156,6 @@ def wx_coefficients(p: MultiPoly, degree: int):
     return out
 
 
-def univariate_from_pure(p: MultiPoly, var_block: str, block: int,
-                         tvar: str, sign_flip: bool):
-    """Interpret a (mu, t)-polynomial supported on (mu^(block*k), t^k) as a
-    univariate polynomial in X = (+-mu^block * t); returns the coefficient
-    list or raises if the support is not of that shape."""
-    imu = p.vars.index(var_block)
-    it = p.vars.index(tvar)
-    coeffs = {}
-    for e, c in p.terms.items():
-        k = e[it]
-        if e[imu] != block * k or any(
-                v for i, v in enumerate(e) if i not in (imu, it)):
-            raise VerificationError(
-                "residual is not a polynomial in %s^%d*%s"
-                % (var_block, block, tvar), detail=p)
-        coeffs[k] = c * (Fraction(-1) ** k if sign_flip else Fraction(1))
-    deg = max(coeffs)
-    return [coeffs.get(k, Fraction(0)) for k in range(deg + 1)]
-
-
 # ---------------------------------------------------------------------------
 # S7: 56 curves, residual cubic Q
 
@@ -275,39 +256,30 @@ def enumerate_s7(s7):
     pairs = {name: (num, den) for name, num, den in solved}
     roots = residual_roots(qx, 18, S7_ROOT, "Q")
     e = cyclotomic(18).extend_ratfunc("e").gen("e")
-    data = dict(_root_graph(s7, pairs, (YS, ZS), roots, e ** 18 / roots[1]),
+    data = dict(_root_graph(s7, forms, roots, e ** 18 / roots[1]),
                 coeff_pairs=pairs)
     main = CurveSpec("s7", "S7-main", "main", forms, 18 * len(roots),
                      parameter="e", relation=core, data=data)
     return [_s7_e0_curves(s7), main], core
 
 
-def _homog_to_pure(p: MultiPoly, block: int, deg: int):
-    """Check p is supported on e^(block*k) t^(deg-k), return it re-supported
-    on (e^(block*k), t^k) so univariate_from_pure can read off Q."""
-    ie = p.vars.index("e")
-    it = p.vars.index("t")
-    out = {}
-    for e, c in p.terms.items():
-        k, j = e[ie], e[it]
-        if k % block or k // block + j != deg:
-            raise VerificationError("residual support is not homogeneous in "
-                                    "(e^%d, t)" % block, detail=p)
-        e2 = list(e)
-        e2[it] = k // block
-        out[tuple(e2)] = c
-    return MultiPoly(p.vars, out)
-
-
 def residual_coefficients(residual: MultiPoly, parameter: str):
     """The displayed polynomial of a residual that enumerate_s7 or
     enumerate_s8 returns, as a coefficient list (low first): Q of
     t^3 Q(e^18 / t) (parameter "e"), Q1 or Q2 of F_i ~ q_i(-mu^30 t)
-    (parameter "mu"); a residual of another support raises."""
-    if parameter == "e":
-        return univariate_from_pure(_homog_to_pure(residual, 18, 3), "e", 18,
-                                    "t", sign_flip=False)
-    return univariate_from_pure(residual, "mu", 30, "t", sign_flip=True)
+    (parameter "mu"), read off its terms c e^(18k) t^(3-k) or c mu^(30k)
+    t^k; a residual of another support raises."""
+    h, sign = (18, 1) if parameter == "e" else (30, -1)
+    i, it = residual.vars.index(parameter), residual.vars.index("t")
+    coeffs = {}
+    for e, c in residual.terms.items():
+        k = e[i] // h
+        if e[i] % h or e[it] != (3 - k if sign == 1 else k) \
+                or sum(e) != e[i] + e[it]:
+            raise VerificationError("residual is not a polynomial in %s^%d "
+                                    "and t" % (parameter, h), detail=residual)
+        coeffs[k] = c * sign ** k
+    return [coeffs.get(k, Fraction(0)) for k in range(max(coeffs) + 1)]
 
 
 def _s7_e0_curves(s7):
@@ -316,14 +288,11 @@ def _s7_e0_curves(s7):
     1/r], where _root_family's rotation sigma_1: r -> -r is the other
     member."""
     T, t = sqrt_t_tower()
-    r = T.gen("r")
-    cvars = ("W", "X", "Y", "Z")
-    Y, Z = MultiPoly.var(cvars, "Y"), MultiPoly.var(cvars, "Z")
-    graph = ([T.zero()] * 2, [r, T.zero(), T.zero()])
-    return CurveSpec("s7", "S7-e0", "e0",
-                     (Y, Z - MultiPoly.var(cvars, "W", 2).scale(r)), 2,
-                     parameter="r", relation=_binomial(t),
-                     data=dict(_root_family(s7, graph, t, {1: T.one()}),
+    Y, Z, W = (MultiPoly.var(GRAPH_COORDS, v) for v in "YZW")
+    forms = (Y, Z - (W * W).scale(T.gen("r")))
+    return CurveSpec("s7", "S7-e0", "e0", forms, 2, parameter="r",
+                     relation=_binomial(t),
+                     data=dict(_root_graph(s7, forms, {1: T.one()}, t),
                                c="+-sqrt(t)"))
 
 
@@ -475,8 +444,8 @@ def enumerate_s8(s8):
         # at t = -x / mu^30, b solved first
         roots = residual_roots(residual_coefficients(Fi, "mu"), 30,
                                S8_ROOTS[bi - 1], "Q%d" % bi)
-        data = _root_graph(s8, dict(pairs, b=(bnum, bden)), (YS, ZS), roots,
-                           -mu ** -30 * roots[1])
+        data = _root_graph(s8, forms, roots, -mu ** -30 * roots[1],
+                           b=(bnum, bden))
         data.update(coeff_pairs=pairs, convention="c = mu^2, g = -mu^3")
         curves.append(CurveSpec("s8", "S8-main", "P%d" % bi, forms,
                                 30 * len(roots), parameter="mu", relation=Fi,
@@ -566,36 +535,68 @@ def _graph_forms(y, z, coords=GRAPH_COORDS):
                  for cs in (y, z))
 
 
-def _root_graph(surface, fractions, templates, roots, t):
-    """The _root_family of the curve over the stored root x = roots[1] at
-    the generator s of t's tower Q(zeta_h)[s, 1/s], t = c s^(+-h) with c
-    from x: the solved fractions name -> (num, den) evaluated at s and t in
-    the reverse of the order solved (each is in the names solved after it),
-    every denominator a nonzero monomial there, then the templates for Y
-    and Z read off by rising power of X."""
+def _root_graph(surface, forms, roots, t, b=None):
+    """The _root_family of the curve cut by the two forms, as printed, over
+    the stored root x = roots[1]: its graph read off the forms at the
+    generator s of t's tower Q(zeta_h)[s, 1/s], t = c s^(+-h) with c from
+    x, and (S8) at b, from its fraction (num, den) in (s, t).  Z comes from
+    the form with a Z term and no Y term, c Z + sum z_j W^(d-j) X^j, then Y
+    from the other, c Y + c' Z + sum y_j W^(d-j) X^j (c' Z only if Y has
+    Z's weight), with Z put in; d is the weight of Y or Z on the surface.
+    Each coefficient, free of W, X, Y and Z, is evaluated at the root from
+    one table of the powers of s, t and b, and c and den(b) must be nonzero
+    monomials there.  Any other term (W Y, Z^2, a wrong degree) is refused:
+    the forms cut no graph.  With b, the data keep its value as "b"."""
     T = t.tower
-    env = dict.fromkeys(templates[0].vars, T.zero())
-    env.update({T.var: T.gen(T.var), "t": t})
-    for name in reversed(fractions):
-        num, den = (T.lift(p.evaluate(env)) for p in fractions[name])
-        try:
-            env[name] = num * den.invert()
-        except (ValueError, ZeroDivisionError) as ex:
-            raise VerificationError("den(%s) is not a nonzero monomial at "
-                                    "the root" % name, detail=den) from ex
-    y, z = ([T.lift(c.evaluate(env))
-             for c in wx_coefficients(form, form.degree("W"))]
-            for form in templates)
-    return _root_family(surface, (y, z), t, roots)
+    env = {T.var: T.gen(T.var), "t": t}
+    if b is not None:
+        num, den = (T.lift(p.rename((T.var, "t")).evaluate(env)) for p in b)
+        env["b"] = num * _unit(den, "den(b)")
+    powers = {n: env[n].powers(1 + max(f.degree(n) for f in forms
+                                       if n in f.vars))
+              for n in {n for f in forms for n in f.vars[4:]}}
+    weight, graph = dict(zip("YZ", surface.ambient.weights[2:])), {}
+    for form, v in zip(sorted(forms, key=lambda f: f.degree("Y") > 0), "ZY",
+                       strict=True):
+        d = weight[v]
+        place = {(d - j, j, 0, 0): j for j in range(d + 1)}
+        place[(0, 0, 1, 0) if v == "Y" else (0, 0, 0, 1)] = v
+        if v == "Y" and d == weight["Z"]:
+            place[0, 0, 0, 1] = "Z"
+        keys = [place.get(e[:4]) for e in form.terms]
+        if form.vars[:4] != GRAPH_COORDS or None in keys or v not in keys:
+            raise GeometryError("the forms cut no graph over P^1_(W:X)")
+        row = {}
+        for key, (e, c) in zip(keys, form.terms.items()):
+            row[key] = row.get(key, 0) + prod(
+                (powers[n][k] for n, k in zip(form.vars[4:], e[4:]) if k),
+                start=c)
+        inv = -_unit(T.lift(row.pop(v)), "the coefficient of " + v)
+        cz = row.pop("Z", 0)
+        z = graph["Z"] if cz else [0] * (d + 1)
+        graph[v] = [(row.get(j, 0) + cz * z[j]) * inv for j in range(d + 1)]
+    data = _root_family(surface, (graph["Y"], graph["Z"]), t, roots)
+    if b is not None:
+        data["b"] = env["b"]
+    return data
+
+
+def _unit(c, name):
+    """1/c, refused unless c is a nonzero monomial of its Laurent ring."""
+    try:
+        return c.invert()
+    except (ValueError, ZeroDivisionError) as ex:
+        raise VerificationError("%s is not a nonzero monomial at the root"
+                                % name, detail=c) from ex
 
 
 def _root_family(surface, graph, t, roots, coords=GRAPH_COORDS):
     """{"graph": graph, "t": t, "roots": roots, "coords": coords} of the
     radical family whose member over the stored root x = roots[1] has the
     graph (Y, Z) over P^1_(W:X), W, X, Y, Z the surface's variables coords,
-    each coefficient list in the format of s6_line (a degree-0 list for a
-    weight-0 coordinate such as the x of A_n and D_n), in t's
-    tower Q(zeta_M)[s, 1/s], t = c s^(+-h) with c from x and h | M:
+    each coefficient list by rising power of X, as _graph_forms reads it (a
+    degree-0 list for a weight-0 coordinate such as the x of A_n and D_n),
+    in t's tower Q(zeta_M)[s, 1/s], t = c s^(+-h) with c from x and h | M:
     certified on the surface by substitution.  sigma_k: s -> zeta_M^k s
     fixes t for M/h | k, and sigma_j: zeta_M -> zeta_M^j takes it to the t
     of sigma_j(x); sigma_k fixes the surface equation, and sigma_j, j != 1,
@@ -663,11 +664,11 @@ def certify_s6_lines(s6):
                                    for k, c in enumerate(s6_radicand())})
     return [CurveSpec("s6", "S6-L123", "alpha", alpha_lines[0], 3,
                       parameter="alpha", relation=_binomial(t0),
-                      data=_root_family(s6, s6_line(alpha_lines[0], T0)[1:],
-                                        t0, {1: T0.one()})),
+                      data=_root_graph(s6, alpha_lines[0], {1: T0.one()},
+                                       t0)),
             CurveSpec("s6", "S6-Lmu", "Lmu", forms, 12 * len(roots),
                       parameter="mu", relation=relC,
-                      data=_root_family(s6, s6_line(forms, T)[1:], t, roots))]
+                      data=_root_graph(s6, forms, roots, t))]
 
 
 # lambda = 1 + zeta_12 and kappa = 9 + 6 sqrt3, each {k: the coefficient of
@@ -716,22 +717,6 @@ def s6_alpha_lines():
     W, Y, Z = (MultiPoly.var(("W", "X", "Y", "Z"), v) for v in "WYZ")
     return T, alpha ** 3, [(Z, Y - W.scale(z3j * alpha))
                            for z3j in z3.powers(3)]
-
-
-def s6_line(forms, tower):
-    """The S6 line cut by forms = (l1, l2) as (forms, Y, Z), its graph over
-    P^1_(W:X): Z from l1, which has a Z term and no Y term, then Y from l2,
-    which has a Y term, each as its coefficients (of W, of X) in tower; the
-    W and X terms may be absent."""
-    l1, l2 = ({"WXYZ"[e.index(1)]: tower.lift(c) for e, c in f.terms.items()}
-              for f in forms)
-    if "Y" in l1 or "Z" not in l1 or "Y" not in l2:
-        raise GeometryError("the forms cut no graph over P^1_(W:X)")
-    zero, zinv, yinv = tower.zero(), l1["Z"].invert(), l2["Y"].invert()
-    z = [-l1.get(v, zero) * zinv for v in "WX"]
-    y = [-(l2.get(v, zero) + l2.get("Z", zero) * zv) * yinv
-         for v, zv in zip("WX", z)]
-    return forms, y, z
 
 
 # ---------------------------------------------------------------------------
@@ -810,21 +795,27 @@ def enumerate_dn(s):
                                                  [mu ** 2]), t)]
 
 
+def has_curves(s):
+    """Whether the catalog surface s has a curve enumeration: s6, s7, s8,
+    an:<n> and dn:<n> do, s6prime and the Klein surfaces do not.  Decided
+    by name, before any arithmetic."""
+    return s.name.partition(":")[0] in ("s6", "s7", "s8", "an", "dn")
+
+
 def surface_families(s):
     """{branch: family} of the curve families certified on the catalog
     surface s, in the order of its enumeration: L1-L3 ("alpha") and L_mu
     ("Lmu") on s6, the e = 0 pair ("e0") and the main family ("main") on
     s7, the branches "P1" and "P2" on s8, y0 and z0 on an:<n>, x0 and mu
-    on dn:<n>.  A surface without an enumeration (s6prime, the Klein
-    surfaces) is a GeometryError, a ValueError, raised before any
-    arithmetic."""
+    on dn:<n>.  A surface without an enumeration (has_curves) is a
+    GeometryError, a ValueError, raised before any arithmetic."""
+    if not has_curves(s):
+        raise GeometryError("no curve enumeration for %r" % s.name)
     kind = s.name.partition(":")[0]
     if kind == "s6":
         curves = certify_s6_lines(s)
     elif kind in ("s7", "s8"):
         curves = (enumerate_s7 if kind == "s7" else enumerate_s8)(s)[0]
-    elif kind in ("an", "dn"):
-        curves = (enumerate_an if kind == "an" else enumerate_dn)(s)
     else:
-        raise GeometryError("no curve enumeration for %r" % s.name)
+        curves = (enumerate_an if kind == "an" else enumerate_dn)(s)
     return {c.branch: c for c in curves}

@@ -8,12 +8,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import kleinfib
 from kleinfib import autos, cli, curves, lattice, numeric, orbits
+from kleinfib.base import GeometryError
 from kleinfib.cli import _parse_poly, main
 from kleinfib.curves import VerificationError, dn_tower
 from kleinfib.geometry import build_catalog, build_surface
@@ -586,6 +588,70 @@ def test_a_flipped_s6_full_row_entry_fails_only_its_check(
         "intersections-s6"]
 
 
+@pytest.mark.parametrize("surface,power", [("s7", 2), ("s8", 3)])
+def test_a_changed_printed_form_fails_its_curves(monkeypatch, surface,
+                                                 power):
+    # the graph is read off the printed forms: X^power added to the chained
+    # Z-form moves the graph off the surface, and curves fails
+    chain = curves.chain_subs
+
+    def changed(p, solved, strip=True):
+        out = chain(p, solved, strip)
+        return out + MultiPoly.var(out.vars, "X", power) \
+            if p.degree("Z") > 0 else out
+    monkeypatch.setattr(curves, "chain_subs", changed)
+    enumerate_ = getattr(curves, "enumerate_" + surface)
+    enumerate_.cache_clear()
+    try:
+        code, cert = run(["curves", surface])
+    finally:
+        enumerate_.cache_clear()
+    assert code == 1
+    (pipeline,) = cert["checks"]
+    assert pipeline["error_kind"] == "verification"
+    assert pipeline["error"] == \
+        "VerificationError: membership residue nonzero"
+
+
+# run as `python -c`: reproduce-paper with the S6 line enumeration refused
+# inside, as the curve reader refuses forms that cut no graph
+NO_GRAPH = """
+import sys
+from kleinfib import cli, curves
+def refused(s):
+    raise curves.GeometryError("the forms cut no graph over P^1_(W:X)")
+curves.certify_s6_lines = refused
+sys.exit(cli.main(["reproduce-paper"]))
+"""
+
+
+def test_an_enumeration_error_is_not_a_usage_error(monkeypatch):
+    # only a surface without curves is a usage error, decided by name; a
+    # GeometryError raised inside an enumeration fails the command (in
+    # curves and audit) or the check (in a process of its own, so that no
+    # cache here keeps the failure) as a verification
+    def refused(s):
+        raise GeometryError("the forms cut no graph over P^1_(W:X)")
+    monkeypatch.setattr(curves, "certify_s6_lines", refused)
+    for argv in (["curves", "s6"], ["audit", "s6", "--t", "3"]):
+        code, cert = run(argv)
+        assert code == 1, argv
+        (pipeline,) = cert["checks"]
+        assert pipeline["error_kind"] == "verification"
+        assert pipeline["error"] == \
+            "GeometryError: the forms cut no graph over P^1_(W:X)"
+    assert run(["curves", "s6prime"]) == (2, None)
+    src = os.path.dirname(os.path.dirname(kleinfib.__file__))
+    proc = subprocess.run([sys.executable, "-c", NO_GRAPH],
+                          capture_output=True, text=True, timeout=300,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1, proc.stderr
+    checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+    assert checks["curves-s6"]["error_kind"] == "verification"
+    assert checks["curves-s6"]["error"] == \
+        "GeometryError: the forms cut no graph over P^1_(W:X)"
+
+
 def test_timings_per_check():
     # --timings, like --out, may precede or follow the subcommand
     for argv in (["--timings", "reproduce-paper"],
@@ -851,6 +917,35 @@ def test_out_file(tmp_path):
         assert code == 0
         assert path.read_text() == buf.getvalue()
         path.unlink()
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_an_unwritable_out_fails_before_the_command(monkeypatch, capsys,
+                                                    tmp_path, where):
+    # an --out in a missing directory or naming a directory is a usage
+    # error, refused before the command runs
+    def unreachable(args):
+        raise AssertionError("the command ran")
+    monkeypatch.setattr(cli, "cmd_lattice", unreachable)
+    out = tmp_path / "missing" / "x.json" if where == "missing" else tmp_path
+    code = main(["lattice", "6", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot write --out ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "s6", "--t", "1e10000000"], ["audit", "s6", "--t=1e-10000000"],
+    ["reproduce-paper", "--mutate", "s6,0,0,1e10000000"],
+    ["reproduce-paper", "--mutate", "s6,0,0,1e-10000000"]], ids=" ".join)
+def test_a_huge_exponent_is_refused_before_it_is_built(capsys, argv):
+    # Fraction builds 10^exponent first (8 s for 1e10000000): an exponent
+    # beyond sys.get_int_max_str_digits() is refused before that
+    started = time.monotonic()
+    code = main(argv)
+    assert code == 2 and time.monotonic() - started < 1
+    assert "is beyond +-%d" % sys.get_int_max_str_digits() in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,case", [

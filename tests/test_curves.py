@@ -19,8 +19,9 @@ from kleinfib.curves import (VerificationError, _certify_membership,
                              enumerate_s8, q_cubic, q1_quartic, q2_quartic,
                              residual_coefficients,
                              s6_alpha_lines, s6_line_tower, s6_radicand,
-                             sqrt_t_tower, strip_content)
-from kleinfib.geometry import build_catalog, build_surface
+                             sqrt_t_tower, strip_content, surface_families)
+from kleinfib.base import GeometryError
+from kleinfib.geometry import AN_RANGE, DN_RANGE, build_catalog, build_surface
 from kleinfib.lattice import minus_one_classes
 from kleinfib.multipoly import MultiPoly
 from kleinfib.numeric import NumericConfig, numeric_roots
@@ -360,18 +361,54 @@ def test_the_roots_are_all_the_residual_roots(surface, count):
 
 
 def test_a_denominator_no_monomial_at_the_root_is_refused():
-    # at t = e^18 / u the S7 d-denominator 115 e^18 - 28 t is a nonzero
-    # monomial; with a term e added it is not, and the graph is refused
+    # at t = e^18 / u the Z coefficient of the printed S7 Z-form,
+    # -2 (115 e^18 - 28 t)^2 from the cleared d-denominator, is a nonzero
+    # monomial; with a term e Z added it is not, and the graph is refused
     s7 = build_surface("s7")
     main = enumerate_s7(s7)[0][-1]
-    V, templates = _templates("s7")
-    pairs = dict(main.data["coeff_pairs"])
-    nd, dd = pairs["d"]
-    pairs["d"] = (nd, dd + MultiPoly.var(dd.vars, "e"))
+    yform, zform = main.equations
+    e, Z = (MultiPoly.var(zform.vars, v) for v in "eZ")
     t, roots = main.data["t"], main.data["roots"]
-    with pytest.raises(VerificationError, match=r"den\(d\) is not a nonzero "
-                                                "monomial"):
-        _root_graph(s7, pairs, (templates["Y"], templates["Z"]), roots, t)
-    graph = _root_graph(s7, main.data["coeff_pairs"],
-                        (templates["Y"], templates["Z"]), roots, t)["graph"]
+    with pytest.raises(VerificationError, match="the coefficient of Z is "
+                                                "not a nonzero monomial"):
+        _root_graph(s7, (yform, zform + e * Z), roots, t)
+    graph = _root_graph(s7, main.equations, roots, t)["graph"]
     assert graph == main.data["graph"]
+
+
+@pytest.mark.parametrize("form,term", [(0, "W*Y"), (1, "Z*Z"), (0, "W*W"),
+                                       (0, "Z"), (1, "Y")])
+def test_a_term_the_reader_cannot_place_is_refused(form, term):
+    # every term of a printed form is placed: c Y or c Z, c' Z in the Y form
+    # when Y and Z have one weight (on S7 they do not), or W^(d-j) X^j with
+    # d the weight of Y (1) or Z (2); any other term is refused, and with a
+    # Y term in both forms neither gives Z
+    s7 = build_surface("s7")
+    main = enumerate_s7(s7)[0][-1]
+    forms = list(main.equations)
+    W, Y, Z = (MultiPoly.var(forms[form].vars, v) for v in "WYZ")
+    forms[form] = forms[form] + {"W*Y": W * Y, "Z*Z": Z * Z, "W*W": W * W,
+                                 "Z": Z, "Y": Y}[term]
+    with pytest.raises(GeometryError, match="the forms cut no graph"):
+        _root_graph(s7, forms, main.data["roots"], main.data["t"])
+
+
+@pytest.mark.parametrize("name", ["s6", "s7", "s8"]
+                         + ["an:%d" % n for n in AN_RANGE]
+                         + ["dn:%d" % n for n in DN_RANGE])
+def test_every_printed_equation_vanishes_on_its_certified_graph(name):
+    # each family's printed forms, at its representative's parameters (the
+    # tower generator, t and, on S8, b), vanish on the graph it certified,
+    # whether the graph was read off the forms (S6, S7, S8) or the forms
+    # off the graph (A_n, D_n)
+    for family in surface_families(build_surface(name)).values():
+        data = family.data
+        T, coords = data["t"].tower, data["coords"]
+        at = {T.var: T.gen(T.var), "t": data["t"], "b": data.get("b")}
+        for eq in family.equations:
+            sub = {v: MultiPoly.const(eq.vars, at[v]) for v in eq.vars
+                   if v not in coords}
+            sub.update(zip(coords[2:], (f.rename(eq.vars) for f in
+                                        _graph_forms(*data["graph"], coords))))
+            assert eq.map_coeffs(T.lift).substitute(sub).is_zero(), \
+                (family.branch, eq)

@@ -9,7 +9,7 @@ import pytest
 
 from kleinfib import curves, lattice, orbits, tower
 from kleinfib.base import GeometryError, VerificationError
-from kleinfib.curves import (certify_s6_lines, s6_alpha_lines, s6_line,
+from kleinfib.curves import (_root_graph, certify_s6_lines, s6_alpha_lines,
                              s6_line_forms, s6_line_tower)
 from kleinfib.geometry import build_catalog, build_surface
 from kleinfib.orbits import (BaseExtension, GRID_CASES, case_surface,
@@ -440,6 +440,14 @@ def _lmu_forms(T, j):
                  for f in s6_line_forms(T))
 
 
+def _lmu_graph(forms, j):
+    """The graph of the line cut by forms over sigma_j(c+), read off them
+    and certified by curves._root_graph at t = mu^12 / sigma_j(c+)."""
+    T, roots, _ = s6_line_tower()
+    return _root_graph(build_surface("s6"), forms, {1: T.one()},
+                       T.gen("mu") ** 12 / roots[j])["graph"]
+
+
 @pytest.mark.parametrize("branch", ["plus", "minus"])
 def test_s6_witnesses_are_sigma_equivariant(branch):
     # sigma_k carries the pair (L_mu, L_{xi^(12-k) mu}) to (L_{xi^k mu},
@@ -449,10 +457,10 @@ def test_s6_witnesses_are_sigma_equivariant(branch):
     j = ROOT[branch]
     T, _, _ = s6_line_tower()
     forms = _lmu_forms(T, j)
-    line = s6_line(forms, T)[1:]
+    line = _lmu_graph(forms, j)
     row = s6_intersections(build_surface("s6"))["rows"]["Lmu"][j]
     for k in range(1, 12):
-        other = s6_line(_rotated(forms, 12 - k), T)[1:]
+        other = _lmu_graph(_rotated(forms, 12 - k), j)
         assert orbits.meet_number(line, other) == row[k] == row[12 - k], k
     assert any(row[7:])
 
@@ -502,22 +510,22 @@ def test_rotated_graph_is_the_graph_of_the_rotated_forms(branch):
     j = ROOT[branch]
     T, _, _ = s6_line_tower()
     forms = _lmu_forms(T, j)
-    y, z = s6_line(forms, T)[1:]
+    y, z = _lmu_graph(forms, j)
     plus = certify_s6_lines(build_surface("s6"))[-1].data["graph"]
     assert [[c.conjugate(j) for c in cs] for cs in plus] == [y, z]
     for k in range(1, 12):
         assert [[c.rotate(k) for c in y], [c.rotate(k) for c in z]] == \
-            list(s6_line(_rotated(forms, k), T)[1:])
+            list(_lmu_graph(_rotated(forms, k), j))
 
 
 def test_proportional_forms_are_a_degenerate_line():
     # proportional forms cut no graph over P^1_(W:X), and a line is not
     # paired with itself
     T, t, lines = s6_alpha_lines()
-    Z = lines[0][0]
+    Z, s6 = lines[0][0], build_surface("s6")
     with pytest.raises(GeometryError, match="no graph"):
-        s6_line((Z, Z.scale(3)), T)
-    line = s6_line(lines[1], T)[1:]
+        _root_graph(s6, (Z, Z.scale(3)), {1: T.one()}, t)
+    line = _root_graph(s6, lines[1], {1: T.one()}, t)["graph"]
     with pytest.raises(GeometryError, match="paired with itself"):
         orbits.meet_number(line, line)
 
