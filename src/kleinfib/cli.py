@@ -441,9 +441,15 @@ def _failure(ex):
     verification failure, any other exception an internal error."""
     kind = "verification" if isinstance(
         ex, (VerificationError, GeometryError)) else "internal"
+    out = dict(error="%s: %s" % (type(ex).__name__, ex), error_kind=kind)
     detail = getattr(ex, "detail", None)
-    return dict(error="%s: %s" % (type(ex).__name__, ex), error_kind=kind,
-                **({} if detail is None else {"detail": str(detail)[:200]}))
+    if detail is not None:
+        try:
+            out["detail"] = str(detail)[:200]
+        except ValueError as err:   # an int past sys.get_int_max_str_digits()
+            out["detail"] = ("%s not printed: %s"
+                             % (type(detail).__name__, err))[:200]
+    return out
 
 
 class _ReadLog(Mapping):
@@ -652,7 +658,7 @@ def _run_reproduction(catalog, seed=0, timings=False):
          lambda: {}, status="assumed")
 
     # 9. numeric oracle at t in {2, 3, 5}
-    step("numeric-oracle", "counts, residues and real-root counts",
+    step("numeric-oracle", "counts and residues",
          lambda: {"audit": full_audit(catalog, seed=seed)})
 
     return checks

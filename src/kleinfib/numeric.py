@@ -5,26 +5,24 @@ against the exact family counts; it also solves Q, Q1 and Q2 in floats for
 the real-root counts beside Sturm's.  Incidence is the exact engine's
 alone (orbits.meet_number).
 
-Pure Python on cmath and math.  Each polynomial an audit evaluates is
-compiled once, into (complex coefficient, ((variable index, exponent), ...))
-terms, and evaluated point by point; Durand-Kerner iterates on a
-geometrically rescaled monic polynomial, and its certified roots are cached
-on (coefficients, seed, tol).  One audit serves every surface: each curve
-family that curves.surface_families certifies on it (the S6 lines, the S7
-and S8 families, the A_n and D_n fibre components) is sampled on its exact
-graph of two coordinates over the other two, through one routine,
-_graph_at: the graph's coefficients, monomials c s^k, are taken once per
-process as (complex c, k), and evaluated at each float s.  Each Galois
-orbit (L1-L3, the 12 lines L_mu over each root of C, the 18 or 30 curves
-over each root of Q, Q1 or Q2, the fibre components over x^n = t) is the
-sigma_j-conjugate of its family's representative graph over the certified
-root sigma_j(x), its constants embedded exactly and rounded once, at the h
-values of s with t = c s^(+-h).  Samples come from random.Random(seed) in
-a fixed order (per curve, then per sample, then per coordinate).  The
-sample points (W, X) do not depend on t, so they are drawn once per seed:
-the 1200 of the S8 members, the first 135 of which are those of the S6
-lines and the first 280 those of S7.  Every audit is cached on its
-(surface, NumericConfig)."""
+Pure Python on cmath and math.  Each polynomial an audit evaluates is compiled
+once, into (complex coefficient, ((variable index, exponent), ...)) terms, and
+evaluated point by point; Durand-Kerner iterates on a geometrically rescaled
+monic polynomial.  One audit serves every surface: each curve family that
+curves.surface_families certifies on it (the S6 lines, the S7 and S8 families,
+the A_n and D_n fibre components) is sampled on its exact graph of two
+coordinates over the other two, through one routine, _graph_at: the graph's
+coefficients, monomials c s^k, are taken once per process as (complex c, k),
+and evaluated at each float s.  Each Galois orbit (L1-L3, the 12 lines L_mu
+over each root of C, the 18 or 30 curves over each root of Q, Q1 or Q2, the
+fibre components over x^n = t) is the sigma_j-conjugate of its family's
+representative graph over the certified root sigma_j(x), at the h values of s
+with t = c s^(+-h).  Every exact constant, of a graph or of an equation, is
+embedded by FieldElement.as_complex.  Samples come from random.Random(seed) in
+a fixed order (per curve, then per sample, then per coordinate).  The sample
+points (W, X) do not depend on t, so they are drawn once per seed: the 1200 of
+the S8 members, the first 135 of which are those of the S6 lines and the first
+280 those of S7.  Every audit is cached on its (surface, NumericConfig)."""
 
 import cmath
 import math
@@ -36,7 +34,6 @@ from itertools import islice
 from operator import mul
 
 from .multipoly import MultiPoly
-from .tower import _coeff_complex
 from .univariate import count_real_roots
 from .base import VerificationError, _surface_cache
 # the audits import the exact curves they check as they run, so that they
@@ -120,40 +117,32 @@ def _certify(coeffs, roots, tol):
 
 
 def numeric_roots(coeffs, cfg: NumericConfig):
-    """The roots of sum(c[k] X^k), certified by _certify; cached on
-    (coefficients, seed, tol), which is all they depend on."""
-    return _cached_roots(tuple(coeffs), cfg.seed, cfg.tol)
-
-
-@lru_cache(maxsize=None)
-def _cached_roots(coeffs, seed, tol):
-    roots = durand_kerner(coeffs, NumericConfig(tol=tol, seed=seed))
-    return tuple(_certify([complex(c) for c in coeffs], roots, tol))
+    """The roots of sum(c[k] X^k), certified by _certify."""
+    return _certify([complex(c) for c in coeffs], durand_kerner(coeffs, cfg),
+                    cfg.tol)
 
 
 # ---------------------------------------------------------------------------
 # compiled evaluation
 
 class CompiledPoly:
-    """A MultiPoly compiled for complex evaluation at points whose
-    coordinates are the variables `order`, which must name each variable
-    left free: its terms as (complex coefficient, ((index into order,
-    exponent), ...)) with the zero exponents left out.  cenv maps generator
-    names, and the variables it fixes (such as t), to values: each
-    coefficient is a tower constant evaluated there, times the powers of
-    the fixed variables."""
+    """A MultiPoly in t and other variables compiled for complex evaluation
+    at t and at points whose coordinates are the variables `order`, which
+    must name each variable other than t: its terms as (complex
+    coefficient, ((index into order, exponent), ...)) with the zero
+    exponents left out, each coefficient a Fraction or a constant of a
+    tower (embedded by as_complex) times its power of t."""
 
-    def __init__(self, p: MultiPoly, cenv, order):
+    def __init__(self, p: MultiPoly, t, order):
         free = [v for i, v in enumerate(p.vars)
-                if v not in cenv and any(e[i] for e in p.terms)]
+                if v != "t" and any(e[i] for e in p.terms)]
         if not set(free) <= set(order):
             raise ValueError("variables %s left out of the order"
                              % [v for v in free if v not in order])
-        idx = [p.vars.index(v) for v in order]
-        fixed = [(i, cenv[v]) for i, v in enumerate(p.vars) if v in cenv]
+        idx, power = [p.vars.index(v) for v in order], p.vars.index("t")
         self.terms = tuple(
-            (_coeff_complex(c, cenv)
-             * math.prod(x ** e[i] for i, x in fixed if e[i]),
+            ((complex(c) if isinstance(c, Fraction) else c.as_complex()[0])
+             * t ** e[power],
              tuple((j, e[i]) for j, i in enumerate(idx) if e[i]))
             for e, c in p.terms.items())
 
@@ -203,71 +192,22 @@ def _roots_of_unity(n):
 # ---------------------------------------------------------------------------
 # per-surface audits
 
-# the generator of Q(zeta_12), for the coefficient -2i of the S6 equation;
-# every other audited equation has rational coefficients
-S6_ENV = {"z12": cmath.exp(1j * math.pi / 6)}
-
-
-def _constants(graph, embed):
-    """The coefficients of an exact graph (Y, Z), each 0 or a monomial
-    c s^k of its tower, as (embed(c), k): the complex constant of c taken
-    once, by embed."""
+def _constants(graph, j):
+    """The coefficients of an exact graph (Y, Z) under sigma_j, each 0 or a
+    monomial c s^k of its tower, as (sigma_j(c), k): the complex constant
+    taken once, by as_complex."""
     out = []
     for coeffs in graph:
         terms = []
         for c in coeffs:
-            if len(c.payload[0]) > 1:
+            image = c.as_complex(j)
+            if len(image) > 1:
                 raise VerificationError("graph coefficient %r is not a "
                                         "monomial" % c)
-            terms.append((embed(c), next(iter(c.payload[0]), 0)))
+            k, value = next(iter(image.items()), (0, 0j))
+            terms.append((value, k))
         out.append(terms)
     return out
-
-
-# the bits of the fixed-point roots of unity that S7/S8 constants are
-# embedded with: their coordinates in the power basis of Q(zeta_h) cancel
-# by up to 16 digits (the roots of Q1 span 1e-6 to 4e9)
-EMBED_BITS = 256
-
-
-def _fixed_mul(a, b):
-    return ((a[0] * b[0] - a[1] * b[1]) >> EMBED_BITS,
-            (a[0] * b[1] + a[1] * b[0]) >> EMBED_BITS)
-
-
-@lru_cache(maxsize=None)
-def _zeta_powers(h):
-    """exp(2 pi i m / h) for m < h, as (re, im) ints scaled by
-    2^EMBED_BITS: the double exp(2 pi i / h) polished by Newton steps on
-    z^h = 1 (each doubles the correct bits), then its powers."""
-    one, w = 1 << EMBED_BITS, cmath.exp(2j * math.pi / h)
-    z = (int(w.real * one), int(w.imag * one))
-    for _ in range(3):
-        p = (one, 0)
-        for _ in range(h - 1):
-            p = _fixed_mul(p, z)
-        num, den = _fixed_mul(p, z), (h * p[0], h * p[1])
-        norm = den[0] ** 2 + den[1] ** 2
-        z = (z[0] - (((num[0] - one) * den[0] + num[1] * den[1])
-                     << EMBED_BITS) // norm,
-             z[1] - ((num[1] * den[0] - (num[0] - one) * den[1])
-                     << EMBED_BITS) // norm)
-    powers = [(one, 0)]
-    for _ in range(h - 1):
-        powers.append(_fixed_mul(powers[-1], z))
-    return powers
-
-
-def _embed(c, j):
-    """The constant of the monomial c of Q(zeta_h)[s, 1/s] under
-    zeta_h -> exp(2 pi i j / h), summed exactly over _zeta_powers and
-    rounded once."""
-    (terms, den), h = c.payload, c.tower.M
-    zeta = _zeta_powers(h)
-    v = next(iter(terms.values()), ())
-    re = sum(x * zeta[i * j % h][0] for i, x in enumerate(v))
-    im = sum(x * zeta[i * j % h][1] for i, x in enumerate(v))
-    return complex(re / (den << EMBED_BITS), im / (den << EMBED_BITS))
 
 
 def _graph_at(constants, s):
@@ -277,14 +217,13 @@ def _graph_at(constants, s):
 
 @lru_cache(maxsize=None)
 def _radical_graphs(family):
-    """The members of an S6, S7 or S8 family in floats, built once per
-    process: (n, [(c, constants)]), t = c s^n at each root sigma_j(x) of
+    """The members of a curve family in floats, built once per process:
+    (n, [(c, constants)]), t = c s^n at each root sigma_j(x) of
     curves.residual_roots, with the _constants of the sigma_j-conjugate of
-    the representative's graph: sigma_j followed by the embedding
-    zeta_M -> exp(2 pi i / M) is _embed at j."""
-    t, (y, z) = family.data["t"], family.data["graph"]
-    (n, _), = t.payload[0].items()
-    return n, [(_embed(t, j), _constants((y, z), lambda c: _embed(c, j)))
+    the representative's graph."""
+    t, graph = family.data["t"], family.data["graph"]
+    (n, _), = t.as_complex().items()
+    return n, [(t.as_complex(j)[n], _constants(graph, j))
                for j in family.data["roots"]]
 
 
@@ -327,12 +266,11 @@ def _radical_residues(s, families, cfg):
     tval, res = float(cfg.t), []
     samples, equations = iter(_samples(cfg.seed)), {}
     point = [0j] * 4            # (W, X, Y, Z), refilled at each sample
-    bundle = s.name.startswith(("an:", "dn:"))
+    bundle = s.ambient.kind == "atlas"
     for family in families:
         coords = family.data["coords"]
         if coords not in equations:
-            equations[coords] = CompiledPoly(
-                s.equation, dict(S6_ENV, t=tval), order=coords)
+            equations[coords] = CompiledPoly(s.equation, tval, coords)
         equation, out = equations[coords], []
         n, roots = _radical_graphs(family)
         unity = _roots_of_unity(abs(n))
@@ -357,7 +295,6 @@ def _radical_residues(s, families, cfg):
     return res
 
 
-@_surface_cache
 def sturm_vs_numeric(s7, s8, cfg: NumericConfig) -> dict:
     """Exact Sturm real-root counts vs numeric counts for Q, Q1, Q2, read
     from the residuals that enumerate_s7(s7) and enumerate_s8(s8) return
@@ -391,10 +328,6 @@ def numeric_curve_audit(s, cfg: NumericConfig) -> dict:
     if cfg.t == 0:
         raise VerificationError("t = 0 lies on every discriminant locus")
     families = list(surface_families(s).values())
-    if s.name == "s7":
-        # the main family first, then the e = 0 pair: the order in which
-        # S7 has always drawn its sample points
-        families.reverse()
     name = s.name.upper()
     # a double that overflows raises OverflowError, or becomes inf or NaN,
     # which every check refuses
@@ -413,8 +346,8 @@ def numeric_curve_audit(s, cfg: NumericConfig) -> dict:
 
 def full_audit(catalog, tol=1e-8, seed=0) -> dict:
     """The oracle section of the reproduction run: counts and residues of
-    the catalog's surfaces at t = 2, 3 and 5, and the real-root counts."""
-    report = {"t_values": [2, 3, 5], "surfaces": {}, "sturm": None}
+    the catalog's surfaces at t = 2, 3 and 5."""
+    report = {"t_values": [2, 3, 5], "surfaces": {}}
     for t in (2, 3, 5):
         cfg = NumericConfig(t=Fraction(t), tol=tol, seed=seed)
         for name in ("s6", "s7", "s8", "an:2", "dn:4"):
@@ -422,6 +355,4 @@ def full_audit(catalog, tol=1e-8, seed=0) -> dict:
             report["surfaces"].setdefault(name, []).append(
                 {"t": t, "count": rep["count"],
                  "max_residue": rep["max_residue"]})
-    report["sturm"] = sturm_vs_numeric(catalog["s7"], catalog["s8"],
-                                       NumericConfig(tol=tol, seed=seed))
     return report

@@ -19,6 +19,10 @@ structural.  A product convolves the int tuples, reduces them and takes one
 gcd; an irrational c in Q(zeta_M) is inverted as the product of its Galois
 conjugates sigma_j(c), j in (Z/M)^* other than 1, over its norm N(c).
 
+``FieldElement.as_complex`` is the one float embedding of an element: its
+coefficients summed exactly over fixed-point roots of unity and rounded
+once.
+
 ``FieldTower.lift`` is the one coercion into a tower.  It and arithmetic
 refuse, with ValueError, an element of a tower that is not Q, the tower
 itself or, below Q(zeta_M)[s, 1/s], Q(zeta_M).
@@ -26,9 +30,10 @@ itself or, below Q(zeta_M)[s, 1/s], Q(zeta_M).
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, pi
 
 from .univariate import cyclotomic_poly
 
@@ -380,22 +385,20 @@ class FieldElement:
 
     # -- embedding ----------------------------------------------------------
 
-    def as_complex(self, env: dict) -> complex:
-        """Numeric embedding; env maps generator names to complex values.
-        Sums run over ascending exponents."""
-        terms, den = self.payload
-        M, var = self.tower.M, self.tower.var
-        if M is None:
-            def coeff(v):
-                return complex(v[0] / den)
-        else:
-            z = env["z%d" % M]
-
-            def coeff(v):
-                return sum(complex(x / den) * z ** i
-                           for i, x in enumerate(v) if x)
-        s = 1 if var is None else env[var]
-        return sum(coeff(terms[k]) * s ** k for k in sorted(terms))
+    def as_complex(self, j: int = 1) -> dict:
+        """sigma_j(self) in floats under zeta_M -> exp(2 pi i / M), j a unit
+        mod M: {k: c_k} for the coefficient c_k of each s^k (k = 0 alone
+        without s), each the exact sum of its ints times the fixed-point
+        zeta^(i j) of _zeta_powers, rounded once.  No tower arithmetic is
+        done, so an error in it shows as a float residue."""
+        (terms, den), M = self.payload, self.tower.M or 1
+        zeta, scale = _zeta_powers(M), den << EMBED_BITS
+        out = {}
+        for k, v in terms.items():
+            re = sum(x * zeta[i * j % M][0] for i, x in enumerate(v))
+            im = sum(x * zeta[i * j % M][1] for i, x in enumerate(v))
+            out[k] = complex(re / scale, im / scale)
+        return out
 
     def __repr__(self):
         terms, den = self.payload
@@ -433,8 +436,38 @@ def _poly_repr(d, name):
     return " + ".join(bits)
 
 
-def _coeff_complex(c, env):
-    return complex(c) if isinstance(c, Fraction) else c.as_complex(env)
+# the bits of the fixed-point roots of unity that as_complex embeds with:
+# the coordinates of a constant in the power basis of Q(zeta_M) cancel by
+# up to 16 digits (the roots of Q1 span 1e-6 to 4e9)
+EMBED_BITS = 256
+
+
+def _fixed_mul(a, b):
+    return ((a[0] * b[0] - a[1] * b[1]) >> EMBED_BITS,
+            (a[0] * b[1] + a[1] * b[0]) >> EMBED_BITS)
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(M):
+    """exp(2 pi i m / M) for m < M, as (re, im) ints scaled by
+    2^EMBED_BITS: the double exp(2 pi i / M) polished by Newton steps on
+    z^M = 1 (each doubles the correct bits), then its powers."""
+    one, w = 1 << EMBED_BITS, cmath.exp(2j * pi / M)
+    z = (int(w.real * one), int(w.imag * one))
+    for _ in range(3):
+        p = (one, 0)
+        for _ in range(M - 1):
+            p = _fixed_mul(p, z)
+        num, den = _fixed_mul(p, z), (M * p[0], M * p[1])
+        norm = den[0] ** 2 + den[1] ** 2
+        z = (z[0] - (((num[0] - one) * den[0] + num[1] * den[1])
+                     << EMBED_BITS) // norm,
+             z[1] - ((num[1] * den[0] - (num[0] - one) * den[1])
+                     << EMBED_BITS) // norm)
+    powers = [(one, 0)]
+    for _ in range(M - 1):
+        powers.append(_fixed_mul(powers[-1], z))
+    return powers
 
 
 # ---------------------------------------------------------------------------

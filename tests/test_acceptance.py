@@ -367,8 +367,8 @@ def test_memo_recomputes_exactly_the_checks_that_read_a_mutation(
 PIPELINE_CACHES = [
     curves.certify_s6_lines, curves.enumerate_s7, curves.enumerate_s8,
     curves.enumerate_an, curves.enumerate_dn, numeric.numeric_curve_audit,
-    numeric.sturm_vs_numeric, lattice.minus_one_classes,
-    lattice.coxeter_number, orbits.family_rows, orbits.s7_conjugation,
+    lattice.minus_one_classes, lattice.coxeter_number, orbits.family_rows,
+    orbits.s7_conjugation,
     orbits.s8_conjugation, orbits._rational_point, orbits.minimal_model,
     geometry._clean_catalog, cli._dehomogenizes, cli.build_parser]
 

@@ -132,6 +132,21 @@ def test_failed_check_carries_its_detail(monkeypatch):
         "[-1, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0]]}")
 
 
+@pytest.mark.parametrize("mutation", [
+    "s6,0,0,1e4300", "s7,0,1,1e4300", "s8,0,2,-1e4300", "dn:5,1,0,1e4300",
+    "an:3,0,1,1e-4300"])
+def test_a_detail_too_long_to_print_fails_only_its_checks(mutation):
+    # a mutated coefficient of more than 4300 digits makes details that
+    # str() refuses; each failed check still says why, as a verification
+    # failure, and the reproduction reports all 66 checks
+    code, cert = run(["reproduce-paper", "--mutate", mutation])
+    assert code == 1 and len(cert["checks"]) == 66
+    failed = [c for c in cert["checks"] if c["status"] == "failed"]
+    assert failed and all(c["error_kind"] == "verification" for c in failed)
+    assert any("not printed: Exceeds the limit" in c.get("detail", "")
+               for c in failed)
+
+
 def test_a_table_compares_the_e_rows_with_h(monkeypatch,
                                             fresh_check_memo):
     # a is checked against the paper and, for e6, e7, e8, against the
@@ -756,27 +771,39 @@ PINNED = {
     # since every pair of S6 lines is decided by the exact rule, the
     # intersections-s6 check gains `full_rows`, the rows of L1 and of L_mu
     # over c+ and c- against all 27 lines, and the numeric-oracle `ref`
-    # no longer names the S6 line graph, which the oracle no longer builds
-    ("reproduce-paper",): "a69b5dd8a7ac17f3631c8b952afb0ee0"
-                          "50a102c3d971b510ae6ec93ab68569f1",
+    # no longer names the S6 line graph, which the oracle no longer builds;
+    # since every constant the oracle samples is embedded by
+    # FieldElement.as_complex (S6's -2i exactly, where float powers of
+    # zeta_12 left a real part) and S7 draws its sample points in the order
+    # of curves.surface_families, the six audit.surfaces.s6[t] and s7[t]
+    # max_residue values changed, each still below 1e-14; and since the
+    # sturm check alone prints the real-root counts, the numeric-oracle
+    # `audit` has no `sturm` and its `ref` names no real-root counts
+    ("reproduce-paper",): "bc0c9ddbb968d325a143974b070156e0"
+                          "cfd8a33ebfde668ddf3bfe124e3aa4c8",
     # the float oracle away from seed 0 and through `audit`: its residues
     # depend on the order in which the sample points are drawn and on the
     # arithmetic of each residue, so a change to either fails here; since
     # the oracle decides no incidence, audit s6 has no report.degrees and
-    # no report.graph_checked, and its residues are unchanged
-    ("audit", "s6", "--t", "3"): "146d7df713e16023561d427835000ced"
-                                 "c029b166ba575d48f4452a62d0e2fa86",
-    ("audit", "s7", "--t", "3"): "56c8d35cd413ecd08888a1c35a78bee3"
-                                 "83ff2d1386ed03b3c183da1f44b85b1f",
+    # no report.graph_checked, and its residues are unchanged; since the
+    # equation's -2i is embedded by FieldElement.as_complex, the
+    # max_residue of audit s6 changed, and since S7 draws its sample
+    # points in the order of curves.surface_families (the e = 0 pair
+    # first), that of audit s7
+    ("audit", "s6", "--t", "3"): "b469dd97dd4ec29d2bbca712effd279d"
+                                 "2367a62f9edd0140e942f247d84eb0ec",
+    ("audit", "s7", "--t", "3"): "7b5ad2c9ba4647b81067a02481b78d34"
+                                 "5fba00dc72632e5205f424b6446e1220",
     ("audit", "s8", "--t", "3", "--seed", "2"):
         "8ed148e7ac1eb931157ce65f00af23d830ef0cf41a5f5e0edfcd6a75318f8a42",
     # as reproduce-paper: the intersections-s6 `rows` and the three
     # audit.surfaces.s6[t] max_residue values changed, and then the six
     # of an:2 and dn:4; then the intersections-s6, -an:<n> and -dn:<n>
     # `rows` and the three of dn:4; then the intersections-s6 `full_rows`
-    # and the numeric-oracle `ref`
-    ("reproduce-paper", "--seed", "3"): "25f1106d192c48c1d39bad7e36906a6d"
-                                        "62d2553f089039bec10ccd4b7c1e442b"}
+    # and the numeric-oracle `ref`; then the six of s6 and s7, the
+    # numeric-oracle `audit.sturm` and its `ref`
+    ("reproduce-paper", "--seed", "3"): "516767144c7e023d60285955897590e2"
+                                        "9e1c0eb3205b14c4ee3c143c72fb5038"}
 
 
 # sha256 of the S7 and S8 curve certificates: every curve form is the

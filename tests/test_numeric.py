@@ -94,16 +94,19 @@ def test_sturm_vs_numeric():
     assert report["Q2"] == {"sturm": 4, "numeric": 4}
 
 
-def test_full_audit_sturm_uses_its_seed_and_tol(monkeypatch):
-    seen, sturm = [], numeric.sturm_vs_numeric
-    monkeypatch.setattr(numeric, "sturm_vs_numeric",
-                        lambda s7, s8, cfg: seen.append((s7, s8, cfg))
-                        or sturm(s7, s8, cfg))
-    catalog = build_catalog()
-    report = numeric.full_audit(catalog, tol=1e-9, seed=3)
-    cfg = NumericConfig(tol=1e-9, seed=3)
-    assert seen == [(catalog["s7"], catalog["s8"], cfg)]
-    assert report["sturm"] == sturm(catalog["s7"], catalog["s8"], cfg)
+def test_full_audit_uses_its_seed_and_tol(monkeypatch):
+    # every audit of the oracle section runs at its seed and tol, at
+    # t = 2, 3 and 5; the real-root counts are the sturm check's alone
+    seen, audit = [], numeric.numeric_curve_audit
+    monkeypatch.setattr(numeric, "numeric_curve_audit",
+                        lambda s, cfg: seen.append((s.name, cfg))
+                        or audit(s, cfg))
+    report = numeric.full_audit(build_catalog(), tol=1e-9, seed=3)
+    names = ("s6", "s7", "s8", "an:2", "dn:4")
+    assert seen == [(name, NumericConfig(t=t, tol=1e-9, seed=3))
+                    for t in (2, 3, 5) for name in names]
+    assert set(report) == {"t_values", "surfaces"}
+    assert list(report["surfaces"]) == list(names)
 
 
 @pytest.mark.parametrize("name,count", [

@@ -325,3 +325,27 @@ def test_readme_names_exist():
                         importlib.import_module("kleinfib." + module),
                         name)})
     assert not stale
+
+
+def _tower_internals(text):
+    """The reads of tower's private element format in the source `text`,
+    as (line, attribute): `.payload`, `._ring`, `._elem` and `.tower.M`."""
+    return sorted((node.lineno, node.attr)
+                  for node in ast.walk(ast.parse(text))
+                  if isinstance(node, ast.Attribute) and (
+                      node.attr in ("payload", "_ring", "_elem") or
+                      node.attr == "M" and isinstance(node.value,
+                                                      ast.Attribute)
+                      and node.value.attr == "tower"))
+
+
+def test_numeric_reads_no_tower_internals():
+    # the oracle reads every exact constant through
+    # FieldElement.as_complex, so a change to the element format of tower
+    # cannot reach its arithmetic unseen
+    path = Path(kleinfib.__file__).parent / "numeric.py"
+    assert not _tower_internals(path.read_text())
+    assert _tower_internals("(terms, den), h = c.payload, c.tower.M\n"
+                            "ring = T._ring\nx = T._elem({}, 1)\n"
+                            "M = T.M\n") == [
+        (1, "M"), (1, "payload"), (2, "_ring"), (3, "_elem")]

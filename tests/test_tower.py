@@ -1,6 +1,5 @@
 """Field-tower arithmetic: inversion, numeric images, refused coercions."""
 
-import cmath
 import random
 from fractions import Fraction
 from math import gcd
@@ -45,11 +44,27 @@ def test_ratfunc_and_radical():
     assert a * inv == T.one()
 
 
+def _at(x, s, j=1):
+    """sigma_j(x) at the float s, from its embedded coefficients."""
+    return sum(c * s ** k for k, c in x.as_complex(j).items())
+
+
 def test_as_complex():
     T = cyclotomic(12)
     i, s3 = _i_sqrt3(T)
-    val = (2 + i * s3).as_complex({"z12": complex(3 ** 0.5, 1) / 2})
-    assert abs(val - (2 + 1j * 3 ** 0.5)) < 1e-12
+    assert (2 + i * s3).as_complex().keys() == {0}
+    assert abs(_at(2 + i * s3, 1) - (2 + 1j * 3 ** 0.5)) < 1e-12
+    # sigma_5 fixes i = zeta^3 (5 * 3 = 15 = 3 mod 12) and negates sqrt3
+    assert abs(_at(2 + i * s3, 1, 5) - (2 - 1j * 3 ** 0.5)) < 1e-12
+    assert T.zero().as_complex() == {}
+
+
+def test_minus_two_i_embeds_exactly():
+    # the S6 coefficient -2i of Q(zeta_12): one exact sum rounded once,
+    # with no real part left over from float powers of zeta_12
+    minus_two_i = -2 * root_of_unity(cyclotomic(12), 4)
+    (k, value), = minus_two_i.as_complex().items()
+    assert k == 0 and abs(value - (-2j)) < 1e-30
 
 
 def test_power_zero_is_field_element():
@@ -93,8 +108,9 @@ def test_laurent_negative_powers():
     s = T.gen("s")
     assert s ** -2 * s ** 3 == s
     assert hash(s ** -2 * s ** 3) == hash(s)
-    env = {"z12": complex(3 ** 0.5, 1) / 2, "s": 2 + 1j}
-    assert abs((s ** -1).as_complex(env) - 1 / (2 + 1j)) < 1e-12
+    assert abs(_at(s ** -1, 2 + 1j) - 1 / (2 + 1j)) < 1e-12
+    assert abs(_at(s + 2 * s ** -2, 2 + 1j) - (2 + 1j + 2 / (2 + 1j) ** 2)) \
+        < 1e-12
     assert repr(s + 2 * s ** -2) == "(((1))*s^3 + ((2)))/(((1))*s^2)"
     assert repr(s ** -1) == "(((1)))/(((1))*s)"
 
@@ -185,9 +201,10 @@ def _random_element(T, rng, laurent=True):
     return x
 
 
-def _env(T):
-    return {"z%d" % (T.M or 1): cmath.exp(2j * cmath.pi / (T.M or 1)),
-            "s": complex(0.8, 0.45)}
+def _units(T):
+    """The units j mod M of the tower, 1 alone over Q."""
+    M = T.M or 1
+    return [j for j in range(1, M + 1) if gcd(j, M) == 1]
 
 
 @pytest.mark.parametrize("T", TOWERS, ids=repr)
@@ -220,14 +237,30 @@ def test_flat_ring_inverses(T):
 
 @pytest.mark.parametrize("T", TOWERS, ids=repr)
 def test_flat_ring_as_complex(T):
-    rng, env = random.Random(repr(T)), _env(T)
+    # the embedding at a float s is a ring map under every sigma_j
+    rng, s = random.Random(repr(T)), complex(0.8, 0.45)
     for _ in range(4):
         x, y = (_random_element(T, rng) for _ in range(2))
-        a, b = x.as_complex(env), y.as_complex(env)
-        tol = 1e-9 * (1 + abs(a)) * (1 + abs(b))
-        assert abs((x * y).as_complex(env) - a * b) < tol
-        assert abs((x + y).as_complex(env) - (a + b)) < tol
-        assert abs((x - y).as_complex(env) - (a - b)) < tol
+        for j in _units(T):
+            a, b = _at(x, s, j), _at(y, s, j)
+            tol = 1e-9 * (1 + abs(a)) * (1 + abs(b))
+            assert abs(_at(x * y, s, j) - a * b) < tol
+            assert abs(_at(x + y, s, j) - (a + b)) < tol
+            assert abs(_at(x - y, s, j) - (a - b)) < tol
+
+
+@pytest.mark.parametrize("T", TOWERS, ids=repr)
+def test_as_complex_at_j_is_the_embedded_conjugate(T):
+    # sigma_j applied inside the embedding agrees with the exact conjugate
+    # embedded at j = 1, power of s by power of s
+    rng = random.Random(repr(T))
+    for _ in range(4):
+        x = _random_element(T, rng)
+        for j in _units(T):
+            image, conjugate = x.as_complex(j), x.conjugate(j).as_complex()
+            assert image.keys() == conjugate.keys()
+            for k, c in image.items():
+                assert abs(c - conjugate[k]) < 1e-12 * (1 + abs(c))
 
 
 @pytest.mark.parametrize("M", MODULI)
