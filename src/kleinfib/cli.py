@@ -102,15 +102,24 @@ def _curve_entry(c):
 
 def emit(cert, out=None):
     """Print cert (and write it to `out`) as json.dumps(cert, sort_keys=True,
-    indent=2) + "\n", splicing in the text each check keeps."""
+    indent=2) + "\n", splicing in the text each check keeps.  A certificate
+    that cannot be written (a full device) is a UsageError, as no JSON
+    tells of it."""
     text = json.dumps(dict(cert, checks=[]), sort_keys=True, indent=2) + "\n"
     if cert["checks"]:
         text = text.replace('\n  "checks": []', '\n  "checks": [\n    %s\n  ]'
                             % ",\n    ".join(c.text for c in cert["checks"]))
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as ex:
+            raise UsageError("cannot write --out %s: %s" % (out, ex.strerror))
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as ex:
+        raise UsageError("cannot write stdout: %s" % ex.strerror)
 
 
 def certificate(command, inputs, checks, payload=None, elapsed=None):
@@ -812,12 +821,15 @@ def _main(argv):
         cert = certificate(args.command, _inputs(args),
                            [check("pipeline", "plumbing", status="failed",
                                   **_failure(ex))])
+    else:
+        elapsed = time.monotonic() - started if args.timings else None
+        cert = certificate(args.command, _inputs(args), checks, payload,
+                           elapsed=elapsed)
+    try:
         emit(cert, args.out)
-        return 1
-    elapsed = time.monotonic() - started if args.timings else None
-    cert = certificate(args.command, _inputs(args), checks, payload,
-                       elapsed=elapsed)
-    emit(cert, args.out)
+    except UsageError as ex:
+        sys.stderr.write("error: %s\n" % ex)
+        return 2
     return 0 if cert["status"] == "verified" else 1
 
 

@@ -454,18 +454,21 @@ def enumerate_s8(s8):
 
 
 def _s8_branch_residual(W6n, Pi, qtarget, bi):
-    """Resultant of the W^6 coefficient with the branch quartic: extracts
-    b = -B/A from the degree-1 subresultant and certifies the residual
-    quartic (in X = -mu^30 t) bit-for-bit."""
-    prs = subresultant_prs(W6n, Pi, "b")
-    blin = next((p for p in prs if p.degree("b") == 1), None)
+    """Resultant of the W^6 coefficient with the branch quartic, both read
+    as coefficient lists in b: extracts b = -B/A from the degree-1
+    subresultant and certifies the residual quartic (in X = -mu^30 t)
+    bit-for-bit."""
+    W6, P = ([p.coeff_of("b", k) for k in range(p.degree("b") + 1)]
+             for p in (W6n, Pi))
+    prs = subresultant_prs(W6, P)
+    blin = next((p for p in prs if len(p) == 2), None)
     if blin is None:
         raise VerificationError("no degree-1 subresultant in branch %d" % bi)
-    bnum, bden = solve_linear(blin, "b")
-    res = prs[-1]
-    if res.degree("b") != 0:
+    bnum, bden = reduce_pair(-blin[0], blin[1])
+    if len(prs[-1]) != 1:
         raise VerificationError("branch %d resultant did not reach degree 0"
-                                % bi, detail=res.degree("b"))
+                                % bi, detail=len(prs[-1]) - 1)
+    res = prs[-1][0]
     prim = strip_content(res)
     gamma = prim.constant()
     if gamma == 0:

@@ -87,6 +87,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self._c
 
+    def __bool__(self):
+        return bool(self._c)
+
     def is_constant(self) -> bool:
         return not any(any(e) for e in self._c)
 

@@ -12,6 +12,7 @@ from .tower import FieldTower, cyclotomic
 from .base import GeometryError, VerificationError, _surface_cache
 from .geometry import on_surface
 from .curves import s6_common_lines, surface_families
+from .univariate import gcd_degree, trim
 
 # The verdicts assume two statements, named in the reports by this label: a
 # surface is minimal iff no Galois orbit of pairwise-disjoint (-1)-curves is
@@ -124,27 +125,6 @@ def _verify_binomial_identity(g: int) -> None:
 # ---------------------------------------------------------------------------
 # curves as graphs over P^1_(W:X): one incidence rule
 
-def _trim(p):
-    """The coefficient list p without its zero top coefficients."""
-    while p and not p[-1]:
-        p = p[:-1]
-    return p
-
-
-def _gcd_degree(f, g):
-    """deg gcd(f, g) over the fraction field of the coefficients' domain,
-    for nonzero trimmed coefficient lists f, g (low first), by pseudo-
-    division: f becomes lc(g) f - lc(f) x^(deg f - deg g) g until its degree
-    drops below g's, so no coefficient is ever inverted."""
-    while g:
-        while len(f) >= len(g):
-            shift, lf, lg = len(f) - len(g), f[-1], g[-1]
-            f = _trim([a * lg - lf * g[k - shift] if k >= shift else a * lg
-                       for k, a in enumerate(f[:-1])])
-        f, g = g, f
-    return len(f) - 1
-
-
 def meet_number(graph1, graph2):
     """C1.C2 of two distinct curves, each a graph (Y, Z) over P^1_(W:X) with
     Y, Z given by their coefficients by rising power of X in one domain
@@ -156,12 +136,12 @@ def meet_number(graph1, graph2):
     is put back."""
     (y1, z1), (y2, z2) = graph1, graph2
     dy, dz = [a - b for a, b in zip(y1, y2)], [a - b for a, b in zip(z1, z2)]
-    fy, fz = _trim(dy), _trim(dz)
+    fy, fz = trim(dy), trim(dz)
     if not fy or not fz:
         if not (fy or fz):
             raise GeometryError("a curve is paired with itself")
         return len(dz if fz else dy) - 1
-    return _gcd_degree(fy, fz) + min(len(dy) - len(fy), len(dz) - len(fz))
+    return gcd_degree(fy, fz) + min(len(dy) - len(fy), len(dz) - len(fz))
 
 
 # ---------------------------------------------------------------------------

@@ -1,40 +1,61 @@
-"""Univariate polynomial toolkit over :class:`~kleinfib.multipoly.MultiPoly`:
-the one univariate core of the package.
+"""Univariate polynomials as coefficient lists, low degree first: the one
+univariate core of the package.
 
-A univariate polynomial over Q is a MultiPoly in one named variable (over
-Q it is flat, int numerators over one common denominator, so everything
-below runs fraction-free on ints).  Here are the derivative, Sturm's
-real-root counts by ``reduce_mod``, and the pseudo-remainders and
-subresultant PRS of the elimination chains (Brown and Traub 1971).
-Coefficient lists over Q, low degree first, are read and written only at
-the edges (``to_multipoly``, ``curves.residual_coefficients``): the
-displayed residual polynomials and the field towers keep that form.  One
-computation runs on lists: the cyclotomic polynomials are int lists,
-products and exact quotients of binomials X^d - 1.
+A list may hold any coefficients with +, -, * and truth: ints, tower
+elements (:mod:`kleinfib.tower`) or MultiPolys in the other variables.
+One pseudo-remainder, ``prem``, multiplies by the divisor's leading
+coefficient and never divides, so every computation below stays in the
+coefficients' domain: the gcd degrees behind ``orbits.meet_number``,
+Sturm's real-root counts on ints, and the subresultant PRS of the S8
+elimination (Brown and Traub 1971).  The cyclotomic polynomials are int
+lists too, products and exact quotients of binomials X^d - 1.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd, lcm
 
 from .base import VerificationError
-from .multipoly import MultiPoly
 
 
-def to_multipoly(coeffs) -> MultiPoly:
-    """The MultiPoly in X with the coefficient list coeffs (ints or
-    Fractions, low degree first)."""
-    return MultiPoly(("X",), {(k,): c for k, c in enumerate(coeffs)})
+def trim(p):
+    """The list p without its zero top coefficients."""
+    while p and not p[-1]:
+        p = p[:-1]
+    return p
 
 
-def derivative(p: MultiPoly, name: str) -> MultiPoly:
-    """The partial derivative of p in `name`."""
-    i = p.vars.index(name)
-    out = {}
-    for e, c in p.terms.items():
-        if e[i]:
-            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
-    return MultiPoly(p.vars, out)
+def prem(a, b):
+    """The pseudo-remainder r of a by b, trimmed lists with b nonzero:
+    lc(b)^e a = q b + r with deg r < deg b, e = max(deg a - deg b + 1, 0).
+    Each step a -> lc(b) a - lc(a) X^(deg a - deg b) b cancels the top
+    coefficient; a degree that drops by more than one skips steps, whose
+    factors lc(b) are multiplied in at the end."""
+    if not b:
+        raise ZeroDivisionError("pseudo-division by zero")
+    lb, db = b[-1], len(b) - 1
+    e = len(a) - db
+    while len(a) > db:
+        shift, la = len(a) - len(b), a[-1]
+        a = trim([c * lb - la * b[k - shift] if k >= shift else c * lb
+                  for k, c in enumerate(a[:-1])])
+        e -= 1
+    for _ in range(e):
+        a = [c * lb for c in a]
+    return a
+
+
+def gcd_degree(f, g) -> int:
+    """deg gcd(f, g) over the fraction field of the coefficients' domain,
+    for lists f, g not both zero: Euclid's algorithm on prems, whose
+    constant factors lc^e leave every gcd as it is."""
+    f, g = trim(f), trim(g)
+    if not (f or g):
+        raise ZeroDivisionError("gcd of two zero polynomials")
+    while g:
+        f, g = g, prem(f, g)
+    return len(f) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -47,70 +68,56 @@ def _variations(signs):
 
 
 def count_real_roots(coeffs) -> int:
-    """Number of distinct real roots of the polynomial with the coefficient
-    list coeffs (ints or Fractions, low degree first): the sign variations
-    of its Sturm chain f, f', -rem, ... at -oo less those at +oo.  The chain
-    ends in gcd(f, f'), so each distinct root counts once."""
-    f = to_multipoly(coeffs)
-    chain = [f, derivative(f, "X")]
-    while not chain[-1].is_zero():
-        chain.append(-chain[-2].reduce_mod(chain[-1], "X"))
-    at_plus, at_minus = [], []
-    for p in chain[:-1]:
-        d = p.degree("X")
-        lead = p.coeff_of("X", d).constant()
-        s = (lead > 0) - (lead < 0)
-        at_plus.append(s)
-        at_minus.append(s * (-1) ** d)
+    """Number of distinct real roots of the nonzero polynomial with the
+    coefficient list coeffs (ints or Fractions, low degree first): the sign
+    variations of its Sturm chain f, f', -rem, ... at -oo less those at
+    +oo.  On ints, after the common denominator is cleared: each -rem is
+    -prem(a, b) times |lc(b)|^e / lc(b)^e over its content, a positive
+    factor.  The chain ends in gcd(f, f'), so each distinct root counts
+    once."""
+    f = trim(coeffs)
+    if not f:
+        raise ValueError("the zero polynomial vanishes on every real")
+    den = lcm(*(c.denominator for c in f))
+    chain = [[int(c * den) for c in f]]
+    chain.append([k * c for k, c in enumerate(chain[0])][1:])
+    while chain[-1]:
+        a, b = chain[-2], chain[-1]
+        r = prem(a, b)
+        if b[-1] < 0 and (len(a) - len(b)) % 2 == 0:
+            r = [-c for c in r]
+        content = gcd(*r)
+        chain.append([-c // content for c in r])
+    at_plus = [(p[-1] > 0) - (p[-1] < 0) for p in chain[:-1]]
+    at_minus = [s * (-1) ** (len(p) - 1) for s, p in zip(at_plus, chain)]
     return _variations(at_minus) - _variations(at_plus)
 
 
 # ---------------------------------------------------------------------------
-# subresultant PRS over polynomial coefficients (MultiPoly)
+# the subresultant PRS over polynomial coefficients (MultiPoly)
 
 
-def prem(A: MultiPoly, B: MultiPoly, name: str) -> MultiPoly:
-    """Pseudo-remainder: lc(B)^(deg A - deg B + 1) * A = Q*B + prem."""
-    dB = B.degree(name)
-    if dB < 0:
-        raise ZeroDivisionError("pseudo-division by zero")
-    lB = B.coeff_of(name, dB)
-    R = A
-    e = A.degree(name) - dB + 1
-    i = A.vars.index(name)
-    while not R.is_zero() and R.degree(name) >= dB:
-        dR = R.degree(name)
-        S = R.coeff_of(name, dR)
-        shift = [0] * len(A.vars)
-        shift[i] = dR - dB
-        R = lB * R - S.shift(shift) * B
-        e -= 1
-    for _ in range(e):
-        R = lB * R
-    return R
-
-
-def subresultant_prs(A: MultiPoly, B: MultiPoly, name: str):
-    """The Brown-Traub subresultant pseudo-remainder sequence [A, B, R1,
-    R2, ...] up to the first zero pseudo-remainder or constant member."""
-    seq = [A, B]
-    g = MultiPoly.const(A.vars, 1)
-    h = MultiPoly.const(A.vars, 1)
-    while True:
-        dA, dB = seq[-2].degree(name), seq[-1].degree(name)
-        if dB < 0:
-            break
-        delta = dA - dB
-        R = prem(seq[-2], seq[-1], name)
-        if R.is_zero():
+def subresultant_prs(a, b):
+    """The Brown-Traub subresultant pseudo-remainder sequence [a, b, r1,
+    r2, ...] of the lists a, b of MultiPoly coefficients, deg a >= deg b,
+    up to the first zero pseudo-remainder or constant member: r_(i+1) is
+    prem(r_(i-1), r_i) divided exactly by g h^delta, g the leading
+    coefficient and h the subresultant coefficient carried along."""
+    seq = [a, b]
+    g = h = b[-1] ** 0          # the coefficients' 1
+    while seq[-1]:
+        delta = len(seq[-2]) - len(seq[-1])
+        r = prem(seq[-2], seq[-1])
+        if not r:
             break
         denom = g * h ** delta
-        R = R.exact_div(denom)
-        seq.append(R)
-        g = seq[-2].coeff_of(name, seq[-2].degree(name))
-        if delta > 0:
-            h = (g ** delta).exact_div(h ** (delta - 1)) if delta > 1 else g
-        if seq[-1].degree(name) <= 0:
+        seq.append([c.exact_div(denom) for c in r])
+        g = seq[-2][-1]
+        if delta > 1:
+            h = (g ** delta).exact_div(h ** (delta - 1))
+        elif delta:
+            h = g
+        if len(r) <= 1:
             break
     return seq
 

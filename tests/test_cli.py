@@ -961,6 +961,27 @@ def test_an_unwritable_out_fails_before_the_command(monkeypatch, capsys,
     assert captured.err.startswith("error: cannot write --out ")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="no full device to write to")
+@pytest.mark.parametrize("where", ["--out", "stdout"])
+def test_a_certificate_that_cannot_be_written_is_a_usage_error(where):
+    # --out passes the check before the command (it opens), but the full
+    # device takes no certificate, nor does stdout on it: one error line and
+    # exit 2, not a traceback with the exit 1 of a failed check, whose JSON
+    # would name it
+    argv = ["lattice", "8"] + (["--out", "/dev/full"] if where == "--out"
+                               else [])
+    src = os.path.dirname(os.path.dirname(kleinfib.__file__))
+    with open("/dev/full" if where == "stdout" else os.devnull, "w") as out:
+        proc = subprocess.run([sys.executable, "-m", "kleinfib.cli", *argv],
+                              stdout=out, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=src),
+                              timeout=300)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write %s: No space left on device\n" \
+        % ("--out /dev/full" if where == "--out" else "stdout")
+
+
 @pytest.mark.parametrize("argv", [
     ["audit", "s6", "--t", "1e10000000"], ["audit", "s6", "--t=1e-10000000"],
     ["reproduce-paper", "--mutate", "s6,0,0,1e10000000"],

@@ -311,6 +311,43 @@ def test_a_stored_root_off_by_one_fails_its_curve_check(surface, label):
         "it" % label)
 
 
+# run as `python -c`: reproduce-paper with the W^6 coefficient W and the
+# branch quartic P of each S8 branch replaced by the expression argv[1] in
+# them and b before the resultant is taken
+PERTURBED_S8 = """
+import sys
+from kleinfib import cli, curves
+from kleinfib.multipoly import MultiPoly
+residual = curves._s8_branch_residual
+def perturbed(W, P, qtarget, bi):
+    b = MultiPoly.var(P.vars, "b")
+    return residual(*eval(sys.argv[1]), qtarget, bi)
+curves._s8_branch_residual = perturbed
+sys.exit(cli.main(["reproduce-paper"]))
+"""
+
+
+@pytest.mark.parametrize("perturbation,error", [
+    # P divides W: the first pseudo-remainder vanishes
+    ("(P * b ** 14, P)", "no degree-1 subresultant in branch 1"),
+    # a common factor b + 1: the PRS ends in it, of degree 1
+    ("(W * (b + 1), P * (b + 1))",
+     "branch 1 resultant did not reach degree 0"),
+    # the b^0 coefficient of W doubled: another resultant
+    ("(W + W.coeff_of('b', 0), P)",
+     "branch 1 residual quartic deviates from the displayed coefficients")],
+    ids=["P divides W", "common factor", "W b^0 doubled"])
+def test_a_perturbed_s8_resultant_fails_curves_s8(perturbation, error):
+    # in a process of its own, so that no cache here holds the failure
+    src = os.path.dirname(os.path.dirname(kleinfib.__file__))
+    run = subprocess.run([sys.executable, "-c", PERTURBED_S8, perturbation],
+                         capture_output=True, text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert run.returncode == 1, run.stderr
+    checks = {c["name"]: c for c in json.loads(run.stdout)["checks"]}
+    assert checks["curves-s8"]["error"] == "VerificationError: " + error
+
+
 @pytest.mark.parametrize("surface,branch", [("s7", "main"), ("s8", "P1"),
                                             ("s8", "P2")])
 def test_a_changed_graph_coefficient_fails_membership(surface, branch):

@@ -349,3 +349,35 @@ def test_numeric_reads_no_tower_internals():
                             "ring = T._ring\nx = T._elem({}, 1)\n"
                             "M = T.M\n") == [
         (1, "M"), (1, "payload"), (2, "_ring"), (3, "_elem")]
+
+
+def _foreign_imports(text):
+    """The module-level imports of the source `text` that are neither of
+    the standard library nor `.base`, by the module they name."""
+    tree = ast.parse(text)
+    names = [alias.name for node in tree.body if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += ["." * node.level + (node.module or "") for node in tree.body
+              if isinstance(node, ast.ImportFrom)]
+    return sorted(name for name in names if name != ".base" and
+                  name.partition(".")[0] not in sys.stdlib_module_names)
+
+
+def test_univariate_is_the_one_leaf_pseudo_division():
+    # univariate is a leaf: it imports the standard library and base only,
+    # so any layer can reach it; and it alone defines a pseudo-division, so
+    # a second gcd loop written beside the core fails here
+    package = Path(kleinfib.__file__).parent
+    assert not _foreign_imports((package / "univariate.py").read_text())
+    assert _foreign_imports("from __future__ import annotations\n"
+                            "import math, os.path\nfrom . import tower\n"
+                            "from .base import GeometryError\n"
+                            "from .multipoly import MultiPoly\n") == [
+        ".", ".multipoly"]
+    defined = sorted((path.stem, node.name)
+                     for path in package.glob("*.py")
+                     for node in ast.walk(ast.parse(path.read_text()))
+                     if isinstance(node, ast.FunctionDef) and node.name in
+                     ("prem", "_gcd_degree", "gcd_degree", "_trim", "trim"))
+    assert defined == [("univariate", "gcd_degree"), ("univariate", "prem"),
+                       ("univariate", "trim")]

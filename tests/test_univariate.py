@@ -1,5 +1,7 @@
-"""Univariate layer: the subresultant gcd against the Sylvester-matrix
-resultant, Sturm counts against numpy roots."""
+"""Univariate layer: the pseudo-remainder identity over ints, Q(zeta_12)
+and MultiPoly coefficients, gcd degrees against the Sylvester-matrix
+resultant, the subresultant PRS against them, Sturm counts against numpy
+roots."""
 
 import random
 from fractions import Fraction
@@ -12,8 +14,9 @@ from hypothesis import given, settings, strategies as st
 from kleinfib import univariate
 from kleinfib.base import VerificationError
 from kleinfib.multipoly import MultiPoly
+from kleinfib.tower import cyclotomic, root_of_unity
 from kleinfib.univariate import (count_real_roots, cyclotomic_poly,
-                                 derivative, subresultant_prs, to_multipoly)
+                                 gcd_degree, prem, subresultant_prs)
 
 
 def normalize(f):
@@ -70,14 +73,63 @@ def sylvester_resultant(f, g):
     return det
 
 
-def exact_gcd(f, g):
-    """A gcd of the univariate f and g over Q, up to a constant factor: the
-    last member of their subresultant PRS, or 1 when it is a constant."""
-    if g.is_zero():
-        return f
-    last = subresultant_prs(f, g, "X")[-1] if f.degree("X") >= \
-        g.degree("X") else subresultant_prs(g, f, "X")[-1]
-    return last if last.degree("X") > 0 else MultiPoly.const(("X",), 1)
+def _reduces_to_zero(p, b, div):
+    """Whether the list p is a multiple of the list b: long division with
+    each leading coefficient divided by lc(b) as div does, exactly, leaves
+    no remainder."""
+    p = normalize(p)
+    while len(p) >= len(b):
+        q, shift = div(p[-1], b[-1]), len(p) - len(b)
+        p = normalize([c - q * b[k - shift] if k >= shift else c
+                       for k, c in enumerate(p)])
+    return not p
+
+
+def _check_prem(a, b, div):
+    """prem(a, b) has degree below b's, and lc(b)^e a - prem(a, b) is a
+    multiple of b, e = max(deg a - deg b + 1, 0)."""
+    r = prem(a, b)
+    assert len(r) < len(b) and (not r or r[-1])
+    factor = b[-1] ** max(len(a) - len(b) + 1, 0)
+    r = r + [0 * b[-1]] * (len(a) - len(r))
+    assert _reduces_to_zero([c * factor - d for c, d in zip(a, r)], b, div)
+
+
+ints = st.lists(st.integers(-9, 9), min_size=1, max_size=7).map(normalize)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ints, ints)
+def test_prem_over_ints(a, b):
+    if b:
+        _check_prem(a, b, Fraction)
+
+
+def test_prem_multiplies_in_the_skipped_steps():
+    # x^3 + 1 by 2x^2 + 1: one step, 2(x^3 + 1) - x(2x^2 + 1) = 2 - x,
+    # drops below deg b with e = 2, so the second factor 2 is multiplied in
+    assert prem([1, 0, 0, 1], [1, 0, 2]) == [4, -2]
+    assert prem([1, 2], [1, 0, 2]) == [1, 2]
+    with pytest.raises(ZeroDivisionError):
+        prem([1], [])
+
+
+def test_prem_over_cyclotomic_and_multipoly_coefficients():
+    rng = random.Random(5)
+    powers = root_of_unity(cyclotomic(12), 12).powers(4)
+    x, y = MultiPoly.var(XY, "x"), MultiPoly.var(XY, "y")
+    monomials = [MultiPoly.const(XY, 1), x, y, x * y]
+
+    def coefficient(basis):
+        return sum((rng.randint(-4, 4) * m for m in basis), 0 * basis[0])
+    for basis, div in ((powers, lambda p, q: p / q),
+                       (monomials, lambda p, q: p.exact_div(q))):
+        for _ in range(12):
+            a = [coefficient(basis) for _ in range(rng.randint(1, 6))]
+            b = normalize([coefficient(basis)
+                           for _ in range(rng.randint(1, 4))])
+            if b:
+                _check_prem(normalize(a), b, div)
 
 
 @settings(max_examples=60, deadline=None)
@@ -85,8 +137,63 @@ def exact_gcd(f, g):
 def test_resultant_vanishes_iff_common_root(f, g):
     if len(f) < 2 or len(g) < 2:
         return
-    common = exact_gcd(to_multipoly(f), to_multipoly(g)).degree("X") > 0
-    assert (sylvester_resultant(f, g) == 0) == common
+    assert (sylvester_resultant(f, g) == 0) == (gcd_degree(f, g) > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys, polys)
+def test_gcd_degree_is_symmetric(f, g):
+    if f or g:
+        assert gcd_degree(f, g) == gcd_degree(g, f)
+    if f:
+        assert gcd_degree(f, []) == len(f) - 1
+
+
+def test_subresultant_prs_ends_at_the_gcd():
+    # over Q[u]: the PRS divides exactly (exact_div raises otherwise) and
+    # its last member has the degree of the gcd, or is a constant
+    rng = random.Random(7)
+    u = MultiPoly.var(("u",), "u")
+
+    def poly(degree):
+        return [rng.randint(-3, 3) * u + rng.randint(-3, 3)
+                for _ in range(degree)] + [u + rng.randint(1, 3)]
+    for _ in range(20):
+        common = poly(rng.randint(0, 2))
+        f, g = (_times(common, poly(d)) for d in (rng.randint(2, 4),
+                                                  rng.randint(0, 2)))
+        last = subresultant_prs(f, g)[-1]
+        assert len(last) - 1 == gcd_degree(f, g)
+
+
+def _times(a, b):
+    """The product of the lists a and b."""
+    out = [0 * a[0]] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] = out[i + j] + c * d
+    return out
+
+
+def _derivative(f):
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _squarefree(f):
+    """f over gcd(f, f'), by Euclid and long division over Q: a second
+    computation, with no pseudo-remainder."""
+    def divmod_(p, q):
+        p, quo = list(p), [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+        while len(p) >= len(q):
+            c, shift = p[-1] / q[-1], len(p) - len(q)
+            quo[shift] = c
+            p = normalize([a - c * q[k - shift] if k >= shift else a
+                           for k, a in enumerate(p)])
+        return quo, p
+    a, b = [Fraction(c) for c in f], _derivative(f)
+    while b:
+        a, b = b, divmod_(a, b)[1]
+    return divmod_(f, a)[0]
 
 
 def test_sturm_against_numpy():
@@ -95,13 +202,11 @@ def test_sturm_against_numpy():
         deg = rng.randint(1, 6)
         coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(deg)] + \
                  [Fraction(rng.randint(1, 9))]
-        f = to_multipoly(coeffs)
-        sqf = _coeffs(f.exact_div(exact_gcd(f, derivative(f, "X"))), "X")
-        # the squarefree part is certified squarefree, and f exactly when
-        # it is its own squarefree part
-        sq = to_multipoly(sqf)
-        assert exact_gcd(sq, derivative(sq, "X")).degree("X") == 0
-        assert (exact_gcd(f, derivative(f, "X")).degree("X") == 0) == \
+        sqf = _squarefree(coeffs)
+        # the squarefree part is squarefree, and f exactly when it is its
+        # own squarefree part
+        assert gcd_degree(sqf, _derivative(sqf)) == 0
+        assert (gcd_degree(coeffs, _derivative(coeffs)) == 0) == \
             (len(sqf) == len(coeffs))
         exact = count_real_roots(sqf)
         roots = np.roots([float(c) for c in reversed(sqf)])
@@ -112,14 +217,26 @@ def test_sturm_against_numpy():
 
 
 def test_sturm_chain_endpoints():
-    # (x-1)(x-2)(x-3): 3 real roots
+    # (x-1)(x-2)(x-3): 3 real roots, and with a negative leading coefficient
     assert count_real_roots([-6, 11, -6, 1]) == 3
+    assert count_real_roots([6, -11, 6, -1]) == 3
     # (x-1)^2 (x+2): the double root counts once
     assert count_real_roots([2, -3, 0, 1]) == 2
     # the signs at -oo and +oo follow the leading coefficient and degree
     assert count_real_roots([0, 1, 0, -1]) == 3
     assert count_real_roots([1, 0, 1]) == 0
+    # x^4 + 4x = x (x^3 + 4): the chain x^4 + 4x, 4x^3 + 4, -x, -1 drops
+    # two degrees at -x, whose negative lc(b)^3 must not flip the sign of
+    # the next member
+    assert count_real_roots([0, 4, 0, 0, 1]) == 2
+    assert count_real_roots([0, -4, 0, 0, -1]) == 2
+    # constants have none; the zero polynomial vanishes everywhere
     assert count_real_roots([Fraction(5, 3)]) == 0
+    assert count_real_roots([-2, 0]) == 0
+    with pytest.raises(ValueError):
+        count_real_roots([])
+    with pytest.raises(ValueError):
+        count_real_roots([0, Fraction(0)])
 
 
 def test_cyclotomic():
@@ -153,12 +270,12 @@ def test_cyclotomic_degrees_and_integrality():
 
 @pytest.mark.parametrize("n", [12, 30, 105, 124])
 def test_cyclotomic_factors_x_to_the_n_minus_1(n):
-    # prod_{d | n} Phi_d = X^n - 1, multiplied out as MultiPoly
-    product = MultiPoly.const(("X",), 1)
+    # prod_{d | n} Phi_d = X^n - 1, multiplied out as int lists
+    product = [1]
     for d in range(1, n + 1):
         if not n % d:
-            product = product * to_multipoly(cyclotomic_poly(d))
-    assert product == to_multipoly([-1] + [0] * (n - 1) + [1])
+            product = _times(product, cyclotomic_poly(d))
+    assert product == [-1] + [0] * (n - 1) + [1]
 
 
 def test_inexact_division_raises(monkeypatch):
@@ -182,17 +299,3 @@ def test_inexact_division_raises(monkeypatch):
     finally:
         univariate._cyclotomic.cache_clear()
     assert cyclotomic_poly(6) == [1, -1, 1]
-
-
-def test_derivative():
-    assert derivative(to_multipoly([1, 2, 3]), "X") == to_multipoly([2, 6])
-    x, y = MultiPoly.var(XY, "x"), MultiPoly.var(XY, "y")
-    f = x ** 2 * y + y * 3
-    assert derivative(f, "x") == x * y * 2
-    assert derivative(f, "y") == x ** 2 + 3
-    assert derivative(to_multipoly([Fraction(7, 2)]), "X").is_zero()
-
-
-def _coeffs(p, name):
-    """The coefficient list of p, univariate in `name`, low degree first."""
-    return [p.coeff_of(name, k).constant() for k in range(p.degree(name) + 1)]
